@@ -5,14 +5,21 @@
 //! cookie table: `shard_of(cookie)` is one SplitMix64 finalizer plus a
 //! mask, then the frame takes exactly the same one-probe demux inside
 //! its shard that the single endpoint takes. So the per-frame claim is
-//! twofold and both halves gate in CI as hardware-independent ratios:
+//! threefold and every part gates in CI as a hardware-independent
+//! ratio:
 //!
 //! - **front overhead** — routing through a 1-shard front must price
 //!   within a small constant of the bare [`Endpoint`] (the front adds
 //!   one preamble peek and one hash mix, nothing O(conns)),
 //! - **flat scaling** — 64 shards must not cost more per frame than 1
 //!   shard on the same connection population (the probe is per-shard;
-//!   nothing on the fast path is O(shards)).
+//!   nothing on the fast path is O(shards)),
+//! - **table scaling** — the same loop over 16× the connections on 8
+//!   shards must cost about the same per frame: the drain visits the
+//!   connections that received something, not the table. What remains
+//!   of the ratio (≈ 2–3.5) is the cache and TLB footprint of 16× the
+//!   connection state under a shuffled sweep; a drain that walks every
+//!   slot reads ≈ 9.
 //!
 //! The raw ns rows carry loose tolerances and only track the machine.
 //! Workload: an established population sending small cookie-only
@@ -36,6 +43,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 const CONNS: usize = 1024;
+/// The large population of the table-scaling row.
+const TABLE_CONNS: usize = 16 * CONNS;
 const DRAIN_EVERY: usize = 64;
 const REPS: usize = 24;
 
@@ -54,10 +63,13 @@ fn conn(local: u64, peer: u64, seed: u64) -> Connection {
 
 /// Builds an established client fleet: returns the clients' first
 /// (ident-carrying) frames and one steady cookie-only frame each.
-fn client_frames() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-    let mut idents = Vec::with_capacity(CONNS);
-    let mut steady = Vec::with_capacity(CONNS);
-    for i in 0..CONNS as u64 {
+/// The steady frames come back in a fixed pseudo-random sweep order:
+/// every arm pays the same cache-cold connection access, none gets
+/// sequential-slab luck.
+fn client_frames(conns: usize) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+    let mut idents = Vec::with_capacity(conns);
+    let mut steady = Vec::with_capacity(conns);
+    for i in 0..conns as u64 {
         let mut c = conn(100 + i, 1, 2 * i + 1);
         c.send(b"establish");
         idents.push(c.poll_transmit().expect("first frame").to_wire());
@@ -66,11 +78,18 @@ fn client_frames() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
         steady.push(c.poll_transmit().expect("steady frame").to_wire());
         c.process_pending();
     }
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for i in (1..steady.len()).rev() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        steady.swap(i, (x % (i as u64 + 1)) as usize);
+    }
     (idents, steady)
 }
 
-fn server_conns() -> impl Iterator<Item = Connection> {
-    (0..CONNS as u64).map(|i| conn(1, 100 + i, 2 * i + 2))
+fn server_conns(conns: usize) -> impl Iterator<Item = Connection> {
+    (0..conns as u64).map(|i| conn(1, 100 + i, 2 * i + 2))
 }
 
 /// Steady-state per-frame cost through the bare endpoint (no front):
@@ -79,7 +98,7 @@ fn server_conns() -> impl Iterator<Item = Connection> {
 fn bench_endpoint(idents: &[Vec<u8>], steady: &[Vec<u8>]) -> f64 {
     let mut ep = Endpoint::new();
     let mut pool = MsgPool::with_defaults();
-    for c in server_conns() {
+    for c in server_conns(idents.len()) {
         ep.add_connection(c);
     }
     for f in idents {
@@ -117,7 +136,7 @@ fn bench_endpoint(idents: &[Vec<u8>], steady: &[Vec<u8>]) -> f64 {
 /// The same loop through a sharded front with `shards` shards.
 fn bench_sharded(shards: usize, idents: &[Vec<u8>], steady: &[Vec<u8>]) -> f64 {
     let mut ep = ShardedEndpoint::new(shards);
-    for c in server_conns() {
+    for c in server_conns(idents.len()) {
         ep.add_connection(c);
     }
     for f in idents {
@@ -156,16 +175,7 @@ fn main() {
     println!("sharded demux scaling ({CONNS} connections, steady cookie frames)");
     println!("{}", "-".repeat(100));
 
-    let (idents, mut steady) = client_frames();
-    // Fixed pseudo-random sweep order: every arm pays the same
-    // cache-cold connection access, none gets sequential-slab luck.
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    for i in (1..steady.len()).rev() {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        steady.swap(i, (x % (i as u64 + 1)) as usize);
-    }
+    let (idents, steady) = client_frames(CONNS);
     let bare = bench_endpoint(&idents, &steady);
     println!("{:<44} {bare:>8.1} ns/frame", "endpoint/bare");
     let mut by_shards = Vec::new();
@@ -175,8 +185,16 @@ fn main() {
         by_shards.push(ns);
     }
 
+    let (idents, steady) = client_frames(TABLE_CONNS);
+    let big_table = bench_sharded(8, &idents, &steady);
+    println!(
+        "{:<44} {big_table:>8.1} ns/frame",
+        format!("sharded/8 x {TABLE_CONNS} conns")
+    );
+
     let front_ratio = by_shards[0] / bare;
     let scaling_ratio = by_shards[2] / by_shards[0];
+    let table_ratio = big_table / by_shards[1];
     println!(
         "{:<44} {front_ratio:>8.3}",
         "front_overhead_ratio (1 shard / bare)"
@@ -185,12 +203,16 @@ fn main() {
         "{:<44} {scaling_ratio:>8.3}",
         "shard_scaling_ratio (64 / 1 shards)"
     );
+    println!(
+        "{:<44} {table_ratio:>8.3}",
+        "table_scaling_ratio (16384 / 1024 conns)"
+    );
 
-    // Raw ns rows track the machine (loose tol); the two ratio rows
+    // Raw ns rows track the machine (loose tol); the three ratio rows
     // are the hardware-independent gates: the front must stay within a
-    // small constant of the bare endpoint, and 64 shards must cost no
-    // more per frame than 1. Authoritative tolerances live in the
-    // committed baseline.
+    // small constant of the bare endpoint, 64 shards must cost no more
+    // per frame than 1, and 16x the connections must not cost 16x the
+    // drain. Authoritative tolerances live in the committed baseline.
     let mut report = BenchReport::new("shard");
     report
         .push_tol("demux_bare_ns", bare, Better::Lower, 1.5)
@@ -198,7 +220,8 @@ fn main() {
         .push_tol("demux_shard8_ns", by_shards[1], Better::Lower, 1.5)
         .push_tol("demux_shard64_ns", by_shards[2], Better::Lower, 1.5)
         .push_tol("front_overhead_ratio", front_ratio, Better::Lower, 0.35)
-        .push_tol("shard_scaling_ratio", scaling_ratio, Better::Lower, 0.25);
+        .push_tol("shard_scaling_ratio", scaling_ratio, Better::Lower, 0.25)
+        .push_tol("table_scaling_ratio", table_ratio, Better::Lower, 1.0);
     if !pa_bench::emit_and_compare(&report) {
         std::process::exit(1);
     }

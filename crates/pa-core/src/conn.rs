@@ -983,6 +983,16 @@ impl Connection {
         !self.pending_recv.is_empty()
     }
 
+    /// True if a frame is waiting for [`Connection::poll_transmit`].
+    pub fn has_transmit(&self) -> bool {
+        !self.out.is_empty()
+    }
+
+    /// True if a message is waiting for [`Connection::poll_delivery`].
+    pub fn has_delivery(&self) -> bool {
+        !self.deliveries.is_empty()
+    }
+
     /// Number of messages waiting in the send backlog.
     pub fn backlog_len(&self) -> usize {
         self.backlog.len()

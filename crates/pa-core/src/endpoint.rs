@@ -12,6 +12,17 @@
 //! churn, admission is budgetable (accept storms defer instead of
 //! stampeding the table), and [`Endpoint::tick`] evicts idle
 //! connections under a configurable timeout.
+//!
+//! Work proportional to the traffic, not the table: the host-facing
+//! polls ([`Endpoint::poll_delivery`], [`Endpoint::poll_transmit`],
+//! [`Endpoint::process_all_pending`] and their burst forms) never walk
+//! the connection table. Each consumes a *ready set* — a FIFO of slot
+//! indices plus a per-slot "queued" bit. Membership is conservative: a
+//! slot is enqueued whenever connection code runs on it or a
+//! `&mut Connection` is handed out, and a consumer that finds the
+//! connection empty (or the slot freed or reused) clears the bit and
+//! moves on. Per-connection order is the connection's own queue order;
+//! across connections the order is readiness order.
 
 use crate::conn::{Connection, DeliverOutcome, DropReason, SendOutcome};
 use crate::router::{ConnKey, CookieLookup, ExtractedRoute, Router};
@@ -19,6 +30,7 @@ use crate::Nanos;
 use pa_buf::Msg;
 use pa_obs::{RejectLedger, RejectReason};
 use pa_wire::{EndpointAddr, Preamble};
+use std::collections::VecDeque;
 
 /// Handle to a connection within an [`Endpoint`]: a slot index stamped
 /// with the slot's generation at admit time. Slot reuse after
@@ -110,6 +122,9 @@ pub struct LifecycleStats {
 pub struct Delivery {
     /// The connection it arrived on.
     pub conn: ConnHandle,
+    /// The tag the connection's owner set on it (a sharded front's
+    /// stable handle); `0` if none was set.
+    pub tag: u64,
     /// The message payload.
     pub msg: Msg,
 }
@@ -153,13 +168,45 @@ impl BurstDemux {
     }
 }
 
+/// The per-connection queues a host polls. Each has a ready set on the
+/// endpoint: a FIFO of slot indices that *may* hold something on that
+/// queue, plus a bit in [`Slot::queued`] so a slot sits in each FIFO at
+/// most once.
+#[derive(Debug, Clone, Copy)]
+enum Ready {
+    Delivery = 0,
+    Transmit = 1,
+    Post = 2,
+}
+
+impl Ready {
+    const ALL: u8 = 0b111;
+
+    fn bit(self) -> u8 {
+        1 << self as u8
+    }
+}
+
+/// Exactly which of `conn`'s queues are non-empty, as [`Ready`] bits.
+fn ready_mask(conn: &Connection) -> u8 {
+    let post = conn.has_pending() || conn.backlog_len() > 0;
+    (conn.has_delivery() as u8) << Ready::Delivery as u8
+        | (conn.has_transmit() as u8) << Ready::Transmit as u8
+        | (post as u8) << Ready::Post as u8
+}
+
 /// One connection slot: the generation stamps handles, `last_active`
-/// drives idle eviction.
+/// drives idle eviction, `queued` holds the [`Ready`] bits of the ready
+/// sets this slot index currently sits in (it outlives the connection:
+/// a freed or reused slot stays queued until a consumer reaches it).
 #[derive(Debug)]
 struct Slot {
     generation: u32,
     conn: Option<Connection>,
     last_active: Nanos,
+    /// Opaque owner tag, echoed in every [`Delivery`].
+    tag: u64,
+    queued: u8,
 }
 
 /// A host endpoint: connection table + router.
@@ -183,8 +230,10 @@ pub struct Endpoint {
     /// Scratch for [`Endpoint::from_network_burst`] cookie segments —
     /// kept on the endpoint so steady-state bursts allocate nothing.
     burst_scratch: Vec<(Preamble, Msg)>,
-    /// Scratch for the idle-eviction sweep.
-    evict_scratch: Vec<ConnHandle>,
+    /// The last tick's idle evictions, with their owner tags.
+    evicted: Vec<(ConnHandle, u64)>,
+    /// The ready sets, indexed by [`Ready`].
+    ready: [VecDeque<u32>; 3],
     /// Virtual clock, advanced by [`Endpoint::tick`]; stamps
     /// `last_active`.
     clock: Nanos,
@@ -214,7 +263,8 @@ impl Default for Endpoint {
             routed: 0,
             rejects: RejectLedger::default(),
             burst_scratch: Vec::new(),
-            evict_scratch: Vec::new(),
+            evicted: Vec::new(),
+            ready: Default::default(),
             clock: 0,
             idle_timeout: None,
             max_live: None,
@@ -260,6 +310,8 @@ impl Endpoint {
                     generation: 0,
                     conn: None,
                     last_active: 0,
+                    tag: 0,
+                    queued: 0,
                 });
                 self.conns.len() - 1
             }
@@ -270,12 +322,82 @@ impl Endpoint {
         let slot = &mut self.conns[idx];
         slot.conn = Some(conn);
         slot.last_active = clock;
+        slot.tag = 0;
+        let generation = slot.generation;
         self.live += 1;
         self.lifecycle.admitted += 1;
+        // The connection may arrive with work already queued.
+        self.enqueue(idx, Ready::ALL);
         ConnHandle {
             slot: idx as u32,
-            generation: slot.generation,
+            generation,
         }
+    }
+
+    /// Adds slot `idx` to every ready set in `want` it is not already
+    /// in. `Ready::ALL` is the conservative "connection code ran here";
+    /// a caller that has just visited the connection passes its exact
+    /// [`ready_mask`] instead.
+    #[inline]
+    fn enqueue(&mut self, idx: usize, want: u8) {
+        let slot = &mut self.conns[idx];
+        let add = want & !slot.queued;
+        if add == 0 {
+            return;
+        }
+        slot.queued |= add;
+        for (kind, fifo) in self.ready.iter_mut().enumerate() {
+            if add & (1 << kind) != 0 {
+                fifo.push_back(idx as u32);
+            }
+        }
+    }
+
+    /// Walks ready set `kind` from its head. `visit` drains what it
+    /// wants from a queued live connection and returns `true` if it
+    /// found the queue empty — the slot is then dequeued, as is a freed
+    /// slot — or `false` to stop with the slot still at the head.
+    fn consume(
+        &mut self,
+        kind: Ready,
+        mut visit: impl FnMut(ConnHandle, u64, &mut Connection) -> bool,
+    ) {
+        while let Some(&idx) = self.ready[kind as usize].front() {
+            let slot = &mut self.conns[idx as usize];
+            if let Some(conn) = slot.conn.as_mut() {
+                let h = ConnHandle {
+                    slot: idx,
+                    generation: slot.generation,
+                };
+                if !visit(h, slot.tag, conn) {
+                    return;
+                }
+            }
+            slot.queued &= !kind.bit();
+            self.ready[kind as usize].pop_front();
+        }
+        debug_assert!(
+            self.conns.iter().all(|s| s.queued & kind.bit() == 0
+                && s.conn.as_ref().map_or(0, ready_mask) & kind.bit() == 0),
+            "{kind:?} ready set reported empty with a connection still holding work"
+        );
+    }
+
+    /// Sets the owner tag echoed in `h`'s deliveries.
+    pub(crate) fn set_tag(&mut self, h: ConnHandle, tag: u64) {
+        debug_assert!(self.try_conn(h).is_some(), "tagging a stale handle");
+        self.conns[h.slot as usize].tag = tag;
+    }
+
+    /// The owner tag of live connection `h`.
+    pub(crate) fn tag_of(&self, h: ConnHandle) -> Option<u64> {
+        self.try_conn(h).map(|_| self.conns[h.slot as usize].tag)
+    }
+
+    /// Owner tags of the connections the last [`Endpoint::tick`]
+    /// evicted as idle.
+    pub(crate) fn evicted_tags(&self) -> impl Iterator<Item = u64> + '_ {
+        self.evicted.iter().map(|&(_, tag)| tag)
     }
 
     /// Adds a connection; registers its expected peer identification
@@ -315,13 +437,7 @@ impl Endpoint {
     /// slot under a bumped generation, and returns the connection for
     /// draining. A stale handle is a counted error.
     pub fn remove_connection(&mut self, h: ConnHandle) -> Result<Connection, StaleHandle> {
-        let idx = h.slot as usize;
-        let ok = matches!(self.conns.get(idx),
-            Some(s) if s.generation == h.generation && s.conn.is_some());
-        if !ok {
-            self.lifecycle.stale_handle_rejects += 1;
-            return Err(StaleHandle);
-        }
+        let idx = self.live_slot(h)?;
         self.router.remove(ConnKey(idx));
         let slot = &mut self.conns[idx];
         let conn = slot.conn.take().expect("checked live above");
@@ -346,13 +462,7 @@ impl Endpoint {
         &mut self,
         h: ConnHandle,
     ) -> Result<(Connection, ExtractedRoute), StaleHandle> {
-        let idx = h.slot as usize;
-        let ok = matches!(self.conns.get(idx),
-            Some(s) if s.generation == h.generation && s.conn.is_some());
-        if !ok {
-            self.lifecycle.stale_handle_rejects += 1;
-            return Err(StaleHandle);
-        }
+        let idx = self.live_slot(h)?;
         let route = self.router.extract(ConnKey(idx));
         let slot = &mut self.conns[idx];
         let conn = slot.conn.take().expect("checked live above");
@@ -410,19 +520,24 @@ impl Endpoint {
         s.conn.as_ref()
     }
 
-    /// Mutable access through a live handle; a stale handle is counted
+    /// The slot index behind a live handle; a stale handle is counted
     /// and refused.
-    pub fn try_conn_mut(&mut self, h: ConnHandle) -> Result<&mut Connection, StaleHandle> {
-        let ok = matches!(self.conns.get(h.slot as usize),
-            Some(s) if s.generation == h.generation && s.conn.is_some());
-        if !ok {
+    fn live_slot(&mut self, h: ConnHandle) -> Result<usize, StaleHandle> {
+        if self.try_conn(h).is_none() {
             self.lifecycle.stale_handle_rejects += 1;
             return Err(StaleHandle);
         }
-        Ok(self.conns[h.slot as usize]
-            .conn
-            .as_mut()
-            .expect("checked live above"))
+        Ok(h.slot as usize)
+    }
+
+    /// Mutable access through a live handle; a stale handle is counted
+    /// and refused.
+    pub fn try_conn_mut(&mut self, h: ConnHandle) -> Result<&mut Connection, StaleHandle> {
+        let idx = self.live_slot(h)?;
+        // The caller can drive the connection directly; whatever it
+        // leaves queued must still be found by the polls.
+        self.enqueue(idx, Ready::ALL);
+        Ok(self.conns[idx].conn.as_mut().expect("checked live above"))
     }
 
     /// Access a connection. Panics on a stale handle — detection, never
@@ -470,6 +585,27 @@ impl Endpoint {
         self.frames_seen == self.routed + self.rejects.total()
     }
 
+    /// The progress invariant, by full scan (a harness check, not a
+    /// hot-path call): every live connection holding a delivery, a
+    /// transmit or post work is on the matching ready set — so the polls
+    /// will reach it — and every slot sits in each set exactly as often
+    /// as its queued bit says, which is at most once. Conservation
+    /// ledgers cannot see a stranded delivery; this can.
+    pub fn ready_balanced(&self) -> bool {
+        let mut seen = vec![0u8; self.conns.len()];
+        for (kind, fifo) in self.ready.iter().enumerate() {
+            for &idx in fifo {
+                if seen[idx as usize] & (1 << kind) != 0 {
+                    return false;
+                }
+                seen[idx as usize] |= 1 << kind;
+            }
+        }
+        self.conns.iter().zip(seen).all(|(slot, seen)| {
+            seen == slot.queued && slot.conn.as_ref().map_or(0, ready_mask) & !slot.queued == 0
+        })
+    }
+
     /// Counts one demux-level rejection.
     fn reject(&mut self, reason: RejectReason) -> DeliverOutcome {
         self.rejects.bump(reason);
@@ -484,26 +620,16 @@ impl Endpoint {
     /// Sends `payload` on connection `h`; a stale handle is counted and
     /// refused instead of panicking.
     pub fn try_send(&mut self, h: ConnHandle, payload: &[u8]) -> Result<SendOutcome, StaleHandle> {
-        let ok = matches!(self.conns.get(h.slot as usize),
-            Some(s) if s.generation == h.generation && s.conn.is_some());
-        if !ok {
-            self.lifecycle.stale_handle_rejects += 1;
-            return Err(StaleHandle);
-        }
-        let clock = self.clock;
-        let slot = &mut self.conns[h.slot as usize];
-        slot.last_active = clock;
-        Ok(slot
-            .conn
-            .as_mut()
-            .expect("checked live above")
-            .send(payload))
+        let idx = self.live_slot(h)?;
+        Ok(self.routed_conn_mut(ConnKey(idx)).send(payload))
     }
 
     /// The live connection behind a router key (the router never holds
-    /// keys for freed slots).
+    /// keys for freed slots), about to run: stamps its activity and puts
+    /// it on every ready set.
     fn routed_conn_mut(&mut self, key: ConnKey) -> &mut Connection {
         let clock = self.clock;
+        self.enqueue(key.0, Ready::ALL);
         let slot = &mut self.conns[key.0];
         slot.last_active = clock;
         slot.conn
@@ -677,7 +803,9 @@ impl Endpoint {
         report: &mut BurstDemux,
     ) {
         self.frames_seen += seg.len() as u64;
+        let routed_before = self.routed;
         self.flush_cookie_segment(seg, report);
+        report.routed += self.routed - routed_before;
     }
 
     /// Frames that demuxed to a connection.
@@ -727,103 +855,84 @@ impl Endpoint {
         }
     }
 
-    /// Drains up to `max` outgoing frames across all connections into
-    /// `out` (caller-owned scratch). One pass over the connection table
-    /// per burst instead of one per frame. Returns how many were
-    /// appended; all frames of one connection go to that connection's
-    /// peer, in queue order — the same order repeated
-    /// [`Endpoint::poll_transmit`] calls would produce.
+    /// Drains up to `max` outgoing frames into `out` (caller-owned
+    /// scratch), visiting only connections on the transmit ready set.
+    /// Returns how many were appended. All frames of one connection go
+    /// to that connection's peer, in its queue order; connections are
+    /// served in the order they became ready — the same order repeated
+    /// [`Endpoint::poll_transmit`] calls would produce. A connection cut
+    /// off at `max` stays at the head for the next call.
     pub fn poll_transmit_burst(&mut self, max: usize, out: &mut Vec<(EndpointAddr, Msg)>) -> usize {
         let mut n = 0;
-        for slot in &mut self.conns {
-            let Some(conn) = slot.conn.as_mut() else {
-                continue;
-            };
+        self.consume(Ready::Transmit, |_, _, conn| {
             let peer = conn.peer_addr();
             while n < max {
                 match conn.poll_transmit() {
-                    Some(f) => {
-                        out.push((peer, f));
-                        n += 1;
-                    }
-                    None => break,
+                    Some(f) => out.push((peer, f)),
+                    None => return true,
                 }
+                n += 1;
             }
-            if n >= max {
-                break;
-            }
-        }
+            false
+        });
         n
     }
 
-    /// Drains up to `max` delivered application messages across all
-    /// connections into `out`. Returns how many were appended.
+    /// Drains up to `max` delivered application messages into `out`,
+    /// visiting only connections on the delivery ready set: each
+    /// connection's messages in its queue order, connections in the
+    /// order they became ready. Returns how many were appended; `0`
+    /// means nothing is deliverable, at O(1) cost. A connection cut off
+    /// at `max` stays at the head for the next call.
     pub fn poll_delivery_burst(&mut self, max: usize, out: &mut Vec<Delivery>) -> usize {
         let mut n = 0;
-        for (i, slot) in self.conns.iter_mut().enumerate() {
-            let generation = slot.generation;
-            let Some(conn) = slot.conn.as_mut() else {
-                continue;
-            };
+        self.consume(Ready::Delivery, |h, tag, conn| {
             while n < max {
                 match conn.poll_delivery() {
-                    Some(msg) => {
-                        out.push(Delivery {
-                            conn: ConnHandle {
-                                slot: i as u32,
-                                generation,
-                            },
-                            msg,
-                        });
-                        n += 1;
-                    }
-                    None => break,
+                    Some(msg) => out.push(Delivery { conn: h, tag, msg }),
+                    None => return true,
                 }
+                n += 1;
             }
-            if n >= max {
-                break;
-            }
-        }
+            false
+        });
         n
     }
 
-    /// Pops the next outgoing frame from any connection, along with its
-    /// destination.
+    /// Pops the next outgoing frame from the connection at the head of
+    /// the transmit ready set, along with its destination.
     pub fn poll_transmit(&mut self) -> Option<(EndpointAddr, Msg)> {
-        for slot in &mut self.conns {
-            let Some(conn) = slot.conn.as_mut() else {
-                continue;
-            };
-            if let Some(frame) = conn.poll_transmit() {
-                return Some((conn.peer_addr(), frame));
-            }
-        }
-        None
+        let mut got = None;
+        self.consume(Ready::Transmit, |_, _, conn| {
+            got = conn.poll_transmit().map(|f| (conn.peer_addr(), f));
+            got.is_none()
+        });
+        got
     }
 
-    /// Pops the next delivered application message from any connection.
+    /// Pops the next delivered application message from the connection
+    /// at the head of the delivery ready set.
     pub fn poll_delivery(&mut self) -> Option<Delivery> {
-        for (i, slot) in self.conns.iter_mut().enumerate() {
-            let generation = slot.generation;
-            let Some(conn) = slot.conn.as_mut() else {
-                continue;
-            };
-            if let Some(msg) = conn.poll_delivery() {
-                return Some(Delivery {
-                    conn: ConnHandle {
-                        slot: i as u32,
-                        generation,
-                    },
-                    msg,
-                });
-            }
-        }
-        None
+        let mut got = None;
+        self.consume(Ready::Delivery, |h, tag, conn| {
+            got = conn
+                .poll_delivery()
+                .map(|msg| Delivery { conn: h, tag, msg });
+            got.is_none()
+        });
+        got
     }
 
-    /// Runs deferred post-processing on every connection.
+    /// Runs deferred post-processing on every connection that may owe
+    /// any (the post ready set), once each. A connection whose post work
+    /// cannot finish yet goes back on the set for the next call.
     pub fn process_all_pending(&mut self) {
-        for slot in &mut self.conns {
+        for _ in 0..self.ready[Ready::Post as usize].len() {
+            let Some(idx) = self.ready[Ready::Post as usize].pop_front() else {
+                break;
+            };
+            let slot = &mut self.conns[idx as usize];
+            slot.queued &= !Ready::Post.bit();
             let Some(conn) = slot.conn.as_mut() else {
                 continue;
             };
@@ -833,6 +942,11 @@ impl Endpoint {
                     break;
                 }
             }
+            // Post work can release held deliveries and send the
+            // backlog; the connection was just visited, so the test is
+            // exact.
+            let want = ready_mask(conn);
+            self.enqueue(idx as usize, want);
         }
     }
 
@@ -842,28 +956,33 @@ impl Endpoint {
     pub fn tick(&mut self, now: Nanos) {
         self.clock = now;
         self.accepts_this_tick = 0;
-        for slot in &mut self.conns {
-            if let Some(conn) = slot.conn.as_mut() {
-                conn.tick(now);
-            }
+        for idx in 0..self.conns.len() {
+            let Some(conn) = self.conns[idx].conn.as_mut() else {
+                continue;
+            };
+            conn.tick(now);
+            // Timers retransmit and release; exact for the same reason
+            // as in `process_all_pending`.
+            let want = ready_mask(conn);
+            self.enqueue(idx, want);
         }
+        self.evicted.clear();
         if let Some(timeout) = self.idle_timeout {
-            let mut evict = std::mem::take(&mut self.evict_scratch);
-            evict.clear();
             for (i, slot) in self.conns.iter().enumerate() {
                 if slot.conn.is_some() && now.saturating_sub(slot.last_active) > timeout {
-                    evict.push(ConnHandle {
+                    let h = ConnHandle {
                         slot: i as u32,
                         generation: slot.generation,
-                    });
+                    };
+                    self.evicted.push((h, slot.tag));
                 }
             }
-            for h in evict.drain(..) {
-                if self.remove_connection(h).is_ok() {
-                    self.lifecycle.evicted_idle += 1;
-                }
+            for i in 0..self.evicted.len() {
+                let (h, _) = self.evicted[i];
+                self.remove_connection(h)
+                    .expect("swept live under this generation");
+                self.lifecycle.evicted_idle += 1;
             }
-            self.evict_scratch = evict;
         }
     }
 

@@ -43,7 +43,7 @@ use crate::Nanos;
 use pa_buf::{Msg, MsgPool, PoolStats};
 use pa_obs::RejectLedger;
 use pa_wire::{Cookie, Preamble};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// SplitMix64 finalizer: the shard hash. Cookies are random 62-bit
 /// values already, but peers mint them — the mix keeps an adversarial
@@ -68,8 +68,52 @@ fn ident_hash(ident: &[u8]) -> u64 {
 /// Stable handle to a connection in a [`ShardedEndpoint`]. Unlike the
 /// per-shard [`ConnHandle`] it survives migration between shards; it
 /// goes stale (refused, counted) when the connection is removed.
+/// Opaque: a directory slot in the low half, that slot's generation in
+/// the high half.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShardHandle(u64);
+
+/// The handle directory: a generational slab mapping each live
+/// [`ShardHandle`] to the shard its connection occupies and its handle
+/// there. Control path only — cookie-only frames never touch it.
+#[derive(Debug, Default)]
+struct Directory {
+    /// `(generation, location)`; the location is `None` while free.
+    slots: Vec<(u32, Option<(usize, ConnHandle)>)>,
+    free: Vec<u32>,
+}
+
+impl Directory {
+    fn insert(&mut self, loc: (usize, ConnHandle)) -> ShardHandle {
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.slots.push((0, None));
+            self.slots.len() as u32 - 1
+        });
+        let (generation, slot) = &mut self.slots[idx as usize];
+        *slot = Some(loc);
+        ShardHandle((*generation as u64) << 32 | idx as u64)
+    }
+
+    fn get(&self, h: ShardHandle) -> Option<(usize, ConnHandle)> {
+        let &(generation, loc) = self.slots.get(h.0 as u32 as usize)?;
+        loc.filter(|_| generation == (h.0 >> 32) as u32)
+    }
+
+    fn get_mut(&mut self, h: ShardHandle) -> Option<&mut (usize, ConnHandle)> {
+        let (generation, loc) = self.slots.get_mut(h.0 as u32 as usize)?;
+        loc.as_mut().filter(|_| *generation == (h.0 >> 32) as u32)
+    }
+
+    /// Frees `h`'s slot under a bumped generation, so `h` goes stale.
+    fn remove(&mut self, h: ShardHandle) {
+        if self.get(h).is_some() {
+            let (generation, loc) = &mut self.slots[h.0 as u32 as usize];
+            *generation = generation.wrapping_add(1);
+            *loc = None;
+            self.free.push(h.0 as u32);
+        }
+    }
+}
 
 /// An application message delivered by some sharded connection.
 #[derive(Debug)]
@@ -107,13 +151,10 @@ pub struct ShardFrontStats {
 pub struct ShardedEndpoint {
     shards: Vec<Shard>,
     mask: u64,
-    /// Global handle directory: gid → (shard, per-shard handle).
-    /// Control path only — cookie-only frames never touch it.
-    dir: HashMap<u64, (usize, ConnHandle)>,
-    /// Per-shard reverse map: per-shard handle → gid (delivery tagging,
-    /// migration bookkeeping).
-    rev: Vec<HashMap<ConnHandle, u64>>,
-    next_gid: u64,
+    /// Where each [`ShardHandle`] lives now. The reverse direction
+    /// needs no map: every connection carries its handle as the owner
+    /// tag in its shard slot, echoed in each [`Delivery`].
+    dir: Directory,
     /// Pre-registered idents: peers we expect but have not admitted
     /// (the accept path consumes them). Directory only — no Connection
     /// exists until admission.
@@ -148,9 +189,7 @@ impl ShardedEndpoint {
                 })
                 .collect(),
             mask: shards as u64 - 1,
-            dir: HashMap::new(),
-            rev: (0..shards).map(|_| HashMap::new()).collect(),
-            next_gid: 0,
+            dir: Directory::default(),
             expected: HashSet::new(),
             front_rejects: RejectLedger::default(),
             front: ShardFrontStats::default(),
@@ -262,11 +301,9 @@ impl ShardedEndpoint {
     }
 
     fn enroll(&mut self, shard: usize, h: ConnHandle) -> ShardHandle {
-        let gid = self.next_gid;
-        self.next_gid += 1;
-        self.dir.insert(gid, (shard, h));
-        self.rev[shard].insert(h, gid);
-        ShardHandle(gid)
+        let sh = self.dir.insert((shard, h));
+        self.shards[shard].endpoint.set_tag(h, sh.0);
+        sh
     }
 
     /// Adds a connection (trusted local path, uncapped), provisionally
@@ -292,8 +329,8 @@ impl ShardedEndpoint {
     }
 
     fn resolve(&mut self, h: ShardHandle) -> Result<(usize, ConnHandle), StaleHandle> {
-        match self.dir.get(&h.0) {
-            Some(&loc) => Ok(loc),
+        match self.dir.get(h) {
+            Some(loc) => Ok(loc),
             None => {
                 self.front.stale_handle_rejects += 1;
                 Err(StaleHandle)
@@ -305,8 +342,7 @@ impl ShardedEndpoint {
     pub fn remove_connection(&mut self, h: ShardHandle) -> Result<Connection, StaleHandle> {
         let (shard, ch) = self.resolve(h)?;
         let conn = self.shards[shard].endpoint.remove_connection(ch)?;
-        self.dir.remove(&h.0);
-        self.rev[shard].remove(&ch);
+        self.dir.remove(h);
         Ok(conn)
     }
 
@@ -320,7 +356,7 @@ impl ShardedEndpoint {
 
     /// Access a connection through a live handle.
     pub fn try_conn(&self, h: ShardHandle) -> Option<&Connection> {
-        let &(shard, ch) = self.dir.get(&h.0)?;
+        let (shard, ch) = self.dir.get(h)?;
         self.shards[shard].endpoint.try_conn(ch)
     }
 
@@ -335,7 +371,7 @@ impl ShardedEndpoint {
 
     /// The shard a live connection currently occupies.
     pub fn shard_of_conn(&self, h: ShardHandle) -> Option<usize> {
-        self.dir.get(&h.0).map(|&(s, _)| s)
+        self.dir.get(h).map(|(s, _)| s)
     }
 
     /// Live connections across all shards.
@@ -352,23 +388,16 @@ impl ShardedEndpoint {
     pub fn tick(&mut self, now: Nanos) {
         for s in &mut self.shards {
             s.endpoint.tick(now);
+            // Idle eviction happens inside the shard; drop the evicted
+            // connections' directory entries so their ShardHandles
+            // answer StaleHandle, not a dangling slot.
+            for tag in s.endpoint.evicted_tags() {
+                self.dir.remove(ShardHandle(tag));
+            }
         }
         // Timers (retransmits, deferred post-work) can surface
         // deliveries on any shard.
         self.mark_all_dirty();
-        // Idle eviction happens inside the shard; drop directory
-        // entries whose per-shard handle went stale so ShardHandles to
-        // evicted connections answer StaleHandle, not a dangling slot.
-        for si in 0..self.shards.len() {
-            let ep = &self.shards[si].endpoint;
-            self.rev[si].retain(|&ch, gid| {
-                let live = ep.try_conn(ch).is_some();
-                if !live {
-                    self.dir.remove(gid);
-                }
-                live
-            });
-        }
     }
 
     // ---- demux -------------------------------------------------------
@@ -392,7 +421,7 @@ impl ShardedEndpoint {
             return self.front_reject(DropReason::ZeroCookie);
         }
         if preamble.conn_ident_present {
-            self.route_ident_frame(preamble, frame)
+            self.route_ident_frame(preamble, frame, &mut BurstDemux::default())
         } else {
             let s = self.shard_of(preamble.cookie);
             self.mark_dirty(s);
@@ -428,8 +457,14 @@ impl ShardedEndpoint {
 
     /// The slow path: find the owning shard by ident, guard the cookie
     /// against cross-shard squatting, process in the owner, and migrate
-    /// if the (verified) new cookie hashes elsewhere.
-    fn route_ident_frame(&mut self, preamble: Preamble, frame: Msg) -> DeliverOutcome {
+    /// if the (verified) new cookie hashes elsewhere. Counts the frame
+    /// in `report.routed` if the owner's demux routed it.
+    fn route_ident_frame(
+        &mut self,
+        preamble: Preamble,
+        frame: Msg,
+        report: &mut BurstDemux,
+    ) -> DeliverOutcome {
         let owner = (0..self.shards.len()).find_map(|s| {
             self.shards[s]
                 .endpoint
@@ -467,7 +502,10 @@ impl ShardedEndpoint {
             }
         }
         self.mark_dirty(s);
-        let outcome = self.shards[s].endpoint.ingest_preambled(preamble, frame);
+        let owner = &mut self.shards[s].endpoint;
+        let routed_before = owner.routed_frames();
+        let outcome = owner.ingest_preambled(preamble, frame);
+        report.routed += owner.routed_frames() - routed_before;
         // Migrate only after the owner shard verified the frame (the
         // same bind-after-verify discipline: a forged ident must not be
         // able to force migrations).
@@ -486,14 +524,16 @@ impl ShardedEndpoint {
             .endpoint
             .handle_at(key.0)
             .expect("migration source must be live");
-        let gid = self.rev[from]
-            .remove(&h)
-            .expect("live handle must be enrolled");
+        let tag = self.shards[from]
+            .endpoint
+            .tag_of(h)
+            .expect("checked live above");
         let (conn, _route) = self.shards[from]
             .endpoint
             .extract_connection(h)
             .expect("checked live above");
         let nh = self.shards[to].endpoint.adopt_connection(conn);
+        self.shards[to].endpoint.set_tag(nh, tag);
         // The frame was verified in the source shard, which bound the
         // cookie there before extraction tombstoned it; the live
         // binding belongs here, where the cookie hashes.
@@ -501,8 +541,10 @@ impl ShardedEndpoint {
             .endpoint
             .router_mut()
             .bind_cookie(cookie, ConnKey(nh.slot()));
-        self.dir.insert(gid, (to, nh));
-        self.rev[to].insert(nh, gid);
+        *self
+            .dir
+            .get_mut(ShardHandle(tag))
+            .expect("a live connection is enrolled") = (to, nh);
         self.front.migrations += 1;
         // Undrained deliveries travel with the connection.
         self.mark_dirty(to);
@@ -519,7 +561,6 @@ impl ShardedEndpoint {
             frames: frames.len() as u64,
             ..Default::default()
         };
-        let routed_before: u64 = self.shards.iter().map(|s| s.endpoint.routed_frames()).sum();
         let mut segs = std::mem::take(&mut self.seg_scratch);
         for mut frame in frames.drain(..) {
             self.front.frames += 1;
@@ -549,7 +590,7 @@ impl ShardedEndpoint {
                         .endpoint
                         .ingest_cookie_segment(seg, &mut report);
                 }
-                let out = self.route_ident_frame(preamble, frame);
+                let out = self.route_ident_frame(preamble, frame, &mut report);
                 report.tally(&out);
             } else {
                 let s = self.shard_of(preamble.cookie);
@@ -569,15 +610,16 @@ impl ShardedEndpoint {
                 .ingest_cookie_segment(seg, &mut report);
         }
         self.seg_scratch = segs;
-        let routed_after: u64 = self.shards.iter().map(|s| s.endpoint.routed_frames()).sum();
-        report.routed = routed_after - routed_before;
         report
     }
 
     /// Drains delivered application messages into `out`, tagged with
     /// their stable handle and delivering shard. Visits only the shards
     /// frames have routed into since the last drain (the dirty list),
-    /// so the call costs what the traffic touched — not O(shards).
+    /// and within each only the connections on its delivery ready set,
+    /// so the call costs what the traffic touched — not O(shards), not
+    /// O(connections). Messages of one connection keep their order;
+    /// connections come out in the order they became ready.
     pub fn drain_deliveries(&mut self, out: &mut Vec<ShardDelivery>) -> usize {
         let mut n = 0;
         let mut scratch = std::mem::take(&mut self.delivery_scratch);
@@ -593,18 +635,12 @@ impl ShardedEndpoint {
                 {
                     break;
                 }
-                for d in scratch.drain(..) {
-                    let gid = self.rev[si]
-                        .get(&d.conn)
-                        .copied()
-                        .expect("delivering conn must be enrolled");
-                    out.push(ShardDelivery {
-                        conn: ShardHandle(gid),
-                        shard: si,
-                        msg: d.msg,
-                    });
-                    n += 1;
-                }
+                n += scratch.len();
+                out.extend(scratch.drain(..).map(|d| ShardDelivery {
+                    conn: ShardHandle(d.tag),
+                    shard: si,
+                    msg: d.msg,
+                }));
             }
         }
         self.delivery_scratch = scratch;
@@ -635,6 +671,21 @@ impl ShardedEndpoint {
     pub fn demux_balanced(&self) -> bool {
         self.front.frames == self.shard_frames() + self.front_rejects.total()
             && self.shards.iter().all(|s| s.endpoint.demux_balanced())
+    }
+
+    /// The sharded progress invariant, by full scan (a harness check):
+    /// every shard's [`Endpoint::ready_balanced`] holds, a shard with a
+    /// deliverable message is on the dirty list — so the next
+    /// [`ShardedEndpoint::drain_deliveries`] reaches it — and the dirty
+    /// list names each flagged shard once.
+    pub fn ready_balanced(&self) -> bool {
+        self.shards.iter().enumerate().all(|(si, s)| {
+            let ep = &s.endpoint;
+            let listed = self.dirty.iter().filter(|&&d| d == si).count();
+            listed == self.dirty_flag[si] as usize
+                && ep.ready_balanced()
+                && (listed == 1 || !ep.handles().any(|h| ep.conn(h).has_delivery()))
+        })
     }
 
     /// All rejections, global: front refusals plus each shard's demux

@@ -17,42 +17,24 @@
 //! misses. Ping-pong plus host-side `recycle()` is the steady state the
 //! paper's Figure 4 measures.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use pa::core::{Connection, ConnectionParams, DeliverOutcome, PaConfig, SendOutcome};
+use pa::buf::Msg;
+use pa::core::{
+    Connection, ConnectionParams, DeliverAction, DeliverOutcome, InitCtx, Layer, LayerCtx,
+    PaConfig, SendAction, SendOutcome,
+};
 use pa::stack::StackSpec;
 use pa::wire::{ByteOrder, EndpointAddr};
 
-// ---------------------------------------------------------------------------
-// Counting allocator (same pattern as tests/trace_overhead.rs:
-// integration-test binaries get their own global allocator).
-// ---------------------------------------------------------------------------
+mod common;
+use common::{allocations, count_this_thread_into, CountingAlloc};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
+// Integration-test binaries get their own global allocator. It counts
+// per thread, so the gates below do not see the tests libtest runs
+// beside them.
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> usize {
-    ALLOCS.load(Ordering::SeqCst)
-}
 
 fn paper_conn(pa: PaConfig, l: u64, p: u64, seed: u64) -> Connection {
     Connection::new(
@@ -263,6 +245,31 @@ fn threaded_round_trip(
     (a, b, hot)
 }
 
+/// Allocations made on the drain thread of the threaded gate.
+static DRAIN_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+/// A transparent layer whose post-send phase registers the thread that
+/// runs it as the threaded gate's worker. Post phases are the one place
+/// a test's own code runs on the drain thread.
+struct CountDrainThread;
+
+impl Layer for CountDrainThread {
+    fn name(&self) -> &'static str {
+        "count-drain-thread"
+    }
+    fn init(&mut self, _ctx: &mut InitCtx<'_>) {}
+    fn pre_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> SendAction {
+        SendAction::Continue
+    }
+    fn post_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &Msg) {
+        count_this_thread_into(&DRAIN_ALLOCS);
+    }
+    fn pre_deliver(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> DeliverAction {
+        DeliverAction::Continue
+    }
+    fn post_deliver(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &Msg) {}
+}
+
 #[test]
 fn threaded_steady_state_fast_path_is_allocation_free() {
     use pa::obs::{SketchConfig, SnapshotCoordinator};
@@ -279,10 +286,31 @@ fn threaded_steady_state_fast_path_is_allocation_free() {
         .iter()
         .map(|l| l.name().to_string())
         .collect();
-    // The worker thread exists *before* any measured window: the
-    // counting allocator is process-global, so thread spawn, ring
-    // allocation, and domain setup must all happen during warm-up.
+    // The worker thread exists *before* any measured window: thread
+    // spawn, ring allocation, and domain setup all happen during
+    // warm-up.
     let mut worker = PostDrainWorker::spawn(drain, CostModel::paper_ml(layer_names), 4);
+    // The allocator counts per thread, so the drain thread must join
+    // this gate's count: a throwaway connection carries the
+    // registering layer over and owes it one post-send phase.
+    let mut registrar = Box::new(
+        Connection::new(
+            vec![Box::new(CountDrainThread)],
+            cfg,
+            ConnectionParams::new(
+                EndpointAddr::from_parts(3, 3),
+                EndpointAddr::from_parts(4, 3),
+                0x9603,
+            ),
+        )
+        .expect("a one-layer stack is valid"),
+    );
+    registrar.send(b"register");
+    assert!(registrar.has_pending_send());
+    worker
+        .submit(&mut app, registrar, 0)
+        .expect("an empty pipeline accepts");
+    worker.recv().expect("registrar returns");
     let mut a = Box::new(paper_conn(cfg, 1, 2, 0x9601));
     let mut b = Box::new(paper_conn(cfg, 2, 1, 0x9602));
 
@@ -311,12 +339,18 @@ fn threaded_steady_state_fast_path_is_allocation_free() {
         round_trip(&mut ia, &mut ib, false);
     }
     let baseline = allocations() - base0;
+    assert!(
+        DRAIN_ALLOCS.load(Ordering::Relaxed) > 0,
+        "the drain thread's warm-up post phases allocate, so it must have registered"
+    );
 
     // Measured: the four hot ops stay heap-silent per operation, and
     // the *whole* threaded window — hot ops, submits, recvs, and every
     // worker-side fold on the drain thread — allocates exactly what
     // the inline engine does and not one time more.
-    let window0 = allocations();
+    // (Relaxed suffices: every drain-thread allocation of a round
+    // happens before that round's `recv` returns.)
+    let window0 = allocations() + DRAIN_ALLOCS.load(Ordering::Relaxed);
     let mut hot = 0usize;
     for _ in 0..500 {
         now += 10;
@@ -325,7 +359,7 @@ fn threaded_steady_state_fast_path_is_allocation_free() {
         b = nb;
         hot += h;
     }
-    let window = allocations() - window0;
+    let window = allocations() + DRAIN_ALLOCS.load(Ordering::Relaxed) - window0;
     assert_eq!(
         hot, 0,
         "threaded steady-state hot path allocated {hot} times over 2k messages"

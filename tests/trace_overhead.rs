@@ -11,9 +11,6 @@
 //! 2. The default `ProbeSink::Noop` never allocates: attaching no probe
 //!    costs one branch per emit site and nothing on the heap.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use pa::core::{Connection, ConnectionParams, PaConfig, SendOutcome};
 use pa::obs::{
     DropCause, FieldRef, ProbeSink, ScopeConfig, ScopePlane, SlowCause, TraceEvent, XrayTag,
@@ -21,36 +18,14 @@ use pa::obs::{
 use pa::stack::StackSpec;
 use pa::wire::{ByteOrder, EndpointAddr};
 
-// ---------------------------------------------------------------------------
-// Counting allocator: integration-test binaries get their own global
-// allocator, so we can meter the Noop probe path without touching the
-// library crates.
-// ---------------------------------------------------------------------------
+mod common;
+use common::{allocations, CountingAlloc};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
+// Integration-test binaries get their own global allocator, so the Noop
+// probe path is metered without touching the library crates. It counts
+// per thread: libtest's parallel neighbours stay out of the gate.
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> usize {
-    ALLOCS.load(Ordering::SeqCst)
-}
 
 // ---------------------------------------------------------------------------
 // Golden bytes. Captured from the PR 1 engine (before trace_ctx existed)
