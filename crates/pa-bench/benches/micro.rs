@@ -10,7 +10,8 @@
 
 use pa_bench::{BenchReport, Better};
 use pa_buf::{ByteOrder, Msg};
-use pa_core::{Connection, ConnectionParams, PaConfig};
+use pa_core::layer::NullLayer;
+use pa_core::{Connection, ConnectionParams, Layer, PaConfig};
 use pa_filter::{CompiledProgram, DigestKind, Frame, FusedProgram, Op, ProgramBuilder};
 use pa_obs::LatencyHisto;
 use pa_stack::StackSpec;
@@ -180,11 +181,14 @@ fn bench_send_paths() {
     }
 }
 
-/// A warm peer pair for hot-path measurements.
-fn echo_pair(config: PaConfig) -> (Connection, Connection) {
+/// A warm peer pair over `stack` for hot-path measurements.
+fn echo_pair_over(
+    stack: &dyn Fn() -> Vec<Box<dyn Layer>>,
+    config: PaConfig,
+) -> (Connection, Connection) {
     let mk = |local: u64, peer: u64| {
         Connection::new(
-            StackSpec::paper().build(),
+            stack(),
             config,
             ConnectionParams::new(
                 EndpointAddr::from_parts(local, 1),
@@ -195,6 +199,11 @@ fn echo_pair(config: PaConfig) -> (Connection, Connection) {
         .unwrap()
     };
     (mk(20, 21), mk(21, 20))
+}
+
+/// A warm peer pair over the paper stack.
+fn echo_pair(config: PaConfig) -> (Connection, Connection) {
+    echo_pair_over(&|| StackSpec::paper().build(), config)
 }
 
 /// One request/echo round trip — two fast sends + two fast deliveries
@@ -253,14 +262,41 @@ fn bench_hot_path() -> (f64, f64, f64) {
     (pooled_fused, pooled_interp, allocating)
 }
 
-/// Hot operations only: times the four critical-path calls (two sends,
-/// two delivers) and leaves recycling and `process_pending` untimed —
-/// the deferred work is exactly what the PA masks (§3.1), so it does
-/// not belong in the critical-path number. Mirrors the measurement
-/// windows of `tests/hotpath_alloc.rs`. Two `Instant` spans per round
-/// trip (~50 ns overhead, identical across arms).
-fn bench_hot_ops(name: &str, config: PaConfig) -> f64 {
-    let (mut a, mut b) = echo_pair(config);
+/// Trimmed mean of per-batch costs, and the fastest batch. A shared box
+/// occasionally preempts a whole batch (orders-of-magnitude spikes);
+/// batches beyond 2x the fastest are scheduler noise, not the code, and
+/// are discarded. Genuine allocator variance (slow-path mallocs at
+/// 1.1-1.5x) stays in — amortized allocation cost is exactly what the
+/// allocating arm is here to exhibit.
+fn trimmed(batches: &[f64]) -> (f64, f64, usize) {
+    let best = batches.iter().copied().fold(f64::INFINITY, f64::min);
+    let kept: Vec<f64> = batches
+        .iter()
+        .copied()
+        .filter(|&b| b <= best * 2.0)
+        .collect();
+    (
+        kept.iter().sum::<f64>() / kept.len() as f64,
+        best,
+        kept.len(),
+    )
+}
+
+/// The two halves of a round trip, timed apart: the four critical-path
+/// calls (two sends, two delivers), and the deferred drain (both sides'
+/// `process_pending`) that the PA masks (§3.1). Masked is not free —
+/// the drain is what bounds throughput — so it gets its own number
+/// instead of riding inside the hot one. Recycling stays untimed.
+/// Mirrors the measurement windows of `tests/hotpath_alloc.rs`. Three
+/// `Instant` spans per round trip, whose clock cost is subtracted.
+///
+/// Returns `(ns per hot operation, drain ns per round trip)`.
+fn bench_hot_and_drain(
+    name: &str,
+    stack: &dyn Fn() -> Vec<Box<dyn Layer>>,
+    config: PaConfig,
+) -> (f64, f64) {
+    let (mut a, mut b) = echo_pair_over(stack, config);
     for _ in 0..256 {
         echo_round_trip(&mut a, &mut b);
     }
@@ -270,11 +306,12 @@ fn bench_hot_ops(name: &str, config: PaConfig) -> f64 {
     // the comparison should be code vs code, not clock vs clock. The
     // same helper de-biases the engine's cycle meters.
     let span_overhead = pa_obs::timer::span_overhead();
-    const BATCH: u64 = 256;
-    let mut histo = LatencyHisto::new();
-    let mut batches = Vec::with_capacity(40);
-    for _ in 0..40 {
+    const BATCH: u32 = 256;
+    const BATCHES: usize = 40;
+    let (mut hot_batches, mut drain_batches) = (Vec::new(), Vec::new());
+    for _ in 0..BATCHES {
         let mut hot = std::time::Duration::ZERO;
+        let mut drain = std::time::Duration::ZERO;
         for _ in 0..BATCH {
             // Request: hot send + hot deliver.
             let t = Instant::now();
@@ -293,51 +330,39 @@ fn bench_hot_ops(name: &str, config: PaConfig) -> f64 {
             if let Some(m) = a.poll_delivery() {
                 a.recycle(m);
             }
-            // Deferred drain, off the measured path.
+            // Deferred drain, off the hot path and timed on its own.
+            let t = Instant::now();
             a.process_pending();
             b.process_pending();
+            drain += t.elapsed();
         }
         // Per hot *operation*: 4 per round trip, 2 timed spans per
-        // round trip whose clock cost is subtracted.
-        let hot = hot.saturating_sub(span_overhead * (2 * BATCH as u32));
-        let per_op = hot.as_nanos() as u64 / (BATCH * 4);
-        histo.record(per_op);
-        batches.push(per_op);
+        // round trip. Per drain: one span per round trip.
+        let hot = hot.saturating_sub(span_overhead * (2 * BATCH));
+        let drain = drain.saturating_sub(span_overhead * BATCH);
+        hot_batches.push(hot.as_nanos() as f64 / (BATCH * 4) as f64);
+        drain_batches.push(drain.as_nanos() as f64 / BATCH as f64);
     }
-    let s = histo.summary();
-    // Trimmed mean: a shared box occasionally preempts a whole batch
-    // (orders-of-magnitude spikes); batches beyond 2x the fastest are
-    // scheduler noise, not the code, and are discarded. Genuine
-    // allocator variance (slow-path mallocs at 1.1-1.5x) stays in —
-    // amortized allocation cost is exactly what the allocating arm is
-    // here to exhibit.
-    let best = *batches.iter().min().expect("40 batches");
-    let kept: Vec<u64> = batches.into_iter().filter(|&b| b <= best * 2).collect();
-    let trimmed = kept.iter().sum::<u64>() as f64 / kept.len() as f64;
+    let (hot, hot_best, hot_kept) = trimmed(&hot_batches);
+    let (drain, drain_best, drain_kept) = trimmed(&drain_batches);
     println!(
-        "{name:<44} {trimmed:>8.0} ns/op   (min {best} / p99 {}; {}/{} batches of {})",
-        s.p99,
-        kept.len(),
-        s.count,
+        "{:<44} {hot:>8.0} ns/op   (min {hot_best:.0}; {hot_kept}/{BATCHES} batches of {})",
+        format!("hot_ops/{name}"),
         BATCH * 4
     );
-    trimmed
+    println!(
+        "{:<44} {drain:>8.0} ns/rtt  (min {drain_best:.0}; {drain_kept}/{BATCHES} batches of {BATCH})",
+        format!("post_drain/{name}")
+    );
+    (hot, drain)
 }
 
-/// The acceptance-criterion rows: per-hot-operation cost, pooled+fused
-/// against the pre-PR allocating+interpreted arm. Returns
-/// `(pooled_fused, pooled_interpreted, allocating)` ns per hot op.
-fn bench_hot_ops_all() -> (f64, f64, f64) {
-    let pooled_fused = bench_hot_ops("hot_ops/pooled_fused", PaConfig::accelerated());
-    let pooled_interp = bench_hot_ops("hot_ops/pooled_interpreted", PaConfig::paper_default());
-    let allocating = bench_hot_ops(
-        "hot_ops/prepr_allocating",
-        PaConfig {
-            pooling: false,
-            ..PaConfig::paper_default()
-        },
-    );
-    (pooled_fused, pooled_interp, allocating)
+/// A stack of `n` layers that do nothing: what is left of the drain is
+/// the engine's dispatch around the phase calls.
+fn null_stack(n: usize) -> Vec<Box<dyn Layer>> {
+    (0..n)
+        .map(|_| Box::new(NullLayer) as Box<dyn Layer>)
+        .collect()
 }
 
 fn bench_roundtrip() {
@@ -398,22 +423,51 @@ fn main() {
     let filter_fused_ns = bench_filter_backends();
     bench_send_paths();
     let _rtt = bench_hot_path();
-    let (pooled_fused, pooled_interp, allocating) = bench_hot_ops_all();
+    let paper = || StackSpec::paper().build();
+    let (pooled_fused, post_drain) =
+        bench_hot_and_drain("pooled_fused", &paper, PaConfig::accelerated());
+    let (pooled_interp, _) =
+        bench_hot_and_drain("pooled_interpreted", &paper, PaConfig::paper_default());
+    let (allocating, _) = bench_hot_and_drain(
+        "prepr_allocating",
+        &paper,
+        PaConfig {
+            pooling: false,
+            ..PaConfig::paper_default()
+        },
+    );
+    let (_, drain_null4) =
+        bench_hot_and_drain("null_x4", &|| null_stack(4), PaConfig::accelerated());
+    let (_, drain_null1) =
+        bench_hot_and_drain("null_x1", &|| null_stack(1), PaConfig::accelerated());
     bench_roundtrip();
     bench_packing();
     bench_preamble();
 
     // Report: per-hot-operation cost (a round trip is 2 sends + 2
-    // delivers; deferred drain untimed) plus the headline ratio — the
-    // pooled+fused fast path against the pre-recycling allocating arm.
-    // The ratio is the robust metric: it cancels machine speed, so the
-    // committed baseline survives CI hardware variance better than raw
-    // nanoseconds do.
+    // delivers) plus the headline ratio — the pooled+fused fast path
+    // against the pre-recycling allocating arm — and the deferred drain
+    // beside it. The ratios are the robust metrics: they cancel machine
+    // speed, so the committed baseline survives CI hardware variance
+    // better than raw nanoseconds do.
     // Raw ns rows carry a loose per-metric tolerance (they track the
-    // machine, not the code); the speedup ratio and the comparison arms
-    // gate tightly because ratios are hardware-independent. The
-    // tolerances attached here are informational — the ones the CI
-    // comparator honors live in the committed baseline file.
+    // machine, not the code); the ratio rows gate tightly because
+    // ratios are hardware-independent. `post_vs_hot_ratio` is the
+    // paper's own 130 us : 50 us = 2.6 in this implementation's terms;
+    // `phase_dispatch_ratio` is what three more do-nothing layers add
+    // to the drain, which is all engine dispatch. The tolerances
+    // attached here are informational — the ones the CI comparator
+    // honors live in the committed baseline file.
+    let post_vs_hot = post_drain / (4.0 * pooled_fused);
+    let phase_dispatch = drain_null4 / drain_null1;
+    println!(
+        "{:<44} {post_vs_hot:>8.3}",
+        "post_vs_hot_ratio (drain / 4 hot ops)"
+    );
+    println!(
+        "{:<44} {phase_dispatch:>8.3}",
+        "phase_dispatch_ratio (4 / 1 null layers)"
+    );
     let mut report = BenchReport::new("micro");
     report
         .push_tol("hot_op_pooled_fused_ns", pooled_fused, Better::Lower, 1.5)
@@ -425,7 +479,10 @@ fn main() {
             Better::Higher,
             0.25,
         )
-        .push_tol("filter_fused_ns", filter_fused_ns, Better::Lower, 1.5);
+        .push_tol("filter_fused_ns", filter_fused_ns, Better::Lower, 1.5)
+        .push_tol("post_drain_ns", post_drain, Better::Lower, 1.5)
+        .push_tol("post_vs_hot_ratio", post_vs_hot, Better::Lower, 0.5)
+        .push_tol("phase_dispatch_ratio", phase_dispatch, Better::Lower, 0.25);
     if !pa_bench::emit_and_compare(&report) {
         std::process::exit(1);
     }

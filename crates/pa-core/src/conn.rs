@@ -295,9 +295,11 @@ pub struct Connection {
     /// Name of the last layer whose effects disabled the send
     /// prediction — attributed on `Queued` trace events.
     last_disable_layer: &'static str,
-    /// Reusable `Effects` buffer for phase calls: drained after every
-    /// apply, so steady-state layers that emit effects (slot patches,
-    /// control messages) reuse its capacity instead of allocating.
+    /// The `Effects` every phase call writes into, borrowed in place by
+    /// `run_phase`. It is empty between phases: a phase that emitted
+    /// something has it applied (and drained, capacity kept) before the
+    /// next phase runs, so steady-state layers that emit effects (slot
+    /// patches, control messages) never allocate.
     effects_scratch: Effects,
     /// The attributed slow-path multiset: every `slow_sends`,
     /// `queued_sends`, and `slow_deliveries` increment is mirrored by
@@ -1986,23 +1988,9 @@ impl Connection {
             return;
         }
         let i = next as usize;
-        let t0 = self.meter_start();
-        let (action, mut effects) = {
-            let mut effects = std::mem::take(&mut self.effects_scratch);
-            let mut ctx = LayerCtx {
-                layout: &self.layout,
-                order: self.order,
-                now: self.now,
-                send_predict: &mut self.send_predict,
-                recv_predict: &mut self.recv_predict,
-                effects: &mut effects,
-            };
-            let action = self.layers[i].pre_send(&mut ctx, &mut msg);
-            (action, effects)
-        };
-        self.meter_record(i, Phase::PreSend, t0);
-        self.apply_effects(i, &mut effects);
-        self.effects_scratch = effects;
+        let action = self.run_phase(i, Phase::PreSend, self.order, |layer, ctx| {
+            layer.pre_send(ctx, &mut msg)
+        });
         match action {
             SendAction::Continue => {
                 self.send_work.push_back(SendWork {
@@ -2054,23 +2042,9 @@ impl Connection {
             }
             return;
         }
-        let t0 = self.meter_start();
-        let (action, mut effects) = {
-            let mut effects = std::mem::take(&mut self.effects_scratch);
-            let mut ctx = LayerCtx {
-                layout: &self.layout,
-                order: self.peer_order,
-                now: self.now,
-                send_predict: &mut self.send_predict,
-                recv_predict: &mut self.recv_predict,
-                effects: &mut effects,
-            };
-            let action = self.layers[next].pre_deliver(&mut ctx, &mut msg);
-            (action, effects)
-        };
-        self.meter_record(next, Phase::PreDeliver, t0);
-        self.apply_effects(next, &mut effects);
-        self.effects_scratch = effects;
+        let action = self.run_phase(next, Phase::PreDeliver, self.peer_order, |layer, ctx| {
+            layer.pre_deliver(ctx, &mut msg)
+        });
         match action {
             DeliverAction::Continue => {
                 self.deliver_work.push_back(DeliverWork {
@@ -2104,6 +2078,41 @@ impl Connection {
                 });
             }
         }
+    }
+
+    /// The one phase dispatcher: runs `call` on layer `i` with a
+    /// [`LayerCtx`] built in place over the connection's own fields,
+    /// records the meter, and applies whatever the layer asked for —
+    /// after the phase returns and before any other phase runs. A phase
+    /// that asked for nothing costs a meter bump and an emptiness check.
+    #[inline]
+    fn run_phase<R>(
+        &mut self,
+        i: usize,
+        phase: Phase,
+        order: ByteOrder,
+        call: impl FnOnce(&mut dyn Layer, &mut LayerCtx<'_>) -> R,
+    ) -> R {
+        let t0 = self.meter_start();
+        let mut ctx = LayerCtx {
+            layout: &self.layout,
+            order,
+            now: self.now,
+            send_predict: &mut self.send_predict,
+            recv_predict: &mut self.recv_predict,
+            effects: &mut self.effects_scratch,
+        };
+        let out = call(self.layers[i].as_mut(), &mut ctx);
+        self.meter_record(i, phase, t0);
+        if !self.effects_scratch.is_empty() {
+            // `apply_effects` needs `&mut self`, so the scratch leaves
+            // the connection for the apply and comes back drained, its
+            // vector capacity intact.
+            let mut effects = std::mem::take(&mut self.effects_scratch);
+            self.apply_effects(i, &mut effects);
+            self.effects_scratch = effects;
+        }
+        out
     }
 
     /// Starts a cycle-meter sample if wall-clock metering is enabled.
@@ -2149,10 +2158,11 @@ impl Connection {
     /// emitting layer; downward messages enter below it, upward ones
     /// above it.
     fn apply_effects(&mut self, layer_idx: usize, effects: &mut Effects) {
-        // Drains (rather than consumes) so the caller can return the
-        // scratch `Effects` to the connection with its vector capacity
-        // intact — post phases that patch filter slots every batch
-        // would otherwise pay one heap allocation per phase forever.
+        // Only entered for a non-empty `effects` (`run_phase` checks).
+        // Drains (rather than consumes) so `run_phase` can put the
+        // scratch back with its vector capacity intact — post phases
+        // that patch filter slots every batch would otherwise pay one
+        // heap allocation per phase forever.
         let name = self.layers[layer_idx].name();
         if !effects.disable_send.is_empty() {
             // Remember who last held the send path shut, so a later
@@ -2293,23 +2303,9 @@ impl Connection {
         report.post_send_frames += 1;
         self.stats.post_sends += 1;
         for i in (0..self.layers.len()).rev() {
-            let t0 = self.meter_start();
-            let mut effects = {
-                let mut effects = std::mem::take(&mut self.effects_scratch);
-                let mut ctx = LayerCtx {
-                    layout: &self.layout,
-                    order: self.order,
-                    now: self.now,
-                    send_predict: &mut self.send_predict,
-                    recv_predict: &mut self.recv_predict,
-                    effects: &mut effects,
-                };
-                self.layers[i].post_send(&mut ctx, msg);
-                effects
-            };
-            self.meter_record(i, Phase::PostSend, t0);
-            self.apply_effects(i, &mut effects);
-            self.effects_scratch = effects;
+            self.run_phase(i, Phase::PostSend, self.order, |layer, ctx| {
+                layer.post_send(ctx, msg)
+            });
         }
         self.run_work();
     }
@@ -2329,23 +2325,9 @@ impl Connection {
         report.post_deliver_frames += 1;
         self.stats.post_delivers += 1;
         for i in start..=stop {
-            let t0 = self.meter_start();
-            let mut effects = {
-                let mut effects = std::mem::take(&mut self.effects_scratch);
-                let mut ctx = LayerCtx {
-                    layout: &self.layout,
-                    order: self.peer_order,
-                    now: self.now,
-                    send_predict: &mut self.send_predict,
-                    recv_predict: &mut self.recv_predict,
-                    effects: &mut effects,
-                };
-                self.layers[i].post_deliver(&mut ctx, &msg);
-                effects
-            };
-            self.meter_record(i, Phase::PostDeliver, t0);
-            self.apply_effects(i, &mut effects);
-            self.effects_scratch = effects;
+            self.run_phase(i, Phase::PostDeliver, self.peer_order, |layer, ctx| {
+                layer.post_deliver(ctx, &msg)
+            });
         }
         if self.config.pooling {
             self.pool.put(msg);
@@ -2403,23 +2385,9 @@ impl Connection {
     pub fn tick(&mut self, now: Nanos) {
         self.set_now(now);
         for i in 0..self.layers.len() {
-            let t0 = self.meter_start();
-            let mut effects = {
-                let mut effects = std::mem::take(&mut self.effects_scratch);
-                let mut ctx = LayerCtx {
-                    layout: &self.layout,
-                    order: self.order,
-                    now: self.now,
-                    send_predict: &mut self.send_predict,
-                    recv_predict: &mut self.recv_predict,
-                    effects: &mut effects,
-                };
-                self.layers[i].on_tick(&mut ctx, now);
-                effects
-            };
-            self.meter_record(i, Phase::Tick, t0);
-            self.apply_effects(i, &mut effects);
-            self.effects_scratch = effects;
+            self.run_phase(i, Phase::Tick, self.order, |layer, ctx| {
+                layer.on_tick(ctx, now)
+            });
         }
         self.run_work();
         if !self.config.lazy_post {

@@ -32,7 +32,7 @@ pub struct ChecksumLayer {
     kind: DigestKind,
     f_len: Option<Field>,
     f_ck: Option<Field>,
-    /// Corrupt messages seen by the slow path.
+    /// Digest mismatches seen by the slow path.
     corrupt_seen: u64,
 }
 
@@ -47,7 +47,8 @@ impl ChecksumLayer {
         }
     }
 
-    /// Number of corrupt messages the slow path has dropped.
+    /// Number of messages the slow path has dropped for a digest
+    /// mismatch (a length-only mismatch is dropped but not counted).
     pub fn corrupt_seen(&self) -> u64 {
         self.corrupt_seen
     }
@@ -124,6 +125,12 @@ impl Layer for ChecksumLayer {
         let actual_ck =
             self.kind
                 .compute_multi(&[frame.proto_hdr(), frame.gossip_hdr(), frame.body()]);
+        if claimed_ck != actual_ck {
+            // Counted where the verdict is made: every corrupt frame
+            // comes through here (the delivery filter diverts it to the
+            // slow path), so post-deliver need not digest the body again.
+            self.corrupt_seen += 1;
+        }
         if claimed_len != actual_len || claimed_ck != actual_ck {
             DeliverAction::Drop("checksum/length mismatch")
         } else {
@@ -131,23 +138,15 @@ impl Layer for ChecksumLayer {
         }
     }
 
-    fn post_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &Msg) {
-        // Count corruption observed (the drop verdict was recorded by
-        // the engine; we recompute here because post sees every msg).
-        let f_ck = self.f_ck.expect("init ran");
-        let (proto, gossip, body) = ctx.frame_parts(msg);
-        let actual = self.kind.compute_multi(&[proto, gossip, body]);
-        if ctx.read_field(msg, f_ck) != actual {
-            self.corrupt_seen += 1;
-        }
-    }
+    fn post_deliver(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &Msg) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pa_core::{Connection, ConnectionParams, DeliverOutcome, PaConfig};
-    use pa_wire::EndpointAddr;
+    use pa_wire::{EndpointAddr, Preamble, PREAMBLE_LEN};
+    use std::sync::{Arc, Mutex};
 
     fn pair(config: PaConfig) -> (Connection, Connection) {
         let mk = |l: u64, p: u64, s: u64| {
@@ -222,6 +221,118 @@ mod tests {
             assert!(matches!(out, DeliverOutcome::Slow { msgs: 1 }), "{out:?}");
         }
         assert_eq!(b.stats().msgs_delivered, 5);
+    }
+
+    /// A checksum layer the test can still read after the connection
+    /// has taken ownership of the stack.
+    struct Shared(Arc<Mutex<ChecksumLayer>>);
+
+    impl Layer for Shared {
+        fn name(&self) -> &'static str {
+            "checksum"
+        }
+        fn init(&mut self, ctx: &mut InitCtx<'_>) {
+            self.0.lock().unwrap().init(ctx)
+        }
+        fn pre_send(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> SendAction {
+            self.0.lock().unwrap().pre_send(ctx, msg)
+        }
+        fn post_send(&mut self, ctx: &mut LayerCtx<'_>, msg: &Msg) {
+            self.0.lock().unwrap().post_send(ctx, msg)
+        }
+        fn pre_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> DeliverAction {
+            self.0.lock().unwrap().pre_deliver(ctx, msg)
+        }
+        fn post_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &Msg) {
+            self.0.lock().unwrap().post_deliver(ctx, msg)
+        }
+    }
+
+    /// Sends eight frames from a plain sender to a receiver whose
+    /// checksum layer stays readable, passing the fourth through
+    /// `damage` (which gets the receiver's layout, its layer and the
+    /// frame), and returns `(corrupt_seen, msgs_delivered)`.
+    fn corrupt_seen_after(
+        config: PaConfig,
+        damage: impl Fn(&Connection, &ChecksumLayer, &mut Msg),
+    ) -> (u64, u64) {
+        let (mut a, _) = pair(config);
+        let layer = Arc::new(Mutex::new(ChecksumLayer::default()));
+        let mut b = Connection::new(
+            vec![Box::new(Shared(layer.clone()))],
+            config,
+            ConnectionParams::new(
+                EndpointAddr::from_parts(2, 9),
+                EndpointAddr::from_parts(1, 9),
+                22,
+            ),
+        )
+        .unwrap();
+        for i in 0..8u8 {
+            a.send(&[i; 24]);
+            let mut f = a.poll_transmit().unwrap();
+            a.process_pending();
+            if i == 3 {
+                damage(&b, &layer.lock().unwrap(), &mut f);
+            }
+            b.deliver_frame(f);
+            b.process_pending();
+            while b.poll_delivery().is_some() {}
+        }
+        let seen = layer.lock().unwrap().corrupt_seen();
+        (seen, b.stats().msgs_delivered)
+    }
+
+    fn flip_body_byte(_: &Connection, _: &ChecksumLayer, f: &mut Msg) {
+        let n = f.len() - 3;
+        f.set_byte_at(n, f.byte_at(n) ^ 0x55);
+    }
+
+    /// Flips the low bit of the `body_len` field: the digest does not
+    /// cover the message-specific header, so only the length disagrees.
+    fn flip_length_field(b: &Connection, layer: &ChecksumLayer, f: &mut Msg) {
+        let ident = Preamble::decode(f.as_slice()).unwrap().conn_ident_present;
+        let (_, end) = b.layout().field_byte_span(layer.f_len.unwrap());
+        let off = PREAMBLE_LEN
+            + if ident {
+                b.layout().class_len(Class::ConnId)
+            } else {
+                0
+            }
+            + b.layout().class_len(Class::Protocol)
+            + end
+            - 1;
+        f.set_byte_at(off, f.byte_at(off) ^ 0x01);
+    }
+
+    #[test]
+    fn one_corrupt_frame_is_counted_exactly_once() {
+        // As a fast-path candidate: the delivery filter diverts it.
+        let fast = PaConfig::paper_default();
+        assert_eq!(corrupt_seen_after(fast, flip_body_byte), (1, 7));
+        // With prediction disabled: every frame takes the layered path.
+        let slow = PaConfig {
+            predict: false,
+            ..PaConfig::paper_default()
+        };
+        assert_eq!(corrupt_seen_after(slow, flip_body_byte), (1, 7));
+    }
+
+    #[test]
+    fn length_only_mismatch_is_dropped_but_not_counted_corrupt() {
+        let cfg = PaConfig::paper_default();
+        assert_eq!(corrupt_seen_after(cfg, flip_length_field), (0, 7));
+    }
+
+    #[test]
+    fn clean_stream_counts_no_corruption() {
+        for predict in [true, false] {
+            let cfg = PaConfig {
+                predict,
+                ..PaConfig::paper_default()
+            };
+            assert_eq!(corrupt_seen_after(cfg, |_, _, _| {}), (0, 8));
+        }
     }
 
     #[test]

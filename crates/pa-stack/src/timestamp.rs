@@ -104,8 +104,7 @@ impl Layer for TimestampLayer {
 
     fn post_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &Msg) {
         let f_ts = self.f_ts.expect("init ran");
-        let mut m = msg.clone();
-        let stamp = ctx.frame(&mut m).read(f_ts);
+        let stamp = ctx.read_field(msg, f_ts);
         if stamp > 0 {
             self.stamped_in += 1;
             self.last_seen = stamp;
