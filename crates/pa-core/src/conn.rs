@@ -287,7 +287,6 @@ pub struct Connection {
     ident_remaining: u32,
     stats: ConnStats,
     params: ConnectionParams,
-    field_names: crate::dissect::FieldNames,
     now: Nanos,
     /// Where trace events go. Defaults to [`ProbeSink::Noop`]: one
     /// predictable branch per instrumentation point, nothing else.
@@ -373,33 +372,22 @@ impl Connection {
         params: ConnectionParams,
     ) -> Result<Connection, SetupError> {
         let mut lb = LayoutBuilder::new();
-        let mut send_fb = ProgramBuilder::new();
-        let mut recv_fb = ProgramBuilder::new();
+        // Room for the paper stack's fragments plus the trace context's.
+        let mut send_fb = ProgramBuilder::with_capacity(16);
+        let mut recv_fb = ProgramBuilder::with_capacity(16);
 
         // The engine's own conn-ident contribution: the stack
         // fingerprint (detects mismatched stacks at setup) and the
         // endpoint addresses — realistic large identification, like the
         // ~76 bytes Horus carries (§2.2).
         lb.begin_layer("pa");
-        let f_src = lb
-            .add_field(
-                Class::ConnId,
-                "src_endpoint",
-                (EndpointAddr::WIRE_LEN * 8) as u32,
-                None,
-            )
-            .map_err(SetupError::Layout)?;
-        let f_dst = lb
-            .add_field(
-                Class::ConnId,
-                "dst_endpoint",
-                (EndpointAddr::WIRE_LEN * 8) as u32,
-                None,
-            )
-            .map_err(SetupError::Layout)?;
-        let f_fp = lb
-            .add_field(Class::ConnId, "stack_fingerprint", 64, None)
-            .map_err(SetupError::Layout)?;
+        let mut ident_field = |name, bits| {
+            lb.add_field(Class::ConnId, name, bits, None)
+                .map_err(SetupError::Layout)
+        };
+        let f_src = ident_field("src_endpoint", (EndpointAddr::WIRE_LEN * 8) as u32)?;
+        let f_dst = ident_field("dst_endpoint", (EndpointAddr::WIRE_LEN * 8) as u32)?;
+        let f_fp = ident_field("stack_fingerprint", 64)?;
 
         // Record each layer's `[start, end)` span in both filter
         // programs as it contributes fragments, so a later rejection's
@@ -444,7 +432,7 @@ impl Connection {
                 .map_err(SetupError::Layout)?;
             let js = send_fb.alloc_slot(0);
             let hs = send_fb.alloc_slot(0);
-            send_fb.extend(vec![
+            send_fb.extend([
                 Op::PushSlot(js),
                 Op::PopField(jf),
                 Op::PushSlot(hs),
@@ -452,7 +440,7 @@ impl Connection {
             ]);
             // Delivery side: a conforming tracing peer never sends
             // journey 0, so divert such frames to the slow path.
-            recv_fb.extend(vec![
+            recv_fb.extend([
                 Op::PushField(jf),
                 Op::PushConst(0),
                 Op::Eq,
@@ -466,30 +454,9 @@ impl Connection {
             recv_filter_spans.push((trace_r0, recv_fb.len(), "trace"));
         }
 
-        // Field names *and owners*: `LayerId` 0 is the engine's own
-        // `begin_layer("pa")`, 1..=n are the stacked layers in order,
-        // n+1 (if present) the trace pseudo-layer. The ownership map is
-        // what lets a prediction miss be charged to the layer whose
-        // field broke it.
-        let owner_of = |id: pa_wire::LayerId| -> &'static str {
-            let i = id.0 as usize;
-            if i == 0 {
-                "pa"
-            } else if i <= layers.len() {
-                layers[i - 1].name()
-            } else {
-                "trace"
-            }
-        };
-        let mut field_names = crate::dissect::FieldNames::default();
-        for class in Class::ALL {
-            let names = lb.field_names(class);
-            let owners = lb.field_layers(class);
-            for (name, id) in names.iter().zip(owners) {
-                field_names.push_owned(class, name, owner_of(id));
-            }
-        }
-        let layout = lb.compile(config.layout_mode).map_err(SetupError::Layout)?;
+        let layout = lb
+            .into_layout(config.layout_mode)
+            .map_err(SetupError::Layout)?;
         let send_filter = send_fb.build().map_err(SetupError::Filter)?;
         let recv_filter = recv_fb.build().map_err(SetupError::Filter)?;
         // Fuse both filters once at handshake: field offsets, widths,
@@ -525,9 +492,7 @@ impl Connection {
         // class headers + the packing byte, so even the first
         // (identified) frame prepends in place without regrowing.
         // Never below the library default.
-        let hdr_len = layout.class_len(Class::Protocol)
-            + layout.class_len(Class::Message)
-            + layout.class_len(Class::Gossip);
+        let hdr_len = layout.per_message_header_bytes();
         let pool = MsgPool::new(
             (16 + ident_len + hdr_len + 8).max(pa_buf::msg::DEFAULT_HEADROOM),
             64,
@@ -575,7 +540,6 @@ impl Connection {
             stats: ConnStats::default(),
             layout,
             params,
-            field_names,
             now: 0,
             probe: ProbeSink::Noop,
             last_disable_layer: "(init)",
@@ -646,6 +610,11 @@ impl Connection {
     /// Buffers currently sitting idle in the pool's free list.
     pub fn pool_idle(&self) -> usize {
         self.pool.idle()
+    }
+
+    /// The verified `(send, delivery)` filter programs.
+    pub fn filters(&self) -> (&Program, &Program) {
+        (&self.send_filter, &self.recv_filter)
     }
 
     /// Fused-filter compile accounting: how many times filters were
@@ -719,14 +688,9 @@ impl Connection {
         self.last_recv_trace
     }
 
-    /// Declared field names (for [`crate::dissect::dissect`]).
-    pub fn field_names(&self) -> &crate::dissect::FieldNames {
-        &self.field_names
-    }
-
     /// Dissects a wire frame against this connection's layout.
     pub fn dissect_frame(&self, frame: &Msg) -> String {
-        crate::dissect::dissect(frame, &self.layout, &self.field_names)
+        crate::dissect::dissect(frame, &self.layout)
     }
 
     // ------------------------------------------------------------------
@@ -815,17 +779,28 @@ impl Connection {
             .unwrap_or(XrayTag::ENGINE)
     }
 
+    /// The name `f` was declared under.
+    fn field_label(&self, f: FieldRef) -> String {
+        let class = Class::ALL[(f.class as usize).min(Class::ALL.len() - 1)];
+        let name = self.layout.field_name(class, f.index as usize);
+        name.unwrap_or("?").to_string()
+    }
+
+    /// The layer that declared Protocol field `idx`: `LayerId` 0 is the
+    /// engine's own `"pa"`, 1..=n the stack, n+1 the trace pseudo-layer.
+    fn protocol_field_owner(&self, idx: usize) -> &'static str {
+        let id = self.layout.field_layer(Class::Protocol, idx);
+        match id.and_then(|id| (id.0 as usize).checked_sub(1)) {
+            None => "pa",
+            Some(i) => self.layers.get(i).map_or("trace", |l| l.name()),
+        }
+    }
+
     /// Renders an [`AttrCause`] with field names resolved through this
     /// connection's layout.
     fn render_cause(&self, cause: AttrCause) -> String {
         match cause {
-            AttrCause::FieldMiss(f) => {
-                let class = Class::ALL[(f.class as usize).min(Class::ALL.len() - 1)];
-                format!(
-                    "field-miss({})",
-                    self.field_names.name(class, f.index as usize)
-                )
-            }
+            AttrCause::FieldMiss(f) => format!("field-miss({})", self.field_label(f)),
             other => other.to_string(),
         }
     }
@@ -872,15 +847,12 @@ impl Connection {
             .miss_table
             .entries()
             .iter()
-            .map(|m| {
-                let class = Class::ALL[(m.field.class as usize).min(Class::ALL.len() - 1)];
-                MissRow {
-                    layer: m.layer.to_string(),
-                    field: self.field_names.name(class, m.field.index as usize),
-                    count: m.count,
-                    last_predicted: m.last_predicted,
-                    last_actual: m.last_actual,
-                }
+            .map(|m| MissRow {
+                layer: m.layer.to_string(),
+                field: self.field_label(m.field),
+                count: m.count,
+                last_predicted: m.last_predicted,
+                last_actual: m.last_actual,
             })
             .collect();
 
@@ -1745,7 +1717,7 @@ impl Connection {
                     let expected = self.recv_predict.get(&self.layout, f);
                     if got != expected {
                         let field = FieldRef::new(Class::Protocol.index() as u8, i as u16);
-                        let owner = self.field_names.owner(Class::Protocol, i);
+                        let owner = self.protocol_field_owner(i);
                         self.miss_table.bump(owner, field, expected, got);
                         if first.is_none() {
                             first = Some((owner, field));

@@ -1,7 +1,7 @@
 //! A wire-frame dissector: renders any PA frame as human-readable text.
 //!
-//! Given the compiled layout (and the field names recorded at
-//! declaration time), [`dissect`] decodes the preamble, the optional
+//! Given the compiled layout (which keeps the names its fields were
+//! declared under), [`dissect`] decodes the preamble, the optional
 //! connection identification, each class header field by field, the
 //! packing header, and the payload — the tool you want open in a second
 //! terminal when a protocol test fails. The output is stable and
@@ -12,50 +12,8 @@ use pa_buf::Msg;
 use pa_wire::{Class, CompiledLayout, Preamble};
 use std::fmt::Write as _;
 
-/// Field names per class, in declaration order — collected by
-/// [`crate::Connection`] at init so dissection can label fields — plus
-/// the *owning layer* of each field, the ownership map that lets the
-/// xray forensics charge a prediction miss to the layer whose field
-/// broke it.
-#[derive(Debug, Clone, Default)]
-pub struct FieldNames {
-    names: [Vec<String>; 4],
-    owners: [Vec<&'static str>; 4],
-}
-
-impl FieldNames {
-    /// Records a declared field name with unknown ownership.
-    pub fn push(&mut self, class: Class, name: &str) {
-        self.push_owned(class, name, "?");
-    }
-
-    /// Records a declared field name together with its owning layer.
-    pub fn push_owned(&mut self, class: Class, name: &str, owner: &'static str) {
-        self.names[class.index()].push(name.to_string());
-        self.owners[class.index()].push(owner);
-    }
-
-    /// Name of field `idx` in `class` (or a positional fallback).
-    pub fn name(&self, class: Class, idx: usize) -> String {
-        self.names[class.index()]
-            .get(idx)
-            .cloned()
-            .unwrap_or_else(|| format!("{class}[{idx}]"))
-    }
-
-    /// Owning layer of field `idx` in `class` (`"?"` if unrecorded).
-    pub fn owner(&self, class: Class, idx: usize) -> &'static str {
-        self.owners[class.index()].get(idx).copied().unwrap_or("?")
-    }
-
-    /// Number of fields recorded for `class`.
-    pub fn count(&self, class: Class) -> usize {
-        self.names[class.index()].len()
-    }
-}
-
 /// Dissects a full wire frame (starting at the preamble).
-pub fn dissect(frame: &Msg, layout: &CompiledLayout, names: &FieldNames) -> String {
+pub fn dissect(frame: &Msg, layout: &CompiledLayout) -> String {
     let mut out = String::new();
     let mut m = frame.clone();
     let _ = writeln!(out, "frame: {} bytes", m.len());
@@ -84,15 +42,7 @@ pub fn dissect(frame: &Msg, layout: &CompiledLayout, names: &FieldNames) -> Stri
         match m.pop_front(len) {
             Some(ident) => {
                 let _ = writeln!(out, "  conn-ident: {} bytes", len);
-                dissect_class(
-                    &mut out,
-                    layout,
-                    names,
-                    Class::ConnId,
-                    &ident,
-                    preamble,
-                    true,
-                );
+                dissect_class(&mut out, layout, Class::ConnId, &ident, preamble, true);
             }
             None => {
                 let _ = writeln!(out, "  !! truncated conn-ident");
@@ -107,7 +57,7 @@ pub fn dissect(frame: &Msg, layout: &CompiledLayout, names: &FieldNames) -> Stri
             Some(hdr) => {
                 if len > 0 {
                     let _ = writeln!(out, "  {class}: {len} bytes");
-                    dissect_class(&mut out, layout, names, class, &hdr, preamble, false);
+                    dissect_class(&mut out, layout, class, &hdr, preamble, false);
                 }
             }
             None => {
@@ -153,7 +103,6 @@ pub fn dissect(frame: &Msg, layout: &CompiledLayout, names: &FieldNames) -> Stri
 fn dissect_class(
     out: &mut String,
     layout: &CompiledLayout,
-    names: &FieldNames,
     class: Class,
     hdr: &[u8],
     preamble: Preamble,
@@ -163,7 +112,7 @@ fn dissect_class(
     for i in 0..count {
         let f = pa_wire::Field::new(class, i);
         let bits = layout.field_bits(f);
-        let label = names.name(class, i);
+        let label = layout.field_name(class, i).unwrap_or("?");
         if bits <= 64 {
             // Conn-ident scalar fields are canonical big-endian.
             let order = if conn_id {
@@ -213,7 +162,7 @@ mod tests {
         let mut c = conn();
         c.send(b"payload!");
         let frame = c.poll_transmit().unwrap();
-        let text = dissect(&frame, c.layout(), c.field_names());
+        let text = dissect(&frame, c.layout());
         assert!(text.contains("preamble"), "{text}");
         assert!(text.contains("ident=present"), "{text}");
         assert!(text.contains("conn-ident"), "{text}");
@@ -230,7 +179,7 @@ mod tests {
         c.process_pending();
         c.send(b"second!!");
         let frame = c.poll_transmit().unwrap();
-        let text = dissect(&frame, c.layout(), c.field_names());
+        let text = dissect(&frame, c.layout());
         assert!(text.contains("ident=elided"), "{text}");
         assert!(!text.contains("conn-ident:"), "{text}");
     }
@@ -240,15 +189,8 @@ mod tests {
         let c = conn();
         for n in 0..16 {
             let m = Msg::from_payload(&vec![0u8; n]);
-            let text = dissect(&m, c.layout(), c.field_names());
+            let text = dissect(&m, c.layout());
             assert!(text.contains("frame:"), "{text}");
         }
-    }
-
-    #[test]
-    fn field_names_fallback() {
-        let names = FieldNames::default();
-        assert_eq!(names.name(Class::Protocol, 3), "protocol[3]");
-        assert_eq!(names.count(Class::Gossip), 0);
     }
 }

@@ -50,7 +50,7 @@ pub use conn::{
     Connection, ConnectionParams, DeliverBurstReport, DeliverOutcome, DropReason, PostWorkReport,
     SendBurstReport, SendOutcome, SetupError,
 };
-pub use dissect::{dissect, FieldNames};
+pub use dissect::dissect;
 pub use endpoint::{
     AdmitError, BurstDemux, ConnHandle, Delivery, Endpoint, LifecycleStats, StaleHandle,
 };

@@ -144,6 +144,15 @@ impl ProgramBuilder {
         Self::default()
     }
 
+    /// Creates an empty builder with room for `ops` instructions, so a
+    /// stack's worth of fragments appends without regrowing.
+    pub fn with_capacity(ops: usize) -> Self {
+        ProgramBuilder {
+            ops: Vec::with_capacity(ops),
+            slots: Vec::new(),
+        }
+    }
+
     /// Appends one instruction.
     pub fn op(&mut self, op: Op) -> &mut Self {
         self.ops.push(op);

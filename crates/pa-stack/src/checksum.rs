@@ -86,14 +86,14 @@ impl Layer for ChecksumLayer {
 
         // Send: fill both fields from the message. DIGEST_HDRS must run
         // last in this fragment so every header it covers is final.
-        ctx.send_filter.extend(vec![
+        ctx.send_filter.extend([
             Op::PushBodySize,
             Op::PopField(f_len),
             Op::DigestHeaders(self.kind),
             Op::PopField(f_ck),
         ]);
         // Delivery: verify both.
-        ctx.recv_filter.extend(vec![
+        ctx.recv_filter.extend([
             Op::PushField(f_len),
             Op::PushBodySize,
             Op::Ne,

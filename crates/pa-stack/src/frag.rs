@@ -87,7 +87,7 @@ impl Layer for FragLayer {
         self.f_last = Some(f_last);
         // The send filter rejects oversized bodies, diverting them to
         // the slow path where pre_send fragments them.
-        ctx.send_filter.extend(vec![
+        ctx.send_filter.extend([
             Op::PushBodySize,
             Op::PushConst(self.mtu as i64),
             Op::Gt,

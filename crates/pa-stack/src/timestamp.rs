@@ -80,7 +80,7 @@ impl Layer for TimestampLayer {
         let slot = ctx.send_filter.alloc_slot(0);
         self.slot = Some(slot);
         ctx.send_filter
-            .extend(vec![Op::PushSlot(slot), Op::PopField(f_ts)]);
+            .extend([Op::PushSlot(slot), Op::PopField(f_ts)]);
         // Nothing to verify on delivery: a stamp is informational.
     }
 

@@ -104,18 +104,25 @@ impl Field {
     }
 }
 
+/// `[start, end)` of one name in a builder's arena of declared names.
+pub(crate) type Span = (u32, u32);
+
 /// A declared-but-not-yet-placed field.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FieldSpec {
-    /// Human-readable name (need not be unique; used in reports).
-    pub name: String,
-    /// Width in bits, 1..=64.
+    /// Human-readable name (need not be unique; used in reports), as a
+    /// span of the declaring builder's name arena.
+    pub(crate) name: Span,
+    /// Width in bits: 1..=64 for a scalar, or a whole number of bytes up
+    /// to [`crate::layout::MAX_FIELD_BITS`] for a blob.
     pub bits: u32,
     /// Requested bit offset within the class header, or `None` for
     /// "don't care" (the paper's `offset = -1`).
     pub offset: Option<u32>,
     /// Declaring layer.
     pub layer: LayerId,
+    /// The header class the field rides in.
+    pub class: Class,
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //! be *measured*:
 //!
 //! - [`LayoutMode::Packed`] — the PA scheme: fields of all layers pooled
-//!   per class, placed by first-fit-decreasing over a bit map, with
-//!   natural alignment for power-of-two byte-sized fields.
+//!   per class, placed by first-fit-decreasing over a word bitmap,
+//!   with natural alignment for power-of-two byte-sized fields.
 //! - [`LayoutMode::Traditional`] — one sub-header per layer, fields in
 //!   declaration order at their natural byte alignment, each layer's
 //!   header padded to a 4-byte boundary (the x-kernel/Horus convention
@@ -25,13 +25,18 @@
 //! setup instead of as silent corruption.
 
 use crate::bits;
-use crate::class::{Class, Field, FieldSpec, LayerId};
+use crate::class::{Class, Field, FieldSpec, LayerId, Span};
 use pa_buf::ByteOrder;
 use std::fmt;
 
 /// Maximum declarable field width in bits (wide blob fields hold large
 /// addresses; 2048 bits = 256 bytes is far beyond any real identifier).
 pub const MAX_FIELD_BITS: u32 = 2048;
+
+/// How far a fixed offset may reach into its class header, in bits: the
+/// handshake frames a header with a 16-bit byte count, so one that
+/// cannot fit in 65 535 bytes is not a layout.
+pub const MAX_HEADER_BITS: u32 = 8 * u16::MAX as u32;
 
 /// How headers are laid out on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,11 +52,21 @@ pub enum LayoutMode {
 /// Errors from field declaration or layout compilation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LayoutError {
-    /// Field width must be 1..=64 bits.
+    /// Field width must be 1..=64 bits, or a whole number of bytes up to
+    /// [`MAX_FIELD_BITS`].
     BadWidth {
         /// Offending field name.
         name: String,
         /// Requested width.
+        bits: u32,
+    },
+    /// A fixed offset puts the field's end past [`MAX_HEADER_BITS`].
+    OffsetOutOfRange {
+        /// Offending field name.
+        name: String,
+        /// The requested bit offset.
+        offset: u32,
+        /// The field's width.
         bits: u32,
     },
     /// Two fixed-offset fields overlap.
@@ -70,15 +85,18 @@ pub enum LayoutError {
 impl fmt::Display for LayoutError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LayoutError::BadWidth { name, bits } => {
-                write!(f, "field `{name}`: width {bits} out of range 1..=64")
-            }
-            LayoutError::OffsetConflict { name, offset } => {
-                write!(
-                    f,
-                    "field `{name}`: fixed offset {offset} overlaps a previously placed field"
-                )
-            }
+            LayoutError::BadWidth { name, bits } => write!(
+                f,
+                "field `{name}`: width {bits} is neither 1..=64 bits nor whole bytes up to {MAX_FIELD_BITS} bits"
+            ),
+            LayoutError::OffsetOutOfRange { name, offset, bits } => write!(
+                f,
+                "field `{name}`: fixed offset {offset} + width {bits} ends past the {MAX_HEADER_BITS}-bit header bound"
+            ),
+            LayoutError::OffsetConflict { name, offset } => write!(
+                f,
+                "field `{name}`: fixed offset {offset} overlaps a previously placed field"
+            ),
             LayoutError::NoLayer => write!(f, "add_field called before begin_layer"),
             LayoutError::EmptyName => write!(f, "field name must not be empty"),
         }
@@ -87,25 +105,92 @@ impl fmt::Display for LayoutError {
 
 impl std::error::Error for LayoutError {}
 
+/// What the layers declared: every field and layer name once, in one
+/// arena, and one `Copy` record per field. The builder fills it in; the
+/// compiled layout keeps it, and is where every report reads names.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Declarations {
+    names: String,
+    /// Every field: in declaration order while the builder collects
+    /// them, stably sorted by class once compiled.
+    specs: Vec<FieldSpec>,
+    /// Fields declared per class.
+    counts: [usize; 4],
+    layers: Vec<Span>,
+}
+
+impl Declarations {
+    fn intern(&mut self, name: &str) -> Span {
+        let start = self.names.len() as u32;
+        self.names.push_str(name);
+        (start, self.names.len() as u32)
+    }
+
+    fn name(&self, (start, end): Span) -> &str {
+        &self.names[start as usize..end as usize]
+    }
+
+    /// The fields of `class`, in declaration order (sorted lists only).
+    fn class_specs(&self, class: Class) -> &[FieldSpec] {
+        let start: usize = self.counts[..class.index()].iter().sum();
+        &self.specs[start..start + self.counts[class.index()]]
+    }
+
+    /// FNV-1a over the declaration sequence; stable across builds, and
+    /// wire-visible (it rides in the connection identification).
+    fn fingerprint(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x1_0000_01b3);
+            }
+        };
+        for &layer in &self.layers {
+            eat(self.name(layer).as_bytes());
+            eat(&[0xFF]);
+        }
+        for c in Class::ALL {
+            eat(&[c.index() as u8]);
+            for s in self.class_specs(c) {
+                eat(self.name(s.name).as_bytes());
+                eat(&[0]);
+                eat(&s.bits.to_le_bytes());
+                eat(&s.offset.map_or(0, |o| o + 1).to_le_bytes());
+                eat(&s.layer.0.to_le_bytes());
+            }
+        }
+        h
+    }
+}
+
 /// Collects `add_field` declarations from every layer in the stack.
 #[derive(Debug, Default, Clone)]
 pub struct LayoutBuilder {
-    specs: [Vec<FieldSpec>; 4],
-    layers: Vec<String>,
+    decls: Declarations,
     current: Option<LayerId>,
 }
 
 impl LayoutBuilder {
-    /// Creates an empty builder.
+    /// An empty builder with room for a stack of a dozen-odd fields.
     pub fn new() -> Self {
-        Self::default()
+        LayoutBuilder {
+            decls: Declarations {
+                names: String::with_capacity(192),
+                specs: Vec::with_capacity(16),
+                counts: [0; 4],
+                layers: Vec::with_capacity(8),
+            },
+            current: None,
+        }
     }
 
     /// Starts declarations for the next layer (bottom first). Returns the
     /// layer's id.
     pub fn begin_layer(&mut self, name: &str) -> LayerId {
-        let id = LayerId(self.layers.len() as u16);
-        self.layers.push(name.to_string());
+        let id = LayerId(self.decls.layers.len() as u16);
+        let span = self.decls.intern(name);
+        self.decls.layers.push(span);
         self.current = Some(id);
         id
     }
@@ -113,8 +198,8 @@ impl LayoutBuilder {
     /// The paper's `add_field(class, name, size, offset)`.
     ///
     /// `offset` is a *bit* offset within the class header, or `None` for
-    /// "don't care" (the paper passes −1). Returns the handle used for
-    /// all later access.
+    /// "don't care" (the paper passes −1); a fixed field must end within
+    /// [`MAX_HEADER_BITS`]. Returns the handle used for all later access.
     ///
     /// Widths up to 64 bits are scalar fields accessed with
     /// [`CompiledLayout::read_field`]/[`CompiledLayout::write_field`].
@@ -139,93 +224,66 @@ impl LayoutBuilder {
                 bits,
             });
         }
-        let list = &mut self.specs[class.index()];
-        let idx = list.len() as u16;
-        list.push(FieldSpec {
-            name: name.to_string(),
+        if let Some(offset) = offset.filter(|&o| o > MAX_HEADER_BITS - bits) {
+            return Err(LayoutError::OffsetOutOfRange {
+                name: name.to_string(),
+                offset,
+                bits,
+            });
+        }
+        let name = self.decls.intern(name);
+        self.decls.specs.push(FieldSpec {
+            name,
             bits,
             offset,
             layer,
+            class,
         });
+        let idx = self.field_count(class) as u16;
+        self.decls.counts[class.index()] += 1;
         Ok(Field { class, idx })
     }
 
     /// Number of fields declared in `class`.
     pub fn field_count(&self, class: Class) -> usize {
-        self.specs[class.index()].len()
+        self.decls.counts[class.index()]
     }
 
-    /// Names of the layers that have begun declarations, bottom first.
-    pub fn layer_names(&self) -> &[String] {
-        &self.layers
-    }
-
-    /// Declared field names in `class`, in declaration order (the index
-    /// of a name equals the field handle's index within the class).
-    pub fn field_names(&self, class: Class) -> Vec<&str> {
-        self.specs[class.index()]
-            .iter()
-            .map(|s| s.name.as_str())
-            .collect()
-    }
-
-    /// The owning layer of each field declared in `class`, in
-    /// declaration order (parallel to [`LayoutBuilder::field_names`]).
-    /// This is the ownership map the xray forensics use to charge a
-    /// prediction miss to the layer whose field broke it.
-    pub fn field_layers(&self, class: Class) -> Vec<LayerId> {
-        self.specs[class.index()].iter().map(|s| s.layer).collect()
-    }
-
-    /// Compiles the declarations into a wire layout.
+    /// Compiles a copy of the declarations into a wire layout; the
+    /// builder stays usable, to compile again in another mode.
     pub fn compile(&self, mode: LayoutMode) -> Result<CompiledLayout, LayoutError> {
+        self.clone().into_layout(mode)
+    }
+
+    /// Compiles the declarations into a wire layout that takes them (and
+    /// their names) with it: one pass per class, nothing copied.
+    pub fn into_layout(self, mode: LayoutMode) -> Result<CompiledLayout, LayoutError> {
+        let mut decls = self.decls;
+        // Stable, so each class becomes one slice in declaration order.
+        decls.specs.sort_by_key(|s| s.class);
         let mut classes: [ClassLayout; 4] = Default::default();
-        for c in Class::ALL {
-            classes[c.index()] = match mode {
-                LayoutMode::Packed => pack_class(&self.specs[c.index()])?,
-                LayoutMode::Traditional => layer_by_layer(&self.specs[c.index()], 4),
-                LayoutMode::Traditional8 => layer_by_layer(&self.specs[c.index()], 8),
+        // The packer's scratch, shared by the four classes: the occupancy
+        // bitmap (bits past its end are free) and the placement order.
+        let (mut words, mut order) = (Vec::new(), Vec::new());
+        for (class, out) in Class::ALL.into_iter().zip(&mut classes) {
+            let specs = decls.class_specs(class);
+            *out = match mode {
+                LayoutMode::Packed => pack_class(specs, &mut words, &mut order).map_err(|i| {
+                    LayoutError::OffsetConflict {
+                        name: decls.name(specs[i].name).to_string(),
+                        offset: specs[i].offset.unwrap_or(0),
+                    }
+                })?,
+                LayoutMode::Traditional => layer_by_layer(specs, 4),
+                LayoutMode::Traditional8 => layer_by_layer(specs, 8),
             };
         }
         Ok(CompiledLayout {
             classes,
             mode,
-            fingerprint: self.fingerprint_of_specs(),
+            fingerprint: decls.fingerprint(),
+            decls,
         })
-    }
-
-    fn fingerprint_of_specs(&self) -> u64 {
-        // FNV-1a over the declaration sequence; stable across builds.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |b: u8| {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        };
-        for name in &self.layers {
-            for b in name.bytes() {
-                eat(b);
-            }
-            eat(0xFF);
-        }
-        for c in Class::ALL {
-            eat(c.index() as u8);
-            for s in &self.specs[c.index()] {
-                for b in s.name.bytes() {
-                    eat(b);
-                }
-                eat(0);
-                for b in s.bits.to_le_bytes() {
-                    eat(b);
-                }
-                for b in s.offset.map(|o| o + 1).unwrap_or(0).to_le_bytes() {
-                    eat(b);
-                }
-                for b in s.layer.0.to_le_bytes() {
-                    eat(b);
-                }
-            }
-        }
-        h
     }
 }
 
@@ -247,6 +305,16 @@ pub struct ClassLayout {
 }
 
 impl ClassLayout {
+    /// A header just long enough for its last placed bit.
+    fn new(placed: Vec<PlacedField>) -> ClassLayout {
+        let end = placed.iter().map(|p| p.bit_offset + p.bits).max();
+        ClassLayout {
+            byte_len: end.unwrap_or(0).div_ceil(8) as usize,
+            used_bits: placed.iter().map(|p| p.bits).sum(),
+            placed,
+        }
+    }
+
     /// Length of this class header on the wire, in bytes.
     pub fn byte_len(&self) -> usize {
         self.byte_len
@@ -279,6 +347,8 @@ pub struct CompiledLayout {
     classes: [ClassLayout; 4],
     mode: LayoutMode,
     fingerprint: u64,
+    /// The name table: what was declared, by whom, under which name.
+    decls: Declarations,
 }
 
 impl CompiledLayout {
@@ -291,6 +361,26 @@ impl CompiledLayout {
     /// stacked identical layers with identical field declarations.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// Declared name of field `idx` of `class` (declaration order), or
+    /// `None` if no such field was declared.
+    pub fn field_name(&self, class: Class, idx: usize) -> Option<&str> {
+        let spec = self.decls.class_specs(class).get(idx)?;
+        Some(self.decls.name(spec.name))
+    }
+
+    /// The layer that declared field `idx` of `class` — the ownership
+    /// map the xray forensics use to charge a prediction miss to the
+    /// layer whose field broke it.
+    pub fn field_layer(&self, class: Class, idx: usize) -> Option<LayerId> {
+        Some(self.decls.class_specs(class).get(idx)?.layer)
+    }
+
+    /// Name `layer` was begun under, bottom first.
+    pub fn layer_name(&self, layer: LayerId) -> Option<&str> {
+        let span = self.decls.layers.get(layer.0 as usize)?;
+        Some(self.decls.name(*span))
     }
 
     /// Wire length of `class`'s header in bytes.
@@ -379,19 +469,12 @@ impl CompiledLayout {
 
     /// Per-class sizes and padding, for the E5 header-overhead report.
     pub fn padding_report(&self) -> PaddingReport {
-        let mut per_class = [(0usize, 0u32); 4];
-        for c in Class::ALL {
-            let cl = &self.classes[c.index()];
-            per_class[c.index()] = (cl.byte_len(), cl.padding_bits());
-        }
+        let per_class = Class::ALL.map(|c| (self.class_len(c), self.class(c).padding_bits()));
         PaddingReport {
             mode: self.mode,
             per_class,
-            total_bytes: Class::ALL.iter().map(|&c| self.class_len(c)).sum(),
-            total_padding_bits: Class::ALL
-                .iter()
-                .map(|&c| self.class(c).padding_bits())
-                .sum(),
+            total_bytes: per_class.iter().map(|&(len, _)| len).sum(),
+            total_padding_bits: per_class.iter().map(|&(_, pad)| pad).sum(),
         }
     }
 }
@@ -424,139 +507,128 @@ fn preferred_align(bits: u32) -> u32 {
     }
 }
 
-/// First-fit-decreasing bit packing with natural alignment.
-fn pack_class(specs: &[FieldSpec]) -> Result<ClassLayout, LayoutError> {
-    let mut placed = vec![
-        PlacedField {
-            bit_offset: 0,
-            bits: 0
-        };
-        specs.len()
-    ];
-    let mut occupancy: Vec<bool> = Vec::new();
+/// The bits of word `w` inside `[start, end)`, which must overlap it.
+fn span_mask(w: usize, start: usize, end: usize) -> u64 {
+    let lo = (w * 64).max(start);
+    let hi = ((w + 1) * 64).min(end);
+    (!0u64 >> (64 - (hi - lo))) << (lo % 64)
+}
 
-    let claim = |occ: &mut Vec<bool>, off: u32, width: u32| {
-        let end = (off + width) as usize;
-        if occ.len() < end {
-            occ.resize(end, false);
-        }
-        for b in &mut occ[off as usize..end] {
-            *b = true;
-        }
-    };
-    let free = |occ: &[bool], off: u32, width: u32| -> bool {
-        let end = (off + width) as usize;
-        occ.iter()
-            .skip(off as usize)
-            .take(end - off as usize)
-            .all(|&b| !b)
-            || occ.len() <= off as usize
-    };
+/// The highest occupied bit in `[off, off + width)`, if any.
+fn highest_set(words: &[u64], off: u32, width: u32) -> Option<u32> {
+    let (start, end) = (off as usize, (off + width) as usize);
+    (start / 64..end.div_ceil(64).min(words.len()))
+        .rev()
+        .find_map(|w| {
+            let hit = words[w] & span_mask(w, start, end);
+            (hit != 0).then(|| w as u32 * 64 + 63 - hit.leading_zeros())
+        })
+}
 
-    // Phase 1: fixed-offset fields, declaration order.
-    for (i, s) in specs.iter().enumerate() {
-        if let Some(off) = s.offset {
-            if !free(&occupancy, off, s.bits) {
-                return Err(LayoutError::OffsetConflict {
-                    name: s.name.clone(),
-                    offset: off,
-                });
-            }
-            claim(&mut occupancy, off, s.bits);
-            placed[i] = PlacedField {
-                bit_offset: off,
-                bits: s.bits,
-            };
+/// The lowest free bit at or after `off`.
+fn next_clear(words: &[u64], mut off: u32) -> u32 {
+    while let Some(&word) = words.get(off as usize / 64) {
+        let room = 64 - off % 64;
+        let run = (word >> (off % 64)).trailing_ones();
+        off += run;
+        if run < room {
+            break;
         }
     }
+    off
+}
 
-    // Phase 2: floating fields, widest first (FFD); ties broken by
-    // declaration order so compilation is deterministic.
-    let mut floating: Vec<usize> = (0..specs.len())
-        .filter(|&i| specs[i].offset.is_none())
-        .collect();
-    floating.sort_by_key(|&i| std::cmp::Reverse(specs[i].bits));
-
-    for i in floating {
-        let s = &specs[i];
-        let align = preferred_align(s.bits);
-        let mut off = 0u32;
-        loop {
-            if free(&occupancy, off, s.bits) {
-                claim(&mut occupancy, off, s.bits);
-                placed[i] = PlacedField {
-                    bit_offset: off,
-                    bits: s.bits,
-                };
-                break;
-            }
-            off += align;
-        }
+fn claim(words: &mut Vec<u64>, off: u32, width: u32) {
+    let (start, end) = (off as usize, (off + width) as usize);
+    let (first, last) = (start / 64, end.div_ceil(64));
+    if words.len() < last {
+        words.resize(last, 0);
     }
+    for (i, word) in words[first..last].iter_mut().enumerate() {
+        *word |= span_mask(first + i, start, end);
+    }
+}
 
-    let used_bits: u32 = specs.iter().map(|s| s.bits).sum();
-    let highest = placed
+/// First-fit-decreasing bit packing with natural alignment: fixed
+/// offsets first, in declaration order; then the floating fields widest
+/// first (ties in declaration order, so compilation is deterministic),
+/// each at the lowest free offset of its preferred alignment. `Err(i)`
+/// names the fixed field that overlaps an earlier one.
+///
+/// The search never probes bit by bit: it starts at the lowest free bit
+/// and, on a conflict, jumps past the blocking bit's occupied run —
+/// where first-fit from zero would have stopped (DESIGN.md, "Connection
+/// setup", has the argument; the tests below, the per-bit reference).
+fn pack_class(
+    specs: &[FieldSpec],
+    words: &mut Vec<u64>,
+    order: &mut Vec<u32>,
+) -> Result<ClassLayout, usize> {
+    words.clear();
+    order.clear();
+    // Room for the fields laid end to end; alignment padding may grow it.
+    words.reserve(specs.iter().map(|s| s.bits as usize).sum::<usize>() / 64 + 1);
+    order.reserve(specs.len());
+    let mut placed: Vec<PlacedField> = specs
         .iter()
-        .zip(specs)
-        .map(|(p, _)| p.bit_offset + p.bits)
-        .max()
-        .unwrap_or(0);
-    Ok(ClassLayout {
-        placed,
-        byte_len: highest.div_ceil(8) as usize,
-        used_bits,
-    })
+        .map(|s| PlacedField {
+            bit_offset: s.offset.unwrap_or(0),
+            bits: s.bits,
+        })
+        .collect();
+    for (i, s) in specs.iter().enumerate() {
+        match s.offset {
+            Some(off) if highest_set(words, off, s.bits).is_some() => return Err(i),
+            Some(off) => claim(words, off, s.bits),
+            None => order.push(i as u32),
+        }
+    }
+    order.sort_by_key(|&i| std::cmp::Reverse(specs[i as usize].bits));
+    let mut low = next_clear(words, 0);
+    for &i in order.iter() {
+        let p = &mut placed[i as usize];
+        let align = preferred_align(p.bits);
+        p.bit_offset = low.next_multiple_of(align);
+        while let Some(h) = highest_set(words, p.bit_offset, p.bits) {
+            p.bit_offset = next_clear(words, h + 1).next_multiple_of(align);
+        }
+        claim(words, p.bit_offset, p.bits);
+        low = next_clear(words, low);
+    }
+    Ok(ClassLayout::new(placed))
 }
 
 /// The traditional scheme: sub-headers per layer, each padded to
-/// `pad_bytes` alignment; fields at natural byte alignment inside.
+/// `pad_bytes` alignment; fields at natural byte alignment inside. Layer
+/// ids only count up, so a change of owner ends a sub-header.
 fn layer_by_layer(specs: &[FieldSpec], pad_bytes: u32) -> ClassLayout {
-    let mut placed = vec![
-        PlacedField {
-            bit_offset: 0,
-            bits: 0
-        };
-        specs.len()
-    ];
-    // Group indices by layer, preserving declaration order.
-    let mut layers: Vec<LayerId> = specs.iter().map(|s| s.layer).collect();
-    layers.dedup();
-    layers.sort();
-    layers.dedup();
-
     let mut cursor_bits = 0u32;
-    for layer in layers {
-        for (i, s) in specs.iter().enumerate() {
-            if s.layer != layer {
-                continue;
-            }
-            // Natural alignment: round width up to bytes, align to the
-            // smaller of that and 8 bytes.
-            let width_bytes = s.bits.div_ceil(8);
-            let align_bytes = width_bytes.next_power_of_two().min(8);
-            let align_bits = align_bytes * 8;
-            cursor_bits = cursor_bits.div_ceil(align_bits) * align_bits;
-            placed[i] = PlacedField {
-                bit_offset: cursor_bits,
-                bits: s.bits,
-            };
-            cursor_bits += width_bytes * 8;
+    let mut placed = Vec::with_capacity(specs.len());
+    for (i, s) in specs.iter().enumerate() {
+        if i > 0 && specs[i - 1].layer != s.layer {
+            cursor_bits = cursor_bits.next_multiple_of(pad_bytes * 8);
         }
-        // Pad the layer's header to the 4/8-byte boundary.
-        let pad_bits = pad_bytes * 8;
-        cursor_bits = cursor_bits.div_ceil(pad_bits) * pad_bits;
+        // Natural alignment: round width up to bytes, align to the
+        // smaller of that and 8 bytes.
+        let width_bytes = s.bits.div_ceil(8);
+        let align_bytes = width_bytes.next_power_of_two().min(8);
+        cursor_bits = cursor_bits.next_multiple_of(align_bytes * 8);
+        placed.push(PlacedField {
+            bit_offset: cursor_bits,
+            bits: s.bits,
+        });
+        cursor_bits += width_bytes * 8;
     }
-    let used_bits: u32 = specs.iter().map(|s| s.bits).sum();
-    ClassLayout {
-        placed,
-        byte_len: (cursor_bits / 8) as usize,
-        used_bits,
-    }
+    // Pad the last layer's header to the 4/8-byte boundary too.
+    let mut layout = ClassLayout::new(placed);
+    layout.byte_len = layout.byte_len.next_multiple_of(pad_bytes as usize);
+    layout
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pa_obs::rng::{Rng, SplitMix64};
 
     fn builder_4layer() -> LayoutBuilder {
         // A caricature of the paper's 4-layer sliding-window stack.
@@ -676,6 +748,66 @@ mod tests {
             b2.compile(LayoutMode::Packed),
             Err(LayoutError::OffsetConflict { .. })
         ));
+    }
+
+    #[test]
+    fn fixed_offset_is_bounded_at_declaration() {
+        let mut b = LayoutBuilder::new();
+        b.begin_layer("l");
+        // The last bit a fixed field may occupy is MAX_HEADER_BITS - 1.
+        assert!(b
+            .add_field(Class::Protocol, "edge", 8, Some(MAX_HEADER_BITS - 8))
+            .is_ok());
+        for offset in [MAX_HEADER_BITS - 7, 1_000_000_000, u32::MAX - 5, u32::MAX] {
+            assert_eq!(
+                b.add_field(Class::Protocol, "f", 8, Some(offset)),
+                Err(LayoutError::OffsetOutOfRange {
+                    name: "f".into(),
+                    offset,
+                    bits: 8
+                }),
+            );
+        }
+        assert_eq!(
+            b.add_field(Class::ConnId, "blob", 2048, Some(MAX_HEADER_BITS - 2047)),
+            Err(LayoutError::OffsetOutOfRange {
+                name: "blob".into(),
+                offset: MAX_HEADER_BITS - 2047,
+                bits: 2048
+            }),
+        );
+        // A refused declaration leaves no trace: one field, at the edge.
+        assert_eq!(b.field_count(Class::Protocol), 1);
+        let l = b.compile(LayoutMode::Packed).unwrap();
+        assert_eq!(l.class_len(Class::Protocol), u16::MAX as usize);
+        assert_eq!(l.field_name(Class::Protocol, 0), Some("edge"));
+        assert_eq!(l.field_name(Class::Protocol, 1), None);
+    }
+
+    #[test]
+    fn error_messages_say_what_is_enforced() {
+        let mut b = LayoutBuilder::new();
+        b.begin_layer("l");
+        let width = b.add_field(Class::Protocol, "w", 65, None).unwrap_err();
+        assert!(width.to_string().contains("1..=64 bits"), "{width}");
+        assert!(width.to_string().contains("2048"), "{width}");
+        let far = b.add_field(Class::Protocol, "o", 8, Some(u32::MAX));
+        let far = far.unwrap_err().to_string();
+        assert!(
+            far.contains("4294967295") && far.contains("524280"),
+            "{far}"
+        );
+    }
+
+    #[test]
+    fn the_layout_keeps_the_name_table() {
+        let l = builder_4layer().compile(LayoutMode::Traditional).unwrap();
+        assert_eq!(l.field_name(Class::Protocol, 2), Some("seq"));
+        assert_eq!(l.field_layer(Class::Protocol, 2), Some(LayerId(3)));
+        assert_eq!(l.layer_name(LayerId(3)), Some("window"));
+        assert_eq!(l.layer_name(LayerId(0)), Some("bottom"));
+        assert_eq!(l.layer_name(LayerId(4)), None);
+        assert_eq!(l.field_layer(Class::Gossip, 1), None);
     }
 
     #[test]
@@ -827,5 +959,269 @@ mod tests {
         );
         let t = b.compile(LayoutMode::Traditional).unwrap();
         assert_eq!(t.class_len(Class::Protocol), 16, "traditional: a byte each");
+    }
+
+    // -----------------------------------------------------------------
+    // The reference packer: the per-bit first-fit this module shipped
+    // with before the word bitmap, kept verbatim (over its own spec
+    // record, names as `String`s) as the oracle the compiler is pinned
+    // to. Placement is wire-visible; "the same algorithm, faster" is a
+    // claim about every input, so it is checked on a few thousand.
+    // -----------------------------------------------------------------
+
+    #[derive(Debug, Clone)]
+    struct RefSpec {
+        name: String,
+        bits: u32,
+        offset: Option<u32>,
+        layer: LayerId,
+    }
+
+    type RefClass = (Vec<PlacedField>, usize, u32);
+
+    fn ref_pack_class(specs: &[RefSpec]) -> Result<RefClass, LayoutError> {
+        let mut placed = vec![
+            PlacedField {
+                bit_offset: 0,
+                bits: 0
+            };
+            specs.len()
+        ];
+        let mut occupancy: Vec<bool> = Vec::new();
+        let claim = |occ: &mut Vec<bool>, off: u32, width: u32| {
+            let end = (off + width) as usize;
+            if occ.len() < end {
+                occ.resize(end, false);
+            }
+            for b in &mut occ[off as usize..end] {
+                *b = true;
+            }
+        };
+        let free = |occ: &[bool], off: u32, width: u32| -> bool {
+            let end = (off + width) as usize;
+            occ.iter()
+                .skip(off as usize)
+                .take(end - off as usize)
+                .all(|&b| !b)
+                || occ.len() <= off as usize
+        };
+        for (i, s) in specs.iter().enumerate() {
+            if let Some(off) = s.offset {
+                if !free(&occupancy, off, s.bits) {
+                    return Err(LayoutError::OffsetConflict {
+                        name: s.name.clone(),
+                        offset: off,
+                    });
+                }
+                claim(&mut occupancy, off, s.bits);
+                placed[i] = PlacedField {
+                    bit_offset: off,
+                    bits: s.bits,
+                };
+            }
+        }
+        let mut floating: Vec<usize> = (0..specs.len())
+            .filter(|&i| specs[i].offset.is_none())
+            .collect();
+        floating.sort_by_key(|&i| std::cmp::Reverse(specs[i].bits));
+        for i in floating {
+            let s = &specs[i];
+            let align = preferred_align(s.bits);
+            let mut off = 0u32;
+            loop {
+                if free(&occupancy, off, s.bits) {
+                    claim(&mut occupancy, off, s.bits);
+                    placed[i] = PlacedField {
+                        bit_offset: off,
+                        bits: s.bits,
+                    };
+                    break;
+                }
+                off += align;
+            }
+        }
+        let used_bits: u32 = specs.iter().map(|s| s.bits).sum();
+        let highest = placed
+            .iter()
+            .map(|p| p.bit_offset + p.bits)
+            .max()
+            .unwrap_or(0);
+        Ok((placed, highest.div_ceil(8) as usize, used_bits))
+    }
+
+    fn ref_layer_by_layer(specs: &[RefSpec], pad_bytes: u32) -> RefClass {
+        let mut placed = vec![
+            PlacedField {
+                bit_offset: 0,
+                bits: 0
+            };
+            specs.len()
+        ];
+        let mut layers: Vec<LayerId> = specs.iter().map(|s| s.layer).collect();
+        layers.dedup();
+        layers.sort();
+        layers.dedup();
+        let mut cursor_bits = 0u32;
+        for layer in layers {
+            for (i, s) in specs.iter().enumerate() {
+                if s.layer != layer {
+                    continue;
+                }
+                let width_bytes = s.bits.div_ceil(8);
+                let align_bytes = width_bytes.next_power_of_two().min(8);
+                let align_bits = align_bytes * 8;
+                cursor_bits = cursor_bits.div_ceil(align_bits) * align_bits;
+                placed[i] = PlacedField {
+                    bit_offset: cursor_bits,
+                    bits: s.bits,
+                };
+                cursor_bits += width_bytes * 8;
+            }
+            let pad_bits = pad_bytes * 8;
+            cursor_bits = cursor_bits.div_ceil(pad_bits) * pad_bits;
+        }
+        let used_bits: u32 = specs.iter().map(|s| s.bits).sum();
+        (placed, (cursor_bits / 8) as usize, used_bits)
+    }
+
+    fn ref_fingerprint(layers: &[String], specs: &[Vec<RefSpec>; 4]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |b: u8| {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1_0000_01b3);
+        };
+        for name in layers {
+            for b in name.bytes() {
+                eat(b);
+            }
+            eat(0xFF);
+        }
+        for c in Class::ALL {
+            eat(c.index() as u8);
+            for s in &specs[c.index()] {
+                for b in s.name.bytes() {
+                    eat(b);
+                }
+                eat(0);
+                for b in s.bits.to_le_bytes() {
+                    eat(b);
+                }
+                for b in s.offset.map(|o| o + 1).unwrap_or(0).to_le_bytes() {
+                    eat(b);
+                }
+                for b in s.layer.0.to_le_bytes() {
+                    eat(b);
+                }
+            }
+        }
+        h
+    }
+
+    /// One seeded declaration set: 1–6 layers sharing out 1–40 fields
+    /// per class, in both the builder under test and the reference's
+    /// own lists.
+    fn random_declarations(
+        rng: &mut SplitMix64,
+    ) -> (LayoutBuilder, Vec<String>, [Vec<RefSpec>; 4]) {
+        const SCALAR: [u32; 8] = [8, 16, 32, 64, 3, 13, 33, 63];
+        let mut b = LayoutBuilder::new();
+        let mut layers = Vec::new();
+        let mut specs: [Vec<RefSpec>; 4] = Default::default();
+        // How densely fixed offsets are thrown at the header: 0 = none,
+        // otherwise one field in `fixed_every`, inside `reach` bits, so
+        // sets range from "all fit" to "some pair surely overlaps".
+        let fixed_every = [0, 2, 5, 12][rng.gen_index(4)];
+        let reach = [64u32, 512, 4096, 20_000][rng.gen_index(4)];
+        let mut budget: [usize; 4] = std::array::from_fn(|_| 1 + rng.gen_index(40));
+        let layer_count = 1 + rng.gen_index(6);
+        for l in 0..layer_count {
+            let lname = format!("layer{l}");
+            let id = b.begin_layer(&lname);
+            layers.push(lname);
+            for c in Class::ALL {
+                let left = &mut budget[c.index()];
+                let take = if l + 1 == layer_count {
+                    *left
+                } else {
+                    rng.gen_index(*left + 1)
+                };
+                *left -= take;
+                for _ in 0..take {
+                    let bits = match rng.gen_index(10) {
+                        0..=3 => 1 + rng.gen_index(7) as u32,
+                        4..=7 => SCALAR[rng.gen_index(SCALAR.len())],
+                        8 => 1 + rng.gen_index(64) as u32,
+                        _ => 8 * (9 + rng.gen_index(248) as u32),
+                    };
+                    let offset = (fixed_every != 0 && rng.gen_index(fixed_every) == 0).then(|| {
+                        let at = rng.gen_index(reach as usize) as u32;
+                        // Half the time on a byte boundary, as a real
+                        // layer would ask.
+                        if rng.gen_index(2) == 0 {
+                            at & !7
+                        } else {
+                            at
+                        }
+                    });
+                    let name = format!("f{}_{}", c.index(), specs[c.index()].len());
+                    b.add_field(c, &name, bits, offset).unwrap();
+                    specs[c.index()].push(RefSpec {
+                        name,
+                        bits,
+                        offset,
+                        layer: id,
+                    });
+                }
+            }
+        }
+        (b, layers, specs)
+    }
+
+    #[test]
+    fn word_bitmap_packer_matches_the_per_bit_reference() {
+        let mut rng = SplitMix64::new(0x7061_636b_5f72_6566);
+        let (mut conflicts, mut with_fixed, mut blobs) = (0, 0, 0);
+        for case in 0..2400 {
+            let (b, layers, specs) = random_declarations(&mut rng);
+            let fingerprint = ref_fingerprint(&layers, &specs);
+            with_fixed += specs.iter().flatten().any(|s| s.offset.is_some()) as u32;
+            blobs += specs.iter().flatten().any(|s| s.bits == MAX_FIELD_BITS) as u32;
+            for mode in [
+                LayoutMode::Packed,
+                LayoutMode::Traditional,
+                LayoutMode::Traditional8,
+            ] {
+                // The compiler stops at the first class that conflicts,
+                // classes in wire order; so does this.
+                let want: Result<Vec<RefClass>, LayoutError> = specs
+                    .iter()
+                    .map(|s| match mode {
+                        LayoutMode::Packed => ref_pack_class(s),
+                        LayoutMode::Traditional => Ok(ref_layer_by_layer(s, 4)),
+                        LayoutMode::Traditional8 => Ok(ref_layer_by_layer(s, 8)),
+                    })
+                    .collect();
+                let got = b.compile(mode);
+                let (want, got) = match (want, got) {
+                    (Err(want), got) => {
+                        conflicts += 1;
+                        assert_eq!(got.unwrap_err(), want, "case {case} {mode:?}");
+                        continue;
+                    }
+                    (Ok(want), got) => (want, got.expect("the reference placed every field")),
+                };
+                assert_eq!(got.fingerprint(), fingerprint, "case {case} {mode:?}");
+                for (c, (placed, byte_len, used_bits)) in Class::ALL.into_iter().zip(want) {
+                    let cl = got.class(c);
+                    assert_eq!(cl.placed, placed, "case {case} {mode:?} {c}");
+                    assert_eq!(cl.byte_len(), byte_len, "case {case} {mode:?} {c}");
+                    assert_eq!(cl.used_bits(), used_bits, "case {case} {mode:?} {c}");
+                }
+            }
+        }
+        // The generator reaches each regime it is there for.
+        assert!(conflicts > 200, "conflicting fixed offsets: {conflicts}");
+        assert!(with_fixed - conflicts > 200, "fixed offsets that fit");
+        assert!(blobs > 20, "blobs at MAX_FIELD_BITS: {blobs}");
     }
 }

@@ -160,14 +160,14 @@ fn main() {
         .expect("tap");
 
     println!("the corrupted frame, dissected:");
-    println!("{}", dissect(&corrupted, bob.layout(), bob.field_names()));
+    println!("{}", dissect(&corrupted, bob.layout()));
 
     bob.deliver_frame(corrupted);
     alice.process_pending();
     bob.process_pending();
 
     // --- The verdict: a merged, field-resolved timeline --------------
-    let names = bob.field_names().clone();
+    let layout = bob.layout().clone();
     let resolve = move |f: FieldRef| {
         let class = [
             Class::ConnId,
@@ -175,7 +175,8 @@ fn main() {
             Class::Message,
             Class::Gossip,
         ][f.class as usize % 4];
-        names.name(class, f.index as usize)
+        let name = layout.field_name(class, f.index as usize);
+        name.unwrap_or("?").to_string()
     };
 
     let timeline = merge_timeline(&[

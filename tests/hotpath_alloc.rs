@@ -612,3 +612,36 @@ fn packed_backlog_delivery_reconciles_the_pools() {
     );
     assert_eq!(pb.returns - pb.hits, b.pool_idle() as u64);
 }
+
+/// Setup is not free, but it is counted: building a connection over the
+/// paper stack allocates for the state it goes on to own and for the
+/// packer's two scratch buffers, nothing else. The 22:
+///
+/// - 3 the declarations, which the layout keeps: the name arena, the
+///   field specs, the layer-name spans;
+/// - 4 the placements, one list per class;
+/// - 2 the packer's scratch (occupancy bitmap, placement order) — the
+///   only two freed before `new` returns;
+/// - 2 the send and delivery filter programs, 2 their fused forms, 2 the
+///   per-layer instruction-span tables;
+/// - 2 the local and expected connection identification;
+/// - 4 two predictions' protocol and gossip images;
+/// - 1 the per-layer phase meters.
+///
+/// The pool, the queues, the effects scratch and the attribution tables
+/// start empty and allocate on first use.
+#[test]
+fn connection_setup_allocates_only_what_it_keeps() {
+    let layers = StackSpec::paper().build();
+    let params = ConnectionParams {
+        local: EndpointAddr::from_parts(1, 3),
+        peer: EndpointAddr::from_parts(2, 3),
+        seed: 7,
+        order: ByteOrder::Big,
+    };
+    let before = allocations();
+    let conn = Connection::new(layers, PaConfig::accelerated(), params);
+    let made = allocations() - before;
+    assert!(conn.is_ok());
+    assert!(made <= 22, "Connection::new made {made} allocations");
+}
