@@ -1,16 +1,12 @@
 //! Sharded-demux scaling: what a shard front costs per frame, and that
 //! the cost stays flat as the shard count grows.
 //!
-//! The sharded endpoint buys million-connection scale by splitting the
-//! cookie table: `shard_of(cookie)` is one SplitMix64 finalizer plus a
-//! mask, then the frame takes exactly the same one-probe demux inside
-//! its shard that the single endpoint takes. So the per-frame claim is
-//! threefold and every part gates in CI as a hardware-independent
-//! ratio:
+//! The endpoint buys million-connection scale by splitting the cookie
+//! table: `shard_of(cookie)` is one SplitMix64 finalizer plus a mask,
+//! then the frame takes one probe inside its shard. So the per-frame
+//! claim is twofold and both parts gate in CI as hardware-independent
+//! ratios:
 //!
-//! - **front overhead** — routing through a 1-shard front must price
-//!   within a small constant of the bare [`Endpoint`] (the front adds
-//!   one preamble peek and one hash mix, nothing O(conns)),
 //! - **flat scaling** — 64 shards must not cost more per frame than 1
 //!   shard on the same connection population (the probe is per-shard;
 //!   nothing on the fast path is O(shards)),
@@ -32,9 +28,7 @@
 //! [`recycle_delivery`]: pa_core::ShardedEndpoint::recycle_delivery
 
 use pa_bench::{BenchReport, Better};
-use pa_buf::MsgPool;
 use pa_core::conn::{Connection, ConnectionParams, DeliverOutcome};
-use pa_core::endpoint::{Delivery, Endpoint};
 use pa_core::layer::NullLayer;
 use pa_core::shard::{ShardDelivery, ShardedEndpoint};
 use pa_core::PaConfig;
@@ -92,48 +86,8 @@ fn server_conns(conns: usize) -> impl Iterator<Item = Connection> {
     (0..conns as u64).map(|i| conn(1, 100 + i, 2 * i + 2))
 }
 
-/// Steady-state per-frame cost through the bare endpoint (no front):
-/// pool take, demux, drain, recycle — the same loop shape the sharded
-/// arms run, minus the shard front.
-fn bench_endpoint(idents: &[Vec<u8>], steady: &[Vec<u8>]) -> f64 {
-    let mut ep = Endpoint::new();
-    let mut pool = MsgPool::with_defaults();
-    for c in server_conns(idents.len()) {
-        ep.add_connection(c);
-    }
-    for f in idents {
-        let out = ep.from_network(pool.take_with(f));
-        assert!(!matches!(out, DeliverOutcome::Dropped(_)), "{out:?}");
-    }
-    let mut scratch: Vec<Delivery> = Vec::with_capacity(DRAIN_EVERY);
-    let mut run = |timed: bool| -> f64 {
-        let t = Instant::now();
-        for (n, f) in steady.iter().enumerate() {
-            let out = ep.from_network(pool.take_with(f));
-            debug_assert!(!matches!(out, DeliverOutcome::Dropped(_)));
-            if (n + 1) % DRAIN_EVERY == 0 {
-                while ep.poll_delivery_burst(DRAIN_EVERY, &mut scratch) > 0 {
-                    for d in scratch.drain(..) {
-                        pool.put(black_box(d).msg);
-                    }
-                }
-            }
-        }
-        if timed {
-            t.elapsed().as_nanos() as f64 / steady.len() as f64
-        } else {
-            0.0
-        }
-    };
-    run(false);
-    let mut best = f64::MAX;
-    for _ in 0..REPS {
-        best = best.min(run(true));
-    }
-    best
-}
-
-/// The same loop through a sharded front with `shards` shards.
+/// Steady-state per-frame cost through an endpoint of `shards` shards:
+/// pool take, demux, drain, recycle.
 fn bench_sharded(shards: usize, idents: &[Vec<u8>], steady: &[Vec<u8>]) -> f64 {
     let mut ep = ShardedEndpoint::new(shards);
     for c in server_conns(idents.len()) {
@@ -176,8 +130,6 @@ fn main() {
     println!("{}", "-".repeat(100));
 
     let (idents, steady) = client_frames(CONNS);
-    let bare = bench_endpoint(&idents, &steady);
-    println!("{:<44} {bare:>8.1} ns/frame", "endpoint/bare");
     let mut by_shards = Vec::new();
     for shards in [1usize, 8, 64] {
         let ns = bench_sharded(shards, &idents, &steady);
@@ -192,13 +144,8 @@ fn main() {
         format!("sharded/8 x {TABLE_CONNS} conns")
     );
 
-    let front_ratio = by_shards[0] / bare;
     let scaling_ratio = by_shards[2] / by_shards[0];
     let table_ratio = big_table / by_shards[1];
-    println!(
-        "{:<44} {front_ratio:>8.3}",
-        "front_overhead_ratio (1 shard / bare)"
-    );
     println!(
         "{:<44} {scaling_ratio:>8.3}",
         "shard_scaling_ratio (64 / 1 shards)"
@@ -208,18 +155,15 @@ fn main() {
         "table_scaling_ratio (16384 / 1024 conns)"
     );
 
-    // Raw ns rows track the machine (loose tol); the three ratio rows
-    // are the hardware-independent gates: the front must stay within a
-    // small constant of the bare endpoint, 64 shards must cost no more
-    // per frame than 1, and 16x the connections must not cost 16x the
+    // Raw ns rows track the machine (loose tol); the two ratio rows are
+    // the hardware-independent gates: 64 shards must cost no more per
+    // frame than 1, and 16x the connections must not cost 16x the
     // drain. Authoritative tolerances live in the committed baseline.
     let mut report = BenchReport::new("shard");
     report
-        .push_tol("demux_bare_ns", bare, Better::Lower, 1.5)
         .push_tol("demux_shard1_ns", by_shards[0], Better::Lower, 1.5)
         .push_tol("demux_shard8_ns", by_shards[1], Better::Lower, 1.5)
         .push_tol("demux_shard64_ns", by_shards[2], Better::Lower, 1.5)
-        .push_tol("front_overhead_ratio", front_ratio, Better::Lower, 0.35)
         .push_tol("shard_scaling_ratio", scaling_ratio, Better::Lower, 0.25)
         .push_tol("table_scaling_ratio", table_ratio, Better::Lower, 1.0);
     if !pa_bench::emit_and_compare(&report) {

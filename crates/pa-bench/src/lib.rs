@@ -5,7 +5,7 @@
 //! and printing the paper-versus-measured table (see EXPERIMENTS.md).
 //! The `micro` bench is a conventional Criterion suite measuring the
 //! *real* Rust-native cost of each PA mechanism — packed vs padded
-//! header access, interpreted vs pre-resolved filters, fast path vs
+//! header access, fused vs interpreted filters, fast path vs
 //! layered traversal, packing — the honest numbers for this
 //! implementation on today's hardware (shapes, not 1996 values).
 //!

@@ -8,17 +8,6 @@
 
 use pa_wire::LayoutMode;
 
-/// Which packet-filter execution backend to use (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FilterBackend {
-    /// Walk the instruction list, resolving fields through the layout
-    /// tables ("Packet filter programs are currently interpreted").
-    Interpreted,
-    /// Pre-resolved field offsets (the Exokernel-style direction the
-    /// paper intended to adopt).
-    Compiled,
-}
-
 /// Configuration of one Protocol Accelerator instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PaConfig {
@@ -44,8 +33,6 @@ pub struct PaConfig {
     /// Header layout (§2.1): PA cross-layer packing or the traditional
     /// per-layer padded scheme.
     pub layout_mode: LayoutMode,
-    /// Packet-filter backend.
-    pub filter_backend: FilterBackend,
     /// How many initial messages carry the connection identification
     /// (the paper sends it on the first message; raising this is the
     /// "agree on a cookie before starting to use it" mitigation for
@@ -88,7 +75,6 @@ impl PaConfig {
             max_pack: 64,
             variable_packing: false,
             layout_mode: LayoutMode::Packed,
-            filter_backend: FilterBackend::Interpreted,
             ident_on_first: 1,
             trace_ctx: false,
             pooling: true,
@@ -106,20 +92,18 @@ impl PaConfig {
             max_pack: 1,
             variable_packing: false,
             layout_mode: LayoutMode::Traditional,
-            filter_backend: FilterBackend::Interpreted,
             ident_on_first: u32::MAX,
             trace_ctx: false,
             pooling: true,
         }
     }
 
-    /// Paper default plus the compiled filter backend (the stated
-    /// future-work optimization).
+    /// [`PaConfig::paper_default`], under the name it had while the
+    /// fused packet filter (the paper's stated future-work
+    /// optimization, §3.3) was an opt-in backend. It is the only engine
+    /// now, so the two are equal.
     pub fn accelerated() -> PaConfig {
-        PaConfig {
-            filter_backend: FilterBackend::Compiled,
-            ..PaConfig::paper_default()
-        }
+        PaConfig::paper_default()
     }
 }
 
@@ -160,16 +144,7 @@ mod tests {
     }
 
     #[test]
-    fn accelerated_only_changes_backend() {
-        let a = PaConfig::accelerated();
-        let p = PaConfig::paper_default();
-        assert_eq!(a.filter_backend, FilterBackend::Compiled);
-        assert_eq!(
-            PaConfig {
-                filter_backend: p.filter_backend,
-                ..a
-            },
-            p
-        );
+    fn accelerated_is_paper_default() {
+        assert_eq!(PaConfig::accelerated(), PaConfig::paper_default());
     }
 }

@@ -20,7 +20,7 @@
 //! engine is host-agnostic: the same code runs under the virtual-time
 //! simulator, the UDP examples, and the unit tests.
 
-use crate::config::{FilterBackend, PaConfig};
+use crate::config::PaConfig;
 use crate::layer::{DeliverAction, Effects, InitCtx, Layer, LayerCtx, SendAction};
 use crate::packing::{self, PackInfo};
 use crate::predict::Prediction;
@@ -254,8 +254,9 @@ pub struct Connection {
     peer_order: ByteOrder,
     peer_order_known: bool,
     send_filter: Program,
-    /// Send filter fused against the layout and our byte order (the
-    /// hot-path backend under [`FilterBackend::Compiled`]).
+    /// Send filter fused against the layout and our byte order: what
+    /// runs per message. `send_filter` keeps the patchable slots and is
+    /// what the interpreter re-runs for slow-path forensics.
     send_fused: FusedProgram,
     recv_filter: Program,
     /// Delivery filter fused against the *peer's* byte order; re-fused
@@ -912,20 +913,12 @@ impl Connection {
                 .notes
                 .push("pool: disabled (allocating comparison arm)".to_string());
         }
-        if self.config.filter_backend == FilterBackend::Compiled {
-            let (s, r) = (self.send_fused.stats(), self.recv_fused.stats());
-            report.notes.push(format!(
-                "fused filters: {} fuses; send {} ops ({}/{} field ops \
-                 byte-aligned), recv {} ops ({}/{} byte-aligned)",
-                self.fuse_count,
-                s.ops,
-                s.byte_aligned,
-                s.field_ops,
-                r.ops,
-                r.byte_aligned,
-                r.field_ops
-            ));
-        }
+        let (s, r) = (self.send_fused.stats(), self.recv_fused.stats());
+        report.notes.push(format!(
+            "fused filters: {} fuses; send {} ops ({}/{} field ops \
+             byte-aligned), recv {} ops ({}/{} byte-aligned)",
+            self.fuse_count, s.ops, s.byte_aligned, s.field_ops, r.ops, r.byte_aligned, r.field_ops
+        ));
         if !self.leaks.is_empty() {
             let worst = self.leaks.top().expect("non-empty ledger has a top");
             report.notes.push(format!(
@@ -1347,27 +1340,15 @@ impl Connection {
         self.send_filter.set_slot(hs, hop as i64);
     }
 
-    /// Runs the configured send-filter backend over `msg`'s frame.
+    /// Runs the fused send filter over `msg`'s frame.
     fn run_send_filter(&mut self, msg: &mut Msg) -> pa_filter::Verdict {
         self.arm_trace_slots();
-        match self.config.filter_backend {
-            FilterBackend::Interpreted => {
-                let mut frame = Frame::new(msg, &self.layout, self.order);
-                pa_filter::run(&self.send_filter, &mut frame)
-            }
-            FilterBackend::Compiled => self.send_fused.run(self.send_filter.slots(), msg),
-        }
+        self.send_fused.run(self.send_filter.slots(), msg)
     }
 
-    /// Runs the configured delivery-filter backend.
+    /// Runs the fused delivery filter.
     fn run_recv_filter(&mut self, msg: &mut Msg) -> pa_filter::Verdict {
-        match self.config.filter_backend {
-            FilterBackend::Interpreted => {
-                let mut frame = Frame::new(msg, &self.layout, self.peer_order);
-                pa_filter::run(&self.recv_filter, &mut frame)
-            }
-            FilterBackend::Compiled => self.recv_fused.run(self.recv_filter.slots(), msg),
-        }
+        self.recv_fused.run(self.recv_filter.slots(), msg)
     }
 
     /// A staging buffer holding `payload`: pooled (steady state: zero
@@ -1470,7 +1451,7 @@ impl Connection {
     }
 
     /// Handles a raw frame from the network (single-connection hosts;
-    /// multi-connection hosts route via [`crate::Endpoint`] and call
+    /// multi-connection hosts route via [`crate::ShardedEndpoint`] and call
     /// [`Connection::handle_routed`]).
     ///
     /// Every byte here is attacker-controllable, so each check names

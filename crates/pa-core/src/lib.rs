@@ -19,7 +19,7 @@
 //!    later, when the host calls [`conn::Connection::process_pending`].
 //!
 //! The delivery path (`from_network()`): preamble → cookie or conn-ident
-//! lookup (done by [`router::Router`] / [`endpoint::Endpoint`]) → run
+//! lookup (done by [`router::Router`] / [`shard::ShardedEndpoint`]) → run
 //! the delivery filter → compare the protocol-specific header against
 //! the prediction → on match, deliver (unpacking if packed) without
 //! entering the stack.
@@ -36,7 +36,6 @@
 pub mod config;
 pub mod conn;
 pub mod dissect;
-pub mod endpoint;
 pub mod handshake;
 pub mod layer;
 pub mod packing;
@@ -44,16 +43,14 @@ pub mod predict;
 pub mod router;
 pub mod shard;
 pub mod stats;
+mod table;
 
-pub use config::{FilterBackend, PaConfig};
+pub use config::PaConfig;
 pub use conn::{
     Connection, ConnectionParams, DeliverBurstReport, DeliverOutcome, DropReason, PostWorkReport,
     SendBurstReport, SendOutcome, SetupError,
 };
 pub use dissect::dissect;
-pub use endpoint::{
-    AdmitError, BurstDemux, ConnHandle, Delivery, Endpoint, LifecycleStats, StaleHandle,
-};
 pub use handshake::{Greeting, GreetingError};
 pub use layer::{DeliverAction, InitCtx, Layer, LayerCtx, SendAction};
 pub use packing::PackInfo;
@@ -66,6 +63,7 @@ pub use pa_obs::DisableReason;
 pub use router::Router;
 pub use shard::{ShardDelivery, ShardFrontStats, ShardHandle, ShardedEndpoint};
 pub use stats::ConnStats;
+pub use table::{AdmitError, BurstDemux, LifecycleStats, StaleHandle};
 
 /// Virtual or real time in nanoseconds, as supplied by the host.
 pub type Nanos = u64;

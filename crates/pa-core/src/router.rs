@@ -380,36 +380,6 @@ impl Router {
         CookieLookup::Unknown
     }
 
-    /// Cookie-based lookup (the common case). Stale cookies do *not*
-    /// resolve — use [`Router::demux_cookie`] to distinguish them from
-    /// unknowns.
-    pub fn lookup_cookie(&mut self, cookie: Cookie) -> Option<ConnKey> {
-        match self.demux_cookie(cookie) {
-            CookieLookup::Hit(k) => Some(k),
-            CookieLookup::Stale(_) | CookieLookup::Unknown => None,
-        }
-    }
-
-    /// Ident-based lookup (first message / unusual messages).
-    pub fn lookup_ident(&mut self, ident: &[u8]) -> Option<ConnKey> {
-        match self.by_ident.get(ident) {
-            Some(&k) => {
-                self.ident_hits += 1;
-                Some(k)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Counter-free ident probe (the demux entry path does its own
-    /// per-frame accounting).
-    pub fn probe_ident(&self, ident: &[u8]) -> Option<ConnKey> {
-        self.by_ident.get(ident).copied()
-    }
-
     /// Probes a frame prefix against every registered ident length
     /// (shortest first), returning the matched connection and the
     /// ident length consumed. One map probe per *distinct length* —
@@ -527,21 +497,16 @@ mod tests {
 
         // First message: unknown cookie, ident present.
         let c = Cookie::from_raw(42);
-        assert_eq!(r.lookup_cookie(c), None);
-        assert_eq!(r.lookup_ident(b"ident-bytes"), Some(key));
+        assert_eq!(r.demux_cookie(c), CookieLookup::Unknown);
+        assert_eq!(
+            r.probe_ident_prefix(b"ident-bytes+body"),
+            Some((key, b"ident-bytes".len()))
+        );
         r.bind_cookie(c, key);
 
         // Subsequent messages: cookie hits.
-        assert_eq!(r.lookup_cookie(c), Some(key));
+        assert_eq!(r.demux_cookie(c), CookieLookup::Hit(key));
         assert_eq!(r.cookie_hits, 1);
-        assert_eq!(r.ident_hits, 1);
-        assert_eq!(r.misses, 1);
-    }
-
-    #[test]
-    fn unknown_ident_misses() {
-        let mut r = Router::new();
-        assert_eq!(r.lookup_ident(b"nobody"), None);
         assert_eq!(r.misses, 1);
     }
 
@@ -554,16 +519,16 @@ mod tests {
         let key = ConnKey(0);
         r.bind_cookie(Cookie::from_raw(1), key);
         r.bind_cookie(Cookie::from_raw(2), key);
-        assert_eq!(r.lookup_cookie(Cookie::from_raw(2)), Some(key));
-        assert_eq!(r.lookup_cookie(Cookie::from_raw(1)), None, "retired");
+        assert_eq!(r.demux_cookie(Cookie::from_raw(2)), CookieLookup::Hit(key));
         assert_eq!(
             r.demux_cookie(Cookie::from_raw(1)),
-            CookieLookup::Stale(key)
+            CookieLookup::Stale(key),
+            "retired"
         );
         assert_eq!(r.demux_cookie(Cookie::from_raw(3)), CookieLookup::Unknown);
         assert_eq!(r.cookie_count(), 1, "one live binding per connection");
         assert_eq!(r.stale_count(), 1);
-        assert_eq!(r.stale_hits, 2, "lookup_cookie + demux_cookie");
+        assert_eq!(r.stale_hits, 1);
         assert_eq!(r.misses, 1);
 
         // Re-binding the retired cookie revives it and retires the other.
@@ -605,9 +570,9 @@ mod tests {
         r.bind_cookie(Cookie::from_raw(9), ConnKey(1));
         r.register_ident(b"b".to_vec(), ConnKey(2));
         r.remove(ConnKey(1));
-        assert_eq!(r.lookup_ident(b"a"), None);
-        assert_eq!(r.lookup_cookie(Cookie::from_raw(9)), None);
-        assert_eq!(r.lookup_ident(b"b"), Some(ConnKey(2)));
+        assert_eq!(r.probe_ident_prefix(b"a"), None);
+        assert_eq!(r.demux_cookie(Cookie::from_raw(9)), CookieLookup::Unknown);
+        assert_eq!(r.probe_ident_prefix(b"b"), Some((ConnKey(2), 1)));
     }
 
     /// Pin of the O(1)-removal refactor: a randomized interleaving of
@@ -762,7 +727,7 @@ mod tests {
         assert_eq!(route.ident.as_deref(), Some(&b"mover"[..]));
         assert_eq!(route.cookie, Some(Cookie::from_raw(8)));
         // Ident and live binding are gone; both cookies refuse as stale.
-        assert_eq!(r.probe_ident(b"mover"), None);
+        assert_eq!(r.probe_ident_prefix(b"mover"), None);
         assert_eq!(r.cookie_count(), 0);
         assert_eq!(
             r.demux_cookie_peek(Cookie::from_raw(8)),

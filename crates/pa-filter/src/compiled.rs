@@ -1,19 +1,24 @@
-//! The pre-resolved filter backend.
+//! The fused filter: the engine's one execution backend.
 //!
 //! §3.3: "In the Exokernel project, a significant performance
 //! improvement was obtained by compiling packet filter programs into
 //! machine code. We intend to adopt this approach eventually." We stop
 //! one step short of emitting machine code — safe Rust has no business
 //! JIT-ing — but do the part that matters for a layout-driven filter:
-//! every field reference is resolved to an absolute bit offset within
-//! the frame at compile time, eliminating the per-instruction layout
-//! table walks. The micro benchmark (`pa-bench`, `micro` bench) measures
-//! interpreted versus pre-resolved cost; the ablation experiment uses
-//! the same knob.
+//! every field reference is resolved to an absolute offset within the
+//! frame, and the byte order is chosen, once, when the program is
+//! fused. What runs per message is a flat op array over an inline
+//! stack: no layout table walks, no byte-order branches, no heap.
+//!
+//! The interpreter ([`crate::interp`]) executes the same [`Program`]
+//! straight from its `Op`s. It is the oracle the differential tests
+//! compare this module against, and the forensics tool the engine
+//! re-runs a refused frame through to name the deciding instruction —
+//! never the hot path.
 //!
 //! Patchable slots remain owned by the source [`Program`]; `run` borrows
-//! the slot array so a post-processing rewrite is visible to both
-//! backends without recompilation.
+//! the slot array so a post-processing rewrite is visible without a
+//! re-fuse.
 
 use crate::digest::DigestKind;
 use crate::op::Op;
@@ -22,223 +27,13 @@ use crate::Verdict;
 use pa_wire::bits;
 use pa_wire::{Class, CompiledLayout};
 
-/// An instruction with field references resolved to absolute offsets.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum ROp {
-    PushConst(i64),
-    PushSlot(u16),
-    /// Absolute bit offset within the frame, width in bits, and whether
-    /// the byte-order-sensitive aligned path applies.
-    PushFieldAbs {
-        bit: u32,
-        bits: u32,
-    },
-    PopFieldAbs {
-        bit: u32,
-        bits: u32,
-    },
-    PushSize,
-    PushBodySize,
-    Digest(DigestKind),
-    /// (proto_len, message_len, gossip_len) are baked in at compile time.
-    DigestHeaders(DigestKind),
-    Add,
-    Sub,
-    Mul,
-    And,
-    Or,
-    Xor,
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Not,
-    Dup,
-    Swap,
-    Drop,
-    Return(i64),
-    Abort(i64),
-}
-
-/// A filter program with all field offsets baked in.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledProgram {
-    ops: Vec<ROp>,
-    proto_len: usize,
-    gossip_off: usize,
-    body_off: usize,
-    max_depth: u32,
-}
-
-impl CompiledProgram {
-    /// Resolves `program`'s field references against `layout`.
-    pub fn compile(program: &Program, layout: &CompiledLayout) -> CompiledProgram {
-        let proto = layout.class_len(Class::Protocol);
-        let message = layout.class_len(Class::Message);
-        let gossip = layout.class_len(Class::Gossip);
-        let base_bits = |c: Class| -> u32 {
-            (match c {
-                Class::Protocol => 0,
-                Class::Message => proto,
-                Class::Gossip => proto + message,
-                Class::ConnId => unreachable!("verifier rejects conn-id fields"),
-            } as u32)
-                * 8
-        };
-        let resolve = |f: pa_wire::Field| {
-            let p = layout.class(f.class).placement(f.index_in_class());
-            (base_bits(f.class) + p.bit_offset, p.bits)
-        };
-        let ops = program
-            .ops()
-            .iter()
-            .map(|op| match *op {
-                Op::PushConst(v) => ROp::PushConst(v),
-                Op::PushSlot(s) => ROp::PushSlot(s.0),
-                Op::PushField(f) => {
-                    let (bit, bits) = resolve(f);
-                    ROp::PushFieldAbs { bit, bits }
-                }
-                Op::PopField(f) => {
-                    let (bit, bits) = resolve(f);
-                    ROp::PopFieldAbs { bit, bits }
-                }
-                Op::PushSize => ROp::PushSize,
-                Op::PushBodySize => ROp::PushBodySize,
-                Op::Digest(k) => ROp::Digest(k),
-                Op::DigestHeaders(k) => ROp::DigestHeaders(k),
-                Op::Add => ROp::Add,
-                Op::Sub => ROp::Sub,
-                Op::Mul => ROp::Mul,
-                Op::And => ROp::And,
-                Op::Or => ROp::Or,
-                Op::Xor => ROp::Xor,
-                Op::Eq => ROp::Eq,
-                Op::Ne => ROp::Ne,
-                Op::Lt => ROp::Lt,
-                Op::Le => ROp::Le,
-                Op::Gt => ROp::Gt,
-                Op::Ge => ROp::Ge,
-                Op::Not => ROp::Not,
-                Op::Dup => ROp::Dup,
-                Op::Swap => ROp::Swap,
-                Op::Drop => ROp::Drop,
-                Op::Return(v) => ROp::Return(v),
-                Op::Abort(v) => ROp::Abort(v),
-            })
-            .collect();
-        CompiledProgram {
-            ops,
-            proto_len: proto,
-            gossip_off: proto + message,
-            body_off: proto + message + gossip,
-            max_depth: program.max_stack_depth(),
-        }
-    }
-
-    /// Runs against the raw frame bytes of `msg` (same frame shape as
-    /// [`Frame`]). `slots` come from the source program so patches are
-    /// shared.
-    pub fn run(&self, slots: &[i64], msg: &mut pa_buf::Msg, order: pa_buf::ByteOrder) -> Verdict {
-        // Totality guard: field offsets were resolved against the class
-        // headers, so a message shorter than `body_off` cannot be
-        // executed over — refuse instead of indexing past the end.
-        if msg.len() < self.body_off {
-            return crate::SHORT_FRAME;
-        }
-        let mut stack: Vec<i64> = Vec::with_capacity(self.max_depth as usize);
-        let total = msg.len();
-        let body_off = self.body_off;
-        let buf = msg.as_mut_slice();
-        for op in &self.ops {
-            match *op {
-                ROp::PushConst(v) => stack.push(v),
-                ROp::PushSlot(s) => stack.push(slots[s as usize]),
-                ROp::PushFieldAbs { bit, bits: w } => {
-                    stack.push(bits::read_field(buf, bit, w, order) as i64)
-                }
-                ROp::PopFieldAbs { bit, bits: w } => {
-                    let v = stack.pop().expect("verified");
-                    bits::write_field(buf, bit, w, bits::mask(v as u64, w), order);
-                }
-                ROp::PushSize => stack.push(total as i64),
-                ROp::PushBodySize => stack.push((total - body_off) as i64),
-                ROp::Digest(kind) => stack.push(kind.compute(&buf[body_off..]) as i64),
-                ROp::DigestHeaders(kind) => stack.push(kind.compute_multi(&[
-                    &buf[..self.proto_len],
-                    &buf[self.gossip_off..body_off],
-                    &buf[body_off..],
-                ]) as i64),
-                ROp::Add => binop(&mut stack, |a, b| a.wrapping_add(b)),
-                ROp::Sub => binop(&mut stack, |a, b| a.wrapping_sub(b)),
-                ROp::Mul => binop(&mut stack, |a, b| a.wrapping_mul(b)),
-                ROp::And => binop(&mut stack, |a, b| a & b),
-                ROp::Or => binop(&mut stack, |a, b| a | b),
-                ROp::Xor => binop(&mut stack, |a, b| a ^ b),
-                ROp::Eq => binop(&mut stack, |a, b| (a == b) as i64),
-                ROp::Ne => binop(&mut stack, |a, b| (a != b) as i64),
-                ROp::Lt => binop(&mut stack, |a, b| (a < b) as i64),
-                ROp::Le => binop(&mut stack, |a, b| (a <= b) as i64),
-                ROp::Gt => binop(&mut stack, |a, b| (a > b) as i64),
-                ROp::Ge => binop(&mut stack, |a, b| (a >= b) as i64),
-                ROp::Not => {
-                    let v = stack.pop().expect("verified");
-                    stack.push((v == 0) as i64);
-                }
-                ROp::Dup => {
-                    let v = *stack.last().expect("verified");
-                    stack.push(v);
-                }
-                ROp::Swap => {
-                    let n = stack.len();
-                    stack.swap(n - 1, n - 2);
-                }
-                ROp::Drop => {
-                    stack.pop().expect("verified");
-                }
-                ROp::Return(v) => return v,
-                ROp::Abort(v) => {
-                    if stack.pop().expect("verified") != 0 {
-                        return v;
-                    }
-                }
-            }
-        }
-        crate::PASS
-    }
-
-    /// Number of resolved instructions.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True if the program has no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-}
-
-#[inline]
-fn binop(stack: &mut Vec<i64>, f: impl FnOnce(i64, i64) -> i64) {
-    let top = stack.pop().expect("verified");
-    let next = stack.pop().expect("verified");
-    stack.push(f(next, top));
-}
-
-// ---------------------------------------------------------------------------
-// Fused programs: the hot-path backend.
-// ---------------------------------------------------------------------------
-
 /// A fused instruction: field reference *and* byte order resolved.
 ///
-/// Where [`ROp`] still branches per message on "is this field aligned?"
-/// and "what byte order is the peer?", an `FOp` made both decisions at
-/// fuse time. Byte-aligned whole-byte fields become direct byte loads
-/// in the connection's negotiated order; sub-byte or unaligned fields
-/// fall back to network-bit-order access (which is order-insensitive by
-/// the layout contract, so baking is lossless).
+/// "Is this field aligned?" and "what byte order is the peer?" were
+/// both decided at fuse time. Byte-aligned whole-byte fields become
+/// direct byte loads in the connection's negotiated order; sub-byte or
+/// unaligned fields fall back to network-bit-order access (which is
+/// order-insensitive by the layout contract, so baking is lossless).
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum FOp {
     PushConst(i64),
@@ -325,7 +120,7 @@ pub struct FuseStats {
 /// into a flat op array — the §3.3 filter as it runs on the zero-
 /// allocation fast path.
 ///
-/// Differences from [`CompiledProgram`]:
+/// What fusing buys over interpreting the [`Program`]:
 ///
 /// - the peer byte order is baked in at fuse time (re-fuse on the rare
 ///   peer-order learn, not per message),
@@ -338,7 +133,7 @@ pub struct FuseStats {
 ///
 /// Patchable slots still live in the source [`Program`]: `run` borrows
 /// the slot array, so post-processing rewrites are visible without a
-/// re-fuse — same contract as the other backends.
+/// re-fuse — the interpreter reads the same array.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedProgram {
     ops: Vec<FOp>,
@@ -464,7 +259,7 @@ impl FusedProgram {
     /// none is taken here.
     #[inline]
     pub fn run(&self, slots: &[i64], msg: &mut pa_buf::Msg) -> Verdict {
-        // Totality guard, same as the other backends: the fuse pass
+        // Totality guard, same as the interpreter's: the fuse pass
         // bounds-checked every field reference against `frame_len()`
         // once; a message shorter than that is refused, not indexed.
         if msg.len() < self.body_off {
@@ -655,8 +450,8 @@ mod tests {
         m
     }
 
-    /// Runs a program through all three backends; asserts identical
-    /// verdicts and identical resulting frames.
+    /// Runs a program through the interpreter and the fused engine;
+    /// asserts identical verdicts and identical resulting frames.
     fn agree(layout: &CompiledLayout, program: &Program, payload: &[u8]) -> Verdict {
         agree_in(layout, program, payload, ByteOrder::Big)
     }
@@ -669,19 +464,14 @@ mod tests {
     ) -> Verdict {
         let mut m1 = frame_msg(layout, payload);
         let mut m2 = m1.clone();
-        let mut m3 = m1.clone();
         let v1 = {
             let mut frame = Frame::new(&mut m1, layout, order);
             interp::run(program, &mut frame)
         };
-        let compiled = CompiledProgram::compile(program, layout);
-        let v2 = compiled.run(program.slots(), &mut m2, order);
-        assert_eq!(v1, v2, "compiled verdict mismatch");
-        assert_eq!(m1, m2, "compiled frame mutation mismatch");
         let fused = FusedProgram::fuse(program, layout, order);
-        let v3 = fused.run(program.slots(), &mut m3);
-        assert_eq!(v1, v3, "fused verdict mismatch");
-        assert_eq!(m1, m3, "fused frame mutation mismatch");
+        let v2 = fused.run(program.slots(), &mut m2);
+        assert_eq!(v1, v2, "fused verdict mismatch");
+        assert_eq!(m1, m2, "fused frame mutation mismatch");
         v1
     }
 
@@ -741,28 +531,13 @@ mod tests {
     }
 
     #[test]
-    fn slot_patch_visible_without_recompile() {
-        let (layout, ..) = fixture();
-        let mut b = ProgramBuilder::new();
-        let s = b.alloc_slot(1);
-        b.extend(vec![Op::PushSlot(s), Op::Abort(8), Op::Return(0)]);
-        let mut p = b.build().unwrap();
-        let compiled = CompiledProgram::compile(&p, &layout);
-        let mut m = frame_msg(&layout, b"");
-        assert_eq!(compiled.run(p.slots(), &mut m, ByteOrder::Big), 8);
-        p.set_slot(s, 0);
-        let mut m = frame_msg(&layout, b"");
-        assert_eq!(compiled.run(p.slots(), &mut m, ByteOrder::Big), 0);
-    }
-
-    #[test]
     fn empty_program_passes() {
         let (layout, ..) = fixture();
         let p = Program::empty();
-        let c = CompiledProgram::compile(&p, &layout);
-        assert!(c.is_empty());
+        let f = FusedProgram::fuse(&p, &layout, ByteOrder::Big);
+        assert!(f.is_empty());
         let mut m = frame_msg(&layout, b"x");
-        assert_eq!(c.run(p.slots(), &mut m, ByteOrder::Big), 0);
+        assert_eq!(f.run(p.slots(), &mut m), 0);
     }
 
     #[test]
@@ -777,15 +552,12 @@ mod tests {
             Op::Return(0),
         ]);
         let p = b.build().unwrap();
-        let c = CompiledProgram::compile(&p, &layout);
+        let f = FusedProgram::fuse(&p, &layout, ByteOrder::Little);
         let mut m = frame_msg(&layout, b"");
-        c.run(p.slots(), &mut m, ByteOrder::Little);
-        let mut check = Frame::new(&mut m, &layout, ByteOrder::Little);
+        f.run(p.slots(), &mut m);
+        let check = Frame::new(&mut m, &layout, ByteOrder::Little);
         assert_eq!(check.read(seq), 0x0A0B0C0D);
-        let _ = &mut check;
     }
-
-    // -- fused backend ----------------------------------------------------
 
     #[test]
     fn fused_agrees_in_both_byte_orders() {
@@ -888,9 +660,10 @@ mod tests {
     }
 
     #[test]
-    fn short_frames_refused_by_every_backend() {
+    fn short_frames_refused_by_engine_and_oracle() {
         // A frame shorter than the class headers must yield SHORT_FRAME
-        // from all three backends — never an out-of-bounds panic. The
+        // from the fused engine and the interpreter alike — never an
+        // out-of-bounds panic. The
         // program exercises field reads, writes, digests and body-size,
         // i.e. every op class that touches the frame.
         let (layout, seq, len_f, ck) = fixture();
@@ -910,15 +683,9 @@ mod tests {
             Op::Return(0),
         ]);
         let p = b.build().unwrap();
-        let compiled = CompiledProgram::compile(&p, &layout);
         let fused = FusedProgram::fuse(&p, &layout, ByteOrder::Big);
         for short_len in 0..hdr {
             let mut m = Msg::from_wire(vec![0xA5; short_len]);
-            assert_eq!(
-                compiled.run(p.slots(), &mut m, ByteOrder::Big),
-                crate::SHORT_FRAME,
-                "compiled, len {short_len}"
-            );
             assert_eq!(
                 fused.run(p.slots(), &mut m),
                 crate::SHORT_FRAME,
@@ -934,7 +701,7 @@ mod tests {
         }
         // At exactly the header length the guard opens.
         let mut m = Msg::from_wire(vec![0u8; hdr]);
-        assert_eq!(compiled.run(p.slots(), &mut m, ByteOrder::Big), 0);
+        assert_eq!(fused.run(p.slots(), &mut m), 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! All three class headers have sizes fixed by the compiled layout, so
 //! every field resolves to a constant offset — this is what makes the
-//! pre-resolved filter backend possible. The same frame shape is seen by
+//! fused filter program possible. The same frame shape is seen by
 //! the send filter (just before the preamble is pushed) and the delivery
 //! filter (just after the preamble is popped), so one program text works
 //! in either direction.

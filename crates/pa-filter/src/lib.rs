@@ -18,10 +18,13 @@
 //! - programs may contain *patchable slots* — the paper's "part of the
 //!   packet filter program may be rewritten when the protocol state is
 //!   updated in the post-processing phase" ([`Program::set_slot`]),
-//! - two execution backends: a plain interpreter, and a *pre-resolved*
-//!   backend ([`compiled::CompiledProgram`]) with field offsets baked
-//!   in — our stand-in for the Exokernel-style compilation to machine
-//!   code the paper says it intends to adopt.
+//! - one engine, one oracle: the PA runs the *fused* program
+//!   ([`compiled::FusedProgram`]: field offsets and byte order baked
+//!   in, inline stack — our stand-in for the Exokernel-style
+//!   compilation to machine code the paper says it intends to adopt);
+//!   the plain interpreter ([`run`], [`run_traced`]) is what the
+//!   differential tests compare it against and what names the deciding
+//!   instruction of a refused frame.
 //!
 //! Return-value convention: **0 means pass** (take the fast path);
 //! any non-zero value is a failure code that sends the message down the
@@ -41,7 +44,7 @@ pub mod interp;
 pub mod op;
 pub mod program;
 
-pub use compiled::{CompiledProgram, FuseStats, FusedProgram, FUSED_STACK_DEPTH};
+pub use compiled::{FuseStats, FusedProgram, FUSED_STACK_DEPTH};
 pub use digest::DigestKind;
 pub use frame::Frame;
 pub use interp::{run, run_traced, RejectPoint};
@@ -54,14 +57,14 @@ pub type Verdict = i64;
 /// The verdict meaning "take the fast path".
 pub const PASS: Verdict = 0;
 
-/// The verdict every backend returns — without executing a single
+/// The verdict the engine and the interpreter both return — without executing a single
 /// instruction — when the message is shorter than the class headers the
 /// program's field references reach into. Programs built from `Op`s can
 /// only `Return`/`Abort` values they contain as literals, and those are
 /// author-chosen small codes, so this sentinel cannot collide with a
 /// legitimate program verdict in practice; callers route it to the slow
 /// path like any other non-PASS code, where the engine's own short-frame
-/// reject attributes the drop. The guard makes every filter backend
+/// reject attributes the drop. The guard makes a filter run
 /// *total* over arbitrary wire bytes: no frame, however truncated, can
 /// make a filter run panic.
 pub const SHORT_FRAME: Verdict = i64::MIN;

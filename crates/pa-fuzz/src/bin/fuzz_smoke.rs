@@ -11,7 +11,7 @@
 //!   (default 4 000; 0 disables the socket leg for hermetic hosts).
 //! - `FUZZ_BURST_ITERS` — iterations for the burst-ingest campaign,
 //!   where arrivals flow through `recv_burst` and
-//!   `Endpoint::from_network_burst` in chunks (default 4 000; 0
+//!   `ShardedEndpoint::from_network_burst` in chunks (default 4 000; 0
 //!   disables). Its totals must equal the in-memory campaign's for the
 //!   same seed — any divergence means the burst demux and the
 //!   per-frame demux disagree on hostile input.

@@ -12,9 +12,8 @@ use crate::note_injection;
 use pa_buf::Msg;
 use pa_core::config::PaConfig;
 use pa_core::conn::{Connection, ConnectionParams};
-use pa_core::endpoint::Endpoint;
 use pa_core::packing::PackInfo;
-use pa_core::Greeting;
+use pa_core::{Greeting, ShardedEndpoint};
 use pa_obs::rng::SplitMix64;
 use pa_stack::StackSpec;
 use pa_wire::{EndpointAddr, Preamble};
@@ -146,12 +145,18 @@ pub fn regression_corpus() -> Vec<CorpusEntry> {
 }
 
 /// Replays `entries` against every total decode surface and a live
-/// endpoint, asserting that nothing panics and the demux ledger still
+/// endpoint (single-table, then sharded), asserting that nothing panics and the demux ledger still
 /// reconciles after each entry. Returns the number of entries replayed.
 pub fn replay_corpus(entries: &[CorpusEntry]) -> usize {
+    for shards in [1, 8] {
+        replay_against(entries, ShardedEndpoint::new(shards));
+    }
+    entries.len()
+}
+
+fn replay_against(entries: &[CorpusEntry], mut server: ShardedEndpoint) {
     // A victim endpoint with one real connection, so demux has live
     // state to defend.
-    let mut server = Endpoint::new();
     let h = server.add_connection(
         Connection::new(
             StackSpec::paper().build(),
@@ -174,13 +179,13 @@ pub fn replay_corpus(entries: &[CorpusEntry]) -> usize {
         // And the live demux must stay balanced.
         let _ = server.from_network(Msg::from_wire(e.bytes.clone()));
         server.process_all_pending();
-        while server.poll_delivery().is_some() {}
+        server.drain_deliveries(&mut Vec::new());
         assert!(
             server.demux_balanced(),
             "demux imbalance after corpus entry `{}`",
             e.name
         );
-        let s = server.conn(h).stats();
+        let s = server.try_conn(h).expect("never removed").stats();
         assert!(
             s.delivery_balanced(),
             "delivery imbalance after corpus entry `{}`: {s}",
@@ -192,7 +197,6 @@ pub fn replay_corpus(entries: &[CorpusEntry]) -> usize {
             e.name
         );
     }
-    entries.len()
 }
 
 #[cfg(test)]
@@ -221,7 +225,7 @@ mod tests {
     #[test]
     fn literal_entries_hit_their_intended_rejections() {
         use pa_core::conn::DeliverOutcome;
-        let mut server = Endpoint::new();
+        let mut server = ShardedEndpoint::new(1);
         server.add_connection(
             Connection::new(
                 StackSpec::paper().build(),

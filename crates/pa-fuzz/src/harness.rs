@@ -1,13 +1,13 @@
 //! The fuzz campaign: a live two-connection world under a mutation
 //! storm.
 //!
-//! The world is one *server* [`Endpoint`] owning two paper-stack
+//! The world is one *server* [`ShardedEndpoint`] owning two paper-stack
 //! connections, fed by two client endpoints. Every client frame is
 //! captured on its way to the server and, with some probability,
 //! handed to a structure-aware mutator before injection. After every
 //! single injection the harness asserts the full accounting lattice:
 //!
-//! - [`Endpoint::demux_balanced`] — every frame seen either routed or
+//! - [`ShardedEndpoint::demux_balanced`] — every frame seen either routed or
 //!   was refused with exactly one demux [`RejectReason`],
 //! - per-connection `delivery_balanced()` and `rejects_reconcile()` —
 //!   the coarse drop counters and the fine reject ledger agree,
@@ -26,8 +26,8 @@ use crate::note_injection;
 use pa_buf::Msg;
 use pa_core::config::PaConfig;
 use pa_core::conn::{Connection, ConnectionParams};
-use pa_core::endpoint::{ConnHandle, Endpoint};
-use pa_core::Nanos;
+use pa_core::shard::ShardDelivery;
+use pa_core::{Nanos, ShardHandle, ShardedEndpoint};
 use pa_obs::rng::{Rng, SplitMix64};
 use pa_stack::StackSpec;
 use pa_unet::loopback::LoopbackNet;
@@ -63,6 +63,9 @@ pub struct FuzzConfig {
     /// Probability a server→client frame is mutated (the reverse leg:
     /// clients must survive hostile bytes too).
     pub reverse_mutate_ratio: f64,
+    /// Shards of the server endpoint (a power of two). The storm and
+    /// every invariant are the same at any count.
+    pub shards: usize,
 }
 
 impl FuzzConfig {
@@ -74,6 +77,7 @@ impl FuzzConfig {
             iterations,
             clean_ratio: 0.35,
             reverse_mutate_ratio: 0.15,
+            shards: 1,
         }
     }
 }
@@ -136,8 +140,8 @@ trait Leg {
     /// arrived yet (no-op for the in-memory leg).
     fn settle(&mut self);
     /// When `Some(k)`, arrived frames are demuxed through
-    /// [`Endpoint::from_network_burst`] in chunks of up to `k` instead
-    /// of one [`Endpoint::from_network`] call per frame.
+    /// [`ShardedEndpoint::from_network_burst`] in chunks of up to `k`
+    /// instead of one [`ShardedEndpoint::from_network`] call per frame.
     fn burst_chunk(&self) -> Option<usize> {
         None
     }
@@ -189,7 +193,7 @@ impl UdpLeg {
 
 /// Burst-ingest leg: frames ride a [`LoopbackNet`], arrive through
 /// [`Netif::recv_burst`], and hit the server's demux through
-/// [`Endpoint::from_network_burst`] in chunks — the hostile-wire proof
+/// [`ShardedEndpoint::from_network_burst`] in chunks — the hostile-wire proof
 /// for PR 9's batched ingest path (run-cached cookie demux included).
 struct BurstLeg {
     net: LoopbackNet,
@@ -245,11 +249,14 @@ impl Leg for UdpLeg {
 /// The live world: one server endpoint with two connections, two
 /// single-connection clients.
 struct World {
-    server: Endpoint,
-    server_handles: [ConnHandle; 2],
-    clients: [Endpoint; 2],
-    client_handles: [ConnHandle; 2],
+    server: ShardedEndpoint,
+    server_handles: [ShardHandle; 2],
+    clients: [ShardedEndpoint; 2],
+    client_handles: [ShardHandle; 2],
     client_addrs: [EndpointAddr; 2],
+    /// Scratch for the endpoints' burst drains.
+    tx: Vec<(EndpointAddr, Msg)>,
+    rx: Vec<ShardDelivery>,
     next_seq: [u64; 2],
     now: Nanos,
 }
@@ -288,7 +295,7 @@ fn classify(bytes: &[u8]) -> Origin {
 }
 
 impl World {
-    fn new(seed: u64) -> World {
+    fn new(seed: u64, shards: usize) -> World {
         let server_addr = EndpointAddr::from_parts(10, 7);
         let client_addrs = [
             EndpointAddr::from_parts(1, 7),
@@ -302,12 +309,12 @@ impl World {
             )
             .expect("paper stack builds")
         };
-        let mut server = Endpoint::new();
+        let mut server = ShardedEndpoint::new(shards);
         let server_handles = [
             server.add_connection(mk(server_addr, client_addrs[0], seed ^ 0x5EED_0001)),
             server.add_connection(mk(server_addr, client_addrs[1], seed ^ 0x5EED_0002)),
         ];
-        let mut clients = [Endpoint::new(), Endpoint::new()];
+        let mut clients = [ShardedEndpoint::new(1), ShardedEndpoint::new(1)];
         let client_handles = [
             clients[0].add_connection(mk(client_addrs[0], server_addr, seed ^ 0xC11E_0001)),
             clients[1].add_connection(mk(client_addrs[1], server_addr, seed ^ 0xC11E_0002)),
@@ -320,7 +327,30 @@ impl World {
             client_addrs,
             next_seq: [0, 0],
             now: 1,
+            tx: Vec::new(),
+            rx: Vec::new(),
         }
+    }
+
+    fn server_conn(&self, i: usize) -> &Connection {
+        let conn = self.server.try_conn(self.server_handles[i]);
+        conn.expect("the harness never removes a connection")
+    }
+
+    fn client_conn(&self, i: usize) -> &Connection {
+        let conn = self.clients[i].try_conn(self.client_handles[i]);
+        conn.expect("the harness never removes a connection")
+    }
+
+    fn client_send(&mut self, i: usize, payload: &[u8]) {
+        let sent = self.clients[i].try_send(self.client_handles[i], payload);
+        sent.expect("the harness never removes a connection");
+    }
+
+    /// Everything client `i` has for the wire, as wire bytes.
+    fn client_frames(&mut self, i: usize) -> Vec<Vec<u8>> {
+        self.clients[i].poll_transmit_burst(usize::MAX, &mut self.tx);
+        self.tx.drain(..).map(|(_, f)| f.to_wire()).collect()
     }
 
     /// Asserts the whole accounting lattice. `ctx` goes into the panic
@@ -330,10 +360,10 @@ impl World {
             self.server.demux_balanced(),
             "demux imbalance at server (seed={seed:#x} iter={iter}): \
              seen={} != routed+rejects",
-            self.server.frames_seen()
+            self.server.front_stats().frames
         );
-        for (i, &h) in self.server_handles.iter().enumerate() {
-            let s = self.server.conn(h).stats();
+        for i in 0..2 {
+            let s = self.server_conn(i).stats();
             assert!(
                 s.delivery_balanced(),
                 "server conn{i} delivery imbalance (seed={seed:#x} iter={iter}): {s}"
@@ -348,7 +378,7 @@ impl World {
                 c.demux_balanced(),
                 "demux imbalance at client {i} (seed={seed:#x} iter={iter})"
             );
-            let s = c.conn(self.client_handles[i]).stats();
+            let s = self.client_conn(i).stats();
             assert!(
                 s.delivery_balanced(),
                 "client {i} delivery imbalance (seed={seed:#x} iter={iter}): {s}"
@@ -371,7 +401,8 @@ impl World {
         let mut delivered = 0;
         let mut garbled = 0;
         let mut probes = [false, false];
-        while let Some(d) = self.server.poll_delivery() {
+        self.server.drain_deliveries(&mut self.rx);
+        for d in self.rx.drain(..) {
             delivered += 1;
             match classify(d.msg.as_slice()) {
                 Origin::Client(i, seq) => {
@@ -411,7 +442,8 @@ impl World {
     /// meaningful arrives — but the demux must stay balanced).
     fn shuttle_reverse(&mut self, rng: &mut SplitMix64, mutate_ratio: f64) -> u64 {
         let mut corrupting = 0;
-        while let Some((dest, frame)) = self.server.poll_transmit() {
+        self.server.poll_transmit_burst(usize::MAX, &mut self.tx);
+        for (dest, frame) in self.tx.drain(..) {
             let Some(i) = self.client_addrs.iter().position(|&a| a == dest) else {
                 continue;
             };
@@ -427,7 +459,8 @@ impl World {
             } else {
                 self.clients[i].from_network(Msg::from_wire(bytes));
             }
-            while self.clients[i].poll_delivery().is_some() {}
+            self.clients[i].drain_deliveries(&mut self.rx);
+            self.rx.clear();
         }
         corrupting
     }
@@ -456,7 +489,7 @@ pub fn run_udp_campaign(cfg: &FuzzConfig) -> CampaignReport {
 
 /// Runs the campaign with arrivals pulled through the batched netif
 /// path ([`LoopbackNet::recv_burst`]) and demuxed through
-/// [`Endpoint::from_network_burst`] in chunks of up to `chunk` frames —
+/// [`ShardedEndpoint::from_network_burst`] in chunks of up to `chunk` frames —
 /// the hostile-wire proof that burst ingestion is outcome-identical to
 /// the per-frame demux.
 pub fn run_burst_campaign(cfg: &FuzzConfig, chunk: usize) -> CampaignReport {
@@ -466,9 +499,9 @@ pub fn run_burst_campaign(cfg: &FuzzConfig, chunk: usize) -> CampaignReport {
 /// Demuxes everything a leg delivered into the server endpoint.
 ///
 /// With `chunk == None` (the per-frame legs) each frame goes through
-/// [`Endpoint::from_network`] exactly as the seed harness did. With
-/// `chunk == Some(k)` the frames are grouped into bursts of up to `k`
-/// and demuxed through [`Endpoint::from_network_burst`] — same
+/// [`ShardedEndpoint::from_network`] exactly as the seed harness did.
+/// With `chunk == Some(k)` the frames are grouped into bursts of up to
+/// `k` and demuxed through [`ShardedEndpoint::from_network_burst`] — same
 /// injection notes, same count, so a burst campaign's totals must equal
 /// the per-frame campaign's for the same seed.
 fn ingest(world: &mut World, frames: Vec<Vec<u8>>, chunk: Option<usize>) -> u64 {
@@ -498,7 +531,7 @@ fn ingest(world: &mut World, frames: Vec<Vec<u8>>, chunk: Option<usize>) -> u64 
 
 fn run_with_leg(cfg: &FuzzConfig, mut leg: impl Leg) -> CampaignReport {
     let mut rng = SplitMix64::new(cfg.seed);
-    let mut world = World::new(cfg.seed);
+    let mut world = World::new(cfg.seed, cfg.shards);
     let mut report = CampaignReport {
         seed: cfg.seed,
         iterations: cfg.iterations,
@@ -514,11 +547,10 @@ fn run_with_leg(cfg: &FuzzConfig, mut leg: impl Leg) -> CampaignReport {
         world.now += STEP;
         // Offer fresh payloads while the backlog is sane.
         for i in 0..2 {
-            if world.clients[i].conn(world.client_handles[i]).backlog_len() < BACKLOG_CAP {
+            if world.client_conn(i).backlog_len() < BACKLOG_CAP {
                 let seq = world.next_seq[i];
                 world.next_seq[i] += 1;
-                let p = payload(i, seq);
-                world.clients[i].send(world.client_handles[i], &p);
+                world.client_send(i, &payload(i, seq));
             }
         }
         for c in &mut world.clients {
@@ -528,8 +560,7 @@ fn run_with_leg(cfg: &FuzzConfig, mut leg: impl Leg) -> CampaignReport {
 
         // Capture the forward leg and decide each frame's fate.
         for i in 0..2 {
-            while let Some((_, frame)) = world.clients[i].poll_transmit() {
-                let bytes = frame.to_wire();
+            for bytes in world.client_frames(i) {
                 if rng.gen_bool(cfg.clean_ratio) {
                     last_frame[i] = Some(bytes.clone());
                     report.clean += 1;
@@ -640,11 +671,9 @@ fn run_with_leg(cfg: &FuzzConfig, mut leg: impl Leg) -> CampaignReport {
 
     // Liveness: both connections must still carry a fresh probe.
     report.recovered = prove_liveness(&mut world, &mut leg, cfg, corrupting_seen);
-    report.demux_rejects = world.server.rejects().total();
-    report.conn_rejects = world
-        .server_handles
-        .iter()
-        .map(|&h| world.server.conn(h).stats().rejects.total())
+    report.demux_rejects = world.server.global_rejects().total();
+    report.conn_rejects = (0..2)
+        .map(|i| world.server_conn(i).stats().rejects.total())
         .sum();
     report
 }
@@ -660,8 +689,7 @@ fn prove_liveness(
     corrupting_seen: bool,
 ) -> bool {
     for i in 0..2 {
-        let p = payload(i, PROBE_SEQ);
-        world.clients[i].send(world.client_handles[i], &p);
+        world.client_send(i, &payload(i, PROBE_SEQ));
     }
     let mut seen = [false, false];
     for round in 0..4000u64 {
@@ -669,8 +697,8 @@ fn prove_liveness(
         world.settle();
         let mut moved = false;
         for i in 0..2 {
-            while let Some((_, frame)) = world.clients[i].poll_transmit() {
-                leg.push(frame.to_wire(), world.now);
+            for bytes in world.client_frames(i) {
+                leg.push(bytes, world.now);
                 moved = true;
             }
         }
@@ -713,38 +741,55 @@ mod tests {
 
     #[test]
     fn small_campaign_reconciles_and_recovers() {
-        let report = run_campaign(&FuzzConfig::new(0xF0_22, 400));
-        assert!(report.recovered, "{report}");
-        assert!(report.injected > 400, "{report}");
-        assert!(report.delivered > 0, "{report}");
-        assert!(report.mutated > 0, "{report}");
+        for shards in [1, 8] {
+            let report = run_campaign(&FuzzConfig {
+                shards,
+                ..FuzzConfig::new(0xF0_22, 400)
+            });
+            assert!(report.recovered, "{report}");
+            assert!(report.injected > 400, "{report}");
+            assert!(report.delivered > 0, "{report}");
+            assert!(report.mutated > 0, "{report}");
+        }
     }
 
     #[test]
     fn burst_campaign_reconciles_and_recovers() {
-        let report = run_burst_campaign(&FuzzConfig::new(0xB0_57, 400), 32);
-        assert!(report.recovered, "{report}");
-        assert!(report.injected > 400, "{report}");
-        assert!(report.delivered > 0, "{report}");
+        for shards in [1, 8] {
+            let cfg = FuzzConfig {
+                shards,
+                ..FuzzConfig::new(0xB0_57, 400)
+            };
+            let report = run_burst_campaign(&cfg, 32);
+            assert!(report.recovered, "{report}");
+            assert!(report.injected > 400, "{report}");
+            assert!(report.delivered > 0, "{report}");
+        }
     }
 
     #[test]
     fn burst_ingest_is_outcome_identical_to_per_frame_demux() {
         // Same seed, same storm — the only difference is arrivals being
         // demuxed through from_network_burst in chunks instead of one
-        // from_network call per frame. Endpoint::from_network_burst is
-        // counter- and outcome-identical to the per-frame path, so every
-        // campaign total must match exactly, at any chunk size.
-        let cfg = FuzzConfig::new(0x600D_F00D, 300);
-        let direct = run_campaign(&cfg);
-        for chunk in [1usize, 7, 64] {
-            let burst = run_burst_campaign(&cfg, chunk);
-            assert_eq!(burst.injected, direct.injected, "chunk {chunk}");
-            assert_eq!(burst.delivered, direct.delivered, "chunk {chunk}");
-            assert_eq!(burst.garbled, direct.garbled, "chunk {chunk}");
-            assert_eq!(burst.demux_rejects, direct.demux_rejects, "chunk {chunk}");
-            assert_eq!(burst.conn_rejects, direct.conn_rejects, "chunk {chunk}");
-            assert_eq!(burst.recovered, direct.recovered, "chunk {chunk}");
+        // from_network call per frame. from_network_burst is counter-
+        // and outcome-identical to the per-frame path, so every campaign
+        // total must match exactly, at any chunk size and shard count.
+        for shards in [1, 8] {
+            let cfg = FuzzConfig {
+                shards,
+                ..FuzzConfig::new(0x600D_F00D, 300)
+            };
+            let direct = run_campaign(&cfg);
+            for chunk in [1usize, 7, 64] {
+                let ctx = format!("{shards} shards, chunk {chunk}");
+                let burst = run_burst_campaign(&cfg, chunk);
+                assert_eq!(burst.injected, direct.injected, "{ctx}");
+                assert_eq!(burst.delivered, direct.delivered, "{ctx}");
+                assert_eq!(burst.garbled, direct.garbled, "{ctx}");
+                assert_eq!(burst.demux_rejects, direct.demux_rejects, "{ctx}");
+                assert_eq!(burst.conn_rejects, direct.conn_rejects, "{ctx}");
+                assert_eq!(burst.recovered, direct.recovered, "{ctx}");
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 use crate::envelope::{Envelope, Kind};
 use crate::view::View;
 use pa_buf::Msg;
-use pa_core::{ConnHandle, Connection, ConnectionParams, Endpoint, Nanos, PaConfig};
+use pa_core::{Connection, ConnectionParams, Nanos, PaConfig, ShardHandle, ShardedEndpoint};
 use pa_obs::{DropCause, ProbeSink, TraceEvent};
 use pa_stack::StackSpec;
 use pa_wire::EndpointAddr;
@@ -51,8 +51,11 @@ pub struct Member {
     id: u32,
     view: View,
     cfg: GroupConfig,
-    endpoint: Endpoint,
-    conns: HashMap<u32, ConnHandle>,
+    endpoint: ShardedEndpoint,
+    conns: HashMap<u32, ShardHandle>,
+    /// Scratch for the endpoint's burst drains.
+    rx: Vec<pa_core::ShardDelivery>,
+    tx: Vec<(EndpointAddr, Msg)>,
     // --- total order state ---
     /// Next stamp the sequencer hands out (sequencer only).
     next_stamp: u64,
@@ -95,8 +98,11 @@ impl Member {
             id,
             view: View::new(0, []),
             cfg,
-            endpoint: Endpoint::new(),
+            // A group is a handful of peers: one table.
+            endpoint: ShardedEndpoint::new(1),
             conns: HashMap::new(),
+            rx: Vec::new(),
+            tx: Vec::new(),
             next_stamp: 0,
             next_deliver: 0,
             hold_back: BTreeMap::new(),
@@ -156,20 +162,15 @@ impl Member {
     /// journeys, window controls) for one group link. Returns `false`
     /// if no connection to `peer` exists in the current view.
     pub fn set_peer_probe(&mut self, peer: u32, probe: ProbeSink) -> bool {
-        match self.conns.get(&peer) {
-            Some(&h) => {
-                self.endpoint.conn_mut(h).set_probe(probe);
-                true
-            }
-            None => false,
-        }
+        let conn = self.conns.get(&peer);
+        let conn = conn.and_then(|&h| self.endpoint.try_conn_mut(h).ok());
+        conn.map(|c| c.set_probe(probe)).is_some()
     }
 
     /// The probe installed on the connection to `peer`, if any.
     pub fn peer_probe(&self, peer: u32) -> Option<&ProbeSink> {
-        self.conns
-            .get(&peer)
-            .map(|&h| self.endpoint.conn(h).probe())
+        let conn = self.endpoint.try_conn(*self.conns.get(&peer)?)?;
+        Some(conn.probe())
     }
 
     /// Network address of member `id`.
@@ -236,7 +237,9 @@ impl Member {
 
     fn send_to(&mut self, peer: u32, env: &Envelope) {
         if let Some(&h) = self.conns.get(&peer) {
-            self.endpoint.send(h, &env.encode());
+            // Peers are never removed, so the handle is live; a refused
+            // send is the connection's to count.
+            let _ = self.endpoint.try_send(h, &env.encode());
         }
     }
 
@@ -339,7 +342,9 @@ impl Member {
     /// interprets any group envelopes it releases.
     pub fn from_network(&mut self, frame: Msg) {
         self.endpoint.from_network(frame);
-        while let Some(d) = self.endpoint.poll_delivery() {
+        let mut rx = std::mem::take(&mut self.rx);
+        self.endpoint.drain_deliveries(&mut rx);
+        for d in rx.drain(..) {
             let Some(env) = Envelope::decode(d.msg.as_slice()) else {
                 self.drop_envelope();
                 continue;
@@ -369,11 +374,13 @@ impl Member {
                 }
             }
         }
+        self.rx = rx;
     }
 
     /// Next outgoing frame, with its destination.
     pub fn poll_transmit(&mut self) -> Option<(EndpointAddr, Msg)> {
-        self.endpoint.poll_transmit()
+        self.endpoint.poll_transmit_burst(1, &mut self.tx);
+        self.tx.pop()
     }
 
     /// Next group delivery for the application.

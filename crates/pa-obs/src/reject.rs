@@ -23,7 +23,7 @@
 use std::fmt;
 
 /// Why a wire input was refused. The single vocabulary used by
-/// `Connection::deliver_frame`, the `Endpoint`/`Router` demux, the
+/// `Connection::deliver_frame`, the `ShardedEndpoint`/`Router` demux, the
 /// network interfaces, and the fuzzer's invariant checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RejectReason {

@@ -76,7 +76,6 @@ pub fn run() -> Ablation {
 
     let mut compiled = full.clone();
     compiled.compiled_filter = true;
-    compiled.pa.filter_backend = pa_core::FilterBackend::Compiled;
 
     Ablation {
         points: vec![

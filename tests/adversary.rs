@@ -14,11 +14,14 @@
 use pa::buf::Msg;
 use pa::core::config::PaConfig;
 use pa::core::conn::{Connection, ConnectionParams, DeliverOutcome};
-use pa::core::endpoint::Endpoint;
+use pa::core::{ShardHandle, ShardedEndpoint};
 use pa::obs::rng::{Rng, SplitMix64};
 use pa::obs::RejectReason;
 use pa::stack::StackSpec;
 use pa::wire::EndpointAddr;
+
+#[path = "common/shards.rs"]
+mod shards;
 
 /// Preamble flag bits (bit 63 ident-present, bit 62 byte-order).
 const FLAG_MASK: u64 = 0b11u64 << 62;
@@ -49,16 +52,19 @@ fn marker(i: usize) -> Vec<u8> {
 /// (a payload carrying client A's marker must arrive on A's
 /// connection) and counted.
 fn shuttle(
-    server: &mut Endpoint,
-    clients: &mut [Endpoint; 2],
+    server: &mut ShardedEndpoint,
+    twins: &[ShardHandle; 2],
+    clients: &mut [ShardedEndpoint; 2],
     captured: &mut [Vec<Vec<u8>>; 2],
     delivered: &mut [u64; 2],
     now: u64,
 ) {
+    let mut wire = Vec::new();
     for (i, c) in clients.iter_mut().enumerate() {
         c.process_all_pending();
         c.tick(now);
-        while let Some((_, f)) = c.poll_transmit() {
+        c.poll_transmit_burst(usize::MAX, &mut wire);
+        for (_, f) in wire.drain(..) {
             let bytes = f.to_wire();
             captured[i].push(bytes.clone());
             server.from_network(Msg::from_wire(bytes));
@@ -66,29 +72,32 @@ fn shuttle(
     }
     server.process_all_pending();
     server.tick(now);
-    while let Some((to, f)) = server.poll_transmit() {
+    server.poll_transmit_burst(usize::MAX, &mut wire);
+    for (to, f) in wire.drain(..) {
         let i = CLIENT_HOSTS
             .iter()
             .position(|&h| EndpointAddr::from_parts(h, 1) == to)
             .expect("server only talks to the two clients");
         clients[i].from_network(f);
     }
-    while let Some(d) = server.poll_delivery() {
+    let mut deliveries = Vec::new();
+    server.drain_deliveries(&mut deliveries);
+    for d in deliveries.drain(..) {
         let payload = d.msg.to_wire();
         for (i, m) in [marker(0), marker(1)].iter().enumerate() {
             if payload.starts_with(m) {
                 assert_eq!(
-                    d.conn.slot(),
-                    i,
-                    "CROSS-CONNECTION DELIVERY: client {i}'s payload arrived on conn {}",
-                    d.conn.slot()
+                    d.conn, twins[i],
+                    "CROSS-CONNECTION DELIVERY: client {i}'s payload arrived on {:?}",
+                    d.conn
                 );
                 delivered[i] += 1;
             }
         }
     }
     for c in clients.iter_mut() {
-        while c.poll_delivery().is_some() {}
+        c.drain_deliveries(&mut deliveries);
+        deliveries.clear();
     }
 }
 
@@ -100,37 +109,46 @@ fn is_cookie_only(bytes: &[u8]) -> bool {
 
 #[test]
 fn forged_spliced_and_stale_frames_are_exactly_accounted() {
+    shards::at_each_shard_count(storm_is_exactly_accounted);
+}
+
+fn storm_is_exactly_accounted(shards: usize) {
     let mut rng = SplitMix64::new(0xAD5E_2026);
-    let mut server = Endpoint::new();
-    for (i, &h) in CLIENT_HOSTS.iter().enumerate() {
-        server.add_connection(paper_conn(SERVER_HOST, h, 0x5E44_0000 + i as u64));
-    }
-    let mut clients = [
-        {
-            let mut e = Endpoint::new();
-            e.add_connection(paper_conn(CLIENT_HOSTS[0], SERVER_HOST, 0xC000_0001));
-            e
-        },
-        {
-            let mut e = Endpoint::new();
-            e.add_connection(paper_conn(CLIENT_HOSTS[1], SERVER_HOST, 0xC000_0002));
-            e
-        },
-    ];
+    let mut server = ShardedEndpoint::new(shards);
+    let twins = [0, 1].map(|i| {
+        server.add_connection(paper_conn(
+            SERVER_HOST,
+            CLIENT_HOSTS[i],
+            0x5E44_0000 + i as u64,
+        ))
+    });
+    let mut clients = [ShardedEndpoint::new(1), ShardedEndpoint::new(1)];
+    let handles = [0, 1].map(|i| {
+        clients[i].add_connection(paper_conn(
+            CLIENT_HOSTS[i],
+            SERVER_HOST,
+            0xC000_0001 + i as u64,
+        ))
+    });
     let mut captured: [Vec<Vec<u8>>; 2] = [Vec::new(), Vec::new()];
     let mut delivered = [0u64; 2];
     let mut now = 0u64;
-    let handle = clients[0].handle_at(0).unwrap();
+    let send = |clients: &mut [ShardedEndpoint; 2], i: usize| {
+        clients[i].try_send(handles[i], &marker(i)).expect("live");
+    };
+    let cookie_of =
+        |ep: &ShardedEndpoint, h: ShardHandle| ep.try_conn(h).expect("live").local_cookie().raw();
 
     // Warm-up: both clients push marked traffic until the server has
     // learned both cookies and plenty of cookie-only frames are in the
     // capture corpus.
     for _ in 0..20 {
         now += 1_000_000;
-        clients[0].send(handle, &marker(0));
-        clients[1].send(handle, &marker(1));
+        send(&mut clients, 0);
+        send(&mut clients, 1);
         shuttle(
             &mut server,
+            &twins,
             &mut clients,
             &mut captured,
             &mut delivered,
@@ -141,6 +159,7 @@ fn forged_spliced_and_stale_frames_are_exactly_accounted() {
         now += 1_000_000;
         shuttle(
             &mut server,
+            &twins,
             &mut clients,
             &mut captured,
             &mut delivered,
@@ -148,22 +167,14 @@ fn forged_spliced_and_stale_frames_are_exactly_accounted() {
         );
     }
     assert!(delivered[0] > 0 && delivered[1] > 0, "warm-up must deliver");
-    assert_eq!(server.rejects().total(), 0, "clean warm-up, clean ledger");
+    assert_eq!(
+        server.global_rejects().total(),
+        0,
+        "clean warm-up, clean ledger"
+    );
 
-    let live = [
-        clients[0].conn(handle).local_cookie().raw(),
-        clients[1].conn(handle).local_cookie().raw(),
-    ];
-    let server_cookies = [
-        server
-            .conn(server.handle_at(0).unwrap())
-            .local_cookie()
-            .raw(),
-        server
-            .conn(server.handle_at(1).unwrap())
-            .local_cookie()
-            .raw(),
-    ];
+    let live = [0, 1].map(|i| cookie_of(&clients[i], handles[i]));
+    let server_cookies = twins.map(|h| cookie_of(&server, h));
 
     // ---- Attack 1: forged cookies -----------------------------------
     // Random nonzero cookies that are not any live binding, ident bit
@@ -218,20 +229,22 @@ fn forged_spliced_and_stale_frames_are_exactly_accounted() {
         old_cookie_only.len()
     );
     clients[0]
-        .conn_mut(handle)
+        .try_conn_mut(handles[0])
+        .expect("live")
         .rotate_cookie(0xB007_C0FF_EE00u64);
     for _ in 0..10 {
         now += 1_000_000;
-        clients[0].send(handle, &marker(0));
+        send(&mut clients, 0);
         shuttle(
             &mut server,
+            &twins,
             &mut clients,
             &mut captured,
             &mut delivered,
             now,
         );
     }
-    let new_cookie = clients[0].conn(handle).local_cookie().raw();
+    let new_cookie = cookie_of(&clients[0], handles[0]);
     assert_ne!(new_cookie, live[0], "rotation mints a fresh cookie");
 
     let mut expect_stale = 0u64;
@@ -246,7 +259,7 @@ fn forged_spliced_and_stale_frames_are_exactly_accounted() {
     }
 
     // ---- Exact accounting -------------------------------------------
-    let ledger = server.rejects();
+    let ledger = server.global_rejects();
     assert_eq!(ledger.get(RejectReason::UnknownCookie), expect_unknown);
     assert_eq!(ledger.get(RejectReason::StaleCookie), expect_stale);
     assert_eq!(
@@ -255,8 +268,8 @@ fn forged_spliced_and_stale_frames_are_exactly_accounted() {
         "no attack frame leaked into another reject bucket"
     );
     assert!(server.demux_balanced());
-    for i in 0..2 {
-        let stats = server.conn(server.handle_at(i).unwrap()).stats();
+    for (i, &h) in twins.iter().enumerate() {
+        let stats = server.try_conn(h).expect("live").stats();
         assert!(stats.delivery_balanced(), "conn {i}: {stats}");
         assert!(stats.rejects_reconcile(), "conn {i}: {stats}");
     }
@@ -268,10 +281,11 @@ fn forged_spliced_and_stale_frames_are_exactly_accounted() {
         if delivered[0] > before[0] && delivered[1] > before[1] {
             break;
         }
-        clients[0].send(handle, &marker(0));
-        clients[1].send(handle, &marker(1));
+        send(&mut clients, 0);
+        send(&mut clients, 1);
         shuttle(
             &mut server,
+            &twins,
             &mut clients,
             &mut captured,
             &mut delivered,

@@ -11,13 +11,16 @@
 //! - traced journeys across the batched, threaded pipeline must be
 //!   ≥ 99% complete.
 
-use pa::core::{ConnHandle, Connection, ConnectionParams, Endpoint, PaConfig};
+use pa::core::{Connection, ConnectionParams, PaConfig, ShardHandle, ShardedEndpoint};
 use pa::obs::{MaskDomain, MaskingLedger};
 use pa::sim::{per_packet_reference, BurstPipeline, PipelineConfig};
 use pa::stack::window::WindowConfig;
 use pa::stack::StackSpec;
 use pa::unet::{FaultConfig, LinkProfile, Netif, SimNet};
 use pa::wire::EndpointAddr;
+
+#[path = "common/shards.rs"]
+mod shards;
 
 fn storm_spec() -> StackSpec {
     StackSpec {
@@ -43,10 +46,10 @@ fn mk_conn(spec: &StackSpec, local: EndpointAddr, peer: EndpointAddr, seed: u64)
 /// tally, each connection's delivery balance, and masking conservation
 /// (on-path + masked + leaked == the phase meters, by `==`) — with
 /// bursts half-delivered and post work still pending.
-fn assert_burst_invariants(server: &Endpoint, handles: &[ConnHandle; 2]) {
+fn assert_burst_invariants(server: &ShardedEndpoint, handles: &[ShardHandle; 2]) {
     assert!(server.demux_balanced(), "demux ledger out of balance");
     for &h in handles {
-        let conn = server.conn(h);
+        let conn = server.try_conn(h).expect("never removed");
         assert!(
             conn.stats().delivery_balanced(),
             "delivery ledger out of balance: {}",
@@ -69,6 +72,10 @@ fn assert_burst_invariants(server: &Endpoint, handles: &[ConnHandle; 2]) {
 /// balance after every single burst.
 #[test]
 fn fault_storm_through_the_burst_path_keeps_every_ledger_balanced() {
+    shards::at_each_shard_count(fault_storm_through_the_burst_path);
+}
+
+fn fault_storm_through_the_burst_path(shards: usize) {
     const BURST: usize = 8;
     const SEND_ROUNDS: u64 = 40;
 
@@ -78,7 +85,7 @@ fn fault_storm_through_the_burst_path_keeps_every_ledger_balanced() {
         EndpointAddr::from_parts(1, 1),
         EndpointAddr::from_parts(2, 1),
     ];
-    let mut server = Endpoint::new();
+    let mut server = ShardedEndpoint::new(shards);
     let handles = [
         server.add_connection(mk_conn(&spec, server_addr, client_addrs[0], 0xA1)),
         server.add_connection(mk_conn(&spec, server_addr, client_addrs[1], 0xA2)),
@@ -106,6 +113,7 @@ fn fault_storm_through_the_burst_path_keeps_every_ledger_balanced() {
     let mut to_server: Vec<pa::buf::Msg> = Vec::new();
     let mut delivered: [Vec<Vec<u8>>; 2] = [Vec::new(), Vec::new()];
     let mut deliveries = Vec::new();
+    let mut replies = Vec::new();
 
     let payload = |i: usize, seq: u64| -> Vec<u8> {
         let mut p = vec![0xC0 + i as u8; 8];
@@ -136,10 +144,10 @@ fn fault_storm_through_the_burst_path_keeps_every_ledger_balanced() {
                 net.send_burst(client_addrs[i], server_addr, &mut wire, now);
             }
         }
-        // Server → wire (acks and retransmissions), per-frame: the
-        // reverse path stays on the seed API so both flavors interleave
-        // on one network.
-        while let Some((peer, f)) = server.poll_transmit() {
+        // Server → wire (acks and retransmissions), frame by frame,
+        // so both send flavors interleave on one network.
+        server.poll_transmit_burst(usize::MAX, &mut replies);
+        for (peer, f) in replies.drain(..) {
             net.send(server_addr, peer, f, now);
         }
         // Wire → endpoints, pulled as one burst and split by address.
@@ -168,10 +176,10 @@ fn fault_storm_through_the_burst_path_keeps_every_ledger_balanced() {
         }
         assert_burst_invariants(&server, &handles);
 
-        deliveries.clear();
-        server.poll_delivery_burst(usize::MAX, &mut deliveries);
+        server.drain_deliveries(&mut deliveries);
         for d in deliveries.drain(..) {
-            delivered[d.conn.slot()].push(d.msg.as_slice().to_vec());
+            let i = handles.iter().position(|&h| h == d.conn).expect("known");
+            delivered[i].push(d.msg.as_slice().to_vec());
         }
         let want = (SEND_ROUNDS * BURST as u64) as usize;
         if delivered[0].len() == want && delivered[1].len() == want {

@@ -110,9 +110,7 @@ fn round_trip(a: &mut Connection, b: &mut Connection, measure: bool) -> usize {
 
 #[test]
 fn steady_state_fast_path_is_allocation_free() {
-    // Fused filters: the interpreted backend's run loop is not
-    // allocation-free, so the zero claim targets `accelerated()`.
-    let cfg = PaConfig::accelerated();
+    let cfg = PaConfig::paper_default();
     let mut a = paper_conn(cfg, 1, 2, 0x9601);
     let mut b = paper_conn(cfg, 2, 1, 0x9602);
 
@@ -275,7 +273,7 @@ fn threaded_steady_state_fast_path_is_allocation_free() {
     use pa::obs::{SketchConfig, SnapshotCoordinator};
     use pa::sim::{CostModel, PostDrainWorker};
 
-    let cfg = PaConfig::accelerated();
+    let cfg = PaConfig::paper_default();
     let mut coord = SnapshotCoordinator::new(SketchConfig::default_scope());
     // Events drain only at collect, so the ring must hold the whole
     // run: 2 batches/round x 4 events/batch over 564 rounds per side.
@@ -387,8 +385,7 @@ fn allocating_arm_allocates_where_the_pool_does_not() {
     // removes — otherwise the E-native speedup table compares nothing.
     // Pre-recycling, every hot op paid the allocator: a fresh staging
     // buffer + a cloned frame image per send, a cloned image per
-    // deliver, plus the interpreted filter's scratch stack on each of
-    // the four filter runs.
+    // deliver.
     let cfg = PaConfig {
         pooling: false,
         ..PaConfig::paper_default()
@@ -498,7 +495,7 @@ fn burst_round(
 #[test]
 fn burst_steady_state_is_allocation_free_and_flux_reconciles() {
     const BURST: usize = 8;
-    let cfg = PaConfig::accelerated();
+    let cfg = PaConfig::paper_default();
     let mut a = paper_conn(cfg, 1, 2, 0x9601);
     let mut b = paper_conn(cfg, 2, 1, 0x9602);
 
@@ -573,7 +570,7 @@ fn packed_backlog_delivery_reconciles_the_pools() {
     // then deliver the packed frame: the pooled unpack arm hands each
     // piece out of the pool and the frame itself moves to the post
     // queue. Afterwards both pools must still balance.
-    let cfg = PaConfig::accelerated();
+    let cfg = PaConfig::paper_default();
     let mut a = paper_conn(cfg, 1, 2, 0x11);
     let mut b = paper_conn(cfg, 2, 1, 0x22);
 
@@ -640,7 +637,7 @@ fn connection_setup_allocates_only_what_it_keeps() {
         order: ByteOrder::Big,
     };
     let before = allocations();
-    let conn = Connection::new(layers, PaConfig::accelerated(), params);
+    let conn = Connection::new(layers, PaConfig::paper_default(), params);
     let made = allocations() - before;
     assert!(conn.is_ok());
     assert!(made <= 22, "Connection::new made {made} allocations");

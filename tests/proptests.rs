@@ -320,13 +320,12 @@ fn wire_decoders_are_total_over_arbitrary_bytes() {
 
 #[test]
 fn full_deliver_path_is_total_over_arbitrary_bytes() {
-    use pa::core::endpoint::Endpoint;
-    use pa::core::{Connection, ConnectionParams, PaConfig};
+    use pa::core::{Connection, ConnectionParams, PaConfig, ShardedEndpoint};
     use pa::stack::StackSpec;
     use pa::wire::EndpointAddr;
     let mut rng = SplitMix64::new(0x6465_6c69_7665_7221);
-    let mut ep = Endpoint::new();
-    ep.add_connection(
+    let mut ep = ShardedEndpoint::new(1);
+    let h = ep.add_connection(
         Connection::new(
             StackSpec::paper().build(),
             PaConfig::paper_default(),
@@ -360,64 +359,126 @@ fn full_deliver_path_is_total_over_arbitrary_bytes() {
         assert!(ep.demux_balanced(), "case {case}");
     }
     ep.process_all_pending();
-    let h = ep.handle_at(0).unwrap();
-    assert!(ep.conn(h).stats().delivery_balanced());
-    assert!(ep.conn(h).stats().rejects_reconcile());
+    let stats = ep.try_conn(h).expect("never removed").stats();
+    assert!(stats.delivery_balanced());
+    assert!(stats.rejects_reconcile());
 }
 
 // ---------------------------------------------------------------------
 // Packet filter: programs that pass verification never panic at run
-// time, whatever the frame contents — and both backends agree.
+// time, whatever the frame contents — and the fused program the engine
+// runs agrees with the interpreter, verdict and frame bytes.
 // ---------------------------------------------------------------------
 
-fn rand_op(rng: &mut SplitMix64) -> Op {
-    match rng.gen_index(14) {
-        0 => Op::PushConst(rng.next_u64() as i64),
-        1 => Op::PushSize,
-        2 => Op::PushBodySize,
-        3 => Op::Add,
-        4 => Op::Sub,
-        5 => Op::Mul,
-        6 => Op::Eq,
-        7 => Op::Ne,
-        8 => Op::Lt,
-        9 => Op::Not,
-        10 => Op::Dup,
-        11 => Op::Swap,
-        12 => Op::Drop,
-        _ => Op::Abort(rng.gen_index(8) as i64 - 4),
+/// Field widths of the random layouts: sub-byte, unaligned, byte-aligned
+/// and full-word, so a packed layout exercises both the direct byte
+/// loads and the network-bit-order fallback of the fused program.
+const FIELD_BITS: [u32; 9] = [1, 3, 5, 8, 13, 16, 24, 32, 64];
+const FIELD_NAMES: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
+
+/// A random op that is valid at stack depth `depth`, and the depth after
+/// it. Every op class the verifier admits can come out.
+fn rand_op(
+    rng: &mut SplitMix64,
+    depth: u32,
+    fields: &[pa::wire::Field],
+    slot: pa::filter::SlotId,
+) -> (Op, u32) {
+    use pa::filter::DigestKind;
+    let field = fields[rng.gen_index(fields.len())];
+    let digest = [
+        DigestKind::InternetChecksum,
+        DigestKind::Crc32,
+        DigestKind::Xor8,
+    ][rng.gen_index(3)];
+    loop {
+        let (op, pops, pushes) = match rng.gen_index(22) {
+            0 => (Op::PushConst(rng.next_u64() as i64), 0, 1),
+            1 => (Op::PushSize, 0, 1),
+            2 => (Op::PushBodySize, 0, 1),
+            3 => (Op::PushSlot(slot), 0, 1),
+            4 | 5 => (Op::PushField(field), 0, 1),
+            6 => (Op::Digest(digest), 0, 1),
+            7 => (Op::DigestHeaders(digest), 0, 1),
+            8 | 9 => (Op::PopField(field), 1, 0),
+            10 => (Op::Add, 2, 1),
+            11 => (Op::Sub, 2, 1),
+            12 => (Op::Mul, 2, 1),
+            13 => (Op::And, 2, 1),
+            14 => (Op::Xor, 2, 1),
+            15 => (Op::Eq, 2, 1),
+            16 => (Op::Lt, 2, 1),
+            17 => (Op::Not, 1, 1),
+            18 => (Op::Dup, 1, 2),
+            19 => (Op::Swap, 2, 2),
+            20 => (Op::Drop, 1, 0),
+            _ => (Op::Abort(rng.gen_index(8) as i64 - 4), 1, 0),
+        };
+        if depth >= pops && depth - pops + pushes <= pa::filter::program::MAX_STACK {
+            return (op, depth - pops + pushes);
+        }
     }
 }
 
 #[test]
 fn verified_filters_never_panic() {
     let mut rng = SplitMix64::new(0x6669_6c74_6572_0001);
-    for case in 0..256 {
-        let ops: Vec<Op> = (0..rng.gen_index(32)).map(|_| rand_op(&mut rng)).collect();
-        let payload = rand_bytes(&mut rng, 63);
-
+    let (mut ran, mut bit_ops, mut short) = (0, 0, 0);
+    for case in 0..1024 {
         let mut b = LayoutBuilder::new();
         b.begin_layer("l");
-        b.add_field(Class::Protocol, "x", 16, None).expect("valid");
+        let fields: Vec<pa::wire::Field> = FIELD_NAMES[..1 + rng.gen_index(FIELD_NAMES.len())]
+            .iter()
+            .map(|name| {
+                let class = [Class::Protocol, Class::Message, Class::Gossip][rng.gen_index(3)];
+                let bits = FIELD_BITS[rng.gen_index(FIELD_BITS.len())];
+                b.add_field(class, name, bits, None).expect("valid")
+            })
+            .collect();
         let layout = b.compile(LayoutMode::Packed).expect("compiles");
+        let hdr = layout.class_len(Class::Protocol)
+            + layout.class_len(Class::Message)
+            + layout.class_len(Class::Gossip);
 
         let mut pb = ProgramBuilder::new();
-        pb.extend(ops);
-        let Ok(program) = pb.build() else {
-            continue; // rejected by the verifier: that's fine
-        };
-        let mut msg = Msg::from_payload(&payload);
-        msg.push_front_zeroed(layout.class_len(Class::Protocol));
-        let mut frame = pa::filter::Frame::new(&mut msg, &layout, ByteOrder::Big);
-        let v1 = pa::filter::run(&program, &mut frame); // must not panic
+        let slot = pb.alloc_slot(rng.next_u64() as i64);
+        let mut depth = 0;
+        for _ in 0..rng.gen_index(48) {
+            let (op, after) = rand_op(&mut rng, depth, &fields, slot);
+            pb.extend(vec![op]);
+            depth = after;
+        }
+        let program = pb.build().expect("built to the verifier's rules");
 
-        // And the compiled backend must agree.
-        let compiled = pa::filter::CompiledProgram::compile(&program, &layout);
-        let mut msg2 = Msg::from_payload(&payload);
-        msg2.push_front_zeroed(layout.class_len(Class::Protocol));
-        let v2 = compiled.run(program.slots(), &mut msg2, ByteOrder::Big);
-        assert_eq!(v1, v2, "case {case}: backends agree");
+        // Random header bytes and payload; one case in eight is cut
+        // shorter than the class headers the fields reach into.
+        let mut wire = rand_bytes(&mut rng, 63);
+        wire.splice(0..0, (0..hdr).map(|_| rng.next_u64() as u8));
+        if rng.gen_index(8) == 0 {
+            wire.truncate(rng.gen_index(hdr + 1));
+        }
+        for order in [ByteOrder::Big, ByteOrder::Little] {
+            let mut by_interp = Msg::from_wire(wire.clone());
+            let mut by_fused = by_interp.clone();
+            let want = {
+                let mut frame = pa::filter::Frame::new(&mut by_interp, &layout, order);
+                pa::filter::run(&program, &mut frame) // must not panic
+            };
+            let fused = pa::filter::FusedProgram::fuse(&program, &layout, order);
+            let got = fused.run(program.slots(), &mut by_fused);
+            let ctx = format!("case {case} {order:?}: {:?}", program.ops());
+            assert_eq!(got, want, "verdict, {ctx}");
+            assert_eq!(by_fused, by_interp, "frame bytes, {ctx}");
+            assert_eq!(want == pa::filter::SHORT_FRAME, wire.len() < hdr, "{ctx}");
+            ran += 1;
+            bit_ops += fused.stats().bit_fallback;
+            short += (want == pa::filter::SHORT_FRAME) as usize;
+        }
     }
+    // The generator must actually reach what this test is for.
+    assert_eq!(ran, 2048);
+    assert!(bit_ops > 500, "bit-field ops fused: {bit_ops}");
+    assert!(short > 50, "short frames refused: {short}");
 }
 
 // ---------------------------------------------------------------------

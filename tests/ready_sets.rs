@@ -1,16 +1,17 @@
 //! The progress invariant of the endpoint ready sets, as a test.
 //!
-//! `Endpoint`'s polls no longer scan the connection table: they consume
-//! ready sets that every path touching a connection must feed. A missed
-//! enqueue loses nothing the conservation ledgers can see — the message
-//! sits in its connection's queue, counted, forever unpolled (PR 10's
-//! stranded-delivery bug had exactly that shape one level up, on the
-//! shard dirty list). So this suite drives a seeded random sequence of
-//! *every* operation that can put work on a connection, and after each
-//! step checks [`Endpoint::ready_balanced`] /
-//! [`ShardedEndpoint::ready_balanced`] — a full scan, independent of the
-//! sets: no live connection with a pending delivery, transmit or post
-//! job is off its set, and no slot is queued twice.
+//! The endpoint's drains do not scan the connection tables: they
+//! consume per-shard ready sets, found through the dirty list, that
+//! every path touching a connection must feed. A missed enqueue loses
+//! nothing the conservation ledgers can see — the message sits in its
+//! connection's queue, counted, forever undrained (PR 10's
+//! stranded-delivery bug had exactly that shape, on the dirty list). So
+//! this suite drives a seeded random sequence of *every* operation that
+//! can put work on a connection, at one shard and at eight, and after
+//! each step checks [`ShardedEndpoint::ready_balanced`] — a full scan,
+//! independent of the sets: no live connection with a pending delivery,
+//! transmit or post job is off its set, no slot is queued twice, and a
+//! shard with anything deliverable is on the dirty list.
 //!
 //! The paper stack is used throughout because its window layer gives
 //! the sequence real timers (tick retransmits), held out-of-order
@@ -20,7 +21,7 @@
 use std::collections::HashMap;
 
 use pa::buf::Msg;
-use pa::core::{Connection, ConnectionParams, Endpoint, PaConfig, ShardedEndpoint};
+use pa::core::{Connection, ConnectionParams, PaConfig, ShardHandle, ShardedEndpoint};
 use pa::obs::rng::{Rng, SplitMix64};
 use pa::stack::StackSpec;
 use pa::wire::EndpointAddr;
@@ -44,18 +45,18 @@ fn conn(local: u64, peer: u64, seed: u64) -> Connection {
 
 /// The remote half of one connection and the bookkeeping to check
 /// per-connection delivery order: payloads are `(host, seq)`.
-struct Peer<H> {
+struct Peer {
     host: u64,
     client: Connection,
     /// The server-side twin's handle while it is admitted.
-    twin: Option<H>,
+    twin: Option<ShardHandle>,
     sent: u32,
     /// Next sequence number the server must deliver for this peer.
     expect: u32,
 }
 
-impl<H> Peer<H> {
-    fn new(host: u64) -> Peer<H> {
+impl Peer {
+    fn new(host: u64) -> Peer {
         Peer {
             host,
             client: conn(host, SERVER, 2 * host),
@@ -95,7 +96,7 @@ impl<H> Peer<H> {
 /// window layer delivers in order, so within a connection the sequence
 /// numbers count up by one whatever the interleaving across
 /// connections.
-fn check_delivery<H>(peers: &mut [Peer<H>], payload: &[u8], ctx: &str) {
+fn check_delivery(peers: &mut [Peer], payload: &[u8], ctx: &str) {
     let host = u64::from_be_bytes(payload[..8].try_into().unwrap());
     let seq = u32::from_be_bytes(payload[8..12].try_into().unwrap());
     let peer = peers
@@ -111,7 +112,7 @@ fn check_delivery<H>(peers: &mut [Peer<H>], payload: &[u8], ctx: &str) {
 
 /// The twin of a peer that never connected: it arrives at the endpoint
 /// with deliveries and post work already queued.
-fn preloaded_twin<H>(peer: &mut Peer<H>) -> Connection {
+fn preloaded_twin(peer: &mut Peer) -> Connection {
     let mut twin = conn(SERVER, peer.host, 2 * peer.host + 1);
     for frame in peer.send() {
         twin.deliver_frame(frame);
@@ -123,23 +124,27 @@ fn preloaded_twin<H>(peer: &mut Peer<H>) -> Connection {
     twin
 }
 
-#[test]
-fn endpoint_ready_sets_cover_every_pending_queue() {
+/// The model: `STEPS` random operations against a `shards`-shard
+/// endpoint, the invariants checked after every one.
+fn ready_sets_cover_every_pending_queue(shards: usize) {
     for seed in SEEDS {
-        let mut rng = SplitMix64::new(seed);
-        let mut server = Endpoint::new();
-        let mut peers: Vec<Peer<pa::core::ConnHandle>> = Vec::new();
+        let mut rng = SplitMix64::new(seed ^ shards as u64);
+        let mut server = ShardedEndpoint::new(shards);
+        let mut peers: Vec<Peer> = Vec::new();
         let mut next_host = 100u64;
         // Frames held back from the wire, re-injected later (reordering
         // and, with the originals' retransmissions, duplicates).
         let mut delayed: Vec<Msg> = Vec::new();
         let mut now = 0u64;
-        let mut deliveries = Vec::new();
+        let mut drained = Vec::new();
         let mut transmits = Vec::new();
+        // Every handle ever removed must stay refused, also after the
+        // directory slot it named is reused.
+        let mut dead: Vec<ShardHandle> = Vec::new();
 
         for step in 0..STEPS {
-            let op = rng.gen_index(14);
-            let ctx = format!("seed {seed:#x} step {step} op {op}");
+            let op = rng.gen_index(12);
+            let ctx = format!("{shards} shards seed {seed:#x} step {step} op {op}");
             let pick = |rng: &mut SplitMix64, n: usize| (n > 0).then(|| rng.gen_index(n));
             match op {
                 // Admit a fresh peer (reusing a freed slot if any).
@@ -149,12 +154,12 @@ fn endpoint_ready_sets_cover_every_pending_queue() {
                     p.twin = Some(server.add_connection(conn(SERVER, p.host, 2 * p.host + 1)));
                     peers.push(p);
                 }
-                // Adopt: a connection that arrives with work queued.
+                // A connection that arrives with work queued.
                 1 => {
                     let mut p = Peer::new(next_host);
                     next_host += 1;
                     let twin = preloaded_twin(&mut p);
-                    p.twin = Some(server.adopt_connection(twin));
+                    p.twin = Some(server.add_connection(twin));
                     peers.push(p);
                 }
                 // Per-frame ingest, some frames held back.
@@ -180,12 +185,25 @@ fn endpoint_ready_sets_cover_every_pending_queue() {
                     }
                     server.from_network_burst(&mut burst);
                 }
-                // Re-key: the next frame carries the ident again.
+                // Re-key: the next frame carries the ident again. With
+                // more than one shard, until the connection has to
+                // migrate: its queued work travels with it.
                 5 => {
                     if let Some(i) = pick(&mut rng, peers.len()) {
-                        peers[i].client.rotate_cookie(rng.next_u64());
-                        for f in peers[i].send() {
-                            server.from_network(f);
+                        if let Some(h) = peers[i].twin {
+                            let home = server.shard_of_conn(h);
+                            for f in peers[i].send() {
+                                server.from_network(f);
+                            }
+                            for _ in 0..8 {
+                                peers[i].client.rotate_cookie(rng.next_u64());
+                                if Some(server.shard_of(peers[i].client.local_cookie())) != home {
+                                    break;
+                                }
+                            }
+                            for f in peers[i].send() {
+                                server.from_network(f);
+                            }
                         }
                     }
                 }
@@ -236,187 +254,23 @@ fn endpoint_ready_sets_cover_every_pending_queue() {
                                 server.from_network(f);
                             }
                             server.remove_connection(h).expect("live handle");
-                            assert!(server.try_conn_mut(h).is_err(), "{ctx}: stale handle");
+                            dead.push(h);
                         }
                         peers.swap_remove(i);
                     }
                 }
-                // Drain deliveries: burst cut short at a small `max`
-                // (mid-connection), or one at a time.
-                11 => {
+                // Drain transmits, cut short at a small `max`
+                // (mid-connection), and carry them to the clients.
+                _ => {
                     let max = 1 + rng.gen_index(3);
-                    deliveries.clear();
-                    let n = server.poll_delivery_burst(max, &mut deliveries);
-                    assert!(n <= max, "{ctx}");
-                    for d in deliveries.drain(..) {
-                        assert_eq!(server.handle_at(d.conn.slot()), Some(d.conn), "{ctx}");
-                        check_delivery(&mut peers, d.msg.as_slice(), &ctx);
-                    }
-                    if let Some(d) = server.poll_delivery() {
-                        check_delivery(&mut peers, d.msg.as_slice(), &ctx);
-                    }
-                }
-                // Drain transmits the same two ways and carry them to
-                // the clients.
-                12 => {
-                    let max = 1 + rng.gen_index(3);
-                    transmits.clear();
                     let n = server.poll_transmit_burst(max, &mut transmits);
-                    assert!(n <= max, "{ctx}");
-                    transmits.extend(server.poll_transmit());
+                    assert!(n <= max && n == transmits.len(), "{ctx}");
                     for (to, f) in transmits.drain(..) {
                         if let Some(p) = peers.iter_mut().find(|p| p.client.local_addr() == to) {
                             p.receive(f);
                         }
                     }
                 }
-                // Drain everything: the sets must then be exactly empty
-                // of work.
-                _ => {
-                    deliveries.clear();
-                    while server.poll_delivery_burst(8, &mut deliveries) > 0 {}
-                    for d in deliveries.drain(..) {
-                        check_delivery(&mut peers, d.msg.as_slice(), &ctx);
-                    }
-                    assert!(server.poll_delivery().is_none(), "{ctx}");
-                    for h in server.handles() {
-                        assert!(!server.conn(h).has_delivery(), "{ctx}: stranded delivery");
-                    }
-                }
-            }
-            assert!(
-                server.ready_balanced(),
-                "{ctx}: ready sets lost a connection"
-            );
-            assert!(server.demux_balanced(), "{ctx}");
-        }
-    }
-}
-
-#[test]
-fn sharded_ready_sets_and_dirty_list_cover_every_pending_delivery() {
-    for seed in SEEDS {
-        let mut rng = SplitMix64::new(seed ^ 0x5A5A);
-        let mut server = ShardedEndpoint::new(4);
-        let mut peers: Vec<Peer<pa::core::ShardHandle>> = Vec::new();
-        let mut next_host = 100u64;
-        let mut delayed: Vec<Msg> = Vec::new();
-        let mut now = 0u64;
-        let mut drained = Vec::new();
-        // Every handle ever removed must stay refused, also after the
-        // directory slot it named is reused.
-        let mut dead: Vec<pa::core::ShardHandle> = Vec::new();
-
-        for step in 0..STEPS {
-            let op = rng.gen_index(11);
-            let ctx = format!("seed {seed:#x} step {step} op {op}");
-            let pick = |rng: &mut SplitMix64, n: usize| (n > 0).then(|| rng.gen_index(n));
-            match op {
-                0 => {
-                    let mut p = Peer::new(next_host);
-                    next_host += 1;
-                    p.twin = Some(server.add_connection(conn(SERVER, p.host, 2 * p.host + 1)));
-                    peers.push(p);
-                }
-                // A connection that arrives with deliveries queued.
-                1 => {
-                    let mut p = Peer::new(next_host);
-                    next_host += 1;
-                    let twin = preloaded_twin(&mut p);
-                    p.twin = Some(server.add_connection(twin));
-                    peers.push(p);
-                }
-                2 | 3 => {
-                    if let Some(i) = pick(&mut rng, peers.len()) {
-                        for f in peers[i].send() {
-                            if rng.gen_bool(0.2) {
-                                delayed.push(f);
-                            } else {
-                                server.from_network(f);
-                            }
-                        }
-                    }
-                }
-                4 => {
-                    let mut burst: Vec<Msg> = std::mem::take(&mut delayed);
-                    for _ in 0..rng.gen_index(4) {
-                        if let Some(i) = pick(&mut rng, peers.len()) {
-                            burst.extend(peers[i].send());
-                        }
-                    }
-                    server.from_network_burst(&mut burst);
-                }
-                // Re-key until the connection has to migrate: its
-                // queued work travels with it.
-                5 => {
-                    if let Some(i) = pick(&mut rng, peers.len()) {
-                        if let Some(h) = peers[i].twin {
-                            let home = server.shard_of_conn(h);
-                            for f in peers[i].send() {
-                                server.from_network(f);
-                            }
-                            for _ in 0..8 {
-                                peers[i].client.rotate_cookie(rng.next_u64());
-                                if Some(server.shard_of(peers[i].client.local_cookie())) != home {
-                                    break;
-                                }
-                            }
-                            for f in peers[i].send() {
-                                server.from_network(f);
-                            }
-                        }
-                    }
-                }
-                6 => {
-                    if let Some(h) = pick(&mut rng, peers.len()).and_then(|i| peers[i].twin) {
-                        server.try_send(h, b"from the server").expect("live handle");
-                    }
-                }
-                // Direct drive, and the only way out for a sharded
-                // connection's transmits.
-                7 => {
-                    if let Some(i) = pick(&mut rng, peers.len()) {
-                        let frames = peers[i].send();
-                        if let Some(h) = peers[i].twin {
-                            let twin = server.try_conn_mut(h).expect("live handle");
-                            for f in frames {
-                                twin.deliver_frame(f);
-                            }
-                            let mut back = Vec::new();
-                            twin.poll_transmit_burst(usize::MAX, &mut back);
-                            for f in back {
-                                peers[i].receive(f);
-                            }
-                        }
-                    }
-                }
-                8 => {
-                    now += 1_000_000_000;
-                    server.tick(now);
-                    for p in &mut peers {
-                        p.client.tick(now);
-                        let frames = p.frames();
-                        if p.twin.is_some() {
-                            for f in frames {
-                                server.from_network(f);
-                            }
-                        }
-                    }
-                }
-                9 => server.process_all_pending(),
-                10 => {
-                    if let Some(i) = pick(&mut rng, peers.len()) {
-                        if let Some(h) = peers[i].twin.take() {
-                            for f in peers[i].send() {
-                                server.from_network(f);
-                            }
-                            server.remove_connection(h).expect("live handle");
-                            dead.push(h);
-                        }
-                        peers.swap_remove(i);
-                    }
-                }
-                _ => unreachable!(),
             }
             assert!(
                 server.ready_balanced(),
@@ -427,7 +281,6 @@ fn sharded_ready_sets_and_dirty_list_cover_every_pending_delivery() {
             // Drain on about half the steps, so work also sits across
             // steps; after a drain nothing may be left anywhere.
             if rng.gen_bool(0.5) {
-                drained.clear();
                 server.drain_deliveries(&mut drained);
                 let by_handle: HashMap<_, _> = peers
                     .iter()
@@ -444,6 +297,7 @@ fn sharded_ready_sets_and_dirty_list_cover_every_pending_delivery() {
                         assert!(!twin.has_delivery(), "{ctx}: stranded delivery");
                     }
                 }
+                assert_eq!(server.dirty_shards(), 0, "{ctx}");
                 assert!(server.ready_balanced(), "{ctx}: after the drain");
             }
             for &h in &dead {
@@ -459,5 +313,70 @@ fn sharded_ready_sets_and_dirty_list_cover_every_pending_delivery() {
             rejects + dead.len() as u64,
             "every stale handle is a counted refusal"
         );
+    }
+}
+
+#[test]
+fn endpoint_ready_sets_cover_every_pending_queue() {
+    ready_sets_cover_every_pending_queue(1);
+}
+
+#[test]
+fn sharded_ready_sets_and_dirty_list_cover_every_pending_delivery() {
+    ready_sets_cover_every_pending_queue(8);
+}
+
+/// Lazy post and timers run on every shard, but only a shard they left
+/// something deliverable in goes on the dirty list: the next drain
+/// costs what the traffic touched, not the shard count. (Both used to
+/// mark every shard, so a host running lazy post paid a 64-shard walk
+/// per drain.)
+#[test]
+fn lazy_post_and_timers_dirty_only_the_shards_they_touched() {
+    let mut server = ShardedEndpoint::new(64);
+    let mut peers: Vec<Peer> = (0..32).map(|i| Peer::new(100 + i)).collect();
+    for p in &mut peers {
+        p.twin = Some(server.add_connection(conn(SERVER, p.host, 2 * p.host + 1)));
+        for f in p.send() {
+            server.from_network(f);
+        }
+    }
+    let mut drained = Vec::new();
+    assert_eq!(server.drain_deliveries(&mut drained), 32);
+    server.process_all_pending();
+    server.tick(1);
+    assert_eq!(
+        server.dirty_shards(),
+        0,
+        "nothing deliverable anywhere: nothing to visit"
+    );
+
+    // One connection gets out-of-order frames: the window layer holds
+    // the later message until the earlier one arrives, and releases it
+    // in that arrival's post phase.
+    let mut frames = peers[7].send();
+    frames.extend(peers[7].send());
+    assert_eq!(frames.len(), 2);
+    server.from_network(frames.pop().unwrap());
+    server.from_network(frames.pop().unwrap());
+    drained.clear();
+    let early = server.drain_deliveries(&mut drained);
+    assert_eq!(server.dirty_shards(), 0);
+    server.process_all_pending();
+    server.tick(2);
+    assert_eq!(
+        server.dirty_shards(),
+        (early < 2) as usize,
+        "exactly the shard whose post work released a delivery"
+    );
+    assert!(server.ready_balanced());
+    let late = server.drain_deliveries(&mut drained);
+    assert_eq!(early + late, 2, "the held message is not stranded");
+    for p in &peers {
+        let twin = server.try_conn(p.twin.unwrap()).unwrap();
+        assert!(!twin.has_delivery(), "stranded delivery");
+    }
+    for d in &drained {
+        assert_eq!(Some(d.conn), peers[7].twin);
     }
 }

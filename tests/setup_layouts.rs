@@ -43,7 +43,7 @@ fn scenario(name: &str, spec: &StackSpec, trace_ctx: bool, mode: LayoutMode) -> 
     let config = PaConfig {
         layout_mode: mode,
         trace_ctx,
-        ..PaConfig::accelerated()
+        ..PaConfig::paper_default()
     };
     let (mut a, mut b) = (conn(spec, config, 1, 2), conn(spec, config, 2, 1));
     let mut out = String::new();
