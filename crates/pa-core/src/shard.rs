@@ -217,6 +217,9 @@ pub struct ShardedEndpoint {
     /// not to the shard count.
     dirty: Vec<usize>,
     dirty_flag: Vec<bool>,
+    /// Shard the next [`ShardedEndpoint::poll_transmit_burst`] starts
+    /// at: the one after the shard the last call was cut off in.
+    tx_next: usize,
 }
 
 impl ShardedEndpoint {
@@ -237,6 +240,7 @@ impl ShardedEndpoint {
             seg_scratch: (0..shards).map(|_| Vec::new()).collect(),
             dirty: Vec::new(),
             dirty_flag: vec![false; shards],
+            tx_next: 0,
         }
     }
 
@@ -663,17 +667,23 @@ impl ShardedEndpoint {
 
     /// Drains up to `max` outgoing frames into `out` (caller-owned
     /// scratch), each with its destination; returns how many were
-    /// appended. Shards are visited in index order, and within a shard
-    /// only the connections on its transmit ready set, in the order
-    /// they became ready; all frames of one connection come out in its
-    /// queue order. A connection cut off at `max` stays at the head of
-    /// its shard's set for the next call.
+    /// appended. Every shard is visited once (transmits keep no dirty
+    /// list), and within a shard only the connections on its transmit
+    /// ready set, in the order they became ready; all frames of one
+    /// connection come out in its queue order. A connection cut off at
+    /// `max` stays at the head of its shard's set, and the next call
+    /// starts at the following shard: a host with a bounded `max` per
+    /// loop serves the shards in turn, whichever of them keep refilling.
     pub fn poll_transmit_burst(&mut self, max: usize, out: &mut Vec<(EndpointAddr, Msg)>) -> usize {
         let mut n = 0;
-        for shard in &mut self.shards {
-            n += shard.poll_transmit_burst(max - n, out);
+        for i in 0..self.shards.len() {
             if n == max {
                 break;
+            }
+            let si = (self.tx_next + i) & self.mask as usize;
+            n += self.shards[si].poll_transmit_burst(max - n, out);
+            if n == max {
+                self.tx_next = (si + 1) & self.mask as usize;
             }
         }
         n
@@ -1406,6 +1416,46 @@ mod tests {
         });
     }
 
+    /// A host that polls with a small `max` per loop serves the shards
+    /// in turn: a shard that refills between calls cannot starve the
+    /// one after it.
+    #[test]
+    fn bounded_transmit_poll_rotates_over_the_shards() {
+        let mut server = ShardedEndpoint::new(2);
+        // One connection per shard; no inbound traffic, so neither
+        // migrates.
+        let mut by_shard = [None, None];
+        let mut peer = 1;
+        while by_shard.iter().any(Option::is_none) {
+            let twin = pair(peer).1;
+            let si = server.shard_of_ident(twin.expected_ident());
+            if by_shard[si].is_none() {
+                by_shard[si] = Some((server.add_connection(twin), peer));
+            }
+            peer += 1;
+        }
+        let [(busy, busy_peer), (quiet, quiet_peer)] = by_shard.map(Option::unwrap);
+        let send = |server: &mut ShardedEndpoint, h| {
+            server.try_send(h, b"frame").unwrap();
+            server.try_conn_mut(h).unwrap().process_pending();
+        };
+        send(&mut server, quiet);
+        let mut out = Vec::new();
+        for _ in 0..4 {
+            // Shard 0 has a frame queued before every call.
+            send(&mut server, busy);
+            assert_eq!(server.poll_transmit_burst(1, &mut out), 1);
+            assert!(server.ready_balanced());
+        }
+        let to = |p| EndpointAddr::from_parts(p, 1);
+        let got: Vec<EndpointAddr> = out.iter().map(|&(dest, _)| dest).collect();
+        assert_eq!(
+            got,
+            [to(busy_peer), to(quiet_peer), to(busy_peer), to(busy_peer)],
+            "shard 1's one frame leaves on the second call"
+        );
+    }
+
     /// A handle held across removal and reuse of its directory slot
     /// must NOT address the connection that recycled the slot.
     #[test]
@@ -1525,6 +1575,24 @@ mod tests {
             assert_eq!(bsnap.get("demux", "frames_seen"), Some(stats.frames_out));
             assert_eq!(bsnap.get("demux", "routed"), Some(stats.frames_out));
             assert_eq!(bsnap.get("demux", "conns_live"), Some(1));
+
+            // An ident nobody registered is refused at the front: it is
+            // a `demux` reject and a frame seen, and no shard's router
+            // (`router.misses` counts unknown cookies only) or reject
+            // ledger hears of it.
+            let mut stranger = null_conn(9, 2, 99);
+            assert_eq!(
+                bob.from_network(frame_of(&mut stranger, b"who?")),
+                DeliverOutcome::Dropped(DropReason::ForeignIdent)
+            );
+            let foreign = bob.metrics_snapshot(2).delta(&bsnap);
+            assert_eq!(foreign.get("demux", "frames_seen"), Some(1));
+            assert_eq!(foreign.get("demux", "reject_foreign_ident"), Some(1));
+            assert_eq!(foreign.get("router", "misses"), None);
+            assert_eq!(foreign.get("demux", "routed"), None);
+            assert_eq!(bob.front_rejects().total(), 1);
+            assert!((0..n).all(|i| bob.shard(i).rejects().total() == 0));
+            assert!(bob.demux_balanced());
         });
     }
 

@@ -63,9 +63,6 @@ pub struct FuzzConfig {
     /// Probability a server→client frame is mutated (the reverse leg:
     /// clients must survive hostile bytes too).
     pub reverse_mutate_ratio: f64,
-    /// Shards of the server endpoint (a power of two). The storm and
-    /// every invariant are the same at any count.
-    pub shards: usize,
 }
 
 impl FuzzConfig {
@@ -77,7 +74,6 @@ impl FuzzConfig {
             iterations,
             clean_ratio: 0.35,
             reverse_mutate_ratio: 0.15,
-            shards: 1,
         }
     }
 }
@@ -478,13 +474,13 @@ impl World {
 
 /// Runs the campaign over the in-memory (simulator) transport.
 pub fn run_campaign(cfg: &FuzzConfig) -> CampaignReport {
-    run_with_leg(cfg, DirectLeg::default())
+    run_with_leg(cfg, DirectLeg::default(), 1)
 }
 
 /// Runs the campaign with the attacker→server leg crossing real UDP
 /// loopback sockets through [`UdpNet`].
 pub fn run_udp_campaign(cfg: &FuzzConfig) -> CampaignReport {
-    run_with_leg(cfg, UdpLeg::new())
+    run_with_leg(cfg, UdpLeg::new(), 1)
 }
 
 /// Runs the campaign with arrivals pulled through the batched netif
@@ -493,7 +489,7 @@ pub fn run_udp_campaign(cfg: &FuzzConfig) -> CampaignReport {
 /// the hostile-wire proof that burst ingestion is outcome-identical to
 /// the per-frame demux.
 pub fn run_burst_campaign(cfg: &FuzzConfig, chunk: usize) -> CampaignReport {
-    run_with_leg(cfg, BurstLeg::new(chunk))
+    run_with_leg(cfg, BurstLeg::new(chunk), 1)
 }
 
 /// Demuxes everything a leg delivered into the server endpoint.
@@ -529,9 +525,12 @@ fn ingest(world: &mut World, frames: Vec<Vec<u8>>, chunk: Option<usize>) -> u64 
     n
 }
 
-fn run_with_leg(cfg: &FuzzConfig, mut leg: impl Leg) -> CampaignReport {
+/// The campaign body. `shards` sizes the server endpoint: the public
+/// entries run a single-table server, the tests below also run eight
+/// shards — the storm and every invariant are the same at any count.
+fn run_with_leg(cfg: &FuzzConfig, mut leg: impl Leg, shards: usize) -> CampaignReport {
     let mut rng = SplitMix64::new(cfg.seed);
-    let mut world = World::new(cfg.seed, cfg.shards);
+    let mut world = World::new(cfg.seed, shards);
     let mut report = CampaignReport {
         seed: cfg.seed,
         iterations: cfg.iterations,
@@ -742,10 +741,8 @@ mod tests {
     #[test]
     fn small_campaign_reconciles_and_recovers() {
         for shards in [1, 8] {
-            let report = run_campaign(&FuzzConfig {
-                shards,
-                ..FuzzConfig::new(0xF0_22, 400)
-            });
+            let cfg = FuzzConfig::new(0xF0_22, 400);
+            let report = run_with_leg(&cfg, DirectLeg::default(), shards);
             assert!(report.recovered, "{report}");
             assert!(report.injected > 400, "{report}");
             assert!(report.delivered > 0, "{report}");
@@ -756,11 +753,8 @@ mod tests {
     #[test]
     fn burst_campaign_reconciles_and_recovers() {
         for shards in [1, 8] {
-            let cfg = FuzzConfig {
-                shards,
-                ..FuzzConfig::new(0xB0_57, 400)
-            };
-            let report = run_burst_campaign(&cfg, 32);
+            let cfg = FuzzConfig::new(0xB0_57, 400);
+            let report = run_with_leg(&cfg, BurstLeg::new(32), shards);
             assert!(report.recovered, "{report}");
             assert!(report.injected > 400, "{report}");
             assert!(report.delivered > 0, "{report}");
@@ -775,14 +769,11 @@ mod tests {
         // and outcome-identical to the per-frame path, so every campaign
         // total must match exactly, at any chunk size and shard count.
         for shards in [1, 8] {
-            let cfg = FuzzConfig {
-                shards,
-                ..FuzzConfig::new(0x600D_F00D, 300)
-            };
-            let direct = run_campaign(&cfg);
+            let cfg = FuzzConfig::new(0x600D_F00D, 300);
+            let direct = run_with_leg(&cfg, DirectLeg::default(), shards);
             for chunk in [1usize, 7, 64] {
                 let ctx = format!("{shards} shards, chunk {chunk}");
-                let burst = run_burst_campaign(&cfg, chunk);
+                let burst = run_with_leg(&cfg, BurstLeg::new(chunk), shards);
                 assert_eq!(burst.injected, direct.injected, "{ctx}");
                 assert_eq!(burst.delivered, direct.delivered, "{ctx}");
                 assert_eq!(burst.garbled, direct.garbled, "{ctx}");
