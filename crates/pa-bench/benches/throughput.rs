@@ -2,9 +2,12 @@
 //! gate): open-loop offered load through a [`BurstPipeline`] at burst
 //! sizes 1/8/32/64, batched+threaded vs the seed per-packet engine.
 //!
-//! Wall-clock msg/s and p99 latencies are hardware-dependent and carry
-//! loose baseline tolerances; the *hardware-independent* rows gate
-//! tightly:
+//! Wall-clock msg/s and p99 latencies are hardware-dependent: they
+//! are printed, not gated (a tolerance loose enough to survive another
+//! machine is one no regression can exceed; `benchmark/`'s cu-normalised
+//! metrics are where absolute speed is judged). The
+//! *hardware-independent* rows gate, and still time the pipeline's
+//! round body:
 //!
 //! - `batched_vs_unbatched_ratio` — burst-32 batched throughput over
 //!   the burst-1 inline engine. The committed baseline's tolerance
@@ -59,13 +62,15 @@ fn main() {
         "{:<22} {:>12} {:>10} {:>10} {:>10} {:>10}",
         "arm", "msgs/s", "p50 µs", "p99 µs", "frames/flush", "queued"
     );
-    let mut arms: Vec<(String, usize, Arm)> = Vec::new();
+    let mut burst32 = None;
     let unbatched = run_arm(1, false, TOTAL_MSGS);
     print_arm("per-packet (burst 1)", &unbatched);
     for burst in [8usize, 32, 64] {
         let arm = run_arm(burst, true, TOTAL_MSGS);
         print_arm(&format!("batched (burst {burst})"), &arm);
-        arms.push((format!("burst{burst}"), burst, arm));
+        if burst == 32 {
+            burst32 = Some(arm);
+        }
     }
 
     // The identity gate: burst=1 inline pipeline == seed per-packet
@@ -85,33 +90,11 @@ fn main() {
         ref_frames.len()
     );
 
-    let burst32 = &arms.iter().find(|(n, _, _)| n == "burst32").unwrap().2;
+    let burst32 = burst32.expect("burst 32 is one of the arms");
     let ratio = burst32.msgs_per_sec / unbatched.msgs_per_sec;
     println!("batched(32) vs per-packet ratio: {ratio:.2}x (floor 1.3x)");
 
     let mut report = BenchReport::new("throughput");
-    // Wall-clock rows: loose tolerances, hardware-dependent.
-    report.push_tol(
-        "msgs_per_sec_burst1",
-        unbatched.msgs_per_sec,
-        Better::Higher,
-        3.0,
-    );
-    for (name, _, arm) in &arms {
-        report.push_tol(
-            &format!("msgs_per_sec_{name}"),
-            arm.msgs_per_sec,
-            Better::Higher,
-            3.0,
-        );
-    }
-    report.push_tol(
-        "p99_latency_us_burst32",
-        burst32.report.latency_quantile(0.99) as f64 / 1_000.0,
-        Better::Lower,
-        5.0,
-    );
-    // Hardware-independent rows: tight tolerances.
     report.push_tol(
         "batched_vs_unbatched_ratio",
         ratio,

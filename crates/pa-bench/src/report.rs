@@ -147,6 +147,13 @@ impl BenchReport {
                 .and_then(|s| Better::parse(&s))
                 .ok_or("metric missing \"better\"")?;
             let tol = find_number(obj, "tol");
+            // A higher-is-better value cannot drop by 100 % or more, so
+            // `change < -tol` with tol ≥ 1 is a row that cannot fail.
+            if better == Better::Higher && tol.is_some_and(|t| t >= 1.0) {
+                return Err(format!(
+                    "metric \"{name}\": better=higher with tol >= 1 can never regress"
+                ));
+            }
             metrics.push(Metric {
                 name,
                 value,
@@ -382,6 +389,24 @@ mod tests {
     fn parse_rejects_garbage() {
         assert!(BenchReport::parse("{}").is_err());
         assert!(BenchReport::parse("not json").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_a_higher_is_better_row_that_cannot_fail() {
+        // At tol 3.0 a throughput of zero is a −100 % change: inside.
+        let mut r = BenchReport::new("throughput");
+        r.push_tol("msgs_per_sec", 479_653.0, Better::Higher, 3.0);
+        let err = BenchReport::parse(&r.to_json()).unwrap_err();
+        assert!(err.contains("msgs_per_sec"), "{err}");
+        // The same tolerance on a latency can fail; just under 1 can too.
+        let mut ok = BenchReport::new("throughput");
+        ok.push_tol("p99_us", 88.0, Better::Lower, 3.0).push_tol(
+            "ratio",
+            3.4,
+            Better::Higher,
+            0.999,
+        );
+        assert_eq!(BenchReport::parse(&ok.to_json()).unwrap(), ok);
     }
 
     #[test]

@@ -219,19 +219,19 @@ impl ChurnSim {
         let wave_expected = self.cfg.per_client * self.cfg.clients_per_wave as u64;
         let wave_end = self.clock + wave.now().max(1);
         self.expected += wave_expected;
-        self.completed += wave.completed;
+        self.completed += wave.round_trips;
 
         // Fold the wave's exact per-client latencies into the global
         // plane (and the oracle). Shards stripe round-robin over the
         // global connection sequence, so every shard sees every wave.
-        for (k, series) in wave.rtt_by_client.iter().enumerate() {
-            let conn = &wave.clients[k].conn;
+        for (k, client) in wave.clients().iter().enumerate() {
+            let conn = &client.conns[0];
             let key = self.plane.register(
                 &format!("shard{:02}", self.conn_seq % self.cfg.shards),
                 &format!("w{w:03}c{k:04}"),
             );
             let tag = conn.last_deliver_explain();
-            for &v in series.values() {
+            for &v in wave.rtt_by_node[k].values() {
                 self.plane.record(key, v as u64, wave_end, 0, tag);
                 self.oracle.push(v as u64);
             }
@@ -250,17 +250,16 @@ impl ChurnSim {
         // (same stack throughout the wave).
         let mut wave_ledger_ok = true;
         let cost = (sim_cfg.cost)(
-            wave.clients[0]
-                .conn
+            wave.clients()[0].conns[0]
                 .layer_names()
                 .iter()
                 .map(|s| s.to_string())
                 .collect(),
         );
         for conn in wave
-            .clients
+            .clients()
             .iter()
-            .map(|c| &c.conn)
+            .map(|c| &c.conns[0])
             .chain(wave.server_conns().iter())
         {
             let stats = conn.stats();
@@ -306,7 +305,7 @@ impl ChurnSim {
         let alerts = self.watchdog.observe(WatchInput {
             at: wave_end,
             progress: self.completed,
-            backlog: wave_expected - wave.completed,
+            backlog: wave_expected - wave.round_trips,
             ledger_ok: wave_ledger_ok,
             p99_ns: self.plane.cluster().sketch().p99(),
             leak_permille: self.masking.leak_permille(),
@@ -318,8 +317,8 @@ impl ChurnSim {
         // Flight recorder: one point per wave, post-mortem on alerts.
         let snap = self.snapshot(wave_end);
         let gauges = [
-            ("wave_completed", wave.completed as f64),
-            ("wave_lost", (wave_expected - wave.completed) as f64),
+            ("wave_completed", wave.round_trips as f64),
+            ("wave_lost", (wave_expected - wave.round_trips) as f64),
             ("wave_rate_rps", wave.rate()),
         ];
         self.recorder.maybe_sample(&snap, &gauges);

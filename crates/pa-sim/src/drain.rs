@@ -18,7 +18,8 @@
 //!   connection's meters, so the merged view conserves with `==`);
 //! - handoffs emit [`DomainEventKind::HandoffSent`] /
 //!   [`DomainEventKind::HandoffReceived`] pairs that become
-//!   happens-before edges in the cross-thread [`CritDag`];
+//!   happens-before edges in the cross-thread [`pa_obs::CritDag`]
+//!   ([`crate::pipeline::PipelineReport::crit_dag`]);
 //! - each domain prices its own meter shard into a
 //!   [`MaskingLedger`] shard at shutdown; the merged ledger conserves
 //!   exactly against the merged phase table.
@@ -27,6 +28,10 @@
 //! just on another thread (`Layer: Send` makes the move legal). With
 //! tracing off the wire bytes are byte-identical to the inline run —
 //! the threaded golden-bytes test pins that.
+//!
+//! The one driver of this worker is [`crate::pipeline::BurstPipeline`];
+//! both threads bracket their work with the same [`Bracket`] and seal
+//! their ledger shard with the same [`seal_ledger`].
 
 use crate::cost::CostModel;
 use crate::Nanos;
@@ -187,12 +192,46 @@ impl Drop for PostDrainWorker {
     }
 }
 
-/// The worker thread body. Steady state allocates nothing: the
-/// bracketing buffer and layer-name cache are reused across jobs, the
-/// rings are fixed, and the domain's fold targets stop growing once
-/// every layer/stat row exists (the layer-name cache refreshes only
-/// when the stack *shape* changes — feed one worker connections with
-/// one stack layout).
+/// A checkpoint of one connection's meters and stats ahead of a
+/// stretch of work on the calling thread. [`Bracket::open`] copies
+/// them, the work runs, [`Bracket::fold`] records `current −
+/// checkpoint` into that thread's domain: deltas partition the
+/// connection's meters, so the merged view conserves with `==`. The
+/// buffers are reused across brackets (the layer-name cache refreshes
+/// only when the stack *shape* changes — feed one bracket connections
+/// with one stack layout), so the steady state allocates nothing.
+#[derive(Debug, Default)]
+pub struct Bracket {
+    names: Vec<&'static str>,
+    meters: Vec<PhaseMeter>,
+    stats: ConnStats,
+}
+
+impl Bracket {
+    /// Checkpoints `conn`.
+    pub fn open(&mut self, conn: &Connection) {
+        self.meters.clear();
+        self.meters.extend_from_slice(conn.phase_meters());
+        if self.names.len() != self.meters.len() {
+            self.names = conn.layer_names();
+        }
+        self.stats = *conn.stats();
+    }
+
+    /// Folds what `conn` did since [`Bracket::open`] into `domain`.
+    pub fn fold(&self, domain: &mut TelemetryDomain, conn: &Connection) {
+        for (i, m) in conn.phase_meters().iter().enumerate() {
+            domain.absorb_meter(self.names[i], &m.delta_since(&self.meters[i]));
+        }
+        for (name, v) in conn.stats().delta(&self.stats).fields() {
+            domain.add_stat("conn", name, v);
+        }
+    }
+}
+
+/// The worker thread body. Steady state allocates nothing: the bracket
+/// is reused across jobs, the rings are fixed, and the domain's fold
+/// targets stop growing once every layer/stat row exists.
 fn drain_loop(
     mut domain: TelemetryDomain,
     cost: CostModel,
@@ -200,8 +239,7 @@ fn drain_loop(
     mut done: Producer<DrainedConn>,
     stop: Arc<AtomicBool>,
 ) {
-    let mut before: Vec<PhaseMeter> = Vec::new();
-    let mut names: Vec<&'static str> = Vec::new();
+    let mut bracket = Bracket::default();
     loop {
         match jobs.pop() {
             Some(mut job) => {
@@ -213,22 +251,11 @@ fn drain_loop(
                 if let Some(r) = job.conn.probe_mut().trace_ring_mut() {
                     r.set_domain(domain.id());
                 }
-                before.clear();
-                before.extend_from_slice(job.conn.phase_meters());
-                if names.len() != before.len() {
-                    names = job.conn.layer_names();
-                }
-                let stats_before: ConnStats = *job.conn.stats();
+                bracket.open(&job.conn);
                 domain.emit(DomainEventKind::DrainStart { job: job.seq });
                 job.conn.set_now(job.now);
                 let report = job.conn.process_pending();
-                for (i, m) in job.conn.phase_meters().iter().enumerate() {
-                    domain.absorb_meter(names[i], &m.delta_since(&before[i]));
-                }
-                let ds = job.conn.stats().delta(&stats_before);
-                for (name, v) in ds.fields() {
-                    domain.add_stat("conn", name, v);
-                }
+                bracket.fold(&mut domain, &job.conn);
                 domain.bump(DomainCounter::DrainBatches);
                 domain.emit(DomainEventKind::DrainDone {
                     job: job.seq,
@@ -255,51 +282,15 @@ fn drain_loop(
             }
         }
     }
-    // Price this thread's meter shard into its masking-ledger shard —
-    // linear pricing of a delta partition, so the merged ledger
-    // conserves exactly against the merged phase table.
-    let rows = price_meters(domain.meters(), |l, p| cost.phase_cost(l, p));
-    if !rows.is_empty() {
-        let label = domain.label().to_string();
-        let shard = MaskingLedger::from_phases(&label, &rows, MaskDomain::Virtual);
-        domain.merge_ledger(&shard);
-    }
+    seal_ledger(&mut domain, &cost);
     domain.retire();
 }
 
-/// Folds the delta between `conn`'s current telemetry and a checkpoint
-/// taken with [`bracket_before`] into `domain` — the application-thread
-/// side of the bracketing discipline the worker applies internally.
-/// `names`/`meters_before` must come from the matching
-/// [`bracket_before`] call on the same connection.
-pub fn fold_bracket(
-    domain: &mut TelemetryDomain,
-    conn: &Connection,
-    names: &[&'static str],
-    meters_before: &[PhaseMeter],
-    stats_before: &ConnStats,
-) {
-    for (i, m) in conn.phase_meters().iter().enumerate() {
-        domain.absorb_meter(names[i], &m.delta_since(&meters_before[i]));
-    }
-    for (name, v) in conn.stats().delta(stats_before).fields() {
-        domain.add_stat("conn", name, v);
-    }
-}
-
-/// Checkpoints `conn`'s meters and stats ahead of a stretch of work on
-/// the calling thread; pair with [`fold_bracket`] afterwards.
-pub fn bracket_before(conn: &Connection) -> (Vec<&'static str>, Vec<PhaseMeter>, ConnStats) {
-    (
-        conn.layer_names(),
-        conn.phase_meters().to_vec(),
-        *conn.stats(),
-    )
-}
-
-/// Builds a domain's priced masking-ledger shard from its own meter
-/// shard and merges it in (what the worker does at shutdown; call this
-/// on the application thread's domain before collecting).
+/// Prices a domain's own meter shard into its masking-ledger shard and
+/// merges it in — linear pricing of a delta partition, so the merged
+/// ledger conserves exactly against the merged phase table. The worker
+/// does this at shutdown; call it on the application thread's domain
+/// before collecting.
 pub fn seal_ledger(domain: &mut TelemetryDomain, cost: &CostModel) {
     let rows = price_meters(domain.meters(), |l, p| cost.phase_cost(l, p));
     if !rows.is_empty() {
@@ -309,386 +300,21 @@ pub fn seal_ledger(domain: &mut TelemetryDomain, cost: &CostModel) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The threaded echo harness
-// ---------------------------------------------------------------------------
-
-use pa_core::{ConnectionParams, PaConfig};
-use pa_obs::critpath::{CritDag, CritNode, WorkClass};
-use pa_obs::{
-    DomainEvent, GlobalSnapshot, JourneySet, ProbeSink, SketchConfig, SnapshotCoordinator,
-    TraceRing,
-};
-use pa_stack::StackSpec;
-use pa_wire::EndpointAddr;
-
-/// Configuration of a [`ThreadedEcho`] run.
-#[derive(Debug, Clone)]
-pub struct ThreadedEchoConfig {
-    /// Request/reply round trips to run.
-    pub rounds: u64,
-    /// PA configuration for both endpoints.
-    pub pa: PaConfig,
-    /// Stack on both endpoints.
-    pub stack: StackSpec,
-    /// Attach trace rings (journeys need `pa.trace_ctx` too).
-    pub trace: bool,
-    /// Trace-ring capacity per endpoint.
-    pub ring_capacity: usize,
-    /// Virtual ns per round trip.
-    pub round_ns: Nanos,
-}
-
-impl ThreadedEchoConfig {
-    /// The default instrumented run: paper stack, tracing + in-band
-    /// journey context on.
-    pub fn traced(rounds: u64) -> ThreadedEchoConfig {
-        ThreadedEchoConfig {
-            rounds,
-            pa: PaConfig {
-                trace_ctx: true,
-                ..PaConfig::paper_default()
-            },
-            stack: StackSpec::paper(),
-            trace: true,
-            ring_capacity: 4096,
-            round_ns: 200_000,
-        }
-    }
-
-    /// The all-off run: default config, no tracing — the configuration
-    /// whose wire bytes must match the inline engine byte for byte.
-    pub fn all_off(rounds: u64) -> ThreadedEchoConfig {
-        ThreadedEchoConfig {
-            rounds,
-            pa: PaConfig::paper_default(),
-            stack: StackSpec::paper(),
-            trace: false,
-            ring_capacity: 0,
-            round_ns: 200_000,
-        }
-    }
-}
-
-/// What a [`ThreadedEcho`] run produced.
-#[derive(Debug)]
-pub struct ThreadedEchoReport {
-    /// The epoch-consistent merged snapshot (application domain +
-    /// drain domain).
-    pub snapshot: GlobalSnapshot,
-    /// Journeys stitched from both endpoints' trace rings (empty when
-    /// tracing was off).
-    pub journeys: JourneySet,
-    /// Every wire frame in transmit order (`(sender, bytes)`;
-    /// sender 0 = requester, 1 = echoer) — the golden-bytes image.
-    pub frames: Vec<(u32, Vec<u8>)>,
-    /// Payload round trips completed.
-    pub round_trips: u64,
-    /// The cost model that priced the ledgers.
-    pub cost: CostModel,
-    /// The cross-thread event timeline (also inside `snapshot`).
-    pub events: Vec<DomainEvent>,
-    /// Both endpoints' trace rings (for journey re-stitching; empty
-    /// when tracing was off).
-    pub rings: Vec<TraceRing>,
-}
-
-impl ThreadedEchoReport {
-    /// True if the merged masking ledger conserves exactly — calls and
-    /// ns `==` — against the merged phase table.
-    pub fn conserves(&self) -> bool {
-        match self.snapshot.merged_ledger() {
-            Some(ml) => {
-                let rows = self.snapshot.phase_rows(|l, p| self.cost.phase_cost(l, p));
-                ml.conserves(&rows)
-            }
-            None => false,
-        }
-    }
-
-    /// The cross-thread critical-path DAG: handoff and drain events as
-    /// nodes (application thread on lane 0, drain thread on lane 2 —
-    /// its own Perfetto track), `HandoffSent → HandoffReceived` and
-    /// `DrainStart → DrainDone` happens-before edges stitching the two
-    /// threads.
-    pub fn crit_dag(&self) -> CritDag {
-        let mut dag = CritDag::new();
-        let mut sent: Vec<(u64, usize)> = Vec::new();
-        let mut started: Vec<(u64, usize)> = Vec::new();
-        let mut last_on_lane: [Option<usize>; 2] = [None, None];
-        for ev in &self.events {
-            let (label, lane, class) = match ev.kind {
-                DomainEventKind::HandoffSent { job } => {
-                    (format!("handoff/{job}"), 0u32, WorkClass::OnPath)
-                }
-                DomainEventKind::HandoffReceived { job } => {
-                    (format!("pickup/{job}"), 2, WorkClass::Masked)
-                }
-                DomainEventKind::DrainStart { job } => {
-                    (format!("drain/{job}"), 2, WorkClass::Masked)
-                }
-                DomainEventKind::DrainDone { job, .. } => {
-                    (format!("drained/{job}"), 2, WorkClass::Masked)
-                }
-                DomainEventKind::Published { .. } => continue,
-            };
-            let idx = dag.node(CritNode {
-                label,
-                host: 0,
-                lane,
-                class,
-                start: ev.at,
-                dur: 1,
-            });
-            // Program order within each thread.
-            let lane_slot = if lane == 0 { 0 } else { 1 };
-            if let Some(prev) = last_on_lane[lane_slot] {
-                dag.edge(prev, idx);
-            }
-            last_on_lane[lane_slot] = Some(idx);
-            match ev.kind {
-                DomainEventKind::HandoffSent { job } => sent.push((job, idx)),
-                DomainEventKind::HandoffReceived { job } => {
-                    if let Some(&(_, s)) = sent.iter().find(|(j, _)| *j == job) {
-                        dag.edge(s, idx);
-                    }
-                }
-                DomainEventKind::DrainStart { job } => started.push((job, idx)),
-                DomainEventKind::DrainDone { job, .. } => {
-                    if let Some(&(_, s)) = started.iter().find(|(j, _)| *j == job) {
-                        dag.edge(s, idx);
-                    }
-                }
-                DomainEventKind::Published { .. } => {}
-            }
-        }
-        dag
-    }
-}
-
-/// A two-endpoint echo driven from the calling thread with every post
-/// phase drained on a [`PostDrainWorker`] thread — the instrumented
-/// proof workload for cross-thread telemetry.
-#[derive(Debug)]
-pub struct ThreadedEcho {
-    cfg: ThreadedEchoConfig,
-}
-
-impl ThreadedEcho {
-    /// A harness for `cfg`.
-    pub fn new(cfg: ThreadedEchoConfig) -> ThreadedEcho {
-        ThreadedEcho { cfg }
-    }
-
-    fn connect(&self, local: u64, peer: u64, seed: u64, ring_conn: u32) -> Box<Connection> {
-        let mut conn = Box::new(
-            Connection::new(
-                self.cfg.stack.build(),
-                self.cfg.pa,
-                ConnectionParams::new(
-                    EndpointAddr::from_parts(local, 7),
-                    EndpointAddr::from_parts(peer, 7),
-                    seed,
-                ),
-            )
-            .expect("echo stack must compile"),
-        );
-        if self.cfg.trace {
-            let mut probe = ProbeSink::ring(self.cfg.ring_capacity);
-            if let Some(r) = probe.trace_ring_mut() {
-                r.set_conn(ring_conn);
-            }
-            conn.set_probe(probe);
-        }
-        conn
-    }
-
-    /// Runs the echo: requester sends on the calling thread, frames
-    /// cross to the echoer, replies come back, and *every*
-    /// `process_pending` runs on the drain thread. Returns the merged,
-    /// epoch-consistent report.
-    pub fn run(&self) -> ThreadedEchoReport {
-        let cfg = &self.cfg;
-        let layer_names: Vec<String> = cfg
-            .stack
-            .build()
-            .iter()
-            .map(|l| l.name().to_string())
-            .collect();
-        let cost = CostModel::paper_ml(layer_names);
-        let mut coord = SnapshotCoordinator::new(SketchConfig::default_scope());
-        let mut app = coord.domain("app");
-        let drain_domain = coord.domain("drain");
-        let drain_id = drain_domain.id();
-        let mut worker = PostDrainWorker::spawn(drain_domain, cost.clone(), 4);
-
-        let mut a = self.connect(1, 2, 0xEC_0A, 1);
-        let mut b = self.connect(2, 1, 0xEC_0B, 2);
-        let app_id = app.id();
-
-        let mut frames: Vec<(u32, Vec<u8>)> = Vec::new();
-        let mut round_trips = 0u64;
-        let mut now: Nanos = 0;
-
-        for round in 0..cfg.rounds {
-            now = (round + 1) * cfg.round_ns;
-            app.set_now(now);
-            // --- pre work, application thread, bracketed into `app`.
-            let (na, ma, sa) = (a.layer_names(), a.phase_meters().to_vec(), *a.stats());
-            let (nb, mb, sb) = (b.layer_names(), b.phase_meters().to_vec(), *b.stats());
-            a.set_now(now);
-            b.set_now(now);
-            a.send(format!("echo request {round}").as_bytes());
-            while let Some(f) = a.poll_transmit() {
-                frames.push((0, f.as_slice().to_vec()));
-                b.deliver_frame(f);
-            }
-            let mut echoed = false;
-            while let Some(m) = b.poll_delivery() {
-                b.send(m.as_slice());
-                b.recycle(m);
-                echoed = true;
-            }
-            fold_bracket(&mut app, &a, &na, &ma, &sa);
-            fold_bracket(&mut app, &b, &nb, &mb, &sb);
-            // --- post work for both endpoints on the drain thread.
-            a = self.round_trip_drain(&mut worker, &mut app, a, now);
-            b = self.round_trip_drain(&mut worker, &mut app, b, now + 1);
-            // --- the reply crosses back (pre again, new bracket) half
-            // a round later, so its deliver timestamps causally follow
-            // the send timestamps in the merged timeline.
-            let mid = now + cfg.round_ns / 2;
-            app.set_now(mid);
-            a.set_now(mid);
-            b.set_now(mid);
-            let (nb2, mb2, sb2) = (b.layer_names(), b.phase_meters().to_vec(), *b.stats());
-            let (na2, ma2, sa2) = (a.layer_names(), a.phase_meters().to_vec(), *a.stats());
-            while let Some(f) = b.poll_transmit() {
-                frames.push((1, f.as_slice().to_vec()));
-                a.deliver_frame(f);
-            }
-            let mut replied = false;
-            while let Some(m) = a.poll_delivery() {
-                a.recycle(m);
-                replied = true;
-            }
-            fold_bracket(&mut app, &b, &nb2, &mb2, &sb2);
-            fold_bracket(&mut app, &a, &na2, &ma2, &sa2);
-            a = self.round_trip_drain(&mut worker, &mut app, a, mid + 1);
-            b = self.round_trip_drain(&mut worker, &mut app, b, mid + 2);
-            if echoed && replied {
-                round_trips += 1;
-            }
-        }
-
-        // --- shutdown: worker seals + retires; app seals; collect.
-        worker.shutdown();
-        seal_ledger(&mut app, &cost);
-        app.set_now(now);
-        let epoch = coord.advance();
-        app.publish();
-        let snapshot = coord.collect(epoch);
-        let events = snapshot.events.clone();
-
-        let mut rings = Vec::new();
-        if cfg.trace {
-            for conn in [&a, &b] {
-                if let Some(r) = conn.probe().trace_ring() {
-                    rings.push(r.clone());
-                }
-            }
-        }
-        let ring_refs: Vec<&TraceRing> = rings.iter().collect();
-        let journeys = JourneySet::reconstruct(&ring_refs);
-        debug_assert!(app_id != drain_id);
-
-        ThreadedEchoReport {
-            snapshot,
-            journeys,
-            frames,
-            round_trips,
-            cost,
-            events,
-            rings,
-        }
-    }
-
-    /// Ships `conn` through the drain thread and waits for it back —
-    /// the worker runs `process_pending` and folds the deltas into its
-    /// own domain. A full pipeline falls back to an inline drain
-    /// bracketed into the *sender's* domain (backpressure, never loss —
-    /// and the conservation story is unchanged because the fold just
-    /// lands in a different domain of the same snapshot).
-    fn round_trip_drain(
-        &self,
-        worker: &mut PostDrainWorker,
-        app: &mut TelemetryDomain,
-        conn: Box<Connection>,
-        now: Nanos,
-    ) -> Box<Connection> {
-        match worker.submit(app, conn, now) {
-            Ok(_) => worker.recv().expect("worker returns the connection").conn,
-            Err(mut conn) => {
-                let (n, m, s) = bracket_before(&conn);
-                conn.set_now(now);
-                conn.process_pending();
-                fold_bracket(app, &conn, &n, &m, &s);
-                conn
-            }
-        }
-    }
-}
-
-/// Runs the same echo inline (no second thread, same virtual clocks) —
-/// the reference image for the threaded golden-bytes gate.
-pub fn inline_echo_frames(cfg: &ThreadedEchoConfig) -> Vec<(u32, Vec<u8>)> {
-    let harness = ThreadedEcho::new(cfg.clone());
-    let mut a = harness.connect(1, 2, 0xEC_0A, 1);
-    let mut b = harness.connect(2, 1, 0xEC_0B, 2);
-    let mut frames: Vec<(u32, Vec<u8>)> = Vec::new();
-    for round in 0..cfg.rounds {
-        let now = (round + 1) * cfg.round_ns;
-        a.set_now(now);
-        b.set_now(now);
-        a.send(format!("echo request {round}").as_bytes());
-        while let Some(f) = a.poll_transmit() {
-            frames.push((0, f.as_slice().to_vec()));
-            b.deliver_frame(f);
-        }
-        while let Some(m) = b.poll_delivery() {
-            b.send(m.as_slice());
-            b.recycle(m);
-        }
-        a.set_now(now);
-        a.process_pending();
-        b.set_now(now + 1);
-        b.process_pending();
-        let mid = now + cfg.round_ns / 2;
-        a.set_now(mid);
-        b.set_now(mid);
-        while let Some(f) = b.poll_transmit() {
-            frames.push((1, f.as_slice().to_vec()));
-            a.deliver_frame(f);
-        }
-        while let Some(m) = a.poll_delivery() {
-            a.recycle(m);
-        }
-        a.set_now(mid + 1);
-        a.process_pending();
-        b.set_now(mid + 2);
-        b.process_pending();
-    }
-    frames
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{BurstPipeline, PipelineConfig, PipelineReport};
+
+    /// The instrumented two-thread echo: the pipeline at burst 1, every
+    /// post phase on the drain thread.
+    fn traced_echo(rounds: u64) -> PipelineReport {
+        BurstPipeline::run(PipelineConfig::traced(rounds, 1))
+    }
 
     #[test]
     fn drained_echo_makes_progress_and_conserves_exactly() {
-        let report = ThreadedEcho::new(ThreadedEchoConfig::traced(12)).run();
-        assert_eq!(report.round_trips, 12);
+        let report = traced_echo(12);
+        assert_eq!(report.completed, 12);
         assert!(
             report.conserves(),
             "merged ledger must conserve:\n{}",
@@ -723,7 +349,7 @@ mod tests {
     fn per_domain_ledgers_partition_the_inline_total() {
         // The merged snapshot's phase table equals the table an inline
         // single-domain run would produce: deltas partition.
-        let report = ThreadedEcho::new(ThreadedEchoConfig::traced(8)).run();
+        let report = traced_echo(8);
         let merged = report.snapshot.merged_meters();
         let total_calls: u64 = merged.iter().map(|(_, m)| m.total_calls()).sum();
         let per_domain: u64 = report
@@ -738,61 +364,11 @@ mod tests {
     }
 
     #[test]
-    fn cross_thread_journeys_complete() {
-        let report = ThreadedEcho::new(ThreadedEchoConfig::traced(20)).run();
-        assert!(!report.journeys.is_empty(), "journeys must be observed");
-        assert!(
-            report.journeys.completeness() >= 0.99,
-            "journeys incomplete: {}",
-            report.journeys.completeness()
-        );
-    }
-
-    #[test]
     fn crit_dag_is_acyclic_and_spans_both_lanes() {
-        let report = ThreadedEcho::new(ThreadedEchoConfig::traced(5)).run();
-        let dag = report.crit_dag();
+        let dag = traced_echo(5).crit_dag();
         assert!(dag.is_acyclic());
         assert!(dag.nodes.iter().any(|n| n.lane == 0));
         assert!(dag.nodes.iter().any(|n| n.lane == 2));
         assert!(!dag.critical_path().is_empty());
-    }
-
-    #[test]
-    fn all_off_threaded_run_is_byte_identical_to_inline() {
-        let cfg = ThreadedEchoConfig::all_off(10);
-        let threaded = ThreadedEcho::new(cfg.clone()).run();
-        let inline = inline_echo_frames(&cfg);
-        assert_eq!(threaded.frames, inline, "wire bytes must not change");
-        assert!(!threaded.frames.is_empty());
-    }
-
-    #[test]
-    fn full_pipeline_falls_back_to_inline_drain() {
-        let mut coord = SnapshotCoordinator::new(SketchConfig::default_scope());
-        let mut app = coord.domain("app");
-        let drain = coord.domain("drain");
-        let names: Vec<String> = StackSpec::paper()
-            .build()
-            .iter()
-            .map(|l| l.name().to_string())
-            .collect();
-        let mut worker = PostDrainWorker::spawn(drain, CostModel::paper_ml(names), 1);
-        let harness = ThreadedEcho::new(ThreadedEchoConfig::all_off(1));
-        let c1 = harness.connect(1, 2, 1, 1);
-        let c2 = harness.connect(3, 4, 2, 2);
-        let seq = worker.submit(&mut app, c1, 10).expect("first fits");
-        assert_eq!(seq, 0);
-        // Pipeline (capacity 1) is full until c1 comes back.
-        let c2 = match worker.submit(&mut app, c2, 11) {
-            Err(c) => c,
-            Ok(_) => panic!("second submit must refuse"),
-        };
-        assert_eq!(worker.in_flight(), 1);
-        let back = worker.recv().expect("c1 returns");
-        assert_eq!(back.seq, 0);
-        assert_eq!(worker.in_flight(), 0);
-        drop(c2);
-        worker.shutdown();
     }
 }

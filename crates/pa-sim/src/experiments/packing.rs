@@ -55,7 +55,7 @@ fn stream(size: usize, packing: bool) -> StreamPoint {
     sim.schedule_stream(0, 0, interval, n, size);
     sim.run_until(20_000_000_000);
     let secs = sim.now() as f64 / 1e9;
-    let frames = sim.nodes[1].conn.stats().frames_in.max(1);
+    let frames = sim.nodes[1].conns[0].stats().frames_in.max(1);
     StreamPoint {
         size,
         packing,

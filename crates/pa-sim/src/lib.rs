@@ -13,12 +13,23 @@
 //!   ~300 µs mean) under selectable policies (§5 triggers a collection
 //!   after every message reception; §6 discusses occasional collection
 //!   and explicit pools),
-//! - [`node::NodeSim`] — one host: a real [`pa_core::Connection`] (the
-//!   actual engine decides fast/slow paths; nothing about behaviour is
-//!   simulated) plus a virtual CPU that charges model costs,
-//! - [`sim::TwoNodeSim`] — two nodes over a [`pa_unet::SimNet`], with
-//!   an event queue, application behaviours (ping-pong, streaming), and
-//!   a timeline recorder for Figure 4,
+//! - [`node::NodeSim`] — the one host type: real
+//!   [`pa_core::Connection`]s (the actual engine decides fast/slow
+//!   paths; nothing about behaviour is simulated), one per peer, over
+//!   one or more virtual CPUs that charge model costs (connection `i`
+//!   on CPU `i mod M`, the §6 partition),
+//! - [`sim::World`] — hosts over a [`pa_unet::SimNet`] under one
+//!   virtual clock: the one next-event loop, the application behaviours
+//!   (echo, sink, closed loop) and the closed-loop latency ledger.
+//!   [`sim::TwoNodeSim`] is a world of two one-connection hosts plus a
+//!   timeline recorder for Figure 4 and the run's telemetry;
+//!   [`multi::ClusterSim`] is a world of N closed-loop clients and one
+//!   echoing N-connection server; [`churn::ChurnSim`] is a script of
+//!   cluster waves,
+//! - [`pipeline::BurstPipeline`] — the one real-thread driver: an echo
+//!   pair, burst at a time, posts on the [`drain::PostDrainWorker`]
+//!   thread; [`pipeline::per_packet_reference`] is the per-packet image
+//!   it is compared against,
 //! - [`experiments`] — one driver per table/figure; see EXPERIMENTS.md.
 //!
 //! The point of this design: the *protocol* is real (every frame runs
@@ -43,10 +54,7 @@ pub mod sim;
 
 pub use churn::{ChurnConfig, ChurnSim};
 pub use cost::{CostModel, Language};
-pub use drain::{
-    inline_echo_frames, DrainJob, DrainedConn, PostDrainWorker, ThreadedEcho, ThreadedEchoConfig,
-    ThreadedEchoReport,
-};
+pub use drain::{Bracket, DrainJob, DrainedConn, PostDrainWorker};
 pub use flash::{FlashConfig, FlashCrowd, FlashReport};
 pub use gc::{GcModel, GcPolicy};
 pub use metrics::{Series, Summary};
@@ -54,7 +62,7 @@ pub use multi::ClusterSim;
 pub use node::NodeSim;
 pub use node::{NodeEvent, PathHistos, PostSchedule};
 pub use pipeline::{per_packet_reference, BurstPipeline, PipelineConfig, PipelineReport};
-pub use sim::{AppBehavior, SimConfig, TimelineEvent, TwoNodeSim};
+pub use sim::{AppBehavior, SimConfig, TimelineEvent, TwoNodeSim, World};
 
 /// Virtual time in nanoseconds.
 pub type Nanos = u64;

@@ -10,164 +10,39 @@
 //! protocol stacks are independent, there will be no synchronization
 //! necessary."
 //!
-//! [`ServerSim`] holds one real [`Connection`] per client and one or
-//! more virtual CPUs; each connection is pinned to a CPU (`conn_index
-//! mod cpus`), exactly the §6 partitioning argument.
+//! [`ClusterSim`] is a [`World`] of N one-connection closed-loop client
+//! hosts and one echoing server host — the same [`crate::node::NodeSim`]
+//! every other scenario uses — holding one real connection per client
+//! over one or more virtual CPUs, each connection pinned to a CPU
+//! (`conn_index mod cpus`), exactly the §6 partitioning argument.
 
-use crate::cost::CostModel;
 use crate::gc::{GcModel, GcPolicy};
-use crate::metrics::Series;
 use crate::node::{NodeSim, PostSchedule};
-use crate::sim::SimConfig;
+use crate::sim::{AppBehavior, SimConfig, World};
 use crate::Nanos;
-use pa_core::{Connection, ConnectionParams};
-use pa_obs::{ScopeConfig, ScopeKey, ScopePlane};
-use pa_unet::{Netif, SimNet};
+use pa_core::Connection;
+use pa_obs::ScopeConfig;
+use pa_unet::SimNet;
 use pa_wire::EndpointAddr;
-use std::collections::HashMap;
 
-/// The multi-connection server host.
-pub struct ServerSim {
-    conns: Vec<Connection>,
-    by_peer: HashMap<EndpointAddr, usize>,
-    cost: CostModel,
-    gc: GcModel,
-    /// One `cpu_free_at` per processor; connection `i` runs on
-    /// `i % cpus.len()`.
-    cpus: Vec<Nanos>,
-    /// Pending post-processing wake-up per connection.
-    wakeups: Vec<Option<Nanos>>,
-    gc_due: Vec<u32>,
-    addr: EndpointAddr,
-}
-
-impl ServerSim {
-    fn new(addr: EndpointAddr, n_cpus: usize, cost: CostModel, gc: GcModel) -> ServerSim {
-        ServerSim {
-            conns: Vec::new(),
-            by_peer: HashMap::new(),
-            cost,
-            gc,
-            cpus: vec![0; n_cpus.max(1)],
-            wakeups: Vec::new(),
-            gc_due: Vec::new(),
-            addr,
-        }
-    }
-
-    fn add_conn(&mut self, conn: Connection) {
-        self.by_peer.insert(conn.peer_addr(), self.conns.len());
-        self.conns.push(conn);
-        self.wakeups.push(None);
-        self.gc_due.push(0);
-    }
-
-    fn cpu_of(&self, conn_idx: usize) -> usize {
-        conn_idx % self.cpus.len()
-    }
-
-    fn charge(&mut self, conn_idx: usize, t: Nanos, before: pa_core::ConnStats) -> Nanos {
-        let after = *self.conns[conn_idx].stats();
-        let cost = crate::node::price_delta(&self.cost, &before, &after);
-        let cpu = self.cpu_of(conn_idx);
-        let start = t.max(self.cpus[cpu]);
-        self.cpus[cpu] = start + cost;
-        self.cpus[cpu]
-    }
-
-    fn flush(&mut self, conn_idx: usize, net: &mut SimNet) {
-        let at = self.cpus[self.cpu_of(conn_idx)];
-        let addr = self.addr;
-        let peer = self.conns[conn_idx].peer_addr();
-        while let Some(f) = self.conns[conn_idx].poll_transmit() {
-            net.send(addr, peer, f, at);
-        }
-    }
-
-    /// Handles a client frame: deliver, echo every message, schedule
-    /// post-processing on this connection's CPU.
-    fn on_frame(&mut self, t: Nanos, from: EndpointAddr, frame: pa_buf::Msg, net: &mut SimNet) {
-        let Some(&idx) = self.by_peer.get(&from) else {
-            return;
-        };
-        let cpu = self.cpu_of(idx);
-        let start = t.max(self.cpus[cpu]);
-        self.conns[idx].set_now(start);
-        let before = *self.conns[idx].stats();
-        self.conns[idx].deliver_frame(frame);
-        let done = self.charge(idx, start, before);
-        self.gc_due[idx] += 1;
-
-        // Echo all deliveries.
-        let mut replies = Vec::new();
-        while let Some(m) = self.conns[idx].poll_delivery() {
-            replies.push(m);
-        }
-        for m in replies {
-            let before = *self.conns[idx].stats();
-            self.conns[idx].send(m.as_slice());
-            self.charge(idx, done, before);
-            // Echo issued from the delivery buffer; recycle it (§6).
-            self.conns[idx].recycle(m);
-        }
-        self.flush(idx, net);
-        if self.wakeups[idx].is_none() {
-            self.wakeups[idx] = Some(self.cpus[cpu]);
-        }
-    }
-
-    fn run_wakeup(&mut self, idx: usize, t: Nanos, net: &mut SimNet) {
-        self.wakeups[idx] = None;
-        let cpu = self.cpu_of(idx);
-        let start = t.max(self.cpus[cpu]);
-        let before = *self.conns[idx].stats();
-        self.conns[idx].process_pending();
-        self.charge(idx, start, before);
-        self.flush(idx, net);
-        for _ in 0..std::mem::take(&mut self.gc_due[idx]) {
-            if let Some(pause) = self.gc.on_reception() {
-                self.cpus[cpu] += pause;
-            }
-        }
-        if self.conns[idx].has_pending()
-            || (self.conns[idx].backlog_len() > 0 && self.conns[idx].send_prediction().enabled())
-        {
-            self.wakeups[idx] = Some(self.cpus[cpu]);
-        }
-    }
-
-    fn next_wakeup(&self) -> Option<(usize, Nanos)> {
-        self.wakeups
-            .iter()
-            .enumerate()
-            .filter_map(|(i, w)| w.map(|t| (i, t)))
-            .min_by_key(|&(_, t)| t)
-    }
-}
-
-/// One server, N closed-loop clients.
+/// One server, N closed-loop clients: nodes `0..N` are the clients,
+/// node `N` the server. Pooled and per-client round-trip latencies are
+/// the world's `rtt` and `rtt_by_node`.
 pub struct ClusterSim {
-    /// The server.
-    pub server: ServerSim,
-    /// The clients (NodeSim each, closed-loop driven by the cluster).
-    pub clients: Vec<NodeSim>,
-    /// The shared network.
-    pub net: SimNet,
-    clock: Nanos,
-    remaining: Vec<u64>,
-    next_id: u64,
-    sent_at: HashMap<u64, (Nanos, usize)>,
-    /// Completed request latencies (all clients pooled).
-    pub rtt: Series,
-    /// Completed request latencies per client — the per-connection
-    /// ground truth the scope plane's sketches roll up.
-    pub rtt_by_client: Vec<Series>,
-    /// Total completed requests.
-    pub completed: u64,
-    /// The pa-scope roll-up plane, if attached: one series per client
-    /// connection, rolled up per server CPU (the §6 partitioning) and
-    /// into one cluster sketch.
-    scope: Option<(ScopePlane, Vec<ScopeKey>)>,
+    world: World,
+}
+
+impl std::ops::Deref for ClusterSim {
+    type Target = World;
+    fn deref(&self) -> &World {
+        &self.world
+    }
+}
+
+impl std::ops::DerefMut for ClusterSim {
+    fn deref_mut(&mut self) -> &mut World {
+        &mut self.world
+    }
 }
 
 impl ClusterSim {
@@ -175,63 +50,32 @@ impl ClusterSim {
     /// processors, everything from `cfg` (stack, PA config, costs, GC).
     pub fn new(cfg: &SimConfig, n_clients: usize, n_cpus: usize) -> ClusterSim {
         let server_addr = EndpointAddr::from_parts(1000, 7);
-        let names: Vec<String> = cfg
-            .stack
-            .build()
-            .iter()
-            .map(|l| l.name().to_string())
-            .collect();
-        let mk_cost = || {
-            let mut c = (cfg.cost)(names.clone());
-            c.baseline_framework = cfg.baseline;
-            c.compiled_filter = cfg.compiled_filter;
-            c
-        };
-        let mut server = ServerSim::new(
-            server_addr,
-            n_cpus,
-            mk_cost(),
-            GcModel::paper(cfg.gc[1], 4242),
-        );
-        let mut clients = Vec::new();
-        for k in 0..n_clients {
-            let caddr = EndpointAddr::from_parts(1 + k as u64, 7);
-            server.add_conn(
-                Connection::new(
-                    cfg.stack.build(),
-                    cfg.pa,
-                    ConnectionParams::new(server_addr, caddr, 5000 + k as u64),
+        let client_addr = |k: usize| EndpointAddr::from_parts(1 + k as u64, 7);
+        let mut nodes: Vec<NodeSim> = (0..n_clients)
+            .map(|k| {
+                cfg.host(
+                    client_addr(k),
+                    &[(server_addr, 6000 + k as u64)],
+                    1,
+                    GcModel::paper(cfg.gc[0], 7000 + k as u64),
+                    PostSchedule::WhenIdle,
                 )
-                .expect("valid stack"),
-            );
-            let conn = Connection::new(
-                cfg.stack.build(),
-                cfg.pa,
-                ConnectionParams::new(caddr, server_addr, 6000 + k as u64),
-            )
-            .expect("valid stack");
-            let mut node = NodeSim::new(
-                conn,
-                mk_cost(),
-                GcModel::paper(cfg.gc[0], 7000 + k as u64),
-                PostSchedule::WhenIdle,
-            );
-            node.record_log = false;
-            clients.push(node);
-        }
-        ClusterSim {
-            server,
-            clients,
-            net: SimNet::new(cfg.profile, cfg.faults),
-            clock: 0,
-            remaining: vec![0; n_clients],
-            next_id: 1,
-            sent_at: HashMap::new(),
-            rtt: Series::new(),
-            rtt_by_client: (0..n_clients).map(|_| Series::new()).collect(),
-            completed: 0,
-            scope: None,
-        }
+            })
+            .collect();
+        let peers: Vec<_> = (0..n_clients)
+            .map(|k| (client_addr(k), 5000 + k as u64))
+            .collect();
+        nodes.push(cfg.host(
+            server_addr,
+            &peers,
+            n_cpus,
+            GcModel::paper(cfg.gc[1], 4242),
+            PostSchedule::AfterReply,
+        ));
+        let mut world = World::new(nodes, SimNet::new(cfg.profile, cfg.faults), None);
+        world.set_logging(false);
+        world.set_behavior(n_clients, AppBehavior::Echo);
+        ClusterSim { world }
     }
 
     /// Attaches a pa-scope roll-up plane: every client connection gets
@@ -240,23 +84,22 @@ impl ClusterSim {
     /// Clients beyond the plane's slot budget degrade explicitly into
     /// the overflow series — counted, never silently dropped.
     pub fn attach_scope(&mut self, cfg: ScopeConfig) {
-        let n_cpus = self.server.cpus.len();
-        let mut plane = ScopePlane::new(cfg);
-        let keys = (0..self.clients.len())
-            .map(|k| plane.register(&format!("cpu{}", k % n_cpus), &format!("client{k:04}")))
+        let n_cpus = self.nodes[self.nodes.len() - 1].n_cpus();
+        let series: Vec<_> = (0..self.clients().len())
+            .map(|k| (format!("cpu{}", k % n_cpus), format!("client{k:04}")))
             .collect();
-        self.scope = Some((plane, keys));
+        self.world.attach_scope_series(cfg, &series);
     }
 
-    /// The attached scope plane, if any.
-    pub fn scope_plane(&self) -> Option<&ScopePlane> {
-        self.scope.as_ref().map(|(p, _)| p)
+    /// The client hosts, one connection each.
+    pub fn clients(&self) -> &[NodeSim] {
+        &self.nodes[..self.nodes.len() - 1]
     }
 
     /// The server-side connections, one per client (ledger checks,
     /// reject/attribution aggregation).
     pub fn server_conns(&self) -> &[Connection] {
-        &self.server.conns
+        &self.nodes[self.nodes.len() - 1].conns
     }
 
     /// Convenience: the paper's config with occasional GC (the §6
@@ -267,119 +110,20 @@ impl ClusterSim {
         cfg
     }
 
-    /// The current virtual time.
-    pub fn now(&self) -> Nanos {
-        self.clock
-    }
-
-    fn client_send(&mut self, k: usize, t: Nanos) {
-        let id = self.next_id;
-        self.next_id += 1;
-        let mut payload = vec![0u8; 8];
-        payload.copy_from_slice(&id.to_be_bytes());
-        self.sent_at
-            .insert(id, (t.max(self.clients[k].cpu_free_at), k));
-        let local = self.clients[k].addr();
-        self.clients[k].app_send(t, &payload, &mut self.net, local);
-    }
-
-    /// Accounts for RPC responses delivered to client `k` — whether
-    /// they surfaced on frame arrival or from a backlog drain during a
-    /// wakeup — and issues the next closed-loop request.
-    fn client_deliveries(&mut self, k: usize, done: Nanos, delivered: Vec<pa_buf::Msg>) {
-        for m in delivered {
-            let id = m
-                .get(0, 8)
-                .map(|b| u64::from_be_bytes(b.try_into().expect("8 bytes")))
-                .unwrap_or(0);
-            if let Some((t0, origin)) = self.sent_at.remove(&id) {
-                debug_assert_eq!(origin, k);
-                self.rtt.push_nanos(done - t0);
-                self.rtt_by_client[k].push_nanos(done - t0);
-                if let Some((plane, keys)) = &mut self.scope {
-                    let conn = &self.clients[k].conn;
-                    let journey = conn.last_recv_trace().map(|(j, _)| j).unwrap_or(0);
-                    plane.record(
-                        keys[k],
-                        done - t0,
-                        done,
-                        journey,
-                        conn.last_deliver_explain(),
-                    );
-                }
-                self.completed += 1;
-                if self.remaining[k] > 0 {
-                    self.remaining[k] -= 1;
-                    self.client_send(k, done);
-                }
-            }
-            self.clients[k].recycle(m);
-        }
-    }
-
     /// Runs `per_client` closed-loop requests on every client.
     pub fn run(&mut self, per_client: u64, horizon: Nanos) {
-        for k in 0..self.clients.len() {
-            self.remaining[k] = per_client.saturating_sub(1);
-            self.client_send(k, 0);
+        for k in 0..self.clients().len() {
+            self.world.arm_client(k, per_client, 8, 0);
         }
-        loop {
-            let mut t_next = Nanos::MAX;
-            if let Some(t) = self.net.next_arrival_at() {
-                t_next = t_next.min(t);
-            }
-            for c in &self.clients {
-                if let Some(w) = c.wakeup_at {
-                    t_next = t_next.min(w);
-                }
-            }
-            if let Some((_, w)) = self.server.next_wakeup() {
-                t_next = t_next.min(w);
-            }
-            if t_next == Nanos::MAX {
-                break;
-            }
-            if t_next > horizon {
-                self.clock = horizon;
-                break;
-            }
-            self.clock = self.clock.max(t_next);
-            let now = self.clock;
-
-            while let Some(arr) = self.net.poll_arrival(now) {
-                if arr.to == self.server.addr {
-                    self.server
-                        .on_frame(arr.at, arr.from, arr.frame, &mut self.net);
-                } else {
-                    let k = (arr.to.host_id() - 1) as usize;
-                    let local = self.clients[k].addr();
-                    let (done, delivered) =
-                        self.clients[k].on_frame(arr.at, arr.frame, &mut self.net, local);
-                    self.client_deliveries(k, done, delivered);
-                }
-            }
-            for k in 0..self.clients.len() {
-                if self.clients[k].wakeup_at.is_some_and(|w| w <= now) {
-                    let local = self.clients[k].addr();
-                    let (done, delivered) = self.clients[k].run_wakeup(now, &mut self.net, local);
-                    self.client_deliveries(k, done, delivered);
-                }
-            }
-            while let Some((idx, w)) = self.server.next_wakeup() {
-                if w > now {
-                    break;
-                }
-                self.server.run_wakeup(idx, now, &mut self.net);
-            }
-        }
+        self.world.run_until(horizon);
     }
 
     /// Total completed requests per second of virtual time.
     pub fn rate(&self) -> f64 {
-        if self.clock == 0 {
+        if self.now() == 0 {
             return 0.0;
         }
-        self.completed as f64 / (self.clock as f64 / 1e9)
+        self.round_trips as f64 / (self.now() as f64 / 1e9)
     }
 }
 
@@ -397,7 +141,7 @@ mod tests {
     #[test]
     fn single_client_matches_two_node_rate() {
         let c = run_cluster(1, 1, 300);
-        assert_eq!(c.completed, 300);
+        assert_eq!(c.round_trips, 300);
         assert!((4_000.0..=7_000.0).contains(&c.rate()), "{}", c.rate());
     }
 
@@ -407,7 +151,7 @@ mod tests {
         // than 6000 requests per second total."
         let one = run_cluster(1, 1, 200);
         let four = run_cluster(4, 1, 200);
-        assert_eq!(four.completed, 800);
+        assert_eq!(four.round_trips, 800);
         assert!(
             four.rate() < one.rate() * 1.6,
             "4 clients: {} vs 1 client: {} — no magic capacity",
@@ -433,10 +177,10 @@ mod tests {
     #[test]
     fn every_request_answered_under_load() {
         let c = run_cluster(8, 2, 100);
-        assert_eq!(c.completed, 800);
+        assert_eq!(c.round_trips, 800);
         assert_eq!(c.rtt.len(), 800);
-        assert_eq!(c.rtt_by_client.len(), 8);
-        assert!(c.rtt_by_client.iter().all(|s| s.len() == 100));
+        assert_eq!(c.clients().len(), 8);
+        assert!(c.rtt_by_node[..8].iter().all(|s| s.len() == 100));
     }
 
     #[test]
@@ -445,7 +189,7 @@ mod tests {
         let mut c = ClusterSim::new(&cfg, 8, 2);
         c.attach_scope(ScopeConfig::default());
         c.run(50, 30_000_000_000);
-        assert_eq!(c.completed, 400);
+        assert_eq!(c.round_trips, 400);
         let plane = c.scope_plane().expect("attached");
         assert_eq!(plane.records(), 400);
         assert_eq!(plane.cluster().sketch().count(), 400);
@@ -455,7 +199,7 @@ mod tests {
         // its sketch count matches its exact per-client series.
         for k in 0..8 {
             let s = plane.conn(&format!("client{k:04}")).expect("dedicated");
-            assert_eq!(s.sketch().count() as usize, c.rtt_by_client[k].len());
+            assert_eq!(s.sketch().count() as usize, c.rtt_by_node[k].len());
         }
         // The plane's cluster max is the same sample the pooled exact
         // series saw (sketches keep exact min/max).

@@ -29,14 +29,13 @@
 //!   still conserves by exact `==`.
 
 use crate::cost::CostModel;
-use crate::drain::{seal_ledger, PostDrainWorker};
+use crate::drain::{seal_ledger, Bracket, PostDrainWorker};
 use crate::Nanos;
 use pa_buf::Msg;
 use pa_core::{ConnStats, Connection, ConnectionParams, PaConfig, SendOutcome};
-use pa_obs::domain::{DomainCounter, TelemetryDomain};
-use pa_obs::{
-    GlobalSnapshot, JourneySet, PhaseMeter, ProbeSink, SketchConfig, SnapshotCoordinator, TraceRing,
-};
+use pa_obs::critpath::{CritDag, CritNode, WorkClass};
+use pa_obs::domain::{DomainCounter, DomainEventKind, TelemetryDomain};
+use pa_obs::{GlobalSnapshot, JourneySet, ProbeSink, SketchConfig, SnapshotCoordinator, TraceRing};
 use pa_stack::StackSpec;
 use pa_wire::EndpointAddr;
 use std::collections::VecDeque;
@@ -186,6 +185,65 @@ impl PipelineReport {
         }
     }
 
+    /// The cross-thread critical-path DAG: handoff and drain events as
+    /// nodes (application thread on lane 0, drain thread on lane 2 —
+    /// its own Perfetto track), `HandoffSent → HandoffReceived` and
+    /// `DrainStart → DrainDone` happens-before edges stitching the two
+    /// threads.
+    pub fn crit_dag(&self) -> CritDag {
+        let mut dag = CritDag::new();
+        let mut sent: Vec<(u64, usize)> = Vec::new();
+        let mut started: Vec<(u64, usize)> = Vec::new();
+        let mut last_on_lane: [Option<usize>; 2] = [None, None];
+        for ev in &self.snapshot.events {
+            let (label, lane, class) = match ev.kind {
+                DomainEventKind::HandoffSent { job } => {
+                    (format!("handoff/{job}"), 0u32, WorkClass::OnPath)
+                }
+                DomainEventKind::HandoffReceived { job } => {
+                    (format!("pickup/{job}"), 2, WorkClass::Masked)
+                }
+                DomainEventKind::DrainStart { job } => {
+                    (format!("drain/{job}"), 2, WorkClass::Masked)
+                }
+                DomainEventKind::DrainDone { job, .. } => {
+                    (format!("drained/{job}"), 2, WorkClass::Masked)
+                }
+                DomainEventKind::Published { .. } => continue,
+            };
+            let idx = dag.node(CritNode {
+                label,
+                host: 0,
+                lane,
+                class,
+                start: ev.at,
+                dur: 1,
+            });
+            // Program order within each thread.
+            let lane_slot = if lane == 0 { 0 } else { 1 };
+            if let Some(prev) = last_on_lane[lane_slot] {
+                dag.edge(prev, idx);
+            }
+            last_on_lane[lane_slot] = Some(idx);
+            match ev.kind {
+                DomainEventKind::HandoffSent { job } => sent.push((job, idx)),
+                DomainEventKind::HandoffReceived { job } => {
+                    if let Some(&(_, s)) = sent.iter().find(|(j, _)| *j == job) {
+                        dag.edge(s, idx);
+                    }
+                }
+                DomainEventKind::DrainStart { job } => started.push((job, idx)),
+                DomainEventKind::DrainDone { job, .. } => {
+                    if let Some(&(_, s)) = started.iter().find(|(j, _)| *j == job) {
+                        dag.edge(s, idx);
+                    }
+                }
+                DomainEventKind::Published { .. } => {}
+            }
+        }
+        dag
+    }
+
     /// Achieved frames per wire flush (the batching the engine actually
     /// saw, as opposed to the configured burst).
     pub fn batching_factor(&self) -> f64 {
@@ -218,7 +276,9 @@ enum Side {
 ///
 /// Call [`BurstPipeline::step`] once per round (benchmarks time exactly
 /// this) and [`BurstPipeline::finish`] to quiesce, seal the ledgers and
-/// collect the merged report.
+/// collect the merged report. Both run the one round body; at burst 1
+/// with `threaded_post` this is the instrumented two-thread echo
+/// (`PipelineConfig::traced(n, 1)`).
 #[derive(Debug)]
 pub struct BurstPipeline {
     cfg: PipelineConfig,
@@ -230,11 +290,8 @@ pub struct BurstPipeline {
     b: Option<Box<Connection>>,
     a_seq: Option<u64>,
     b_seq: Option<u64>,
-    // Reusable bracketing scratch (the app-thread side of the PR 8
-    // discipline, minus the per-call allocations).
-    names: Vec<&'static str>,
-    meters_before: Vec<PhaseMeter>,
-    stats_before: ConnStats,
+    // The app-thread side of the PR 8 bracketing discipline.
+    bracket: Bracket,
     // Reusable burst scratch: frames in flight and delivered messages.
     wire: Vec<Msg>,
     msgs: Vec<Msg>,
@@ -253,6 +310,17 @@ pub struct BurstPipeline {
     burst_frames: u64,
     rounds_done: u64,
     now: Nanos,
+}
+
+/// What still sits in `conn` — for the did-not-quiesce panics.
+fn pending(who: &str, conn: &Connection) -> String {
+    format!(
+        "{who}: backlog {}, post work {}, frames {}, deliveries {}",
+        conn.backlog_len(),
+        conn.has_pending(),
+        conn.has_transmit(),
+        conn.has_delivery()
+    )
 }
 
 fn connect(
@@ -320,9 +388,7 @@ impl BurstPipeline {
             b: Some(b),
             a_seq: None,
             b_seq: None,
-            names: Vec::new(),
-            meters_before: Vec::new(),
-            stats_before: ConnStats::default(),
+            bracket: Bracket::default(),
             wire: Vec::with_capacity(cfg.burst.max(1) * 2),
             msgs: Vec::with_capacity(cfg.burst.max(1) * 2),
             payload,
@@ -353,27 +419,21 @@ impl BurstPipeline {
     }
 
     fn bracket(&mut self, conn: &Connection) {
-        if !self.cfg.telemetry {
-            return;
+        if self.cfg.telemetry {
+            self.bracket.open(conn);
         }
-        self.meters_before.clear();
-        self.meters_before.extend_from_slice(conn.phase_meters());
-        if self.names.len() != self.meters_before.len() {
-            self.names = conn.layer_names();
-        }
-        self.stats_before = *conn.stats();
     }
 
     fn fold(&mut self, conn: &Connection) {
-        if !self.cfg.telemetry {
-            return;
+        if self.cfg.telemetry {
+            self.bracket.fold(&mut self.app, conn);
         }
-        for (i, m) in conn.phase_meters().iter().enumerate() {
-            self.app
-                .absorb_meter(self.names[i], &m.delta_since(&self.meters_before[i]));
-        }
-        for (name, v) in conn.stats().delta(&self.stats_before).fields() {
-            self.app.add_stat("conn", name, v);
+    }
+
+    fn slot(&mut self, side: Side) -> &mut Option<Box<Connection>> {
+        match side {
+            Side::A => &mut self.a,
+            Side::B => &mut self.b,
         }
     }
 
@@ -403,23 +463,16 @@ impl BurstPipeline {
         conn.set_now(now);
         conn.process_pending();
         self.fold(&conn);
-        match side {
-            Side::A => self.a = Some(conn),
-            Side::B => self.b = Some(conn),
-        }
+        *self.slot(side) = Some(conn);
     }
 
-    /// Waits until `side`'s connection is back in hand (drained
-    /// connections can come back in either order; route by sequence
-    /// number).
-    fn ensure(&mut self, side: Side) {
+    /// Takes `side`'s connection in hand, waiting for the drain thread
+    /// to return it if need be (drained connections can come back in
+    /// either order; route by sequence number).
+    fn take(&mut self, side: Side) -> Box<Connection> {
         loop {
-            let have = match side {
-                Side::A => self.a.is_some(),
-                Side::B => self.b.is_some(),
-            };
-            if have {
-                return;
+            if let Some(conn) = self.slot(side).take() {
+                return conn;
             }
             let worker = self
                 .worker
@@ -438,69 +491,93 @@ impl BurstPipeline {
         }
     }
 
-    fn capture(&mut self, sender: u32) {
-        if !self.cfg.capture_frames {
-            return;
+    /// Ends one leg of a round for `conn`: closes its bracket, flushes
+    /// what it queued to the wire as `wire_from` (the reply leg has
+    /// nothing to flush) and hands its post phases on. A live round
+    /// dispatches them *behind* the flush, to overlap the other
+    /// endpoint's pre work; a quiescing round runs them inline *ahead*
+    /// of it, so what they release (packed backlogs, §3.4) leaves in
+    /// this pass. Returns the frames flushed.
+    fn end_leg(
+        &mut self,
+        mut conn: Box<Connection>,
+        side: Side,
+        posts_at: Nanos,
+        live: bool,
+        wire_from: Option<u32>,
+    ) -> usize {
+        if !live {
+            conn.set_now(posts_at);
+            conn.process_pending();
         }
-        for f in &self.wire {
-            self.frames.push((sender, f.as_slice().to_vec()));
+        self.fold(&conn);
+        let mut flushed = 0;
+        if let Some(sender) = wire_from {
+            flushed = conn.poll_transmit_burst(usize::MAX, &mut self.wire);
+            if self.cfg.capture_frames {
+                for f in &self.wire {
+                    self.frames.push((sender, f.as_slice().to_vec()));
+                }
+            }
+            if live {
+                self.bursts += 1;
+                self.burst_frames += flushed as u64;
+                if self.cfg.telemetry {
+                    self.app.bump(DomainCounter::Bursts);
+                    self.app.add(DomainCounter::BurstFrames, flushed as u64);
+                }
+            }
         }
+        if live {
+            self.dispatch(conn, posts_at, side);
+        } else {
+            *self.slot(side) = Some(conn);
+        }
+        flushed
     }
 
-    fn note_burst(&mut self, n: usize) {
-        self.bursts += 1;
-        self.burst_frames += n as u64;
-        if self.cfg.telemetry {
-            self.app.bump(DomainCounter::Bursts);
-            self.app.add(DomainCounter::BurstFrames, n as u64);
-        }
-    }
-
-    /// One burst round. The steady state allocates nothing: scratch
-    /// vectors, bracketing buffers and the drain rings are all reused.
-    ///
-    /// Within the round, posts overlap the other endpoint's pre work:
-    /// the requester's post drain runs while the echoer delivers and
-    /// echoes, and the echoer's drain runs while the requester takes
-    /// its replies.
-    pub fn step(&mut self) {
-        let k = self.cfg.burst.max(1);
-        let now = (self.rounds_done + 1) * self.cfg.round_ns;
-        self.now = now;
+    /// The round body: request → echo → reply. A `live` round offers a
+    /// burst and pipelines the posts — the requester's post drain runs
+    /// while the echoer delivers and echoes, and the echoer's runs
+    /// while the requester takes its replies; a quiescing round offers
+    /// nothing and drains inline. Returns how many frames + messages
+    /// moved. The steady state allocates nothing: scratch vectors, the
+    /// bracket and the drain rings are all reused.
+    fn round(&mut self, live: bool) -> usize {
+        self.now += self.cfg.round_ns;
+        let now = self.now;
         if self.cfg.telemetry {
             self.app.set_now(now);
         }
 
         // --- requester pre: offer a burst, flush it to the wire.
-        self.ensure(Side::A);
-        let mut a = self.a.take().expect("ensured");
+        let mut a = self.take(Side::A);
         self.bracket(&a);
         a.set_now(now);
-        a.prepare_burst(k);
-        for _ in 0..k {
-            if self.cfg.measure_wall {
-                self.offered_at.push_back(Instant::now());
+        if live {
+            let k = self.cfg.burst.max(1);
+            a.prepare_burst(k);
+            for _ in 0..k {
+                if self.cfg.measure_wall {
+                    self.offered_at.push_back(Instant::now());
+                }
+                match a.send(&self.payload) {
+                    SendOutcome::FastPath => self.fast_sends += 1,
+                    SendOutcome::Queued => self.queued_sends += 1,
+                    _ => {}
+                }
+                self.offered += 1;
             }
-            match a.send(&self.payload) {
-                SendOutcome::FastPath => self.fast_sends += 1,
-                SendOutcome::Queued => self.queued_sends += 1,
-                _ => {}
-            }
-            self.offered += 1;
         }
-        self.fold(&a);
-        let n = a.poll_transmit_burst(usize::MAX, &mut self.wire);
-        self.capture(0);
-        self.note_burst(n);
-        self.dispatch(a, now, Side::A); // posts overlap the echoer's pre work
+        let mut moved = self.end_leg(a, Side::A, now, live, Some(0));
 
         // --- echoer pre: deliver the burst, echo every message.
-        self.ensure(Side::B);
-        let mut b = self.b.take().expect("ensured");
+        let mut b = self.take(Side::B);
         self.bracket(&b);
         b.set_now(now);
         let rep = b.deliver_burst(&mut self.wire);
         self.dropped += rep.dropped as u64;
+        moved += rep.msgs;
         let got = b.poll_delivery_burst(usize::MAX, &mut self.msgs);
         b.prepare_burst(got);
         for m in self.msgs.drain(..) {
@@ -508,23 +585,19 @@ impl BurstPipeline {
             self.echoed += 1;
             b.recycle(m);
         }
-        self.fold(&b);
-        let n = b.poll_transmit_burst(usize::MAX, &mut self.wire);
-        self.capture(1);
-        self.note_burst(n);
-        self.dispatch(b, now + 1, Side::B); // posts overlap the reply leg
+        moved += self.end_leg(b, Side::B, now + 1, live, Some(1));
 
         // --- requester: take the replies.
         let mid = now + self.cfg.round_ns / 2;
         if self.cfg.telemetry {
             self.app.set_now(mid);
         }
-        self.ensure(Side::A);
-        let mut a = self.a.take().expect("ensured");
+        let mut a = self.take(Side::A);
         self.bracket(&a);
         a.set_now(mid);
         let rep = a.deliver_burst(&mut self.wire);
         self.dropped += rep.dropped as u64;
+        moved += rep.msgs;
         a.poll_delivery_burst(usize::MAX, &mut self.msgs);
         for m in self.msgs.drain(..) {
             if self.cfg.measure_wall {
@@ -535,9 +608,13 @@ impl BurstPipeline {
             self.completed += 1;
             a.recycle(m);
         }
-        self.fold(&a);
-        self.dispatch(a, mid + 1, Side::A);
+        self.end_leg(a, Side::A, mid + 1, live, None);
+        moved
+    }
 
+    /// One burst round (benchmarks time exactly this).
+    pub fn step(&mut self) {
+        self.round(true);
         self.rounds_done += 1;
         if self.cfg.telemetry {
             // One flush decision per burst, not per message.
@@ -545,83 +622,32 @@ impl BurstPipeline {
         }
     }
 
-    /// One inline quiescing pass: drain backlogs (packing them, §3.4),
-    /// move whatever is on the wire, take replies. Returns how many
-    /// frames + messages moved.
-    fn quiesce_pass(&mut self) -> usize {
-        self.now += self.cfg.round_ns;
-        let now = self.now;
-        if self.cfg.telemetry {
-            self.app.set_now(now);
-        }
-        let mut moved = 0usize;
-
-        let mut a = self.a.take().expect("quiesce holds both conns");
-        self.bracket(&a);
-        a.set_now(now);
-        a.process_pending();
-        self.fold(&a);
-        moved += a.poll_transmit_burst(usize::MAX, &mut self.wire);
-        self.capture(0);
-
-        let mut b = self.b.take().expect("quiesce holds both conns");
-        self.bracket(&b);
-        b.set_now(now);
-        let rep = b.deliver_burst(&mut self.wire);
-        self.dropped += rep.dropped as u64;
-        moved += rep.msgs;
-        let got = b.poll_delivery_burst(usize::MAX, &mut self.msgs);
-        b.prepare_burst(got);
-        for m in self.msgs.drain(..) {
-            b.send(m.as_slice());
-            self.echoed += 1;
-            b.recycle(m);
-        }
-        b.set_now(now + 1);
-        b.process_pending();
-        self.fold(&b);
-        moved += b.poll_transmit_burst(usize::MAX, &mut self.wire);
-        self.capture(1);
-        self.b = Some(b);
-
-        let mid = now + self.cfg.round_ns / 2;
-        self.bracket(&a);
-        a.set_now(mid);
-        let rep = a.deliver_burst(&mut self.wire);
-        self.dropped += rep.dropped as u64;
-        moved += rep.msgs;
-        a.poll_delivery_burst(usize::MAX, &mut self.msgs);
-        for m in self.msgs.drain(..) {
-            if self.cfg.measure_wall {
-                if let Some(t) = self.offered_at.pop_front() {
-                    self.latencies_ns.push(t.elapsed().as_nanos() as u64);
-                }
-            }
-            self.completed += 1;
-            a.recycle(m);
-        }
-        a.set_now(mid + 1);
-        a.process_pending();
-        self.fold(&a);
-        self.a = Some(a);
-        moved
-    }
-
     /// Quiesces the pipeline (messages still windowed/backlogged get
     /// packed, flushed and delivered), seals both domains' ledger
     /// shards, and collects the epoch-consistent merged report.
+    ///
+    /// # Panics
+    /// If 256 quiescing rounds do not bring the pair to rest — a
+    /// partial run is never reported as a complete one.
     pub fn finish(mut self) -> PipelineReport {
-        self.ensure(Side::A);
-        self.ensure(Side::B);
-        let mut idle_passes = 0u32;
-        let mut guard = 0u32;
-        while idle_passes < 2 && guard < 256 {
-            guard += 1;
-            if self.quiesce_pass() == 0 {
-                idle_passes += 1;
-            } else {
-                idle_passes = 0;
+        let (mut idle_passes, mut passes) = (0, 0);
+        while idle_passes < 2 {
+            if passes == 256 {
+                let (a, b) = (self.take(Side::A), self.take(Side::B));
+                panic!(
+                    "pipeline did not quiesce in {passes} rounds: {} of {} offers completed; {}; {}",
+                    self.completed,
+                    self.offered,
+                    pending("requester", &a),
+                    pending("echoer", &b)
+                );
             }
+            passes += 1;
+            idle_passes = if self.round(false) == 0 {
+                idle_passes + 1
+            } else {
+                0
+            };
         }
 
         if let Some(worker) = self.worker.as_mut() {
@@ -633,8 +659,7 @@ impl BurstPipeline {
         self.app.publish();
         let snapshot = self.coord.collect(epoch);
 
-        let a = self.a.take().expect("quiesced");
-        let b = self.b.take().expect("quiesced");
+        let (a, b) = (self.take(Side::A), self.take(Side::B));
         let mut rings: Vec<TraceRing> = Vec::new();
         if self.cfg.trace {
             for conn in [&a, &b] {
@@ -682,8 +707,10 @@ impl BurstPipeline {
 /// points (`send` / `poll_transmit` / `deliver_frame` / `poll_delivery`
 /// / `process_pending`), with the exact clock schedule and operation
 /// order of a [`BurstPipeline`] at burst 1 with inline posts — the
-/// reference image for the burst=1 identity gate. Returns the captured
-/// wire frames and both endpoints' final counters.
+/// single reference image: the burst=1 identity gate, the threaded
+/// all-off wire identity and `--bench throughput` all compare the
+/// pipeline against it, so it shares none of the pipeline's code.
+/// Returns the captured wire frames and both endpoints' final counters.
 pub fn per_packet_reference(cfg: &PipelineConfig) -> (Vec<(u32, Vec<u8>)>, ConnStats, ConnStats) {
     let mut a = connect(cfg, 1, 2, 0xEC_0A, 1);
     let mut b = connect(cfg, 2, 1, 0xEC_0B, 2);
@@ -749,16 +776,21 @@ pub fn per_packet_reference(cfg: &PipelineConfig) -> (Vec<(u32, Vec<u8>)>, ConnS
         now = (round + 1) * cfg.round_ns;
         pass(&mut a, &mut b, &mut frames, &mut wire, now, true);
     }
-    let mut idle_passes = 0u32;
-    let mut guard = 0u32;
-    while idle_passes < 2 && guard < 256 {
-        guard += 1;
+    let (mut idle_passes, mut passes) = (0, 0);
+    while idle_passes < 2 {
+        assert!(
+            passes < 256,
+            "reference did not quiesce in {passes} rounds: {}; {}",
+            pending("requester", &a),
+            pending("echoer", &b)
+        );
+        passes += 1;
         now += cfg.round_ns;
-        if pass(&mut a, &mut b, &mut frames, &mut wire, now, false) == 0 {
-            idle_passes += 1;
+        idle_passes = if pass(&mut a, &mut b, &mut frames, &mut wire, now, false) == 0 {
+            idle_passes + 1
         } else {
-            idle_passes = 0;
-        }
+            0
+        };
     }
     (frames, *a.stats(), *b.stats())
 }

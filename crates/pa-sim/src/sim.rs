@@ -1,11 +1,14 @@
-//! The two-node experiment driver.
+//! The virtual-time experiment driver.
 //!
-//! Two [`NodeSim`]s over one [`SimNet`], with a global virtual clock, a
-//! queue of application events (workload generators schedule sends), and
-//! built-in behaviours: an **echo** responder (the §5 round-trip
-//! server), a **sink** (one-way streaming receiver), and a
-//! **closed-loop** client (sends the next request the moment the reply
-//! lands — the saturated, dashed-line case of Figure 4).
+//! A [`World`] is [`NodeSim`]s over one [`SimNet`], with a global
+//! virtual clock, the one next-event loop ([`World::step`]), a queue of
+//! application events (workload generators schedule sends), and built-in
+//! behaviours: an **echo** responder (the §5 round-trip server), a
+//! **sink** (one-way streaming receiver), and a **closed-loop** client
+//! (sends the next request the moment the reply lands — the saturated,
+//! dashed-line case of Figure 4). [`TwoNodeSim`] is the world of two
+//! one-connection hosts every §5 experiment runs on, plus the telemetry
+//! that watches a run.
 //!
 //! Every message payload begins with an 8-byte big-endian id assigned by
 //! the sim; that is how round-trip and one-way latencies are matched up
@@ -17,6 +20,7 @@ use crate::gc::GcModel;
 use crate::metrics::Series;
 use crate::node::{NodeEvent, NodeSim, PostSchedule, Stamp};
 use crate::Nanos;
+use pa_buf::Msg;
 use pa_core::{Connection, ConnectionParams, PaConfig};
 use pa_obs::{
     CritDag, CritNode, FlightRecorder, Journey, JourneySet, MaskDomain, MaskingLedger,
@@ -104,6 +108,34 @@ impl SimConfig {
         cfg.pa.lazy_post = false;
         cfg
     }
+
+    /// One host under this config: `local`'s address, a connection per
+    /// `(peer, seed)`, `n_cpus` processors.
+    pub fn host(
+        &self,
+        local: EndpointAddr,
+        peers: &[(EndpointAddr, u64)],
+        n_cpus: usize,
+        gc: GcModel,
+        schedule: PostSchedule,
+    ) -> NodeSim {
+        let conns: Vec<Connection> = peers
+            .iter()
+            .map(|&(peer, seed)| {
+                Connection::new(
+                    self.stack.build(),
+                    self.pa,
+                    ConnectionParams::new(local, peer, seed),
+                )
+                .expect("valid stack")
+            })
+            .collect();
+        let names = conns[0].layer_names();
+        let mut cost = (self.cost)(names.iter().map(|l| l.to_string()).collect());
+        cost.baseline_framework = self.baseline;
+        cost.compiled_filter = self.compiled_filter;
+        NodeSim::new(conns, n_cpus, cost, gc, schedule)
+    }
 }
 
 /// A timestamped event for the Figure 4 timeline.
@@ -111,7 +143,7 @@ impl SimConfig {
 pub struct TimelineEvent {
     /// Completion time.
     pub at: Nanos,
-    /// Node index (0 or 1).
+    /// Node index.
     pub node: usize,
     /// What completed.
     pub event: NodeEvent,
@@ -125,10 +157,378 @@ struct AppEvent {
     size: usize,
 }
 
-/// The attached scope plane plus each node's registered series key.
-struct ScopeState {
-    plane: ScopePlane,
-    keys: [ScopeKey; 2],
+/// Hosts over one [`SimNet`] under one virtual clock: the next-event
+/// loop, the application behaviours and the closed-loop ledger every
+/// virtual-time scenario runs on. [`TwoNodeSim`] is two one-connection
+/// hosts; [`crate::multi::ClusterSim`] is N closed-loop clients and an
+/// echoing N-connection server.
+pub struct World {
+    /// The hosts; application sends go out on a host's connection 0.
+    pub nodes: Vec<NodeSim>,
+    /// The network between them.
+    pub net: SimNet,
+    host_of: HashMap<EndpointAddr, usize>,
+    behaviors: Vec<AppBehavior>,
+    clock: Nanos,
+    app_events: std::collections::BinaryHeap<std::cmp::Reverse<AppEvent>>,
+    next_seq: u64,
+    next_id: u64,
+    sent_at: HashMap<u64, (Nanos, usize)>,
+    /// Round-trip latencies, all origins pooled.
+    pub rtt: Series,
+    /// Round-trip latencies per originating node.
+    pub rtt_by_node: Vec<Series>,
+    /// One-way latencies of first deliveries.
+    pub one_way: Series,
+    /// Deliveries per node.
+    pub delivered: Vec<u64>,
+    /// Round trips completed.
+    pub round_trips: u64,
+    next_tick: Option<Nanos>,
+    tick_every: Option<Nanos>,
+    /// Closed-loop requests still to issue, per node.
+    closeloop_remaining: Vec<u64>,
+    closeloop_size: usize,
+    /// Blocking-RPC mode for node 0: at most one request outstanding;
+    /// offered requests queue at the client (Figure 5's semantics).
+    rpc_mode: bool,
+    rpc_outstanding: bool,
+    rpc_queue: std::collections::VecDeque<(Nanos, usize)>,
+    /// The pa-scope roll-up plane, if attached, and each node's series
+    /// key: per-connection → per-endpoint → cluster mergeable latency
+    /// sketches with sampled exemplars, fed one sample per completed
+    /// latency measurement at a node that has a key.
+    scope: Option<(ScopePlane, Vec<ScopeKey>)>,
+}
+
+impl World {
+    /// A world of `nodes` (all sinks until told otherwise) over `net`.
+    pub fn new(nodes: Vec<NodeSim>, net: SimNet, tick_every: Option<Nanos>) -> World {
+        let n = nodes.len();
+        World {
+            host_of: nodes
+                .iter()
+                .enumerate()
+                .map(|(h, n)| (n.addr(), h))
+                .collect(),
+            nodes,
+            net,
+            behaviors: vec![AppBehavior::Sink; n],
+            clock: 0,
+            app_events: Default::default(),
+            next_seq: 0,
+            next_id: 1,
+            sent_at: HashMap::new(),
+            rtt: Series::new(),
+            rtt_by_node: vec![Series::new(); n],
+            one_way: Series::new(),
+            delivered: vec![0; n],
+            round_trips: 0,
+            next_tick: tick_every,
+            tick_every,
+            closeloop_remaining: vec![0; n],
+            closeloop_size: 8,
+            rpc_mode: false,
+            rpc_outstanding: false,
+            rpc_queue: Default::default(),
+            scope: None,
+        }
+    }
+
+    /// Attaches a pa-scope roll-up plane with one `(endpoint, series)`
+    /// per node, in node order (nodes past the end of `series` record
+    /// nothing). The plane is telemetry *beside* the stack — attaching
+    /// it never changes wire bytes or connection behaviour.
+    pub fn attach_scope_series(&mut self, cfg: ScopeConfig, series: &[(String, String)]) {
+        let mut plane = ScopePlane::new(cfg);
+        let keys = series
+            .iter()
+            .map(|(endpoint, conn)| plane.register(endpoint, conn))
+            .collect();
+        self.scope = Some((plane, keys));
+    }
+
+    /// The attached scope plane, if any.
+    pub fn scope_plane(&self) -> Option<&ScopePlane> {
+        self.scope.as_ref().map(|(plane, _)| plane)
+    }
+
+    /// Puts node 0 in blocking-RPC mode: one request outstanding at a
+    /// time; further offered requests wait in a client-side queue, and
+    /// the measured RTT includes that queueing delay.
+    pub fn set_rpc_mode(&mut self, on: bool) {
+        self.rpc_mode = on;
+    }
+
+    /// Disables per-event logging on every node (long sweeps).
+    pub fn set_logging(&mut self, on: bool) {
+        for n in &mut self.nodes {
+            n.record_log = on;
+            if !on {
+                n.log.clear();
+            }
+        }
+    }
+
+    /// Sets a node's application behaviour.
+    pub fn set_behavior(&mut self, node: usize, b: AppBehavior) {
+        self.behaviors[node] = b;
+    }
+
+    /// Arms a closed-loop client on `node`: `n` request-reply cycles of
+    /// `size`-byte messages, starting at `start`.
+    pub fn arm_client(&mut self, node: usize, n: u64, size: usize, start: Nanos) {
+        self.behaviors[node] = AppBehavior::CloseLoop;
+        self.closeloop_remaining[node] = n.saturating_sub(1);
+        self.closeloop_size = size;
+        self.schedule_send(node, start, size);
+    }
+
+    /// Schedules an application send of `size` bytes on `node` at `at`.
+    pub fn schedule_send(&mut self, node: usize, at: Nanos, size: usize) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.app_events.push(std::cmp::Reverse(AppEvent {
+            at,
+            seq,
+            node,
+            size,
+        }));
+    }
+
+    /// Schedules `count` sends on `node` spaced `interval` apart.
+    pub fn schedule_stream(
+        &mut self,
+        node: usize,
+        start: Nanos,
+        interval: Nanos,
+        count: u64,
+        size: usize,
+    ) {
+        for i in 0..count {
+            self.schedule_send(node, start + i * interval, size);
+        }
+    }
+
+    /// The current virtual time.
+    pub fn now(&self) -> Nanos {
+        self.clock
+    }
+
+    /// Gathers every node's log into one ordered timeline.
+    pub fn timeline(&self) -> Vec<TimelineEvent> {
+        let mut out: Vec<TimelineEvent> = Vec::new();
+        for (i, node) in self.nodes.iter().enumerate() {
+            out.extend(node.log.iter().map(|&Stamp { at, event }| TimelineEvent {
+                at,
+                node: i,
+                event,
+            }));
+        }
+        out.sort_by_key(|e| e.at);
+        out
+    }
+
+    /// Clears measurements (after warm-up).
+    pub fn reset_measurements(&mut self) {
+        self.rtt = Series::new();
+        self.rtt_by_node.fill(Series::new());
+        self.one_way = Series::new();
+        self.delivered.fill(0);
+        self.round_trips = 0;
+        for n in &mut self.nodes {
+            n.log.clear();
+        }
+    }
+
+    /// Mints the next message id and a `size`-byte payload carrying it.
+    fn request(&mut self, size: usize) -> (u64, Vec<u8>) {
+        let id = self.next_id;
+        self.next_id += 1;
+        let mut p = vec![0u8; size.max(8)];
+        p[..8].copy_from_slice(&id.to_be_bytes());
+        (id, p)
+    }
+
+    /// A fresh request from `node` at `t`, its latency clock starting
+    /// when the CPU takes it.
+    fn do_send(&mut self, node: usize, t: Nanos, size: usize) {
+        if node == 0 && self.rpc_mode {
+            if self.rpc_outstanding {
+                // Blocking client: queue the request; its latency clock
+                // is already running.
+                self.rpc_queue.push_back((t, size));
+                return;
+            }
+            self.rpc_outstanding = true;
+        }
+        let (id, payload) = self.request(size);
+        self.sent_at
+            .insert(id, (t.max(self.nodes[node].cpu_free_at(0)), node));
+        self.nodes[node].app_send(0, t, &payload, &mut self.net);
+    }
+
+    /// RPC mode: records arrival-time latency for queued requests.
+    fn rpc_send_queued(&mut self, now: Nanos) {
+        let Some((t_arrival, size)) = self.rpc_queue.pop_front() else {
+            self.rpc_outstanding = false;
+            return;
+        };
+        let (id, payload) = self.request(size);
+        // Latency measured from the offered-arrival instant.
+        self.sent_at.insert(id, (t_arrival, 0));
+        self.nodes[0].app_send(0, now, &payload, &mut self.net);
+    }
+
+    /// Records one completed latency sample into the scope plane (a
+    /// no-op when none is attached or the node has no series). The
+    /// exemplar carries the delivering connection's last received
+    /// journey id (0 when the trace context is off) and its last
+    /// deliver-explain tag, so an aggregate anomaly drills down to a
+    /// causal trace.
+    fn record_scope(&mut self, node: usize, conn: usize, value: Nanos, at: Nanos) {
+        let Some((plane, keys)) = &mut self.scope else {
+            return;
+        };
+        let Some(&key) = keys.get(node) else {
+            return;
+        };
+        let conn = &self.nodes[node].conns[conn];
+        let journey = conn.last_recv_trace().map(|(j, _)| j).unwrap_or(0);
+        plane.record(key, value, at, journey, conn.last_deliver_explain());
+    }
+
+    /// The application's reaction to what connection `conn` of `node`
+    /// delivered at `done`: the closed-loop ledger (8-byte id →
+    /// `sent_at` → RTT or one-way sample → scope record), then the
+    /// node's behaviour.
+    fn handle_deliveries(&mut self, node: usize, conn: usize, done: Nanos, delivered: Vec<Msg>) {
+        self.delivered[node] += delivered.len() as u64;
+        for msg in delivered {
+            let id = msg
+                .get(0, 8)
+                .map(|b| u64::from_be_bytes(b.try_into().expect("8 bytes")))
+                .unwrap_or(0);
+            // Latency bookkeeping is behaviour-independent: a message
+            // arriving back at its originator completes a round trip;
+            // anywhere else it is a one-way delivery.
+            match self.sent_at.get(&id) {
+                Some(&(t0, origin)) if origin == node => {
+                    self.rtt.push_nanos(done - t0);
+                    self.rtt_by_node[node].push_nanos(done - t0);
+                    self.round_trips += 1;
+                    self.sent_at.remove(&id);
+                    self.record_scope(node, conn, done - t0, done);
+                    if node == 0 && self.rpc_mode {
+                        self.rpc_send_queued(done);
+                    }
+                }
+                Some(&(t0, _)) => {
+                    self.one_way.push_nanos(done - t0);
+                    self.record_scope(node, conn, done - t0, done);
+                }
+                None => {}
+            }
+            match self.behaviors[node] {
+                AppBehavior::Sink => {}
+                AppBehavior::Echo => {
+                    self.nodes[node].app_send(conn, done, msg.as_slice(), &mut self.net);
+                }
+                AppBehavior::CloseLoop => {
+                    if self.closeloop_remaining[node] > 0 {
+                        self.closeloop_remaining[node] -= 1;
+                        self.do_send(node, done, self.closeloop_size);
+                    }
+                }
+            }
+            // The application is done with the buffer: recycle it (§6
+            // explicit pools; bookwork, free in virtual time).
+            self.nodes[node].conns[conn].recycle(msg);
+        }
+        self.nodes[node].after_reply(conn);
+    }
+
+    /// One iteration of the next-event loop: advances the clock to the
+    /// earliest pending event at or before `horizon` and runs everything
+    /// due then — arrivals, wake-ups, application sends, ticks, in that
+    /// order. `None` once nothing remains to do (the clock stays at the
+    /// last event, so rates computed against [`World::now`] reflect
+    /// actual activity, not the horizon) or the next event lies past
+    /// the horizon.
+    pub fn step(&mut self, horizon: Nanos) -> Option<Nanos> {
+        let t_next = (self.net.next_arrival_at().into_iter())
+            .chain(self.app_events.peek().map(|std::cmp::Reverse(e)| e.at))
+            .chain(self.nodes.iter().filter_map(NodeSim::next_wakeup))
+            .chain(self.next_tick)
+            .min();
+        let Some(t_next) = t_next else {
+            // Quiescent. Progress, not just conservation: nothing may
+            // be left sitting in any connection's queues.
+            for (h, node) in self.nodes.iter().enumerate() {
+                for (i, c) in node.conns.iter().enumerate() {
+                    assert!(
+                        !c.has_delivery() && !c.has_transmit(),
+                        "quiescent with node {h} conn {i} holding a delivery or a frame"
+                    );
+                }
+            }
+            return None;
+        };
+        if t_next > horizon {
+            self.clock = self.clock.max(horizon);
+            return None;
+        }
+        self.clock = self.clock.max(t_next);
+        let now = self.clock;
+
+        // 1. Network arrivals due now (frames for nobody are dropped).
+        while let Some(arr) = self.net.poll_arrival(now) {
+            let Some(&node) = self.host_of.get(&arr.to) else {
+                continue;
+            };
+            let Some(conn) = self.nodes[node].conn_to(arr.from) else {
+                continue;
+            };
+            let (done, delivered) =
+                self.nodes[node].on_frame(conn, arr.at, arr.frame, &mut self.net);
+            self.handle_deliveries(node, conn, done, delivered);
+        }
+
+        // 2. Wake-ups due now. A backlog drain can release queued
+        // receive frames, so deliveries may surface here too.
+        for node in 0..self.nodes.len() {
+            for conn in 0..self.nodes[node].conns.len() {
+                if self.nodes[node].wakeup_at(conn).is_some_and(|w| w <= now) {
+                    let (done, delivered) = self.nodes[node].run_wakeup(conn, now, &mut self.net);
+                    self.handle_deliveries(node, conn, done, delivered);
+                }
+            }
+        }
+
+        // 3. Application sends due now.
+        while self
+            .app_events
+            .peek()
+            .is_some_and(|std::cmp::Reverse(e)| e.at <= now)
+        {
+            let std::cmp::Reverse(e) = self.app_events.pop().expect("peeked");
+            self.do_send(e.node, e.at.max(now), e.size);
+        }
+
+        // 4. Retransmission ticks.
+        if self.next_tick.is_some_and(|t| t <= now) {
+            for node in &mut self.nodes {
+                node.tick(now, &mut self.net);
+            }
+            self.next_tick = self.tick_every.map(|dt| now + dt);
+        }
+        Some(now)
+    }
+
+    /// Runs until `horizon` or until nothing remains to do.
+    pub fn run_until(&mut self, horizon: Nanos) {
+        while self.step(horizon).is_some() {}
+    }
 }
 
 /// The attached critical-path telemetry: a *dedicated* scope plane
@@ -153,42 +553,14 @@ struct CritState {
     last_onpath: [Vec<u64>; 2],
 }
 
-/// The two-node simulator.
+/// The two-node simulator: a [`World`] of two one-connection hosts
+/// (node 0 conventionally the client, node 1 echoing) plus the
+/// telemetry that watches a run — flight recorder, watchdog,
+/// critical-path plane.
 pub struct TwoNodeSim {
-    /// The two hosts; node 0 is conventionally the client.
-    pub nodes: [NodeSim; 2],
-    /// The network between them.
-    pub net: SimNet,
-    behaviors: [AppBehavior; 2],
-    clock: Nanos,
-    app_events: std::collections::BinaryHeap<std::cmp::Reverse<AppEvent>>,
-    next_seq: u64,
-    next_id: u64,
-    sent_at: HashMap<u64, (Nanos, usize)>,
-    /// Round-trip latencies completed at node 0.
-    pub rtt: Series,
-    /// One-way latencies of first deliveries.
-    pub one_way: Series,
-    /// Deliveries per node.
-    pub delivered: [u64; 2],
-    /// Round trips completed.
-    pub round_trips: u64,
-    next_tick: Option<Nanos>,
-    tick_every: Option<Nanos>,
-    /// Closed-loop requests still to issue (per node).
-    pub closeloop_remaining: u64,
-    closeloop_size: usize,
-    /// Blocking-RPC mode for node 0: at most one request outstanding;
-    /// offered requests queue at the client (Figure 5's semantics).
-    rpc_mode: bool,
-    rpc_outstanding: bool,
-    rpc_queue: std::collections::VecDeque<(Nanos, usize)>,
+    world: World,
     /// The time-series flight recorder, if attached.
     recorder: Option<FlightRecorder>,
-    /// The pa-scope roll-up plane, if attached: per-connection →
-    /// per-endpoint → cluster mergeable latency sketches with sampled
-    /// exemplars, fed one sample per completed latency measurement.
-    scope: Option<ScopeState>,
     /// The health watchdog, if attached: samples progress/backlog/
     /// ledger/p99 on its own virtual-time cadence.
     watchdog: Option<Watchdog>,
@@ -200,59 +572,41 @@ pub struct TwoNodeSim {
     wedge_samples: [u32; 2],
 }
 
+impl std::ops::Deref for TwoNodeSim {
+    type Target = World;
+    fn deref(&self) -> &World {
+        &self.world
+    }
+}
+
+impl std::ops::DerefMut for TwoNodeSim {
+    fn deref_mut(&mut self) -> &mut World {
+        &mut self.world
+    }
+}
+
 impl TwoNodeSim {
     /// Builds the simulation from a config.
     pub fn new(cfg: &SimConfig) -> TwoNodeSim {
-        let names: Vec<String> = cfg
-            .stack
-            .build()
-            .iter()
-            .map(|l| l.name().to_string())
-            .collect();
-        let mk_node = |idx: usize| {
-            let (a, b) = if idx == 0 { (1, 2) } else { (2, 1) };
-            let conn = Connection::new(
-                cfg.stack.build(),
-                cfg.pa,
-                ConnectionParams::new(
-                    EndpointAddr::from_parts(a, 7),
-                    EndpointAddr::from_parts(b, 7),
-                    0xC0FFEE + idx as u64,
-                ),
-            )
-            .expect("valid stack");
-            let mut cost = (cfg.cost)(names.clone());
-            cost.baseline_framework = cfg.baseline;
-            cost.compiled_filter = cfg.compiled_filter;
-            NodeSim::new(
-                conn,
-                cost,
+        let addr = |host| EndpointAddr::from_parts(host, 7);
+        let node = |idx: usize, local, peer| {
+            cfg.host(
+                addr(local),
+                &[(addr(peer), 0xC0FFEE + idx as u64)],
+                1,
                 GcModel::paper(cfg.gc[idx], 77 + idx as u64),
                 cfg.schedule[idx],
             )
         };
+        let mut world = World::new(
+            vec![node(0, 1, 2), node(1, 2, 1)],
+            SimNet::new(cfg.profile, cfg.faults),
+            cfg.tick_every,
+        );
+        world.set_behavior(1, AppBehavior::Echo);
         TwoNodeSim {
-            nodes: [mk_node(0), mk_node(1)],
-            net: SimNet::new(cfg.profile, cfg.faults),
-            behaviors: [AppBehavior::Sink, AppBehavior::Echo],
-            clock: 0,
-            app_events: Default::default(),
-            next_seq: 0,
-            next_id: 1,
-            sent_at: HashMap::new(),
-            rtt: Series::new(),
-            one_way: Series::new(),
-            delivered: [0, 0],
-            round_trips: 0,
-            next_tick: cfg.tick_every,
-            tick_every: cfg.tick_every,
-            closeloop_remaining: 0,
-            closeloop_size: 8,
-            rpc_mode: false,
-            rpc_outstanding: false,
-            rpc_queue: Default::default(),
+            world,
             recorder: None,
-            scope: None,
             watchdog: None,
             critpath: None,
             wedge_samples: [0, 0],
@@ -269,7 +623,7 @@ impl TwoNodeSim {
     /// joined back into causal journeys by [`TwoNodeSim::journeys`].
     pub fn enable_tracing(&mut self, ring_capacity: usize) {
         for node in &mut self.nodes {
-            node.conn.set_probe(ProbeSink::ring(ring_capacity));
+            node.conns[0].set_probe(ProbeSink::ring(ring_capacity));
         }
     }
 
@@ -279,7 +633,7 @@ impl TwoNodeSim {
         let rings: Vec<&pa_obs::TraceRing> = self
             .nodes
             .iter()
-            .filter_map(|n| n.conn.probe().trace_ring())
+            .filter_map(|n| n.conns[0].probe().trace_ring())
             .collect();
         JourneySet::reconstruct(&rings)
     }
@@ -310,20 +664,10 @@ impl TwoNodeSim {
     /// is recorded into the owning node's connection sketch, its
     /// endpoint sketch, and the cluster sketch, with reservoir-sampled
     /// exemplars carrying the delivery's journey id and
-    /// [`pa_obs::XrayTag`]. The plane is telemetry *beside* the stack —
-    /// attaching it never changes wire bytes or connection behaviour.
+    /// [`pa_obs::XrayTag`].
     pub fn attach_scope(&mut self, cfg: ScopeConfig) {
-        let mut plane = ScopePlane::new(cfg);
-        let keys = [
-            plane.register("node0", "node0/conn0"),
-            plane.register("node1", "node1/conn0"),
-        ];
-        self.scope = Some(ScopeState { plane, keys });
-    }
-
-    /// The attached scope plane, if any.
-    pub fn scope_plane(&self) -> Option<&ScopePlane> {
-        self.scope.as_ref().map(|s| &s.plane)
+        let series = ["node0", "node1"].map(|n| (n.to_string(), format!("{n}/conn0")));
+        self.world.attach_scope_series(cfg, &series);
     }
 
     /// Attaches a health watchdog sampling the run on its own
@@ -360,7 +704,7 @@ impl TwoNodeSim {
             plane.register("mask", "mask/node0"),
             plane.register("mask", "mask/node1"),
         ];
-        let names = self.nodes[0].conn.layer_names();
+        let names = self.nodes[0].conns[0].layer_names();
         let mk = |plane: &mut ScopePlane, node: usize| {
             names
                 .iter()
@@ -397,10 +741,10 @@ impl TwoNodeSim {
     /// send and delivery as on-path work, and any mid-stream receive
     /// re-fuses the engine charged to the leak ledger.
     pub fn masking_ledger(&self, node: usize) -> MaskingLedger {
-        let report = self.nodes[node].xray_report();
+        let report = self.nodes[node].xray_report(0);
         let mut ml =
             MaskingLedger::from_phases(&format!("node{node}"), &report.phases, MaskDomain::Virtual);
-        let stats = self.nodes[node].conn.stats();
+        let stats = self.nodes[node].conns[0].stats();
         let cost = &self.nodes[node].cost;
         let sends = stats.fast_sends + stats.slow_sends;
         let delivers = stats.fast_deliveries + stats.slow_deliveries;
@@ -420,7 +764,7 @@ impl TwoNodeSim {
         );
         // Engine-level leaks (receive re-fuse) have no virtual price in
         // the cost model; the call counts still surface in the ledger.
-        for e in &self.nodes[node].conn.leaks().entries {
+        for e in &self.nodes[node].conns[0].leaks().entries {
             if e.layer == "pa" {
                 ml.push_engine("engine/refuse", e.phase, WorkClass::Leaked, e.calls, 0);
             }
@@ -504,9 +848,9 @@ impl TwoNodeSim {
     /// leak looked to the wire.
     pub fn critpath_dags(&self, limit: usize) -> Vec<CritDag> {
         let set = self.journeys();
-        let eager = !self.nodes[0].conn.config().lazy_post;
+        let eager = !self.nodes[0].conns[0].config().lazy_post;
         // Trace rings are labelled with the connection's host id.
-        let host0 = self.nodes[0].conn.local_addr().host_id() as u32;
+        let host0 = self.nodes[0].conns[0].local_addr().host_id() as u32;
         set.journeys()
             .iter()
             .take(limit)
@@ -623,7 +967,7 @@ impl TwoNodeSim {
     /// latest slow-path sample — the "why is this connection off the
     /// fast path" diagnosis in one artifact.
     pub fn xray_report(&self, node: usize) -> pa_obs::XrayReport {
-        let mut r = self.nodes[node].xray_report();
+        let mut r = self.nodes[node].xray_report(0);
         r.scope = format!("node{node} ({})", r.scope);
         if let Some(fr) = &self.recorder {
             r.notes
@@ -655,15 +999,15 @@ impl TwoNodeSim {
     pub fn metrics_snapshot(&self, at: Nanos) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new(at);
         for (i, node) in self.nodes.iter().enumerate() {
-            node.conn
+            node.conns[0]
                 .stats()
                 .record_into(&mut snap, &format!("node{i}"));
         }
         snap.record("sim", "delivered_node0", self.delivered[0]);
         snap.record("sim", "delivered_node1", self.delivered[1]);
         snap.record("sim", "round_trips", self.round_trips);
-        if let Some(scope) = &self.scope {
-            scope.plane.record_into(&mut snap, "scope");
+        if let Some(plane) = self.scope_plane() {
+            plane.record_into(&mut snap, "scope");
         }
         if let Some(fr) = &self.recorder {
             fr.record_into(&mut snap, "recorder");
@@ -687,17 +1031,17 @@ impl TwoNodeSim {
         let gauges = [
             (
                 "backlog_depth_node0",
-                self.nodes[0].conn.backlog_len() as f64,
+                self.nodes[0].conns[0].backlog_len() as f64,
             ),
             (
                 "backlog_depth_node1",
-                self.nodes[1].conn.backlog_len() as f64,
+                self.nodes[1].conns[0].backlog_len() as f64,
             ),
             ("net_in_flight", self.net.in_flight() as f64),
         ];
         let mut failures: Vec<String> = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if !node.conn.stats().delivery_balanced() {
+        for (i, node) in self.world.nodes.iter().enumerate() {
+            if !node.conns[0].stats().delivery_balanced() {
                 failures.push(format!("delivery ledger out of balance on node{i}"));
             }
             // Disable-counter watch: a backlog that cannot drain
@@ -707,25 +1051,24 @@ impl TwoNodeSim {
             // consecutive samples with nothing in flight — and no
             // retransmission timer armed that could recover — is a
             // wedge.
-            let wedged = self.tick_every.is_none()
-                && node.conn.backlog_len() > 0
-                && !node.conn.send_prediction().enabled()
-                && !node.conn.has_pending()
-                && self.net.in_flight() == 0;
+            let wedged = self.world.tick_every.is_none()
+                && node.conns[0].backlog_len() > 0
+                && !node.conns[0].send_prediction().enabled()
+                && !node.conns[0].has_pending()
+                && self.world.net.in_flight() == 0;
             if wedged {
                 self.wedge_samples[i] += 1;
                 if self.wedge_samples[i] >= 3 {
                     // The attributed hold table names the culprit.
-                    let hold = node
-                        .conn
+                    let hold = node.conns[0]
                         .send_prediction()
                         .top_hold()
                         .map(|(layer, reason)| format!(" (held by {layer}: {reason})"))
                         .unwrap_or_default();
                     failures.push(format!(
                         "send path wedged on node{i}: disable count {} with {} backlogged{hold}",
-                        node.conn.send_prediction().disable_count(),
-                        node.conn.backlog_len()
+                        node.conns[0].send_prediction().disable_count(),
+                        node.conns[0].backlog_len()
                     ));
                 }
             } else {
@@ -739,285 +1082,25 @@ impl TwoNodeSim {
         }
     }
 
-    /// Puts node 0 in blocking-RPC mode: one request outstanding at a
-    /// time; further offered requests wait in a client-side queue, and
-    /// the measured RTT includes that queueing delay.
-    pub fn set_rpc_mode(&mut self, on: bool) {
-        self.rpc_mode = on;
-    }
-
-    /// Disables per-event logging on both nodes (long sweeps).
-    pub fn set_logging(&mut self, on: bool) {
-        for n in &mut self.nodes {
-            n.record_log = on;
-            if !on {
-                n.log.clear();
-            }
-        }
-    }
-
-    /// Sets a node's application behaviour.
-    pub fn set_behavior(&mut self, node: usize, b: AppBehavior) {
-        self.behaviors[node] = b;
-    }
-
-    /// Arms the closed-loop client on node 0: `n` request-reply cycles
-    /// of `size`-byte messages, starting at `start`.
+    /// Arms the closed-loop client on node 0 (node 1 echoing): `n`
+    /// request-reply cycles of `size`-byte messages, starting at
+    /// `start`.
     pub fn arm_closed_loop(&mut self, n: u64, size: usize, start: Nanos) {
-        self.behaviors[0] = AppBehavior::CloseLoop;
-        self.behaviors[1] = AppBehavior::Echo;
-        self.closeloop_remaining = n.saturating_sub(1);
-        self.closeloop_size = size;
-        self.schedule_send(0, start, size);
+        self.world.set_behavior(1, AppBehavior::Echo);
+        self.world.arm_client(0, n, size, start);
     }
 
-    /// Schedules an application send of `size` bytes on `node` at `at`.
-    pub fn schedule_send(&mut self, node: usize, at: Nanos, size: usize) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.app_events.push(std::cmp::Reverse(AppEvent {
-            at,
-            seq,
-            node,
-            size,
-        }));
-    }
-
-    /// Schedules `count` sends on `node` spaced `interval` apart.
-    pub fn schedule_stream(
-        &mut self,
-        node: usize,
-        start: Nanos,
-        interval: Nanos,
-        count: u64,
-        size: usize,
-    ) {
-        for i in 0..count {
-            self.schedule_send(node, start + i * interval, size);
-        }
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> Nanos {
-        self.clock
-    }
-
-    /// Gathers both nodes' logs into one ordered timeline.
-    pub fn timeline(&self) -> Vec<TimelineEvent> {
-        let mut out: Vec<TimelineEvent> = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            out.extend(node.log.iter().map(|&Stamp { at, event }| TimelineEvent {
-                at,
-                node: i,
-                event,
-            }));
-        }
-        out.sort_by_key(|e| e.at);
-        out
-    }
-
-    /// Clears measurements (after warm-up).
-    pub fn reset_measurements(&mut self) {
-        self.rtt = Series::new();
-        self.one_way = Series::new();
-        self.delivered = [0, 0];
-        self.round_trips = 0;
-        self.nodes[0].log.clear();
-        self.nodes[1].log.clear();
-    }
-
-    fn payload(&mut self, size: usize, echo_of: Option<u64>) -> (u64, Vec<u8>) {
-        let id = match echo_of {
-            Some(id) => id,
-            None => {
-                let id = self.next_id;
-                self.next_id += 1;
-                id
-            }
-        };
-        let mut p = vec![0u8; size.max(8)];
-        p[..8].copy_from_slice(&id.to_be_bytes());
-        (id, p)
-    }
-
-    fn do_send(&mut self, node: usize, t: Nanos, size: usize, echo_of: Option<u64>) {
-        if node == 0 && self.rpc_mode && echo_of.is_none() {
-            if self.rpc_outstanding {
-                // Blocking client: queue the request; its latency clock
-                // is already running.
-                self.rpc_queue.push_back((t, size));
-                return;
-            }
-            self.rpc_outstanding = true;
-        }
-        let (id, payload) = self.payload(size, echo_of);
-        if echo_of.is_none() {
-            self.sent_at
-                .insert(id, (t.max(self.nodes[node].cpu_free_at), node));
-        }
-        let local = self.nodes[node].addr();
-        self.nodes[node].app_send(t, &payload, &mut self.net, local);
-    }
-
-    /// RPC mode: records arrival-time latency for queued requests.
-    fn rpc_send_queued(&mut self, now: Nanos) {
-        let Some((t_arrival, size)) = self.rpc_queue.pop_front() else {
-            self.rpc_outstanding = false;
-            return;
-        };
-        let (id, payload) = self.payload(size, None);
-        // Latency measured from the offered-arrival instant.
-        self.sent_at.insert(id, (t_arrival, 0));
-        let local = self.nodes[0].addr();
-        self.nodes[0].app_send(now, &payload, &mut self.net, local);
-    }
-
-    /// Records one completed latency sample into the scope plane (a
-    /// no-op when none is attached). The exemplar carries the
-    /// delivering connection's last received journey id (0 when the
-    /// trace context is off) and its last deliver-explain tag, so an
-    /// aggregate anomaly drills down to a causal trace.
-    fn record_scope(&mut self, node: usize, value: Nanos, at: Nanos) {
-        let Some(scope) = &mut self.scope else {
-            return;
-        };
-        let conn = &self.nodes[node].conn;
-        let journey = conn.last_recv_trace().map(|(j, _)| j).unwrap_or(0);
-        let tag = conn.last_deliver_explain();
-        scope
-            .plane
-            .record(scope.keys[node], value, at, journey, tag);
-    }
-
-    fn handle_deliveries(&mut self, node: usize, done: Nanos, delivered: Vec<pa_buf::Msg>) {
-        self.delivered[node] += delivered.len() as u64;
-        for msg in delivered {
-            let id = msg
-                .get(0, 8)
-                .map(|b| u64::from_be_bytes(b.try_into().expect("8 bytes")))
-                .unwrap_or(0);
-            // Latency bookkeeping is behaviour-independent: a message
-            // arriving back at its originator completes a round trip;
-            // anywhere else it is a one-way delivery.
-            match self.sent_at.get(&id) {
-                Some(&(t0, origin)) if origin == node => {
-                    self.rtt.push_nanos(done - t0);
-                    self.round_trips += 1;
-                    self.sent_at.remove(&id);
-                    self.record_scope(node, done - t0, done);
-                    if node == 0 && self.rpc_mode {
-                        self.rpc_send_queued(done);
-                    }
-                }
-                Some(&(t0, _)) => {
-                    self.one_way.push_nanos(done - t0);
-                    self.record_scope(node, done - t0, done);
-                }
-                None => {}
-            }
-            match self.behaviors[node] {
-                AppBehavior::Sink => {}
-                AppBehavior::Echo => {
-                    self.do_send(node, done, msg.len(), Some(id));
-                }
-                AppBehavior::CloseLoop => {
-                    if self.closeloop_remaining > 0 {
-                        self.closeloop_remaining -= 1;
-                        let size = self.closeloop_size;
-                        self.do_send(node, done, size, None);
-                    }
-                }
-            }
-            // The application is done with the buffer: recycle it (§6).
-            self.nodes[node].recycle(msg);
-        }
-    }
-
-    /// Runs until `horizon` or until nothing remains to do.
+    /// Runs until `horizon` or until nothing remains to do, sampling
+    /// the attached telemetry (no-ops when not attached) after every
+    /// step of the world's loop.
     pub fn run_until(&mut self, horizon: Nanos) {
-        loop {
-            // Earliest pending event across all sources.
-            let mut t_next = Nanos::MAX;
-            if let Some(t) = self.net.next_arrival_at() {
-                t_next = t_next.min(t);
-            }
-            if let Some(std::cmp::Reverse(e)) = self.app_events.peek() {
-                t_next = t_next.min(e.at);
-            }
-            for n in &self.nodes {
-                if let Some(w) = n.wakeup_at {
-                    t_next = t_next.min(w);
-                }
-            }
-            if let Some(t) = self.next_tick {
-                t_next = t_next.min(t);
-            }
-            if t_next == Nanos::MAX {
-                // Quiescent: the clock stays at the last event, so
-                // rates computed against `now()` reflect actual
-                // activity, not the horizon.
-                break;
-            }
-            if t_next > horizon {
-                self.clock = self.clock.max(horizon);
-                break;
-            }
-            self.clock = self.clock.max(t_next);
-            let now = self.clock;
-
-            // 1. Network arrivals due now.
-            while let Some(arr) = self.net.poll_arrival(now) {
-                let node = if arr.to == self.nodes[0].addr() { 0 } else { 1 };
-                let frame = arr.frame;
-                let at = arr.at;
-                let local = self.nodes[node].addr();
-                let (done, delivered) = self.nodes[node].on_frame(at, frame, &mut self.net, local);
-                self.handle_deliveries(node, done, delivered);
-            }
-
-            // 2. Node wake-ups due now.
-            for node in 0..2 {
-                if self.nodes[node].wakeup_at.is_some_and(|w| w <= now) {
-                    let local = self.nodes[node].addr();
-                    let (done, delivered) = self.nodes[node].run_wakeup(now, &mut self.net, local);
-                    // A backlog drain can release queued receive frames,
-                    // so deliveries may surface at wake-ups too.
-                    self.handle_deliveries(node, done, delivered);
-                }
-            }
-
-            // 3. Application sends due now.
-            while self
-                .app_events
-                .peek()
-                .is_some_and(|std::cmp::Reverse(e)| e.at <= now)
-            {
-                let std::cmp::Reverse(e) = self.app_events.pop().expect("peeked");
-                self.do_send(e.node, e.at.max(now), e.size, None);
-            }
-
-            // 4. Retransmission ticks.
-            if let Some(t) = self.next_tick {
-                if t <= now {
-                    for node in 0..2 {
-                        let local = self.nodes[node].addr();
-                        self.nodes[node].tick(now, &mut self.net, local);
-                    }
-                    self.next_tick = self.tick_every.map(|dt| now + dt);
-                }
-            }
-
-            // 5. Flight-recorder sampling (no-op when not attached).
+        while let Some(now) = self.world.step(horizon) {
             if self.recorder.is_some() {
                 self.sample_flight_recorder(now);
             }
-
-            // 6. Watchdog sampling (no-op when not attached).
             if self.watchdog.is_some() {
                 self.observe_watchdog(now);
             }
-
-            // 7. Critical-path sampling (no-op when not attached).
             if self.critpath.is_some() {
                 self.sample_critpath(now);
             }
@@ -1048,15 +1131,15 @@ impl TwoNodeSim {
         let input = WatchInput {
             at: now,
             progress: self.delivered[0] + self.delivered[1] + self.round_trips,
-            backlog: (self.nodes[0].conn.backlog_len() + self.nodes[1].conn.backlog_len()) as u64,
+            backlog: (self.nodes[0].conns[0].backlog_len() + self.nodes[1].conns[0].backlog_len())
+                as u64,
             ledger_ok: self
                 .nodes
                 .iter()
-                .all(|n| n.conn.stats().delivery_balanced()),
+                .all(|n| n.conns[0].stats().delivery_balanced()),
             p99_ns: self
-                .scope
-                .as_ref()
-                .map(|s| s.plane.cluster().sketch().p99())
+                .scope_plane()
+                .map(|plane| plane.cluster().sketch().p99())
                 .unwrap_or(0),
             leak_permille,
         };
@@ -1073,12 +1156,6 @@ impl TwoNodeSim {
                 }
             }
         }
-    }
-
-    /// Runs until the simulation is quiescent (no events at all) or
-    /// `horizon` passes.
-    pub fn run_to_quiescence(&mut self, horizon: Nanos) {
-        self.run_until(horizon);
     }
 }
 
@@ -1238,13 +1315,13 @@ mod tests {
             "storm must actually storm"
         );
         for (i, node) in sim.nodes.iter().enumerate() {
-            let s = node.conn.stats();
+            let s = node.conns[0].stats();
             assert!(
                 s.delivery_balanced(),
                 "node {i} ledger out of balance:\n{s}"
             );
         }
-        let rx = sim.nodes[1].conn.stats();
+        let rx = sim.nodes[1].conns[0].stats();
         assert!(
             rx.drops_by_layer > 0 || rx.recv_filter_misses > 0,
             "faults must exercise the drop paths:\n{rx}"
@@ -1266,7 +1343,7 @@ mod tests {
         // One journey per wired frame (packed frames carry several
         // messages under one journey; control acks journey too).
         let frames_out =
-            sim.nodes[0].conn.stats().frames_out + sim.nodes[1].conn.stats().frames_out;
+            sim.nodes[0].conns[0].stats().frames_out + sim.nodes[1].conns[0].stats().frames_out;
         assert_eq!(set.len() as u64, frames_out, "one journey per frame");
         assert!(
             set.completeness() >= 0.99,
@@ -1452,8 +1529,8 @@ mod tests {
             sim.run_until(100_000_000);
             (
                 sim.rtt.summary().mean,
-                sim.nodes[0].conn.stats().frames_out,
-                sim.nodes[1].conn.stats().fast_deliveries,
+                sim.nodes[0].conns[0].stats().frames_out,
+                sim.nodes[1].conns[0].stats().fast_deliveries,
             )
         };
         assert_eq!(run(false), run(true));

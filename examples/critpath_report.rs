@@ -158,7 +158,7 @@ fn main() {
     let eager_leaks = forced
         .nodes
         .iter()
-        .flat_map(|n| n.conn.leaks().entries.iter())
+        .flat_map(|n| n.conns[0].leaks().entries.iter())
         .filter(|e| e.cause == LeakCause::EagerPost)
         .map(|e| e.calls)
         .sum::<u64>();

@@ -33,7 +33,7 @@ fn run(label: &str, faults: FaultConfig) {
     sim.run_until(60_000_000_000);
 
     let f = sim.net.fault_stats();
-    let rx = sim.nodes[1].conn.stats();
+    let rx = sim.nodes[1].conns[0].stats();
     println!("--- {label} ---");
     println!(
         "  injected: {} drops, {} corruptions, {} dups, {} reorders",

@@ -1,8 +1,9 @@
 //! Post-drain demo: the §3.1 mask made *spatial*.
 //!
-//! Runs the threaded echo — pre phases on this thread, every
-//! `process_pending` on a dedicated drain thread fed over a wait-free
-//! SPSC ring — and proves the telemetry survived the thread boundary:
+//! Runs the threaded echo — the burst pipeline at burst 1: pre phases
+//! on this thread, every live round's `process_pending` on a dedicated
+//! drain thread fed over a wait-free SPSC ring — and proves the
+//! telemetry survived the thread boundary:
 //!
 //! - the epoch-consistent [`GlobalSnapshot`] merges both
 //!   [`TelemetryDomain`]s; the merged masking ledger conserves
@@ -14,7 +15,7 @@
 //!   happens-before DAG, exported as a Perfetto trace with the drain
 //!   thread on its own track,
 //! - the all-off configuration's wire bytes are byte-identical to the
-//!   inline (single-threaded) engine.
+//!   per-packet (single-threaded) reference engine.
 //!
 //! Exits nonzero on any violation — the CI threaded-observability
 //! smoke gate:
@@ -25,22 +26,22 @@
 //! ```
 
 use pa::obs::{perfetto_trace, validate_trace_json, DomainCounter};
-use pa::sim::{inline_echo_frames, ThreadedEcho, ThreadedEchoConfig};
+use pa::sim::{per_packet_reference, BurstPipeline, PipelineConfig};
 
 fn main() {
     let rounds = 64;
 
     // ---- 1. The instrumented threaded run. ----
-    let report = ThreadedEcho::new(ThreadedEchoConfig::traced(rounds)).run();
+    let report = BurstPipeline::run(PipelineConfig::traced(rounds, 1));
     println!(
         "threaded echo: {} round trips over 2 threads",
-        report.round_trips
+        report.completed
     );
     println!("{}", report.snapshot.render());
-    if report.round_trips != rounds {
+    if report.completed != rounds {
         eprintln!(
             "FAIL: {} of {rounds} round trips completed",
-            report.round_trips
+            report.completed
         );
         std::process::exit(1);
     }
@@ -134,15 +135,18 @@ fn main() {
     }
 
     // ---- 5. All-off wire bytes are untouched. ----
-    let off = ThreadedEchoConfig::all_off(16);
-    let threaded = ThreadedEcho::new(off.clone()).run();
-    let inline = inline_echo_frames(&off);
+    let off = PipelineConfig {
+        capture_frames: true,
+        ..PipelineConfig::batched(16, 1)
+    };
+    let threaded = BurstPipeline::run(off.clone());
+    let (inline, _, _) = per_packet_reference(&off);
     if threaded.frames != inline {
         eprintln!("FAIL: threaded all-off run changed wire bytes");
         std::process::exit(3);
     }
     println!(
-        "all-off run: {} frames byte-identical to the inline engine",
+        "all-off run: {} frames byte-identical to the per-packet reference",
         threaded.frames.len()
     );
     println!("post-drain smoke: all gates passed");

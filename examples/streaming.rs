@@ -29,8 +29,8 @@ fn stream(packing: bool) {
     sim.run_until(20_000_000_000);
 
     let secs = sim.now() as f64 / 1e9;
-    let sender = sim.nodes[0].conn.stats();
-    let receiver = sim.nodes[1].conn.stats();
+    let sender = sim.nodes[0].conns[0].stats();
+    let receiver = sim.nodes[1].conns[0].stats();
     println!("--- packing {} ---", if packing { "ON " } else { "OFF" });
     println!(
         "  delivered:        {} msgs in {:.3} s virtual time",

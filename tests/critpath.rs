@@ -226,7 +226,7 @@ fn forced_leak_is_detected_and_attributed() {
     // eager-post, on real layers, in post phases.
     let mut eager_calls = 0;
     for node in &forced.nodes {
-        let leaks = node.conn.leaks();
+        let leaks = node.conns[0].leaks();
         assert!(!leaks.is_empty());
         for e in &leaks.entries {
             assert_eq!(e.cause, LeakCause::EagerPost);

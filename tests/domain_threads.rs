@@ -1,6 +1,9 @@
 //! Cross-thread telemetry integration: the tentpole gates of the
 //! multi-core observability layer, end to end on real OS threads.
 //!
+//! The threaded echo is the burst pipeline at burst 1 with every post
+//! phase on the drain thread (`PipelineConfig::traced(n, 1)`).
+//!
 //! - the merged [`GlobalSnapshot`] of a threaded echo run conserves
 //!   its masking ledger **exactly** (`==` in calls and in ns) against
 //!   the merged phase table, with both domains' PhaseMeters
@@ -12,18 +15,18 @@
 //!   the merged drop count;
 //! - sketch shards recorded on two threads merge `==` the sketch a
 //!   single thread would build from the pooled samples;
-//! - the all-off threaded run is wire-byte-identical to the inline
-//!   engine.
+//! - the all-off threaded run is wire-byte-identical to the per-packet
+//!   reference engine.
 
 use pa::obs::domain::price_meters;
 use pa::obs::{
     DomainCounter, FlightRecorder, MetricsSnapshot, QuantileSketch, SketchConfig,
     SnapshotCoordinator,
 };
-use pa::sim::{inline_echo_frames, ThreadedEcho, ThreadedEchoConfig};
+use pa::sim::{per_packet_reference, BurstPipeline, PipelineConfig, PipelineReport};
 
-fn traced(rounds: u64) -> pa::sim::ThreadedEchoReport {
-    ThreadedEcho::new(ThreadedEchoConfig::traced(rounds)).run()
+fn traced(rounds: u64) -> PipelineReport {
+    BurstPipeline::run(PipelineConfig::traced(rounds, 1))
 }
 
 // ---------------------------------------------------------------------
@@ -33,7 +36,7 @@ fn traced(rounds: u64) -> pa::sim::ThreadedEchoReport {
 #[test]
 fn merged_ledger_conserves_exactly_in_calls_and_ns() {
     let report = traced(32);
-    assert_eq!(report.round_trips, 32);
+    assert_eq!(report.completed, 32);
     let ml = report.snapshot.merged_ledger().expect("ledger shards");
     let rows = report
         .snapshot
@@ -102,7 +105,7 @@ fn merged_stats_satisfy_delivery_and_reject_invariants() {
     // Deltas really partition: the merged frames_in equals what the
     // two connections actually received (2 frames per round trip).
     let s = report.snapshot.merged_stats();
-    assert_eq!(s.get("conn", "frames_in"), Some(2 * report.round_trips));
+    assert_eq!(s.get("conn", "frames_in"), Some(2 * report.completed));
 }
 
 // ---------------------------------------------------------------------
@@ -226,10 +229,13 @@ fn two_thread_sketch_shards_merge_equal_to_pooled_recording() {
 
 #[test]
 fn threaded_all_off_run_stays_byte_identical_on_the_wire() {
-    let cfg = ThreadedEchoConfig::all_off(12);
-    let threaded = ThreadedEcho::new(cfg.clone()).run();
-    let inline = inline_echo_frames(&cfg);
-    assert_eq!(threaded.round_trips, 12);
+    let cfg = PipelineConfig {
+        capture_frames: true,
+        ..PipelineConfig::batched(12, 1)
+    };
+    let threaded = BurstPipeline::run(cfg.clone());
+    let (inline, _, _) = per_packet_reference(&cfg);
+    assert_eq!(threaded.completed, 12);
     assert!(!threaded.frames.is_empty());
     assert_eq!(threaded.frames, inline, "threading must not touch the wire");
 }

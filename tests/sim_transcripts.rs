@@ -3,8 +3,11 @@
 //! against `tests/golden/sim_transcripts.txt`, which was recorded from
 //! the simulator as it stood *before* `NodeSim` grew N connections over
 //! M CPUs and the second host type, the second event loop and the
-//! threaded echo harness were deleted (same test body). "One host, one
-//! loop, one driver" means this file does not change.
+//! threaded echo harness were deleted. Same test body, three accessors
+//! apart: the recording read `c.completed`, `c.clients` and
+//! `node.conn` where this reads `c.round_trips`, `c.clients()` and
+//! `node.conns[0]`. "One host, one loop, one driver" means the golden
+//! file does not change.
 //!
 //! - `render()` of all ten `experiments::*::run()`, and Figure 4's
 //!   timeline event by event;
@@ -58,11 +61,11 @@ fn cluster(out: &mut String, clients: usize, cpus: usize) {
     let mut c = ClusterSim::new(&cfg, clients, cpus);
     c.run(40, 30_000_000_000);
     let _ = writeln!(out, "== cluster clients={clients} cpus={cpus}");
-    let _ = writeln!(out, "completed {} now {}", c.completed, c.now());
+    let _ = writeln!(out, "completed {} now {}", c.round_trips, c.now());
     let rtts: Vec<String> = c.rtt.values().iter().map(|v| format!("{v}")).collect();
     let _ = writeln!(out, "rtt {}", rtts.join(" "));
-    for (k, node) in c.clients.iter().enumerate() {
-        let _ = writeln!(out, "client{k} {:?}", node.conn.stats());
+    for (k, node) in c.clients().iter().enumerate() {
+        let _ = writeln!(out, "client{k} {:?}", node.conns[0].stats());
     }
     for (k, conn) in c.server_conns().iter().enumerate() {
         let _ = writeln!(out, "server{k} {:?}", conn.stats());
@@ -89,9 +92,8 @@ fn pipeline(out: &mut String, name: &str, cfg: PipelineConfig) {
     }
     let _ = writeln!(out, "stats_a {:?}", report.stats_a);
     let _ = writeln!(out, "stats_b {:?}", report.stats_b);
-    let counter = |c: DomainCounter| -> u64 {
-        report.snapshot.domains.iter().map(|d| d.counter(c)).sum()
-    };
+    let counter =
+        |c: DomainCounter| -> u64 { report.snapshot.domains.iter().map(|d| d.counter(c)).sum() };
     let _ = writeln!(
         out,
         "conserves {} handoffs_paired {}",
@@ -108,8 +110,16 @@ fn sim_drivers_compute_what_the_recorded_simulator_computed() {
         cluster(&mut transcript, clients, cpus);
     }
     churn(&mut transcript);
-    pipeline(&mut transcript, "per_packet(16)", PipelineConfig::per_packet(16));
-    pipeline(&mut transcript, "batched(16, 8)", PipelineConfig::batched(16, 8));
+    pipeline(
+        &mut transcript,
+        "per_packet(16)",
+        PipelineConfig::per_packet(16),
+    );
+    pipeline(
+        &mut transcript,
+        "batched(16, 8)",
+        PipelineConfig::batched(16, 8),
+    );
 
     let golden = include_str!("golden/sim_transcripts.txt");
     if transcript != golden {

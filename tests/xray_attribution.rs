@@ -48,7 +48,7 @@ fn fault_storm_attribution_reconciles_exactly() {
 
     let mut slow_total = 0;
     for node in 0..2 {
-        let conn = &sim.nodes[node].conn;
+        let conn = &sim.nodes[node].conns[0];
         let stats = conn.stats();
         let attr = conn.attribution();
 
