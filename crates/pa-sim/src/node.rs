@@ -1,12 +1,14 @@
-//! One simulated host: a real PA connection plus a virtual CPU.
+//! One simulated host: real PA connections plus virtual CPUs.
 //!
-//! The connection is the genuine [`pa_core::Connection`] — the engine
+//! The connections are genuine [`pa_core::Connection`]s — the engine
 //! decides fast versus slow paths, packs backlogs, drains posts. The
-//! node's job is to *price* what the engine did: it snapshots the
+//! node's job is to *price* what the engine did: it snapshots a
 //! connection's counters around each operation and charges the cost
-//! model for the difference, advancing a per-node `cpu_free_at` clock.
-//! Frames leave for the network at the moment the CPU finishes the
-//! operation that produced them.
+//! model for the difference, advancing the clock of the CPU that
+//! connection runs on. Frames leave for the network at the moment that
+//! CPU finishes the operation that produced them. A §5 node is one
+//! connection on one CPU; the §6 server is a connection per client
+//! divided among its processors — the same type.
 
 use crate::cost::CostModel;
 use crate::gc::GcModel;
