@@ -418,7 +418,9 @@ fn bench_phase_dispatch() -> f64 {
 /// What a connection costs to set up, in hot operations: build the paper
 /// stack's layers, `Connection::new` over them, drop — the fixed cost of
 /// every `add_connection` — against the pooled + fused hot operation,
-/// interleaved and summarised like [`bench_phase_dispatch`].
+/// interleaved and summarised like [`bench_phase_dispatch`]. The warm
+/// pair holds the paper stack's plan, so every build here finds it: the
+/// ratio is the gate on a connection compiling anything of its own.
 ///
 /// Returns `(ns per connection, connections in hot operations)`.
 fn bench_setup_vs_hot() -> (f64, f64) {

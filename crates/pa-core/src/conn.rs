@@ -23,20 +23,22 @@
 use crate::config::PaConfig;
 use crate::layer::{DeliverAction, Effects, InitCtx, Layer, LayerCtx, SendAction};
 use crate::packing::{self, PackInfo};
+use crate::plan::{self, StackPlan};
 use crate::predict::Prediction;
 use crate::stats::ConnStats;
 use crate::Nanos;
 use pa_buf::{Backlog, ByteOrder, Msg, MsgPool, PoolStats};
-use pa_filter::{Frame, FuseStats, FusedProgram, Op, Program, ProgramBuilder, SlotId};
+use pa_filter::{Frame, FuseStats, FusedProgram, Op, Program, SlotId};
 use pa_obs::rng::SplitMix64;
 use pa_obs::{
     journey_id, AttrCause, Attribution, DropCause, FieldRef, Finding, HoldRow, Invariant,
     LeakCause, LeakLedger, MissRow, MissTable, Phase, PhaseMeter, PhaseRow, ProbeSink,
     RejectBucket, RejectReason, SlowCause, TraceEvent, XrayOp, XrayReport, XrayTag, XrayTotals,
 };
-use pa_wire::{Class, CompiledLayout, Cookie, EndpointAddr, Field, LayoutBuilder, Preamble};
+use pa_wire::{Class, CompiledLayout, Cookie, EndpointAddr, Field, Preamble};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// Delivery-filter verdict for a frame that should carry a trace
 /// context but doesn't (journey id 0): a conforming tracing peer always
@@ -248,21 +250,37 @@ struct DeliverWork {
 /// A point-to-point connection with its Protocol Accelerator.
 pub struct Connection {
     config: PaConfig,
-    layout: CompiledLayout,
+    /// What the stack compiled to — layout, verified filters, their
+    /// fused forms, the per-layer instruction spans — shared with every
+    /// connection whose layers declared the same things. Immutable; the
+    /// per-message path reads it through the handles below, not through
+    /// this pointer.
+    plan: Arc<StackPlan>,
     layers: Vec<Box<dyn Layer>>,
     order: ByteOrder,
     peer_order: ByteOrder,
     peer_order_known: bool,
-    send_filter: Program,
-    /// Send filter fused against the layout and our byte order: what
-    /// runs per message. `send_filter` keeps the patchable slots and is
-    /// what the interpreter re-runs for slow-path forensics.
-    send_fused: FusedProgram,
-    recv_filter: Program,
-    /// Delivery filter fused against the *peer's* byte order; re-fused
-    /// on the rare peer-order learn, never per message.
-    recv_fused: FusedProgram,
-    /// Number of fuse passes run (2 at setup, +1 per peer-order learn).
+    /// The plan's send filter fused in our byte order: what runs per
+    /// message.
+    send_fused: Arc<FusedProgram>,
+    /// The plan's delivery filter fused in the *peer's* byte order;
+    /// swapped for the plan's other one on the rare peer-order learn.
+    recv_fused: Arc<FusedProgram>,
+    /// This connection's values of the send filter's patchable slots
+    /// (§3.3): the plan's program holds the initial ones, post phases
+    /// and trace arming rewrite these, and both the fused run and the
+    /// interpreter's forensic re-run read them.
+    send_slots: Vec<i64>,
+    /// Same for the delivery filter.
+    recv_slots: Vec<i64>,
+    /// The layout's Protocol, Message and Gossip header lengths.
+    proto_len: usize,
+    msg_len: usize,
+    gossip_len: usize,
+    /// Times a fused filter was bound to this connection (2 at setup, +1
+    /// per peer-order learn). Each used to be a fuse pass; the plan
+    /// fused both orders when it was built, so a binding is an `Arc`
+    /// clone.
     fuse_count: u64,
     /// The §6 recycling pool: every hot-path buffer — send staging,
     /// post-processing frame images, unpacked delivery pieces — is
@@ -323,12 +341,6 @@ pub struct Connection {
     /// sub-counts of `phase_meters`, plus engine leaks (re-fuse) the
     /// per-layer meters cannot hold.
     leaks: LeakLedger,
-    /// Per-layer `[start, end)` instruction ranges in the send filter,
-    /// for attributing a rejection to the layer that contributed the
-    /// deciding instruction.
-    send_filter_spans: Vec<(usize, usize, &'static str)>,
-    /// Same for the delivery filter.
-    recv_filter_spans: Vec<(usize, usize, &'static str)>,
     /// Why the most recent send operation went the way it did
     /// (`XrayTag::none()` = fast path). Hosts read this to tag
     /// annotated pcap captures.
@@ -365,108 +377,106 @@ pub struct Connection {
 
 impl Connection {
     /// Builds a connection: runs every layer's `init` (field and filter
-    /// declarations), compiles the header layout and both filters, sizes
-    /// the predictions, and constructs the connection identification.
+    /// declarations), takes the stack's plan — the compiled header
+    /// layout and both filters, shared with every live connection whose
+    /// layers declared the same, compiled here only if there is none —
+    /// sizes the predictions, and constructs the connection
+    /// identification.
     pub fn new(
         mut layers: Vec<Box<dyn Layer>>,
         config: PaConfig,
         params: ConnectionParams,
     ) -> Result<Connection, SetupError> {
-        let mut lb = LayoutBuilder::new();
-        // Room for the paper stack's fragments plus the trace context's.
-        let mut send_fb = ProgramBuilder::with_capacity(16);
-        let mut recv_fb = ProgramBuilder::with_capacity(16);
-
-        // The engine's own conn-ident contribution: the stack
-        // fingerprint (detects mismatched stacks at setup) and the
-        // endpoint addresses — realistic large identification, like the
-        // ~76 bytes Horus carries (§2.2).
-        lb.begin_layer("pa");
-        let mut ident_field = |name, bits| {
-            lb.add_field(Class::ConnId, name, bits, None)
-                .map_err(SetupError::Layout)
-        };
-        let f_src = ident_field("src_endpoint", (EndpointAddr::WIRE_LEN * 8) as u32)?;
-        let f_dst = ident_field("dst_endpoint", (EndpointAddr::WIRE_LEN * 8) as u32)?;
-        let f_fp = ident_field("stack_fingerprint", 64)?;
-
-        // Record each layer's `[start, end)` span in both filter
-        // programs as it contributes fragments, so a later rejection's
-        // deciding instruction can be attributed to its layer.
-        let mut send_filter_spans = Vec::with_capacity(layers.len() + 1);
-        let mut recv_filter_spans = Vec::with_capacity(layers.len() + 1);
-        for layer in layers.iter_mut() {
-            lb.begin_layer(layer.name());
-            let (s0, r0) = (send_fb.len(), recv_fb.len());
-            let mut ctx = InitCtx {
-                layout: &mut lb,
-                send_filter: &mut send_fb,
-                recv_filter: &mut recv_fb,
+        let (plan, [f_src, f_dst, f_fp], trace) = plan::with_transcript(|t| {
+            // The engine's own conn-ident contribution: the stack
+            // fingerprint (detects mismatched stacks at setup) and the
+            // endpoint addresses — realistic large identification, like
+            // the ~76 bytes Horus carries (§2.2).
+            t.layout.begin_layer("pa");
+            let mut ident_field = |name, bits| {
+                t.layout
+                    .add_field(Class::ConnId, name, bits, None)
+                    .map_err(SetupError::Layout)
             };
-            layer.init(&mut ctx);
-            send_filter_spans.push((s0, send_fb.len(), layer.name()));
-            recv_filter_spans.push((r0, recv_fb.len(), layer.name()));
-        }
+            let ident_fields = [
+                ident_field("src_endpoint", (EndpointAddr::WIRE_LEN * 8) as u32)?,
+                ident_field("dst_endpoint", (EndpointAddr::WIRE_LEN * 8) as u32)?,
+                ident_field("stack_fingerprint", 64)?,
+            ];
 
-        // In-band trace context (opt-in): a journey id and hop counter
-        // in the Message Specific class, declared through the same
-        // `add_field` path every layer uses and *filled by the send
-        // filter* from patchable slots — tracing rides the PA's own
-        // header machinery, not a side channel. Checksum fragments never
-        // cover the Message class, so filter-written trace fields cannot
-        // invalidate a digest. When off, nothing is declared here: the
-        // compiled layout, the stack fingerprint, and every wire byte
-        // are identical to an untraced build (and the fingerprint in the
-        // connection identification catches a peer that disagrees).
-        let mut trace_journey = None;
-        let mut trace_hop = None;
-        let mut trace_j_slot = None;
-        let mut trace_h_slot = None;
-        if config.trace_ctx {
-            lb.begin_layer("trace");
-            let (trace_s0, trace_r0) = (send_fb.len(), recv_fb.len());
-            let jf = lb
-                .add_field(Class::Message, "trace_journey", 64, None)
-                .map_err(SetupError::Layout)?;
-            let hf = lb
-                .add_field(Class::Message, "trace_hop", 8, None)
-                .map_err(SetupError::Layout)?;
-            let js = send_fb.alloc_slot(0);
-            let hs = send_fb.alloc_slot(0);
-            send_fb.extend([
-                Op::PushSlot(js),
-                Op::PopField(jf),
-                Op::PushSlot(hs),
-                Op::PopField(hf),
-            ]);
-            // Delivery side: a conforming tracing peer never sends
-            // journey 0, so divert such frames to the slow path.
-            recv_fb.extend([
-                Op::PushField(jf),
-                Op::PushConst(0),
-                Op::Eq,
-                Op::Abort(TRACE_MISSING),
-            ]);
-            trace_journey = Some(jf);
-            trace_hop = Some(hf);
-            trace_j_slot = Some(js);
-            trace_h_slot = Some(hs);
-            send_filter_spans.push((trace_s0, send_fb.len(), "trace"));
-            recv_filter_spans.push((trace_r0, recv_fb.len(), "trace"));
-        }
+            // Record each layer's `[start, end)` span in both filter
+            // programs as it contributes fragments, so a later
+            // rejection's deciding instruction can be attributed to its
+            // layer.
+            for layer in layers.iter_mut() {
+                t.layout.begin_layer(layer.name());
+                let (s0, r0) = (t.send.program.len(), t.recv.program.len());
+                layer.init(&mut InitCtx {
+                    layout: &mut t.layout,
+                    send_filter: &mut t.send.program,
+                    recv_filter: &mut t.recv.program,
+                });
+                t.send.close_span(s0, layer.name());
+                t.recv.close_span(r0, layer.name());
+            }
 
-        let layout = lb
-            .into_layout(config.layout_mode)
-            .map_err(SetupError::Layout)?;
-        let send_filter = send_fb.build().map_err(SetupError::Filter)?;
-        let recv_filter = recv_fb.build().map_err(SetupError::Filter)?;
-        // Fuse both filters once at handshake: field offsets, widths,
-        // and byte order resolved into a flat op array. The delivery
-        // side starts in our own order and re-fuses if the peer's
-        // preamble teaches us otherwise (once per connection, not per
-        // message).
-        let send_fused = FusedProgram::fuse(&send_filter, &layout, params.order);
-        let recv_fused = FusedProgram::fuse(&recv_filter, &layout, params.order);
+            // In-band trace context (opt-in): a journey id and hop
+            // counter in the Message Specific class, declared through
+            // the same `add_field` path every layer uses and *filled by
+            // the send filter* from patchable slots — tracing rides the
+            // PA's own header machinery, not a side channel. Checksum
+            // fragments never cover the Message class, so filter-written
+            // trace fields cannot invalidate a digest. When off, nothing
+            // is declared here: the compiled layout, the stack
+            // fingerprint, and every wire byte are identical to an
+            // untraced build (and the fingerprint in the connection
+            // identification catches a peer that disagrees).
+            let mut trace = None;
+            if config.trace_ctx {
+                t.layout.begin_layer("trace");
+                let (s0, r0) = (t.send.program.len(), t.recv.program.len());
+                let mut trace_field = |name, bits| {
+                    t.layout
+                        .add_field(Class::Message, name, bits, None)
+                        .map_err(SetupError::Layout)
+                };
+                let jf = trace_field("trace_journey", 64)?;
+                let hf = trace_field("trace_hop", 8)?;
+                let js = t.send.program.alloc_slot(0);
+                let hs = t.send.program.alloc_slot(0);
+                t.send.program.extend([
+                    Op::PushSlot(js),
+                    Op::PopField(jf),
+                    Op::PushSlot(hs),
+                    Op::PopField(hf),
+                ]);
+                // Delivery side: a conforming tracing peer never sends
+                // journey 0, so divert such frames to the slow path.
+                t.recv.program.extend([
+                    Op::PushField(jf),
+                    Op::PushConst(0),
+                    Op::Eq,
+                    Op::Abort(TRACE_MISSING),
+                ]);
+                t.send.close_span(s0, "trace");
+                t.recv.close_span(r0, "trace");
+                trace = Some((jf, hf, js, hs));
+            }
+
+            // What was just declared is the plan's key: equal
+            // declarations share one compiled layout and one pair of
+            // filters, verified and fused — for both byte orders, so
+            // the delivery side starts in ours and a peer's preamble
+            // teaching us otherwise only swaps a handle — when the
+            // first connection of the stack was built.
+            let plan = plan::plan_for(t, config.layout_mode)?;
+            Ok((plan, ident_fields, trace))
+        })?;
+        let layout = &plan.layout;
+        let (trace_journey, trace_hop, trace_j_slot, trace_h_slot) = match trace {
+            Some((jf, hf, js, hs)) => (Some(jf), Some(hf), Some(js), Some(hs)),
+            None => (None, None, None, None),
+        };
 
         // Connection identification: `local` is what we send, `peer`
         // what we expect to receive. Always big-endian (compared as
@@ -481,12 +491,12 @@ impl Connection {
         layout.write_field_bytes(f_dst, &mut ident_peer, &params.local.encode());
         layout.write_field(f_fp, &mut ident_peer, ByteOrder::Big, layout.fingerprint());
         for layer in &layers {
-            layer.fill_ident(&layout, &mut ident_local, &mut ident_peer);
+            layer.fill_ident(layout, &mut ident_local, &mut ident_peer);
         }
 
         let mut rng = SplitMix64::new(params.seed);
-        let send_predict = Prediction::new(&layout, params.order);
-        let recv_predict = Prediction::new(&layout, params.order);
+        let send_predict = Prediction::new(layout, params.order);
+        let recv_predict = Prediction::new(layout, params.order);
         let cookie_local = Cookie::random(&mut rng);
 
         // Pool headroom: preamble (≤ 9 B) + conn-ident + the three
@@ -513,17 +523,18 @@ impl Connection {
             cycle_metering: false,
             leak_scope: None,
             leaks: LeakLedger::default(),
-            send_filter_spans,
-            recv_filter_spans,
             last_send_explain: XrayTag::none(),
             last_deliver_explain: XrayTag::none(),
             order: params.order,
             peer_order: params.order,
             peer_order_known: false,
-            send_filter,
-            send_fused,
-            recv_filter,
-            recv_fused,
+            send_fused: Arc::clone(plan.send.fused(params.order)),
+            recv_fused: Arc::clone(plan.recv.fused(params.order)),
+            send_slots: plan.send.program.slots().to_vec(),
+            recv_slots: plan.recv.program.slots().to_vec(),
+            proto_len: layout.class_len(Class::Protocol),
+            msg_len: layout.class_len(Class::Message),
+            gossip_len: layout.class_len(Class::Gossip),
             fuse_count: 2,
             pool,
             send_predict,
@@ -539,7 +550,7 @@ impl Connection {
             ident_peer,
             ident_remaining: config.ident_on_first,
             stats: ConnStats::default(),
-            layout,
+            plan,
             params,
             now: 0,
             probe: ProbeSink::Noop,
@@ -562,7 +573,14 @@ impl Connection {
 
     /// The compiled header layout.
     pub fn layout(&self) -> &CompiledLayout {
-        &self.layout
+        &self.plan.layout
+    }
+
+    /// True if `other` holds the very plan this connection does: the
+    /// two stacks declared the same things in the same layout mode.
+    #[doc(hidden)]
+    pub fn shares_plan_with(&self, other: &Connection) -> bool {
+        Arc::ptr_eq(&self.plan, &other.plan)
     }
 
     /// This connection's configuration.
@@ -613,15 +631,27 @@ impl Connection {
         self.pool.idle()
     }
 
-    /// The verified `(send, delivery)` filter programs.
+    /// The verified `(send, delivery)` filter programs — the stack
+    /// plan's, shared with every connection of the stack. Their slots
+    /// hold the values the layers allocated them with; what this
+    /// connection's filters read now is [`Connection::filter_slots`].
     pub fn filters(&self) -> (&Program, &Program) {
-        (&self.send_filter, &self.recv_filter)
+        (&self.plan.send.program, &self.plan.recv.program)
     }
 
-    /// Fused-filter compile accounting: how many times filters were
-    /// fused (2 at construction, +1 when the peer's byte order is
-    /// learned and the delivery filter re-fuses), plus the send/recv
-    /// program resolution stats.
+    /// The live `(send, delivery)` values of the filters' patchable
+    /// slots (§3.3), indexed by `SlotId`: this connection's own, as its
+    /// post phases and trace arming last rewrote them.
+    pub fn filter_slots(&self) -> (&[i64], &[i64]) {
+        (&self.send_slots, &self.recv_slots)
+    }
+
+    /// Fused-filter accounting: how many times a fused filter was bound
+    /// to this connection (2 at construction, +1 when the peer's byte
+    /// order is learned and the delivery filter changes to that order),
+    /// plus the send/recv program resolution stats. The count is of
+    /// bindings, not fuse passes: the plan fused both orders when the
+    /// stack's first connection was built.
     pub fn fuse_stats(&self) -> (u64, FuseStats, FuseStats) {
         (
             self.fuse_count,
@@ -691,7 +721,7 @@ impl Connection {
 
     /// Dissects a wire frame against this connection's layout.
     pub fn dissect_frame(&self, frame: &Msg) -> String {
-        crate::dissect::dissect(frame, &self.layout)
+        crate::dissect::dissect(frame, &self.plan.layout)
     }
 
     // ------------------------------------------------------------------
@@ -759,17 +789,6 @@ impl Connection {
         self.send_predict.violations() + self.recv_predict.violations()
     }
 
-    /// The layer charged with the deciding instruction at `pc` in a
-    /// filter program (`"pa"` for engine-contributed instructions).
-    fn span_layer(spans: &[(usize, usize, &'static str)], pc: u16) -> &'static str {
-        let pc = pc as usize;
-        spans
-            .iter()
-            .find(|(s, e, _)| pc >= *s && pc < *e)
-            .map(|&(_, _, name)| name)
-            .unwrap_or("pa")
-    }
-
     /// The [`XrayTag`] layer byte for a layer name (stack index, or
     /// [`XrayTag::ENGINE`] for the engine and pseudo-layers).
     fn layer_byte(&self, name: &str) -> u8 {
@@ -783,14 +802,14 @@ impl Connection {
     /// The name `f` was declared under.
     fn field_label(&self, f: FieldRef) -> String {
         let class = Class::ALL[(f.class as usize).min(Class::ALL.len() - 1)];
-        let name = self.layout.field_name(class, f.index as usize);
+        let name = self.plan.layout.field_name(class, f.index as usize);
         name.unwrap_or("?").to_string()
     }
 
     /// The layer that declared Protocol field `idx`: `LayerId` 0 is the
     /// engine's own `"pa"`, 1..=n the stack, n+1 the trace pseudo-layer.
     fn protocol_field_owner(&self, idx: usize) -> &'static str {
-        let id = self.layout.field_layer(Class::Protocol, idx);
+        let id = self.plan.layout.field_layer(Class::Protocol, idx);
         match id.and_then(|id| (id.0 as usize).checked_sub(1)) {
             None => "pa",
             Some(i) => self.layers.get(i).map_or("trace", |l| l.name()),
@@ -1250,7 +1269,7 @@ impl Connection {
         // Push predicted gossip, zeroed message-specific, predicted
         // protocol header — building the Figure 1 frame front-to-back.
         msg.push_front(self.send_predict.gossip());
-        msg.push_front_zeroed(self.layout.class_len(Class::Message));
+        msg.push_front_zeroed(self.msg_len);
         msg.push_front(self.send_predict.proto());
 
         let verdict = self.run_send_filter(&mut msg);
@@ -1265,20 +1284,17 @@ impl Connection {
             // path): find the deciding instruction by re-running the
             // interpreter traced, and charge the layer whose filter
             // fragment contains it.
-            let attr_layer = {
-                let mut frame = Frame::new(&mut msg, &self.layout, self.order);
-                match pa_filter::run_traced(&self.send_filter, &mut frame) {
-                    (_, Some(at)) => {
-                        if self.probe.enabled() {
-                            self.emit(TraceEvent::FilterReject {
-                                pc: at.pc,
-                                op: at.op,
-                            });
-                        }
-                        Self::span_layer(&self.send_filter_spans, at.pc)
+            let attr_layer = match self.trace_send_filter(&mut msg) {
+                Some(at) => {
+                    if self.probe.enabled() {
+                        self.emit(TraceEvent::FilterReject {
+                            pc: at.pc,
+                            op: at.op,
+                        });
                     }
-                    _ => "pa",
+                    self.plan.send.layer_at(at.pc)
                 }
+                None => "pa",
             };
             self.attribution
                 .bump(XrayOp::SlowSend, attr_layer, AttrCause::FilterReject);
@@ -1286,10 +1302,7 @@ impl Connection {
                 XrayTag::from_cause(self.layer_byte(attr_layer), AttrCause::FilterReject);
             // Fall back: strip the speculative headers and run the
             // layered pre-send on the original body.
-            let hdr = self.layout.class_len(Class::Protocol)
-                + self.layout.class_len(Class::Message)
-                + self.layout.class_len(Class::Gossip);
-            msg.skip_front(hdr);
+            msg.skip_front(self.hdr_len());
             self.stats.slow_sends += 1;
             self.emit(TraceEvent::SlowSend {
                 cause: SlowCause::FilterReject,
@@ -1315,11 +1328,15 @@ impl Connection {
     /// Builds a frame (zeroed class headers) around a packing-prefixed
     /// body.
     fn blank_frame_from_body(&self, mut body: Msg) -> Msg {
-        let hdr = self.layout.class_len(Class::Protocol)
-            + self.layout.class_len(Class::Message)
-            + self.layout.class_len(Class::Gossip);
-        body.push_front_zeroed(hdr);
+        body.push_front_zeroed(self.hdr_len());
         body
+    }
+
+    /// Bytes of the always-present headers (protocol + message +
+    /// gossip), from the connection's own copy of the three lengths.
+    #[inline]
+    fn hdr_len(&self) -> usize {
+        self.proto_len + self.msg_len + self.gossip_len
     }
 
     /// Arms the trace-context slots before a send-filter run: the
@@ -1336,19 +1353,27 @@ impl Connection {
             self.journey_seq += 1;
             (id, 0)
         });
-        self.send_filter.set_slot(js, journey as i64);
-        self.send_filter.set_slot(hs, hop as i64);
+        self.send_slots[js.0 as usize] = journey as i64;
+        self.send_slots[hs.0 as usize] = hop as i64;
     }
 
     /// Runs the fused send filter over `msg`'s frame.
     fn run_send_filter(&mut self, msg: &mut Msg) -> pa_filter::Verdict {
         self.arm_trace_slots();
-        self.send_fused.run(self.send_filter.slots(), msg)
+        self.send_fused.run(&self.send_slots, msg)
     }
 
     /// Runs the fused delivery filter.
     fn run_recv_filter(&mut self, msg: &mut Msg) -> pa_filter::Verdict {
-        self.recv_fused.run(self.recv_filter.slots(), msg)
+        self.recv_fused.run(&self.recv_slots, msg)
+    }
+
+    /// Forensics for a refused send: re-runs the plan's send filter
+    /// through the interpreter, over this connection's slots, to name
+    /// the deciding instruction.
+    fn trace_send_filter(&self, msg: &mut Msg) -> Option<pa_filter::RejectPoint> {
+        let mut frame = Frame::new(msg, &self.plan.layout, self.order);
+        pa_filter::run_traced(&self.plan.send.program, &self.send_slots, &mut frame).1
     }
 
     /// A staging buffer holding `payload`: pooled (steady state: zero
@@ -1384,8 +1409,8 @@ impl Connection {
         // copied into the header). Recorded for the host's pcap tagging
         // and emitted when a probe listens.
         if let (Some(js), Some(hs)) = (self.trace_j_slot, self.trace_h_slot) {
-            let journey = self.send_filter.slot(js) as u64;
-            let hop = self.send_filter.slot(hs) as u8;
+            let journey = self.send_slots[js.0 as usize] as u64;
+            let hop = self.send_slots[hs.0 as usize] as u8;
             self.last_sent_trace = Some((journey, hop));
             if journey != 0 && self.probe.enabled() {
                 self.emit(TraceEvent::JourneySend { journey, hop });
@@ -1476,8 +1501,7 @@ impl Connection {
             return self.reject(RejectReason::ZeroCookie);
         }
         if preamble.conn_ident_present {
-            let ident_len = self.layout.class_len(Class::ConnId);
-            let Some(ident) = frame.pop_front(ident_len) else {
+            let Some(ident) = frame.pop_front(self.ident_peer.len()) else {
                 return self.reject(RejectReason::TruncatedIdent);
             };
             if ident != self.ident_peer {
@@ -1525,7 +1549,7 @@ impl Connection {
         // Learn the peer's byte order from its preamble; re-encode the
         // delivery prediction if needed. Once an order is known, a
         // *cookie-only* frame is not allowed to change it: honoring a
-        // flipped bit 62 would re-encode the prediction and re-fuse the
+        // flipped bit 62 would re-encode the prediction and re-bind the
         // delivery filter on one attacker-forgeable byte — a cheap
         // way to evict the fast path ("masking" turned against us). A
         // genuine order change (peer reboot on different hardware)
@@ -1536,20 +1560,23 @@ impl Connection {
                 return self.reject(RejectReason::ByteOrderConflict);
             }
             // A *mid-stream* order change (peer re-identified from
-            // different hardware) re-fuses a filter a delivery is
+            // different hardware) re-binds a filter a delivery is
             // already waiting on — a critical-path leak. The first
             // learn on a fresh connection is setup cost, not a leak.
             let midstream = self.peer_order_known && self.peer_order != preamble.byte_order;
             self.peer_order = preamble.byte_order;
             self.peer_order_known = true;
-            self.recv_predict.reorder(&self.layout, self.peer_order);
-            // The fused delivery filter baked the old order in; re-fuse
-            // once against the learned one. The delivery that triggered
-            // the re-fuse waits on it — engine work the per-layer
-            // meters cannot hold, so it goes straight to the leak
-            // ledger as `("pa", recv-refuse)`.
+            self.recv_predict
+                .reorder(&self.plan.layout, self.peer_order);
+            // The fused delivery filter baked the old order in; take
+            // the plan's one for the learned order. The delivery that
+            // triggered the change waits on it — engine work the
+            // per-layer meters cannot hold, so it goes straight to the
+            // leak ledger as `("pa", recv-refuse)`: still one call per
+            // mid-stream learn, and, the fuse pass having moved into
+            // the plan's build, about no time.
             let t0 = self.meter_start();
-            self.recv_fused = FusedProgram::fuse(&self.recv_filter, &self.layout, self.peer_order);
+            self.recv_fused = Arc::clone(self.plan.recv.fused(self.peer_order));
             self.fuse_count += 1;
             if midstream {
                 let bias = self.phase_meters.first().map_or(0, |m| m.bias_ns);
@@ -1559,7 +1586,7 @@ impl Connection {
             }
         }
 
-        if !Frame::fits(&frame, &self.layout) {
+        if frame.len() < self.hdr_len() {
             return self.reject(RejectReason::ShortFrame);
         }
 
@@ -1567,15 +1594,14 @@ impl Connection {
         // here on — it delivers fast or slow, never silently vanishes).
         // Only runs when `trace_ctx` declared the fields.
         if let Some(jf) = self.trace_journey {
-            let msg_off = self.layout.class_len(Class::Protocol);
-            let msg_len = self.layout.class_len(Class::Message);
+            let layout = &self.plan.layout;
             // `frame` is a local, so the header borrow is independent
             // of `self` — read in place, no copy.
-            let read = frame.get(msg_off, msg_len).map(|bytes| {
-                let journey = self.layout.read_field(jf, bytes, self.peer_order);
+            let read = frame.get(self.proto_len, self.msg_len).map(|bytes| {
+                let journey = layout.read_field(jf, bytes, self.peer_order);
                 let hop = self
                     .trace_hop
-                    .map(|hf| self.layout.read_field(hf, bytes, self.peer_order) as u8)
+                    .map(|hf| layout.read_field(hf, bytes, self.peer_order) as u8)
                     .unwrap_or(0);
                 (journey, hop)
             });
@@ -1590,11 +1616,10 @@ impl Connection {
         }
 
         let filter_verdict = self.run_recv_filter(&mut frame);
-        let proto_len = self.layout.class_len(Class::Protocol);
         let predicted = self.config.predict
             && self.recv_predict.enabled()
             && frame
-                .get(0, proto_len)
+                .get(0, self.proto_len)
                 .is_some_and(|hdr| hdr == self.recv_predict.proto());
 
         if filter_verdict == pa_filter::PASS && predicted {
@@ -1662,8 +1687,9 @@ impl Connection {
     ) -> (&'static str, AttrCause) {
         match cause {
             SlowCause::FilterReject => {
-                let mut fr = Frame::new(frame, &self.layout, self.peer_order);
-                match pa_filter::run_traced(&self.recv_filter, &mut fr) {
+                let mut fr = Frame::new(frame, &self.plan.layout, self.peer_order);
+                let recv = &self.plan.recv;
+                match pa_filter::run_traced(&recv.program, &self.recv_slots, &mut fr) {
                     (_, Some(at)) => {
                         if self.probe.enabled() {
                             self.emit(TraceEvent::FilterReject {
@@ -1671,10 +1697,7 @@ impl Connection {
                                 op: at.op,
                             });
                         }
-                        (
-                            Self::span_layer(&self.recv_filter_spans, at.pc),
-                            AttrCause::FilterReject,
-                        )
+                        (self.plan.recv.layer_at(at.pc), AttrCause::FilterReject)
                     }
                     _ => ("pa", AttrCause::FilterReject),
                 }
@@ -1685,17 +1708,16 @@ impl Connection {
                 None => ("pa", AttrCause::Unattributed),
             },
             SlowCause::PredictMiss => {
-                let proto_len = self.layout.class_len(Class::Protocol);
                 // `hdr` borrows the caller's frame, not `self`, so the
                 // attribution below can take `&mut self` without a copy.
-                let Some(hdr) = frame.get(0, proto_len) else {
+                let Some(hdr) = frame.get(0, self.proto_len) else {
                     return ("pa", AttrCause::Unattributed);
                 };
                 let mut first: Option<(&'static str, FieldRef)> = None;
-                for i in 0..self.layout.class(Class::Protocol).field_count() {
+                for i in 0..self.plan.layout.class(Class::Protocol).field_count() {
                     let f = Field::new(Class::Protocol, i);
-                    let got = self.layout.read_field(f, hdr, self.peer_order);
-                    let expected = self.recv_predict.get(&self.layout, f);
+                    let got = self.plan.layout.read_field(f, hdr, self.peer_order);
+                    let expected = self.recv_predict.get(&self.plan.layout, f);
                     if got != expected {
                         let field = FieldRef::new(Class::Protocol.index() as u8, i as u16);
                         let owner = self.protocol_field_owner(i);
@@ -1773,10 +1795,8 @@ impl Connection {
         start: usize,
     ) -> Result<usize, (Msg, RejectReason)> {
         let stop = self.layers.len().saturating_sub(1);
-        let hdr = self.layout.class_len(Class::Protocol)
-            + self.layout.class_len(Class::Message)
-            + self.layout.class_len(Class::Gossip);
-        // The slow path re-checks what `Frame::fits` checked at entry:
+        let hdr = self.hdr_len();
+        // The slow path re-checks the length checked at entry:
         // layers may have reshaped the message in between, and this
         // function must stay total either way.
         if frame.len() < hdr {
@@ -1924,8 +1944,7 @@ impl Connection {
                 self.stats.drops_send_rejected += 1;
                 self.stats.rejects.bump(RejectReason::FilterReject);
                 if self.probe.enabled() {
-                    let mut frame = Frame::new(&mut msg, &self.layout, self.order);
-                    if let (_, Some(at)) = pa_filter::run_traced(&self.send_filter, &mut frame) {
+                    if let Some(at) = self.trace_send_filter(&mut msg) {
                         self.emit(TraceEvent::FilterReject {
                             pc: at.pc,
                             op: at.op,
@@ -2048,7 +2067,7 @@ impl Connection {
     ) -> R {
         let t0 = self.meter_start();
         let mut ctx = LayerCtx {
-            layout: &self.layout,
+            layout: &self.plan.layout,
             order,
             now: self.now,
             send_predict: &mut self.send_predict,
@@ -2167,10 +2186,10 @@ impl Connection {
             }
         }
         for (slot, v) in effects.send_slot_patches.drain(..) {
-            self.send_filter.set_slot(slot, v);
+            self.send_slots[slot.0 as usize] = v;
         }
         for (slot, v) in effects.recv_slot_patches.drain(..) {
-            self.recv_filter.set_slot(slot, v);
+            self.recv_slots[slot.0 as usize] = v;
         }
         for (msg, unusual) in effects.down.drain(..) {
             self.stats.control_msgs += 1;

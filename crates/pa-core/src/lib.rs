@@ -1,10 +1,13 @@
 //! The Protocol Accelerator engine (§4 of the paper, Figure 3).
 //!
-//! A [`conn::Connection`] owns one PA: the compiled header layout, the
-//! per-direction state of Table 3 (predicted headers, disable counters,
-//! packet filters, backlog, pending post-processing), and the protocol
+//! A [`conn::Connection`] owns one PA: the per-direction state of
+//! Table 3 (predicted headers, disable counters, the packet filters'
+//! patchable slots, backlog, pending post-processing) and the protocol
 //! stack itself — a bottom-to-top vector of [`layer::Layer`]
-//! implementations in canonical pre/post form (§3.1).
+//! implementations in canonical pre/post form (§3.1). What the stack
+//! compiles to — the header layout and the two verified, fused packet
+//! filters — is built once per distinct stack and shared by every
+//! connection over it.
 //!
 //! The send path (Figure 3's `send()`):
 //!
@@ -39,6 +42,7 @@ pub mod dissect;
 pub mod handshake;
 pub mod layer;
 pub mod packing;
+mod plan;
 pub mod predict;
 pub mod router;
 pub mod shard;

@@ -756,9 +756,12 @@ impl ShardedEndpoint {
     /// [`pa_obs::MetricsSnapshot`]: each connection's [`ConnStats`]
     /// under scope `conn<N>` (`N` is the handle's directory slot, stable
     /// across migrations), the routers' demux counters summed under
-    /// `router`, frame and lifecycle accounting under `demux`, and
+    /// `router`, frame and lifecycle accounting under `demux`,
     /// cross-connection totals under `endpoint` (live connections plus
-    /// the retired accumulators, so churn never loses a count).
+    /// the retired accumulators, so churn never loses a count), and the
+    /// process-wide stack-plan registry under `plan` (`plans_live`,
+    /// `plan_hits`, `plan_builds`: a host whose builds keep pace with
+    /// its admissions is compiling a stack per connection).
     /// Snapshot twice and call [`pa_obs::MetricsSnapshot::delta`] to
     /// see what one phase of a run did.
     ///
@@ -841,6 +844,7 @@ impl ShardedEndpoint {
         for ((name, _), sum) in names.iter().zip(sums) {
             snap.record("endpoint", name, sum);
         }
+        crate::plan::record_into(&mut snap, "plan");
         snap
     }
 }

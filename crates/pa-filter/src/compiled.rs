@@ -16,9 +16,10 @@
 //! re-runs a refused frame through to name the deciding instruction —
 //! never the hot path.
 //!
-//! Patchable slots remain owned by the source [`Program`]; `run` borrows
-//! the slot array so a post-processing rewrite is visible without a
-//! re-fuse.
+//! Patchable slots are not fused in: `run` borrows the caller's slot
+//! array (the source [`Program`]'s, or a connection's own copy of it),
+//! so a post-processing rewrite is visible without a re-fuse and one
+//! fused program serves every connection of a stack.
 
 use crate::digest::DigestKind;
 use crate::op::Op;
@@ -131,9 +132,9 @@ pub struct FuseStats {
 ///   frame_len()` (the engine's `Frame::fits` gate), so the run loop
 ///   carries no per-message range re-derivation.
 ///
-/// Patchable slots still live in the source [`Program`]: `run` borrows
-/// the slot array, so post-processing rewrites are visible without a
-/// re-fuse — the interpreter reads the same array.
+/// Patchable slots stay outside: `run` borrows the slot array, so
+/// post-processing rewrites are visible without a re-fuse — the
+/// interpreter's traced run reads the same array.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedProgram {
     ops: Vec<FOp>,

@@ -22,15 +22,25 @@ pub struct RejectPoint {
     pub op: &'static str,
 }
 
-/// Runs `program` against `frame`, returning the verdict (0 = pass).
+/// Runs `program` against `frame` with the slot values it was built
+/// with, returning the verdict (0 = pass).
 pub fn run(program: &Program, frame: &mut Frame<'_>) -> Verdict {
-    run_traced(program, frame).0
+    run_traced(program, program.slots(), frame).0
 }
 
-/// Like [`run`], but also reports *where* a non-PASS verdict was
-/// decided, for diagnostic tracing. A PASS (including falling off the
-/// end) carries no reject point.
-pub fn run_traced(program: &Program, frame: &mut Frame<'_>) -> (Verdict, Option<RejectPoint>) {
+/// Like [`run`], but reads patchable slots from `slots` — the caller's
+/// live values, one per slot of `program`, as
+/// [`crate::FusedProgram::run`] takes them — and also reports *where* a
+/// non-PASS verdict was decided, for diagnostic tracing. A PASS
+/// (including falling off the end) carries no reject point.
+///
+/// # Panics
+/// If `slots` is shorter than a slot index `program` pushes.
+pub fn run_traced(
+    program: &Program,
+    slots: &[i64],
+    frame: &mut Frame<'_>,
+) -> (Verdict, Option<RejectPoint>) {
     // Refuse to execute over a frame shorter than the class headers the
     // program's field references reach into — the totality guard that
     // makes arbitrary truncated wire bytes unable to panic a filter run.
@@ -43,7 +53,7 @@ pub fn run_traced(program: &Program, frame: &mut Frame<'_>) -> (Verdict, Option<
     for (pc, op) in program.ops().iter().enumerate() {
         match *op {
             Op::PushConst(v) => stack.push(v),
-            Op::PushSlot(s) => stack.push(program.slots()[s.0 as usize]),
+            Op::PushSlot(s) => stack.push(slots[s.0 as usize]),
             Op::PushField(f) => stack.push(frame.read(f) as i64),
             Op::PushSize => stack.push(frame.size() as i64),
             Op::PushBodySize => stack.push(frame.body_size() as i64),
@@ -169,7 +179,7 @@ mod tests {
         b.extend(vec![Op::PushConst(1), Op::Abort(9), Op::Return(0)]);
         let p = b.build().unwrap();
         let mut frame = Frame::new(&mut m, &fx.layout, ByteOrder::Big);
-        let (v, at) = run_traced(&p, &mut frame);
+        let (v, at) = run_traced(&p, p.slots(), &mut frame);
         assert_eq!(v, 9);
         let at = at.expect("rejected");
         assert_eq!(at.pc, 1);
@@ -179,7 +189,7 @@ mod tests {
         b.extend(vec![Op::Return(0)]);
         let p = b.build().unwrap();
         let mut frame = Frame::new(&mut m, &fx.layout, ByteOrder::Big);
-        assert_eq!(run_traced(&p, &mut frame), (0, None));
+        assert_eq!(run_traced(&p, p.slots(), &mut frame), (0, None));
     }
 
     #[test]
@@ -366,6 +376,15 @@ mod tests {
         {
             let mut frame = Frame::new(&mut m, &fx.layout, ByteOrder::Big);
             assert_eq!(run(&p, &mut frame), 1, "20 > 10");
+        }
+        // A caller's own slot array decides, and leaves the program's
+        // values alone.
+        {
+            let mut frame = Frame::new(&mut m, &fx.layout, ByteOrder::Big);
+            assert_eq!(run_traced(&p, &[100], &mut frame), (0, None));
+            let (v, at) = run_traced(&p, &[19], &mut frame);
+            assert_eq!((v, at.map(|at| at.pc)), (1, Some(3)));
+            assert_eq!(run(&p, &mut frame), 1, "the program still says 10");
         }
         p.set_slot(limit, 100);
         let mut frame = Frame::new(&mut m, &fx.layout, ByteOrder::Big);

@@ -17,7 +17,9 @@
 //!   time ([`ProgramBuilder`]); fragments concatenate in layer order,
 //! - programs may contain *patchable slots* — the paper's "part of the
 //!   packet filter program may be rewritten when the protocol state is
-//!   updated in the post-processing phase" ([`Program::set_slot`]),
+//!   updated in the post-processing phase" ([`Program::set_slot`]; both
+//!   engines read slots from an array the caller passes, so connections
+//!   that share one verified program each patch their own copy),
 //! - one engine, one oracle: the PA runs the *fused* program
 //!   ([`compiled::FusedProgram`]: field offsets and byte order baked
 //!   in, inline stack — our stand-in for the Exokernel-style

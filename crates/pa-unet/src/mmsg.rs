@@ -105,16 +105,14 @@ impl MmsgSlots {
         }
     }
 
+    /// Grows the per-slot storage to `n` slots and empties `hdrs`, which
+    /// holds raw pointers into it and is rebuilt on every call.
     fn ensure(&mut self, n: usize) {
         while self.bufs.len() < n {
             self.bufs.push(vec![0u8; self.frame_cap]);
             self.addrs.push(SockAddrBuf([0u8; SS_SIZE]));
         }
-        // iovs/hdrs hold raw pointers into bufs/addrs, so they are
-        // rebuilt from scratch on every call; just keep capacity.
-        self.iovs.clear();
         self.hdrs.clear();
-        self.iovs.reserve(n);
         self.hdrs.reserve(n);
     }
 
@@ -141,6 +139,7 @@ impl MmsgSlots {
         }
         self.ensure(max);
         self.results.clear();
+        self.iovs.clear();
         for i in 0..max {
             self.iovs.push(IoVec {
                 base: self.bufs[i].as_mut_ptr().cast(),
@@ -194,8 +193,20 @@ impl MmsgSlots {
     /// possible. Best-effort like the per-frame path: a would-block or
     /// transient error abandons the remainder — UDP may drop, so may
     /// we. Returns how many frames the kernel accepted.
-    pub fn send_batch(&mut self, fd: c_int, frames: &[&[u8]], dest: SocketAddr) -> usize {
-        let n = frames.len();
+    pub fn send_batch<'a>(
+        &mut self,
+        fd: c_int,
+        frames: impl Iterator<Item = &'a [u8]>,
+        dest: SocketAddr,
+    ) -> usize {
+        // The iovecs first: their count is the burst's slot count, and
+        // `hdrs` may point into `iovs` only once it has stopped growing.
+        self.iovs.clear();
+        self.iovs.extend(frames.map(|f| IoVec {
+            base: f.as_ptr() as *mut c_void,
+            len: f.len(),
+        }));
+        let n = self.iovs.len();
         if n == 0 {
             return 0;
         }
@@ -204,12 +215,6 @@ impl MmsgSlots {
         // Every slot shares the same destination encoding.
         for i in 1..n {
             self.addrs[i] = self.addrs[0].clone();
-        }
-        for f in frames {
-            self.iovs.push(IoVec {
-                base: f.as_ptr() as *mut c_void,
-                len: f.len(),
-            });
         }
         for i in 0..n {
             self.hdrs.push(MMsgHdr {

@@ -188,18 +188,18 @@ impl Netif for UdpNet {
             frames.clear();
             return 0;
         };
-        let mut fitting: Vec<&[u8]> = Vec::with_capacity(frames.len());
-        for f in frames.iter() {
-            if f.len() > self.max_frame {
-                self.rejects.bump(RejectReason::OversizedDatagram);
-            } else {
-                fitting.push(f.as_slice());
-            }
+        let max_frame = self.max_frame;
+        for _ in frames.iter().filter(|f| f.len() > max_frame) {
+            self.rejects.bump(RejectReason::OversizedDatagram);
         }
-        let accepted = self
-            .mmsg
-            .send_batch(self.socket.as_raw_fd(), &fitting, addr);
-        frames.clear();
+        let fitting = frames
+            .iter()
+            .map(Msg::as_slice)
+            .filter(|f| f.len() <= max_frame);
+        let accepted = self.mmsg.send_batch(self.socket.as_raw_fd(), fitting, addr);
+        // The kernel has copied what it took: the buffers are the next
+        // receive burst's, not the allocator's.
+        self.pool.recycle_burst(frames.drain(..));
         accepted
     }
 

@@ -610,35 +610,77 @@ fn packed_backlog_delivery_reconciles_the_pools() {
     assert_eq!(pb.returns - pb.hits, b.pool_idle() as u64);
 }
 
-/// Setup is not free, but it is counted: building a connection over the
-/// paper stack allocates for the state it goes on to own and for the
-/// packer's two scratch buffers, nothing else. The 22:
+/// The paper stack's layers and the parameters of a connection over
+/// them; `seed` tells the connections of one test apart.
+fn paper_setup(seed: u64) -> (Vec<Box<dyn Layer>>, ConnectionParams) {
+    let params = ConnectionParams {
+        local: EndpointAddr::from_parts(1, 3),
+        peer: EndpointAddr::from_parts(2, 3),
+        seed,
+        order: ByteOrder::Big,
+    };
+    (StackSpec::paper().build(), params)
+}
+
+/// Setup is not free, but it is counted: once a stack's plan exists,
+/// building another connection over it allocates for the state that
+/// connection goes on to own and for nothing else. The 7:
 ///
-/// - 3 the declarations, which the layout keeps: the name arena, the
-///   field specs, the layer-name spans;
-/// - 4 the placements, one list per class;
-/// - 2 the packer's scratch (occupancy bitmap, placement order) — the
-///   only two freed before `new` returns;
-/// - 2 the send and delivery filter programs, 2 their fused forms, 2 the
-///   per-layer instruction-span tables;
 /// - 2 the local and expected connection identification;
 /// - 4 two predictions' protocol and gossip images;
 /// - 1 the per-layer phase meters.
 ///
-/// The pool, the queues, the effects scratch and the attribution tables
-/// start empty and allocate on first use.
+/// The declarations, both filter programs and their span tables — the
+/// plan's lookup key — are written into the thread's retained
+/// transcript and compared in place; the layout, the placements, the
+/// verified and fused filters are the plan's, found and shared. The
+/// paper stack's filters have no patchable slots, so the two slot
+/// arrays are empty; the pool, the queues, the effects scratch and the
+/// attribution tables start empty and allocate on first use.
 #[test]
 fn connection_setup_allocates_only_what_it_keeps() {
-    let layers = StackSpec::paper().build();
-    let params = ConnectionParams {
-        local: EndpointAddr::from_parts(1, 3),
-        peer: EndpointAddr::from_parts(2, 3),
-        seed: 7,
-        order: ByteOrder::Big,
-    };
+    let (layers, params) = paper_setup(7);
+    let first = Connection::new(layers, PaConfig::paper_default(), params).expect("valid stack");
+    let (layers, params) = paper_setup(8);
     let before = allocations();
     let conn = Connection::new(layers, PaConfig::paper_default(), params);
     let made = allocations() - before;
+    let conn = conn.expect("valid stack");
+    assert!(conn.shares_plan_with(&first), "the second build is a hit");
+    assert!(made <= 7, "Connection::new made {made} allocations");
+}
+
+/// The first connection of a stack pays for the plan as well, once. The
+/// stack below is the paper's with `trace_ctx` on — no other test here
+/// builds it, so this build is a miss whatever ran before, and libtest
+/// gives each test a thread of its own, so the transcript is cold too.
+/// The 40:
+///
+/// - 8 the connection's own: the 7 above and the send filter's slot
+///   array (the trace context's two slots);
+/// - 9 the transcript, kept by the thread for its next build: its box,
+///   the three declaration tables, each filter's instructions and span
+///   table, the send filter's slots;
+/// - 9 the layout: a fitted copy of the three declaration tables, four
+///   placement lists, the packer's two scratch buffers;
+/// - 13 the filters: per direction a fitted copy of the instructions
+///   (and, sending, the slots), the span table, and the two fused forms,
+///   each behind its own `Arc`;
+/// - 1 the plan's `Arc`, and at most 1 the registry's list growing.
+#[test]
+fn first_connection_of_a_stack_pays_for_the_plan_once() {
+    let config = PaConfig {
+        trace_ctx: true,
+        ..PaConfig::paper_default()
+    };
+    let (layers, params) = paper_setup(9);
+    let before = allocations();
+    let conn = Connection::new(layers, config, params);
+    let made = allocations() - before;
     assert!(conn.is_ok());
-    assert!(made <= 22, "Connection::new made {made} allocations");
+    assert!(
+        made <= 40,
+        "the first Connection::new made {made} allocations"
+    );
+    assert!(made > 7, "a miss compiles: {made} allocations");
 }
