@@ -261,11 +261,13 @@ pub struct Connection {
     peer_order: ByteOrder,
     peer_order_known: bool,
     /// The plan's send filter fused in our byte order: what runs per
-    /// message.
-    send_fused: Arc<FusedProgram>,
+    /// message. A clone of the plan's — the instructions are shared,
+    /// the four words that find them are here, so a run costs no load a
+    /// private copy would not.
+    send_fused: FusedProgram,
     /// The plan's delivery filter fused in the *peer's* byte order;
-    /// swapped for the plan's other one on the rare peer-order learn.
-    recv_fused: Arc<FusedProgram>,
+    /// replaced by the plan's other one on the rare peer-order learn.
+    recv_fused: FusedProgram,
     /// This connection's values of the send filter's patchable slots
     /// (§3.3): the plan's program holds the initial ones, post phases
     /// and trace arming rewrite these, and both the fused run and the
@@ -279,8 +281,8 @@ pub struct Connection {
     gossip_len: usize,
     /// Times a fused filter was bound to this connection (2 at setup, +1
     /// per peer-order learn). Each used to be a fuse pass; the plan
-    /// fused both orders when it was built, so a binding is an `Arc`
-    /// clone.
+    /// fused both orders when it was built, so a binding is a clone
+    /// that shares the instructions.
     fuse_count: u64,
     /// The §6 recycling pool: every hot-path buffer — send staging,
     /// post-processing frame images, unpacked delivery pieces — is
@@ -528,8 +530,8 @@ impl Connection {
             order: params.order,
             peer_order: params.order,
             peer_order_known: false,
-            send_fused: Arc::clone(plan.send.fused(params.order)),
-            recv_fused: Arc::clone(plan.recv.fused(params.order)),
+            send_fused: plan.send.fused(params.order).clone(),
+            recv_fused: plan.recv.fused(params.order).clone(),
             send_slots: plan.send.program.slots().to_vec(),
             recv_slots: plan.recv.program.slots().to_vec(),
             proto_len: layout.class_len(Class::Protocol),
@@ -1576,7 +1578,7 @@ impl Connection {
             // mid-stream learn, and, the fuse pass having moved into
             // the plan's build, about no time.
             let t0 = self.meter_start();
-            self.recv_fused = Arc::clone(self.plan.recv.fused(self.peer_order));
+            self.recv_fused = self.plan.recv.fused(self.peer_order).clone();
             self.fuse_count += 1;
             if midstream {
                 let bias = self.phase_meters.first().map_or(0, |m| m.bias_ns);

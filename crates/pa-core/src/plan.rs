@@ -87,12 +87,12 @@ pub(crate) fn with_transcript<R>(declare: impl FnOnce(&mut Transcript) -> R) -> 
 
 /// One direction's filter, compiled: the verified program (its slots
 /// hold the *initial* values; connections patch their own copies), its
-/// fused form in each byte order, and who contributed which
-/// instructions.
+/// fused form in each byte order — connections hold a clone, which
+/// shares the instructions — and who contributed which instructions.
 pub(crate) struct FilterPlan {
     pub(crate) program: Program,
     /// Indexed big-endian, little-endian.
-    fused: [Arc<FusedProgram>; 2],
+    fused: [FusedProgram; 2],
     spans: Vec<Span>,
 }
 
@@ -100,7 +100,7 @@ impl FilterPlan {
     fn build(draft: &FilterDraft, layout: &CompiledLayout) -> Result<FilterPlan, SetupError> {
         let program = draft.program.clone().build().map_err(SetupError::Filter)?;
         let fused = [ByteOrder::Big, ByteOrder::Little]
-            .map(|order| Arc::new(FusedProgram::fuse(&program, layout, order)));
+            .map(|order| FusedProgram::fuse(&program, layout, order));
         Ok(FilterPlan {
             program,
             fused,
@@ -113,7 +113,7 @@ impl FilterPlan {
     }
 
     /// The program with `order` baked in.
-    pub(crate) fn fused(&self, order: ByteOrder) -> &Arc<FusedProgram> {
+    pub(crate) fn fused(&self, order: ByteOrder) -> &FusedProgram {
         match order {
             ByteOrder::Big => &self.fused[0],
             ByteOrder::Little => &self.fused[1],

@@ -27,6 +27,7 @@ use crate::program::Program;
 use crate::Verdict;
 use pa_wire::bits;
 use pa_wire::{Class, CompiledLayout};
+use std::sync::Arc;
 
 /// A fused instruction: field reference *and* byte order resolved.
 ///
@@ -135,14 +136,20 @@ pub struct FuseStats {
 /// Patchable slots stay outside: `run` borrows the slot array, so
 /// post-processing rewrites are visible without a re-fuse — the
 /// interpreter's traced run reads the same array.
+///
+/// The instructions are shared: a clone is a reference-count bump and
+/// four words, so every connection of a stack holds the one fused
+/// program *by value* — its per-message run reaches the instructions
+/// with the loads a private copy would cost, and nothing is fused twice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedProgram {
-    ops: Vec<FOp>,
-    proto_len: usize,
-    gossip_off: usize,
-    body_off: usize,
+    ops: Arc<[FOp]>,
+    // Header offsets in bytes: three class headers of at most 65 535
+    // bytes each.
+    proto_len: u32,
+    gossip_off: u32,
+    body_off: u32,
     max_depth: u32,
-    stats: FuseStats,
 }
 
 impl FusedProgram {
@@ -160,19 +167,13 @@ impl FusedProgram {
             } as u32)
                 * 8
         };
-        let mut stats = FuseStats {
-            max_depth: program.max_stack_depth(),
-            ..FuseStats::default()
-        };
         // A field is a direct byte load iff byte-aligned and whole-byte
         // wide — the same predicate `bits::read_field` applies per call;
         // here it is evaluated exactly once.
-        let mut field = |f: pa_wire::Field, write: bool| -> FOp {
+        let field = |f: pa_wire::Field, write: bool| -> FOp {
             let p = layout.class(f.class).placement(f.index_in_class());
             let bit = base_bits(f.class) + p.bit_offset;
-            stats.field_ops += 1;
             if bit.is_multiple_of(8) && p.bits.is_multiple_of(8) {
-                stats.byte_aligned += 1;
                 let (off, len) = (bit / 8, p.bits / 8);
                 match (order, write) {
                     (pa_buf::ByteOrder::Big, false) => FOp::PushFieldBe { off, len },
@@ -180,16 +181,13 @@ impl FusedProgram {
                     (pa_buf::ByteOrder::Big, true) => FOp::PopFieldBe { off, len },
                     (pa_buf::ByteOrder::Little, true) => FOp::PopFieldLe { off, len },
                 }
+            } else if write {
+                FOp::PopFieldBits { bit, bits: p.bits }
             } else {
-                stats.bit_fallback += 1;
-                if write {
-                    FOp::PopFieldBits { bit, bits: p.bits }
-                } else {
-                    FOp::PushFieldBits { bit, bits: p.bits }
-                }
+                FOp::PushFieldBits { bit, bits: p.bits }
             }
         };
-        let ops: Vec<FOp> = program
+        let ops: Arc<[FOp]> = program
             .ops()
             .iter()
             .map(|op| match *op {
@@ -221,27 +219,43 @@ impl FusedProgram {
                 Op::Abort(v) => FOp::Abort(v),
             })
             .collect();
-        stats.ops = ops.len();
         FusedProgram {
             ops,
-            proto_len: proto,
-            gossip_off: proto + message,
-            body_off: proto + message + gossip,
+            proto_len: proto as u32,
+            gossip_off: (proto + message) as u32,
+            body_off: (proto + message + gossip) as u32,
             max_depth: program.max_stack_depth(),
-            stats,
         }
     }
 
-    /// What the fuse pass resolved.
+    /// What the fuse pass resolved, read back off the instructions.
     pub fn stats(&self) -> FuseStats {
-        self.stats
+        let count = |pred: fn(&FOp) -> bool| self.ops.iter().filter(|op| pred(op)).count();
+        let byte_aligned = count(|op| {
+            matches!(
+                op,
+                FOp::PushFieldBe { .. }
+                    | FOp::PushFieldLe { .. }
+                    | FOp::PopFieldBe { .. }
+                    | FOp::PopFieldLe { .. }
+            )
+        });
+        let bit_fallback =
+            count(|op| matches!(op, FOp::PushFieldBits { .. } | FOp::PopFieldBits { .. }));
+        FuseStats {
+            ops: self.ops.len(),
+            field_ops: byte_aligned + bit_fallback,
+            byte_aligned,
+            bit_fallback,
+            max_depth: self.max_depth,
+        }
     }
 
     /// Bytes of header this program's field references reach into.
     /// Callers must guarantee `msg.len() >= frame_len()` before `run`
     /// (the engine's `Frame::fits` gate does).
     pub fn frame_len(&self) -> usize {
-        self.body_off
+        self.body_off as usize
     }
 
     /// Number of fused instructions.
@@ -263,7 +277,7 @@ impl FusedProgram {
         // Totality guard, same as the interpreter's: the fuse pass
         // bounds-checked every field reference against `frame_len()`
         // once; a message shorter than that is refused, not indexed.
-        if msg.len() < self.body_off {
+        if msg.len() < self.body_off as usize {
             return crate::SHORT_FRAME;
         }
         let mut stack = FixedStack {
@@ -275,9 +289,9 @@ impl FusedProgram {
 
     fn exec(&self, slots: &[i64], msg: &mut pa_buf::Msg, stack: &mut FixedStack) -> Verdict {
         let total = msg.len();
-        let body_off = self.body_off;
+        let body_off = self.body_off as usize;
         let buf = msg.as_mut_slice();
-        for op in &self.ops {
+        for op in self.ops.iter() {
             match *op {
                 FOp::PushConst(v) => stack.push(v),
                 FOp::PushSlot(s) => stack.push(slots[s as usize]),
@@ -306,8 +320,8 @@ impl FusedProgram {
                 FOp::PushBodySize => stack.push((total - body_off) as i64),
                 FOp::Digest(kind) => stack.push(kind.compute(&buf[body_off..]) as i64),
                 FOp::DigestHeaders(kind) => stack.push(kind.compute_multi(&[
-                    &buf[..self.proto_len],
-                    &buf[self.gossip_off..body_off],
+                    &buf[..self.proto_len as usize],
+                    &buf[self.gossip_off as usize..body_off],
                     &buf[body_off..],
                 ]) as i64),
                 FOp::Add => stack.binop(|a, b| a.wrapping_add(b)),

@@ -654,7 +654,7 @@ fn connection_setup_allocates_only_what_it_keeps() {
 /// stack below is the paper's with `trace_ctx` on — no other test here
 /// builds it, so this build is a miss whatever ran before, and libtest
 /// gives each test a thread of its own, so the transcript is cold too.
-/// The 40:
+/// The 37:
 ///
 /// - 8 the connection's own: the 7 above and the send filter's slot
 ///   array (the trace context's two slots);
@@ -663,9 +663,9 @@ fn connection_setup_allocates_only_what_it_keeps() {
 ///   table, the send filter's slots;
 /// - 9 the layout: a fitted copy of the three declaration tables, four
 ///   placement lists, the packer's two scratch buffers;
-/// - 13 the filters: per direction a fitted copy of the instructions
-///   (and, sending, the slots), the span table, and the two fused forms,
-///   each behind its own `Arc`;
+/// - 9 the filters: per direction a fitted copy of the instructions
+///   (and, sending, the slots), the span table, and the two fused forms'
+///   shared instruction arrays;
 /// - 1 the plan's `Arc`, and at most 1 the registry's list growing.
 #[test]
 fn first_connection_of_a_stack_pays_for_the_plan_once() {
@@ -679,7 +679,7 @@ fn first_connection_of_a_stack_pays_for_the_plan_once() {
     let made = allocations() - before;
     assert!(conn.is_ok());
     assert!(
-        made <= 40,
+        made <= 37,
         "the first Connection::new made {made} allocations"
     );
     assert!(made > 7, "a miss compiles: {made} allocations");
