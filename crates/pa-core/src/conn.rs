@@ -253,8 +253,8 @@ pub struct Connection {
     /// What the stack compiled to — layout, verified filters, their
     /// fused forms, the per-layer instruction spans — shared with every
     /// connection whose layers declared the same things. Immutable; the
-    /// per-message path reads it through the handles below, not through
-    /// this pointer.
+    /// per-message path reads the copies below, not through this
+    /// pointer.
     plan: Arc<StackPlan>,
     layers: Vec<Box<dyn Layer>>,
     order: ByteOrder,
@@ -469,8 +469,8 @@ impl Connection {
             // declarations share one compiled layout and one pair of
             // filters, verified and fused — for both byte orders, so
             // the delivery side starts in ours and a peer's preamble
-            // teaching us otherwise only swaps a handle — when the
-            // first connection of the stack was built.
+            // teaching us otherwise only takes the plan's other one —
+            // when the first connection of the stack was built.
             let plan = plan::plan_for(t, config.layout_mode)?;
             Ok((plan, ident_fields, trace))
         })?;
@@ -1690,8 +1690,7 @@ impl Connection {
         match cause {
             SlowCause::FilterReject => {
                 let mut fr = Frame::new(frame, &self.plan.layout, self.peer_order);
-                let recv = &self.plan.recv;
-                match pa_filter::run_traced(&recv.program, &self.recv_slots, &mut fr) {
+                match pa_filter::run_traced(&self.plan.recv.program, &self.recv_slots, &mut fr) {
                     (_, Some(at)) => {
                         if self.probe.enabled() {
                             self.emit(TraceEvent::FilterReject {

@@ -462,7 +462,7 @@ fn a_peers_byte_order_rebinds_only_the_connection_that_learned_it() {
         }
         assert!(
             shared(&server, &big_client),
-            "a learn swaps a handle, not the plan"
+            "a learn takes the plan's other program, not another plan"
         );
     });
 }
