@@ -17,7 +17,6 @@ pub const DEFAULT_HEADROOM: usize = 128;
 /// Both are O(1) in the common case. If headroom runs out the buffer is
 /// re-centered with a copy (correct, merely slower — and counted, so
 /// tests can assert the fast path stays fast).
-#[derive(Clone)]
 pub struct Msg {
     data: Vec<u8>,
     start: usize,
@@ -244,6 +243,20 @@ impl Msg {
     }
 }
 
+/// A clone carries the headroom and the live bytes and nothing else: a
+/// recycled buffer that once held 16 KiB does not cost 16 KiB to clone
+/// around an 8-byte frame.
+impl Clone for Msg {
+    fn clone(&self) -> Self {
+        Msg {
+            data: self.data[..self.end].to_vec(),
+            start: self.start,
+            end: self.end,
+            regrows: self.regrows,
+        }
+    }
+}
+
 impl Default for Msg {
     fn default() -> Self {
         Self::new()
@@ -413,6 +426,20 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.headroom(), 32);
         assert_eq!(m.capacity(), cap, "allocation retained");
+    }
+
+    #[test]
+    fn clone_leaves_stale_capacity_behind() {
+        let mut m = Msg::with_headroom(&[7u8; 16 * 1024], 32);
+        m.reset(32);
+        m.push_back(b"8 bytes!");
+        assert!(m.capacity() > 16 * 1024, "the source keeps what it grew to");
+        let mut c = m.clone();
+        assert_eq!(c, m);
+        assert!(c.capacity() <= c.headroom() + c.len());
+        c.push_front(&[0xAB; 32]);
+        assert_eq!(c.regrow_count(), 0, "the clone kept its headroom");
+        assert_eq!(&c.as_slice()[32..], b"8 bytes!");
     }
 
     #[test]

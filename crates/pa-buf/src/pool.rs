@@ -10,12 +10,30 @@
 
 use crate::msg::{Msg, DEFAULT_HEADROOM};
 
+/// Capacity up to which a buffer is *small*: below it, growing a buffer
+/// that does not fit costs less than looking for one that does.
+pub const SMALL: usize = 2048;
+
 /// A free list of reusable [`Msg`] buffers.
+///
+/// Buffers keep what they grew to, and a pool that sees both 8-byte
+/// acknowledgements and 16 KiB messages holds both kinds. It keeps them
+/// apart. [`SMALL`] buffers are a stack, most recent first: the
+/// small-message steady state pushes and pops and compares nothing.
+/// Larger ones are kept by capacity and a large take is served by the
+/// smallest that fits, so a fragment does not carry the 16 KiB staging
+/// buffer away and the next 16 KiB message finds the buffer that
+/// already holds it; a full pool takes a large buffer back in place of
+/// a smaller large one and otherwise drops what is returned.
 #[derive(Debug)]
 pub struct MsgPool {
-    free: Vec<Msg>,
-    headroom: usize,
-    max_retained: usize,
+    /// Idle [`SMALL`] buffers, most recent last.
+    small: Vec<Msg>,
+    /// Larger idle buffers, by capacity, largest first (equal ones most
+    /// recent last).
+    large: Vec<Msg>,
+    headroom: u32,
+    max_retained: u32,
     hits: u64,
     misses: u64,
     returns: u64,
@@ -53,11 +71,15 @@ pub struct PoolStats {
 impl MsgPool {
     /// Creates a pool whose buffers carry `headroom` front bytes and that
     /// retains at most `max_retained` free buffers.
+    ///
+    /// # Panics
+    /// If either does not fit 32 bits.
     pub fn new(headroom: usize, max_retained: usize) -> Self {
         MsgPool {
-            free: Vec::new(),
-            headroom,
-            max_retained,
+            small: Vec::new(),
+            large: Vec::new(),
+            headroom: u32::try_from(headroom).expect("headroom fits 32 bits"),
+            max_retained: u32::try_from(max_retained).expect("retention fits 32 bits"),
             hits: 0,
             misses: 0,
             returns: 0,
@@ -73,34 +95,84 @@ impl MsgPool {
 
     /// Takes a cleared buffer from the pool (or allocates one).
     pub fn take(&mut self) -> Msg {
-        match self.free.pop() {
-            Some(mut m) => {
-                self.hits += 1;
-                m.reset(self.headroom);
-                m
+        self.take_with(&[])
+    }
+
+    /// Takes a buffer and fills it with `payload`. A miss allocates
+    /// once, sized for the payload.
+    #[inline]
+    pub fn take_with(&mut self, payload: &[u8]) -> Msg {
+        self.take_with_room(payload, 0)
+    }
+
+    /// [`MsgPool::take_with`] for a payload the caller will append up
+    /// to `room` more bytes to. Past [`SMALL`], the buffer taken is the
+    /// smallest idle one that holds `payload` and `room` without
+    /// growing, else the smallest that holds `payload`, else the
+    /// largest (which then grows). `room` only chooses among idle
+    /// buffers — nothing is ever allocated for it.
+    pub fn take_with_room(&mut self, payload: &[u8], room: usize) -> Msg {
+        let need = self.headroom as usize + payload.len();
+        if need + room <= SMALL {
+            if let Some(m) = self.small.pop() {
+                return self.hit(m, payload);
+            }
+        }
+        self.take_sized(payload, need, room)
+    }
+
+    /// A take the stack of small buffers did not serve.
+    #[inline(never)]
+    fn take_sized(&mut self, payload: &[u8], need: usize, room: usize) -> Msg {
+        // Largest first: the last that fits is the smallest that does.
+        let smallest_of = |large: &[Msg], n| large.iter().rposition(|m| m.capacity() >= n);
+        let at = smallest_of(&self.large, need + room)
+            .or_else(|| smallest_of(&self.large, need))
+            .or((!self.large.is_empty()).then_some(0));
+        match at {
+            Some(at) => {
+                let m = self.large.remove(at);
+                self.hit(m, payload)
             }
             None => {
                 self.misses += 1;
-                Msg::with_headroom(&[], self.headroom)
+                Msg::with_headroom(payload, self.headroom as usize)
             }
         }
     }
 
-    /// Takes a buffer and fills it with `payload`.
-    pub fn take_with(&mut self, payload: &[u8]) -> Msg {
-        let mut m = self.take();
+    #[inline]
+    fn hit(&mut self, mut m: Msg, payload: &[u8]) -> Msg {
+        self.hits += 1;
+        m.reset(self.headroom as usize);
         m.push_back(payload);
         m
     }
 
-    /// Returns a buffer to the free list (dropped if the list is full).
+    /// Returns a buffer to the free list; a full list drops one (see
+    /// the type's description for which).
     pub fn put(&mut self, msg: Msg) {
         self.returns += 1;
-        if self.free.len() < self.max_retained {
-            self.free.push(msg);
-        } else {
-            self.capped += 1;
+        let full = self.idle() >= self.max_retained as usize;
+        self.capped += full as u64;
+        if msg.capacity() > SMALL {
+            self.put_large(msg, full);
+        } else if !full {
+            self.small.push(msg);
         }
+    }
+
+    #[inline(never)]
+    fn put_large(&mut self, msg: Msg, full: bool) {
+        let smaller = |m: &Msg| m.capacity() < msg.capacity();
+        if full {
+            if !self.large.last().is_some_and(smaller) {
+                return;
+            }
+            self.large.pop();
+        }
+        let at = self.large.iter().rposition(|m| !smaller(m));
+        self.large.insert(at.map_or(0, |i| i + 1), msg);
     }
 
     /// Pre-provisions the free list so the next `n` takes are hits.
@@ -111,9 +183,10 @@ impl MsgPool {
     /// here are counted in `burst_refills`, *not* `misses` — nothing was
     /// taken — and the free list never grows past `max_retained`.
     pub fn refill_n(&mut self, n: usize) {
-        let target = n.min(self.max_retained);
-        while self.free.len() < target {
-            self.free.push(Msg::with_headroom(&[], self.headroom));
+        let target = n.min(self.max_retained as usize);
+        while self.idle() < target {
+            self.small
+                .push(Msg::with_headroom(&[], self.headroom as usize));
             self.burst_refills += 1;
         }
     }
@@ -128,7 +201,7 @@ impl MsgPool {
 
     /// Number of buffers currently on the free list.
     pub fn idle(&self) -> usize {
-        self.free.len()
+        self.small.len() + self.large.len()
     }
 
     /// Pool effectiveness counters.
@@ -230,6 +303,82 @@ mod tests {
         let mut p = MsgPool::with_defaults();
         let m = p.take_with(b"abc");
         assert_eq!(m.as_slice(), b"abc");
+        assert_eq!(m.headroom(), DEFAULT_HEADROOM);
+        assert_eq!(m.capacity(), DEFAULT_HEADROOM + 3, "a miss is sized once");
+        assert_eq!(p.stats().misses, 1);
+        p.put(m);
+        assert_eq!(p.take_with(b"defg").as_slice(), b"defg");
+        assert_eq!(p.stats().hits, 1);
+    }
+
+    #[test]
+    fn a_large_take_is_served_by_the_smallest_buffer_that_fits() {
+        let mut p = MsgPool::new(16, 8);
+        let (mtu, big) = (p.take_with(&[1; 4096]), p.take_with(&[1; 16384]));
+        let (mtu_cap, big_cap) = (mtu.capacity(), big.capacity());
+        p.put(an_ack());
+        p.put(big);
+        p.put(mtu);
+        p.put(an_ack());
+        // A small take leaves the large buffers where they are.
+        let m = p.take_with(b"hello");
+        assert_eq!(m.capacity(), an_ack().capacity());
+        p.put(m);
+        // A fragment-sized one takes the fragment-sized buffer, not the
+        // larger one, whichever came back last.
+        let m = p.take_with(&[2u8; 4000]);
+        assert_eq!(m.capacity(), mtu_cap);
+        assert_eq!(m.as_slice(), &[2u8; 4000][..]);
+        // Room chooses among idle buffers and allocates nothing.
+        let r = p.take_with_room(&[3; 4000], 12000);
+        assert_eq!(r.capacity(), big_cap);
+        p.put(r);
+        p.put(m);
+        let r = p.take_with_room(&[3; 4000], 40000);
+        assert_eq!(r.capacity(), mtu_cap, "none with room: the smallest that fits");
+        // Nothing fits: the largest idle buffer grows.
+        let g = p.take_with(&[4u8; 20000]);
+        assert_eq!(g.as_slice(), &[4u8; 20000][..]);
+        assert_eq!((p.stats().misses, p.stats().hits), (2, 5));
+        // With no small buffer idle a small take borrows the smallest
+        // large one; with no large one idle a large take allocates.
+        p.put(r);
+        assert_eq!(p.take_with(b"a").capacity(), an_ack().capacity());
+        assert_eq!(p.take_with(b"b").capacity(), an_ack().capacity());
+        assert_eq!(p.take_with(b"c").capacity(), mtu_cap);
+        p.put(an_ack());
+        assert_eq!(p.take_with(&[5; 3000]).capacity(), 3016);
+        assert_eq!(p.stats().misses, 3);
+    }
+
+    fn an_ack() -> Msg {
+        Msg::with_headroom(b"an acknowledgement", 16)
+    }
+
+    #[test]
+    fn a_full_pool_trades_a_large_buffer_for_a_larger_one() {
+        let mut p = MsgPool::new(8, 3);
+        p.put(an_ack());
+        p.put(Msg::with_headroom(&[0; 3000], 8));
+        p.put(Msg::with_headroom(&[0; 5000], 8));
+        p.put(Msg::with_headroom(&[0; 9000], 8)); // the 3000 goes
+        p.put(Msg::with_headroom(&[0; 2500], 8)); // dropped itself
+        p.put(an_ack()); // dropped itself
+        let s = p.stats();
+        assert_eq!((p.idle(), s.returns, s.capped), (3, 6, 3));
+        assert_eq!(
+            p.idle() as u64,
+            s.returns + s.burst_refills - s.hits - s.capped
+        );
+        assert_eq!(p.take_with(&[1; 6000]).capacity(), 9008);
+        assert_eq!(p.take().capacity(), an_ack().capacity());
+        assert_eq!(p.take().capacity(), 5008);
+        assert_eq!(p.stats().misses, 0);
+        // Small buffers are never let go for a large one.
+        let mut p = MsgPool::new(8, 1);
+        p.put(an_ack());
+        p.put(Msg::with_headroom(&[0; 4000], 8));
+        assert_eq!(p.take().capacity(), an_ack().capacity());
     }
 
     #[test]

@@ -229,8 +229,7 @@ impl Netif for UdpNet {
                 let from = src
                     .and_then(|s| self.rev.get(&s).copied())
                     .unwrap_or(EndpointAddr::from_parts(0, 0));
-                let mut frame = self.pool.take();
-                frame.push_back(&self.mmsg.buf(i)[..len]);
+                let frame = self.pool.take_with(&self.mmsg.buf(i)[..len]);
                 out.push(Arrival {
                     from,
                     to: self.local,
