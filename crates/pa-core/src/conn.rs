@@ -28,7 +28,7 @@ use crate::predict::Prediction;
 use crate::stats::ConnStats;
 use crate::Nanos;
 use pa_buf::{Backlog, ByteOrder, Msg, MsgPool, PoolStats};
-use pa_filter::{Frame, FuseStats, FusedProgram, Op, Program, SlotId};
+use pa_filter::{FuseStats, FusedProgram, Op, Program, SlotId};
 use pa_obs::rng::SplitMix64;
 use pa_obs::{
     journey_id, AttrCause, Attribution, DropCause, FieldRef, Finding, HoldRow, Invariant,
@@ -1274,7 +1274,7 @@ impl Connection {
         msg.push_front_zeroed(self.msg_len);
         msg.push_front(self.send_predict.proto());
 
-        let verdict = self.run_send_filter(&mut msg);
+        let (verdict, rejected_at) = self.run_send_filter(&mut msg);
         if verdict == pa_filter::PASS {
             self.stats.fast_sends += 1;
             self.last_send_explain = XrayTag::none();
@@ -1283,18 +1283,12 @@ impl Connection {
             SendOutcome::FastPath
         } else {
             // Attribution (always on — this path already left the fast
-            // path): find the deciding instruction by re-running the
-            // interpreter traced, and charge the layer whose filter
-            // fragment contains it.
-            let attr_layer = match self.trace_send_filter(&mut msg) {
-                Some(at) => {
-                    if self.probe.enabled() {
-                        self.emit(TraceEvent::FilterReject {
-                            pc: at.pc,
-                            op: at.op,
-                        });
-                    }
-                    self.plan.send.layer_at(at.pc)
+            // path): charge the layer whose filter fragment contains
+            // the instruction the run stopped on.
+            let attr_layer = match rejected_at {
+                Some(pc) => {
+                    self.emit_filter_reject(pc, self.plan.send.op_at(pc));
+                    self.plan.send.layer_at(pc)
                 }
                 None => "pa",
             };
@@ -1359,23 +1353,23 @@ impl Connection {
         self.send_slots[hs.0 as usize] = hop as i64;
     }
 
-    /// Runs the fused send filter over `msg`'s frame.
-    fn run_send_filter(&mut self, msg: &mut Msg) -> pa_filter::Verdict {
+    /// Runs the fused send filter over `msg`'s frame: the verdict and,
+    /// when it is not a PASS, the instruction that decided it.
+    fn run_send_filter(&mut self, msg: &mut Msg) -> (pa_filter::Verdict, Option<u16>) {
         self.arm_trace_slots();
-        self.send_fused.run(&self.send_slots, msg)
+        self.send_fused.run_located(&self.send_slots, msg)
     }
 
     /// Runs the fused delivery filter.
-    fn run_recv_filter(&mut self, msg: &mut Msg) -> pa_filter::Verdict {
-        self.recv_fused.run(&self.recv_slots, msg)
+    fn run_recv_filter(&mut self, msg: &mut Msg) -> (pa_filter::Verdict, Option<u16>) {
+        self.recv_fused.run_located(&self.recv_slots, msg)
     }
 
-    /// Forensics for a refused send: re-runs the plan's send filter
-    /// through the interpreter, over this connection's slots, to name
-    /// the deciding instruction.
-    fn trace_send_filter(&self, msg: &mut Msg) -> Option<pa_filter::RejectPoint> {
-        let mut frame = Frame::new(msg, &self.plan.layout, self.order);
-        pa_filter::run_traced(&self.plan.send.program, &self.send_slots, &mut frame).1
+    /// Tells a listening probe which instruction refused a frame.
+    fn emit_filter_reject(&mut self, pc: u16, op: &'static str) {
+        if self.probe.enabled() {
+            self.emit(TraceEvent::FilterReject { pc, op });
+        }
     }
 
     /// A staging buffer holding `payload`: pooled (steady state: zero
@@ -1617,7 +1611,7 @@ impl Connection {
             }
         }
 
-        let filter_verdict = self.run_recv_filter(&mut frame);
+        let (filter_verdict, rejected_at) = self.run_recv_filter(&mut frame);
         let predicted = self.config.predict
             && self.recv_predict.enabled()
             && frame
@@ -1656,7 +1650,7 @@ impl Connection {
             // left the fast path): pinpoint the deciding filter
             // instruction or the mispredicted fields, and charge the
             // excursion to exactly one (layer, cause).
-            let (attr_layer, attr_cause) = self.attribute_slow_deliver(cause, &mut frame);
+            let (attr_layer, attr_cause) = self.attribute_slow_deliver(cause, rejected_at, &frame);
             self.attribution
                 .bump(XrayOp::SlowDeliver, attr_layer, attr_cause);
             self.last_deliver_explain =
@@ -1671,9 +1665,8 @@ impl Connection {
 
     /// Names the `(layer, cause)` of a slow delivery:
     ///
-    /// - filter rejections charge the layer whose fragment contains the
-    ///   deciding instruction (found by re-running the interpreter
-    ///   traced),
+    /// - filter rejections charge the layer whose fragment contains
+    ///   `rejected_at`, the instruction the delivery filter stopped on,
     /// - prediction misses diff the incoming protocol header against
     ///   the predicted bytes field by field, record *every* mismatching
     ///   `(owning layer, field)` in the miss table with its
@@ -1685,24 +1678,17 @@ impl Connection {
     fn attribute_slow_deliver(
         &mut self,
         cause: SlowCause,
-        frame: &mut Msg,
+        rejected_at: Option<u16>,
+        frame: &Msg,
     ) -> (&'static str, AttrCause) {
         match cause {
-            SlowCause::FilterReject => {
-                let mut fr = Frame::new(frame, &self.plan.layout, self.peer_order);
-                match pa_filter::run_traced(&self.plan.recv.program, &self.recv_slots, &mut fr) {
-                    (_, Some(at)) => {
-                        if self.probe.enabled() {
-                            self.emit(TraceEvent::FilterReject {
-                                pc: at.pc,
-                                op: at.op,
-                            });
-                        }
-                        (self.plan.recv.layer_at(at.pc), AttrCause::FilterReject)
-                    }
-                    _ => ("pa", AttrCause::FilterReject),
+            SlowCause::FilterReject => match rejected_at {
+                Some(pc) => {
+                    self.emit_filter_reject(pc, self.plan.recv.op_at(pc));
+                    (self.plan.recv.layer_at(pc), AttrCause::FilterReject)
                 }
-            }
+                None => ("pa", AttrCause::FilterReject),
+            },
             SlowCause::PredictOff => ("pa", AttrCause::PredictOff),
             SlowCause::PredictDisabled => match self.recv_predict.top_hold() {
                 Some((layer, reason)) => (layer, AttrCause::Disabled(reason)),
@@ -1938,19 +1924,14 @@ impl Connection {
         } = work;
         if next < 0 {
             // Below the bottom layer: filter, preamble, wire.
-            let verdict = self.run_send_filter(&mut msg);
+            let (verdict, rejected_at) = self.run_send_filter(&mut msg);
             if verdict != pa_filter::PASS {
                 // A message the stack let through but the filter refuses
                 // (oversized with no frag layer, etc.).
                 self.stats.drops_send_rejected += 1;
                 self.stats.rejects.bump(RejectReason::FilterReject);
-                if self.probe.enabled() {
-                    if let Some(at) = self.trace_send_filter(&mut msg) {
-                        self.emit(TraceEvent::FilterReject {
-                            pc: at.pc,
-                            op: at.op,
-                        });
-                    }
+                if let Some(pc) = rejected_at {
+                    self.emit_filter_reject(pc, self.plan.send.op_at(pc));
                 }
                 self.emit(TraceEvent::Drop {
                     reason: DropCause::FilterRefused,

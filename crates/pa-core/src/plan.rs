@@ -129,6 +129,12 @@ impl FilterPlan {
             .find(|(s, e, _)| pc >= *s && pc < *e)
             .map_or("pa", |&(_, _, name)| name)
     }
+
+    /// Mnemonic of the instruction at `pc`, which a filter run named as
+    /// the one that refused a frame.
+    pub(crate) fn op_at(&self, pc: u16) -> &'static str {
+        self.program.ops()[pc as usize].name()
+    }
 }
 
 /// The immutable product of one stack's declarations.

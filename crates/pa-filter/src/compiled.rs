@@ -12,9 +12,10 @@
 //!
 //! The interpreter ([`crate::interp`]) executes the same [`Program`]
 //! straight from its `Op`s. It is the oracle the differential tests
-//! compare this module against, and the forensics tool the engine
-//! re-runs a refused frame through to name the deciding instruction —
-//! never the hot path.
+//! compare this module against — verdict, frame bytes and the deciding
+//! instruction of a refusal, which [`FusedProgram::run_located`] names
+//! itself: fused instructions are one to one with the program's, so
+//! the engine never re-runs a refused frame to learn where it stopped.
 //!
 //! Patchable slots are not fused in: `run` borrows the caller's slot
 //! array (the source [`Program`]'s, or a connection's own copy of it),
@@ -274,11 +275,20 @@ impl FusedProgram {
     /// none is taken here.
     #[inline]
     pub fn run(&self, slots: &[i64], msg: &mut pa_buf::Msg) -> Verdict {
+        self.run_located(slots, msg).0
+    }
+
+    /// [`FusedProgram::run`], also naming the instruction that decided
+    /// a non-PASS verdict: its index in the source [`Program`] — what
+    /// [`crate::run_traced`] reports as `RejectPoint::pc`. `None` on a
+    /// PASS and on a frame too short to run over.
+    #[inline]
+    pub fn run_located(&self, slots: &[i64], msg: &mut pa_buf::Msg) -> (Verdict, Option<u16>) {
         // Totality guard, same as the interpreter's: the fuse pass
         // bounds-checked every field reference against `frame_len()`
         // once; a message shorter than that is refused, not indexed.
         if msg.len() < self.body_off as usize {
-            return crate::SHORT_FRAME;
+            return (crate::SHORT_FRAME, None);
         }
         let mut stack = FixedStack {
             buf: [0; FUSED_STACK_DEPTH],
@@ -287,11 +297,16 @@ impl FusedProgram {
         self.exec(slots, msg, &mut stack)
     }
 
-    fn exec(&self, slots: &[i64], msg: &mut pa_buf::Msg, stack: &mut FixedStack) -> Verdict {
+    fn exec(
+        &self,
+        slots: &[i64],
+        msg: &mut pa_buf::Msg,
+        stack: &mut FixedStack,
+    ) -> (Verdict, Option<u16>) {
         let total = msg.len();
         let body_off = self.body_off as usize;
         let buf = msg.as_mut_slice();
-        for op in self.ops.iter() {
+        for (pc, op) in self.ops.iter().enumerate() {
             match *op {
                 FOp::PushConst(v) => stack.push(v),
                 FOp::PushSlot(s) => stack.push(slots[s as usize]),
@@ -348,15 +363,15 @@ impl FusedProgram {
                 FOp::Drop => {
                     stack.pop();
                 }
-                FOp::Return(v) => return v,
+                FOp::Return(v) => return (v, (v != crate::PASS).then_some(pc as u16)),
                 FOp::Abort(v) => {
                     if stack.pop() != 0 {
-                        return v;
+                        return (v, (v != crate::PASS).then_some(pc as u16));
                     }
                 }
             }
         }
-        crate::PASS
+        (crate::PASS, None)
     }
 }
 
@@ -479,13 +494,14 @@ mod tests {
     ) -> Verdict {
         let mut m1 = frame_msg(layout, payload);
         let mut m2 = m1.clone();
-        let v1 = {
+        let (v1, at) = {
             let mut frame = Frame::new(&mut m1, layout, order);
-            interp::run(program, &mut frame)
+            interp::run_traced(program, program.slots(), &mut frame)
         };
         let fused = FusedProgram::fuse(program, layout, order);
-        let v2 = fused.run(program.slots(), &mut m2);
+        let (v2, pc) = fused.run_located(program.slots(), &mut m2);
         assert_eq!(v1, v2, "fused verdict mismatch");
+        assert_eq!(at.map(|at| at.pc), pc, "fused reject pc mismatch");
         assert_eq!(m1, m2, "fused frame mutation mismatch");
         v1
     }

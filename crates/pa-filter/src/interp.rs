@@ -94,27 +94,24 @@ pub fn run_traced(
             Op::Drop => {
                 stack.pop().expect("verified");
             }
-            Op::Return(v) => {
-                let at = (v != crate::PASS).then(|| RejectPoint {
-                    pc: pc as u16,
-                    op: op.name(),
-                });
-                return (v, at);
-            }
+            Op::Return(v) => return (v, reject_point(v, pc, op)),
             Op::Abort(v) => {
                 if stack.pop().expect("verified") != 0 {
-                    return (
-                        v,
-                        Some(RejectPoint {
-                            pc: pc as u16,
-                            op: op.name(),
-                        }),
-                    );
+                    return (v, reject_point(v, pc, op));
                 }
             }
         }
     }
     (crate::PASS, None)
+}
+
+/// Where verdict `v` was decided, unless it is a PASS (an `ABORT 0`
+/// that fires passes the frame like any other way of returning 0).
+fn reject_point(v: Verdict, pc: usize, op: &Op) -> Option<RejectPoint> {
+    (v != crate::PASS).then(|| RejectPoint {
+        pc: pc as u16,
+        op: op.name(),
+    })
 }
 
 #[inline]

@@ -423,7 +423,7 @@ fn rand_op(
 #[test]
 fn verified_filters_never_panic() {
     let mut rng = SplitMix64::new(0x6669_6c74_6572_0001);
-    let (mut ran, mut bit_ops, mut short) = (0, 0, 0);
+    let (mut ran, mut bit_ops, mut short, mut located) = (0, 0, 0, 0);
     for case in 0..1024 {
         let mut b = LayoutBuilder::new();
         b.begin_layer("l");
@@ -460,16 +460,23 @@ fn verified_filters_never_panic() {
         for order in [ByteOrder::Big, ByteOrder::Little] {
             let mut by_interp = Msg::from_wire(wire.clone());
             let mut by_fused = by_interp.clone();
-            let want = {
+            let (want, want_at) = {
                 let mut frame = pa::filter::Frame::new(&mut by_interp, &layout, order);
-                pa::filter::run(&program, &mut frame) // must not panic
+                // must not panic
+                pa::filter::run_traced(&program, program.slots(), &mut frame)
             };
             let fused = pa::filter::FusedProgram::fuse(&program, &layout, order);
-            let got = fused.run(program.slots(), &mut by_fused);
+            let (got, got_at) = fused.run_located(program.slots(), &mut by_fused);
             let ctx = format!("case {case} {order:?}: {:?}", program.ops());
             assert_eq!(got, want, "verdict, {ctx}");
             assert_eq!(by_fused, by_interp, "frame bytes, {ctx}");
             assert_eq!(want == pa::filter::SHORT_FRAME, wire.len() < hdr, "{ctx}");
+            // The fused run names the instruction the oracle does — on
+            // every refusal but a short frame's, and on no pass.
+            assert_eq!(got_at, want_at.map(|at| at.pc), "reject pc, {ctx}");
+            let refused = want != pa::filter::PASS && want != pa::filter::SHORT_FRAME;
+            assert_eq!(got_at.is_some(), refused, "{ctx}");
+            located += refused as usize;
             ran += 1;
             bit_ops += fused.stats().bit_fallback;
             short += (want == pa::filter::SHORT_FRAME) as usize;
@@ -479,6 +486,7 @@ fn verified_filters_never_panic() {
     assert_eq!(ran, 2048);
     assert!(bit_ops > 500, "bit-field ops fused: {bit_ops}");
     assert!(short > 50, "short frames refused: {short}");
+    assert!(located > 200, "refusals located: {located}");
 }
 
 // ---------------------------------------------------------------------
