@@ -633,6 +633,13 @@ impl Connection {
         self.pool.idle()
     }
 
+    /// Buffers the layers hold right now ([`Layer::bufs_held`] summed
+    /// over the stack): taken from a pool and neither back in one nor
+    /// on their way to the wire or the application.
+    pub fn bufs_held_by_layers(&self) -> usize {
+        self.layers.iter().map(|l| l.bufs_held()).sum()
+    }
+
     /// The verified `(send, delivery)` filter programs — the stack
     /// plan's, shared with every connection of the stack. Their slots
     /// hold the values the layers allocated them with; what this
@@ -1390,9 +1397,7 @@ impl Connection {
     #[inline]
     fn frame_image(&mut self, msg: &Msg) -> Msg {
         if self.config.pooling {
-            let mut image = self.pool.take();
-            image.push_back(msg.as_slice());
-            image
+            self.pool.take_with(msg.as_slice())
         } else {
             msg.clone()
         }
@@ -1821,8 +1826,7 @@ impl Connection {
         };
         match info {
             PackInfo::Single => {
-                let mut image = self.pool.take();
-                image.push_back(frame.as_slice());
+                let image = self.pool.take_with(frame.as_slice());
                 frame.skip_front(body_off);
                 self.stats.msgs_delivered += 1;
                 self.deliveries.push_back(frame);
@@ -1850,9 +1854,7 @@ impl Connection {
                             let Some(bytes) = frame.get(off, *size as usize) else {
                                 break;
                             };
-                            let mut piece = self.pool.take();
-                            piece.push_back(bytes);
-                            self.deliveries.push_back(piece);
+                            self.deliveries.push_back(self.pool.take_with(bytes));
                             off += *size as usize;
                             delivered += 1;
                         }
@@ -1862,9 +1864,7 @@ impl Connection {
                             let Some(bytes) = frame.get(off, s as usize) else {
                                 break;
                             };
-                            let mut piece = self.pool.take();
-                            piece.push_back(bytes);
-                            self.deliveries.push_back(piece);
+                            self.deliveries.push_back(self.pool.take_with(bytes));
                             off += s as usize;
                             delivered += 1;
                         }
@@ -1963,6 +1963,8 @@ impl Connection {
                         origin,
                     });
                 }
+                // The parts are copies; the original is done.
+                self.recycle(msg);
             }
             SendAction::Buffered => {
                 // The layer took the contents (mem::take) and will
@@ -2055,6 +2057,7 @@ impl Connection {
             send_predict: &mut self.send_predict,
             recv_predict: &mut self.recv_predict,
             effects: &mut self.effects_scratch,
+            pool: self.config.pooling.then_some(&mut self.pool),
         };
         let out = call(self.layers[i].as_mut(), &mut ctx);
         self.meter_record(i, phase, t0);

@@ -18,11 +18,13 @@
 //! [`LayerCtx`]: emitting messages downward (acknowledgements,
 //! retransmissions, drained window buffers), emitting upward
 //! (reassembled or reordered messages), and toggling the predicted
-//! headers' disable counters.
+//! headers' disable counters. The buffers a layer keeps or emits come
+//! from the connection's pool, lent through the same context
+//! ([`LayerCtx::buf_with`], [`LayerCtx::put_buf`]).
 
 use crate::predict::Prediction;
 use crate::Nanos;
-use pa_buf::{ByteOrder, Msg};
+use pa_buf::{ByteOrder, Msg, MsgPool};
 use pa_filter::{Frame, ProgramBuilder};
 use pa_obs::DisableReason;
 use pa_wire::{CompiledLayout, LayoutBuilder};
@@ -131,6 +133,9 @@ pub struct LayerCtx<'a> {
     pub recv_predict: &'a mut Prediction,
     /// Side-effect accumulator.
     pub effects: &'a mut Effects,
+    /// The connection's §6 recycling pool, lent for the phase; `None`
+    /// when the connection runs with pooling off.
+    pub pool: Option<&'a mut MsgPool>,
 }
 
 impl<'a> LayerCtx<'a> {
@@ -179,13 +184,43 @@ impl<'a> LayerCtx<'a> {
         )
     }
 
+    /// A buffer holding a copy of `bytes`, with headroom for every
+    /// header the stack and the engine prepend: out of the connection's
+    /// pool (the steady state allocates nothing), freshly allocated
+    /// with pooling off. What a layer keeps — a retransmission copy, a
+    /// reorder stash, a message under reassembly — or emits is built
+    /// from one of these; one it is done with goes back through
+    /// [`LayerCtx::put_buf`].
+    pub fn buf_with(&mut self, bytes: &[u8]) -> Msg {
+        self.buf_with_room(bytes, 0)
+    }
+
+    /// [`LayerCtx::buf_with`] for a copy the layer will append up to
+    /// `room` more bytes to (reassembly): the pool hands out a buffer
+    /// that already holds that much if it has one, and allocates
+    /// nothing for `room` if it has not.
+    pub fn buf_with_room(&mut self, bytes: &[u8], room: usize) -> Msg {
+        match &mut self.pool {
+            Some(pool) => pool.take_with_room(bytes, room),
+            None => Msg::from_payload(bytes),
+        }
+    }
+
+    /// Returns a buffer the layer no longer needs to the pool (dropped
+    /// with pooling off).
+    pub fn put_buf(&mut self, msg: Msg) {
+        if let Some(pool) = &mut self.pool {
+            pool.put(msg);
+        }
+    }
+
     /// Builds a fresh frame for a layer-generated message (ack, nak,
     /// heartbeat): zeroed class headers around a single-message body.
     /// The layer writes its fields through [`LayerCtx::frame`]; layers
     /// *below* fill theirs when the frame passes their pre-send.
-    pub fn control_frame(&self, payload: &[u8]) -> Msg {
+    pub fn control_frame(&mut self, payload: &[u8]) -> Msg {
         use pa_wire::Class;
-        let mut m = Msg::from_payload(payload);
+        let mut m = self.buf_with(payload);
         crate::packing::PackInfo::Single.push_onto(&mut m);
         let hdr = self.layout.class_len(Class::Protocol)
             + self.layout.class_len(Class::Message)
@@ -293,6 +328,15 @@ pub trait Layer: Send {
 
     /// Periodic timer (retransmission, keepalive). Default: nothing.
     fn on_tick(&mut self, _ctx: &mut LayerCtx<'_>, _now: Nanos) {}
+
+    /// Buffers this layer holds right now — taken with
+    /// [`LayerCtx::buf_with`] or handed over by the engine, and not yet
+    /// put back or emitted. The term that closes the pool's ledger
+    /// while a layer keeps retransmission copies, a reorder stash or a
+    /// message under reassembly. Default: none.
+    fn bufs_held(&self) -> usize {
+        0
+    }
 }
 
 /// A transparent layer that does nothing — useful as a stack filler in
@@ -350,6 +394,7 @@ mod tests {
             send_predict: &mut sp,
             recv_predict: &mut rp,
             effects: &mut effects,
+            pool: None,
         };
         ctx.emit_down(Msg::from_payload(b"ack"));
         ctx.emit_down_unusual(Msg::from_payload(b"rexmit"));
@@ -383,6 +428,7 @@ mod tests {
             send_predict: &mut sp,
             recv_predict: &mut rp,
             effects: &mut effects,
+            pool: None,
         };
         let mut l = NullLayer;
         let mut m = Msg::from_payload(b"data");

@@ -12,6 +12,12 @@
 //! This layer sits **above** the window layer, so fragments are
 //! individually sequenced, retransmitted, and delivered in order —
 //! which makes reassembly a simple append.
+//!
+//! Every buffer here is the connection's (§6: messages are allocated
+//! and freed explicitly). Fragments are cut into pooled buffers and the
+//! engine takes the fragmented original back; reassembly appends each
+//! fragment's body to one pooled buffer, taken when the first fragment
+//! arrives and handed upward as the message when the last one does.
 
 use pa_buf::Msg;
 use pa_core::{DeliverAction, DisableReason, InitCtx, Layer, LayerCtx, SendAction};
@@ -29,10 +35,14 @@ pub struct FragLayer {
     mtu: usize,
     f_flag: Option<Field>,
     f_last: Option<Field>,
-    // Reassembly state: accumulated body bytes of the in-progress
-    // message (fragments arrive in order thanks to the window below).
-    partial: Vec<u8>,
-    assembling: bool,
+    /// The message under reassembly: the body bytes of the fragments
+    /// seen so far (they arrive in order thanks to the window below),
+    /// in the buffer that will be delivered.
+    partial: Option<Msg>,
+    /// Body bytes of the last message reassembled: what the next one is
+    /// asked room for, so a stream of large messages keeps landing in
+    /// buffers that already grew to their size.
+    last_len: usize,
     fragments_sent: u64,
     messages_reassembled: u64,
 }
@@ -45,8 +55,8 @@ impl FragLayer {
             mtu,
             f_flag: None,
             f_last: None,
-            partial: Vec::new(),
-            assembling: false,
+            partial: None,
+            last_len: 0,
             fragments_sent: 0,
             messages_reassembled: 0,
         }
@@ -113,8 +123,7 @@ impl Layer for FragLayer {
         let mut off = hdr;
         for i in 0..total {
             let take = self.mtu.min(msg.len() - off);
-            let chunk = msg.get(off, take).expect("sized above");
-            let mut part = Msg::with_headroom(chunk, 128);
+            let mut part = ctx.buf_with(msg.get(off, take).expect("sized above"));
             off += take;
             part.push_front_zeroed(hdr);
             {
@@ -151,27 +160,36 @@ impl Layer for FragLayer {
             return;
         }
         let hdr = self.header_len(ctx);
-        if !self.assembling {
-            // First fragment: hold the delivery fast path shut until the
-            // whole message is rebuilt, and say why. Every in-between
-            // fragment would miss prediction anyway (frag_flag = 1), but
-            // the attributed hold makes the episode legible: the xray
-            // report shows `frag / frag-pending` instead of a pile of
-            // per-fragment field misses.
-            ctx.disable_recv(DisableReason::FragPending);
+        let body = &msg.as_slice()[hdr..];
+        match &mut self.partial {
+            Some(partial) => partial.push_back(body),
+            None => {
+                // First fragment: hold the delivery fast path shut until the
+                // whole message is rebuilt, and say why. Every in-between
+                // fragment would miss prediction anyway (frag_flag = 1), but
+                // the attributed hold makes the episode legible: the xray
+                // report shows `frag / frag-pending` instead of a pile of
+                // per-fragment field misses.
+                ctx.disable_recv(DisableReason::FragPending);
+                let room = self.last_len.saturating_sub(body.len());
+                self.partial = Some(ctx.buf_with_room(body, room));
+            }
         }
-        self.assembling = true;
-        self.partial.extend_from_slice(&msg.as_slice()[hdr..]);
         if last == 1 {
-            // Rebuild a frame around the reassembled body and hand it
-            // upward (frag fields zero — an ordinary-looking frame).
-            let mut whole = Msg::with_headroom(&std::mem::take(&mut self.partial), 128);
+            // Put a frame around the reassembled body — zeroed headers
+            // in the buffer's headroom, frag fields zero: an
+            // ordinary-looking frame — and hand it upward.
+            let mut whole = self.partial.take().expect("a fragment was just appended");
+            self.last_len = whole.len();
             whole.push_front_zeroed(hdr);
-            self.assembling = false;
             self.messages_reassembled += 1;
             ctx.enable_recv(DisableReason::FragPending);
             ctx.emit_up(whole);
         }
+    }
+
+    fn bufs_held(&self) -> usize {
+        self.partial.is_some() as usize
     }
 }
 

@@ -130,8 +130,7 @@ impl Layer for HeartbeatLayer {
         self.last_heard = ctx.now;
         self.heard_anything = true;
         let f_hb = self.f_hb.expect("init ran");
-        let mut m = msg.clone();
-        if ctx.frame(&mut m).read(f_hb) == 1 {
+        if ctx.read_field(msg, f_hb) == 1 {
             self.heartbeats_seen += 1;
         }
     }

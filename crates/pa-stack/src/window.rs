@@ -16,6 +16,11 @@
 //!   identification (§2.2), driven by the host's tick,
 //! - out-of-order arrivals are consumed into a reorder buffer and
 //!   released in sequence.
+//!
+//! What the layer keeps — a copy of every unacknowledged frame, of
+//! every early arrival — it keeps in buffers of the connection's pool
+//! ([`LayerCtx::buf_with`]) and puts back when the acknowledgement
+//! comes in; a released stash travels upward in its own buffer.
 
 use pa_buf::Msg;
 use pa_core::{DeliverAction, DisableReason, InitCtx, Layer, LayerCtx, Nanos, SendAction};
@@ -177,7 +182,8 @@ impl WindowLayer {
         self.acked_upto = self.acked_upto.max(ackno);
         let before = self.inflight.len();
         while matches!(self.inflight.front(), Some(f) if f.seq < ackno) {
-            self.inflight.pop_front();
+            let acked = self.inflight.pop_front().expect("front matched");
+            ctx.put_buf(acked.frame);
         }
         if self.inflight.len() == before {
             return;
@@ -273,7 +279,7 @@ impl Layer for WindowLayer {
         if seq >= self.acked_upto {
             self.inflight.push_back(InFlight {
                 seq,
-                frame: msg.clone(),
+                frame: ctx.buf_with(msg.as_slice()),
                 sent_at: ctx.now,
                 rto: self.cfg.rto,
                 retransmits: 0,
@@ -336,7 +342,9 @@ impl Layer for WindowLayer {
                 ctx.emit_up(stash);
             }
         } else if seq > self.expected && seq < self.expected + self.cfg.window as u64 {
-            self.reorder.entry(seq).or_insert_with(|| msg.clone());
+            self.reorder
+                .entry(seq)
+                .or_insert_with(|| ctx.buf_with(msg.as_slice()));
         } else if seq < self.expected {
             self.dups_dropped += 1;
             // Re-ack so the sender stops retransmitting.
@@ -372,7 +380,12 @@ impl Layer for WindowLayer {
         // Retransmissions are "unusual" — they carry the connection
         // identification so a receiver that lost the first message can
         // still find the connection (§2.2).
-        ctx.emit_down_unusual(head.frame.clone());
+        let again = ctx.buf_with(head.frame.as_slice());
+        ctx.emit_down_unusual(again);
+    }
+
+    fn bufs_held(&self) -> usize {
+        self.inflight.len() + self.wait_q.len() + self.reorder.len()
     }
 }
 

@@ -153,11 +153,15 @@ fn steady_state_fast_path_is_allocation_free() {
             ps.misses
         );
     }
+    // The window's copy of a frame the peer has not acknowledged yet
+    // is a take of its own, put back when the ack comes in: what the
+    // layers hold closes the ledger.
     let (pa, pb) = (a.pool_stats(), b.pool_stats());
+    let held = (a.bufs_held_by_layers() + b.bufs_held_by_layers()) as u64;
     assert_eq!(
         pa.hits + pa.misses + pb.hits + pb.misses,
-        pa.returns + pb.returns,
-        "after the final drain every taken buffer must be back in a pool"
+        pa.returns + pb.returns + held,
+        "after the final drain every taken buffer must be back in a pool or held by a layer"
     );
 
     // The fused filters were compiled twice at construction and once
@@ -601,10 +605,13 @@ fn packed_backlog_delivery_reconciles_the_pools() {
     // path, one allocation per *frame*), so it was never a pool take —
     // but after its post-deliver phase B's pool absorbs it anyway.
     // Every packed frame therefore shows up as exactly one donated
-    // return on top of the take/return balance.
+    // return on top of the take/return balance — and the sender's
+    // window still holds its copy of every frame, none acknowledged.
+    let held = (a.bufs_held_by_layers() + b.bufs_held_by_layers()) as u64;
+    assert_eq!(held, a.stats().frames_out, "one retransmission copy a frame");
     assert_eq!(
         pa.hits + pa.misses + pb.hits + pb.misses + a.stats().packed_frames,
-        pa.returns + pb.returns,
+        pa.returns + pb.returns + held,
         "pool flux must balance up to one donated packed body per frame"
     );
     assert_eq!(pb.returns - pb.hits, b.pool_idle() as u64);
