@@ -1761,7 +1761,9 @@ impl Connection {
     /// application deliveries, and queues a frame image for the
     /// deferred post-deliver phases. Shared by the fast path and the
     /// top of the layered slow path — the two differ only in `start`
-    /// (which post phases still owe work).
+    /// (which post phases still owe work). A message the top layer
+    /// emitted upward (a reassembled one) owes none: no image is made
+    /// of it and nothing is queued.
     ///
     /// Pooled (the steady state — zero heap allocations):
     /// - `Single`: the application receives the *original network
@@ -1787,6 +1789,7 @@ impl Connection {
         start: usize,
     ) -> Result<usize, (Msg, RejectReason)> {
         let stop = self.layers.len().saturating_sub(1);
+        let owes_post = start <= stop;
         let hdr = self.hdr_len();
         // The slow path re-checks the length checked at entry:
         // layers may have reshaped the message in between, and this
@@ -1804,11 +1807,13 @@ impl Connection {
                     let n = msgs.len();
                     self.stats.msgs_delivered += n as u64;
                     self.deliveries.extend(msgs);
-                    self.pending_recv.push_back(RecvPost {
-                        msg: frame_image,
-                        start,
-                        stop,
-                    });
+                    if owes_post {
+                        self.pending_recv.push_back(RecvPost {
+                            msg: frame_image,
+                            start,
+                            stop,
+                        });
+                    }
                     Ok(n)
                 }
                 Err(e) => Err((frame_image, pack_reject_reason(&e))),
@@ -1826,15 +1831,17 @@ impl Connection {
         };
         match info {
             PackInfo::Single => {
-                let image = self.pool.take_with(frame.as_slice());
+                if owes_post {
+                    let image = self.pool.take_with(frame.as_slice());
+                    self.pending_recv.push_back(RecvPost {
+                        msg: image,
+                        start,
+                        stop,
+                    });
+                }
                 frame.skip_front(body_off);
                 self.stats.msgs_delivered += 1;
                 self.deliveries.push_back(frame);
-                self.pending_recv.push_back(RecvPost {
-                    msg: image,
-                    start,
-                    stop,
-                });
                 Ok(1)
             }
             ref packed => {
@@ -1873,11 +1880,15 @@ impl Connection {
                 }
                 debug_assert_eq!(delivered, packed.count(), "walk matched the validated body");
                 self.stats.msgs_delivered += delivered as u64;
-                self.pending_recv.push_back(RecvPost {
-                    msg: frame,
-                    start,
-                    stop,
-                });
+                if owes_post {
+                    self.pending_recv.push_back(RecvPost {
+                        msg: frame,
+                        start,
+                        stop,
+                    });
+                } else {
+                    self.pool.put(frame);
+                }
                 Ok(delivered)
             }
         }
@@ -2270,14 +2281,7 @@ impl Connection {
     /// Runs post-deliver phases for one received frame, bottom → top.
     fn run_post_deliver(&mut self, post: RecvPost, report: &mut PostWorkReport) {
         let RecvPost { msg, start, stop } = post;
-        if start > stop {
-            // A message emitted upward by the top layer has no layers
-            // left to post-process.
-            if self.config.pooling {
-                self.pool.put(msg);
-            }
-            return;
-        }
+        debug_assert!(start <= stop, "queued only for layers that owe a post phase");
         report.post_deliver_phases += (stop - start + 1) as u64;
         report.post_deliver_frames += 1;
         self.stats.post_delivers += 1;
