@@ -245,6 +245,9 @@ struct DeliverWork {
     next: usize,
     start: usize,
     msg: Msg,
+    /// The delivery filter passed this frame (never true of a message
+    /// a layer emitted upward): told to each pre-deliver phase.
+    filter_passed: bool,
 }
 
 /// A point-to-point connection with its Protocol Accelerator.
@@ -1662,7 +1665,7 @@ impl Connection {
                 XrayTag::from_cause(self.layer_byte(attr_layer), attr_cause);
             self.stats.slow_deliveries += 1;
             self.emit(TraceEvent::SlowDeliver { cause });
-            let n = self.slow_deliver(frame);
+            let n = self.slow_deliver(frame, filter_verdict == pa_filter::PASS);
             self.finish_delivery();
             DeliverOutcome::Slow { msgs: n }
         }
@@ -1895,12 +1898,13 @@ impl Connection {
     }
 
     /// Layered pre-deliver traversal, bottom → top.
-    fn slow_deliver(&mut self, frame: Msg) -> usize {
+    fn slow_deliver(&mut self, frame: Msg, filter_passed: bool) -> usize {
         let before = self.stats.msgs_delivered;
         self.deliver_work.push_back(DeliverWork {
             next: 0,
             start: 0,
             msg: frame,
+            filter_passed,
         });
         self.run_work();
         (self.stats.msgs_delivered - before) as usize
@@ -1995,6 +1999,7 @@ impl Connection {
             next,
             start,
             mut msg,
+            filter_passed,
         } = work;
         if next >= self.layers.len() {
             // Above the top layer: strip headers, unpack, deliver. A
@@ -2010,6 +2015,7 @@ impl Connection {
             return;
         }
         let action = self.run_phase(next, Phase::PreDeliver, self.peer_order, |layer, ctx| {
+            ctx.filter_passed = filter_passed;
             layer.pre_deliver(ctx, &mut msg)
         });
         match action {
@@ -2018,6 +2024,7 @@ impl Connection {
                     next: next + 1,
                     start,
                     msg,
+                    filter_passed,
                 });
             }
             DeliverAction::Consume => {
@@ -2069,6 +2076,7 @@ impl Connection {
             recv_predict: &mut self.recv_predict,
             effects: &mut self.effects_scratch,
             pool: self.config.pooling.then_some(&mut self.pool),
+            filter_passed: false,
         };
         let out = call(self.layers[i].as_mut(), &mut ctx);
         self.meter_record(i, phase, t0);
@@ -2204,6 +2212,7 @@ impl Connection {
                 next: layer_idx + 1,
                 start: layer_idx + 1,
                 msg,
+                filter_passed: false,
             });
         }
     }

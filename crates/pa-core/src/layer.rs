@@ -136,6 +136,13 @@ pub struct LayerCtx<'a> {
     /// The connection's §6 recycling pool, lent for the phase; `None`
     /// when the connection runs with pooling off.
     pub pool: Option<&'a mut MsgPool>,
+    /// Pre-deliver only: the delivery filter ran over this very frame
+    /// and passed it. A `Return` can only end a verified program, so a
+    /// pass means every layer's fragment ran to its end: a layer whose
+    /// pre-deliver check repeats its filter fragment need not run it a
+    /// second time. False for a frame the filter refused and for a
+    /// message a layer emitted upward, which the filter never saw.
+    pub filter_passed: bool,
 }
 
 impl<'a> LayerCtx<'a> {
@@ -395,6 +402,7 @@ mod tests {
             recv_predict: &mut rp,
             effects: &mut effects,
             pool: None,
+            filter_passed: false,
         };
         ctx.emit_down(Msg::from_payload(b"ack"));
         ctx.emit_down_unusual(Msg::from_payload(b"rexmit"));
@@ -429,6 +437,7 @@ mod tests {
             recv_predict: &mut rp,
             effects: &mut effects,
             pool: None,
+            filter_passed: false,
         };
         let mut l = NullLayer;
         let mut m = Msg::from_payload(b"data");

@@ -4,9 +4,12 @@
 //! entire fast-path behaviour is two filter fragments. On send, the
 //! filter writes the body length and digest into the message-specific
 //! header; on delivery it recomputes and compares, forcing the slow path
-//! on mismatch. The layer's own pre-deliver repeats the check (the slow
-//! path must stand alone) and *drops* corrupt messages — the PA merely
-//! diverts them, the stack decides.
+//! on mismatch. The layer's own pre-deliver repeats the check on every
+//! frame the filter did not pass (the slow path must stand alone) and
+//! *drops* corrupt messages — the PA merely diverts them, the stack
+//! decides. A frame the filter passed but prediction missed — every
+//! fragment of a large message — was verified by that run and is not
+//! digested a second time.
 //!
 //! The digest uses the `DIGEST_HDRS` instruction: it covers the
 //! protocol header, the gossip header and the body — everything except
@@ -114,6 +117,11 @@ impl Layer for ChecksumLayer {
     fn post_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &Msg) {}
 
     fn pre_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> DeliverAction {
+        if ctx.filter_passed {
+            // The delivery filter's fragment above is this very check,
+            // and it ran over this frame to its end.
+            return DeliverAction::Continue;
+        }
         // The slow path re-verifies: a message can reach us down the
         // slow path precisely because the filter rejected it.
         let f_len = self.f_len.expect("init ran");
