@@ -1951,6 +1951,7 @@ impl Connection {
                 self.emit(TraceEvent::Drop {
                     reason: DropCause::FilterRefused,
                 });
+                self.recycle(msg);
                 return;
             }
             self.wire_out(msg, unusual, origin);
@@ -1990,6 +1991,7 @@ impl Connection {
                 self.emit(TraceEvent::Drop {
                     reason: DropCause::ByLayer(self.layers[i].name()),
                 });
+                self.recycle(msg);
             }
         }
     }

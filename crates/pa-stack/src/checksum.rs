@@ -153,8 +153,8 @@ impl Layer for ChecksumLayer {
 mod tests {
     use super::*;
     use pa_core::{Connection, ConnectionParams, DeliverOutcome, PaConfig};
+    use crate::testutil::Shared;
     use pa_wire::{EndpointAddr, Preamble, PREAMBLE_LEN};
-    use std::sync::{Arc, Mutex};
 
     fn pair(config: PaConfig) -> (Connection, Connection) {
         let mk = |l: u64, p: u64, s: u64| {
@@ -212,48 +212,177 @@ mod tests {
         assert!(b.poll_delivery().is_none(), "{out:?}");
     }
 
-    #[test]
-    fn slow_path_verification_matches_filter() {
-        // With prediction off, every message takes the slow path; the
-        // layer's own check must accept what the filter filled in.
-        let cfg = PaConfig {
-            predict: false,
-            lazy_post: false,
-            ..PaConfig::paper_default()
-        };
-        let (mut a, mut b) = pair(cfg);
-        for i in 0..5u8 {
-            a.send(&[i; 32]);
-            let f = a.poll_transmit().unwrap();
-            let out = b.deliver_frame(f);
-            assert!(matches!(out, DeliverOutcome::Slow { msgs: 1 }), "{out:?}");
-        }
-        assert_eq!(b.stats().msgs_delivered, 5);
-    }
+    /// A layer whose delivery-filter fragment refuses every frame, so
+    /// that each one reaches the layers below it as one the filter did
+    /// not pass.
+    struct RefuseAll;
 
-    /// A checksum layer the test can still read after the connection
-    /// has taken ownership of the stack.
-    struct Shared(Arc<Mutex<ChecksumLayer>>);
-
-    impl Layer for Shared {
+    impl Layer for RefuseAll {
         fn name(&self) -> &'static str {
-            "checksum"
+            "refuse-all"
         }
         fn init(&mut self, ctx: &mut InitCtx<'_>) {
-            self.0.lock().unwrap().init(ctx)
+            ctx.recv_filter.extend([Op::PushConst(1), Op::Abort(0x7F)]);
         }
-        fn pre_send(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> SendAction {
-            self.0.lock().unwrap().pre_send(ctx, msg)
+        fn pre_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> SendAction {
+            SendAction::Continue
         }
-        fn post_send(&mut self, ctx: &mut LayerCtx<'_>, msg: &Msg) {
-            self.0.lock().unwrap().post_send(ctx, msg)
+        fn post_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &Msg) {}
+        fn pre_deliver(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> DeliverAction {
+            DeliverAction::Continue
         }
-        fn pre_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> DeliverAction {
-            self.0.lock().unwrap().pre_deliver(ctx, msg)
+        fn post_deliver(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &Msg) {}
+    }
+
+    #[test]
+    fn slow_path_verification_matches_filter() {
+        // Every frame is refused by another layer's fragment, so the
+        // checksum layer's own check runs on each: it must accept what
+        // the send filter filled in, and nothing else.
+        let mk = |l: u64, p: u64, s: u64| {
+            Connection::new(
+                vec![Box::new(ChecksumLayer::default()), Box::new(RefuseAll)],
+                PaConfig::paper_default(),
+                ConnectionParams::new(
+                    EndpointAddr::from_parts(l, 9),
+                    EndpointAddr::from_parts(p, 9),
+                    s,
+                ),
+            )
+            .unwrap()
+        };
+        let (mut a, mut b) = (mk(1, 2, 11), mk(2, 1, 22));
+        for i in 0..6u8 {
+            a.send(&[i; 32]);
+            let mut f = a.poll_transmit().unwrap();
+            a.process_pending();
+            if i == 5 {
+                flip_body_byte(&b, &ChecksumLayer::default(), &mut f);
+            }
+            let out = b.deliver_frame(f);
+            let msgs = (i < 5) as usize;
+            assert_eq!(out, DeliverOutcome::Slow { msgs }, "frame {i}");
+            b.process_pending();
         }
-        fn post_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &Msg) {
-            self.0.lock().unwrap().post_deliver(ctx, msg)
+        assert_eq!(b.stats().recv_filter_misses, 6);
+        assert_eq!(b.stats().msgs_delivered, 5);
+        assert_eq!(b.stats().drops_by_layer, 1);
+    }
+
+    #[test]
+    fn the_filters_pass_stands_in_for_the_layers_own_check() {
+        // The contract of `LayerCtx::filter_passed`, driven directly:
+        // told the filter passed the frame, the layer does not look at
+        // it; told nothing, it verifies and counts.
+        use pa_core::layer::Effects;
+        use pa_core::predict::Prediction;
+        use pa_wire::{ByteOrder, LayoutBuilder, LayoutMode};
+        let mut layer = ChecksumLayer::default();
+        let mut lb = LayoutBuilder::new();
+        lb.begin_layer("checksum");
+        let (mut sf, mut rf) = (
+            pa_filter::ProgramBuilder::new(),
+            pa_filter::ProgramBuilder::new(),
+        );
+        layer.init(&mut InitCtx {
+            layout: &mut lb,
+            send_filter: &mut sf,
+            recv_filter: &mut rf,
+        });
+        let layout = lb.compile(LayoutMode::Packed).unwrap();
+        let (mut sp, mut rp) = (
+            Prediction::new(&layout, ByteOrder::Big),
+            Prediction::new(&layout, ByteOrder::Big),
+        );
+        let mut effects = Effects::default();
+        // Zeroed length and checksum fields over a non-empty body: a
+        // frame the layer's own check refuses.
+        let mut frame = Msg::from_payload(b"body the zero checksum does not cover");
+        frame.push_front_zeroed(layout.class_len(Class::Message));
+        for (filter_passed, dropped) in [(true, false), (false, true)] {
+            let mut ctx = LayerCtx {
+                layout: &layout,
+                order: ByteOrder::Big,
+                now: 0,
+                send_predict: &mut sp,
+                recv_predict: &mut rp,
+                effects: &mut effects,
+                pool: None,
+                filter_passed,
+            };
+            let action = layer.pre_deliver(&mut ctx, &mut frame);
+            assert_eq!(matches!(action, DeliverAction::Drop(_)), dropped);
+            assert_eq!(layer.corrupt_seen(), dropped as u64);
         }
+    }
+
+    #[test]
+    fn corrupt_fragment_is_dropped_by_the_layer_and_retransmitted() {
+        // Fragments miss prediction but pass the filter, and are not
+        // digested twice; a damaged one fails the filter and still
+        // meets the layer's own check, which drops and counts it.
+        use crate::frag::FragLayer;
+        use crate::window::{WindowConfig, WindowLayer};
+        let window = WindowConfig {
+            ack_every: 1,
+            ..WindowConfig::default()
+        };
+        let (shared, layer) = Shared::new(ChecksumLayer::default());
+        let mut stacks: Vec<Vec<Box<dyn Layer>>> = vec![
+            vec![Box::new(ChecksumLayer::default())],
+            vec![Box::new(shared)],
+        ];
+        let mut mk = |l: u64, p: u64, s: u64| {
+            let mut layers = stacks.remove(0);
+            layers.push(Box::new(WindowLayer::new(window)));
+            layers.push(Box::new(FragLayer::new(32)));
+            Connection::new(
+                layers,
+                PaConfig::paper_default(),
+                ConnectionParams::new(
+                    EndpointAddr::from_parts(l, 9),
+                    EndpointAddr::from_parts(p, 9),
+                    s,
+                ),
+            )
+            .unwrap()
+        };
+        let (mut a, mut b) = (mk(1, 2, 11), mk(2, 1, 22));
+        let payload: Vec<u8> = (0..100u8).collect();
+        a.send(&payload);
+        a.process_pending();
+        let mut frames = Vec::new();
+        while let Some(f) = a.poll_transmit() {
+            frames.push(f);
+        }
+        assert_eq!(frames.len(), 4, "101 body bytes in 32-byte fragments");
+        flip_body_byte(&b, &layer.lock().unwrap(), &mut frames[1]);
+        for f in frames {
+            b.deliver_frame(f);
+            b.process_pending();
+        }
+        while let Some(ack) = b.poll_transmit() {
+            a.deliver_frame(ack);
+        }
+        a.process_pending();
+        assert_eq!(b.stats().recv_filter_misses, 1);
+        assert_eq!(b.stats().drops_by_layer, 1);
+        assert_eq!(layer.lock().unwrap().corrupt_seen(), 1);
+        assert!(b.poll_delivery().is_none(), "a fragment is missing");
+        // The window below frag recovers the dropped fragment.
+        a.tick(50_000_000);
+        for _ in 0..8 {
+            while let Some(f) = a.poll_transmit() {
+                b.deliver_frame(f);
+            }
+            b.process_pending();
+            while let Some(f) = b.poll_transmit() {
+                a.deliver_frame(f);
+            }
+            a.process_pending();
+        }
+        assert_eq!(b.poll_delivery().unwrap().as_slice(), &payload[..]);
+        assert_eq!(layer.lock().unwrap().corrupt_seen(), 1);
     }
 
     /// Sends eight frames from a plain sender to a receiver whose
@@ -265,9 +394,9 @@ mod tests {
         damage: impl Fn(&Connection, &ChecksumLayer, &mut Msg),
     ) -> (u64, u64) {
         let (mut a, _) = pair(config);
-        let layer = Arc::new(Mutex::new(ChecksumLayer::default()));
+        let (shared, layer) = Shared::new(ChecksumLayer::default());
         let mut b = Connection::new(
-            vec![Box::new(Shared(layer.clone()))],
+            vec![Box::new(shared)],
             config,
             ConnectionParams::new(
                 EndpointAddr::from_parts(2, 9),

@@ -28,6 +28,13 @@ use pa_wire::{Class, Field};
 /// (forces the slow path, where this layer splits it).
 pub const ERR_TOO_BIG: i64 = 0x20;
 
+/// Most fragments one message may arrive in (or be cut into). A peer
+/// that keeps sending fragments and never a last one would otherwise
+/// grow the reassembly buffer without limit and keep the delivery fast
+/// path shut for good; at the paper stack's 4 KiB MTU this is 4 MiB a
+/// message.
+pub const MAX_FRAGMENTS: usize = 1024;
+
 /// The fragmentation/reassembly layer.
 #[derive(Debug)]
 pub struct FragLayer {
@@ -39,12 +46,20 @@ pub struct FragLayer {
     /// seen so far (they arrive in order thanks to the window below),
     /// in the buffer that will be delivered.
     partial: Option<Msg>,
+    /// Fragments appended to `partial` so far.
+    fragments: usize,
+    /// The message arriving overran [`MAX_FRAGMENTS`]: its remaining
+    /// fragments are dropped, up to its last one (or the next
+    /// unfragmented message — the window below delivers in order, so
+    /// either ends it).
+    discarding: bool,
     /// Body bytes of the last message reassembled: what the next one is
     /// asked room for, so a stream of large messages keeps landing in
     /// buffers that already grew to their size.
     last_len: usize,
     fragments_sent: u64,
     messages_reassembled: u64,
+    reassembly_overflows: u64,
 }
 
 impl FragLayer {
@@ -56,9 +71,12 @@ impl FragLayer {
             f_flag: None,
             f_last: None,
             partial: None,
+            fragments: 0,
+            discarding: false,
             last_len: 0,
             fragments_sent: 0,
             messages_reassembled: 0,
+            reassembly_overflows: 0,
         }
     }
 
@@ -70,6 +88,12 @@ impl FragLayer {
     /// Large messages reassembled on the receive side so far.
     pub fn messages_reassembled(&self) -> u64 {
         self.messages_reassembled
+    }
+
+    /// Messages discarded mid-reassembly because they arrived in more
+    /// than [`MAX_FRAGMENTS`] fragments.
+    pub fn reassembly_overflows(&self) -> u64 {
+        self.reassembly_overflows
     }
 
     fn header_len(&self, ctx: &LayerCtx<'_>) -> usize {
@@ -119,6 +143,9 @@ impl Layer for FragLayer {
             self.f_last.expect("init ran"),
         );
         let total = body_len.div_ceil(self.mtu);
+        if total > MAX_FRAGMENTS {
+            return SendAction::Reject("more fragments than the peer reassembles");
+        }
         let mut parts = Vec::with_capacity(total);
         let mut off = hdr;
         for i in 0..total {
@@ -156,7 +183,8 @@ impl Layer for FragLayer {
             self.f_last.expect("init ran"),
         );
         let (flag, last) = (ctx.read_field(msg, f_flag), ctx.read_field(msg, f_last));
-        if flag == 0 {
+        if flag == 0 || self.discarding {
+            self.discarding = flag == 1 && last == 0;
             return;
         }
         let hdr = self.header_len(ctx);
@@ -175,16 +203,27 @@ impl Layer for FragLayer {
                 self.partial = Some(ctx.buf_with_room(body, room));
             }
         }
+        self.fragments += 1;
+        if last == 0 && self.fragments < MAX_FRAGMENTS {
+            return;
+        }
+        self.fragments = 0;
+        ctx.enable_recv(DisableReason::FragPending);
+        let mut whole = self.partial.take().expect("a fragment was just appended");
         if last == 1 {
             // Put a frame around the reassembled body — zeroed headers
             // in the buffer's headroom, frag fields zero: an
             // ordinary-looking frame — and hand it upward.
-            let mut whole = self.partial.take().expect("a fragment was just appended");
             self.last_len = whole.len();
             whole.push_front_zeroed(hdr);
             self.messages_reassembled += 1;
-            ctx.enable_recv(DisableReason::FragPending);
             ctx.emit_up(whole);
+        } else {
+            // The cap, and still no last fragment: give the message up
+            // and the fast path back.
+            self.reassembly_overflows += 1;
+            self.discarding = true;
+            ctx.put_buf(whole);
         }
     }
 
@@ -196,34 +235,48 @@ impl Layer for FragLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::Shared;
     use crate::window::{WindowConfig, WindowLayer};
-    use pa_core::{Connection, ConnectionParams, PaConfig, SendOutcome};
+    use pa_core::{Connection, ConnectionParams, DeliverOutcome, PaConfig, SendOutcome};
     use pa_wire::EndpointAddr;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
-    fn stack(mtu: usize) -> Vec<Box<dyn Layer>> {
-        vec![
-            Box::new(WindowLayer::new(WindowConfig {
-                ack_every: 1,
-                ..WindowConfig::default()
-            })),
-            Box::new(FragLayer::new(mtu)),
-        ]
+    /// A connection over a window (acknowledging every frame) under
+    /// `frag`.
+    fn conn(frag: Box<dyn Layer>, config: PaConfig, l: u64, p: u64, seed: u64) -> Connection {
+        let window = WindowLayer::new(WindowConfig {
+            ack_every: 1,
+            ..WindowConfig::default()
+        });
+        Connection::new(
+            vec![Box::new(window), frag],
+            config,
+            ConnectionParams::new(
+                EndpointAddr::from_parts(l, 3),
+                EndpointAddr::from_parts(p, 3),
+                seed,
+            ),
+        )
+        .unwrap()
     }
 
     fn pair(mtu: usize) -> (Connection, Connection) {
-        let mk = |l: u64, p: u64, s: u64| {
-            Connection::new(
-                stack(mtu),
-                PaConfig::paper_default(),
-                ConnectionParams::new(
-                    EndpointAddr::from_parts(l, 3),
-                    EndpointAddr::from_parts(p, 3),
-                    s,
-                ),
-            )
-            .unwrap()
-        };
+        let mk = |l, p, s| conn(Box::new(FragLayer::new(mtu)), PaConfig::paper_default(), l, p, s);
         (mk(1, 2, 31), mk(2, 1, 32))
+    }
+
+    /// Every buffer taken from either pool is back in one or held by a
+    /// layer — nothing else allocates a buffer on this path, and
+    /// `converge` recycles what it delivers.
+    fn assert_pools_balance(a: &Connection, b: &Connection) {
+        let (pa, pb) = (a.pool_stats(), b.pool_stats());
+        let held = (a.bufs_held_by_layers() + b.bufs_held_by_layers()) as u64;
+        assert_eq!(
+            pa.hits + pa.misses + pb.hits + pb.misses,
+            pa.returns + pb.returns + held,
+            "a {pa:?}, b {pb:?}, held {held}"
+        );
     }
 
     fn converge(a: &mut Connection, b: &mut Connection) -> Vec<Vec<u8>> {
@@ -246,6 +299,7 @@ mod tests {
         }
         while let Some(m) = b.poll_delivery() {
             got.push(m.to_wire());
+            b.recycle(m);
         }
         got
     }
@@ -283,6 +337,24 @@ mod tests {
         a.send(&payload);
         let got = converge(&mut a, &mut b);
         assert_eq!(got, vec![payload]);
+        assert_eq!(a.stats().frames_out, 2);
+        assert_pools_balance(&a, &b);
+    }
+
+    #[test]
+    fn one_byte_over_the_mtu_is_a_second_fragment() {
+        let (mut a, mut b) = pair(32);
+        let payload: Vec<u8> = (0..32u8).collect(); // body 33 = 32 + 1
+        assert_eq!(a.send(&payload), SendOutcome::SlowPath);
+        let got = converge(&mut a, &mut b);
+        assert_eq!(got, vec![payload]);
+        assert_eq!(a.stats().frames_out, 2);
+        assert_pools_balance(&a, &b);
+        // One byte fewer fits a frame and is not fragmented at all.
+        assert_eq!(a.send(&[7u8; 31]), SendOutcome::FastPath);
+        assert_eq!(converge(&mut a, &mut b), vec![vec![7u8; 31]]);
+        assert_eq!(a.stats().frames_out, 3);
+        assert_pools_balance(&a, &b);
     }
 
     #[test]
@@ -297,6 +369,97 @@ mod tests {
         a.send(b"last-small");
         let got = converge(&mut a, &mut b);
         assert_eq!(got, vec![b"last-small".to_vec()]);
+        assert_pools_balance(&a, &b);
+        assert_eq!(a.bufs_held_by_layers() + b.bufs_held_by_layers(), 0);
+    }
+
+    /// A sender's fragmentation layer gone wrong: while `on` is set,
+    /// every message leaves marked a fragment, and never the last.
+    struct NeverLast {
+        inner: FragLayer,
+        on: Arc<AtomicBool>,
+    }
+
+    impl Layer for NeverLast {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn init(&mut self, ctx: &mut InitCtx<'_>) {
+            self.inner.init(ctx)
+        }
+        fn pre_send(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> SendAction {
+            if self.on.load(Ordering::Relaxed) {
+                ctx.frame(msg).write(self.inner.f_flag.expect("init ran"), 1);
+            }
+            SendAction::Continue
+        }
+        fn post_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &Msg) {}
+        fn pre_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> DeliverAction {
+            self.inner.pre_deliver(ctx, msg)
+        }
+        fn post_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &Msg) {
+            self.inner.post_deliver(ctx, msg)
+        }
+    }
+
+    #[test]
+    fn a_message_that_never_ends_is_given_up_at_the_cap() {
+        let on = Arc::new(AtomicBool::new(true));
+        let never_last = NeverLast {
+            inner: FragLayer::new(32),
+            on: on.clone(),
+        };
+        // Prediction off: every send runs the layers, so the flag is set.
+        let layered = PaConfig {
+            predict: false,
+            ..PaConfig::paper_default()
+        };
+        let mut a = conn(Box::new(never_last), layered, 1, 2, 31);
+        let (shared, frag) = Shared::new(FragLayer::new(32));
+        let mut b = conn(Box::new(shared), PaConfig::paper_default(), 2, 1, 32);
+
+        for i in 0..MAX_FRAGMENTS {
+            assert_eq!(frag.lock().unwrap().reassembly_overflows(), 0, "at {i}");
+            a.send(&[i as u8; 8]);
+            assert!(converge(&mut a, &mut b).is_empty());
+        }
+        assert_eq!(frag.lock().unwrap().reassembly_overflows(), 1);
+        assert_eq!(b.bufs_held_by_layers(), 0, "the partial message went back");
+        assert!(b.recv_prediction().enabled(), "and the hold with it");
+        // The run goes on; what follows the cap is dropped, not piled up.
+        for _ in 0..3 {
+            a.send(b"more");
+            assert!(converge(&mut a, &mut b).is_empty());
+        }
+        assert_eq!(b.bufs_held_by_layers(), 0);
+        assert!(b.recv_prediction().enabled());
+        assert_eq!(frag.lock().unwrap().reassembly_overflows(), 1);
+
+        // An ordinary message ends it, and takes the fast path.
+        on.store(false, Ordering::Relaxed);
+        a.send(b"small");
+        a.process_pending();
+        let out = b.deliver_frame(a.poll_transmit().expect("one frame"));
+        assert_eq!(out, DeliverOutcome::Fast { msgs: 1 });
+        assert_eq!(converge(&mut a, &mut b), vec![b"small".to_vec()]);
+        assert!(b.stats().delivery_balanced());
+        assert!(a.stats().delivery_balanced());
+        assert_eq!(frag.lock().unwrap().messages_reassembled(), 0);
+    }
+
+    #[test]
+    fn a_message_of_more_fragments_than_the_cap_is_refused_at_the_sender() {
+        let (mut a, mut b) = pair(8);
+        a.send(&vec![1u8; 8 * MAX_FRAGMENTS]); // body is one byte more
+        assert_eq!(a.stats().drops_send_rejected, 1);
+        assert_eq!(a.stats().frames_out, 0);
+        assert!(converge(&mut a, &mut b).is_empty());
+        // The largest that fits goes through whole.
+        let payload = vec![2u8; 8 * MAX_FRAGMENTS - 1];
+        a.send(&payload);
+        assert_eq!(converge(&mut a, &mut b), vec![payload]);
+        assert_eq!(a.stats().frames_out, MAX_FRAGMENTS as u64);
+        assert_pools_balance(&a, &b);
     }
 
     #[test]

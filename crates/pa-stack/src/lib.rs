@@ -32,6 +32,8 @@ pub mod frag;
 pub mod heartbeat;
 pub mod meter;
 pub mod stacks;
+#[cfg(test)]
+mod testutil;
 pub mod timestamp;
 pub mod window;
 

@@ -15,7 +15,10 @@
 //! buffer flux must balance: one-way traffic drains the sender's pool
 //! onto the wire and the claim would silently hold only via pool
 //! misses. Ping-pong plus host-side `recycle()` is the steady state the
-//! paper's Figure 4 measures.
+//! paper's Figure 4 measures. The deferred post phases are held to the
+//! same zero (the layers keep what they keep in pooled buffers), and
+//! the one-way 16 KiB arm states what one-way traffic does cost: the
+//! receiver nothing, the sender the frames that left for good.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -162,6 +165,19 @@ fn steady_state_fast_path_is_allocation_free() {
         pa.hits + pa.misses + pb.hits + pb.misses,
         pa.returns + pb.returns + held,
         "after the final drain every taken buffer must be back in a pool or held by a layer"
+    );
+
+    // The masked half is held to the same standard: a whole round
+    // trip — the four hot operations and both sides' post phases, where
+    // the window files its retransmission copy — allocates nothing.
+    let before = allocations();
+    for _ in 0..2_500 {
+        round_trip(&mut a, &mut b, false);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "warm round trips allocated, post phases included"
     );
 
     // The fused filters were compiled twice at construction and once
@@ -326,11 +342,10 @@ fn threaded_steady_state_fast_path_is_allocation_free() {
         b = nb;
     }
 
-    // Engine baseline: the same steady-state workload inline. The
-    // engine's own post path allocates (the window layer clones each
-    // data frame into its retransmission buffer); what the threaded
-    // build must prove is that the telemetry machinery — domains,
-    // rings, handoffs, worker folds — adds *zero* on top of it.
+    // Engine baseline: the same steady-state workload inline (zero,
+    // by the gate above); what the threaded build must prove is that
+    // the telemetry machinery — domains, rings, handoffs, worker folds
+    // — adds *zero* on top of it.
     let mut ia = paper_conn(cfg, 1, 2, 0x9601);
     let mut ib = paper_conn(cfg, 2, 1, 0x9602);
     for _ in 0..64 {
@@ -381,6 +396,88 @@ fn threaded_steady_state_fast_path_is_allocation_free() {
     let d = snap.domains.iter().find(|d| d.label == "drain").unwrap();
     assert!(d.counter(pa::obs::DomainCounter::DrainBatches) >= 2 * 564);
     assert_eq!(snap.events_lost(), 0, "event ring must not overflow");
+}
+
+// ---------------------------------------------------------------------------
+// The large-message arm: 16 KiB one way, five fragments a message
+// ---------------------------------------------------------------------------
+
+/// One 16 KiB message from `a` to `b` and `b`'s acknowledgements back,
+/// posts and recycling included. Returns the allocations made inside
+/// `a`'s calls, inside `b`'s calls, and the frames `a` put on the wire.
+fn bulk_transfer(
+    a: &mut Connection,
+    b: &mut Connection,
+    payload: &[u8],
+    wire: &mut Vec<Msg>,
+    msgs: &mut Vec<Msg>,
+) -> (usize, usize, usize) {
+    let (mut by_a, mut by_b, mut frames) = (0, 0, 0);
+    let t0 = allocations();
+    let out = a.send(payload);
+    by_a += allocations() - t0;
+    assert_eq!(out, SendOutcome::SlowPath, "over the MTU: the layers fragment");
+    for _ in 0..4 {
+        let t0 = allocations();
+        frames += a.poll_transmit_burst(usize::MAX, wire);
+        by_a += allocations() - t0;
+
+        let t0 = allocations();
+        b.deliver_burst(wire);
+        b.poll_delivery_burst(usize::MAX, msgs);
+        for m in msgs.iter() {
+            assert_eq!(m.as_slice(), payload, "reassembled intact");
+        }
+        b.recycle_burst(msgs.drain(..));
+        b.process_pending();
+        b.poll_transmit_burst(usize::MAX, wire);
+        by_b += allocations() - t0;
+
+        let t0 = allocations();
+        a.deliver_burst(wire);
+        a.process_pending();
+        by_a += allocations() - t0;
+    }
+    (by_a, by_b, frames)
+}
+
+#[test]
+fn one_way_bulk_costs_the_receiver_nothing_and_the_sender_its_frames() {
+    let cfg = PaConfig::paper_default();
+    let mut a = paper_conn(cfg, 1, 2, 0x9601);
+    let mut b = paper_conn(cfg, 2, 1, 0x9602);
+    let payload: Vec<u8> = (0..16 * 1024).map(|i| (i * 31 % 251) as u8).collect();
+    let mut wire: Vec<Msg> = Vec::with_capacity(64);
+    let mut msgs: Vec<Msg> = Vec::with_capacity(8);
+
+    // Warm-up: the receiver's pool fills with the sender's frames (it
+    // keeps 64) and the buffers each side reuses grow to their sizes.
+    for _ in 0..64 {
+        bulk_transfer(&mut a, &mut b, &payload, &mut wire, &mut msgs);
+    }
+    let delivered0 = b.stats().msgs_delivered;
+    let (mut by_a, mut by_b, mut frames) = (0, 0, 0);
+    const MESSAGES: usize = 256;
+    for _ in 0..MESSAGES {
+        let (x, y, f) = bulk_transfer(&mut a, &mut b, &payload, &mut wire, &mut msgs);
+        by_a += x;
+        by_b += y;
+        frames += f;
+    }
+    assert_eq!(b.stats().msgs_delivered - delivered0, MESSAGES as u64);
+    assert_eq!(frames, 5 * MESSAGES, "16 KiB and a packing byte: five frames");
+    // Reassembly lands in a buffer that already grew to 16 KiB, the
+    // acknowledgements leave in pooled ones, nothing makes an image of
+    // the reassembled message: the receiver never asks the allocator.
+    assert_eq!(by_b, 0, "the receiver allocated");
+    // The sender's frames do not come back (the acknowledgements do,
+    // a quarter as many), so it pays for them — and for nothing else
+    // but the list `SendAction::Split` carries the fragments in: not
+    // the staging buffer, not the images, not the window's copies.
+    assert!(by_a <= frames, "the sender allocated {by_a} times for {frames} frames");
+    assert!(by_a >= frames / 2, "and it cannot do without them: {by_a}");
+    assert_eq!(a.stats().fast_sends, 0);
+    assert!(a.stats().delivery_balanced() && b.stats().delivery_balanced());
 }
 
 #[test]
