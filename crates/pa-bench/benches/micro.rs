@@ -447,6 +447,67 @@ fn bench_setup_vs_hot() -> (f64, f64) {
     (conn_new, conn_new / hot)
 }
 
+/// What the large-message path costs, in passes over the message: one
+/// 16 KiB message through the paper stack — send (five fragments), the
+/// frames carried over, reassembled delivery, the acknowledgements back,
+/// both sides' post phases — against one copy plus one Internet-checksum
+/// pass of the same 16 KiB, which is what a byte of it owes each owner.
+/// Interleaved and summarised like [`bench_phase_dispatch`].
+///
+/// Returns `(ns per message, messages in copy + checksum passes)`.
+fn bench_bulk_vs_pass() -> (f64, f64) {
+    const LEN: usize = 16 * 1024;
+    const BULK_BATCH: u32 = 32;
+    let (mut a, mut b) = echo_pair(PaConfig::paper_default());
+    let payload: Vec<u8> = (0..LEN).map(|i| (i * 31 % 251) as u8).collect();
+    let (mut wire, mut msgs) = (Vec::with_capacity(16), Vec::with_capacity(4));
+    let mut transfer = |a: &mut Connection, b: &mut Connection| {
+        a.send(black_box(&payload));
+        // Twice: the window's acknowledgement of the last fragments
+        // leaves with the receiver's second post.
+        for _ in 0..2 {
+            a.poll_transmit_burst(usize::MAX, &mut wire);
+            b.deliver_burst(&mut wire);
+            b.poll_delivery_burst(usize::MAX, &mut msgs);
+            b.recycle_burst(msgs.drain(..));
+            b.process_pending();
+            b.poll_transmit_burst(usize::MAX, &mut wire);
+            a.deliver_burst(&mut wire);
+            a.process_pending();
+        }
+    };
+    for _ in 0..256 {
+        transfer(&mut a, &mut b);
+    }
+    let delivered = b.stats().msgs_delivered;
+    let mut copy = vec![0u8; LEN];
+    let (mut bulks, mut passes) = (Vec::new(), Vec::new());
+    for _ in 0..BATCHES {
+        let t = Instant::now();
+        for _ in 0..BULK_BATCH {
+            transfer(&mut a, &mut b);
+        }
+        bulks.push(t.elapsed().as_nanos() as f64 / BULK_BATCH as f64);
+        let t = Instant::now();
+        for _ in 0..BULK_BATCH {
+            copy.copy_from_slice(black_box(&payload));
+            black_box(DigestKind::InternetChecksum.compute(black_box(&copy)));
+        }
+        passes.push(t.elapsed().as_nanos() as f64 / BULK_BATCH as f64);
+    }
+    assert_eq!(
+        b.stats().msgs_delivered - delivered,
+        (BATCHES as u64) * BULK_BATCH as u64,
+        "every timed message was delivered"
+    );
+    let (bulk, pass) = (fastest(&mut bulks), fastest(&mut passes));
+    println!(
+        "{:<44} {bulk:>8.0} ns/msg  (5 fastest of {BATCHES} batches of {BULK_BATCH}, against {pass:.0} ns a copy + checksum)",
+        "bulk_16k/paper_stack"
+    );
+    (bulk, bulk / pass)
+}
+
 /// A stack of `n` layers that do nothing: what is left of the drain is
 /// the engine's dispatch around the phase calls.
 fn null_stack(n: usize) -> Vec<Box<dyn Layer>> {
@@ -519,6 +580,7 @@ fn main() {
     let (allocating, _) = bench_hot_and_drain("prepr_allocating", &paper, allocating());
     let phase_dispatch = bench_phase_dispatch();
     let (conn_new, setup_vs_hot) = bench_setup_vs_hot();
+    let (bulk_16k, bulk_vs_pass) = bench_bulk_vs_pass();
     bench_roundtrip();
     bench_packing();
     bench_preamble();
@@ -536,7 +598,9 @@ fn main() {
     // `phase_dispatch_ratio` is what three more do-nothing layers add
     // to the drain, which is all engine dispatch; `setup_vs_hot_ratio`
     // is how many hot operations one `Connection::new` costs — setup
-    // gated hardware-independently. The tolerances
+    // gated hardware-independently; `bulk_vs_pass_ratio` is how many
+    // copy + checksum passes over a 16 KiB message its whole journey
+    // through the paper stack costs. The tolerances
     // attached here are informational — the ones the CI comparator
     // honors live in the committed baseline file.
     let post_vs_hot = post_drain / (4.0 * pooled_fused);
@@ -551,6 +615,10 @@ fn main() {
     println!(
         "{:<44} {setup_vs_hot:>8.3}",
         "setup_vs_hot_ratio (conn_new / hot op)"
+    );
+    println!(
+        "{:<44} {bulk_vs_pass:>8.3}",
+        "bulk_vs_pass_ratio (16 KiB msg / copy+cksum)"
     );
     let mut report = BenchReport::new("micro");
     report
@@ -567,7 +635,9 @@ fn main() {
         .push_tol("post_vs_hot_ratio", post_vs_hot, Better::Lower, 0.5)
         .push_tol("phase_dispatch_ratio", phase_dispatch, Better::Lower, 0.25)
         .push_tol("conn_new_ns", conn_new, Better::Lower, 1.5)
-        .push_tol("setup_vs_hot_ratio", setup_vs_hot, Better::Lower, 0.45);
+        .push_tol("setup_vs_hot_ratio", setup_vs_hot, Better::Lower, 0.45)
+        .push_tol("bulk_16k_ns", bulk_16k, Better::Lower, 1.5)
+        .push_tol("bulk_vs_pass_ratio", bulk_vs_pass, Better::Lower, 0.2);
     if !pa_bench::emit_and_compare(&report) {
         std::process::exit(1);
     }
