@@ -335,7 +335,11 @@ mod tests {
         p.put(r);
         p.put(m);
         let r = p.take_with_room(&[3; 4000], 40000);
-        assert_eq!(r.capacity(), mtu_cap, "none with room: the smallest that fits");
+        assert_eq!(
+            r.capacity(),
+            mtu_cap,
+            "none with room: the smallest that fits"
+        );
         // Nothing fits: the largest idle buffer grows.
         let g = p.take_with(&[4u8; 20000]);
         assert_eq!(g.as_slice(), &[4u8; 20000][..]);

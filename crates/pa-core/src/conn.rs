@@ -273,8 +273,7 @@ pub struct Connection {
     recv_fused: FusedProgram,
     /// This connection's values of the send filter's patchable slots
     /// (§3.3): the plan's program holds the initial ones, post phases
-    /// and trace arming rewrite these, and both the fused run and the
-    /// interpreter's forensic re-run read them.
+    /// and trace arming rewrite these, and the fused run reads them.
     send_slots: Vec<i64>,
     /// Same for the delivery filter.
     recv_slots: Vec<i64>,
@@ -1233,7 +1232,7 @@ impl Connection {
                 "(post-serialization)"
             };
             self.emit(TraceEvent::Queued { disable_layer });
-            let staged = self.new_payload_msg(payload);
+            let staged = self.buf_with(payload);
             self.backlog.push(staged);
             if !self.config.lazy_post {
                 // Eager hosts never leave work pending — and pay for
@@ -1245,7 +1244,7 @@ impl Connection {
             return SendOutcome::Queued;
         }
         let body = {
-            let mut b = self.new_payload_msg(payload);
+            let mut b = self.buf_with(payload);
             PackInfo::Single.push_onto(&mut b);
             b
         };
@@ -1382,27 +1381,16 @@ impl Connection {
         }
     }
 
-    /// A staging buffer holding `payload`: pooled (steady state: zero
-    /// allocations) or freshly allocated when pooling is off.
+    /// A buffer holding a copy of `bytes` — a send's staging buffer, a
+    /// frame's image for its deferred post phases: pooled (steady
+    /// state: zero allocations) or freshly allocated when pooling is
+    /// off. The engine's [`LayerCtx::buf_with`].
     #[inline]
-    fn new_payload_msg(&mut self, payload: &[u8]) -> Msg {
+    fn buf_with(&mut self, bytes: &[u8]) -> Msg {
         if self.config.pooling {
-            self.pool.take_with(payload)
+            self.pool.take_with(bytes)
         } else {
-            Msg::from_payload(payload)
-        }
-    }
-
-    /// A copy of `msg`'s live bytes for deferred post-processing:
-    /// borrowed from the pool (appended past the headroom so any
-    /// payload size reuses the retained capacity) or a plain clone when
-    /// pooling is off.
-    #[inline]
-    fn frame_image(&mut self, msg: &Msg) -> Msg {
-        if self.config.pooling {
-            self.pool.take_with(msg.as_slice())
-        } else {
-            msg.clone()
+            Msg::from_payload(bytes)
         }
     }
 
@@ -1426,7 +1414,7 @@ impl Connection {
         // is a pooled copy — the caller's buffer goes to the wire
         // untouched (zero copy on the transmit path), and the image
         // returns to the pool once its post phase has run.
-        let image = self.frame_image(&msg);
+        let image = self.buf_with(msg.as_slice());
         self.pending_send.push_back((image, origin));
 
         let include_ident = !self.config.cookies || unusual || self.ident_remaining > 0;
@@ -2292,7 +2280,10 @@ impl Connection {
     /// Runs post-deliver phases for one received frame, bottom → top.
     fn run_post_deliver(&mut self, post: RecvPost, report: &mut PostWorkReport) {
         let RecvPost { msg, start, stop } = post;
-        debug_assert!(start <= stop, "queued only for layers that owe a post phase");
+        debug_assert!(
+            start <= stop,
+            "queued only for layers that owe a post phase"
+        );
         report.post_deliver_phases += (stop - start + 1) as u64;
         report.post_deliver_frames += 1;
         self.stats.post_delivers += 1;

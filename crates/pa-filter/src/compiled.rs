@@ -363,16 +363,23 @@ impl FusedProgram {
                 FOp::Drop => {
                     stack.pop();
                 }
-                FOp::Return(v) => return (v, (v != crate::PASS).then_some(pc as u16)),
+                FOp::Return(v) => return located(v, pc),
                 FOp::Abort(v) => {
                     if stack.pop() != 0 {
-                        return (v, (v != crate::PASS).then_some(pc as u16));
+                        return located(v, pc);
                     }
                 }
             }
         }
         (crate::PASS, None)
     }
+}
+
+/// Verdict `v`, decided at instruction `pc` — which is only worth
+/// naming if it is not a PASS.
+#[inline(always)]
+fn located(v: Verdict, pc: usize) -> (Verdict, Option<u16>) {
+    (v, (v != crate::PASS).then_some(pc as u16))
 }
 
 /// The inline operand stack. Depth was bounded by the verifier, so no

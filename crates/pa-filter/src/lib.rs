@@ -25,8 +25,9 @@
 //!   in, inline stack — our stand-in for the Exokernel-style
 //!   compilation to machine code the paper says it intends to adopt);
 //!   the plain interpreter ([`run`], [`run_traced`]) is what the
-//!   differential tests compare it against and what names the deciding
-//!   instruction of a refused frame.
+//!   differential tests compare it against — verdict, frame bytes and
+//!   the deciding instruction of a refused frame, which the fused run
+//!   names itself.
 //!
 //! Return-value convention: **0 means pass** (take the fast path);
 //! any non-zero value is a failure code that sends the message down the

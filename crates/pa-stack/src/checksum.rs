@@ -152,23 +152,20 @@ impl Layer for ChecksumLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pa_core::{Connection, ConnectionParams, DeliverOutcome, PaConfig};
     use crate::testutil::Shared;
+    use pa_core::{Connection, ConnectionParams, DeliverOutcome, PaConfig};
     use pa_wire::{EndpointAddr, Preamble, PREAMBLE_LEN};
 
+    fn conn(layers: Vec<Box<dyn Layer>>, config: PaConfig, l: u64, p: u64, s: u64) -> Connection {
+        let (local, peer) = (
+            EndpointAddr::from_parts(l, 9),
+            EndpointAddr::from_parts(p, 9),
+        );
+        Connection::new(layers, config, ConnectionParams::new(local, peer, s)).unwrap()
+    }
+
     fn pair(config: PaConfig) -> (Connection, Connection) {
-        let mk = |l: u64, p: u64, s: u64| {
-            Connection::new(
-                vec![Box::new(ChecksumLayer::default())],
-                config,
-                ConnectionParams::new(
-                    EndpointAddr::from_parts(l, 9),
-                    EndpointAddr::from_parts(p, 9),
-                    s,
-                ),
-            )
-            .unwrap()
-        };
+        let mk = |l, p, s| conn(vec![Box::new(ChecksumLayer::default())], config, l, p, s);
         (mk(1, 2, 11), mk(2, 1, 22))
     }
 
@@ -239,17 +236,10 @@ mod tests {
         // Every frame is refused by another layer's fragment, so the
         // checksum layer's own check runs on each: it must accept what
         // the send filter filled in, and nothing else.
-        let mk = |l: u64, p: u64, s: u64| {
-            Connection::new(
-                vec![Box::new(ChecksumLayer::default()), Box::new(RefuseAll)],
-                PaConfig::paper_default(),
-                ConnectionParams::new(
-                    EndpointAddr::from_parts(l, 9),
-                    EndpointAddr::from_parts(p, 9),
-                    s,
-                ),
-            )
-            .unwrap()
+        let mk = |l, p, s| {
+            let layers: Vec<Box<dyn Layer>> =
+                vec![Box::new(ChecksumLayer::default()), Box::new(RefuseAll)];
+            conn(layers, PaConfig::paper_default(), l, p, s)
         };
         let (mut a, mut b) = (mk(1, 2, 11), mk(2, 1, 22));
         for i in 0..6u8 {
@@ -336,16 +326,7 @@ mod tests {
             let mut layers = stacks.remove(0);
             layers.push(Box::new(WindowLayer::new(window)));
             layers.push(Box::new(FragLayer::new(32)));
-            Connection::new(
-                layers,
-                PaConfig::paper_default(),
-                ConnectionParams::new(
-                    EndpointAddr::from_parts(l, 9),
-                    EndpointAddr::from_parts(p, 9),
-                    s,
-                ),
-            )
-            .unwrap()
+            conn(layers, PaConfig::paper_default(), l, p, s)
         };
         let (mut a, mut b) = (mk(1, 2, 11), mk(2, 1, 22));
         let payload: Vec<u8> = (0..100u8).collect();
@@ -395,16 +376,7 @@ mod tests {
     ) -> (u64, u64) {
         let (mut a, _) = pair(config);
         let (shared, layer) = Shared::new(ChecksumLayer::default());
-        let mut b = Connection::new(
-            vec![Box::new(shared)],
-            config,
-            ConnectionParams::new(
-                EndpointAddr::from_parts(2, 9),
-                EndpointAddr::from_parts(1, 9),
-                22,
-            ),
-        )
-        .unwrap();
+        let mut b = conn(vec![Box::new(shared)], config, 2, 1, 22);
         for i in 0..8u8 {
             a.send(&[i; 24]);
             let mut f = a.poll_transmit().unwrap();

@@ -262,7 +262,15 @@ mod tests {
     }
 
     fn pair(mtu: usize) -> (Connection, Connection) {
-        let mk = |l, p, s| conn(Box::new(FragLayer::new(mtu)), PaConfig::paper_default(), l, p, s);
+        let mk = |l, p, s| {
+            conn(
+                Box::new(FragLayer::new(mtu)),
+                PaConfig::paper_default(),
+                l,
+                p,
+                s,
+            )
+        };
         (mk(1, 2, 31), mk(2, 1, 32))
     }
 
@@ -389,7 +397,8 @@ mod tests {
         }
         fn pre_send(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> SendAction {
             if self.on.load(Ordering::Relaxed) {
-                ctx.frame(msg).write(self.inner.f_flag.expect("init ran"), 1);
+                ctx.frame(msg)
+                    .write(self.inner.f_flag.expect("init ran"), 1);
             }
             SendAction::Continue
         }

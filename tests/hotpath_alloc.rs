@@ -416,7 +416,11 @@ fn bulk_transfer(
     let t0 = allocations();
     let out = a.send(payload);
     by_a += allocations() - t0;
-    assert_eq!(out, SendOutcome::SlowPath, "over the MTU: the layers fragment");
+    assert_eq!(
+        out,
+        SendOutcome::SlowPath,
+        "over the MTU: the layers fragment"
+    );
     for _ in 0..4 {
         let t0 = allocations();
         frames += a.poll_transmit_burst(usize::MAX, wire);
@@ -465,7 +469,11 @@ fn one_way_bulk_costs_the_receiver_nothing_and_the_sender_its_frames() {
         frames += f;
     }
     assert_eq!(b.stats().msgs_delivered - delivered0, MESSAGES as u64);
-    assert_eq!(frames, 5 * MESSAGES, "16 KiB and a packing byte: five frames");
+    assert_eq!(
+        frames,
+        5 * MESSAGES,
+        "16 KiB and a packing byte: five frames"
+    );
     // Reassembly lands in a buffer that already grew to 16 KiB, the
     // acknowledgements leave in pooled ones, nothing makes an image of
     // the reassembled message: the receiver never asks the allocator.
@@ -474,7 +482,10 @@ fn one_way_bulk_costs_the_receiver_nothing_and_the_sender_its_frames() {
     // a quarter as many), so it pays for them — and for nothing else
     // but the list `SendAction::Split` carries the fragments in: not
     // the staging buffer, not the images, not the window's copies.
-    assert!(by_a <= frames, "the sender allocated {by_a} times for {frames} frames");
+    assert!(
+        by_a <= frames,
+        "the sender allocated {by_a} times for {frames} frames"
+    );
     assert!(by_a >= frames / 2, "and it cannot do without them: {by_a}");
     assert_eq!(a.stats().fast_sends, 0);
     assert!(a.stats().delivery_balanced() && b.stats().delivery_balanced());
@@ -705,7 +716,11 @@ fn packed_backlog_delivery_reconciles_the_pools() {
     // return on top of the take/return balance — and the sender's
     // window still holds its copy of every frame, none acknowledged.
     let held = (a.bufs_held_by_layers() + b.bufs_held_by_layers()) as u64;
-    assert_eq!(held, a.stats().frames_out, "one retransmission copy a frame");
+    assert_eq!(
+        held,
+        a.stats().frames_out,
+        "one retransmission copy a frame"
+    );
     assert_eq!(
         pa.hits + pa.misses + pb.hits + pb.misses + a.stats().packed_frames,
         pa.returns + pb.returns + held,
