@@ -32,6 +32,8 @@ pub struct MsgPool {
     /// Larger idle buffers, by capacity, largest first (equal ones most
     /// recent last).
     large: Vec<Msg>,
+    // 32 bits each: the second list above would otherwise take every
+    // connection past its `size_of` pin (`tests/stack_plan.rs`).
     headroom: u32,
     max_retained: u32,
     hits: u64,
