@@ -5,15 +5,15 @@
 //!
 //! Hand-rolled harness (`harness = false`, no external deps): each case
 //! is warmed up, then timed over enough iterations to fill ~200 ms, and
-//! reported as ns/op with the pa-obs log2 histogram supplying
-//! p50/p90/p99 across timing batches.
+//! reported as ns/op with a pa-obs quantile sketch supplying p50/p99
+//! across timing batches.
 
 use pa_bench::{BenchReport, Better};
 use pa_buf::{ByteOrder, Msg};
 use pa_core::layer::NullLayer;
 use pa_core::{Connection, ConnectionParams, InitCtx, Layer, PaConfig};
 use pa_filter::{DigestKind, Frame, FusedProgram, Op, ProgramBuilder};
-use pa_obs::LatencyHisto;
+use pa_obs::QuantileSketch;
 use pa_stack::StackSpec;
 use pa_wire::{Class, EndpointAddr, LayoutBuilder, LayoutMode, Preamble};
 use std::hint::black_box;
@@ -37,7 +37,7 @@ fn bench(name: &str, mut f: impl FnMut()) -> f64 {
     let per = (t0.elapsed().as_nanos() as u64 / probe_iters.max(1)).max(1);
     let batch = (1_000_000 / per).clamp(1, 1_000_000);
     // Measure ~40 batches.
-    let mut histo = LatencyHisto::new();
+    let mut histo = QuantileSketch::default();
     for _ in 0..40 {
         let t = Instant::now();
         for _ in 0..batch {
@@ -193,15 +193,6 @@ fn bench_send_paths() {
     }
 }
 
-/// The pre-recycling comparison arm: a fresh `Msg` per send, cloned
-/// frame images.
-fn allocating() -> PaConfig {
-    PaConfig {
-        pooling: false,
-        ..PaConfig::paper_default()
-    }
-}
-
 /// A warm peer pair over `stack` for hot-path measurements.
 fn echo_pair_over(
     stack: &dyn Fn() -> Vec<Box<dyn Layer>>,
@@ -250,19 +241,11 @@ fn echo_round_trip(a: &mut Connection, b: &mut Connection) {
     b.process_pending();
 }
 
-/// The headline rows of this PR: the native fast path with pooled
-/// recycling + fused filters, against the pre-recycling allocating arm
-/// (`pooling: false` — fresh `Msg` per send, cloned frame images, the
-/// code path as it was before explicit recycling landed). Whole round
-/// trips (4 hot operations each), deferred drain included; printed
-/// only.
+/// The native fast path as whole round trips (4 hot operations each),
+/// deferred drain included; printed only.
 fn bench_hot_path() {
     let (mut a, mut b) = echo_pair(PaConfig::paper_default());
     bench("hot_path/echo_rtt_pooled_fused", || {
-        echo_round_trip(&mut a, &mut b);
-    });
-    let (mut a, mut b) = echo_pair(allocating());
-    bench("hot_path/echo_rtt_prepr_allocating", || {
         echo_round_trip(&mut a, &mut b);
     });
 }
@@ -271,8 +254,7 @@ fn bench_hot_path() {
 /// occasionally preempts a whole batch (orders-of-magnitude spikes);
 /// batches beyond 2x the fastest are scheduler noise, not the code, and
 /// are discarded. Genuine allocator variance (slow-path mallocs at
-/// 1.1-1.5x) stays in — amortized allocation cost is exactly what the
-/// allocating arm is here to exhibit.
+/// 1.1-1.5x) stays in.
 fn trimmed(batches: &[f64]) -> (f64, f64, usize) {
     let best = batches.iter().copied().fold(f64::INFINITY, f64::min);
     let kept: Vec<f64> = batches
@@ -567,7 +549,7 @@ fn bench_preamble() {
 }
 
 fn main() {
-    println!("microbenchmarks (ns/op; hand-rolled harness, log2-bucket percentiles)");
+    println!("microbenchmarks (ns/op; hand-rolled harness, sketch percentiles across batches)");
     println!("{}", "-".repeat(100));
     bench_header_access();
     bench_layout_compile();
@@ -577,7 +559,6 @@ fn main() {
     let paper = || StackSpec::paper().build();
     let (pooled_fused, post_drain) =
         bench_hot_and_drain("pooled_fused", &paper, PaConfig::paper_default());
-    let (allocating, _) = bench_hot_and_drain("prepr_allocating", &paper, allocating());
     let phase_dispatch = bench_phase_dispatch();
     let (conn_new, setup_vs_hot) = bench_setup_vs_hot();
     let (bulk_16k, bulk_vs_pass) = bench_bulk_vs_pass();
@@ -585,15 +566,11 @@ fn main() {
     bench_packing();
     bench_preamble();
 
-    // Report: per-hot-operation cost (a round trip is 2 sends + 2
-    // delivers) plus the headline ratio — the pooled+fused fast path
-    // against the pre-recycling allocating arm — and the deferred drain
-    // beside it. The ratios are the robust metrics: they cancel machine
-    // speed, so the committed baseline survives CI hardware variance
-    // better than raw nanoseconds do.
-    // Raw ns rows carry a loose per-metric tolerance (they track the
-    // machine, not the code); the ratio rows gate tightly because
-    // ratios are hardware-independent. `post_vs_hot_ratio` is the
+    // Report: the ratios gate — they cancel machine speed, so the
+    // committed baseline survives CI hardware variance. Raw ns rows
+    // track the machine, not the code: reported, not gated (the
+    // baseline holds none of them; `benchmark/`'s cu-normalised metrics
+    // are where absolute cost is compared). `post_vs_hot_ratio` is the
     // paper's own 130 us : 50 us = 2.6 in this implementation's terms;
     // `phase_dispatch_ratio` is what three more do-nothing layers add
     // to the drain, which is all engine dispatch; `setup_vs_hot_ratio`
@@ -622,21 +599,14 @@ fn main() {
     );
     let mut report = BenchReport::new("micro");
     report
-        .push_tol("hot_op_pooled_fused_ns", pooled_fused, Better::Lower, 1.5)
-        .push_tol("hot_op_allocating_ns", allocating, Better::Lower, 1.5)
-        .push_tol(
-            "pooled_vs_allocating_speedup",
-            allocating / pooled_fused,
-            Better::Higher,
-            0.25,
-        )
-        .push_tol("filter_fused_ns", filter_fused_ns, Better::Lower, 1.5)
-        .push_tol("post_drain_ns", post_drain, Better::Lower, 1.5)
+        .push("hot_op_pooled_fused_ns", pooled_fused, Better::Lower)
+        .push("filter_fused_ns", filter_fused_ns, Better::Lower)
+        .push("post_drain_ns", post_drain, Better::Lower)
         .push_tol("post_vs_hot_ratio", post_vs_hot, Better::Lower, 0.5)
         .push_tol("phase_dispatch_ratio", phase_dispatch, Better::Lower, 0.25)
-        .push_tol("conn_new_ns", conn_new, Better::Lower, 1.5)
+        .push("conn_new_ns", conn_new, Better::Lower)
         .push_tol("setup_vs_hot_ratio", setup_vs_hot, Better::Lower, 0.45)
-        .push_tol("bulk_16k_ns", bulk_16k, Better::Lower, 1.5)
+        .push("bulk_16k_ns", bulk_16k, Better::Lower)
         .push_tol("bulk_vs_pass_ratio", bulk_vs_pass, Better::Lower, 0.2);
     if !pa_bench::emit_and_compare(&report) {
         std::process::exit(1);

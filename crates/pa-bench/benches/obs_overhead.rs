@@ -18,7 +18,7 @@
 
 use pa_bench::{BenchReport, Better};
 use pa_core::{Connection, ConnectionParams, PaConfig};
-use pa_obs::{LatencyHisto, ScopeConfig, ScopePlane, XrayTag};
+use pa_obs::{QuantileSketch, ScopeConfig, ScopePlane, XrayTag};
 use pa_stack::StackSpec;
 use pa_wire::EndpointAddr;
 use std::hint::black_box;
@@ -72,7 +72,7 @@ fn bench_hot_ops(name: &str, mut plane: Option<(&mut ScopePlane, pa_obs::ScopeKe
     // engine's cycle meters.
     let span_overhead = pa_obs::timer::span_overhead();
     const BATCH: u64 = 256;
-    let mut histo = LatencyHisto::new();
+    let mut histo = QuantileSketch::default();
     let mut batches = Vec::with_capacity(40);
     let mut trip = 0u64;
     for _ in 0..40 {
@@ -157,14 +157,14 @@ fn main() {
         plane.config().byte_cap
     );
 
-    // Raw ns rows track the machine and carry loose tolerances; the
-    // on/off ratio is hardware-independent and gates tightly. The
-    // authoritative tolerances live in the committed baseline file.
+    // Raw ns rows track the machine: reported, not gated (the baseline
+    // holds none of them). The on/off ratio is hardware-independent and
+    // gates tightly; its tolerance lives in the committed baseline file.
     let mut report = BenchReport::new("obs_overhead");
     report
-        .push_tol("hot_op_off_ns", off, Better::Lower, 1.5)
-        .push_tol("hot_op_scope_ns", on, Better::Lower, 1.5)
-        .push_tol("scope_record_ns", record, Better::Lower, 1.5)
+        .push("hot_op_off_ns", off, Better::Lower)
+        .push("hot_op_scope_ns", on, Better::Lower)
+        .push("scope_record_ns", record, Better::Lower)
         .push_tol("scope_on_vs_off_ratio", on / off, Better::Lower, 0.15);
     if !pa_bench::emit_and_compare(&report) {
         std::process::exit(1);

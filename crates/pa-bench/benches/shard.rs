@@ -155,15 +155,16 @@ fn main() {
         "table_scaling_ratio (16384 / 1024 conns)"
     );
 
-    // Raw ns rows track the machine (loose tol); the two ratio rows are
-    // the hardware-independent gates: 64 shards must cost no more per
-    // frame than 1, and 16x the connections must not cost 16x the
-    // drain. Authoritative tolerances live in the committed baseline.
+    // Raw ns rows track the machine: reported, not gated (the baseline
+    // holds none of them). The two ratio rows are the
+    // hardware-independent gates: 64 shards must cost no more per frame
+    // than 1, and 16x the connections must not cost 16x the drain.
+    // Their tolerances live in the committed baseline.
     let mut report = BenchReport::new("shard");
     report
-        .push_tol("demux_shard1_ns", by_shards[0], Better::Lower, 1.5)
-        .push_tol("demux_shard8_ns", by_shards[1], Better::Lower, 1.5)
-        .push_tol("demux_shard64_ns", by_shards[2], Better::Lower, 1.5)
+        .push("demux_shard1_ns", by_shards[0], Better::Lower)
+        .push("demux_shard8_ns", by_shards[1], Better::Lower)
+        .push("demux_shard64_ns", by_shards[2], Better::Lower)
         .push_tol("shard_scaling_ratio", scaling_ratio, Better::Lower, 0.25)
         .push_tol("table_scaling_ratio", table_ratio, Better::Lower, 1.0);
     if !pa_bench::emit_and_compare(&report) {

@@ -51,10 +51,11 @@ pub struct Metric {
     pub better: Better,
     /// Optional per-metric tolerance overriding the global one. The
     /// *baseline's* `tol` is what the comparator honors: virtual-time
-    /// metrics are exact and keep the tight global default, while
-    /// wall-clock nanosecond rows are hardware-dependent and carry a
-    /// loose tolerance so only their hardware-independent *ratios*
-    /// gate tightly.
+    /// metrics are exact and keep the tight global default, and
+    /// hardware-independent *ratios* of wall-clock rows carry their own.
+    /// The wall-clock nanosecond rows themselves are emitted without
+    /// one and kept out of the baselines: a tolerance wide enough for
+    /// another machine (`> 1`) is one [`BenchReport::parse`] refuses.
     pub tol: Option<f64>,
 }
 
@@ -152,6 +153,14 @@ impl BenchReport {
             if better == Better::Higher && tol.is_some_and(|t| t >= 1.0) {
                 return Err(format!(
                     "metric \"{name}\": better=higher with tol >= 1 can never regress"
+                ));
+            }
+            // Its twin: a lower-is-better row that only fails past a
+            // doubling gates nothing a reader would call a regression;
+            // such a figure is printed, not kept in a baseline.
+            if better == Better::Lower && tol.is_some_and(|t| t > 1.0) {
+                return Err(format!(
+                    "metric \"{name}\": better=lower with tol > 1 only fails past 2x; report it ungated"
                 ));
             }
             metrics.push(Metric {
@@ -398,14 +407,24 @@ mod tests {
         r.push_tol("msgs_per_sec", 479_653.0, Better::Higher, 3.0);
         let err = BenchReport::parse(&r.to_json()).unwrap_err();
         assert!(err.contains("msgs_per_sec"), "{err}");
-        // The same tolerance on a latency can fail; just under 1 can too.
+        // Just under 1 can fail.
         let mut ok = BenchReport::new("throughput");
-        ok.push_tol("p99_us", 88.0, Better::Lower, 3.0).push_tol(
-            "ratio",
-            3.4,
-            Better::Higher,
-            0.999,
-        );
+        ok.push_tol("ratio", 3.4, Better::Higher, 0.999);
+        assert_eq!(BenchReport::parse(&ok.to_json()).unwrap(), ok);
+    }
+
+    #[test]
+    fn parse_rejects_a_lower_is_better_row_that_only_fails_past_a_doubling() {
+        // At tol 1.5 a 95 ns hot operation passes until it reads 238.
+        let mut r = BenchReport::new("micro");
+        r.push_tol("hot_op_ns", 95.0, Better::Lower, 1.5);
+        let err = BenchReport::parse(&r.to_json()).unwrap_err();
+        assert!(err.contains("hot_op_ns"), "{err}");
+        // Exactly 1 (fails at 2x) is the loosest row a baseline holds;
+        // the same figure with no tolerance of its own is a report row.
+        let mut ok = BenchReport::new("shard");
+        ok.push_tol("table_scaling_ratio", 2.5, Better::Lower, 1.0)
+            .push("demux_shard1_ns", 460.0, Better::Lower);
         assert_eq!(BenchReport::parse(&ok.to_json()).unwrap(), ok);
     }
 
@@ -452,28 +471,29 @@ mod tests {
 
     #[test]
     fn per_metric_tolerance_overrides_global() {
-        // A wall-clock row with a loose per-metric tol survives a big
-        // swing that the global 10% would flag; the tight ratio row
-        // still gates. Round-trips through JSON so the comparator sees
-        // exactly what a committed baseline file would carry.
+        // A ratio row with a per-metric tol survives a swing that the
+        // global 10% would flag and still gates at its own bound; a
+        // wall-clock row the baseline does not hold is not judged at
+        // all. Round-trips through JSON so the comparator sees exactly
+        // what a committed baseline file would carry.
         let mut base = BenchReport::new("micro");
-        base.push_tol("hot_op_ns", 100.0, Better::Lower, 1.5)
-            .push_tol("speedup", 1.45, Better::Higher, 0.25);
+        base.push_tol("post_vs_hot_ratio", 1.05, Better::Lower, 0.5);
         let base = BenchReport::parse(&base.to_json()).unwrap();
-        assert_eq!(base.get("hot_op_ns").unwrap().tol, Some(1.5));
+        assert_eq!(base.get("post_vs_hot_ratio").unwrap().tol, Some(0.5));
 
         let mut cur = BenchReport::new("micro");
-        cur.push("hot_op_ns", 230.0, Better::Lower) // +130 %: slow CI box
-            .push("speedup", 1.30, Better::Higher); // −10.3 %: within 25 %
+        cur.push("hot_op_ns", 230.0, Better::Lower) // slow CI box: not in the baseline
+            .push("post_vs_hot_ratio", 1.40, Better::Lower); // +33 %: within 50 %
         let cmp = compare(&cur, &base, 0.10);
         assert!(cmp.ok(), "{}", cmp.render(0.10));
+        assert_eq!(cmp.deltas.len(), 1, "only baseline rows are judged");
 
         let mut lost = BenchReport::new("micro");
         lost.push("hot_op_ns", 110.0, Better::Lower)
-            .push("speedup", 1.00, Better::Higher); // optimization gone
+            .push("post_vs_hot_ratio", 2.4, Better::Lower); // the drain got dearer
         let cmp = compare(&lost, &base, 0.10);
         assert!(!cmp.ok());
-        assert!(cmp.deltas[1].regressed && !cmp.deltas[0].regressed);
+        assert!(cmp.deltas[0].regressed);
     }
 
     #[test]

@@ -50,18 +50,6 @@ pub struct PaConfig {
     /// is a stack mismatch and is caught by the fingerprint in the
     /// connection identification.
     pub trace_ctx: bool,
-    /// Explicit message recycling (§6: "allocating and deallocating
-    /// high-bandwidth objects explicitly ... the number of garbage
-    /// collections reduce dramatically"). On (the default): every
-    /// hot-path buffer — the send staging buffer, the post-processing
-    /// frame images, the unpacked delivery pieces — is borrowed from a
-    /// per-connection [`pa_buf::MsgPool`] and returned after its
-    /// deferred post phase, so a steady-state connection performs zero
-    /// heap allocations per message. Off: the pre-recycling allocating
-    /// path (fresh `Msg` per send, cloned frame images), kept as the
-    /// benchmark comparison arm. Pooling changes buffer economics only:
-    /// wire bytes and `ConnStats` counters are identical either way.
-    pub pooling: bool,
 }
 
 impl PaConfig {
@@ -77,7 +65,6 @@ impl PaConfig {
             layout_mode: LayoutMode::Packed,
             ident_on_first: 1,
             trace_ctx: false,
-            pooling: true,
         }
     }
 
@@ -94,7 +81,6 @@ impl PaConfig {
             layout_mode: LayoutMode::Traditional,
             ident_on_first: u32::MAX,
             trace_ctx: false,
-            pooling: true,
         }
     }
 
@@ -126,9 +112,6 @@ mod tests {
         // Tracing is opt-in: the paper's evaluated PA carries no trace
         // context, so the default wire format matches §5 exactly.
         assert!(!c.trace_ctx);
-        // Recycling is the default; the allocating arm exists only for
-        // the benchmark comparison.
-        assert!(c.pooling);
     }
 
     #[test]

@@ -133,9 +133,8 @@ pub struct LayerCtx<'a> {
     pub recv_predict: &'a mut Prediction,
     /// Side-effect accumulator.
     pub effects: &'a mut Effects,
-    /// The connection's §6 recycling pool, lent for the phase; `None`
-    /// when the connection runs with pooling off.
-    pub pool: Option<&'a mut MsgPool>,
+    /// The connection's §6 recycling pool, lent for the phase.
+    pub pool: &'a mut MsgPool,
     /// Pre-deliver only: the delivery filter ran over this very frame
     /// and passed it. A `Return` can only end a verified program, so a
     /// pass means every layer's fragment ran to its end: a layer whose
@@ -192,12 +191,11 @@ impl<'a> LayerCtx<'a> {
     }
 
     /// A buffer holding a copy of `bytes`, with headroom for every
-    /// header the stack and the engine prepend: out of the connection's
-    /// pool (the steady state allocates nothing), freshly allocated
-    /// with pooling off. What a layer keeps — a retransmission copy, a
-    /// reorder stash, a message under reassembly — or emits is built
-    /// from one of these; one it is done with goes back through
-    /// [`LayerCtx::put_buf`].
+    /// header the stack and the engine prepend, out of the connection's
+    /// pool (the steady state allocates nothing). What a layer keeps — a
+    /// retransmission copy, a reorder stash, a message under reassembly
+    /// — or emits is built from one of these; one it is done with goes
+    /// back through [`LayerCtx::put_buf`].
     pub fn buf_with(&mut self, bytes: &[u8]) -> Msg {
         self.buf_with_room(bytes, 0)
     }
@@ -207,18 +205,12 @@ impl<'a> LayerCtx<'a> {
     /// that already holds that much if it has one, and allocates
     /// nothing for `room` if it has not.
     pub fn buf_with_room(&mut self, bytes: &[u8], room: usize) -> Msg {
-        match &mut self.pool {
-            Some(pool) => pool.take_with_room(bytes, room),
-            None => Msg::from_payload(bytes),
-        }
+        self.pool.take_with_room(bytes, room)
     }
 
-    /// Returns a buffer the layer no longer needs to the pool (dropped
-    /// with pooling off).
+    /// Returns a buffer the layer no longer needs to the pool.
     pub fn put_buf(&mut self, msg: Msg) {
-        if let Some(pool) = &mut self.pool {
-            pool.put(msg);
-        }
+        self.pool.put(msg);
     }
 
     /// Builds a fresh frame for a layer-generated message (ack, nak,
@@ -394,6 +386,7 @@ mod tests {
         let mut sp = Prediction::new(&layout, ByteOrder::Big);
         let mut rp = Prediction::new(&layout, ByteOrder::Big);
         let mut effects = Effects::default();
+        let mut pool = MsgPool::with_defaults();
         let mut ctx = LayerCtx {
             layout: &layout,
             order: ByteOrder::Big,
@@ -401,7 +394,7 @@ mod tests {
             send_predict: &mut sp,
             recv_predict: &mut rp,
             effects: &mut effects,
-            pool: None,
+            pool: &mut pool,
             filter_passed: false,
         };
         ctx.emit_down(Msg::from_payload(b"ack"));
@@ -429,6 +422,7 @@ mod tests {
         let mut sp = Prediction::new(&layout, ByteOrder::Big);
         let mut rp = Prediction::new(&layout, ByteOrder::Big);
         let mut effects = Effects::default();
+        let mut pool = MsgPool::with_defaults();
         let mut ctx = LayerCtx {
             layout: &layout,
             order: ByteOrder::Big,
@@ -436,7 +430,7 @@ mod tests {
             send_predict: &mut sp,
             recv_predict: &mut rp,
             effects: &mut effects,
-            pool: None,
+            pool: &mut pool,
             filter_passed: false,
         };
         let mut l = NullLayer;

@@ -515,12 +515,11 @@ impl ShardedEndpoint {
     /// Hands one resolved frame (preamble still in front) to its shard.
     /// An identified frame takes the slow path: processed by the shard
     /// that owns the connection, and only once the connection has
-    /// *verified* it (checksum, sequencing, header checks) is its
-    /// cookie bound and, if that cookie hashes elsewhere, the
-    /// connection migrated. Binding or migrating first would let any
-    /// frame that merely replays a public ident squat an attacker-chosen
-    /// cookie on the connection — and retire the real one as stale, or
-    /// force migrations — without ever passing verification.
+    /// *verified* it is its cookie bound (`Connection::bind_verified`,
+    /// the one rule) and, if that cookie hashes elsewhere, the
+    /// connection migrated. Migrating first would let any frame that
+    /// merely replays a public ident force migrations without ever
+    /// passing verification.
     fn hand_off(&mut self, routed: Routed, frame: Msg) -> DeliverOutcome {
         let Routed {
             preamble,
@@ -533,11 +532,8 @@ impl ShardedEndpoint {
         };
         self.mark_dirty(owner);
         let outcome = self.shards[owner].ingest_ident(key, ident_len, preamble, frame);
-        if !matches!(outcome, DeliverOutcome::Dropped(_)) {
-            self.shards[owner].bind_verified(preamble.cookie, key);
-            if home != owner {
-                self.migrate(owner, key, home, preamble.cookie);
-            }
+        if self.shards[owner].bind_verified(preamble.cookie, key, &outcome) && home != owner {
+            self.migrate(owner, key, home, preamble.cookie);
         }
         outcome
     }

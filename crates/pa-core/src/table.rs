@@ -642,12 +642,22 @@ impl ShardTable {
         self.routed_conn_mut(key).handle_routed(preamble, frame)
     }
 
-    /// Binds `cookie` as `key`'s current inbound cookie, and keeps the
-    /// connection's own peer-cookie record in sync so its standalone
-    /// `deliver_frame` path agrees with the router.
-    pub(crate) fn bind_verified(&mut self, cookie: Cookie, key: ConnKey) {
-        self.router.bind_cookie(cookie, key);
-        self.routed_conn_mut(key).note_peer_cookie(cookie);
+    /// Binds `cookie` as `key`'s current inbound cookie — in the
+    /// connection's own record and in the router, which therefore
+    /// agree — if `outcome` says the connection verified the frame that
+    /// carried it ([`Connection::bind_verified`], the one rule).
+    /// Returns whether it bound.
+    pub(crate) fn bind_verified(
+        &mut self,
+        cookie: Cookie,
+        key: ConnKey,
+        outcome: &DeliverOutcome,
+    ) -> bool {
+        let bound = self.routed_conn_mut(key).bind_verified(cookie, outcome);
+        if bound {
+            self.router.bind_cookie(cookie, key);
+        }
+        bound
     }
 
     // ---- drains ------------------------------------------------------

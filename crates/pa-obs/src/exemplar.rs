@@ -13,7 +13,7 @@
 //! state.
 //!
 //! Sampling is Vitter's Algorithm R per **octave band** (log2 of the
-//! value, the same bucketing as [`LatencyHisto`](crate::LatencyHisto)):
+//! value):
 //! a single reservoir over all samples would be swamped by the fast
 //! path and never retain a tail exemplar, so the set keeps the highest
 //! `max_bands` octaves seen, each with its own small reservoir. All

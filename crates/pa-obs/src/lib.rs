@@ -20,8 +20,6 @@
 //!   recorder: virtual-time-cadenced sampling of [`MetricsSnapshot`]
 //!   deltas into ring-buffered series, with Prometheus-text and
 //!   JSON-lines exporters and an invariant-break [`Postmortem`] dump;
-//! - [`LatencyHisto`] — mergeable log2-bucketed (HDR-style) latency
-//!   histograms with p50/p90/p99/max export;
 //! - [`MetricsSnapshot`] — the unified `(scope, name) → value`
 //!   registry with delta-since-last-snapshot, a text table, and JSON
 //!   lines;
@@ -80,7 +78,6 @@ pub mod critpath;
 pub mod domain;
 pub mod event;
 pub mod exemplar;
-pub mod histo;
 pub mod journey;
 pub mod probe;
 pub mod reject;
@@ -105,7 +102,6 @@ pub use domain::{
 };
 pub use event::{DropCause, FieldRef, Invariant, Nanos, SlowCause, TraceEvent};
 pub use exemplar::{octave_of, Exemplar, ExemplarSet};
-pub use histo::{HistoSummary, LatencyHisto};
 pub use journey::{
     journey_id, journey_origin, journey_seq, render_journey_id, HopLeg, Journey, JourneySet,
 };

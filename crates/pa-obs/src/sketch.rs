@@ -1,15 +1,12 @@
 //! Mergeable log-bucketed quantile sketches (DDSketch-style).
 //!
-//! [`LatencyHisto`](crate::LatencyHisto) is exact but its log2 buckets
-//! bound relative error at 2×, and the per-connection `Attribution`
-//! multisets behind it assume one book per connection. Neither survives
-//! the ROADMAP's high-cardinality items (pa-shard's 10⁶ connections,
-//! 1000-member groups). [`QuantileSketch`] is the aggregate-path
-//! replacement: a fixed-size, γ-log-bucketed sketch in the DDSketch
-//! family (Masson, Rim & Lee, VLDB '19) whose merge is **exactly**
-//! associative and commutative, so per-connection sketches roll up to
-//! per-endpoint and cluster level in any order and always produce the
-//! same bytes.
+//! [`QuantileSketch`] is the workspace's one distribution type: a
+//! fixed-size, γ-log-bucketed sketch in the DDSketch family (Masson,
+//! Rim & Lee, VLDB '19) whose merge is **exactly** associative and
+//! commutative, so per-connection sketches roll up to per-endpoint and
+//! cluster level in any order and always produce the same bytes. (The
+//! simulator's exact `Series`, which the paper anchors are computed
+//! from, keeps every sample and is not a summary.)
 //!
 //! ## Canonical form
 //!
@@ -92,6 +89,13 @@ pub struct QuantileSketch {
     /// Samples currently resident in the lowest bucket whose true key
     /// is below the window — i.e. samples that lost their α bound.
     collapsed: u64,
+}
+
+impl Default for QuantileSketch {
+    /// An empty sketch of the default shape ([`SketchConfig::default_scope`]).
+    fn default() -> Self {
+        QuantileSketch::new(SketchConfig::default())
+    }
 }
 
 impl QuantileSketch {

@@ -206,9 +206,12 @@ mod tests {
         let r = run();
         for p in &r.points {
             assert!(p.histos.fast_send.count() > 0, "depth {}", p.window_copies);
-            // The typical fast send is depth-independent: p50 = 25 µs.
-            assert_eq!(p.histos.fast_send.p50(), 25_000);
-            assert_eq!(p.histos.fast_deliver.p50(), 25_000);
+            // The typical fast send is depth-independent: 25 µs, exactly
+            // at the minimum and to the sketch's 1 % at the median.
+            for fast in [&p.histos.fast_send, &p.histos.fast_deliver] {
+                assert_eq!(fast.min(), 25_000);
+                assert!(fast.p50().abs_diff(25_000) <= 250, "{}", fast.p50());
+            }
             // The lossy run defeats the prediction, so slow paths appear
             // too — and a slow delivery costs strictly more than a fast
             // one even at the median.

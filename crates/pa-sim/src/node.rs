@@ -15,7 +15,7 @@ use crate::gc::GcModel;
 use crate::Nanos;
 use pa_buf::Msg;
 use pa_core::{ConnStats, Connection, DeliverOutcome, SendOutcome};
-use pa_obs::{HistoSummary, LatencyHisto, XrayReport};
+use pa_obs::{QuantileSketch, SketchSummary, XrayReport};
 use pa_unet::Netif;
 use pa_wire::EndpointAddr;
 
@@ -64,21 +64,21 @@ pub struct Stamp {
     pub event: NodeEvent,
 }
 
-/// Per-path latency histograms of *priced operation costs*: how long the
+/// Per-path distributions of *priced operation costs*: how long the
 /// virtual CPU was busy executing each send or deliver, keyed by the path
-/// the engine actually took. These are the Figure-4 distributions — fast
-/// sends should cluster tightly around the paper's ~25 µs while slow
-/// sends spread out with layer depth.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// the engine actually took, one 1 %-accurate sketch each. These are the
+/// Figure-4 distributions — fast sends should cluster tightly around the
+/// paper's ~25 µs while slow sends spread out with layer depth.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PathHistos {
     /// Cost of operations whose send took the fast path.
-    pub fast_send: LatencyHisto,
+    pub fast_send: QuantileSketch,
     /// Cost of operations whose send went through pre-processing.
-    pub slow_send: LatencyHisto,
+    pub slow_send: QuantileSketch,
     /// Cost of operations whose delivery took the fast path.
-    pub fast_deliver: LatencyHisto,
+    pub fast_deliver: QuantileSketch,
     /// Cost of operations whose delivery went through pre-processing.
-    pub slow_deliver: LatencyHisto,
+    pub slow_deliver: QuantileSketch,
 }
 
 impl PathHistos {
@@ -100,7 +100,7 @@ impl PathHistos {
         }
     }
 
-    /// Folds another node's histograms into this one.
+    /// Folds another node's sketches into this one.
     pub fn merge(&mut self, other: &PathHistos) {
         self.fast_send.merge(&other.fast_send);
         self.slow_send.merge(&other.slow_send);
@@ -108,8 +108,8 @@ impl PathHistos {
         self.slow_deliver.merge(&other.slow_deliver);
     }
 
-    /// `(label, summary)` for each non-empty histogram, in path order.
-    pub fn summaries(&self) -> Vec<(&'static str, HistoSummary)> {
+    /// `(label, summary)` for each non-empty sketch, in path order.
+    pub fn summaries(&self) -> Vec<(&'static str, SketchSummary)> {
         [
             ("fast_send", &self.fast_send),
             ("slow_send", &self.slow_send),

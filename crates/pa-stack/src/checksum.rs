@@ -285,6 +285,7 @@ mod tests {
             Prediction::new(&layout, ByteOrder::Big),
         );
         let mut effects = Effects::default();
+        let mut pool = pa_buf::MsgPool::with_defaults();
         // Zeroed length and checksum fields over a non-empty body: a
         // frame the layer's own check refuses.
         let mut frame = Msg::from_payload(b"body the zero checksum does not cover");
@@ -297,7 +298,7 @@ mod tests {
                 send_predict: &mut sp,
                 recv_predict: &mut rp,
                 effects: &mut effects,
-                pool: None,
+                pool: &mut pool,
                 filter_passed,
             };
             let action = layer.pre_deliver(&mut ctx, &mut frame);

@@ -18,7 +18,7 @@ use pa::core::{ShardHandle, ShardedEndpoint};
 use pa::obs::rng::{Rng, SplitMix64};
 use pa::obs::RejectReason;
 use pa::stack::StackSpec;
-use pa::wire::EndpointAddr;
+use pa::wire::{EndpointAddr, PREAMBLE_LEN};
 
 #[path = "common/shards.rs"]
 mod shards;
@@ -296,6 +296,49 @@ fn storm_is_exactly_accounted(shards: usize) {
         delivered[0] > before[0] && delivered[1] > before[1],
         "both connections must still pass traffic after the storm"
     );
+}
+
+/// A connection standing alone ([`Connection::deliver_frame`]) binds an
+/// identified frame's cookie by the rule the endpoint's hand-off
+/// follows: after the frame verified, not when its ident matched. The
+/// ident is public, replayable bytes; bound on sight, one replay of it
+/// under a forged cookie — refused for having no body — would retire
+/// the live cookie and turn the real peer's traffic stale.
+#[test]
+fn a_refused_identified_frame_binds_no_cookie() {
+    let mut a = paper_conn(CLIENT_HOSTS[0], SERVER_HOST, 0xA11CE);
+    let mut b = paper_conn(SERVER_HOST, CLIENT_HOSTS[0], 0xB0B);
+    a.send(b"hello");
+    let first = a.poll_transmit().expect("first frame").to_wire();
+    assert!(!is_cookie_only(&first), "the first frame is identified");
+    let out = b.deliver_frame(Msg::from_wire(first.clone()));
+    assert!(!matches!(out, DeliverOutcome::Dropped(_)), "{out:?}");
+    assert_eq!(b.peer_cookie(), Some(a.local_cookie()), "verified: bound");
+    a.process_pending();
+    b.process_pending();
+
+    // The captured preamble flags and ident, an attacker-chosen cookie,
+    // nothing behind them.
+    let word = u64::from_be_bytes(first[..PREAMBLE_LEN].try_into().unwrap());
+    let forged_cookie = 0x0F0F_F0F0_1234_5678u64 & !FLAG_MASK;
+    let mut forged = first[..PREAMBLE_LEN + b.expected_ident().len()].to_vec();
+    forged[..PREAMBLE_LEN].copy_from_slice(&((word & FLAG_MASK) | forged_cookie).to_be_bytes());
+    let out = b.deliver_frame(Msg::from_wire(forged));
+    assert_eq!(out, DeliverOutcome::Dropped(RejectReason::ShortFrame));
+    assert_eq!(
+        b.peer_cookie(),
+        Some(a.local_cookie()),
+        "a refused frame re-bound the peer cookie"
+    );
+
+    // The real peer's next cookie-only frame still routes.
+    a.send(b"again");
+    let next = a.poll_transmit().expect("second frame").to_wire();
+    assert!(is_cookie_only(&next));
+    let out = b.deliver_frame(Msg::from_wire(next));
+    assert!(!matches!(out, DeliverOutcome::Dropped(_)), "{out:?}");
+    assert_eq!(b.stats().msgs_delivered, 2);
+    assert!(b.stats().delivery_balanced() && b.stats().rejects_reconcile());
 }
 
 /// The lifecycle counterpart of the storm above: ~50k seeded

@@ -4,8 +4,7 @@
 //! Horus PA's garbage-collection win: "allocating and deallocating
 //! high-bandwidth objects explicitly ... the number of garbage
 //! collections reduce dramatically". Our Rust translation of that claim
-//! is stronger and checkable: with pooling on (the default) and the
-//! fused filter backend, a warm connection's `send()` and
+//! is stronger and checkable: a warm connection's `send()` and
 //! `deliver_frame()` perform **zero heap allocations** — not "few",
 //! zero — because every hot-path buffer is borrowed from the
 //! per-connection [`pa_buf::MsgPool`] and every header is prepended
@@ -491,80 +490,6 @@ fn one_way_bulk_costs_the_receiver_nothing_and_the_sender_its_frames() {
     assert!(a.stats().delivery_balanced() && b.stats().delivery_balanced());
 }
 
-#[test]
-fn allocating_arm_allocates_where_the_pool_does_not() {
-    // The comparison arm must actually exhibit the cost the pool
-    // removes — otherwise the E-native speedup table compares nothing.
-    // Pre-recycling, every hot op paid the allocator: a fresh staging
-    // buffer + a cloned frame image per send, a cloned image per
-    // deliver.
-    let cfg = PaConfig {
-        pooling: false,
-        ..PaConfig::paper_default()
-    };
-    let mut a = paper_conn(cfg, 1, 2, 0x9601);
-    let mut b = paper_conn(cfg, 2, 1, 0x9602);
-    for _ in 0..64 {
-        round_trip(&mut a, &mut b, false);
-    }
-    let mut hot = 0usize;
-    const ROUNDS: usize = 256;
-    for _ in 0..ROUNDS {
-        hot += round_trip(&mut a, &mut b, true);
-    }
-    let per_op = hot as f64 / (ROUNDS * 4) as f64;
-    assert!(
-        per_op >= 2.0,
-        "allocating arm performed only {per_op:.2} allocs per hot op; \
-         the pooled-vs-allocating comparison no longer measures recycling"
-    );
-}
-
-#[test]
-fn pooling_changes_no_wire_bytes_or_counters() {
-    // The allocating arm exists purely for benchmark comparison; it
-    // must be observationally identical — same frames, same ConnStats —
-    // or the comparison measures two different protocols.
-    let run = |pooling: bool| {
-        let mut cfg = PaConfig::paper_default();
-        cfg.pooling = pooling;
-        let mut a = paper_conn(cfg, 1, 2, 0x9601);
-        let mut b = paper_conn(cfg, 2, 1, 0x9602);
-        let mut frames = Vec::new();
-        for _ in 0..32 {
-            round_trip_collect(&mut a, &mut b, &mut frames);
-        }
-        (frames, *a.stats(), *b.stats())
-    };
-    let (frames_on, stats_a_on, stats_b_on) = run(true);
-    let (frames_off, stats_a_off, stats_b_off) = run(false);
-    assert_eq!(frames_on, frames_off, "pooling changed wire bytes");
-    assert_eq!(stats_a_on, stats_a_off, "pooling changed sender counters");
-    assert_eq!(stats_b_on, stats_b_off, "pooling changed receiver counters");
-}
-
-/// Like [`round_trip`] but records every wire frame's bytes.
-fn round_trip_collect(a: &mut Connection, b: &mut Connection, frames: &mut Vec<Vec<u8>>) {
-    let _ = a.send(b"ping-msg");
-    while let Some(f) = a.poll_transmit() {
-        frames.push(f.as_slice().to_vec());
-        b.deliver_frame(f);
-    }
-    while let Some(m) = b.poll_delivery() {
-        let _ = b.send(m.as_slice());
-        b.recycle(m);
-    }
-    while let Some(f) = b.poll_transmit() {
-        frames.push(f.as_slice().to_vec());
-        a.deliver_frame(f);
-    }
-    while let Some(m) = a.poll_delivery() {
-        a.recycle(m);
-    }
-    a.process_pending();
-    b.process_pending();
-}
-
 // ---------------------------------------------------------------------------
 // The burst arm: same zero, through the burst APIs
 // ---------------------------------------------------------------------------
@@ -606,7 +531,14 @@ fn burst_round(
 
 #[test]
 fn burst_steady_state_is_allocation_free_and_flux_reconciles() {
-    const BURST: usize = 8;
+    // Burst 1 is the per-message verbs reached through the burst names;
+    // 32 is the benchmark's burst and half the pool's retention cap.
+    for burst in [1, 8, 32] {
+        burst_steady_state(burst);
+    }
+}
+
+fn burst_steady_state(burst: usize) {
     let cfg = PaConfig::paper_default();
     let mut a = paper_conn(cfg, 1, 2, 0x9601);
     let mut b = paper_conn(cfg, 2, 1, 0x9602);
@@ -615,7 +547,7 @@ fn burst_steady_state_is_allocation_free_and_flux_reconciles() {
     // warm-up, then reused — the burst path never asks the allocator.
     let mut wire: Vec<pa::buf::Msg> = Vec::new();
     let mut msgs: Vec<pa::buf::Msg> = Vec::new();
-    let payloads: Vec<&[u8]> = vec![b"ping-msg"; BURST];
+    let payloads: Vec<&[u8]> = vec![b"ping-msg"; burst];
 
     // Warm-up: pools refill to burst depth (`refill_n` populates
     // `burst_refills`), scratch vectors reach capacity, predictions
@@ -632,17 +564,24 @@ fn burst_steady_state_is_allocation_free_and_flux_reconciles() {
         hot += h;
         echoed += e;
     }
-    assert_eq!(
-        hot,
-        0,
-        "steady-state burst path allocated {hot} times over {} messages",
-        ROUNDS * BURST
+    // The echoing side holds a delivered piece and a staging buffer per
+    // message. Under the pool's retention cap (64 buffers: bursts up to
+    // 31) nothing is allocated at all. At 32 the two meet the cap: three
+    // returns a round are dropped there and allocated again — a
+    // constant per round, not per message. The pool is sized for bursts
+    // under half its cap; the 32 arm pins what a larger one costs.
+    let fits = 2 * burst < 64;
+    let allowed = if fits { 0 } else { 3 * ROUNDS };
+    assert!(
+        hot <= allowed,
+        "burst {burst}: the burst path allocated {hot} times over {} messages ({allowed} allowed)",
+        ROUNDS * burst
     );
     // The open loop really moved traffic (echoes may lag a round behind
     // the offered bursts — posts drain queued echoes between rounds).
     assert!(
-        echoed >= (64 + ROUNDS - 2) * BURST,
-        "burst rounds stalled: {echoed} echoes"
+        echoed >= (64 + ROUNDS - 2) * burst,
+        "burst {burst}: rounds stalled: {echoed} echoes"
     );
 
     // Flux identity, per pool: every free-list buffer arrived through
@@ -657,7 +596,7 @@ fn burst_steady_state_is_allocation_free_and_flux_reconciles() {
         assert_eq!(
             c.pool_idle() as u64,
             ps.returns + ps.burst_refills - ps.hits - ps.capped,
-            "pool {name}: flux identity broke (returns {} refills {} hits {} capped {})",
+            "burst {burst}, pool {name}: flux identity broke (returns {} refills {} hits {} capped {})",
             ps.returns,
             ps.burst_refills,
             ps.hits,
@@ -665,15 +604,17 @@ fn burst_steady_state_is_allocation_free_and_flux_reconciles() {
         );
         let takes = ps.hits + ps.misses;
         let rate = ps.hits as f64 / takes as f64;
+        let floor = if fits { 0.99 } else { 0.98 };
         assert!(
-            rate >= 0.99,
-            "pool {name}: hit rate {rate:.4} < 99% under burst refill"
+            rate >= floor,
+            "burst {burst}, pool {name}: hit rate {rate:.4} < {floor} under burst refill"
         );
     }
-    // The burst pre-provisioning actually ran: at least one pool was
-    // topped up by refill_n rather than growing through misses.
+    // The burst pre-provisioning ran where there was a burst — at least
+    // one pool was topped up by refill_n rather than growing through
+    // misses — and a burst of one is a bare send: nothing provisioned.
     let refills = a.pool_stats().burst_refills + b.pool_stats().burst_refills;
-    assert!(refills > 0, "refill_n never provisioned a buffer");
+    assert_eq!(refills > 0, burst > 1, "burst {burst}: {refills} refills");
 }
 
 #[test]

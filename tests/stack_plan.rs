@@ -574,4 +574,9 @@ fn a_connection_is_its_own_state() {
     // span tables moved into the plan.
     let size = std::mem::size_of::<Connection>();
     assert!(size <= 1700, "size_of::<Connection>() = {size}");
+    // Of which the introspection record, held by value (352 B, the
+    // probe 128 of them): what boxing it would take off the connection,
+    // less a pointer.
+    let intro = std::mem::size_of::<pa::core::conn::Introspection>();
+    assert!(intro <= 360, "size_of::<Introspection>() = {intro}");
 }
