@@ -41,25 +41,13 @@ fn run(cfg: &SimConfig) -> TwoNodeSim {
     sim
 }
 
-fn conservation_gate(name: &str, sim: &TwoNodeSim) {
-    for node in 0..2 {
-        let ml = sim.masking_ledger(node);
-        let report = sim.xray_report(node);
-        if !ml.conserves(&report.phases) {
-            eprintln!("FAIL: {name}: masking ledger does not conserve on node{node}");
-            eprintln!("{}", ml.render());
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     println!("masking ratio and leak detection (virtual time; deterministic)");
     println!("{}", "-".repeat(100));
 
     // Fast path: the shipping configuration.
     let fast = run(&SimConfig::paper());
-    conservation_gate("fastpath", &fast);
+    fast.conservation_gate("fastpath");
     let fast_ml = fast.masking_ledger_all();
     println!(
         "fastpath : ratio {:.4}  leaked {:.4}  ({} trips)",
@@ -72,7 +60,7 @@ fn main() {
     let mut slow_cfg = SimConfig::paper();
     slow_cfg.pa.predict = false;
     let slow = run(&slow_cfg);
-    conservation_gate("slowpath", &slow);
+    slow.conservation_gate("slowpath");
     let slow_ml = slow.masking_ledger_all();
     println!(
         "slowpath : ratio {:.4}  leaked {:.4}",
@@ -82,7 +70,7 @@ fn main() {
 
     // Forced leak: post phases pinned to the critical path.
     let forced = run(&SimConfig::forced_leak());
-    conservation_gate("forced", &forced);
+    forced.conservation_gate("forced");
     let forced_ml = forced.masking_ledger_all();
     println!(
         "forced   : ratio {:.4}  leaked {:.4}  top {:?}",

@@ -86,43 +86,78 @@ fn server_conns(conns: usize) -> impl Iterator<Item = Connection> {
     (0..conns as u64).map(|i| conn(1, 100 + i, 2 * i + 2))
 }
 
-/// Steady-state per-frame cost through an endpoint of `shards` shards:
-/// pool take, demux, drain, recycle.
-fn bench_sharded(shards: usize, idents: &[Vec<u8>], steady: &[Vec<u8>]) -> f64 {
-    let mut ep = ShardedEndpoint::new(shards);
-    for c in server_conns(idents.len()) {
-        ep.add_connection(c);
-    }
-    for f in idents {
-        let out = ep.ingest_wire(f);
-        assert!(!matches!(out, DeliverOutcome::Dropped(_)), "{out:?}");
-    }
-    let mut scratch: Vec<ShardDelivery> = Vec::with_capacity(DRAIN_EVERY);
-    let mut run = |timed: bool| -> f64 {
-        let t = Instant::now();
-        for (n, f) in steady.iter().enumerate() {
+/// One arm of a ratio: an endpoint of `shards` shards with its fleet
+/// established, and the steady frames it sweeps.
+struct Arm<'a> {
+    ep: ShardedEndpoint,
+    steady: &'a [Vec<u8>],
+    scratch: Vec<ShardDelivery>,
+}
+
+impl<'a> Arm<'a> {
+    fn new(shards: usize, idents: &[Vec<u8>], steady: &'a [Vec<u8>]) -> Arm<'a> {
+        let mut ep = ShardedEndpoint::new(shards);
+        for c in server_conns(idents.len()) {
+            ep.add_connection(c);
+        }
+        for f in idents {
             let out = ep.ingest_wire(f);
+            assert!(!matches!(out, DeliverOutcome::Dropped(_)), "{out:?}");
+        }
+        let mut arm = Arm {
+            ep,
+            steady,
+            scratch: Vec::with_capacity(DRAIN_EVERY),
+        };
+        arm.sweep();
+        arm
+    }
+
+    /// One sweep of the steady frames — pool take, demux, drain,
+    /// recycle — in ns per frame.
+    fn sweep(&mut self) -> f64 {
+        let t = Instant::now();
+        for (n, f) in self.steady.iter().enumerate() {
+            let out = self.ep.ingest_wire(f);
             debug_assert!(!matches!(out, DeliverOutcome::Dropped(_)));
             if (n + 1) % DRAIN_EVERY == 0 {
-                ep.drain_deliveries(&mut scratch);
-                for d in scratch.drain(..) {
-                    ep.recycle_delivery(black_box(d));
+                self.ep.drain_deliveries(&mut self.scratch);
+                for d in self.scratch.drain(..) {
+                    self.ep.recycle_delivery(black_box(d));
                 }
             }
         }
-        if timed {
-            t.elapsed().as_nanos() as f64 / steady.len() as f64
-        } else {
-            0.0
-        }
-    };
-    run(false);
-    let mut best = f64::MAX;
-    for _ in 0..REPS {
-        best = best.min(run(true));
+        t.elapsed().as_nanos() as f64 / self.steady.len() as f64
     }
-    assert!(ep.demux_balanced(), "bench broke the conservation law");
-    best
+}
+
+/// Steady-state per-frame cost of each arm: [`REPS`] timed sweeps of
+/// every arm, interleaved sweep by sweep so whatever the box is doing
+/// hits all of them alike (as `--bench micro` times its ratio rows —
+/// with the arms run one after another, a quiet spell under one of them
+/// moves the ratio), summarised as the mean of each arm's five fastest
+/// sweeps: noise only ever adds time. Each timed sweep follows two
+/// untimed ones of the same arm, so an arm is measured over its own
+/// working set, not over what its neighbour left in the caches (one
+/// warm sweep after the 16 384-connection arm still reads the small arm
+/// a third high, and the table ratio 2.2 where 2.7 is the footprint).
+fn interleaved(arms: &mut [Arm]) -> Vec<f64> {
+    let mut sweeps = vec![Vec::with_capacity(REPS); arms.len()];
+    for _ in 0..REPS {
+        for (arm, ns) in arms.iter_mut().zip(&mut sweeps) {
+            arm.sweep();
+            arm.sweep();
+            ns.push(arm.sweep());
+        }
+    }
+    for arm in arms.iter() {
+        assert!(arm.ep.demux_balanced(), "bench broke the conservation law");
+    }
+    let fastest = |ns: &mut Vec<f64>| {
+        ns.sort_by(f64::total_cmp);
+        ns[..5].iter().sum::<f64>() / 5.0
+    };
+    sweeps.iter_mut().map(fastest).collect()
 }
 
 fn main() {
@@ -130,22 +165,33 @@ fn main() {
     println!("{}", "-".repeat(100));
 
     let (idents, steady) = client_frames(CONNS);
-    let mut by_shards = Vec::new();
-    for shards in [1usize, 8, 64] {
-        let ns = bench_sharded(shards, &idents, &steady);
-        println!("{:<44} {ns:>8.1} ns/frame", format!("sharded/{shards}"));
-        by_shards.push(ns);
+    let mut arms: Vec<Arm> = [1usize, 8, 64]
+        .iter()
+        .map(|&shards| Arm::new(shards, &idents, &steady))
+        .collect();
+    let by_shards = interleaved(&mut arms);
+    for (shards, ns) in [1, 8, 64].iter().zip(&by_shards) {
+        println!(
+            "{:<44} {ns:>8.1} ns/frame  (5 fastest of {REPS} interleaved sweeps)",
+            format!("sharded/{shards}")
+        );
     }
 
-    let (idents, steady) = client_frames(TABLE_CONNS);
-    let big_table = bench_sharded(8, &idents, &steady);
+    // The table row's pair, interleaved on its own: the 8-shard arm
+    // again, beside the same shards holding 16x the connections.
+    let (big_idents, big_steady) = client_frames(TABLE_CONNS);
+    let mut pair = vec![arms.swap_remove(1), Arm::new(8, &big_idents, &big_steady)];
+    drop(arms);
+    let table = interleaved(&mut pair);
     println!(
-        "{:<44} {big_table:>8.1} ns/frame",
-        format!("sharded/8 x {TABLE_CONNS} conns")
+        "{:<44} {:>8.1} ns/frame  (against {:.1} interleaved)",
+        format!("sharded/8 x {TABLE_CONNS} conns"),
+        table[1],
+        table[0]
     );
 
     let scaling_ratio = by_shards[2] / by_shards[0];
-    let table_ratio = big_table / by_shards[1];
+    let table_ratio = table[1] / table[0];
     println!(
         "{:<44} {scaling_ratio:>8.3}",
         "shard_scaling_ratio (64 / 1 shards)"

@@ -5,16 +5,17 @@
 //! `record_fast_deliver`, `record_slow_deliver`, `reject` — each of
 //! which writes every account of that decision (the `ConnStats` counter,
 //! the attribution row, the explain tag, the trace event), so a path
-//! cannot be counted in one ledger and missed in another. The xray
-//! report reads the record back.
+//! cannot be counted in one ledger and missed in another.
+//! [`Connection::fold_into`] reads the record back into a fleet view;
+//! the xray report is that view for one connection.
 
 use super::{Connection, DeliverOutcome};
 use pa_buf::Msg;
 use pa_filter::SlotId;
 use pa_obs::{
-    journey_id, AttrCause, Attribution, DropCause, FieldRef, Finding, HoldRow, LeakCause,
-    LeakLedger, MissRow, MissTable, Phase, PhaseMeter, PhaseRow, ProbeSink, RejectBucket,
-    RejectReason, SlowCause, TraceEvent, XrayOp, XrayReport, XrayTag, XrayTotals,
+    journey_id, AttrCause, Attribution, DropCause, FieldRef, Fleet, HoldRow, LeakCause, LeakLedger,
+    MissTable, Phase, PhaseMeter, ProbeSink, RejectBucket, RejectReason, SlowCause, TraceEvent,
+    XrayOp, XrayReport, XrayTag, XrayTotals,
 };
 use pa_wire::{Class, Field};
 use std::time::Instant;
@@ -584,107 +585,54 @@ impl Connection {
         }
     }
 
-    /// Renders an [`AttrCause`] with field names resolved through this
-    /// connection's layout.
-    fn render_cause(&self, cause: AttrCause) -> String {
-        match cause {
-            AttrCause::FieldMiss(f) => format!("field-miss({})", self.field_label(f)),
-            other => other.to_string(),
-        }
-    }
-
-    /// Builds the ranked "why is this connection off the fast path"
-    /// report: attribution findings, active disable holds, miss
-    /// forensics, per-layer phase call counts (virtual-time pricing is
-    /// added by the simulator), and the path-counter totals they all
-    /// reconcile against.
-    pub fn xray_report(&self) -> XrayReport {
-        let intro = &self.intro;
-        let total_attr: u64 = intro.attribution.entries().iter().map(|e| e.count).sum();
-        let findings = intro
-            .attribution
-            .entries()
-            .iter()
-            .map(|e| Finding {
-                op: e.op,
-                layer: e.layer.to_string(),
-                cause: self.render_cause(e.cause),
-                count: e.count,
-                share: if total_attr == 0 {
-                    0.0
-                } else {
-                    e.count as f64 / total_attr as f64
-                },
-            })
-            .collect();
-
-        let mut holds = Vec::new();
-        for (direction, p) in [("send", &self.send_predict), ("recv", &self.recv_predict)] {
-            for h in p.holds() {
-                if h.active > 0 {
-                    holds.push(HoldRow {
-                        direction,
-                        layer: h.layer.to_string(),
-                        reason: h.reason.label().to_string(),
-                        active: h.active,
-                    });
-                }
-            }
-        }
-
-        let misses = intro
-            .miss_table
-            .entries()
-            .iter()
-            .map(|m| MissRow {
-                layer: m.layer.to_string(),
-                field: self.field_label(m.field),
-                count: m.count,
-                last_predicted: m.last_predicted,
-                last_actual: m.last_actual,
-            })
-            .collect();
-
-        let phases = self
-            .layers
-            .iter()
-            .zip(&intro.phase_meters)
-            .map(|(l, m)| PhaseRow {
-                layer: l.name().to_string(),
-                calls: m.calls,
-                virt_ns: [0; 5],
-                cycle_ns: m.cycle_ns,
-                leaked_calls: m.leaked_calls,
-                leaked_virt_ns: [0; 5],
-                leaked_cycle_ns: m.leaked_cycle_ns,
-            })
-            .collect();
-
-        let totals = XrayTotals {
+    /// Folds what this connection did off the fast path — its path
+    /// counters, reject taxonomy, attribution, miss forensics, per-layer
+    /// phase meters and leaks — into `fleet`. Reads the connection,
+    /// keeps nothing on it.
+    pub fn fold_into(&self, fleet: &mut Fleet) {
+        fleet.conns += 1;
+        fleet.totals.absorb(&XrayTotals {
             fast_sends: self.stats.fast_sends,
             slow_sends: self.stats.slow_sends,
             queued_sends: self.stats.queued_sends,
             fast_deliveries: self.stats.fast_deliveries,
             slow_deliveries: self.stats.slow_deliveries,
             invariant_violations: self.invariant_violations(),
-        };
+        });
+        fleet.rejects.merge(&self.stats.rejects);
+        fleet.attribution.merge(&self.intro.attribution);
+        fleet.misses.merge(&self.intro.miss_table);
+        let names = self.layers.iter().map(|l| l.name());
+        fleet.absorb_meters(names.zip(&self.intro.phase_meters));
+        fleet.leaks.merge(&self.intro.leaks);
+    }
 
-        let mut report = XrayReport {
-            scope: self.params.local.to_string(),
-            at: self.now,
-            findings,
-            holds,
-            misses,
-            phases,
-            totals,
-            notes: Vec::new(),
-        };
+    /// Builds the ranked "why is this connection off the fast path"
+    /// report: the report of a one-connection fleet with field names
+    /// resolved through this connection's layout (virtual-time pricing
+    /// is added by the simulator), plus what only a live connection
+    /// has — its active disable holds, its pool and its fused filters.
+    pub fn xray_report(&self) -> XrayReport {
+        let mut fleet = Fleet::default();
+        self.fold_into(&mut fleet);
+        let scope = self.params.local.to_string();
+        let mut report = fleet.report(&scope, self.now, |f| self.field_label(f));
+        for (direction, p) in [("send", &self.send_predict), ("recv", &self.recv_predict)] {
+            for h in p.holds().iter().filter(|h| h.active > 0) {
+                report.holds.push(HoldRow {
+                    direction,
+                    layer: h.layer.to_string(),
+                    reason: h.reason.label().to_string(),
+                    active: h.active,
+                });
+            }
+        }
         // Buffer-economics and filter-compilation context. Pool misses
         // never force a slow path, so they are not attribution entries
         // and must not perturb the reconciling multiset — but a miss on
         // the steady state is an excursion cause worth naming.
         let ps = self.pool.stats();
-        report.notes.push(format!(
+        let pool = format!(
             "pool: {} hits / {} misses / {} returns ({} idle); \
              steady-state misses indicate a burst outran the pool \
              or deliveries are not being recycled",
@@ -692,25 +640,14 @@ impl Connection {
             ps.misses,
             ps.returns,
             self.pool.idle()
-        ));
+        );
         let (s, r) = (self.send_fused.stats(), self.recv_fused.stats());
-        report.notes.push(format!(
+        let fused = format!(
             "fused filters: {} fuses; send {} ops ({}/{} field ops \
              byte-aligned), recv {} ops ({}/{} byte-aligned)",
             self.fuse_count, s.ops, s.byte_aligned, s.field_ops, r.ops, r.byte_aligned, r.field_ops
-        ));
-        if let Some(worst) = intro.leaks.top() {
-            report.notes.push(format!(
-                "critical-path leaks: {} phase calls waited on by a later \
-                 operation; worst bucket {}/{} ({}, {} calls)",
-                intro.leaks.total_calls(),
-                worst.layer,
-                worst.phase.label(),
-                worst.cause,
-                worst.calls
-            ));
-        }
-        report.rank();
+        );
+        report.notes.splice(0..0, [pool, fused]);
         report
     }
 }

@@ -20,13 +20,11 @@
 //! The counter is no longer opaque: every increment is *attributed* to a
 //! `(layer, reason)` pair via [`Prediction::disable_with`], so at any
 //! moment the engine can answer "who is holding the fast path shut, and
-//! why" ([`Prediction::holds`], [`Prediction::top_hold`]). Legacy
-//! unattributed `disable()`/`enable()` still work — they charge the
-//! `"(unattributed)"` pseudo-layer, whose presence in a report is itself
-//! a finding. Enable-underflow (a layer enabling more than it disabled)
-//! no longer panics the endpoint: the decrement saturates and the
-//! violation is counted ([`Prediction::violations`]) so the engine can
-//! emit an invariant-violation probe event instead of dying.
+//! why" ([`Prediction::holds`], [`Prediction::top_hold`]).
+//! Enable-underflow (a layer enabling more than it disabled) does not
+//! panic the endpoint: the decrement saturates and the violation is
+//! counted ([`Prediction::violations`]) so the engine can emit an
+//! invariant-violation probe event instead of dying.
 
 use pa_buf::ByteOrder;
 use pa_obs::DisableReason;
@@ -36,7 +34,7 @@ use pa_wire::{Class, CompiledLayout, Field};
 /// this prediction shut, and how deeply it holds it right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DisableHold {
-    /// The holding layer (`"(unattributed)"` for legacy callers).
+    /// The holding layer.
     pub layer: &'static str,
     /// Why.
     pub reason: DisableReason,
@@ -195,17 +193,6 @@ impl Prediction {
         false
     }
 
-    /// Legacy unattributed disable (charges `"(unattributed)"`).
-    pub fn disable(&mut self) {
-        self.disable_with(UNATTRIBUTED_LAYER, DisableReason::Unattributed);
-    }
-
-    /// Legacy unattributed enable. Saturates on underflow (counted as a
-    /// violation) instead of panicking.
-    pub fn enable(&mut self) {
-        let _ = self.enable_with(UNATTRIBUTED_LAYER, DisableReason::Unattributed);
-    }
-
     /// Current disable count (diagnostics).
     pub fn disable_count(&self) -> u32 {
         self.disable
@@ -233,9 +220,6 @@ impl Prediction {
         self.violations
     }
 }
-
-/// The pseudo-layer charged by legacy unattributed `disable()` calls.
-pub const UNATTRIBUTED_LAYER: &str = "(unattributed)";
 
 fn field_count(layout: &CompiledLayout, class: Class) -> usize {
     layout.class(class).field_count()
@@ -294,23 +278,23 @@ mod tests {
     fn disable_counts_nest() {
         let (l, ..) = layout();
         let mut p = Prediction::new(&l, ByteOrder::Big);
-        p.disable();
-        p.disable();
+        p.disable_with("window", DisableReason::FullWindow);
+        p.disable_with("window", DisableReason::FullWindow);
         assert!(!p.enabled());
-        p.enable();
+        assert!(p.enable_with("window", DisableReason::FullWindow));
         assert!(!p.enabled(), "still disabled until all layers re-enable");
-        p.enable();
+        assert!(p.enable_with("window", DisableReason::FullWindow));
         assert!(p.enabled());
     }
 
     #[test]
     fn enable_underflow_saturates_and_counts() {
-        // The old behaviour was an assert! — a stack bug panicked the
-        // endpoint. Now the decrement saturates, stays enabled, and the
-        // violation is counted for the invariant-violation probe event.
+        // A stack bug must not panic the endpoint: the decrement
+        // saturates, the prediction stays enabled, and the violation is
+        // counted for the invariant-violation probe event.
         let (l, ..) = layout();
         let mut p = Prediction::new(&l, ByteOrder::Big);
-        p.enable();
+        assert!(!p.enable_with("window", DisableReason::FullWindow));
         assert!(p.enabled(), "saturated, not negative");
         assert_eq!(p.disable_count(), 0);
         assert_eq!(p.violations(), 1);

@@ -748,6 +748,21 @@ impl ShardedEndpoint {
         total
     }
 
+    /// What every connection this endpoint has held did off the fast
+    /// path: live connections and removed ones, folded over the shards.
+    /// Its attribution totals equal the `endpoint` scope's `slow_sends +
+    /// queued_sends + slow_deliveries` of
+    /// [`ShardedEndpoint::metrics_snapshot`]; render it with
+    /// [`pa_obs::Fleet::report`] (fields stay positional — stacks may
+    /// differ across the fleet).
+    pub fn fleet(&self) -> pa_obs::Fleet {
+        let mut fleet = pa_obs::Fleet::default();
+        for shard in &self.shards {
+            shard.fold_into(&mut fleet);
+        }
+        fleet
+    }
+
     /// Captures every counter this endpoint can see into one unified
     /// [`pa_obs::MetricsSnapshot`]: each connection's [`ConnStats`]
     /// under scope `conn<N>` (`N` is the handle's directory slot, stable
@@ -883,6 +898,7 @@ mod tests {
     use crate::config::PaConfig;
     use crate::conn::ConnectionParams;
     use crate::layer::NullLayer;
+    use pa_obs::XrayOp;
 
     fn at_each_shard_count(case: impl Fn(usize)) {
         for shards in [1, 8] {
@@ -1597,19 +1613,30 @@ mod tests {
     }
 
     /// Endpoint totals must be exact across churn: removing a
-    /// connection folds its stats into the retired accumulator instead
-    /// of dropping them.
+    /// connection folds its stats and its fleet view — attribution,
+    /// leaks, phase meters — into the retired accumulators instead of
+    /// dropping them.
     #[test]
     fn endpoint_totals_survive_removal() {
         at_each_shard_count(|n| {
             let mut server = ShardedEndpoint::new(n);
-            let (mut c, twin) = pair(1);
-            let sh = server.add_connection(twin);
+            let mut c = null_conn(1, SERVER, 8);
+            // No prediction, eager posts: every delivery the twin takes
+            // is slow and every post phase it runs is a leak.
+            let mut off_path = PaConfig::paper_default();
+            off_path.predict = false;
+            off_path.lazy_post = false;
+            let sh = server.add_connection(conn_with(off_path, SERVER, 1, 9));
             for i in 0..3u8 {
                 server.from_network(frame_of(&mut c, &[i; 4]));
             }
             let frames_in_before = server.try_conn(sh).unwrap().stats().frames_in;
             assert_eq!(frames_in_before, 3);
+            let before = server.fleet();
+            assert_eq!(before.conns, 1);
+            assert_eq!(before.attribution.total(XrayOp::SlowDeliver), 3);
+            assert!(!before.leaks.is_empty(), "eager posts leak");
+            assert!(before.meters.iter().any(|(_, m)| m.total_calls() > 0));
             server.remove_connection(sh).unwrap();
             let snap = server.metrics_snapshot(0);
             assert_eq!(
@@ -1619,6 +1646,13 @@ mod tests {
             );
             assert_eq!(snap.get("demux", "conns_removed"), Some(1));
             assert_eq!(snap.get("demux", "conns_live"), Some(0));
+            let after = server.fleet();
+            assert_eq!(after, before, "the fleet view outlives the connection");
+            let slow = ["slow_sends", "queued_sends", "slow_deliveries"]
+                .map(|name| snap.get("endpoint", name).unwrap());
+            let attributed = [XrayOp::SlowSend, XrayOp::QueuedSend, XrayOp::SlowDeliver]
+                .map(|op| after.attribution.total(op));
+            assert_eq!(attributed, slow, "attribution reconciles at the endpoint");
         });
     }
 

@@ -12,10 +12,11 @@
 //! reverse map.
 //!
 //! Churn-scale lifecycle: teardown folds the departing connection's
-//! [`crate::ConnStats`] into a retired accumulator so totals stay exact
-//! across any amount of churn, admission is budgetable (accept storms
-//! defer instead of stampeding the table), and [`ShardTable::tick`]
-//! evicts idle connections under a configurable timeout.
+//! [`crate::ConnStats`] and its fleet view into retired accumulators so
+//! totals and attribution stay exact across any amount of churn,
+//! admission is budgetable (accept storms defer instead of stampeding
+//! the table), and [`ShardTable::tick`] evicts idle connections under a
+//! configurable timeout.
 //!
 //! Work proportional to the traffic, not the table: the drains never
 //! walk the slots. Each consumes a *ready set* — a FIFO of slot indices
@@ -31,7 +32,7 @@ use crate::router::{ConnKey, CookieLookup, Router};
 use crate::shard::{ShardDelivery, ShardHandle};
 use crate::Nanos;
 use pa_buf::{Msg, MsgPool};
-use pa_obs::{RejectLedger, RejectReason};
+use pa_obs::{Fleet, RejectLedger, RejectReason};
 use pa_wire::{Cookie, EndpointAddr, Preamble, PREAMBLE_LEN};
 use std::collections::VecDeque;
 
@@ -211,6 +212,10 @@ pub struct ShardTable {
     /// `ConnStats` of removed connections, folded positionally
     /// (`ConnStats::fields()` order) so totals stay exact across churn.
     retired_stats: [u64; crate::ConnStats::FIELD_COUNT],
+    /// What removed connections did off the fast path
+    /// ([`Connection::fold_into`]), so the endpoint's fleet view
+    /// survives churn as its totals do.
+    retired: Fleet,
 }
 
 impl ShardTable {
@@ -232,6 +237,7 @@ impl ShardTable {
             accepts_this_tick: 0,
             lifecycle: LifecycleStats::default(),
             retired_stats: [0; crate::ConnStats::FIELD_COUNT],
+            retired: Fleet::default(),
         }
     }
 
@@ -382,6 +388,7 @@ impl ShardTable {
         for (acc, (_, v)) in self.retired_stats.iter_mut().zip(conn.stats().fields()) {
             *acc += v;
         }
+        conn.fold_into(&mut self.retired);
         conn
     }
 
@@ -413,6 +420,14 @@ impl ShardTable {
     /// `ConnStats` of removed connections, `ConnStats::fields()` order.
     pub(crate) fn retired_stats(&self) -> &[u64; crate::ConnStats::FIELD_COUNT] {
         &self.retired_stats
+    }
+
+    /// Folds this shard's connections, removed and live, into `fleet`.
+    pub(crate) fn fold_into(&self, fleet: &mut Fleet) {
+        fleet.merge(&self.retired);
+        for (_, conn) in self.conns() {
+            conn.fold_into(fleet);
+        }
     }
 
     /// The connection in live slot `idx`.

@@ -28,7 +28,8 @@
 use std::fmt;
 
 use crate::event::Nanos;
-use crate::xray::{Phase, PhaseRow};
+use crate::snapshot::json_escape;
+use crate::xray::{Phase, PhaseRow, XrayTotals};
 
 // ---------------------------------------------------------------------------
 // Work classes and leak causes
@@ -320,6 +321,32 @@ impl MaskingLedger {
                 }
                 ledger.push(mask);
             }
+        }
+        ledger
+    }
+
+    /// [`from_phases`](MaskingLedger::from_phases) over a fleet's priced
+    /// rows plus the engine rows (marked so conservation skips them):
+    /// every send and delivery in `totals` pays the engine's fast-path
+    /// cost on-path — `send_ns` / `deliver_ns` each — and the
+    /// engine-level leaks in `leaks` (`"pa"` rows: receive re-fuses,
+    /// which have no virtual price) surface as leaked calls.
+    pub fn with_engine(
+        scope: &str,
+        phases: &[PhaseRow],
+        domain: MaskDomain,
+        totals: &XrayTotals,
+        (send_ns, deliver_ns): (u64, u64),
+        leaks: &LeakLedger,
+    ) -> MaskingLedger {
+        let mut ledger = MaskingLedger::from_phases(scope, phases, domain);
+        let sent = totals.fast_sends + totals.slow_sends;
+        let got = totals.fast_deliveries + totals.slow_deliveries;
+        let (on_path, recv) = (WorkClass::OnPath, Phase::PreDeliver);
+        ledger.push_engine("engine/send", Phase::PreSend, on_path, sent, sent * send_ns);
+        ledger.push_engine("engine/deliver", recv, on_path, got, got * deliver_ns);
+        for e in leaks.entries.iter().filter(|e| e.layer == "pa") {
+            ledger.push_engine("engine/refuse", e.phase, WorkClass::Leaked, e.calls, 0);
         }
         ledger
     }
@@ -713,21 +740,6 @@ impl CritDag {
 // ---------------------------------------------------------------------------
 // Perfetto / Chrome trace-event export
 // ---------------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Exports DAGs as Chrome trace-event JSON (the format Perfetto and
 /// `chrome://tracing` open directly). Each node becomes a complete

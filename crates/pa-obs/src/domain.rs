@@ -490,6 +490,12 @@ impl TelemetryDomain {
     /// the cell's mutex (touched only here and at collect — never on
     /// the recording path), and emits a `Published` event.
     pub fn publish(&mut self) -> u64 {
+        self.try_publish().expect("domain view poisoned")
+    }
+
+    /// [`publish`](TelemetryDomain::publish), or `None` (nothing
+    /// published) if a thread panicked holding the view mutex.
+    fn try_publish(&mut self) -> Option<u64> {
         let epoch = self.epoch.load(Ordering::Acquire);
         self.counters[DomainCounter::Publishes as usize] += 1;
         self.flush_counters();
@@ -504,11 +510,11 @@ impl TelemetryDomain {
             sketch: self.sketch.clone(),
             ledger: self.ledger.clone(),
         };
-        *self.cell.view.lock().expect("domain view poisoned") = Some(view);
+        *self.cell.view.lock().ok()? = Some(view);
         self.cell.published_epoch.store(epoch, Ordering::Release);
         self.last_published_epoch = epoch;
         self.emit(DomainEventKind::Published { epoch });
-        epoch
+        Some(epoch)
     }
 
     /// Publishes only if the global epoch has advanced past this
@@ -529,6 +535,20 @@ impl TelemetryDomain {
     pub fn retire(&mut self) {
         self.publish();
         self.cell.retired.store(true, Ordering::Release);
+    }
+}
+
+/// A domain dropped without [`TelemetryDomain::retire`] — its owner
+/// panicked, or simply let it go — must not leave collects waiting on
+/// it for ever: the cell is marked retired whatever happens. The final
+/// view is published unless the view mutex is poisoned, so a drop
+/// during unwinding never panics a second time.
+impl Drop for TelemetryDomain {
+    fn drop(&mut self) {
+        if !self.cell.is_retired() {
+            let _ = self.try_publish();
+            self.cell.retired.store(true, Ordering::Release);
+        }
     }
 }
 
@@ -880,26 +900,33 @@ pub fn price_meters(
     meters: &[(String, PhaseMeter)],
     price: impl Fn(&str, Phase) -> u64,
 ) -> Vec<PhaseRow> {
-    meters
+    let mut rows: Vec<PhaseRow> = meters
         .iter()
-        .map(|(layer, m)| {
-            let mut row = PhaseRow {
-                layer: layer.clone(),
-                calls: m.calls,
-                cycle_ns: m.cycle_ns,
-                leaked_calls: m.leaked_calls,
-                leaked_cycle_ns: m.leaked_cycle_ns,
-                ..Default::default()
-            };
-            for phase in Phase::ALL {
-                let unit = price(layer, phase);
-                let i = phase as usize;
-                row.virt_ns[i] = row.calls[i] * unit;
-                row.leaked_virt_ns[i] = row.leaked_calls[i] * unit;
-            }
-            row
+        .map(|(layer, m)| PhaseRow {
+            layer: layer.clone(),
+            calls: m.calls,
+            cycle_ns: m.cycle_ns,
+            leaked_calls: m.leaked_calls,
+            leaked_cycle_ns: m.leaked_cycle_ns,
+            ..Default::default()
         })
-        .collect()
+        .collect();
+    price_rows(&mut rows, price);
+    rows
+}
+
+/// The one pricing: fills the virtual-time columns of a phase table
+/// from its call counts. Leaked sub-counts get the same per-invocation
+/// price, so `leaked_virt_ns <= virt_ns` bucket by bucket.
+pub fn price_rows(rows: &mut [PhaseRow], price: impl Fn(&str, Phase) -> u64) {
+    for row in rows {
+        for phase in Phase::ALL {
+            let unit = price(&row.layer, phase);
+            let i = phase as usize;
+            row.virt_ns[i] = row.calls[i] * unit;
+            row.leaked_virt_ns[i] = row.leaked_calls[i] * unit;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -947,6 +974,16 @@ mod tests {
         a.publish();
         let snap = co.try_collect(e).expect("retired view is final");
         assert_eq!(snap.counter(DomainCounter::DrainBatches), 1);
+    }
+
+    #[test]
+    fn a_dropped_domain_stops_blocking_collects() {
+        let mut co = coordinator();
+        let mut main = co.domain("main");
+        drop(co.domain("worker"));
+        let e = co.advance();
+        main.publish();
+        assert!(co.try_collect(e).is_some(), "a dropped domain is final");
     }
 
     #[test]

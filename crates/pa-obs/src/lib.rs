@@ -7,7 +7,7 @@
 //! - [`TraceEvent`] — the structured event taxonomy (fast/slow
 //!   send/deliver with causes, queueing, prediction misses, filter
 //!   rejections, drops, backlog drains, control traffic);
-//! - [`ProbeSink`] / [`Probe`] — the emission point. The default
+//! - [`ProbeSink`] — the emission point. The default
 //!   [`ProbeSink::Noop`] costs one branch and performs no allocation
 //!   and no ring write;
 //! - [`TraceRing`] — a fixed-capacity, allocation-free ring of
@@ -50,9 +50,12 @@
 //!   byte cap, with counted overflow/denial instead of silent loss,
 //!   top-N ranking, and a Prometheus exposition with OpenMetrics
 //!   exemplar annotations;
-//! - [`watchdog`] — the virtual-time health sampler ([`Watchdog`]):
-//!   stall, delivery-ledger, SLO-burn, and mask-leak detection feeding
-//!   [`FlightRecorder`] postmortems;
+//! - [`watchdog`] — the health sampler ([`Watchdog`]): stall,
+//!   delivery-ledger, SLO-burn, and mask-leak detection;
+//! - [`watch`] — what watches a run, written once: the [`Fleet`] fold
+//!   of a set of connections' ledgers, and the [`Watch`] that owns
+//!   plane, recorder and watchdog, drives them with one step and
+//!   renders the ops dashboard — on a simulator or a live process;
 //! - [`critpath`] — critical-path masking analysis: every measured
 //!   cycle attributed to exactly one of {on-path, masked, leaked}
 //!   ([`MaskingLedger`], with exact conservation against the
@@ -89,6 +92,7 @@ pub mod snapshot;
 pub mod spsc;
 pub mod timer;
 pub mod timeseries;
+pub mod watch;
 pub mod watchdog;
 pub mod xray;
 
@@ -97,7 +101,7 @@ pub use critpath::{
     MaskDomain, MaskRow, MaskingLedger, WorkClass,
 };
 pub use domain::{
-    price_meters, DomainCell, DomainCounter, DomainEvent, DomainEventKind, DomainView,
+    price_meters, price_rows, DomainCell, DomainCounter, DomainEvent, DomainEventKind, DomainView,
     GlobalSnapshot, SnapshotCoordinator, TelemetryDomain,
 };
 pub use event::{DropCause, FieldRef, Invariant, Nanos, SlowCause, TraceEvent};
@@ -105,13 +109,14 @@ pub use exemplar::{octave_of, Exemplar, ExemplarSet};
 pub use journey::{
     journey_id, journey_origin, journey_seq, render_journey_id, HopLeg, Journey, JourneySet,
 };
-pub use probe::{EventCounts, NoopProbe, Probe, ProbeSink};
+pub use probe::{EventCounts, ProbeSink};
 pub use reject::{RejectBucket, RejectLedger, RejectReason};
 pub use ring::{merge_timeline, TraceRecord, TraceRing};
 pub use scope::{ScopeConfig, ScopeKey, ScopePlane, ScopeSeries};
 pub use sketch::{QuantileSketch, SketchConfig, SketchSummary};
 pub use snapshot::MetricsSnapshot;
 pub use timeseries::{FlightRecorder, Postmortem, TimeSeries, DEFAULT_MAX_SERIES};
+pub use watch::{positional, Fleet, Watch};
 pub use watchdog::{WatchAlert, WatchInput, Watchdog, WatchdogConfig};
 pub use xray::{
     AttrCause, AttrEntry, Attribution, DisableReason, Finding, HoldRow, MissEntry, MissRow,

@@ -2,9 +2,7 @@
 //!
 //! The hot path holds a [`ProbeSink`] — a three-variant enum whose
 //! `Noop` arm compiles to a single discriminant test, so tracing that
-//! is *off* costs one predictable branch and zero allocations. (For
-//! statically monomorphized hosts the [`Probe`] trait is also provided;
-//! `NoopProbe`'s empty default methods vanish entirely under inlining.)
+//! is *off* costs one predictable branch and zero allocations.
 //!
 //! `ProbeSink::Count` tallies events by kind without storing them —
 //! used by tests to prove the instrumentation points fire, and by the
@@ -12,27 +10,6 @@
 
 use crate::event::{Nanos, TraceEvent};
 use crate::ring::TraceRing;
-
-/// A consumer of trace events. All methods default to no-ops.
-pub trait Probe {
-    /// Called at each instrumentation point.
-    #[inline]
-    fn on_event(&mut self, _at: Nanos, _event: TraceEvent) {}
-
-    /// True if the probe wants events. Instrumentation sites use this to
-    /// skip *diagnosis* work (e.g. scanning a header for the first
-    /// mismatching field) that exists only to enrich events.
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        false
-    }
-}
-
-/// The probe that observes nothing (the default).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopProbe;
-
-impl Probe for NoopProbe {}
 
 /// Event tallies by kind (no storage, no allocation after construction).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -144,7 +121,9 @@ impl ProbeSink {
         }
     }
 
-    /// True unless this is the no-op sink (see [`Probe::is_enabled`]).
+    /// True unless this is the no-op sink. Instrumentation sites use
+    /// this to skip *diagnosis* work (e.g. scanning a header for the
+    /// first mismatching field) that exists only to enrich events.
     #[inline]
     pub fn enabled(&self) -> bool {
         !matches!(self, ProbeSink::Noop)
@@ -172,18 +151,6 @@ impl ProbeSink {
             ProbeSink::Ring(r) => Some(r),
             _ => None,
         }
-    }
-}
-
-impl Probe for ProbeSink {
-    #[inline]
-    fn on_event(&mut self, at: Nanos, event: TraceEvent) {
-        self.emit(at, event);
-    }
-
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        self.enabled()
     }
 }
 
@@ -234,14 +201,5 @@ mod tests {
         let r = p.trace_ring().unwrap();
         assert_eq!(r.total(), 2);
         assert_eq!(r.records()[1].at, 9);
-    }
-
-    #[test]
-    fn trait_default_is_noop() {
-        struct Nothing;
-        impl Probe for Nothing {}
-        let mut n = Nothing;
-        assert!(!n.is_enabled());
-        n.on_event(0, TraceEvent::FastSend); // must compile to nothing
     }
 }

@@ -162,13 +162,15 @@ impl fmt::Display for MetricsSnapshot {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for a JSON string literal (every exporter in the crate).
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }

@@ -61,8 +61,8 @@ pub enum DisableReason {
     /// A non-standard reason (kept payload-free so [`crate::TraceEvent`]
     /// stays within its 32-byte budget).
     Other,
-    /// A legacy un-attributed `disable()` call (should not appear in an
-    /// instrumented stack; its presence is itself a finding).
+    /// No reason given: what an unknown wire code decodes to. No layer
+    /// passes it; its presence in a report is itself a finding.
     Unattributed,
 }
 
@@ -273,6 +273,21 @@ impl Attribution {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// Folds another multiset in: counts add row for row, rows new to
+    /// this one keep `other`'s order after its own.
+    pub fn merge(&mut self, other: &Attribution) {
+        for o in &other.entries {
+            match self
+                .entries
+                .iter_mut()
+                .find(|e| e.op == o.op && e.layer == o.layer && e.cause == o.cause)
+            {
+                Some(e) => e.count += o.count,
+                None => self.entries.push(*o),
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -335,6 +350,27 @@ impl MissTable {
     /// True if no mismatch has been recorded.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Folds another table in: counts add row for row, and a row keeps
+    /// the predicted / actual pair of the table merged in last. Fields
+    /// are positional, so tables of connections over different stacks
+    /// merge by position, not by name.
+    pub fn merge(&mut self, other: &MissTable) {
+        for o in &other.entries {
+            match self
+                .entries
+                .iter_mut()
+                .find(|e| e.layer == o.layer && e.field == o.field)
+            {
+                Some(e) => {
+                    e.count += o.count;
+                    e.last_predicted = o.last_predicted;
+                    e.last_actual = o.last_actual;
+                }
+                None => self.entries.push(*o),
+            }
+        }
     }
 }
 
@@ -676,6 +712,18 @@ pub struct XrayTotals {
     pub invariant_violations: u64,
 }
 
+impl XrayTotals {
+    /// Adds another scope's counters to these.
+    pub fn absorb(&mut self, other: &XrayTotals) {
+        self.fast_sends += other.fast_sends;
+        self.slow_sends += other.slow_sends;
+        self.queued_sends += other.queued_sends;
+        self.fast_deliveries += other.fast_deliveries;
+        self.slow_deliveries += other.slow_deliveries;
+        self.invariant_violations += other.invariant_violations;
+    }
+}
+
 /// The ranked "why is this connection off the fast path" report:
 /// attribution, forensics, active holds, and the per-layer pre/post
 /// phase cost table, joined with the path counters.
@@ -903,6 +951,71 @@ mod tests {
         assert_eq!(m.entries()[0].last_predicted, 6);
         assert_eq!(m.entries()[0].last_actual, 10);
         assert_eq!(m.total(), 2);
+    }
+
+    #[test]
+    fn attribution_shards_merge_to_the_pooled_ledger_in_any_order() {
+        let window = AttrCause::Disabled(DisableReason::FullWindow);
+        let seq = AttrCause::FieldMiss(FieldRef::new(1, 0));
+        let ops = [
+            (XrayOp::QueuedSend, "window", window),
+            (XrayOp::SlowDeliver, "window", seq),
+            (XrayOp::SlowSend, "pa", AttrCause::FilterReject),
+            (XrayOp::SlowDeliver, "window", seq),
+            (XrayOp::QueuedSend, "window", window),
+            (XrayOp::QueuedSend, "window", window),
+        ];
+        let (mut pooled, mut a, mut b) = <(Attribution, Attribution, Attribution)>::default();
+        for (i, &(op, layer, cause)) in ops.iter().enumerate() {
+            pooled.bump(op, layer, cause);
+            if i % 2 == 0 { &mut a } else { &mut b }.bump(op, layer, cause);
+        }
+        let sorted = |x: &Attribution| {
+            let mut rows: Vec<_> = x
+                .entries()
+                .iter()
+                .map(|e| (e.op.label(), e.layer, e.cause.to_string(), e.count))
+                .collect();
+            rows.sort();
+            rows
+        };
+        let (mut ab, mut ba) = (a.clone(), b.clone());
+        ab.merge(&b);
+        ba.merge(&a);
+        assert_eq!(sorted(&ab), sorted(&pooled));
+        assert_eq!(sorted(&ba), sorted(&pooled));
+        assert_eq!(ab.total(XrayOp::QueuedSend), 3, "counts add row for row");
+    }
+
+    #[test]
+    fn miss_table_shards_merge_and_keep_the_last_shards_values() {
+        let (seq, ack) = (FieldRef::new(1, 0), FieldRef::new(1, 1));
+        let (mut a, mut b) = <(MissTable, MissTable)>::default();
+        a.bump("window", seq, 5, 9);
+        a.bump("window", ack, 1, 2);
+        b.bump("window", seq, 6, 10);
+        b.bump("window", seq, 7, 11);
+        let (mut ab, mut ba) = (a.clone(), b.clone());
+        ab.merge(&b);
+        ba.merge(&a);
+        let sorted = |x: &MissTable| {
+            let mut rows: Vec<_> = x
+                .entries()
+                .iter()
+                .map(|e| (e.field.index, e.count))
+                .collect();
+            rows.sort();
+            rows
+        };
+        assert_eq!(sorted(&ab), [(0, 3), (1, 1)]);
+        assert_eq!(sorted(&ba), sorted(&ab));
+        assert_eq!(ab.total(), a.total() + b.total());
+        let last = |x: &MissTable| {
+            let e = x.entries().iter().find(|e| e.field == seq).unwrap();
+            (e.last_predicted, e.last_actual)
+        };
+        assert_eq!(last(&ab), (7, 11), "b merged in last");
+        assert_eq!(last(&ba), (5, 9), "a merged in last");
     }
 
     #[test]

@@ -21,10 +21,12 @@
 //!   checks across the whole run;
 //! - every exact sample is also kept in [`ChurnSim::oracle`], so tests
 //!   can bound the sketch's rank error against ground truth;
-//! - a [`Watchdog`] samples progress/backlog/ledger/p99 at every wave
-//!   boundary and freezes a [`FlightRecorder`] post-mortem on the
-//!   first break, and the recorder keeps one time-series point per
-//!   wave for the ops dashboard.
+//! - each wave's [`Fleet`] (reject taxonomy, attribution, leaks, phase
+//!   meters) and masking ledger merge into the run's, and one
+//!   [`Watch::observe`] per wave boundary feeds the watchdog
+//!   (progress/backlog/ledger/p99), keeps one flight-recorder point per
+//!   wave for the ops dashboard and freezes a post-mortem on the first
+//!   alert.
 //!
 //! Fault waves (octet corruption, or total blackhole) exercise the
 //! reject taxonomy and the watchdog's stall detection under churn.
@@ -34,9 +36,8 @@ use crate::multi::ClusterSim;
 use crate::sim::SimConfig;
 use crate::Nanos;
 use pa_obs::{
-    AttrEntry, FlightRecorder, LeakLedger, MaskDomain, MaskingLedger, MetricsSnapshot, Phase,
-    QuantileSketch, RejectLedger, ScopeConfig, ScopePlane, WatchInput, Watchdog, WatchdogConfig,
-    WorkClass,
+    Fleet, FlightRecorder, MaskDomain, MaskingLedger, MetricsSnapshot, QuantileSketch, ScopeConfig,
+    ScopePlane, Watch, WatchInput, Watchdog, WatchdogConfig,
 };
 use pa_unet::FaultConfig;
 
@@ -109,17 +110,14 @@ impl ChurnConfig {
     }
 }
 
-/// One completed churn run: the global telemetry plane, its watchdog
-/// and flight recorder, and the exact-sample oracle.
+/// One completed churn run: the global watch, the fleet every
+/// connection that ever lived folded into, and the exact-sample oracle.
 pub struct ChurnSim {
     cfg: ChurnConfig,
     /// The global roll-up plane (shard endpoints, per-connection
-    /// series until the byte budget, overflow beyond).
-    pub plane: ScopePlane,
-    /// The wave-boundary health watchdog.
-    pub watchdog: Watchdog,
-    /// One sample per wave; post-mortems on watchdog alerts.
-    pub recorder: FlightRecorder,
+    /// series until the byte budget, overflow beyond), the
+    /// wave-boundary watchdog, and a recorder with one sample per wave.
+    pub watch: Watch,
     /// Every exact latency sample, in fold order (ground truth for
     /// rank-error bounds).
     pub oracle: Vec<u64>,
@@ -127,50 +125,55 @@ pub struct ChurnSim {
     pub completed: u64,
     /// Requests offered across all waves.
     pub expected: u64,
-    /// Reject taxonomy merged over every connection of every wave.
-    pub rejects: RejectLedger,
-    /// Slow-path attribution merged over every connection: where the
-    /// per-(layer, cause) overhead concentrated.
-    pub holds: Vec<AttrEntry>,
+    /// Reject taxonomy, slow-path attribution, leaks and phase meters
+    /// merged over every connection of every wave.
+    pub fleet: Fleet,
     /// Masking attribution merged over every connection of every wave
     /// (virtual-time domain): on-path vs masked vs leaked work, plus
     /// the engine's per-op fast-path cost as on-path rows.
     pub masking: MaskingLedger,
-    /// Critical-path leaks merged over every connection: which
-    /// `(layer, phase, cause)` buckets a later delivery had to wait on.
-    pub leaks: LeakLedger,
     clock: Nanos,
     waves_run: usize,
     conn_seq: usize,
     merged: QuantileSketch,
-    ledger_ok: bool,
 }
 
 impl ChurnSim {
     /// Builds an idle churn run (call [`ChurnSim::run`]).
     pub fn new(cfg: ChurnConfig) -> ChurnSim {
-        let plane = ScopePlane::new(cfg.scope);
-        let merged = QuantileSketch::new(cfg.scope.sketch_config());
         ChurnSim {
-            watchdog: Watchdog::new(cfg.watchdog),
-            // Interval 1 ns: every wave boundary is a due sample. One
-            // point per wave, capacity for the whole run.
-            recorder: FlightRecorder::with_limits(1, cfg.waves.max(16), 64),
-            plane,
+            // Cadence / interval 1 ns: every wave boundary is a due
+            // sample. One recorder point per wave, capacity for the
+            // whole run.
+            watch: Watch {
+                plane: Some(ScopePlane::new(cfg.scope)),
+                recorder: Some(FlightRecorder::with_limits(1, cfg.waves.max(16), 64)),
+                watchdog: Some(Watchdog::new(WatchdogConfig {
+                    cadence: 1,
+                    ..cfg.watchdog
+                })),
+            },
             oracle: Vec::new(),
             completed: 0,
             expected: 0,
-            rejects: RejectLedger::new(),
-            holds: Vec::new(),
+            fleet: Fleet::default(),
             masking: MaskingLedger::empty("churn", MaskDomain::Virtual),
-            leaks: LeakLedger::default(),
             clock: 0,
             waves_run: 0,
             conn_seq: 0,
-            merged,
-            ledger_ok: true,
+            merged: QuantileSketch::new(cfg.scope.sketch_config()),
             cfg,
         }
+    }
+
+    /// The global roll-up plane.
+    pub fn plane(&self) -> &ScopePlane {
+        self.watch.plane.as_ref().expect("attached in new")
+    }
+
+    /// The wave-boundary health watchdog.
+    pub fn watchdog(&self) -> &Watchdog {
+        self.watch.watchdog.as_ref().expect("attached in new")
     }
 
     /// The churn configuration.
@@ -224,15 +227,15 @@ impl ChurnSim {
         // Fold the wave's exact per-client latencies into the global
         // plane (and the oracle). Shards stripe round-robin over the
         // global connection sequence, so every shard sees every wave.
+        let plane = self.watch.plane.as_mut().expect("attached in new");
         for (k, client) in wave.clients().iter().enumerate() {
-            let conn = &client.conns[0];
-            let key = self.plane.register(
+            let key = plane.register(
                 &format!("shard{:02}", self.conn_seq % self.cfg.shards),
                 &format!("w{w:03}c{k:04}"),
             );
-            let tag = conn.last_deliver_explain();
+            let tag = client.conns[0].last_deliver_explain();
             for &v in wave.rtt_by_node[k].values() {
-                self.plane.record(key, v as u64, wave_end, 0, tag);
+                plane.record(key, v as u64, wave_end, 0, tag);
                 self.oracle.push(v as u64);
             }
             self.conn_seq += 1;
@@ -244,88 +247,31 @@ impl ChurnSim {
         self.merged
             .merge(wave.scope_plane().expect("attached").cluster().sketch());
 
-        // Aggregate the wave's reject taxonomy, attribution, masking
-        // ledger, and ledger health from both sides of every
-        // connection. One cost model prices every conn's phase table
-        // (same stack throughout the wave).
-        let mut wave_ledger_ok = true;
-        let cost = (sim_cfg.cost)(
-            wave.clients()[0].conns[0]
-                .layer_names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        );
-        for conn in wave
-            .clients()
-            .iter()
-            .map(|c| &c.conns[0])
-            .chain(wave.server_conns().iter())
-        {
-            let stats = conn.stats();
-            self.rejects.merge(&stats.rejects);
-            wave_ledger_ok &= stats.delivery_balanced();
-            for e in conn.attribution().entries() {
-                match self
-                    .holds
-                    .iter_mut()
-                    .find(|h| h.op == e.op && h.layer == e.layer && h.cause == e.cause)
-                {
-                    Some(h) => h.count += e.count,
-                    None => self.holds.push(*e),
-                }
-            }
-            let mut report = conn.xray_report();
-            cost.price_report(&mut report);
-            let mut ml = MaskingLedger::from_phases("churn", &report.phases, MaskDomain::Virtual);
-            let sends = stats.fast_sends + stats.slow_sends;
-            let delivers = stats.fast_deliveries + stats.slow_deliveries;
-            ml.push_engine(
-                "engine/send",
-                Phase::PreSend,
-                WorkClass::OnPath,
-                sends,
-                sends * cost.fast_send(),
-            );
-            ml.push_engine(
-                "engine/deliver",
-                Phase::PreDeliver,
-                WorkClass::OnPath,
-                delivers,
-                delivers * cost.fast_deliver(),
-            );
-            self.masking.merge(&ml);
-            self.leaks.merge(conn.leaks());
-        }
-        self.ledger_ok &= wave_ledger_ok;
-
-        // Watchdog: one observation per wave boundary. Backlog is the
-        // wave's lost (offered, never answered) requests — a blackhole
-        // wave flatlines progress with backlog standing, a stall.
-        let alerts = self.watchdog.observe(WatchInput {
-            at: wave_end,
-            progress: self.completed,
-            backlog: wave_expected - wave.round_trips,
-            ledger_ok: wave_ledger_ok,
-            p99_ns: self.plane.cluster().sketch().p99(),
-            leak_permille: self.masking.leak_permille(),
-        });
-
+        // Both sides of every connection of the wave, clients first.
+        self.fleet.merge(&wave.fleet());
+        self.masking.merge(&wave.masking_ledger_all());
         self.clock = wave_end;
         self.waves_run += 1;
 
-        // Flight recorder: one point per wave, post-mortem on alerts.
-        let snap = self.snapshot(wave_end);
+        // One watch step per wave boundary. Backlog is the wave's lost
+        // (offered, never answered) requests — a blackhole wave
+        // flatlines progress with backlog standing, a stall.
+        let lost = wave_expected - wave.round_trips;
+        let input = WatchInput {
+            at: wave_end,
+            progress: self.completed,
+            backlog: lost,
+            ledger_ok: wave.ledgers_ok(),
+            p99_ns: self.watch.p99(),
+            leak_permille: self.masking.leak_permille(),
+        };
         let gauges = [
             ("wave_completed", wave.round_trips as f64),
-            ("wave_lost", (wave_expected - wave.round_trips) as f64),
+            ("wave_lost", lost as f64),
             ("wave_rate_rps", wave.rate()),
         ];
-        self.recorder.maybe_sample(&snap, &gauges);
-        for a in &alerts {
-            self.recorder
-                .trigger_postmortem(wave_end, &format!("watchdog: {a}"), &snap);
-        }
+        let mut snap = self.snapshot(wave_end);
+        self.watch.observe(&mut snap, &gauges, input, &[]);
     }
 
     /// A unified snapshot of the churn telemetry at `at`: the global
@@ -333,7 +279,6 @@ impl ChurnSim {
     /// watchdog's health counters.
     pub fn snapshot(&self, at: Nanos) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new(at);
-        self.plane.record_into(&mut snap, "scope");
         snap.record("churn", "waves", self.waves_run as u64);
         snap.record("churn", "conns", self.conn_seq as u64);
         snap.record("churn", "completed", self.completed);
@@ -341,25 +286,20 @@ impl ChurnSim {
         snap.record("churn", "lost", self.expected - self.completed);
         snap.record("masking", "masked_permille", self.masking.masked_permille());
         snap.record("masking", "leak_permille", self.masking.leak_permille());
-        snap.record("masking", "leaked_calls", self.leaks.total_calls());
-        for (reason, n) in self.rejects.iter() {
+        snap.record("masking", "leaked_calls", self.fleet.leaks.total_calls());
+        for (reason, n) in self.fleet.rejects.iter() {
             if n > 0 {
                 snap.record("rejects", reason.label(), n);
             }
         }
-        snap.record("watchdog", "samples", self.watchdog.samples());
-        snap.record("watchdog", "alerts_total", self.watchdog.alerts_total());
-        snap.record(
-            "watchdog",
-            "ledger_broken",
-            self.watchdog.ledger_broken() as u64,
-        );
+        self.watch.record_into(&mut snap);
         snap
     }
 
-    /// True while every wave's delivery ledgers reconciled.
+    /// True while every wave's delivery ledgers reconciled (the
+    /// watchdog latches the first break).
     pub fn ledger_ok(&self) -> bool {
-        self.ledger_ok
+        !self.watchdog().ledger_broken()
     }
 
     /// The merge cross-check: merging each wave's independently-built
@@ -367,7 +307,7 @@ impl ChurnSim {
     /// which saw every sample one at a time. Canonical-form merge makes
     /// this exact `==`, not approximate agreement.
     pub fn merged_cluster_matches(&self) -> bool {
-        self.merged == *self.plane.cluster().sketch()
+        self.merged == *self.plane().cluster().sketch()
     }
 
     /// Exact oracle quantile by sorted rank (ceil-rank convention,
@@ -380,15 +320,6 @@ impl ChurnSim {
         }
         let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
         sorted[rank - 1]
-    }
-
-    /// The fraction of oracle samples ≤ `v` (rank of a sketch answer
-    /// in ground truth).
-    pub fn oracle_rank(&self, v: u64) -> f64 {
-        if self.oracle.is_empty() {
-            return 0.0;
-        }
-        self.oracle.iter().filter(|&&x| x <= v).count() as f64 / self.oracle.len() as f64
     }
 }
 
@@ -403,25 +334,29 @@ mod tests {
         assert_eq!(churn.waves_run(), 8);
         assert_eq!(churn.config().total_conns(), 256);
         assert!(churn.completed > 0);
-        assert_eq!(churn.plane.records(), churn.oracle.len() as u64);
+        assert_eq!(churn.plane().records(), churn.oracle.len() as u64);
         assert_eq!(
-            churn.plane.cluster().sketch().count(),
+            churn.plane().cluster().sketch().count(),
             churn.oracle.len() as u64
         );
-        assert!(churn.plane.rollup_reconciles(), "roll-up reconciles");
+        assert!(churn.plane().rollup_reconciles(), "roll-up reconciles");
         assert!(churn.within_everything(), "budget + merge + ledger");
         // The corrupt waves exercised the reject taxonomy, yet every
         // ledger still reconciled and the watchdog stayed calm (losses
         // were absorbed while progress kept advancing).
-        assert!(churn.rejects.total() > 0, "corrupt waves must reject");
+        assert!(churn.fleet.rejects.total() > 0, "corrupt waves must reject");
         assert!(churn.ledger_ok());
-        assert!(!churn.watchdog.ledger_broken());
-        assert_eq!(churn.recorder.samples(), 8, "one point per wave");
+        assert!(!churn.watchdog().ledger_broken());
+        assert_eq!(
+            churn.watch.recorder.as_ref().unwrap().samples(),
+            8,
+            "one point per wave"
+        );
     }
 
     impl ChurnSim {
         fn within_everything(&self) -> bool {
-            self.plane.within_budget() && self.merged_cluster_matches() && self.ledger_ok
+            self.plane().within_budget() && self.merged_cluster_matches() && self.ledger_ok()
         }
     }
 
@@ -433,17 +368,23 @@ mod tests {
         let mut churn = ChurnSim::new(cfg);
         churn.run();
         assert!(churn.completed > 0, "healthy waves completed");
-        assert!(!churn.watchdog.healthy());
+        assert!(!churn.watchdog().healthy());
         assert!(
             churn
-                .watchdog
+                .watchdog()
                 .alerts()
                 .iter()
                 .any(|(_, a)| matches!(a, pa_obs::WatchAlert::Stall { .. })),
             "{:?}",
-            churn.watchdog.alerts()
+            churn.watchdog().alerts()
         );
-        let pm = churn.recorder.postmortem().expect("alert froze the run");
+        let pm = churn
+            .watch
+            .recorder
+            .as_ref()
+            .unwrap()
+            .postmortem()
+            .expect("alert froze the run");
         assert!(pm.reason.contains("watchdog"), "{}", pm.reason);
     }
 
@@ -453,7 +394,7 @@ mod tests {
         churn.run();
         let alpha = churn.config().scope.alpha + 1e-6;
         for q in [0.5, 0.9, 0.99] {
-            let got = churn.plane.cluster().sketch().quantile(q);
+            let got = churn.plane().cluster().sketch().quantile(q);
             let lo = churn.oracle_quantile((q - 0.01).max(0.0)) as f64 * (1.0 - alpha);
             let hi = churn.oracle_quantile((q + 0.01).min(1.0)) as f64 * (1.0 + alpha);
             assert!(

@@ -240,16 +240,7 @@ impl CostModel {
     /// paper's critical-path breakdown (80 µs post-send / 50 µs
     /// post-deliver per 4-layer frame) from observed invocation counts.
     pub fn price_report(&self, report: &mut XrayReport) {
-        for row in &mut report.phases {
-            for phase in Phase::ALL {
-                let unit = self.phase_cost(&row.layer, phase);
-                row.virt_ns[phase as usize] = row.calls[phase as usize] * unit;
-                // Leaked sub-counts get the same per-invocation price,
-                // so `leaked_virt_ns <= virt_ns` holds bucket by bucket
-                // and the masking ledger's conservation stays exact.
-                row.leaked_virt_ns[phase as usize] = row.leaked_calls[phase as usize] * unit;
-            }
-        }
+        pa_obs::price_rows(&mut report.phases, |l, p| self.phase_cost(l, p));
     }
 }
 

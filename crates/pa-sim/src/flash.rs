@@ -41,24 +41,12 @@ use pa_core::conn::{Connection, ConnectionParams, DeliverOutcome, DropReason};
 use pa_core::layer::NullLayer;
 use pa_core::shard::{ShardDelivery, ShardHandle, ShardedEndpoint};
 use pa_core::{AdmitError, PaConfig};
+use pa_obs::rng::{Rng, SplitMix64};
 use pa_obs::{
     DomainCounter, GlobalSnapshot, RejectLedger, SketchConfig, SnapshotCoordinator, TelemetryDomain,
 };
 use pa_wire::{ByteOrder, Cookie, EndpointAddr, Preamble};
 use std::collections::HashSet;
-
-/// Deterministic SplitMix64 stream for adversarial frame synthesis.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
 
 /// Scale knobs of a flash-crowd run.
 #[derive(Debug, Clone)]
@@ -490,7 +478,7 @@ impl FlashCrowd {
     /// Phase 6: the adversarial storm — every hostile category at a
     /// known count, fed through the burst path mixed together.
     fn adversarial_storm(&mut self) {
-        let mut rng = Rng(self.cfg.seed);
+        let mut rng = SplitMix64::new(self.cfg.seed);
         // Cookie raws that must NOT be used as "unknown": everything
         // live or retired (retired raws are stale, not unknown).
         let mut taken: HashSet<u64> = HashSet::new();
@@ -503,7 +491,7 @@ impl FlashCrowd {
         let mut frames: Vec<Msg> = Vec::new();
         for _ in 0..self.cfg.storm_unknown {
             let raw = loop {
-                let r = rng.next() & ((1 << 62) - 1);
+                let r = rng.next_u64() & ((1 << 62) - 1);
                 if r != 0 && !taken.contains(&r) {
                     break r;
                 }
@@ -517,7 +505,7 @@ impl FlashCrowd {
         for _ in 0..self.cfg.storm_foreign {
             // Full-length ident that matches no registered connection.
             let mut wire =
-                Preamble::with_conn_ident(Cookie::from_raw(rng.next() | 1), ByteOrder::Big)
+                Preamble::with_conn_ident(Cookie::from_raw(rng.next_u64() | 1), ByteOrder::Big)
                     .encode()
                     .to_vec();
             wire.extend((0..ident_len + 8).map(|_| 0xEEu8));
@@ -527,7 +515,7 @@ impl FlashCrowd {
             // Ident flag set, but too short to carry any registered
             // ident.
             let mut wire =
-                Preamble::with_conn_ident(Cookie::from_raw(rng.next() | 1), ByteOrder::Big)
+                Preamble::with_conn_ident(Cookie::from_raw(rng.next_u64() | 1), ByteOrder::Big)
                     .encode()
                     .to_vec();
             wire.extend_from_slice(&[0xEE; 4]);
@@ -546,7 +534,7 @@ impl FlashCrowd {
         // Deterministic interleave.
         let n = frames.len();
         for i in (1..n).rev() {
-            frames.swap(i, (rng.next() % (i as u64 + 1)) as usize);
+            frames.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
         }
         let before = *self.server.front_stats();
         let ledger_before = self.server.global_rejects();

@@ -18,14 +18,15 @@
 //!   paths; nothing about behaviour is simulated), one per peer, over
 //!   one or more virtual CPUs that charge model costs (connection `i`
 //!   on CPU `i mod M`, the §6 partition),
-//! - [`sim::World`] — hosts over a [`pa_unet::SimNet`] under one
+//! - [`world::World`] — hosts over a [`pa_unet::SimNet`] under one
 //!   virtual clock: the one next-event loop, the application behaviours
-//!   (echo, sink, closed loop) and the closed-loop latency ledger.
-//!   [`sim::TwoNodeSim`] is a world of two one-connection hosts plus a
-//!   timeline recorder for Figure 4 and the run's telemetry;
-//!   [`multi::ClusterSim`] is a world of N closed-loop clients and one
-//!   echoing N-connection server; [`churn::ChurnSim`] is a script of
-//!   cluster waves,
+//!   (echo, sink, closed loop), the closed-loop latency ledger, and the
+//!   [`pa_obs::Watch`] (plane, recorder, watchdog) stepped after every
+//!   event. [`sim::TwoNodeSim`] is a world of two one-connection hosts
+//!   plus journeys and the critical-path plane; [`multi::ClusterSim`]
+//!   is a world of N closed-loop clients and one echoing N-connection
+//!   server; [`churn::ChurnSim`] is a script of cluster waves folded
+//!   into one fleet and one watch,
 //! - [`pipeline::BurstPipeline`] — the one real-thread driver: an echo
 //!   pair, burst at a time, posts on the [`drain::PostDrainWorker`]
 //!   thread; [`pipeline::per_packet_reference`] is the per-packet image
@@ -51,6 +52,7 @@ pub mod multi;
 pub mod node;
 pub mod pipeline;
 pub mod sim;
+pub mod world;
 
 pub use churn::{ChurnConfig, ChurnSim};
 pub use cost::{CostModel, Language};

@@ -1,7 +1,8 @@
 //! Measurement collection and report formatting.
 
 use crate::Nanos;
-use std::fmt::Write as _;
+
+pub use pa_obs::watch::{us, Table};
 
 /// A set of scalar samples (latencies, intervals).
 #[derive(Debug, Default, Clone)]
@@ -96,65 +97,9 @@ pub struct Summary {
     pub max: f64,
 }
 
-/// Formats nanoseconds as microseconds with one decimal.
-pub fn us(ns: Nanos) -> String {
-    format!("{:.1}", ns as f64 / 1000.0)
-}
-
 /// Formats a float of nanoseconds as microseconds.
 pub fn us_f(ns: f64) -> String {
     format!("{:.1}", ns / 1000.0)
-}
-
-/// A fixed-width text table for the paper-style reports.
-#[derive(Debug, Default)]
-pub struct Table {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Table {
-        Table {
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row (must match the header width).
-    pub fn row(&mut self, cells: &[String]) {
-        assert_eq!(cells.len(), self.header.len(), "row width mismatch");
-        self.rows.push(cells.to_vec());
-    }
-
-    /// Renders the table.
-    pub fn render(&self) -> String {
-        let ncol = self.header.len();
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let mut out = String::new();
-        let line = |out: &mut String, cells: &[String]| {
-            for (i, c) in cells.iter().enumerate() {
-                let _ = write!(out, "{:<w$}", c, w = widths[i] + 2);
-            }
-            out.push('\n');
-        };
-        line(&mut out, &self.header);
-        let _ = writeln!(
-            out,
-            "{}",
-            "-".repeat(widths.iter().map(|w| w + 2).sum::<usize>().max(ncol))
-        );
-        for row in &self.rows {
-            line(&mut out, row);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -222,22 +167,5 @@ mod tests {
     fn nanos_formatting() {
         assert_eq!(us(170_000), "170.0");
         assert_eq!(us_f(85_500.0), "85.5");
-    }
-
-    #[test]
-    fn table_renders_aligned() {
-        let mut t = Table::new(&["what", "value"]);
-        t.row(&["one-way latency".into(), "85 µs".into()]);
-        t.row(&["throughput".into(), "80000 msgs/s".into()]);
-        let r = t.render();
-        assert!(r.contains("one-way latency"));
-        assert!(r.lines().count() >= 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "row width")]
-    fn table_rejects_ragged_rows() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(&["only one".into()]);
     }
 }

@@ -184,6 +184,52 @@ mod tests {
     }
 
     #[test]
+    fn watched_cluster_reports_the_fleet_a_one_wave_churn_reports() {
+        use crate::churn::{ChurnConfig, ChurnSim};
+        let cfg = ChurnConfig {
+            waves: 1,
+            ..ChurnConfig::small()
+        };
+        let mut churn = ChurnSim::new(cfg.clone());
+        churn.run();
+
+        // The same wave as a bare cluster with the world's watch on.
+        let mut c = ClusterSim::new(
+            &ClusterSim::paper_occasional_gc(),
+            cfg.clients_per_wave,
+            cfg.n_cpus,
+        );
+        c.attach_scope(cfg.scope);
+        c.attach_flight_recorder(1_000_000, 64);
+        c.attach_watchdog(pa_obs::WatchdogConfig::default());
+        c.run(cfg.per_client, cfg.wave_horizon);
+
+        let fleet = c.fleet();
+        assert_eq!(fleet, churn.fleet, "one fold, whoever drives it");
+        assert_eq!(fleet.conns, 2 * cfg.clients_per_wave as u64);
+        let (ml, want) = (c.masking_ledger_all(), &churn.masking);
+        assert_eq!(ml.masked_permille(), want.masked_permille());
+        assert_eq!(ml.total_ns(), want.total_ns());
+        let plane = c.scope_plane().expect("attached");
+        assert_eq!(plane.cluster().sketch(), churn.plane().cluster().sketch());
+
+        // And the watch stepped with the world's loop.
+        let wd = c.watchdog().expect("attached");
+        assert!(wd.samples() > 1 && wd.healthy(), "{:?}", wd.alerts());
+        let fr = c.flight_recorder().expect("attached");
+        assert!(fr.samples() > 1 && fr.postmortem().is_none());
+        assert!(fr.get("backlog_depth_node0").is_some());
+        let snap = c.metrics_snapshot(c.now());
+        assert_eq!(snap.get("watchdog", "samples"), Some(wd.samples()));
+        assert_eq!(snap.get("sim", "round_trips"), Some(c.round_trips));
+        assert!(fleet
+            .report("cluster", c.now(), pa_obs::positional)
+            .reconciles());
+        let text = c.watch.render(c.now(), &fleet, &ml, 3);
+        assert!(text.contains("-- watchdog --"), "{text}");
+    }
+
+    #[test]
     fn cluster_scope_rolls_up_per_cpu_and_per_client() {
         let cfg = ClusterSim::paper_occasional_gc();
         let mut c = ClusterSim::new(&cfg, 8, 2);

@@ -15,7 +15,7 @@ use crate::gc::GcModel;
 use crate::Nanos;
 use pa_buf::Msg;
 use pa_core::{ConnStats, Connection, DeliverOutcome, SendOutcome};
-use pa_obs::{QuantileSketch, SketchSummary, XrayReport};
+use pa_obs::{Fleet, MaskDomain, MaskingLedger, QuantileSketch, SketchSummary, XrayReport};
 use pa_unet::Netif;
 use pa_wire::EndpointAddr;
 
@@ -237,6 +237,34 @@ impl NodeSim {
             self.cpu_busy, r.at
         ));
         r
+    }
+
+    /// What this host's connections did off the fast path.
+    pub fn fleet(&self) -> Fleet {
+        let mut fleet = Fleet::default();
+        for conn in &self.conns {
+            conn.fold_into(&mut fleet);
+        }
+        fleet
+    }
+
+    /// The host's masking ledger in the virtual-time domain: every
+    /// phase call of its [`NodeSim::fleet`], priced by its cost model,
+    /// attributed to exactly one of {on-path, masked, leaked} — so
+    /// [`MaskingLedger::conserves`] against the priced phase table is
+    /// exact — plus the engine rows: the fast-path cost of every send
+    /// and delivery on-path, receive re-fuses as leaked calls.
+    pub fn masking_ledger(&self, scope: &str) -> MaskingLedger {
+        let fleet = self.fleet();
+        let rows = fleet.phase_rows(|l, p| self.cost.phase_cost(l, p));
+        let engine = (self.cost.fast_send(), self.cost.fast_deliver());
+        let virt = MaskDomain::Virtual;
+        MaskingLedger::with_engine(scope, &rows, virt, &fleet.totals, engine, &fleet.leaks)
+    }
+
+    /// Messages waiting in this host's send backlogs.
+    pub fn backlog(&self) -> usize {
+        self.conns.iter().map(Connection::backlog_len).sum()
     }
 
     fn stamp(&mut self, at: Nanos, event: NodeEvent) {

@@ -50,20 +50,6 @@ fn drive(cfg: &SimConfig, trips: u64) -> TwoNodeSim {
     sim
 }
 
-/// Conservation is the load-bearing invariant: on-path + masked +
-/// leaked must equal the phase meters exactly, per node, always.
-fn conservation_gate(name: &str, sim: &TwoNodeSim) {
-    for node in 0..2 {
-        let ml = sim.masking_ledger(node);
-        let report = sim.xray_report(node);
-        if !ml.conserves(&report.phases) {
-            eprintln!("FAIL: {name}: masking ledger does not conserve on node{node}");
-            eprintln!("{}", ml.render());
-            std::process::exit(1);
-        }
-    }
-}
-
 fn ratio_row(name: &str, sim: &TwoNodeSim) {
     let ml = sim.masking_ledger_all();
     println!(
@@ -85,7 +71,7 @@ fn main() {
     cfg.faults.seed = 0xC217;
     cfg.tick_every = Some(2_000_000);
     let lossy = drive(&cfg, 100);
-    conservation_gate("lossy", &lossy);
+    lossy.conservation_gate("lossy");
 
     println!(
         "-- lossy two-node run ({} trips, 5% drop, retransmission ticks) --",
@@ -113,7 +99,7 @@ fn main() {
     let mut forced_cfg = SimConfig::forced_leak();
     forced_cfg.pa.trace_ctx = true;
     let forced = drive(&forced_cfg, 100);
-    conservation_gate("forced", &forced);
+    forced.conservation_gate("forced");
 
     println!("-- forced leak (lazy post off: §3.1 broken on purpose) --");
     ratio_row("forced", &forced);
@@ -177,9 +163,9 @@ fn main() {
         "churn",
         churn.masking.masking_ratio(),
         churn.masking.leak_permille(),
-        churn.leaks.entries.len()
+        churn.fleet.leaks.entries.len()
     );
-    if let Some(e) = churn.leaks.top() {
+    if let Some(e) = churn.fleet.leaks.top() {
         println!(
             "top leak: {}/{} ({}, {} calls)",
             e.layer,

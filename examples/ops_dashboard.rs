@@ -2,22 +2,24 @@
 //!
 //! Drives the churn scenario — waves of short-lived client connections
 //! against a multi-CPU server, 10 000 distinct connections by default —
-//! with the full pa-scope telemetry plane attached, then renders the
-//! text dashboard an operator would read:
+//! with the full pa-scope telemetry plane attached, then prints its
+//! watch ([`pa::obs::Watch::render`], the renderer `live_endpoint`
+//! points at a running `UdpNet` endpoint) — the text dashboard an
+//! operator would read:
 //!
 //! - cluster latency from *merged sketches* (p50/p90/p99, exact
 //!   min/max), with the plane's memory against its hard byte cap,
-//! - top-N connections by p99 with per-series sample counts,
-//! - per-shard roll-up (endpoint sketches),
-//! - slow-path hold attribution (which layer, which cause) and the
-//!   reject taxonomy aggregated across every connection that ever
-//!   lived,
+//! - top-N connections by p99 and the per-shard roll-up,
 //! - sampled exemplars: aggregate outliers that drill down to a
 //!   journey id and xray tag,
+//! - the fleet's xray report — slow-path attribution (which layer,
+//!   which cause, rejects included) and per-layer phase cost across
+//!   every connection that ever lived — and its masking ledger,
 //! - watchdog verdict and any flight-recorder post-mortem.
 //!
 //! Also writes the Prometheus text exposition (sketch buckets with
-//! OpenMetrics exemplar annotations) to `ops-prometheus.txt`.
+//! OpenMetrics exemplar annotations, then the recorder's per-wave
+//! gauges) to `ops-prometheus.txt`.
 //!
 //! Exits nonzero if the watchdog saw a delivery-ledger break, if the
 //! roll-up fails to reconcile, or if the plane blows its byte budget —
@@ -28,9 +30,8 @@
 //! PA_OPS_CONNS=500 cargo run --example ops_dashboard   # quicker
 //! ```
 
-use pa::obs::render_journey_id;
+use pa::obs::watch::us;
 use pa::sim::churn::{ChurnConfig, ChurnSim};
-use pa::sim::metrics::{us, Table};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -51,19 +52,11 @@ fn main() {
         churn.config().per_client
     );
     churn.run();
-
-    let plane = &churn.plane;
-    let cluster = plane.cluster();
-    let s = cluster.sketch();
-
-    println!("== pa-scope ops dashboard ==");
     println!(
-        "virtual time {:>12}   waves {}   conns {} ({} dedicated series, {} overflowed)",
+        "virtual time {:>12}   waves {}   conns {}",
         us(churn.now()),
         churn.waves_run(),
-        churn.config().total_conns(),
-        plane.conn_slots(),
-        churn.config().total_conns() - plane.conn_slots()
+        churn.config().total_conns()
     );
     println!(
         "requests     {:>12}   completed {}   lost {}",
@@ -71,143 +64,10 @@ fn main() {
         churn.completed,
         churn.expected - churn.completed
     );
-    println!(
-        "plane memory {:>12}   cap {}   within budget: {}",
-        plane.mem_bytes(),
-        plane.config().byte_cap,
-        plane.within_budget()
-    );
-    println!();
+    let (now, watch) = (churn.now(), &churn.watch);
+    println!("{}", watch.render(now, &churn.fleet, &churn.masking, top_n));
 
-    println!(
-        "-- cluster latency (merged sketches; {} samples) --",
-        s.count()
-    );
-    println!(
-        "p50 {:>10}   p90 {:>10}   p99 {:>10}   min {:>10}   max {:>10}   collapsed {}",
-        us(s.p50()),
-        us(s.quantile(0.90)),
-        us(s.p99()),
-        us(s.min()),
-        us(s.max()),
-        s.collapsed()
-    );
-    println!();
-
-    println!("-- top {} connections by p99 --", top_n);
-    let mut t = Table::new(&["conn", "p99", "samples"]);
-    for (name, p99, count) in plane.top_conns(0.99, top_n) {
-        t.row(&[name.to_string(), us(p99), count.to_string()]);
-    }
-    println!("{}", t.render());
-
-    println!("-- per-shard roll-up --");
-    let mut t = Table::new(&["shard", "p50", "p99", "samples"]);
-    for (name, series) in plane.endpoints() {
-        let sk = series.sketch();
-        t.row(&[
-            name.to_string(),
-            us(sk.p50()),
-            us(sk.p99()),
-            sk.count().to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-
-    if !churn.holds.is_empty() {
-        println!("-- slow-path attribution (layer, cause) --");
-        let mut holds = churn.holds.clone();
-        holds.sort_by_key(|h| std::cmp::Reverse(h.count));
-        let mut t = Table::new(&["op", "layer", "cause", "count"]);
-        for h in holds.iter().take(8) {
-            t.row(&[
-                format!("{:?}", h.op),
-                h.layer.to_string(),
-                h.cause.to_string(),
-                h.count.to_string(),
-            ]);
-        }
-        println!("{}", t.render());
-    }
-
-    // The §3.1 scorecard: how much protocol work stayed off the
-    // critical path across every connection that ever lived, and —
-    // when it did not — which (layer, cause) put it there.
-    println!("-- masking (critical path) --");
-    println!(
-        "ratio {:.3}   on-path {:>10}   masked {:>10}   leaked {:>10} ({}‰ of all work)",
-        churn.masking.masking_ratio(),
-        us(churn.masking.on_path_ns()),
-        us(churn.masking.masked_ns()),
-        us(churn.masking.leaked_ns()),
-        churn.masking.leak_permille()
-    );
-    if churn.leaks.is_empty() {
-        println!("no critical-path leaks detected\n");
-    } else {
-        println!("-- top leaked (layer, cause) --");
-        let mut t = Table::new(&["layer", "phase", "cause", "calls"]);
-        for e in churn.leaks.sorted().iter().take(8) {
-            t.row(&[
-                e.layer.clone(),
-                e.phase.label().to_string(),
-                e.cause.label().to_string(),
-                e.calls.to_string(),
-            ]);
-        }
-        println!("{}", t.render());
-    }
-
-    if churn.rejects.total() > 0 {
-        println!("-- reject taxonomy --");
-        let mut t = Table::new(&["reason", "count", "share"]);
-        let total = churn.rejects.total();
-        for (reason, n) in churn.rejects.iter() {
-            if n > 0 {
-                t.row(&[
-                    reason.label().to_string(),
-                    n.to_string(),
-                    format!("{:.1}%", n as f64 * 100.0 / total as f64),
-                ]);
-            }
-        }
-        println!("{}", t.render());
-    }
-
-    println!("-- exemplars (aggregate -> journey drill-down) --");
-    for ex in cluster.exemplars().iter() {
-        println!(
-            "  {:>10}  journey {}  tag {:?}  at {}",
-            us(ex.value),
-            render_journey_id(ex.journey),
-            ex.tag.cause(),
-            us(ex.at)
-        );
-    }
-    println!(
-        "  (offered {}, evicted {}, sampled out {})\n",
-        cluster.exemplars().offered(),
-        cluster.exemplars().evicted(),
-        cluster.exemplars().sampled_out()
-    );
-
-    println!("-- watchdog --");
-    println!(
-        "samples {}   alerts {}   ledger ok: {}   healthy: {}",
-        churn.watchdog.samples(),
-        churn.watchdog.alerts_total(),
-        !churn.watchdog.ledger_broken(),
-        churn.watchdog.healthy()
-    );
-    for (at, a) in churn.watchdog.alerts() {
-        println!("  {} {a}", us(*at));
-    }
-    if let Some(pm) = churn.recorder.postmortem() {
-        println!("POST-MORTEM at {}: {}", us(pm.at), pm.reason);
-    }
-    println!();
-
-    let prom = plane.to_prometheus("latency_ns", 24);
+    let prom = watch.to_prometheus("latency_ns", 24);
     let prom_path = std::env::var("PA_OPS_PROM_OUT").unwrap_or("ops-prometheus.txt".into());
     match std::fs::write(&prom_path, &prom) {
         Ok(()) => println!(
@@ -220,15 +80,16 @@ fn main() {
 
     // The smoke gate: a ledger break, a roll-up mismatch, or a blown
     // byte budget is a telemetry-plane bug — fail loudly.
-    if churn.watchdog.ledger_broken() {
+    let plane = churn.plane();
+    if churn.watchdog().ledger_broken() {
         eprintln!("FAIL: watchdog detected a delivery-ledger break");
         std::process::exit(1);
     }
-    if !churn.plane.rollup_reconciles() {
+    if !plane.rollup_reconciles() {
         eprintln!("FAIL: sketch roll-up does not reconcile");
         std::process::exit(2);
     }
-    if !churn.plane.within_budget() {
+    if !plane.within_budget() {
         eprintln!("FAIL: telemetry plane exceeded its byte cap");
         std::process::exit(3);
     }

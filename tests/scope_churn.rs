@@ -37,13 +37,13 @@ fn ten_thousand_connection_churn_meets_the_acceptance_bounds() {
     );
     assert!(churn.ledger_ok(), "delivery ledgers balance on every conn");
     assert!(
-        churn.rejects.total() > 0,
+        churn.fleet.rejects.total() > 0,
         "corrupting waves must surface in the reject taxonomy"
     );
 
     // Every completed request is in both the oracle and the plane —
     // nothing sampled away on the counting path.
-    let plane = &churn.plane;
+    let plane = churn.plane();
     let sketch = plane.cluster().sketch();
     assert_eq!(plane.records(), churn.completed);
     assert_eq!(sketch.count(), churn.completed);
@@ -100,6 +100,6 @@ fn ten_thousand_connection_churn_meets_the_acceptance_bounds() {
     );
 
     // The watchdog sampled the whole run and found no ledger break.
-    assert_eq!(churn.watchdog.samples() as usize, churn.waves_run());
-    assert!(!churn.watchdog.ledger_broken());
+    assert_eq!(churn.watchdog().samples() as usize, churn.waves_run());
+    assert!(!churn.watchdog().ledger_broken());
 }

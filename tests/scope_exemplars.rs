@@ -58,8 +58,8 @@ fn churn_telemetry_reproduces_bit_for_bit() {
     b.run();
     assert_eq!(a.completed, b.completed);
     assert_eq!(
-        a.plane.to_prometheus("latency_ns", 64),
-        b.plane.to_prometheus("latency_ns", 64),
+        a.plane().to_prometheus("latency_ns", 64),
+        b.plane().to_prometheus("latency_ns", 64),
         "seeded churn must render identical telemetry"
     );
 }
