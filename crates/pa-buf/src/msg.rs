@@ -34,8 +34,11 @@ impl Msg {
     /// Creates a message holding `payload`, with `headroom` bytes
     /// reserved in front for headers.
     pub fn with_headroom(payload: &[u8], headroom: usize) -> Self {
-        let mut data = vec![0u8; headroom + payload.len()];
-        data[headroom..].copy_from_slice(payload);
+        // Sized once, each byte written once: zeroes for the headroom,
+        // the payload after it.
+        let mut data = Vec::with_capacity(headroom + payload.len());
+        data.resize(headroom, 0);
+        data.extend_from_slice(payload);
         Msg {
             data,
             start: headroom,

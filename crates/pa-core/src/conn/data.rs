@@ -597,6 +597,7 @@ impl Connection {
             effects: &mut self.effects_scratch,
             pool: &mut self.pool,
             filter_passed: false,
+            image_wanted: false,
         };
         let out = call(self.layers[i].as_mut(), &mut ctx);
         self.meter_record(i, phase, t0);
@@ -695,9 +696,8 @@ impl Connection {
         let mut report = PostWorkReport::default();
         loop {
             if send_side {
-                if let Some((msg, _origin)) = self.pending_send.pop_front() {
-                    self.run_post_send(&msg, &mut report);
-                    self.pool.put(msg);
+                if let Some((image, _origin)) = self.pending_send.pop_front() {
+                    self.run_post_send(image, &mut report);
                     continue;
                 }
             }
@@ -710,17 +710,39 @@ impl Connection {
     }
 
     /// Runs post-send phases for one wired frame, top → bottom
-    /// (mirroring pre-send).
-    fn run_post_send(&mut self, msg: &Msg, report: &mut PostWorkReport) {
+    /// (mirroring pre-send), over its image — which then goes to the
+    /// layer that asked to keep it ([`LayerCtx::keep_image`]: the
+    /// window's retransmission copy is the buffer it was shown, not a
+    /// copy of it), or back to the pool. One of several askers is
+    /// handed the image, after the last phase; the others a pooled copy.
+    fn run_post_send(&mut self, image: Msg, report: &mut PostWorkReport) {
         report.post_send_phases += self.layers.len() as u64;
         report.post_send_frames += 1;
         self.stats.post_sends += 1;
+        let mut keeper = None;
         for i in (0..self.layers.len()).rev() {
-            self.run_phase(i, Phase::PostSend, self.order, |layer, ctx| {
-                layer.post_send(ctx, msg)
+            let asked = self.run_phase(i, Phase::PostSend, self.order, |layer, ctx| {
+                layer.post_send(ctx, &image);
+                ctx.image_wanted
             });
+            if asked {
+                if let Some(earlier) = keeper.replace(i) {
+                    let copy = self.pool.take_with(image.as_slice());
+                    self.hand_image(earlier, copy);
+                }
+            }
+        }
+        match keeper {
+            Some(i) => self.hand_image(i, image),
+            None => self.pool.put(image),
         }
         self.run_work();
+    }
+
+    fn hand_image(&mut self, i: usize, image: Msg) {
+        if let Some(declined) = self.layers[i].keep_image(image) {
+            self.pool.put(declined);
+        }
     }
 
     /// Runs post-deliver phases for one received frame, bottom → top.

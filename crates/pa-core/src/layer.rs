@@ -142,6 +142,8 @@ pub struct LayerCtx<'a> {
     /// second time. False for a frame the filter refused and for a
     /// message a layer emitted upward, which the filter never saw.
     pub filter_passed: bool,
+    /// Post-send only: set by [`LayerCtx::keep_image`].
+    pub image_wanted: bool,
 }
 
 impl<'a> LayerCtx<'a> {
@@ -211,6 +213,19 @@ impl<'a> LayerCtx<'a> {
     /// Returns a buffer the layer no longer needs to the pool.
     pub fn put_buf(&mut self, msg: Msg) {
         self.pool.put(msg);
+    }
+
+    /// Post-send only: asks for the frame image this phase was shown.
+    /// The image is a pooled buffer the engine is done with once the
+    /// frame's last post-send phase has run; a layer that would copy it
+    /// (a retransmission copy) asks for the buffer instead and receives
+    /// it through [`Layer::keep_image`] — after its own `post_send`
+    /// returns and before any phase of another frame runs. Every layer
+    /// below still sees the whole image in its `post_send`. If several
+    /// layers of a stack ask, one is handed the image and the others a
+    /// pooled copy each.
+    pub fn keep_image(&mut self) {
+        self.image_wanted = true;
     }
 
     /// Builds a fresh frame for a layer-generated message (ack, nak,
@@ -328,11 +343,22 @@ pub trait Layer: Send {
     /// Periodic timer (retransmission, keepalive). Default: nothing.
     fn on_tick(&mut self, _ctx: &mut LayerCtx<'_>, _now: Nanos) {}
 
+    /// Takes over the frame image (or a copy of it) that this layer's
+    /// `post_send` asked for with [`LayerCtx::keep_image`]; from here on
+    /// the buffer is the layer's, counted in [`Layer::bufs_held`] until
+    /// it is put back or emitted. Returns what it does not keep, which
+    /// the engine puts back in the pool. Default: keeps nothing. A
+    /// layer that wraps another forwards this like every other method.
+    fn keep_image(&mut self, image: Msg) -> Option<Msg> {
+        Some(image)
+    }
+
     /// Buffers this layer holds right now — taken with
-    /// [`LayerCtx::buf_with`] or handed over by the engine, and not yet
-    /// put back or emitted. The term that closes the pool's ledger
-    /// while a layer keeps retransmission copies, a reorder stash or a
-    /// message under reassembly. Default: none.
+    /// [`LayerCtx::buf_with`] or handed over by the engine
+    /// ([`Layer::keep_image`]), and not yet put back or emitted. The
+    /// term that closes the pool's ledger while a layer keeps
+    /// retransmission copies, a reorder stash or a message under
+    /// reassembly. Default: none.
     fn bufs_held(&self) -> usize {
         0
     }
@@ -396,6 +422,7 @@ mod tests {
             effects: &mut effects,
             pool: &mut pool,
             filter_passed: false,
+            image_wanted: false,
         };
         ctx.emit_down(Msg::from_payload(b"ack"));
         ctx.emit_down_unusual(Msg::from_payload(b"rexmit"));
@@ -432,6 +459,7 @@ mod tests {
             effects: &mut effects,
             pool: &mut pool,
             filter_passed: false,
+            image_wanted: false,
         };
         let mut l = NullLayer;
         let mut m = Msg::from_payload(b"data");

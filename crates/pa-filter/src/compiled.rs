@@ -10,11 +10,31 @@
 //! fused. What runs per message is a flat op array over an inline
 //! stack: no layout table walks, no byte-order branches, no heap.
 //!
+//! Fusing also *schedules*. Layers append their fragments in stacking
+//! order, so the paper stack's send filter digests a whole 16 KiB
+//! message for the checksum layer before the fragmentation layer's
+//! four-instruction size guard refuses it. A program is straight-line
+//! and the verifier knows its exact stack depth, so it is a sequence of
+//! *statements* — maximal runs of instructions that leave the stack
+//! empty — and a statement's dependencies can be read off its
+//! instructions (P4 orders match-action stages the same way). A
+//! statement is a *pure guard* when it ends in `ABORT v` with `v` not
+//! PASS and everything before that reads only constants, slots and
+//! sizes: nothing the filter itself writes. A pure guard runs ahead of
+//! every earlier statement that cannot itself decide (holds no `ABORT`
+//! or `RETURN`); nothing ever moves across a statement that can.
+//!
 //! The interpreter ([`crate::interp`]) executes the same [`Program`]
-//! straight from its `Op`s. It is the oracle the differential tests
-//! compare this module against — verdict, frame bytes and the deciding
-//! instruction of a refusal, which [`FusedProgram::run_located`] names
-//! itself: fused instructions are one to one with the program's, so
+//! straight from its `Op`s, in the order they were written. It is the
+//! oracle the differential tests compare this module against, and the
+//! schedule is equivalent to it in this sense: the verdict and the
+//! deciding instruction are identical on every frame; the frame bytes
+//! are identical on every PASS, and on every refusal except one that a
+//! hoisted guard decided, where the fields the statements it overtook
+//! would have written are left untouched — header bytes the engine
+//! strips or recycles on a refusal. Every fused instruction keeps the
+//! index of the `Op` it came from, so [`FusedProgram::run_located`]
+//! names the deciding instruction in the source program's terms and
 //! the engine never re-runs a refused frame to learn where it stopped.
 //!
 //! Patchable slots are not fused in: `run` borrows the caller's slot
@@ -92,6 +112,14 @@ enum FOp {
     Abort(i64),
 }
 
+/// A fused instruction and the index, in the source [`Program`], of the
+/// instruction it was fused from — read only when it refuses a frame.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Inst {
+    op: FOp,
+    pc: u16,
+}
+
 /// Depth of the inline evaluation stack. The verifier rejects any
 /// program needing more than [`crate::program::MAX_STACK`] entries, so
 /// every runnable program fits and fused execution never touches the
@@ -142,9 +170,11 @@ pub struct FuseStats {
 /// four words, so every connection of a stack holds the one fused
 /// program *by value* — its per-message run reaches the instructions
 /// with the loads a private copy would cost, and nothing is fused twice.
+/// They are held in the order they run, each with its source index, in
+/// the one allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedProgram {
-    ops: Arc<[FOp]>,
+    insts: Arc<[Inst]>,
     // Header offsets in bytes: three class headers of at most 65 535
     // bytes each.
     proto_len: u32,
@@ -188,7 +218,7 @@ impl FusedProgram {
                 FOp::PushFieldBits { bit, bits: p.bits }
             }
         };
-        let ops: Arc<[FOp]> = program
+        let mut insts: Arc<[Inst]> = program
             .ops()
             .iter()
             .map(|op| match *op {
@@ -219,9 +249,15 @@ impl FusedProgram {
                 Op::Return(v) => FOp::Return(v),
                 Op::Abort(v) => FOp::Abort(v),
             })
+            .zip(0..)
+            .map(|(op, pc)| Inst { op, pc })
             .collect();
+        schedule(
+            program.ops(),
+            Arc::get_mut(&mut insts).expect("not shared yet"),
+        );
         FusedProgram {
-            ops,
+            insts,
             proto_len: proto as u32,
             gossip_off: (proto + message) as u32,
             body_off: (proto + message + gossip) as u32,
@@ -231,7 +267,7 @@ impl FusedProgram {
 
     /// What the fuse pass resolved, read back off the instructions.
     pub fn stats(&self) -> FuseStats {
-        let count = |pred: fn(&FOp) -> bool| self.ops.iter().filter(|op| pred(op)).count();
+        let count = |pred: fn(&FOp) -> bool| self.insts.iter().filter(|i| pred(&i.op)).count();
         let byte_aligned = count(|op| {
             matches!(
                 op,
@@ -244,7 +280,7 @@ impl FusedProgram {
         let bit_fallback =
             count(|op| matches!(op, FOp::PushFieldBits { .. } | FOp::PopFieldBits { .. }));
         FuseStats {
-            ops: self.ops.len(),
+            ops: self.insts.len(),
             field_ops: byte_aligned + bit_fallback,
             byte_aligned,
             bit_fallback,
@@ -261,12 +297,18 @@ impl FusedProgram {
 
     /// Number of fused instructions.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.insts.len()
     }
 
     /// True if the program has no instructions.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.insts.is_empty()
+    }
+
+    /// The schedule: the source [`Program`]'s instruction indices in the
+    /// order this program runs them.
+    pub fn source_pcs(&self) -> impl Iterator<Item = u16> + '_ {
+        self.insts.iter().map(|i| i.pc)
     }
 
     /// Runs against the raw frame bytes of `msg`. Allocation-free: the
@@ -306,8 +348,8 @@ impl FusedProgram {
         let total = msg.len();
         let body_off = self.body_off as usize;
         let buf = msg.as_mut_slice();
-        for (pc, op) in self.ops.iter().enumerate() {
-            match *op {
+        for inst in self.insts.iter() {
+            match inst.op {
                 FOp::PushConst(v) => stack.push(v),
                 FOp::PushSlot(s) => stack.push(slots[s as usize]),
                 FOp::PushFieldBe { off, len } => {
@@ -363,10 +405,10 @@ impl FusedProgram {
                 FOp::Drop => {
                     stack.pop();
                 }
-                FOp::Return(v) => return located(v, pc),
+                FOp::Return(v) => return located(v, inst.pc),
                 FOp::Abort(v) => {
                     if stack.pop() != 0 {
-                        return located(v, pc);
+                        return located(v, inst.pc);
                     }
                 }
             }
@@ -375,11 +417,49 @@ impl FusedProgram {
     }
 }
 
-/// Verdict `v`, decided at instruction `pc` — which is only worth
-/// naming if it is not a PASS.
+/// Verdict `v`, decided at source instruction `pc` — which is only
+/// worth naming if it is not a PASS.
 #[inline(always)]
-fn located(v: Verdict, pc: usize) -> (Verdict, Option<u16>) {
-    (v, (v != crate::PASS).then_some(pc as u16))
+fn located(v: Verdict, pc: u16) -> (Verdict, Option<u16>) {
+    (v, (v != crate::PASS).then_some(pc))
+}
+
+/// Reorders `insts` — one per `ops`, in that order — into the order
+/// they run: each pure guard ahead of the non-deciding statements just
+/// before it (the module's description has the definitions and what the
+/// reordering preserves). In place; guards keep their relative order,
+/// behind every deciding statement that preceded them.
+fn schedule(ops: &[Op], insts: &mut [Inst]) {
+    // `start`: where the statement being read begins. `run`: where the
+    // run of non-deciding statements that ends there begins, in `insts`
+    // as reordered so far (nothing at or after `start` has moved yet).
+    let (mut start, mut run, mut depth) = (0, 0, 0u32);
+    // Of the statement being read: it can decide; it does something a
+    // pure guard may not do before its last instruction.
+    let (mut decides, mut impure) = (false, false);
+    for (pc, op) in ops.iter().enumerate() {
+        let (pops, pushes) = op.stack_effect();
+        depth = depth - pops + pushes;
+        let guard = depth == 0 && !impure && matches!(*op, Op::Abort(v) if v != crate::PASS);
+        match op {
+            Op::Abort(_) | Op::Return(_) => (decides, impure) = (true, true),
+            Op::PushField(_) | Op::PopField(_) | Op::Digest(_) | Op::DigestHeaders(_) => {
+                impure = true
+            }
+            _ => {}
+        }
+        if depth != 0 {
+            continue;
+        }
+        let end = pc + 1;
+        if guard {
+            insts[run..end].rotate_right(end - start);
+            run += end - start;
+        } else if decides {
+            run = end;
+        }
+        (start, decides, impure) = (end, false, false);
+    }
 }
 
 /// The inline operand stack. Depth was bounded by the verifier, so no
@@ -487,8 +567,11 @@ mod tests {
         m
     }
 
-    /// Runs a program through the interpreter and the fused engine;
-    /// asserts identical verdicts and identical resulting frames.
+    /// Runs a program through the interpreter and the fused engine and
+    /// asserts the equivalence the module states: verdict and deciding
+    /// instruction always, and the frame bytes of the interpreter run in
+    /// the scheduled order — which are those of the program as written
+    /// unless a guard that ran ahead of its place refused the frame.
     fn agree(layout: &CompiledLayout, program: &Program, payload: &[u8]) -> Verdict {
         agree_in(layout, program, payload, ByteOrder::Big)
     }
@@ -499,18 +582,133 @@ mod tests {
         payload: &[u8],
         order: ByteOrder,
     ) -> Verdict {
-        let mut m1 = frame_msg(layout, payload);
-        let mut m2 = m1.clone();
-        let (v1, at) = {
-            let mut frame = Frame::new(&mut m1, layout, order);
-            interp::run_traced(program, program.slots(), &mut frame)
+        let by_interp = |program: &Program| {
+            let mut m = frame_msg(layout, payload);
+            let mut frame = Frame::new(&mut m, layout, order);
+            let (v, at) = interp::run_traced(program, program.slots(), &mut frame);
+            (v, at.map(|at| at.pc), m)
         };
+        let (v1, at, m1) = by_interp(program);
         let fused = FusedProgram::fuse(program, layout, order);
+        let mut m2 = frame_msg(layout, payload);
         let (v2, pc) = fused.run_located(program.slots(), &mut m2);
         assert_eq!(v1, v2, "fused verdict mismatch");
-        assert_eq!(at.map(|at| at.pc), pc, "fused reject pc mismatch");
-        assert_eq!(m1, m2, "fused frame mutation mismatch");
+        assert_eq!(at, pc, "fused reject pc mismatch");
+
+        let schedule: Vec<u16> = fused.source_pcs().collect();
+        let mut b = ProgramBuilder::new();
+        for &v in program.slots() {
+            b.alloc_slot(v);
+        }
+        b.extend(schedule.iter().map(|&pc| program.ops()[pc as usize]));
+        let (v3, ran_at, m3) = by_interp(&b.build().unwrap());
+        assert_eq!(v3, v1, "scheduled verdict mismatch");
+        assert_eq!(m2, m3, "fused frame mutation mismatch");
+        if ran_at.is_none_or(|i| schedule[i as usize] == i) {
+            assert_eq!(m1, m2, "frame differs from the program as written");
+        }
         v1
+    }
+
+    fn order_of(layout: &CompiledLayout, ops: Vec<Op>) -> (Program, Vec<u16>) {
+        let mut b = ProgramBuilder::new();
+        b.alloc_slot(7);
+        b.extend(ops);
+        let p = b.build().unwrap();
+        let order = FusedProgram::fuse(&p, layout, ByteOrder::Big)
+            .source_pcs()
+            .collect();
+        (p, order)
+    }
+
+    #[test]
+    fn a_size_guard_runs_ahead_of_the_digest_it_makes_pointless() {
+        // The paper stack's send filter: checksum's two fills, then
+        // frag's guard.
+        let (layout, _, len_f, ck) = fixture();
+        let (p, order) = order_of(
+            &layout,
+            vec![
+                Op::PushBodySize,
+                Op::PopField(len_f),
+                Op::DigestHeaders(DigestKind::InternetChecksum),
+                Op::PopField(ck),
+                Op::PushBodySize,
+                Op::PushConst(16),
+                Op::Gt,
+                Op::Abort(32),
+            ],
+        );
+        assert_eq!(order, [4, 5, 6, 7, 0, 1, 2, 3]);
+        // Under the bound the fills run as written.
+        assert_eq!(agree(&layout, &p, b"sixteen or fewer"), 0);
+        // Over it the guard refuses, named by its place in the source,
+        // before either fill has touched the frame.
+        let fused = FusedProgram::fuse(&p, &layout, ByteOrder::Big);
+        let mut m = frame_msg(&layout, b"seventeen or more");
+        let untouched = m.clone();
+        assert_eq!(fused.run_located(p.slots(), &mut m), (32, Some(7)));
+        assert_eq!(m, untouched);
+        assert_eq!(agree(&layout, &p, b"seventeen or more"), 32);
+        // The statistics count instructions, wherever they run.
+        assert_eq!(fused.stats().ops, 8);
+        assert_eq!(fused.stats().byte_aligned, 2);
+    }
+
+    #[test]
+    fn nothing_moves_across_a_statement_that_can_decide() {
+        let (layout, seq, len_f, _) = fixture();
+        let guard = |bound, v| [Op::PushBodySize, Op::PushConst(bound), Op::Gt, Op::Abort(v)];
+        let mut ops = vec![Op::PushField(seq), Op::PushConst(0), Op::Ne, Op::Abort(4)];
+        ops.extend([Op::PushBodySize, Op::PopField(len_f)]);
+        ops.extend(guard(3, 5));
+        ops.extend([Op::PushSlot(crate::SlotId(0)), Op::PopField(len_f)]);
+        ops.extend(guard(9, 6));
+        let (p, order) = order_of(&layout, ops);
+        // Both guards overtake the fills and neither the field check;
+        // the second stays behind the first.
+        assert_eq!(
+            order,
+            [0, 1, 2, 3, 6, 7, 8, 9, 12, 13, 14, 15, 4, 5, 10, 11]
+        );
+        assert_eq!(agree(&layout, &p, b"ab"), 0);
+        assert_eq!(agree(&layout, &p, b"abcdef"), 5);
+        // A closing RETURN is a statement that decides.
+        let mut ops = vec![Op::PushSize, Op::PopField(len_f)];
+        ops.extend(guard(3, 5));
+        ops.push(Op::Return(0));
+        assert_eq!(order_of(&layout, ops).1, [2, 3, 4, 5, 0, 1, 6]);
+    }
+
+    #[test]
+    fn only_a_pure_guard_moves() {
+        let (layout, _, len_f, ck) = fixture();
+        let fill = [Op::PushBodySize, Op::PopField(len_f)];
+        let stays = |tail: &[Op]| {
+            let ops: Vec<Op> = fill.iter().chain(tail).copied().collect();
+            let n = ops.len() as u16;
+            let (p, order) = order_of(&layout, ops);
+            assert_eq!(order, (0..n).collect::<Vec<_>>(), "{:?}", p.ops());
+            agree(&layout, &p, b"abcdef")
+        };
+        // It reads a field — the very one the fill before it writes.
+        stays(&[Op::PushField(len_f), Op::PushConst(3), Op::Gt, Op::Abort(5)]);
+        // It digests.
+        stays(&[Op::Digest(DigestKind::Xor8), Op::Abort(5)]);
+        // It writes a field on its way.
+        stays(&[Op::PushSize, Op::Dup, Op::PopField(ck), Op::Abort(5)]);
+        // It aborts twice: the first abort is not its last instruction.
+        stays(&[
+            Op::PushConst(0),
+            Op::PushConst(1),
+            Op::Abort(5),
+            Op::Abort(6),
+        ]);
+        // It ends in `ABORT PASS`: ahead of the fill it would pass a
+        // frame the fill had not written yet.
+        assert_eq!(stays(&[Op::PushConst(1), Op::Abort(crate::PASS)]), 0);
+        // It does not end in an abort at all.
+        stays(&[Op::PushSize, Op::Drop]);
     }
 
     #[test]

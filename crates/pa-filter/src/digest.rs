@@ -33,37 +33,43 @@ impl DigestKind {
     pub fn compute_multi(self, parts: &[&[u8]]) -> u64 {
         match self {
             DigestKind::InternetChecksum => {
-                // Streaming one's-complement sum with global byte-
-                // position parity across part boundaries. Summed in
-                // 16-bit big-endian words (RFC 1071) rather than byte
-                // by byte — this runs inside the packet filter on every
-                // fast-path send and deliver, so the word loop (which
-                // the compiler unrolls and vectorizes) is hot-path
-                // relevant. Bit-identical to the byte formulation.
-                let mut sum = 0u32;
+                // Streaming one's-complement sum of 16-bit big-endian
+                // words (RFC 1071) with global byte-position parity
+                // across part boundaries. This runs inside the packet
+                // filter on every fast-path send and deliver, over
+                // parts of a few bytes each; the long middle of a part
+                // that has one goes through the wide kernel instead.
+                let mut sum = 0u64;
                 let mut odd = false;
                 for part in parts {
                     let mut p: &[u8] = part;
                     if odd && !p.is_empty() {
                         // A part beginning at an odd global offset
                         // contributes its first byte in the low lane.
-                        sum += p[0] as u32;
+                        sum += p[0] as u64;
                         p = &p[1..];
                         odd = false;
                     }
+                    if p.len() >= WIDE_FROM {
+                        // `p` begins at an even offset here, so its
+                        // blocks' words are the stream's words.
+                        let (blocks, rest) = p.split_at(p.len() & !31);
+                        sum += u16::from_be(fold16(wide_sum_ne(blocks))) as u64;
+                        p = rest;
+                    }
+                    // Under `WIDE_FROM` bytes are left: 32 bits hold them.
+                    let mut words = 0u32;
                     let mut chunks = p.chunks_exact(2);
                     for c in &mut chunks {
-                        sum += u16::from_be_bytes([c[0], c[1]]) as u32;
+                        words += u16::from_be_bytes([c[0], c[1]]) as u32;
                     }
                     if let [last] = chunks.remainder() {
-                        sum += (*last as u32) << 8;
+                        words += (*last as u32) << 8;
                         odd = true;
                     }
+                    sum += words as u64;
                 }
-                while sum >> 16 != 0 {
-                    sum = (sum & 0xFFFF) + (sum >> 16);
-                }
-                (!(sum as u16)) as u64
+                (!fold16(sum)) as u64
             }
             DigestKind::Crc32 => {
                 let mut crc = 0xFFFF_FFFFu32;
@@ -97,21 +103,64 @@ impl fmt::Display for DigestKind {
     }
 }
 
-/// RFC 1071 Internet checksum (one's-complement sum of 16-bit words,
-/// odd trailing byte padded with zero).
-pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum = 0u32;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u16::from_be_bytes([c[0], c[1]]) as u32;
+/// Length from which a part's 32-byte blocks go through
+/// [`wide_sum_ne`]. Below it the word loop is as fast and an 8-byte
+/// echo's digest (parts of 5, 4 and 9 bytes) pays for nothing new.
+const WIDE_FROM: usize = 64;
+
+/// The one's-complement sum of `blocks` — a whole number of 32-byte
+/// blocks — read as native-endian 16-bit words, not yet folded.
+///
+/// This is the loop the packet filter spends a large message in, once a
+/// side. It adds 32-bit words into four independent 64-bit lanes, 32
+/// bytes an iteration, which the compiler vectorises; the carries the
+/// 16-bit formulation folds in as it goes collect in the lanes' upper
+/// halves instead and [`fold16`] brings them round at the end. The sum
+/// is byte-order independent (RFC 1071 §2(B)): folded and byte-swapped
+/// once, this native-endian one is the big-endian one. A lane gains
+/// under 2^33 an iteration, so nothing overflows below 2^36 bytes.
+fn wide_sum_ne(blocks: &[u8]) -> u64 {
+    let mut lanes = [0u64; 4];
+    for b in blocks.chunks_exact(32) {
+        let w = |i: usize| u32::from_ne_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]) as u64;
+        lanes[0] += w(0) + w(16);
+        lanes[1] += w(4) + w(20);
+        lanes[2] += w(8) + w(24);
+        lanes[3] += w(12) + w(28);
     }
-    if let [last] = chunks.remainder() {
-        sum += u16::from_be_bytes([*last, 0]) as u32;
-    }
+    // One end-around carry each: under 2^33, so the four add up.
+    lanes.iter().map(|&l| (l & 0xFFFF_FFFF) + (l >> 32)).sum()
+}
+
+/// Folds a one's-complement sum to 16 bits, end-around carry: zero only
+/// for a sum of zero, `0xFFFF` for every other multiple of it.
+fn fold16(mut sum: u64) -> u16 {
     while sum >> 16 != 0 {
         sum = (sum & 0xFFFF) + (sum >> 16);
     }
-    !(sum as u16)
+    sum as u16
+}
+
+/// RFC 1071 Internet checksum (one's-complement sum of 16-bit words,
+/// odd trailing byte padded with zero), one big-endian word at a time:
+/// the formulation [`DigestKind::InternetChecksum`] is checked against.
+pub fn internet_checksum(data: &[u8]) -> u16 {
+    let mut sum = 0u64;
+    // 32 768 words a block: a block's sum fits 32 bits, however long
+    // the input. Blocks are of even length, so only the last can end in
+    // an odd byte.
+    for block in data.chunks(1 << 16) {
+        let mut acc = 0u32;
+        let mut chunks = block.chunks_exact(2);
+        for c in &mut chunks {
+            acc += u16::from_be_bytes([c[0], c[1]]) as u32;
+        }
+        if let [last] = chunks.remainder() {
+            acc += u16::from_be_bytes([*last, 0]) as u32;
+        }
+        sum += acc as u64;
+    }
+    !fold16(sum)
 }
 
 /// Bit-reflected CRC-32 (polynomial 0xEDB88320), tableless.
@@ -211,6 +260,44 @@ mod tests {
         let a = DigestKind::InternetChecksum.compute_multi(&[b"abc", b"def"]);
         let b = DigestKind::InternetChecksum.compute_multi(&[b"abd", b"def"]);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn wide_kernel_matches_the_word_loop_at_every_length_alignment_and_split() {
+        let data: Vec<u8> = (0..304u32).map(|i| (i * 197 + 13) as u8).collect();
+        for align in 0..3 {
+            for len in 0..=300 {
+                let d = &data[align..align + len];
+                let want = internet_checksum(d) as u64;
+                assert_eq!(
+                    DigestKind::InternetChecksum.compute(d),
+                    want,
+                    "{align}+{len}"
+                );
+                for cut in 0..=len {
+                    let parts = [&d[..cut], &d[cut..]];
+                    let got = DigestKind::InternetChecksum.compute_multi(&parts);
+                    assert_eq!(got, want, "{align}+{len} cut at {cut}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_ones_input_past_128_kib_folds_instead_of_overflowing() {
+        // 65 537 words of 0xFFFF overflow a 32-bit accumulator: a panic
+        // in a debug build, a wrong sum in release.
+        for len in [140_000usize, 140_001, 64 * 1024] {
+            let data = vec![0xFFu8; len];
+            let mut sum: u128 = (len as u128 / 2) * 0xFFFF + (len as u128 % 2) * 0xFF00;
+            while sum >> 16 != 0 {
+                sum = (sum & 0xFFFF) + (sum >> 16);
+            }
+            let want = !(sum as u16);
+            assert_eq!(internet_checksum(&data), want, "oracle, {len}");
+            let got = DigestKind::InternetChecksum.compute(&data);
+            assert_eq!(got, want as u64, "{len}");
+        }
     }
 
     #[test]

@@ -300,6 +300,7 @@ mod tests {
                 effects: &mut effects,
                 pool: &mut pool,
                 filter_passed,
+                image_wanted: false,
             };
             let action = layer.pre_deliver(&mut ctx, &mut frame);
             assert_eq!(matches!(action, DeliverAction::Drop(_)), dropped);

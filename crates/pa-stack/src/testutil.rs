@@ -42,6 +42,9 @@ impl<L: Layer> Layer for Shared<L> {
     fn on_tick(&mut self, ctx: &mut LayerCtx<'_>, now: Nanos) {
         self.0.lock().unwrap().on_tick(ctx, now)
     }
+    fn keep_image(&mut self, image: Msg) -> Option<Msg> {
+        self.0.lock().unwrap().keep_image(image)
+    }
     fn bufs_held(&self) -> usize {
         self.0.lock().unwrap().bufs_held()
     }

@@ -17,10 +17,13 @@
 //! - out-of-order arrivals are consumed into a reorder buffer and
 //!   released in sequence.
 //!
-//! What the layer keeps — a copy of every unacknowledged frame, of
-//! every early arrival — it keeps in buffers of the connection's pool
-//! ([`LayerCtx::buf_with`]) and puts back when the acknowledgement
-//! comes in; a released stash travels upward in its own buffer.
+//! What the layer keeps, it keeps in buffers of the connection's pool
+//! and puts back when the acknowledgement comes in. Its copy of an
+//! unacknowledged frame is the image its post-send phase was shown,
+//! asked for there ([`LayerCtx::keep_image`]) and handed over once the
+//! layers below have seen it too — not a second copy; an early arrival
+//! is copied ([`LayerCtx::buf_with`]) and the released stash travels
+//! upward in its own buffer.
 
 use pa_buf::Msg;
 use pa_core::{DeliverAction, DisableReason, InitCtx, Layer, LayerCtx, Nanos, SendAction};
@@ -88,6 +91,9 @@ pub struct WindowLayer {
     inflight: VecDeque<InFlight>,
     wait_q: VecDeque<Msg>,
     fast_disabled: bool,
+    /// The newest in-flight entry's frame is still to come: post-send
+    /// asked for the image, [`Layer::keep_image`] has not filed it yet.
+    awaiting_image: bool,
     /// Messages whose sequence number is assigned (pre-send or wait-q
     /// drain) but whose post-send has not yet stored them — keeps
     /// sequence assignment collision-free across the lazy-post gap.
@@ -115,6 +121,7 @@ impl WindowLayer {
             inflight: VecDeque::new(),
             wait_q: VecDeque::new(),
             fast_disabled: false,
+            awaiting_image: false,
             drained: 0,
             expected: 0,
             reorder: BTreeMap::new(),
@@ -277,9 +284,13 @@ impl Layer for WindowLayer {
             self.drained -= 1;
         }
         if seq >= self.acked_upto {
+            // The retransmission copy is this image itself, filed by
+            // `keep_image` below; until then the entry holds no buffer.
+            ctx.keep_image();
+            self.awaiting_image = true;
             self.inflight.push_back(InFlight {
                 seq,
-                frame: ctx.buf_with(msg.as_slice()),
+                frame: Msg::from_wire(Vec::new()),
                 sent_at: ctx.now,
                 rto: self.cfg.rto,
                 retransmits: 0,
@@ -382,6 +393,18 @@ impl Layer for WindowLayer {
         // still find the connection (§2.2).
         let again = ctx.buf_with(head.frame.as_slice());
         ctx.emit_down_unusual(again);
+    }
+
+    fn keep_image(&mut self, image: Msg) -> Option<Msg> {
+        if !std::mem::take(&mut self.awaiting_image) {
+            return Some(image);
+        }
+        let filed = self
+            .inflight
+            .back_mut()
+            .expect("pushed by the post-send that asked");
+        filed.frame = image;
+        None
     }
 
     fn bufs_held(&self) -> usize {

@@ -7,7 +7,7 @@ use pa::core::{Connection, ConnectionParams, PaConfig};
 use pa::stack::window::WindowConfig;
 use pa::stack::{StackSpec, WindowLayer};
 use pa::unet::{FaultConfig, LinkProfile, Netif, SimNet};
-use pa::wire::EndpointAddr;
+use pa::wire::{Class, EndpointAddr};
 
 fn conn(spec: &StackSpec, cfg: PaConfig, local: u64, peer: u64, seed: u64) -> Connection {
     Connection::new(
@@ -263,4 +263,77 @@ fn minimal_window_only_stack_end_to_end() {
     }
     let got = drive(&mut a, &mut b, &mut net, 5_000);
     assert_eq!(got.len(), 20);
+}
+
+#[test]
+fn a_mebibyte_of_ones_is_digested_without_overflow() {
+    // 65 537 words of 0xFFFF overflow a 32-bit one's-complement
+    // accumulator, and frag lets 4 MiB through: a send this size was a
+    // panic ("attempt to add with overflow") in a debug build — which
+    // tier-1 is; a release-only run computes a wrong sum on both sides
+    // and passes — from a filter whose contract is that it cannot trap.
+    // The speculative fast-path run digests the whole message.
+    let payload = vec![0xFFu8; 1 << 20];
+    let spec = StackSpec::paper();
+    let mut a = conn(&spec, PaConfig::paper_default(), 1, 2, 71);
+    let mut b = conn(&spec, PaConfig::paper_default(), 2, 1, 72);
+    a.send(&payload);
+    let mut net = SimNet::atm();
+    let got = drive(&mut a, &mut b, &mut net, 20_000);
+    assert_eq!(got.len(), 1);
+    assert!(got[0] == payload, "reassembled byte for byte");
+}
+
+#[test]
+fn every_window_of_a_stack_retransmits_the_whole_frame() {
+    // Two window layers both ask to keep a sent frame's image: one is
+    // handed the image, the other a copy, and each must hold the whole
+    // frame. Lose a frame and let the timers fire: what each window
+    // sends again is the original, header and body.
+    for spec in [StackSpec::paper_doubled_window(), StackSpec::extended()] {
+        let mut a = conn(&spec, PaConfig::paper_default(), 1, 2, 81);
+        let mut b = conn(&spec, PaConfig::paper_default(), 2, 1, 82);
+        a.send(b"first, to bind the cookies");
+        let mut net = SimNet::atm();
+        drive(&mut a, &mut b, &mut net, 2_000);
+
+        a.send(b"lost on the way");
+        a.process_pending();
+        let lost = a.poll_transmit().expect("the frame").to_wire();
+        assert!(a.poll_transmit().is_none());
+        let keepers = spec.window_copies;
+        assert_eq!(a.bufs_held_by_layers(), keepers, "a copy a window");
+
+        a.tick(3_000_000_000);
+        let mut again = Vec::new();
+        while let Some(f) = a.poll_transmit() {
+            again.push(f.to_wire());
+        }
+        let class_len = |c| a.layout().class_len(c);
+        let ident = class_len(Class::ConnId);
+        // (The extended stack's heartbeat is due as well: an empty body.)
+        again.retain(|f| f.len() == lost.len() + ident);
+        assert_eq!(again.len(), keepers, "each window retransmits");
+        let proto = class_len(Class::Protocol);
+        let rest = proto + class_len(Class::Message);
+        for (i, frame) in again.iter().enumerate() {
+            // A retransmission is unusual: it carries the connection
+            // identification between the preamble and the frame.
+            let (sent, resent) = (&lost[8..], &frame[8 + ident..]);
+            // Gossip header and body, as kept. (The send filter fills
+            // the message-specific header in anew on every pass: the
+            // extended stack's timestamp moves.)
+            assert_eq!(resent[rest..], sent[rest..], "window {i}");
+            // The bottom window's protocol header too; an upper one's
+            // passes the windows below it, which sequence it afresh.
+            if i == 0 {
+                assert_eq!(resent[..proto], sent[..proto], "window {i}");
+            }
+        }
+        for f in again {
+            b.deliver_frame(pa::buf::Msg::from_wire(f));
+        }
+        let got = drive(&mut a, &mut b, &mut net, 2_000);
+        assert_eq!(got, vec![b"lost on the way".to_vec()]);
+    }
 }

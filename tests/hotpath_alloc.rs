@@ -156,8 +156,8 @@ fn steady_state_fast_path_is_allocation_free() {
         );
     }
     // The window's copy of a frame the peer has not acknowledged yet
-    // is a take of its own, put back when the ack comes in: what the
-    // layers hold closes the ledger.
+    // is the image taken for the frame's post phases, put back when the
+    // ack comes in: what the layers hold closes the ledger.
     let (pa, pb) = (a.pool_stats(), b.pool_stats());
     let held = (a.bufs_held_by_layers() + b.bufs_held_by_layers()) as u64;
     assert_eq!(
@@ -459,6 +459,8 @@ fn one_way_bulk_costs_the_receiver_nothing_and_the_sender_its_frames() {
         bulk_transfer(&mut a, &mut b, &payload, &mut wire, &mut msgs);
     }
     let delivered0 = b.stats().msgs_delivered;
+    let takes = |c: &Connection| c.pool_stats().hits + c.pool_stats().misses;
+    let takes0 = takes(&a);
     let (mut by_a, mut by_b, mut frames) = (0, 0, 0);
     const MESSAGES: usize = 256;
     for _ in 0..MESSAGES {
@@ -486,6 +488,16 @@ fn one_way_bulk_costs_the_receiver_nothing_and_the_sender_its_frames() {
         "the sender allocated {by_a} times for {frames} frames"
     );
     assert!(by_a >= frames / 2, "and it cannot do without them: {by_a}");
+    // What the sender takes from its pool, exactly: a message's staging
+    // buffer, a buffer a fragment, an image a frame — which the window
+    // then keeps as its retransmission copy instead of taking another
+    // five buffers to copy the images into. (An acknowledgement that
+    // comes back is consumed in the buffer it arrived in.)
+    assert_eq!(
+        takes(&a) - takes0,
+        (1 + 5 + 5) * MESSAGES as u64,
+        "pool takes a message"
+    );
     assert_eq!(a.stats().fast_sends, 0);
     assert!(a.stats().delivery_balanced() && b.stats().delivery_balanced());
 }
@@ -725,7 +737,8 @@ fn connection_setup_allocates_only_what_it_keeps() {
 ///   placement lists, the packer's two scratch buffers;
 /// - 9 the filters: per direction a fitted copy of the instructions
 ///   (and, sending, the slots), the span table, and the two fused forms'
-///   shared instruction arrays;
+///   shared instruction arrays — one allocation each, source indices
+///   included, scheduled in place: the schedule allocates nothing;
 /// - 1 the plan's `Arc`, and at most 1 the registry's list growing.
 #[test]
 fn first_connection_of_a_stack_pays_for_the_plan_once() {

@@ -367,7 +367,12 @@ fn full_deliver_path_is_total_over_arbitrary_bytes() {
 // ---------------------------------------------------------------------
 // Packet filter: programs that pass verification never panic at run
 // time, whatever the frame contents — and the fused program the engine
-// runs agrees with the interpreter, verdict and frame bytes.
+// runs agrees with the interpreter: verdict and deciding instruction on
+// every frame; frame bytes on every pass, and on every refusal except
+// one decided by a guard the fuse pass scheduled ahead of its place,
+// where the bytes are those of the interpreter run in the scheduled
+// order (what the overtaken statements would have written is left
+// unwritten).
 // ---------------------------------------------------------------------
 
 /// Field widths of the random layouts: sub-byte, unaligned, byte-aligned
@@ -420,10 +425,96 @@ fn rand_op(
     }
 }
 
+/// One statement of a filter program — a maximal run of instructions
+/// that leaves the stack empty — classified the way the fuse pass's
+/// schedule is specified, from the instructions alone.
+struct Statement {
+    start: usize,
+    end: usize,
+    /// Holds an `ABORT` or a `RETURN`.
+    decides: bool,
+    /// Ends in `ABORT v`, `v` not PASS, and before that reads nothing
+    /// but constants, slots and sizes.
+    pure_guard: bool,
+}
+
+fn statements(ops: &[Op]) -> Vec<Statement> {
+    let (mut out, mut start, mut depth) = (Vec::new(), 0, 0);
+    for (pc, op) in ops.iter().enumerate() {
+        let (pops, pushes) = op.stack_effect();
+        depth = depth - pops + pushes;
+        if depth == 0 || pc + 1 == ops.len() {
+            let body = &ops[start..pc];
+            let plain = |op: &Op| {
+                !matches!(
+                    op,
+                    Op::PushField(_)
+                        | Op::PopField(_)
+                        | Op::Digest(_)
+                        | Op::DigestHeaders(_)
+                        | Op::Abort(_)
+                        | Op::Return(_)
+                )
+            };
+            out.push(Statement {
+                start,
+                end: pc + 1,
+                decides: ops[start..=pc]
+                    .iter()
+                    .any(|op| matches!(op, Op::Abort(_) | Op::Return(_))),
+                pure_guard: depth == 0
+                    && matches!(*op, Op::Abort(v) if v != pa::filter::PASS)
+                    && body.iter().all(plain),
+            });
+            start = pc + 1;
+        }
+    }
+    out
+}
+
+/// Checks `order` — the source indices of a fused program's
+/// instructions in the order they run — against the rules of the
+/// schedule. Returns true if anything moved.
+fn check_schedule(ops: &[Op], order: &[u16], ctx: &str) -> bool {
+    let mut seen = order.to_vec();
+    seen.sort_unstable();
+    let all: Vec<u16> = (0..ops.len() as u16).collect();
+    assert_eq!(seen, all, "a permutation, {ctx}");
+    let ran_at = |pc: usize| {
+        order
+            .iter()
+            .position(|&p| p as usize == pc)
+            .expect("present")
+    };
+    let stmts = statements(ops);
+    for s in &stmts {
+        // A statement stays in one piece.
+        let at = ran_at(s.start);
+        let piece: Vec<u16> = (s.start as u16..s.end as u16).collect();
+        assert_eq!(&order[at..at + piece.len()], &piece[..], "{ctx}");
+    }
+    for (i, a) in stmts.iter().enumerate() {
+        for b in &stmts[i + 1..] {
+            if ran_at(b.start) < ran_at(a.start) {
+                // Only a pure guard overtakes — a guard that reads a
+                // field does not — and only what cannot decide.
+                assert!(
+                    b.pure_guard && !a.decides,
+                    "{a:?} / {b:?}, {ctx}",
+                    a = a.start,
+                    b = b.start
+                );
+            }
+        }
+    }
+    order.iter().enumerate().any(|(i, &p)| i != p as usize)
+}
+
 #[test]
 fn verified_filters_never_panic() {
     let mut rng = SplitMix64::new(0x6669_6c74_6572_0001);
     let (mut ran, mut bit_ops, mut short, mut located) = (0, 0, 0, 0);
+    let (mut moved, mut hoisted_refusals) = (0, 0);
     for case in 0..1024 {
         let mut b = LayoutBuilder::new();
         b.begin_layer("l");
@@ -469,7 +560,34 @@ fn verified_filters_never_panic() {
             let (got, got_at) = fused.run_located(program.slots(), &mut by_fused);
             let ctx = format!("case {case} {order:?}: {:?}", program.ops());
             assert_eq!(got, want, "verdict, {ctx}");
-            assert_eq!(by_fused, by_interp, "frame bytes, {ctx}");
+            // The schedule obeys its rules, and the fused run is the
+            // interpreter's over the program in the scheduled order,
+            // byte for byte.
+            let schedule: Vec<u16> = fused.source_pcs().collect();
+            moved += check_schedule(program.ops(), &schedule, &ctx) as usize;
+            let mut sb = ProgramBuilder::new();
+            sb.alloc_slot(program.slots()[0]);
+            sb.extend(schedule.iter().map(|&pc| program.ops()[pc as usize]));
+            let scheduled = sb.build().expect("statements moved whole still verify");
+            let mut by_scheduled = Msg::from_wire(wire.clone());
+            let (sv, s_at) = {
+                let mut frame = pa::filter::Frame::new(&mut by_scheduled, &layout, order);
+                pa::filter::run_traced(&scheduled, scheduled.slots(), &mut frame)
+            };
+            assert_eq!(sv, want, "scheduled verdict, {ctx}");
+            assert_eq!(by_fused, by_scheduled, "frame bytes as scheduled, {ctx}");
+            // Against the program as written: the same bytes, unless a
+            // guard that ran ahead of its place refused the frame (case
+            // 209 has an `ABORT 0` — a PASS — mid-program, which is why
+            // such an abort is no guard: ahead of its place it would
+            // pass a frame the statements before it had not written).
+            let hoisted = s_at.is_some_and(|at| at.pc != schedule[at.pc as usize]);
+            if hoisted {
+                assert!(want != pa::filter::PASS, "{ctx}");
+                hoisted_refusals += 1;
+            } else {
+                assert_eq!(by_fused, by_interp, "frame bytes, {ctx}");
+            }
             assert_eq!(want == pa::filter::SHORT_FRAME, wire.len() < hdr, "{ctx}");
             // The fused run names the instruction the oracle does — on
             // every refusal but a short frame's, and on no pass.
@@ -487,6 +605,55 @@ fn verified_filters_never_panic() {
     assert!(bit_ops > 500, "bit-field ops fused: {bit_ops}");
     assert!(short > 50, "short frames refused: {short}");
     assert!(located > 200, "refusals located: {located}");
+    assert!(moved > 40, "programs the schedule reordered: {moved}");
+    assert!(
+        hoisted_refusals > 20,
+        "refusals by a hoisted guard: {hoisted_refusals}"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Digests: what the filter runs (`compute_multi`, over parts, the
+// Internet checksum 32 bytes at a time) is the plain formulation over
+// the concatenation — any length, alignment and split.
+// ---------------------------------------------------------------------
+
+#[test]
+fn digests_over_parts_equal_the_plain_ones_over_the_whole() {
+    use pa::filter::digest::{crc32, internet_checksum};
+    use pa::filter::DigestKind;
+    let mut rng = SplitMix64::new(0x6469_6765_7374_0001);
+    let arena: Vec<u8> = (0..70_016).map(|_| rng.next_u64() as u8).collect();
+    for case in 0..160 {
+        // Short inputs as often as long ones; one case in eight all
+        // ones, where every carry there can be is taken.
+        let max = [70, 700, 7_000, 70_000][case % 4];
+        let (align, len) = (rng.gen_index(16), rng.gen_index(max + 1));
+        let ones = vec![0xFFu8; len];
+        let data = if case % 8 == 7 {
+            &ones[..]
+        } else {
+            &arena[align..align + len]
+        };
+        // One to four parts; a cut falls on an odd offset half the time
+        // and parts may be empty.
+        let mut cuts: Vec<usize> = (0..rng.gen_index(4))
+            .map(|_| rng.gen_index(len + 1))
+            .collect();
+        cuts.extend([0, len]);
+        cuts.sort_unstable();
+        let parts: Vec<&[u8]> = cuts.windows(2).map(|w| &data[w[0]..w[1]]).collect();
+        let ctx = format!("case {case}: {len} bytes at {align}, cut at {cuts:?}");
+        let want = [
+            (DigestKind::InternetChecksum, internet_checksum(data) as u64),
+            (DigestKind::Crc32, crc32(data) as u64),
+            (DigestKind::Xor8, data.iter().fold(0u8, |a, b| a ^ b) as u64),
+        ];
+        for (kind, want) in want {
+            assert_eq!(kind.compute_multi(&parts), want, "{kind}, {ctx}");
+            assert_eq!(kind.compute(data), want, "{kind} whole, {ctx}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -129,3 +129,52 @@ fn setup_derives_what_the_recorded_engine_derived() {
         );
     }
 }
+
+/// The listing above is the program as the layers wrote it; what runs
+/// is the fused form, which schedules frag's size guard ahead of the
+/// checksum's fills. An over-MTU frame is refused at the guard's
+/// `ABORT` — named by its place in the listing — with `body_len` and
+/// `checksum` still zero: the digest did not run.
+#[test]
+fn an_over_mtu_frame_is_refused_before_it_is_digested() {
+    use pa::filter::FusedProgram;
+    for trace_ctx in [false, true] {
+        let config = PaConfig {
+            trace_ctx,
+            ..PaConfig::paper_default()
+        };
+        let a = conn(&StackSpec::paper(), config, 1, 2);
+        let (send, _) = a.filters();
+        let guard = [4, 5, 6, 7];
+        let listing = send.disassemble();
+        assert!(listing.contains("   2: DIGEST_HDRS inet16\n"), "{listing}");
+        assert!(listing.contains("   7: ABORT 32\n"), "{listing}");
+        let fused = FusedProgram::fuse(send, a.layout(), ByteOrder::Big);
+        let ran: Vec<u16> = fused.source_pcs().collect();
+        assert_eq!(ran[..4], guard, "the guard runs first");
+        let mut sorted = ran.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..send.ops().len() as u16).collect::<Vec<_>>());
+
+        let class_len = |c| a.layout().class_len(c);
+        let (proto, message) = (class_len(Class::Protocol), class_len(Class::Message));
+        let hdr = proto + message + class_len(Class::Gossip);
+        let frame = |body: usize| {
+            let mut m = pa::buf::Msg::from_payload(&vec![0xA5; body]);
+            m.push_front_zeroed(hdr);
+            m
+        };
+        let (send_slots, _) = a.filter_slots();
+        let mut over = frame(4097);
+        assert_eq!(fused.run_located(send_slots, &mut over), (32, Some(7)));
+        assert_eq!(over, frame(4097), "refused untouched");
+        let mut fits = frame(4096);
+        assert_eq!(fused.run_located(send_slots, &mut fits), (0, None));
+        assert!(
+            fits.as_slice()[proto..proto + message]
+                .iter()
+                .any(|&b| b != 0),
+            "passed, and filled in"
+        );
+    }
+}
