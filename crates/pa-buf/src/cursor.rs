@@ -1,11 +1,10 @@
-//! Byte-order-aware scalar readers and writers.
+//! Byte order of scalars on the wire.
 //!
 //! The PA supports peers of either endianness: the preamble carries a
 //! byte-order bit (§2.2) and all field accessors "take byte-ordering into
 //! account, so that layers do not have to worry about communicating
-//! between heterogeneous machines" (§2.1). [`Reader`] and [`Writer`] are
-//! the low-level scalar half of that promise; bit-granular fields live in
-//! `pa-wire`.
+//! between heterogeneous machines" (§2.1). [`ByteOrder`] encodes and
+//! decodes the scalars; bit-granular fields live in `pa-wire`.
 
 use std::fmt;
 
@@ -66,137 +65,6 @@ impl fmt::Display for ByteOrder {
     }
 }
 
-/// Error returned when a read overruns the available bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShortRead {
-    /// Bytes requested.
-    pub wanted: usize,
-    /// Bytes remaining.
-    pub had: usize,
-}
-
-impl fmt::Display for ShortRead {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "short read: wanted {} bytes, had {}",
-            self.wanted, self.had
-        )
-    }
-}
-
-impl std::error::Error for ShortRead {}
-
-/// A sequential reader over a byte slice with a fixed byte order.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    order: ByteOrder,
-}
-
-impl<'a> Reader<'a> {
-    /// Creates a reader over `buf` decoding scalars in `order`.
-    pub fn new(buf: &'a [u8], order: ByteOrder) -> Self {
-        Reader { buf, pos: 0, order }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Current position from the start of the slice.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Reads `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], ShortRead> {
-        if self.remaining() < n {
-            return Err(ShortRead {
-                wanted: n,
-                had: self.remaining(),
-            });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    /// Reads an unsigned scalar of `n` bytes (1..=8).
-    pub fn uint(&mut self, n: usize) -> Result<u64, ShortRead> {
-        let order = self.order;
-        Ok(order.decode(self.bytes(n)?))
-    }
-
-    /// Reads a `u8`.
-    pub fn u8(&mut self) -> Result<u8, ShortRead> {
-        Ok(self.uint(1)? as u8)
-    }
-
-    /// Reads a `u16`.
-    pub fn u16(&mut self) -> Result<u16, ShortRead> {
-        Ok(self.uint(2)? as u16)
-    }
-
-    /// Reads a `u32`.
-    pub fn u32(&mut self) -> Result<u32, ShortRead> {
-        Ok(self.uint(4)? as u32)
-    }
-
-    /// Reads a `u64`.
-    pub fn u64(&mut self) -> Result<u64, ShortRead> {
-        self.uint(8)
-    }
-}
-
-/// A sequential writer appending to a byte vector with a fixed byte order.
-pub struct Writer<'a> {
-    buf: &'a mut Vec<u8>,
-    order: ByteOrder,
-}
-
-impl<'a> Writer<'a> {
-    /// Creates a writer appending to `buf`, encoding scalars in `order`.
-    pub fn new(buf: &'a mut Vec<u8>, order: ByteOrder) -> Self {
-        Writer { buf, order }
-    }
-
-    /// Appends raw bytes.
-    pub fn bytes(&mut self, b: &[u8]) -> &mut Self {
-        self.buf.extend_from_slice(b);
-        self
-    }
-
-    /// Appends an unsigned scalar as `n` bytes (1..=8).
-    pub fn uint(&mut self, v: u64, n: usize) -> &mut Self {
-        let start = self.buf.len();
-        self.buf.resize(start + n, 0);
-        self.order.encode(v, &mut self.buf[start..]);
-        self
-    }
-
-    /// Appends a `u8`.
-    pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.uint(v as u64, 1)
-    }
-
-    /// Appends a `u16`.
-    pub fn u16(&mut self, v: u16) -> &mut Self {
-        self.uint(v as u64, 2)
-    }
-
-    /// Appends a `u32`.
-    pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.uint(v as u64, 4)
-    }
-
-    /// Appends a `u64`.
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.uint(v, 8)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,47 +111,5 @@ mod tests {
         let mut buf = [0u8; 8];
         ByteOrder::native().encode(v, &mut buf);
         assert_eq!(buf, v.to_ne_bytes());
-    }
-
-    #[test]
-    fn reader_sequence() {
-        let data = [0x01, 0x02, 0x03, 0xFF, 0xAA, 0xBB, 0xCC, 0xDD];
-        let mut r = Reader::new(&data, ByteOrder::Big);
-        assert_eq!(r.u16().unwrap(), 0x0102);
-        assert_eq!(r.u8().unwrap(), 0x03);
-        assert_eq!(r.u8().unwrap(), 0xFF);
-        assert_eq!(r.u32().unwrap(), 0xAABB_CCDD);
-        assert_eq!(r.remaining(), 0);
-        assert_eq!(r.u8(), Err(ShortRead { wanted: 1, had: 0 }));
-    }
-
-    #[test]
-    fn writer_reader_roundtrip_both_orders() {
-        for order in [ByteOrder::Big, ByteOrder::Little] {
-            let mut buf = Vec::new();
-            Writer::new(&mut buf, order)
-                .u8(7)
-                .u16(513)
-                .u32(70000)
-                .u64(1 << 40)
-                .bytes(b"xyz");
-            let mut r = Reader::new(&buf, order);
-            assert_eq!(r.u8().unwrap(), 7);
-            assert_eq!(r.u16().unwrap(), 513);
-            assert_eq!(r.u32().unwrap(), 70000);
-            assert_eq!(r.u64().unwrap(), 1 << 40);
-            assert_eq!(r.bytes(3).unwrap(), b"xyz");
-        }
-    }
-
-    #[test]
-    fn short_read_reports_sizes() {
-        let data = [1u8, 2];
-        let mut r = Reader::new(&data, ByteOrder::Big);
-        let err = r.u32().unwrap_err();
-        assert_eq!(err, ShortRead { wanted: 4, had: 2 });
-        assert!(err.to_string().contains("wanted 4"));
-        // Failed read consumes nothing.
-        assert_eq!(r.remaining(), 2);
     }
 }

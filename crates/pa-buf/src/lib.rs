@@ -10,8 +10,8 @@
 //!
 //! The crate also provides:
 //!
-//! - [`cursor::Reader`] / [`cursor::Writer`] — byte-order-aware scalar
-//!   access used by the wire codec,
+//! - [`cursor::ByteOrder`] — the byte order scalars are encoded in,
+//!   used by the wire codec,
 //! - [`pool::MsgPool`] — explicit allocate/free recycling of message
 //!   buffers (the paper's §6 mitigation for GC pressure: "allocating and
 //!   deallocating high-bandwidth objects explicitly"),
@@ -26,7 +26,7 @@ pub mod msg;
 pub mod pool;
 pub mod queue;
 
-pub use cursor::{ByteOrder, Reader, Writer};
+pub use cursor::ByteOrder;
 pub use msg::Msg;
 pub use pool::{MsgPool, PoolStats};
 pub use queue::Backlog;

@@ -251,10 +251,11 @@ impl Connection {
     }
 
     /// Handles a raw frame from the network (single-connection hosts;
-    /// multi-connection hosts route via [`crate::ShardedEndpoint`] and call
-    /// [`Connection::handle_routed`]): admits its preamble, conn-ident
-    /// and cookie, processes it, and — for an identified frame — binds
-    /// the cookie it carried once the outcome says it was verified.
+    /// multi-connection hosts route via [`crate::ShardedEndpoint`],
+    /// which hands the connection the frame it routed): admits its
+    /// preamble, conn-ident and cookie, processes it, and — for an
+    /// identified frame — binds the cookie it carried once the outcome
+    /// says it was verified.
     pub fn deliver_frame(&mut self, mut frame: Msg) -> DeliverOutcome {
         self.stats.frames_in += 1;
         let preamble = match self.admit(&mut frame) {
@@ -273,7 +274,7 @@ impl Connection {
     /// header. Counts the frame into `frames_in` — router-demuxed
     /// frames participate in this connection's `delivery_balanced()`
     /// ledger exactly like directly delivered ones.
-    pub fn handle_routed(&mut self, preamble: Preamble, frame: Msg) -> DeliverOutcome {
+    pub(crate) fn handle_routed(&mut self, preamble: Preamble, frame: Msg) -> DeliverOutcome {
         self.stats.frames_in += 1;
         self.routed_inner(preamble, frame)
     }
@@ -684,7 +685,7 @@ impl Connection {
     /// Drains only the delivery-side post queue (called on arrival so
     /// the receive state is current; send-side posts stay deferred).
     /// Returns the work done for cost accounting.
-    pub fn drain_recv_posts(&mut self) -> PostWorkReport {
+    fn drain_recv_posts(&mut self) -> PostWorkReport {
         self.drain_posts(false)
     }
 

@@ -20,7 +20,7 @@
 //! - **The stale set is bounded.** Re-keying retires the old cookie
 //!   into the stale set for replay detection, but a long-lived
 //!   connection that rotates forever must not leak one entry per epoch:
-//!   each connection keeps at most [`Router::stale_cap`] retired
+//!   each connection keeps at most [`Router::STALE_CAP`] retired
 //!   cookies (oldest evicted first), and orphaned *tombstones* (stale
 //!   cookies whose connection migrated to another demux shard) share a
 //!   router-wide FIFO cap. Every entry that leaves the stale set is
@@ -106,7 +106,7 @@ pub struct StaleStats {
 /// the stale set: frames still carrying it are rejected and counted as
 /// stale, so an attacker replaying pre-rebind traffic (or splicing it
 /// from a capture) cannot reach the connection through a dead cookie.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Router {
     by_cookie: HashMap<u64, ConnKey>,
     /// Retired cookies: refused at demux, kept for attribution.
@@ -135,10 +135,6 @@ pub struct Router {
     tombstone_seq: u64,
     /// Live tombstones (FIFO entries whose seq still matches the map).
     tombstone_live: usize,
-    /// Max retired cookies kept per connection.
-    stale_cap: usize,
-    /// Max tombstones kept router-wide.
-    tombstone_cap: usize,
     /// Stale-set flow accounting.
     pub stale_stats: StaleStats,
     /// Lookups served by the cookie map.
@@ -151,60 +147,20 @@ pub struct Router {
     pub misses: u64,
 }
 
-impl Default for Router {
-    fn default() -> Self {
-        Router {
-            by_cookie: HashMap::new(),
-            stale_cookies: HashMap::new(),
-            current_cookie: HashMap::new(),
-            by_ident: HashMap::new(),
-            ident_of: HashMap::new(),
-            ident_lens: BTreeMap::new(),
-            stale_of: HashMap::new(),
-            tombstones: VecDeque::new(),
-            tombstone_seq: 0,
-            tombstone_live: 0,
-            stale_cap: Router::DEFAULT_STALE_CAP,
-            tombstone_cap: Router::DEFAULT_TOMBSTONE_CAP,
-            stale_stats: StaleStats::default(),
-            cookie_hits: 0,
-            ident_hits: 0,
-            stale_hits: 0,
-            misses: 0,
-        }
-    }
-}
-
 impl Router {
-    /// Default retired-cookie cap per connection. Replay windows are
-    /// short (frames in flight under the previous cookie); eight epochs
-    /// of history is generous, and the cap is what turns "rotates
-    /// forever" from a leak into a ring.
-    pub const DEFAULT_STALE_CAP: usize = 8;
-    /// Default router-wide tombstone cap.
-    pub const DEFAULT_TOMBSTONE_CAP: usize = 1024;
+    /// Retired-cookie cap per connection. Replay windows are short
+    /// (frames in flight under the previous cookie); eight epochs of
+    /// history is generous, and the cap is what turns "rotates forever"
+    /// from a leak into a ring.
+    pub const STALE_CAP: usize = 8;
+    /// Router-wide tombstone cap. Reviving a tombstoned cookie stays
+    /// amortized O(1) whatever the cap (the FIFO is lazily deleted), so
+    /// the cap costs memory, not demux time.
+    pub const TOMBSTONE_CAP: usize = 1024;
 
     /// Creates an empty router.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the per-connection retired-cookie cap (≥ 1).
-    pub fn set_stale_cap(&mut self, cap: usize) {
-        self.stale_cap = cap.max(1);
-    }
-
-    /// The per-connection retired-cookie cap.
-    pub fn stale_cap(&self) -> usize {
-        self.stale_cap
-    }
-
-    /// Sets the router-wide tombstone cap. Reviving a tombstoned cookie
-    /// stays amortized O(1) regardless of the cap (the FIFO is lazily
-    /// deleted), so large caps cost memory, not demux time.
-    pub fn set_tombstone_cap(&mut self, cap: usize) {
-        self.tombstone_cap = cap;
-        self.enforce_tombstone_cap();
     }
 
     /// Registers the connection identification we expect from the peer.
@@ -278,7 +234,7 @@ impl Router {
         );
         let dq = self.stale_of.entry(key.0).or_default();
         dq.push_back(raw);
-        while dq.len() > self.stale_cap {
+        while dq.len() > Router::STALE_CAP {
             let oldest = dq.pop_front().expect("len > cap ≥ 1");
             self.stale_cookies.remove(&oldest);
             self.stale_stats.evicted += 1;
@@ -304,7 +260,7 @@ impl Router {
     }
 
     fn enforce_tombstone_cap(&mut self) {
-        while self.tombstone_live > self.tombstone_cap {
+        while self.tombstone_live > Router::TOMBSTONE_CAP {
             // Every live tombstone has a FIFO entry, so live > cap ≥ 0
             // implies the FIFO is non-empty.
             let (raw, seq) = self.tombstones.pop_front().expect("live > cap");
@@ -325,7 +281,7 @@ impl Router {
     /// for each connection what the current (incoming) cookie is"). A
     /// *different* cookie for the same connection retires the previous
     /// one into the stale set (bounded per connection — the oldest
-    /// retired cookie is evicted past [`Router::stale_cap`]);
+    /// retired cookie is evicted past [`Router::STALE_CAP`]);
     /// re-binding a retired cookie revives it.
     pub fn bind_cookie(&mut self, cookie: Cookie, key: ConnKey) {
         let raw = cookie.raw();
@@ -583,11 +539,12 @@ mod tests {
     #[test]
     fn indexed_removal_matches_brute_force_model() {
         // A tiny model: the naive retain-based router (the pre-fix
-        // shape), with an unbounded stale set.
+        // shape), its stale set one list in retirement order, capped per
+        // connection by evicting that connection's oldest entry.
         #[derive(Default)]
         struct Model {
             by_cookie: HashMap<u64, ConnKey>,
-            stale: HashMap<u64, ConnKey>,
+            stale: Vec<(u64, ConnKey)>,
             current: HashMap<usize, u64>,
             by_ident: HashMap<Vec<u8>, ConnKey>,
         }
@@ -598,9 +555,13 @@ mod tests {
                         return;
                     }
                     self.by_cookie.remove(&prev);
-                    self.stale.insert(prev, key);
+                    self.stale.push((prev, key));
+                    if self.stale.iter().filter(|&&(_, k)| k == key).count() > Router::STALE_CAP {
+                        let oldest = self.stale.iter().position(|&(_, k)| k == key).unwrap();
+                        self.stale.remove(oldest);
+                    }
                 }
-                self.stale.remove(&raw);
+                self.stale.retain(|&(c, _)| c != raw);
                 if let Some(victim) = self.by_cookie.insert(raw, key) {
                     if victim != key {
                         self.current.remove(&victim.0);
@@ -610,17 +571,16 @@ mod tests {
             }
             fn remove(&mut self, key: ConnKey) {
                 self.by_cookie.retain(|_, &mut v| v != key);
-                self.stale.retain(|_, &mut v| v != key);
+                self.stale.retain(|&(_, k)| k != key);
                 self.current.remove(&key.0);
                 self.by_ident.retain(|_, &mut v| v != key);
             }
         }
 
         let mut r = Router::new();
-        // Cap high enough that the model (uncapped) and the router agree
-        // over this workload's rotation depth.
-        r.set_stale_cap(64);
         let mut m = Model::default();
+        // How often a connection held more retired cookies than the cap.
+        let mut capped = 0;
         let mut state = 0x5EEDu64;
         let mut rng = move || {
             // splitmix64 step (offline determinism, no std rand).
@@ -635,8 +595,10 @@ mod tests {
             match rng() % 10 {
                 0..=5 => {
                     let raw = 1 + rng() % 64;
+                    let evicted = r.stale_stats.evicted;
                     r.bind_cookie(Cookie::from_raw(raw), key);
                     m.bind(raw, key);
+                    capped += (r.stale_stats.evicted > evicted) as u32;
                 }
                 6..=7 => {
                     let ident = format!("ident-{}", key.0).into_bytes();
@@ -652,9 +614,12 @@ mod tests {
             for raw in 1..=64u64 {
                 assert_eq!(
                     r.demux_cookie_peek(Cookie::from_raw(raw)),
-                    match (m.by_cookie.get(&raw), m.stale.get(&raw)) {
+                    match (
+                        m.by_cookie.get(&raw),
+                        m.stale.iter().find(|&&(c, _)| c == raw),
+                    ) {
                         (Some(&k), _) => CookieLookup::Hit(k),
-                        (None, Some(&k)) => CookieLookup::Stale(k),
+                        (None, Some(&(_, k))) => CookieLookup::Stale(k),
                         (None, None) => CookieLookup::Unknown,
                     },
                     "step {step} cookie {raw}"
@@ -665,6 +630,7 @@ mod tests {
             assert_eq!(r.ident_count(), m.by_ident.len(), "step {step}");
             assert!(r.stale_ledger_reconciles(), "step {step}");
         }
+        assert!(capped > 0, "the sequence never reached the stale cap");
     }
 
     /// Pin of the stale-set bound: endless re-keying must not leak.
@@ -676,12 +642,9 @@ mod tests {
         for epoch in 0..10_000u64 {
             r.bind_cookie(Cookie::from_raw(1 + epoch), key);
         }
-        assert_eq!(r.stale_count(), Router::DEFAULT_STALE_CAP);
+        assert_eq!(r.stale_count(), Router::STALE_CAP);
         assert_eq!(r.stale_stats.retired, 9_999);
-        assert_eq!(
-            r.stale_stats.evicted,
-            9_999 - Router::DEFAULT_STALE_CAP as u64
-        );
+        assert_eq!(r.stale_stats.evicted, 9_999 - Router::STALE_CAP as u64);
         assert!(r.stale_ledger_reconciles());
         // Eviction is oldest-first: the newest retirees are the ones
         // still refusing replays.
@@ -702,17 +665,30 @@ mod tests {
     #[test]
     fn per_conn_caps_are_independent() {
         let mut r = Router::new();
-        r.set_stale_cap(2);
-        for epoch in 0..5u64 {
+        // One rotation past the cap on each connection.
+        let rotations = Router::STALE_CAP as u64 + 1;
+        for epoch in 0..=rotations {
             r.bind_cookie(Cookie::from_raw(100 + epoch), ConnKey(0));
             r.bind_cookie(Cookie::from_raw(200 + epoch), ConnKey(1));
         }
-        assert_eq!(r.stale_count(), 4, "two per connection");
-        // Conn 1's history is untouched by conn 0's rotations.
         assert_eq!(
-            r.demux_cookie_peek(Cookie::from_raw(203)),
-            CookieLookup::Stale(ConnKey(1))
+            r.stale_count(),
+            2 * Router::STALE_CAP,
+            "a full cap per connection"
         );
+        assert_eq!(r.stale_stats.evicted, 2, "one eviction per connection");
+        // Each connection lost its own oldest retiree and kept the rest:
+        // conn 1's history is untouched by conn 0's rotations.
+        for (base, key) in [(100, ConnKey(0)), (200, ConnKey(1))] {
+            assert_eq!(
+                r.demux_cookie_peek(Cookie::from_raw(base)),
+                CookieLookup::Unknown
+            );
+            assert_eq!(
+                r.demux_cookie_peek(Cookie::from_raw(base + 1)),
+                CookieLookup::Stale(key)
+            );
+        }
         assert!(r.stale_ledger_reconciles());
     }
 
@@ -739,13 +715,19 @@ mod tests {
         );
         assert_eq!(r.tombstone_count(), 2);
         assert!(r.stale_ledger_reconciles());
-        // Tombstones obey their own cap.
-        r.set_tombstone_cap(1);
-        assert_eq!(r.tombstone_count(), 1);
+        // Tombstones obey their own cap: one migration past it evicts
+        // the oldest.
+        migrate_away(&mut r, 1_000, Router::TOMBSTONE_CAP - 1);
+        assert_eq!(r.tombstone_count(), Router::TOMBSTONE_CAP);
+        assert_eq!(r.stale_stats.evicted, 1);
         assert_eq!(
             r.demux_cookie_peek(Cookie::from_raw(7)),
             CookieLookup::Unknown,
             "oldest tombstone evicted first"
+        );
+        assert_eq!(
+            r.demux_cookie_peek(Cookie::from_raw(8)),
+            CookieLookup::Stale(key)
         );
         assert!(r.stale_ledger_reconciles());
         // A tombstoned cookie re-bound by a new connection revives.
@@ -754,8 +736,17 @@ mod tests {
             r.demux_cookie_peek(Cookie::from_raw(8)),
             CookieLookup::Hit(ConnKey(9))
         );
-        assert_eq!(r.tombstone_count(), 0);
+        assert_eq!(r.tombstone_count(), Router::TOMBSTONE_CAP - 1);
         assert!(r.stale_ledger_reconciles());
+    }
+
+    /// Binds and extracts `n` connections (keys and cookies `base..`):
+    /// `n` fresh tombstones, oldest first.
+    fn migrate_away(r: &mut Router, base: usize, n: usize) {
+        for i in base..base + n {
+            r.bind_cookie(Cookie::from_raw(i as u64), ConnKey(i));
+            r.extract(ConnKey(i));
+        }
     }
 
     /// Revive-then-re-tombstone churn on the same cookie: the revive
@@ -765,29 +756,36 @@ mod tests {
     /// exact and the eviction order oldest-live-first.
     #[test]
     fn tombstone_revive_rebind_churn_stays_exact() {
+        const CAP: usize = Router::TOMBSTONE_CAP;
         let mut r = Router::new();
-        r.set_tombstone_cap(2);
         for i in 0..3u64 {
             let key = ConnKey(i as usize);
             r.bind_cookie(Cookie::from_raw(100 + i), key);
             r.extract(key);
         }
-        assert_eq!(r.tombstone_count(), 2, "oldest evicted past the cap");
+        // Fillers bring the live count to one past the cap.
+        migrate_away(&mut r, 1_000, CAP - 2);
+        assert_eq!(r.tombstone_count(), CAP);
+        assert_eq!(
+            r.demux_cookie_peek(Cookie::from_raw(100)),
+            CookieLookup::Unknown,
+            "oldest evicted past the cap"
+        );
         assert!(r.stale_ledger_reconciles());
 
         // Revive a tombstoned cookie: only the map entry goes.
         r.bind_cookie(Cookie::from_raw(102), ConnKey(7));
-        assert_eq!(r.tombstone_count(), 1);
+        assert_eq!(r.tombstone_count(), CAP - 1);
         assert!(r.stale_ledger_reconciles());
 
         // Re-tombstone the same raw, then push more tombstones: the
         // dead duplicate near the front must be skipped, not double
         // counted, and must not shield younger live entries.
         r.extract(ConnKey(7)); // 102 tombstoned again, fresh seq
-        assert_eq!(r.tombstone_count(), 2);
+        assert_eq!(r.tombstone_count(), CAP);
         r.bind_cookie(Cookie::from_raw(200), ConnKey(8));
         r.extract(ConnKey(8)); // cap pops: evicts 101 (oldest live)
-        assert_eq!(r.tombstone_count(), 2);
+        assert_eq!(r.tombstone_count(), CAP);
         assert_eq!(
             r.demux_cookie_peek(Cookie::from_raw(101)),
             CookieLookup::Unknown,
@@ -800,15 +798,21 @@ mod tests {
         );
         assert!(r.stale_ledger_reconciles());
 
-        // One more: the cap pop now lands on 102's dead entry first
-        // and must skip it without touching the live re-tombstone.
+        // One more: the cap pop now lands on 102's dead entry first,
+        // skips it, and evicts the oldest live entry (the first filler)
+        // without touching the live re-tombstone, which is younger.
         r.bind_cookie(Cookie::from_raw(300), ConnKey(9));
         r.extract(ConnKey(9));
-        assert_eq!(r.tombstone_count(), 2);
+        assert_eq!(r.tombstone_count(), CAP);
+        assert_eq!(
+            r.demux_cookie_peek(Cookie::from_raw(1_000)),
+            CookieLookup::Unknown,
+            "the oldest live tombstone evicts"
+        );
         assert_eq!(
             r.demux_cookie_peek(Cookie::from_raw(102)),
-            CookieLookup::Unknown,
-            "102's live entry is older than 200/300, so it evicts"
+            CookieLookup::Stale(ConnKey(7)),
+            "the dead entry was skipped, not taken for 102's live one"
         );
         assert_eq!(
             r.demux_cookie_peek(Cookie::from_raw(200)),

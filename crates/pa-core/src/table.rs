@@ -25,7 +25,8 @@
 //! is handed out, and a consumer that finds the connection empty (or
 //! the slot freed or reused) clears the bit and moves on.
 //! Per-connection order is the connection's own queue order; across
-//! connections the order is readiness order.
+//! connections the order is readiness order; the endpoint visits the
+//! tables in shard order.
 
 use crate::conn::{Connection, DeliverOutcome, DropReason, SendOutcome};
 use crate::router::{ConnKey, CookieLookup, Router};
@@ -106,11 +107,6 @@ pub struct BurstDemux {
     pub dropped: u64,
     /// Application messages delivered across the burst.
     pub msgs: u64,
-    /// Router map probes actually performed — with sorted cookie runs
-    /// this is one per distinct cookie per segment, not one per frame
-    /// (the amortization the batched pipeline buys; counters still move
-    /// once per frame).
-    pub run_lookups: u64,
 }
 
 impl BurstDemux {
@@ -129,7 +125,6 @@ impl BurstDemux {
         self.routed += other.routed;
         self.dropped += other.dropped;
         self.msgs += other.msgs;
-        self.run_lookups += other.run_lookups;
     }
 }
 
@@ -479,6 +474,7 @@ impl ShardTable {
     /// wants from a queued live connection and returns `true` if it
     /// found the queue empty — the slot is then dequeued, as is a freed
     /// slot — or `false` to stop with the slot still at the head.
+    #[inline]
     fn consume(
         &mut self,
         kind: Ready,
@@ -499,12 +495,6 @@ impl ShardTable {
                 && s.conn.as_ref().map_or(0, ready_mask) & kind.bit() == 0),
             "{kind:?} ready set reported empty with a connection still holding work"
         );
-    }
-
-    /// Whether any slot is on the delivery ready set — the condition
-    /// under which the endpoint must keep this shard on its dirty list.
-    pub(crate) fn may_deliver(&self) -> bool {
-        !self.ready[Ready::Delivery as usize].is_empty()
     }
 
     /// The demux accounting invariant: every frame handed to this shard
@@ -556,16 +546,15 @@ impl ShardTable {
             .expect("router key must name a live slot")
     }
 
-    /// One cookie-only frame (preamble still in front) against the
-    /// router's answer for its cookie: Figure 3's `from_network()` from
-    /// the point where the connection is known.
-    fn deliver_cookie(
-        &mut self,
-        lookup: CookieLookup,
-        preamble: Preamble,
-        mut frame: Msg,
-    ) -> DeliverOutcome {
-        match lookup {
+    /// One cookie-only frame (preamble still in front): one router
+    /// probe, then Figure 3's `from_network()` from the point where the
+    /// connection is known. Every entry demuxes a cookie-only frame
+    /// here, the burst included, so each frame is probed and counted
+    /// once.
+    #[inline]
+    pub(crate) fn ingest_cookie(&mut self, preamble: Preamble, mut frame: Msg) -> DeliverOutcome {
+        self.frames_seen += 1;
+        match self.router.demux_cookie(preamble.cookie) {
             CookieLookup::Hit(key) => {
                 self.routed += 1;
                 frame.skip_front(PREAMBLE_LEN);
@@ -574,68 +563,6 @@ impl ShardTable {
             CookieLookup::Stale(_) => self.reject(DropReason::StaleCookie),
             CookieLookup::Unknown => self.reject(DropReason::UnknownCookie),
         }
-    }
-
-    /// One cookie-only frame on its own: one probe, then
-    /// [`ShardTable::deliver_cookie`].
-    pub(crate) fn ingest_cookie(&mut self, preamble: Preamble, frame: Msg) -> DeliverOutcome {
-        self.frames_seen += 1;
-        let lookup = self.router.demux_cookie(preamble.cookie);
-        self.deliver_cookie(lookup, preamble, frame)
-    }
-
-    /// A segment of cookie-only frames (draining `seg`), demuxed **once
-    /// per cookie run** instead of once per frame.
-    ///
-    /// Equivalence contract (the burst-boundary tests assert it by
-    /// exact `==`): every frame gets the same outcome, and every
-    /// counter — router stats, demux ledger, per-connection stats —
-    /// moves exactly as if [`ShardTable::ingest_cookie`] had been
-    /// called frame by frame. Three facts make the amortization safe:
-    ///
-    /// 1. Only ident frames mutate the router (cookie binds), and the
-    ///    front closes every open segment before it hands one down —
-    ///    inside a segment the router is constant and one probe answers
-    ///    for the whole run.
-    /// 2. The sort is stable on the cookie, so frames of one connection
-    ///    are processed in arrival order; only the interleaving
-    ///    *across* connections changes, which no per-connection ledger
-    ///    can observe.
-    /// 3. Counter bumps stay per-frame (a run of `n` bumps the matched
-    ///    counter `n` times); only the hash probes are elided.
-    pub(crate) fn ingest_cookie_segment(
-        &mut self,
-        seg: &mut Vec<(Preamble, Msg)>,
-        report: &mut BurstDemux,
-    ) {
-        self.frames_seen += seg.len() as u64;
-        let routed_before = self.routed;
-        seg.sort_by_key(|(p, _)| p.cookie.raw());
-        let mut current: Option<(u64, CookieLookup)> = None;
-        for (preamble, frame) in seg.drain(..) {
-            let raw = preamble.cookie.raw();
-            let lookup = match current {
-                Some((c, l)) if c == raw => {
-                    // Same run: re-use the probe, move the counter the
-                    // per-frame path would have moved.
-                    match l {
-                        CookieLookup::Hit(_) => self.router.cookie_hits += 1,
-                        CookieLookup::Stale(_) => self.router.stale_hits += 1,
-                        CookieLookup::Unknown => self.router.misses += 1,
-                    }
-                    l
-                }
-                _ => {
-                    report.run_lookups += 1;
-                    let l = self.router.demux_cookie(preamble.cookie);
-                    current = Some((raw, l));
-                    l
-                }
-            };
-            let outcome = self.deliver_cookie(lookup, preamble, frame);
-            report.tally(&outcome);
-        }
-        report.routed += self.routed - routed_before;
     }
 
     /// One identified frame (preamble and ident still in front) for the
@@ -707,7 +634,9 @@ impl ShardTable {
     /// with its connection's handle and `shard` (this shard's index),
     /// visiting only connections on the delivery ready set: each
     /// connection's messages in its queue order, connections in the
-    /// order they became ready. Returns how many were appended.
+    /// order they became ready. Returns how many were appended. A table
+    /// with nothing to deliver answers with one emptiness test.
+    #[inline]
     pub(crate) fn drain_deliveries(&mut self, shard: usize, out: &mut Vec<ShardDelivery>) -> usize {
         let before = out.len();
         self.consume(Ready::Delivery, |conn, c| {

@@ -205,6 +205,10 @@ struct Client {
 pub struct FlashCrowd {
     cfg: FlashConfig,
     server: ShardedEndpoint,
+    /// The expected-peer directory: idents pre-registered but not yet
+    /// admitted (admission consumes them). No connection exists for
+    /// an entry until it is admitted.
+    expected: HashSet<Vec<u8>>,
     clients: Vec<Client>,
     coordinator: SnapshotCoordinator,
     domains: Vec<TelemetryDomain>,
@@ -230,6 +234,7 @@ impl FlashCrowd {
         FlashCrowd {
             folded: vec![(0, 0, 0); cfg.shards],
             server,
+            expected: HashSet::new(),
             clients: Vec::new(),
             coordinator,
             domains,
@@ -317,17 +322,16 @@ impl FlashCrowd {
         let mut arrivals = Vec::with_capacity(self.cfg.live);
         for i in 0..self.cfg.live {
             let (client, server_side) = self.conn_pair(i);
-            self.server
-                .preregister_ident(server_side.expected_ident().to_vec());
+            self.expected.insert(server_side.expected_ident().to_vec());
             arrivals.push((client, server_side));
         }
         // Filler: the rest of the million-peer directory, expected but
         // never arriving this event.
         for i in self.cfg.live..self.cfg.idents {
-            self.server
-                .preregister_ident(format!("expected-peer-{i:08x}").into_bytes());
+            self.expected
+                .insert(format!("expected-peer-{i:08x}").into_bytes());
         }
-        self.report.idents_preregistered = self.server.expected_count();
+        self.report.idents_preregistered = self.expected.len();
 
         // The storm: everyone at the door at once, admitted only as
         // fast as the budget allows; deferred arrivals retry next tick.
@@ -338,7 +342,7 @@ impl FlashCrowd {
             let mut retry = Vec::new();
             for (client, server_side) in arrivals {
                 assert!(
-                    self.server.take_expected(server_side.expected_ident()),
+                    self.expected.remove(server_side.expected_ident()),
                     "every arrival is in the expected directory"
                 );
                 match self.server.try_accept(server_side) {
@@ -349,8 +353,7 @@ impl FlashCrowd {
                     }),
                     Err(AdmitError::Deferred(conn)) | Err(AdmitError::TableFull(conn)) => {
                         // Back in the directory, back in the queue.
-                        self.server
-                            .preregister_ident(conn.expected_ident().to_vec());
+                        self.expected.insert(conn.expected_ident().to_vec());
                         self.report.deferred += 1;
                         retry.push((client, conn));
                     }
@@ -394,7 +397,7 @@ impl FlashCrowd {
             let payload = [round as u8; 16];
             if round % 2 == 0 {
                 // Burst path: frames batched, demuxed as per-shard
-                // sorted runs.
+                // segments.
                 for w in (0..self.cfg.window).step_by(self.cfg.burst) {
                     let n = self.cfg.burst.min(self.cfg.window - w);
                     batch.clear();

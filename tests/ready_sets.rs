@@ -1,17 +1,16 @@
 //! The progress invariant of the endpoint ready sets, as a test.
 //!
 //! The endpoint's drains do not scan the connection tables: they
-//! consume per-shard ready sets, found through the dirty list, that
-//! every path touching a connection must feed. A missed enqueue loses
-//! nothing the conservation ledgers can see — the message sits in its
-//! connection's queue, counted, forever undrained (PR 10's
-//! stranded-delivery bug had exactly that shape, on the dirty list). So
-//! this suite drives a seeded random sequence of *every* operation that
-//! can put work on a connection, at one shard and at eight, and after
-//! each step checks [`ShardedEndpoint::ready_balanced`] — a full scan,
-//! independent of the sets: no live connection with a pending delivery,
-//! transmit or post job is off its set, no slot is queued twice, and a
-//! shard with anything deliverable is on the dirty list.
+//! consume per-shard ready sets that every path touching a connection
+//! must feed. A missed enqueue loses nothing the conservation ledgers
+//! can see — the message sits in its connection's queue, counted,
+//! forever undrained (PR 10's stranded-delivery bug had exactly that
+//! shape, on a list of shards the drain used to follow). So this suite
+//! drives a seeded random sequence of *every* operation that can put
+//! work on a connection, at one shard and at eight, and after each step
+//! checks [`ShardedEndpoint::ready_balanced`] — a full scan, independent
+//! of the sets: no live connection with a pending delivery, transmit or
+//! post job is off its set, and no slot is queued twice.
 //!
 //! The paper stack is used throughout because its window layer gives
 //! the sequence real timers (tick retransmits), held out-of-order
@@ -175,7 +174,7 @@ fn ready_sets_cover_every_pending_queue(shards: usize) {
                     }
                 }
                 // Burst ingest across several peers plus the held-back
-                // frames (sorted-run demux).
+                // frames (per-shard segments).
                 4 => {
                     let mut burst: Vec<Msg> = std::mem::take(&mut delayed);
                     for _ in 0..rng.gen_index(4) {
@@ -297,7 +296,7 @@ fn ready_sets_cover_every_pending_queue(shards: usize) {
                         assert!(!twin.has_delivery(), "{ctx}: stranded delivery");
                     }
                 }
-                assert_eq!(server.dirty_shards(), 0, "{ctx}");
+                assert_eq!(server.drain_deliveries(&mut drained), 0, "{ctx}");
                 assert!(server.ready_balanced(), "{ctx}: after the drain");
             }
             for &h in &dead {
@@ -322,63 +321,72 @@ fn endpoint_ready_sets_cover_every_pending_queue() {
 }
 
 #[test]
-fn sharded_ready_sets_and_dirty_list_cover_every_pending_delivery() {
+fn sharded_ready_sets_cover_every_pending_queue() {
     ready_sets_cover_every_pending_queue(8);
 }
 
-/// Lazy post and timers run on every shard, but only a shard they left
-/// something deliverable in goes on the dirty list: the next drain
-/// costs what the traffic touched, not the shard count. (Both used to
-/// mark every shard, so a host running lazy post paid a 64-shard walk
-/// per drain.)
+/// Whatever `process_all_pending` or `tick` releases, the next
+/// `drain_deliveries` returns, at every shard count: a message the
+/// window layer holds until post work runs is not stranded.
 #[test]
-fn lazy_post_and_timers_dirty_only_the_shards_they_touched() {
-    let mut server = ShardedEndpoint::new(64);
-    let mut peers: Vec<Peer> = (0..32).map(|i| Peer::new(100 + i)).collect();
-    for p in &mut peers {
-        p.twin = Some(server.add_connection(conn(SERVER, p.host, 2 * p.host + 1)));
-        for f in p.send() {
-            server.from_network(f);
+fn what_post_work_and_timers_release_the_next_drain_returns() {
+    for shards in [1, 8, 64] {
+        let mut server = ShardedEndpoint::new(shards);
+        let mut peers: Vec<Peer> = (0..32).map(|i| Peer::new(100 + i)).collect();
+        for p in &mut peers {
+            p.twin = Some(server.add_connection(conn(SERVER, p.host, 2 * p.host + 1)));
+            for f in p.send() {
+                server.from_network(f);
+            }
         }
-    }
-    let mut drained = Vec::new();
-    assert_eq!(server.drain_deliveries(&mut drained), 32);
-    server.process_all_pending();
-    server.tick(1);
-    assert_eq!(
-        server.dirty_shards(),
-        0,
-        "nothing deliverable anywhere: nothing to visit"
-    );
+        let mut drained = Vec::new();
+        assert_eq!(server.drain_deliveries(&mut drained), 32, "{shards} shards");
+        server.process_all_pending();
+        server.tick(1);
+        assert_eq!(
+            server.drain_deliveries(&mut drained),
+            0,
+            "{shards} shards: nothing was released"
+        );
 
-    // One connection gets out-of-order frames: the window layer holds
-    // the later message until the earlier one arrives, and releases it
-    // in that arrival's post phase.
-    let mut frames = peers[7].send();
-    frames.extend(peers[7].send());
-    assert_eq!(frames.len(), 2);
-    server.from_network(frames.pop().unwrap());
-    server.from_network(frames.pop().unwrap());
-    drained.clear();
-    let early = server.drain_deliveries(&mut drained);
-    assert_eq!(early, 1, "the later message is held for post work");
-    assert_eq!(server.dirty_shards(), 0);
-    server.process_all_pending();
-    assert_eq!(
-        server.dirty_shards(),
-        1,
-        "exactly the shard whose post work released a delivery"
-    );
-    server.tick(2);
-    assert_eq!(server.dirty_shards(), 1, "the timers released nothing");
-    assert!(server.ready_balanced());
-    let late = server.drain_deliveries(&mut drained);
-    assert_eq!(early + late, 2, "the held message is not stranded");
-    for p in &peers {
-        let twin = server.try_conn(p.twin.unwrap()).unwrap();
-        assert!(!twin.has_delivery(), "stranded delivery");
-    }
-    for d in &drained {
-        assert_eq!(Some(d.conn), peers[7].twin);
+        // One connection gets out-of-order frames: the window layer
+        // holds the later message until the earlier one arrives, and
+        // releases it in that arrival's post phase.
+        let twin = peers[7].twin.unwrap();
+        let mut frames = peers[7].send();
+        frames.extend(peers[7].send());
+        assert_eq!(frames.len(), 2);
+        server.from_network(frames.pop().unwrap());
+        server.from_network(frames.pop().unwrap());
+        drained.clear();
+        let early = server.drain_deliveries(&mut drained);
+        assert_eq!(early, 1, "{shards} shards: the later message is held");
+        assert!(!server.try_conn(twin).unwrap().has_delivery());
+        server.process_all_pending();
+        assert!(
+            server.try_conn(twin).unwrap().has_delivery(),
+            "{shards} shards: post work released the held message"
+        );
+        assert!(server.ready_balanced());
+        let late = server.drain_deliveries(&mut drained);
+        assert_eq!(
+            early + late,
+            2,
+            "{shards} shards: the held message is stranded"
+        );
+        server.tick(2);
+        assert!(server.ready_balanced());
+        assert_eq!(
+            server.drain_deliveries(&mut drained),
+            0,
+            "{shards} shards: the timers released nothing"
+        );
+        for p in &peers {
+            let twin = server.try_conn(p.twin.unwrap()).unwrap();
+            assert!(!twin.has_delivery(), "{shards} shards: stranded delivery");
+        }
+        for d in &drained {
+            assert_eq!(d.conn, twin);
+        }
     }
 }
