@@ -8,10 +8,10 @@
 //! reported as ns/op with a pa-obs quantile sketch supplying p50/p99
 //! across timing batches.
 
-use pa_bench::{BenchReport, Better};
+use pa_bench::{fastest, BenchReport, Better};
 use pa_buf::{ByteOrder, Msg};
 use pa_core::layer::NullLayer;
-use pa_core::{Connection, ConnectionParams, InitCtx, Layer, PaConfig};
+use pa_core::{Connection, ConnectionParams, Layer, PaConfig};
 use pa_filter::{DigestKind, Frame, FusedProgram, Op, ProgramBuilder};
 use pa_obs::QuantileSketch;
 use pa_stack::StackSpec;
@@ -78,13 +78,13 @@ fn bench_header_access() {
     }
 }
 
-/// The declare → place half of connection setup, alone: the engine's
-/// own conn-ident fields, then every paper-stack layer's `init` (its
+/// The declare → place half of a plan's build, alone: the engine's own
+/// conn-ident fields, then every paper-stack layer's shape declared (its
 /// `add_field`s; the filter fragments land in throw-away builders), then
-/// the packer. What `Connection::new` adds to this is verify + fuse +
-/// ident + the state it keeps.
+/// the packer. What the first connection of a stack adds to this is
+/// verify + fuse; a connection over a known stack does none of it.
 fn bench_layout_compile() {
-    let mut layers = StackSpec::paper().build();
+    let layers = StackSpec::paper().build();
     bench("layout_compile_paper_stack", || {
         let mut b = LayoutBuilder::new();
         let (mut send, mut recv) = (ProgramBuilder::new(), ProgramBuilder::new());
@@ -96,13 +96,11 @@ fn bench_layout_compile() {
             .unwrap();
         b.add_field(Class::ConnId, "stack_fingerprint", 64, None)
             .unwrap();
-        for layer in layers.iter_mut() {
-            b.begin_layer(layer.name());
-            layer.init(&mut InitCtx {
-                layout: &mut b,
-                send_filter: &mut send,
-                recv_filter: &mut recv,
-            });
+        for layer in &layers {
+            layer
+                .shape()
+                .declare_into(layer.name(), &mut b, &mut send, &mut recv)
+                .unwrap();
         }
         black_box(b.compile(LayoutMode::Packed).unwrap());
     });
@@ -250,25 +248,6 @@ fn bench_hot_path() {
     });
 }
 
-/// Trimmed mean of per-batch costs, and the fastest batch. A shared box
-/// occasionally preempts a whole batch (orders-of-magnitude spikes);
-/// batches beyond 2x the fastest are scheduler noise, not the code, and
-/// are discarded. Genuine allocator variance (slow-path mallocs at
-/// 1.1-1.5x) stays in.
-fn trimmed(batches: &[f64]) -> (f64, f64, usize) {
-    let best = batches.iter().copied().fold(f64::INFINITY, f64::min);
-    let kept: Vec<f64> = batches
-        .iter()
-        .copied()
-        .filter(|&b| b <= best * 2.0)
-        .collect();
-    (
-        kept.iter().sum::<f64>() / kept.len() as f64,
-        best,
-        kept.len(),
-    )
-}
-
 const BATCH: u32 = 256;
 const BATCHES: usize = 40;
 
@@ -337,7 +316,10 @@ fn warm_pair(
     (a, b)
 }
 
-/// [`timed_batch`] over [`BATCHES`] batches of one pair; trimmed means.
+/// [`timed_batch`] over [`BATCHES`] batches of one pair: the hot
+/// operations and the drain interleaved round trip by round trip, each
+/// half summarised by its [`fastest`] batches, as
+/// [`bench_phase_dispatch`]'s two arms are.
 ///
 /// Returns `(ns per hot operation, drain ns per round trip)`.
 fn bench_hot_and_drain(
@@ -348,29 +330,20 @@ fn bench_hot_and_drain(
     let (mut a, mut b) = warm_pair(stack, config);
     // The same helper de-biases the engine's cycle meters.
     let span_overhead = pa_obs::timer::span_overhead();
-    let (hot_batches, drain_batches): (Vec<f64>, Vec<f64>) = (0..BATCHES)
+    let (mut hots, mut drains): (Vec<f64>, Vec<f64>) = (0..BATCHES)
         .map(|_| timed_batch(&mut a, &mut b, span_overhead))
         .unzip();
-    let (hot, hot_best, hot_kept) = trimmed(&hot_batches);
-    let (drain, drain_best, drain_kept) = trimmed(&drain_batches);
+    let (hot, drain) = (fastest(&mut hots), fastest(&mut drains));
     println!(
-        "{:<44} {hot:>8.0} ns/op   (min {hot_best:.0}; {hot_kept}/{BATCHES} batches of {})",
+        "{:<44} {hot:>8.0} ns/op   (5 fastest of {BATCHES} batches of {})",
         format!("hot_ops/{name}"),
         BATCH * 4
     );
     println!(
-        "{:<44} {drain:>8.0} ns/rtt  (min {drain_best:.0}; {drain_kept}/{BATCHES} batches of {BATCH})",
+        "{:<44} {drain:>8.0} ns/rtt  (5 fastest of {BATCHES} batches of {BATCH})",
         format!("post_drain/{name}")
     );
     (hot, drain)
-}
-
-/// Mean of the five fastest batches: on a shared box noise only ever
-/// adds time, and five is enough that one lucky clock read does not set
-/// the figure.
-fn fastest(batches: &mut [f64]) -> f64 {
-    batches.sort_by(f64::total_cmp);
-    batches[..5].iter().sum::<f64>() / 5.0
 }
 
 /// The drain of a 4 × `NullLayer` stack against a 1 × `NullLayer` one,

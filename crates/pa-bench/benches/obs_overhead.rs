@@ -60,7 +60,8 @@ fn echo_round_trip(a: &mut Connection, b: &mut Connection) {
 }
 
 /// Hot-op cost per operation (4 per round trip), deferred drain
-/// untimed, batch-trimmed like `micro.rs`. When `plane` is set, the
+/// untimed, batches beyond 2x the fastest dropped as scheduler noise.
+/// When `plane` is set, the
 /// timed region additionally records the trip's latency into it — the
 /// telemetry cost rides exactly where it would in production.
 fn bench_hot_ops(name: &str, mut plane: Option<(&mut ScopePlane, pa_obs::ScopeKey)>) -> f64 {

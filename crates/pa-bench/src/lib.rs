@@ -18,6 +18,14 @@ pub mod report;
 
 pub use report::{compare, emit_and_compare, BenchReport, Better, Comparison, Delta, Metric};
 
+/// Mean of the five fastest batches: on a shared box noise only ever
+/// adds time, and five is enough that one lucky clock read does not set
+/// the figure. The summary of every interleaved ratio row.
+pub fn fastest(batches: &mut [f64]) -> f64 {
+    batches.sort_by(f64::total_cmp);
+    batches[..5].iter().sum::<f64>() / 5.0
+}
+
 /// Prints a standard banner for a paper-artifact bench.
 pub fn banner(what: &str) {
     println!("\n================================================================");

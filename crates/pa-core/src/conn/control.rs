@@ -11,118 +11,46 @@
 use super::introspect::{Introspection, TraceCtx};
 use super::{Connection, ConnectionParams, DeliverOutcome, SetupError};
 use crate::config::PaConfig;
-use crate::layer::{Effects, InitCtx, Layer};
+use crate::layer::{Effects, Layer};
 use crate::plan;
 use crate::predict::Prediction;
 use crate::stats::ConnStats;
 use crate::Nanos;
 use pa_buf::{Backlog, ByteOrder, Msg, MsgPool};
-use pa_filter::Op;
 use pa_obs::rng::SplitMix64;
 use pa_obs::{DisableReason, Invariant, Phase, RejectReason, TraceEvent};
-use pa_wire::{Class, Cookie, EndpointAddr, Preamble};
+use pa_wire::{Class, Cookie, Preamble};
 use std::collections::VecDeque;
 
-/// Delivery-filter verdict for a frame that should carry a trace
-/// context but doesn't (journey id 0): a conforming tracing peer always
-/// fills the field, so such a frame is diverted to the slow path.
-const TRACE_MISSING: i64 = 77;
-
 impl Connection {
-    /// Builds a connection: runs every layer's `init` (field and filter
-    /// declarations), takes the stack's plan — the compiled header
+    /// Builds a connection: takes the stack's plan — the compiled header
     /// layout and both filters, shared with every live connection whose
-    /// layers declared the same, compiled here only if there is none —
-    /// sizes the predictions, and constructs the connection
-    /// identification.
+    /// layers have the same names and shapes, declared and compiled here
+    /// only if there is none — hands every layer its handles, sizes the
+    /// predictions, and constructs the connection identification.
     pub fn new(
         mut layers: Vec<Box<dyn Layer>>,
         config: PaConfig,
         params: ConnectionParams,
     ) -> Result<Connection, SetupError> {
-        let (plan, [f_src, f_dst, f_fp], trace) = plan::with_transcript(|t| {
-            // The engine's own conn-ident contribution: the stack
-            // fingerprint (detects mismatched stacks at setup) and the
-            // endpoint addresses — realistic large identification, like
-            // the ~76 bytes Horus carries (§2.2).
-            t.layout.begin_layer("pa");
-            let mut ident_field = |name, bits| {
-                t.layout
-                    .add_field(Class::ConnId, name, bits, None)
-                    .map_err(SetupError::Layout)
-            };
-            let ident_fields = [
-                ident_field("src_endpoint", (EndpointAddr::WIRE_LEN * 8) as u32)?,
-                ident_field("dst_endpoint", (EndpointAddr::WIRE_LEN * 8) as u32)?,
-                ident_field("stack_fingerprint", 64)?,
-            ];
-
-            // Record each layer's `[start, end)` span in both filter
-            // programs as it contributes fragments, so a later
-            // rejection's deciding instruction can be attributed to its
-            // layer.
-            for layer in layers.iter_mut() {
-                t.layout.begin_layer(layer.name());
-                let (s0, r0) = (t.send.program.len(), t.recv.program.len());
-                layer.init(&mut InitCtx {
-                    layout: &mut t.layout,
-                    send_filter: &mut t.send.program,
-                    recv_filter: &mut t.recv.program,
-                });
-                t.send.close_span(s0, layer.name());
-                t.recv.close_span(r0, layer.name());
+        let plan = plan::plan_for(&layers, config.layout_mode, config.trace_ctx)?;
+        // The engine binds its own declarations as the layers bind
+        // theirs: the conn-ident fields first, the trace context last.
+        let [f_src, f_dst, f_fp] = plan.handles(0).fields();
+        for (i, layer) in layers.iter_mut().enumerate() {
+            layer.bind(plan.handles(i + 1));
+        }
+        let trace = config.trace_ctx.then(|| {
+            let handles = plan.handles(layers.len() + 1);
+            let [journey, hop] = handles.fields();
+            let [journey_slot, hop_slot] = handles.send_slots();
+            TraceCtx {
+                journey,
+                hop,
+                journey_slot,
+                hop_slot,
             }
-
-            // In-band trace context (`PaConfig::trace_ctx`): a journey
-            // id and hop counter in the Message Specific class, declared
-            // like any layer's fields and *filled by the send filter*
-            // from patchable slots. Checksum fragments never cover the
-            // Message class, so filter-written trace fields cannot
-            // invalidate a digest. Off, nothing is declared here.
-            let mut trace = None;
-            if config.trace_ctx {
-                t.layout.begin_layer("trace");
-                let (s0, r0) = (t.send.program.len(), t.recv.program.len());
-                let mut trace_field = |name, bits| {
-                    t.layout
-                        .add_field(Class::Message, name, bits, None)
-                        .map_err(SetupError::Layout)
-                };
-                let journey = trace_field("trace_journey", 64)?;
-                let hop = trace_field("trace_hop", 8)?;
-                let journey_slot = t.send.program.alloc_slot(0);
-                let hop_slot = t.send.program.alloc_slot(0);
-                t.send.program.extend([
-                    Op::PushSlot(journey_slot),
-                    Op::PopField(journey),
-                    Op::PushSlot(hop_slot),
-                    Op::PopField(hop),
-                ]);
-                // Delivery side: a conforming tracing peer never sends
-                // journey 0, so divert such frames to the slow path.
-                t.recv.program.extend([
-                    Op::PushField(journey),
-                    Op::PushConst(0),
-                    Op::Eq,
-                    Op::Abort(TRACE_MISSING),
-                ]);
-                t.send.close_span(s0, "trace");
-                t.recv.close_span(r0, "trace");
-                trace = Some(TraceCtx {
-                    journey,
-                    hop,
-                    journey_slot,
-                    hop_slot,
-                });
-            }
-
-            // What was just declared is the plan's key: equal
-            // declarations share one compiled layout and one pair of
-            // filters, verified and fused for both byte orders when the
-            // first connection of the stack was built.
-            let plan = plan::plan_for(t, config.layout_mode)?;
-            Ok((plan, ident_fields, trace))
-        })?;
+        });
         let layout = &plan.layout;
 
         // Connection identification: `local` is what we send, `peer`

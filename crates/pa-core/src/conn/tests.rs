@@ -3,10 +3,10 @@
 //! over a connection pair, driven through every path.
 
 use super::*;
-use crate::layer::{DeliverAction, InitCtx, LayerCtx, NullLayer, SendAction};
+use crate::layer::{Declare, DeliverAction, Handles, LayerCtx, LayerShape, NullLayer, SendAction};
 use pa_filter::{DigestKind, Op};
 use pa_obs::{SlowCause, TraceEvent};
-use pa_wire::{Class, Field};
+use pa_wire::{Class, Field, LayoutError};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -39,6 +39,31 @@ struct Counters {
     post_delivers: Arc<AtomicU32>,
 }
 
+impl SeqLayer {
+    fn declare(d: &mut Declare<'_>, _: &[i64]) -> Result<(), LayoutError> {
+        d.add_field(Class::Protocol, "seq", 32, None)?;
+        let len = d.add_field(Class::Message, "len", 16, None)?;
+        let ck = d.add_field(Class::Message, "ck", 16, None)?;
+        d.send_filter([
+            Op::PushSize,
+            Op::PopField(len),
+            Op::Digest(DigestKind::InternetChecksum),
+            Op::PopField(ck),
+        ]);
+        d.recv_filter([
+            Op::PushField(len),
+            Op::PushSize,
+            Op::Ne,
+            Op::Abort(1),
+            Op::PushField(ck),
+            Op::Digest(DigestKind::InternetChecksum),
+            Op::Ne,
+            Op::Abort(2),
+        ]);
+        Ok(())
+    }
+}
+
 fn seq_layer() -> (SeqLayer, Counters) {
     let c = Counters {
         pre_sends: Arc::new(AtomicU32::new(0)),
@@ -65,38 +90,15 @@ impl Layer for SeqLayer {
         "seq-test"
     }
 
-    fn init(&mut self, ctx: &mut InitCtx<'_>) {
-        let seq = ctx
-            .layout
-            .add_field(Class::Protocol, "seq", 32, None)
-            .unwrap();
-        let len = ctx
-            .layout
-            .add_field(Class::Message, "len", 16, None)
-            .unwrap();
-        let ck = ctx
-            .layout
-            .add_field(Class::Message, "ck", 16, None)
-            .unwrap();
+    fn shape(&self) -> LayerShape {
+        LayerShape::new(SeqLayer::declare, [])
+    }
+
+    fn bind(&mut self, handles: Handles<'_>) {
+        let [seq, len, ck] = handles.fields();
         self.seq_f = Some(seq);
         self.len_f = Some(len);
         self.ck_f = Some(ck);
-        ctx.send_filter.extend(vec![
-            Op::PushSize,
-            Op::PopField(len),
-            Op::Digest(DigestKind::InternetChecksum),
-            Op::PopField(ck),
-        ]);
-        ctx.recv_filter.extend(vec![
-            Op::PushField(len),
-            Op::PushSize,
-            Op::Ne,
-            Op::Abort(1),
-            Op::PushField(ck),
-            Op::Digest(DigestKind::InternetChecksum),
-            Op::Ne,
-            Op::Abort(2),
-        ]);
     }
 
     fn pre_send(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> SendAction {

@@ -21,13 +21,22 @@
 //! headers' disable counters. The buffers a layer keeps or emits come
 //! from the connection's pool, lent through the same context
 //! ([`LayerCtx::buf_with`], [`LayerCtx::put_buf`]).
+//!
+//! What a layer declares — header fields (§2.1's `add_field`), filter
+//! fragments and patchable slots (§3.3) — is not something it does but
+//! something it *is*: a [`LayerShape`], a plain value whose declare
+//! function writes the declarations from the shape's own words. A stack
+//! of equal shapes declares equal things, so the engine declares once
+//! per stack shape and hands each connection's layers their handles
+//! ([`Layer::bind`]).
 
 use crate::predict::Prediction;
 use crate::Nanos;
 use pa_buf::{ByteOrder, Msg, MsgPool};
-use pa_filter::{Frame, ProgramBuilder};
+use pa_filter::{Frame, Op, ProgramBuilder, SlotId};
 use pa_obs::DisableReason;
-use pa_wire::{CompiledLayout, LayoutBuilder};
+use pa_wire::{Class, CompiledLayout, Field, LayoutBuilder, LayoutError};
+use std::fmt;
 
 /// Verdict of a layer's pre-send phase.
 #[derive(Debug)]
@@ -58,18 +67,239 @@ pub enum DeliverAction {
     Drop(&'static str),
 }
 
-/// Context handed to layer initialization.
+/// The declare function of a [`LayerShape`]: writes one layer's
+/// declarations, reading nothing but the shape's words and
+/// [`Declare::layer_name`].
+pub type DeclareFn = fn(&mut Declare<'_>, &[i64]) -> Result<(), LayoutError>;
+
+/// What a layer declares, as a value: a declare function and up to
+/// [`LayerShape::WORDS`] words it reads — everything the declarations
+/// depend on (the checksum's digest, frag's MTU, a slot's first value).
 ///
-/// Layers use it to declare header fields (§2.1's `add_field`) and to
-/// contribute packet-filter fragments (§3.3).
-pub struct InitCtx<'a> {
-    /// Field declarations — the layer must call
-    /// [`LayoutBuilder::begin_layer`]'s successor methods through this.
-    pub layout: &'a mut LayoutBuilder,
-    /// Send-filter fragment accumulator.
-    pub send_filter: &'a mut ProgramBuilder,
-    /// Delivery-filter fragment accumulator.
-    pub recv_filter: &'a mut ProgramBuilder,
+/// Two layers of equal shape and equal [`Layer::name`] declare equal
+/// things *by construction*: the declarations are whatever the one
+/// function writes from the same words and the same name, and it is
+/// handed nothing else — not the layer. So the engine keys a stack's
+/// plan on `(layout mode, trace context, [(name, shape)])` and declares
+/// only on a miss. Shapes compare by the function's address: two copies
+/// of one function at different addresses cost one extra compile, never
+/// a wrong hit, and two functions merged into one are the same code, so
+/// they declare the same things.
+#[derive(Debug, Clone, Copy)]
+pub struct LayerShape {
+    declare: DeclareFn,
+    words: [i64; LayerShape::WORDS],
+    len: u8,
+}
+
+impl LayerShape {
+    /// Most words a shape carries.
+    pub const WORDS: usize = 4;
+
+    /// A layer that declares nothing.
+    pub const NONE: LayerShape = LayerShape::new(declare_nothing, []);
+
+    /// The shape whose declarations `declare` writes from `words`.
+    pub const fn new<const N: usize>(declare: DeclareFn, words: [i64; N]) -> LayerShape {
+        assert!(N <= LayerShape::WORDS, "a shape carries at most four words");
+        let mut padded = [0; LayerShape::WORDS];
+        let mut i = 0;
+        while i < N {
+            padded[i] = words[i];
+            i += 1;
+        }
+        LayerShape {
+            declare,
+            words: padded,
+            len: N as u8,
+        }
+    }
+
+    /// The words the declare function reads.
+    fn words(&self) -> &[i64] {
+        &self.words[..self.len as usize]
+    }
+
+    /// Runs the declarations of a layer named `name` of this shape into
+    /// hand-held builders, after `begin_layer(name)` — what a plan's
+    /// build does for each layer, for code that compiles a layout by
+    /// hand.
+    pub fn declare_into(
+        &self,
+        name: &'static str,
+        layout: &mut LayoutBuilder,
+        send: &mut ProgramBuilder,
+        recv: &mut ProgramBuilder,
+    ) -> Result<(), LayoutError> {
+        self.declare(name, layout, send, recv, &mut HandleLog::default())
+    }
+
+    /// [`LayerShape::declare_into`], logging the handles returned.
+    pub(crate) fn declare(
+        &self,
+        name: &'static str,
+        layout: &mut LayoutBuilder,
+        send: &mut ProgramBuilder,
+        recv: &mut ProgramBuilder,
+        handles: &mut HandleLog,
+    ) -> Result<(), LayoutError> {
+        layout.begin_layer(name);
+        let mut d = Declare {
+            name,
+            layout,
+            send,
+            recv,
+            handles: &mut *handles,
+        };
+        (self.declare)(&mut d, self.words())?;
+        handles.close();
+        Ok(())
+    }
+}
+
+fn declare_nothing(_: &mut Declare<'_>, _: &[i64]) -> Result<(), LayoutError> {
+    Ok(())
+}
+
+impl PartialEq for LayerShape {
+    fn eq(&self, other: &LayerShape) -> bool {
+        std::ptr::fn_addr_eq(self.declare, other.declare) && self.words() == other.words()
+    }
+}
+
+impl Eq for LayerShape {}
+
+/// What a [`LayerShape`]'s declare function writes into: the stack's
+/// field declarations and both filters, as the layer named
+/// [`Declare::layer_name`]. Every handle handed out here is logged, in
+/// order, and handed back to each layer of the shape by
+/// [`Layer::bind`].
+pub struct Declare<'a> {
+    name: &'static str,
+    layout: &'a mut LayoutBuilder,
+    send: &'a mut ProgramBuilder,
+    recv: &'a mut ProgramBuilder,
+    handles: &'a mut HandleLog,
+}
+
+impl Declare<'_> {
+    /// The declaring layer's [`Layer::name`] (part of the plan's key).
+    pub fn layer_name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The paper's `add_field(class, name, size, offset)` (see
+    /// [`LayoutBuilder::add_field`]).
+    pub fn add_field(
+        &mut self,
+        class: Class,
+        name: &str,
+        bits: u32,
+        offset: Option<u32>,
+    ) -> Result<Field, LayoutError> {
+        let field = self.layout.add_field(class, name, bits, offset)?;
+        self.handles.fields.push(field);
+        Ok(field)
+    }
+
+    /// Allocates a patchable send-filter slot holding `value` at first.
+    pub fn send_slot(&mut self, value: i64) -> SlotId {
+        let slot = self.send.alloc_slot(value);
+        self.handles.send_slots.push(slot);
+        slot
+    }
+
+    /// Allocates a patchable delivery-filter slot holding `value` at
+    /// first.
+    pub fn recv_slot(&mut self, value: i64) -> SlotId {
+        let slot = self.recv.alloc_slot(value);
+        self.handles.recv_slots.push(slot);
+        slot
+    }
+
+    /// Appends a fragment to the send filter.
+    pub fn send_filter(&mut self, ops: impl IntoIterator<Item = Op>) {
+        self.send.extend(ops);
+    }
+
+    /// Appends a fragment to the delivery filter.
+    pub fn recv_filter(&mut self, ops: impl IntoIterator<Item = Op>) {
+        self.recv.extend(ops);
+    }
+}
+
+/// Every handle a stack's declarations returned, in order, and where
+/// each declaring layer's run of them ends.
+#[derive(Debug, Default)]
+pub(crate) struct HandleLog {
+    fields: Vec<Field>,
+    send_slots: Vec<SlotId>,
+    recv_slots: Vec<SlotId>,
+    ends: Vec<[usize; 3]>,
+}
+
+impl HandleLog {
+    /// Room for the paper stack's handles plus the engine's and the
+    /// trace context's.
+    pub(crate) fn new() -> HandleLog {
+        HandleLog {
+            fields: Vec::with_capacity(16),
+            ends: Vec::with_capacity(8),
+            ..HandleLog::default()
+        }
+    }
+
+    /// Ends the current layer's run.
+    fn close(&mut self) {
+        let end = [
+            self.fields.len(),
+            self.send_slots.len(),
+            self.recv_slots.len(),
+        ];
+        self.ends.push(end);
+    }
+
+    /// The handles of the `i`-th declaring layer.
+    pub(crate) fn of(&self, i: usize) -> Handles<'_> {
+        let start = i.checked_sub(1).map_or([0; 3], |p| self.ends[p]);
+        let end = self.ends[i];
+        Handles {
+            fields: &self.fields[start[0]..end[0]],
+            send_slots: &self.send_slots[start[1]..end[1]],
+            recv_slots: &self.recv_slots[start[2]..end[2]],
+        }
+    }
+}
+
+/// One layer's handles, in the order its declare function took them.
+#[derive(Debug, Clone, Copy)]
+pub struct Handles<'a> {
+    fields: &'a [Field],
+    send_slots: &'a [SlotId],
+    recv_slots: &'a [SlotId],
+}
+
+impl Handles<'_> {
+    /// The fields, as an array of exactly as many as were declared.
+    pub fn fields<const N: usize>(&self) -> [Field; N] {
+        exactly(self.fields, "fields")
+    }
+
+    /// The send-filter slots.
+    pub fn send_slots<const N: usize>(&self) -> [SlotId; N] {
+        exactly(self.send_slots, "send slots")
+    }
+
+    /// The delivery-filter slots.
+    pub fn recv_slots<const N: usize>(&self) -> [SlotId; N] {
+        exactly(self.recv_slots, "delivery slots")
+    }
+}
+
+fn exactly<T: Copy + fmt::Debug, const N: usize>(handles: &[T], what: &str) -> [T; N] {
+    handles
+        .try_into()
+        .unwrap_or_else(|_| panic!("bound {N} {what}, declared {handles:?}"))
 }
 
 /// Side effects a layer may request during pre/post phases and ticks.
@@ -311,14 +541,27 @@ impl<'a> LayerCtx<'a> {
 /// deferral taken to a second core). A layer is still never *shared*:
 /// exactly one thread drives it at a time, so `Sync` is not required
 /// and interior state needs no atomics.
+///
+/// A connection is built in two steps per layer. [`Layer::shape`] says
+/// what the layer declares, as a value; the engine runs those
+/// declarations only when no live connection has a stack of the same
+/// shapes, names and configuration. Then [`Layer::bind`] hands the
+/// layer the `Field` and `SlotId` handles its declarations returned —
+/// on every build, whether the plan was found or compiled. A layer that
+/// wraps another forwards both, like every other method.
 pub trait Layer: Send {
-    /// Short name for reports and layouts.
+    /// Short name for reports and layouts; part of the plan's key.
     fn name(&self) -> &'static str;
 
-    /// Declare header fields and filter fragments. Called exactly once,
-    /// in stacking order (bottom first); the engine has already called
-    /// `begin_layer` for this layer.
-    fn init(&mut self, ctx: &mut InitCtx<'_>);
+    /// What this layer declares (§2.1's fields, §3.3's filter fragments
+    /// and slots), as a value: equal shapes under equal names declare
+    /// equal things. A layer that declares nothing returns
+    /// [`LayerShape::NONE`].
+    fn shape(&self) -> LayerShape;
+
+    /// Receives the handles this layer's shape declared, in declaration
+    /// order. Called once per connection, before any phase.
+    fn bind(&mut self, handles: Handles<'_>);
 
     /// Fills this layer's conn-ident fields. `local` is the
     /// identification we send; `peer` the one we expect to receive.
@@ -375,7 +618,11 @@ impl Layer for NullLayer {
         "null"
     }
 
-    fn init(&mut self, _ctx: &mut InitCtx<'_>) {}
+    fn shape(&self) -> LayerShape {
+        LayerShape::NONE
+    }
+
+    fn bind(&mut self, _: Handles<'_>) {}
 
     fn pre_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> SendAction {
         SendAction::Continue
@@ -394,6 +641,42 @@ impl Layer for NullLayer {
 mod tests {
     use super::*;
     use pa_wire::LayoutMode;
+
+    fn protocol_field(d: &mut Declare<'_>, words: &[i64]) -> Result<(), LayoutError> {
+        d.add_field(Class::Protocol, "f", words[0] as u32, None)?;
+        Ok(())
+    }
+
+    fn message_field(d: &mut Declare<'_>, words: &[i64]) -> Result<(), LayoutError> {
+        d.add_field(Class::Message, "f", words[0] as u32, None)?;
+        Ok(())
+    }
+
+    #[test]
+    fn a_shape_is_its_function_and_its_words() {
+        let shape = LayerShape::new(protocol_field, [8]);
+        assert_eq!(shape, LayerShape::new(protocol_field, [8]));
+        assert_ne!(shape, LayerShape::new(protocol_field, [9]));
+        assert_ne!(shape, LayerShape::new(protocol_field, [8, 0]));
+        assert_ne!(shape, LayerShape::new(message_field, [8]));
+    }
+
+    #[test]
+    #[should_panic(expected = "bound 2 fields")]
+    fn a_bind_that_disagrees_with_its_declarations_panics() {
+        let mut log = HandleLog::new();
+        let (mut send, mut recv) = (ProgramBuilder::new(), ProgramBuilder::new());
+        LayerShape::new(protocol_field, [8])
+            .declare(
+                "t",
+                &mut LayoutBuilder::new(),
+                &mut send,
+                &mut recv,
+                &mut log,
+            )
+            .unwrap();
+        let _: [Field; 2] = log.of(0).fields();
+    }
 
     #[test]
     fn effects_emptiness() {

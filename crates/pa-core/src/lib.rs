@@ -6,7 +6,7 @@
 //! stack itself — a bottom-to-top vector of [`layer::Layer`]
 //! implementations in canonical pre/post form (§3.1). What the stack
 //! compiles to — the header layout and the two verified, fused packet
-//! filters — is built once per distinct stack and shared by every
+//! filters — is built once per distinct stack shape and shared by every
 //! connection over it.
 //!
 //! The send path (Figure 3's `send()`):
@@ -56,7 +56,7 @@ pub use conn::{
 };
 pub use dissect::dissect;
 pub use handshake::{Greeting, GreetingError};
-pub use layer::{DeliverAction, InitCtx, Layer, LayerCtx, SendAction};
+pub use layer::{Declare, DeliverAction, Handles, Layer, LayerCtx, LayerShape, SendAction};
 pub use packing::PackInfo;
 pub use predict::{DisableHold, Prediction};
 

@@ -108,13 +108,6 @@ impl Program {
         &self.slots
     }
 
-    /// True if `builder` holds exactly this program's instructions and
-    /// slot values, so that verifying it would produce this program
-    /// again.
-    pub fn assembled_from(&self, builder: &ProgramBuilder) -> bool {
-        self.ops == builder.ops && self.slots == builder.slots
-    }
-
     /// An empty program (always passes). Useful as the identity filter.
     pub fn empty() -> Program {
         Program {
@@ -188,12 +181,6 @@ impl ProgramBuilder {
     /// True if no instructions have been appended.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// Forgets every instruction and slot and keeps the storage.
-    pub fn clear(&mut self) {
-        self.ops.clear();
-        self.slots.clear();
     }
 
     /// Verifies and seals the program.
@@ -300,35 +287,6 @@ mod tests {
         p.set_slot(s, 7);
         assert_eq!(p.slot(s), 7);
         assert_eq!(p.slot_count(), 1);
-    }
-
-    #[test]
-    fn assembled_from_compares_ops_and_slot_values() {
-        let assemble = |limit: i64, bound: i64| {
-            let mut b = ProgramBuilder::new();
-            let s = b.alloc_slot(limit);
-            b.extend([
-                Op::PushBodySize,
-                Op::PushSlot(s),
-                Op::Gt,
-                Op::Abort(1),
-                Op::PushBodySize,
-                Op::PushConst(bound),
-                Op::Gt,
-                Op::Abort(2),
-            ]);
-            b
-        };
-        let mut b = assemble(10, 99);
-        let p = b.clone().build().unwrap();
-        assert!(p.assembled_from(&b));
-        assert!(!p.assembled_from(&assemble(11, 99)), "a slot's first value");
-        assert!(!p.assembled_from(&assemble(10, 98)), "a constant");
-        b.op(Op::Return(0));
-        assert!(!p.assembled_from(&b), "one more instruction");
-        b.clear();
-        assert!(b.is_empty());
-        assert!(Program::empty().assembled_from(&b));
     }
 
     #[test]

@@ -173,6 +173,12 @@ pub struct FlashReport {
     /// The merged per-shard telemetry domains reproduced the demux
     /// ledgers exactly.
     pub fold_exact: bool,
+    /// Stack plans compiled while the run built its connections — the
+    /// growth of the endpoint's `plan.plan_builds`, a process-wide
+    /// counter: every connection is over one stack, so one.
+    pub plan_builds: u64,
+    /// Builds that found that plan (`plan.plan_hits`' growth).
+    pub plan_hits: u64,
 }
 
 impl FlashReport {
@@ -217,10 +223,22 @@ pub struct FlashCrowd {
     clock: Nanos,
     report: FlashReport,
     delivery_scratch: Vec<ShardDelivery>,
+    /// `(plan_builds, plan_hits)` before the run.
+    plan_counts0: (u64, u64),
 }
 
 const SERVER_HOST: u64 = 0xFEED;
 const TICK: Nanos = 1_000_000; // 1 ms of virtual time per tick
+
+/// `(plan_builds, plan_hits)` as `endpoint`'s snapshot reports them.
+fn plan_counts(endpoint: &ShardedEndpoint) -> (u64, u64) {
+    let snap = endpoint.metrics_snapshot(0);
+    let get = |name| {
+        snap.get("plan", name)
+            .expect("an endpoint records the plan scope")
+    };
+    (get("plan_builds"), get("plan_hits"))
+}
 
 impl FlashCrowd {
     /// Builds the server, the telemetry plane, and an empty report.
@@ -232,6 +250,7 @@ impl FlashCrowd {
         let mut server = ShardedEndpoint::new(cfg.shards);
         server.set_accept_budget_per_shard(Some(cfg.accept_budget));
         FlashCrowd {
+            plan_counts0: plan_counts(&server),
             folded: vec![(0, 0, 0); cfg.shards],
             server,
             expected: HashSet::new(),
@@ -259,6 +278,8 @@ impl FlashCrowd {
                 stale_ledgers_ok: false,
                 pools_ok: false,
                 fold_exact: false,
+                plan_builds: 0,
+                plan_hits: 0,
             },
             cfg,
         }
@@ -604,6 +625,8 @@ impl FlashCrowd {
     /// Final ledger audit: demux conservation, exact reject taxonomy,
     /// stale ledgers, pool flux, and the telemetry fold.
     fn audit(&mut self) {
+        let ((builds, hits), (builds0, hits0)) = (plan_counts(&self.server), self.plan_counts0);
+        (self.report.plan_builds, self.report.plan_hits) = (builds - builds0, hits - hits0);
         self.report.demux_balanced = self.server.demux_balanced();
         self.report.rejects = self.server.global_rejects();
         for i in 0..self.cfg.shards {

@@ -9,8 +9,8 @@
 //! exactly the weight the cookie mechanism removes from the common case.
 
 use pa_buf::Msg;
-use pa_core::{DeliverAction, InitCtx, Layer, LayerCtx, SendAction};
-use pa_wire::{Class, CompiledLayout, Field};
+use pa_core::{Declare, DeliverAction, Handles, Layer, LayerCtx, LayerShape, SendAction};
+use pa_wire::{Class, CompiledLayout, Field, LayoutError};
 
 /// Protocol version this implementation speaks.
 pub const PROTOCOL_VERSION: u16 = 1;
@@ -20,13 +20,11 @@ pub const PROTOCOL_VERSION: u16 = 1;
 pub struct BottomLayer {
     epoch: u64,
     peer_epoch: u64,
-    f_epoch: Option<Field>,
-    f_version: Option<Field>,
-    f_arch: Option<Field>,
+    /// The epoch, version, word-size and blob fields, once bound.
+    fields: Option<[Field; 4]>,
     /// Extra identification padding blob, emulating the transport
     /// endpoints, group addresses etc. a real Horus bottom layer carries
     /// (sized so the total conn-ident lands near the paper's 76 bytes).
-    f_blob: Option<Field>,
     blob: [u8; 16],
 }
 
@@ -38,12 +36,17 @@ impl BottomLayer {
         BottomLayer {
             epoch,
             peer_epoch,
-            f_epoch: None,
-            f_version: None,
-            f_arch: None,
-            f_blob: None,
+            fields: None,
             blob: *b"horus-transport\0",
         }
+    }
+
+    fn declare(d: &mut Declare<'_>, _: &[i64]) -> Result<(), LayoutError> {
+        d.add_field(Class::ConnId, "epoch", 64, None)?;
+        d.add_field(Class::ConnId, "version", 16, None)?;
+        d.add_field(Class::ConnId, "arch_word_bits", 8, None)?;
+        d.add_field(Class::ConnId, "transport_blob", 128, None)?;
+        Ok(())
     }
 }
 
@@ -58,37 +61,17 @@ impl Layer for BottomLayer {
         "bottom"
     }
 
-    fn init(&mut self, ctx: &mut InitCtx<'_>) {
-        self.f_epoch = Some(
-            ctx.layout
-                .add_field(Class::ConnId, "epoch", 64, None)
-                .expect("valid field"),
-        );
-        self.f_version = Some(
-            ctx.layout
-                .add_field(Class::ConnId, "version", 16, None)
-                .expect("valid field"),
-        );
-        self.f_arch = Some(
-            ctx.layout
-                .add_field(Class::ConnId, "arch_word_bits", 8, None)
-                .expect("valid field"),
-        );
-        self.f_blob = Some(
-            ctx.layout
-                .add_field(Class::ConnId, "transport_blob", 128, None)
-                .expect("valid field"),
-        );
+    fn shape(&self) -> LayerShape {
+        LayerShape::new(BottomLayer::declare, [])
+    }
+
+    fn bind(&mut self, handles: Handles<'_>) {
+        self.fields = Some(handles.fields());
     }
 
     fn fill_ident(&self, layout: &CompiledLayout, local: &mut [u8], peer: &mut [u8]) {
         use pa_buf::ByteOrder::Big;
-        let (e, v, a, b) = (
-            self.f_epoch.expect("init ran"),
-            self.f_version.expect("init ran"),
-            self.f_arch.expect("init ran"),
-            self.f_blob.expect("init ran"),
-        );
+        let [e, v, a, b] = self.fields.expect("bound");
         layout.write_field(e, local, Big, self.epoch);
         layout.write_field(v, local, Big, PROTOCOL_VERSION as u64);
         layout.write_field(a, local, Big, 64);

@@ -20,14 +20,22 @@
 //! loss.
 
 use pa_buf::Msg;
-use pa_core::{DeliverAction, InitCtx, Layer, LayerCtx, SendAction};
+use pa_core::{Declare, DeliverAction, Handles, Layer, LayerCtx, LayerShape, SendAction};
 use pa_filter::{DigestKind, Op};
-use pa_wire::{Class, Field};
+use pa_wire::{Class, Field, LayoutError};
 
 /// Filter failure code for a length mismatch.
 pub const ERR_LENGTH: i64 = 0x10;
 /// Filter failure code for a checksum mismatch.
 pub const ERR_CHECKSUM: i64 = 0x11;
+
+/// The digests a checksum layer declares for, indexed by its shape's
+/// word.
+const KINDS: [DigestKind; 3] = [
+    DigestKind::InternetChecksum,
+    DigestKind::Crc32,
+    DigestKind::Xor8,
+];
 
 /// The checksum layer.
 #[derive(Debug)]
@@ -55,6 +63,39 @@ impl ChecksumLayer {
     pub fn corrupt_seen(&self) -> u64 {
         self.corrupt_seen
     }
+
+    fn declare(d: &mut Declare<'_>, words: &[i64]) -> Result<(), LayoutError> {
+        let kind = KINDS[words[0] as usize];
+        // The checksum field must hold the full digest: 32 bits for
+        // CRC-32, 16 otherwise.
+        let ck_bits = match kind {
+            DigestKind::Crc32 => 32,
+            DigestKind::InternetChecksum => 16,
+            DigestKind::Xor8 => 8,
+        };
+        let f_len = d.add_field(Class::Message, "body_len", 16, None)?;
+        let f_ck = d.add_field(Class::Message, "checksum", ck_bits, None)?;
+        // Send: fill both fields from the message. DIGEST_HDRS must run
+        // last in this fragment so every header it covers is final.
+        d.send_filter([
+            Op::PushBodySize,
+            Op::PopField(f_len),
+            Op::DigestHeaders(kind),
+            Op::PopField(f_ck),
+        ]);
+        // Delivery: verify both.
+        d.recv_filter([
+            Op::PushField(f_len),
+            Op::PushBodySize,
+            Op::Ne,
+            Op::Abort(ERR_LENGTH),
+            Op::PushField(f_ck),
+            Op::DigestHeaders(kind),
+            Op::Ne,
+            Op::Abort(ERR_CHECKSUM),
+        ]);
+        Ok(())
+    }
 }
 
 impl Default for ChecksumLayer {
@@ -68,44 +109,18 @@ impl Layer for ChecksumLayer {
         "checksum"
     }
 
-    fn init(&mut self, ctx: &mut InitCtx<'_>) {
-        // The checksum field must hold the full digest: 32 bits for
-        // CRC-32, 16 otherwise.
-        let ck_bits = match self.kind {
-            DigestKind::Crc32 => 32,
-            DigestKind::InternetChecksum => 16,
-            DigestKind::Xor8 => 8,
-        };
-        let f_len = ctx
-            .layout
-            .add_field(Class::Message, "body_len", 16, None)
-            .expect("valid field");
-        let f_ck = ctx
-            .layout
-            .add_field(Class::Message, "checksum", ck_bits, None)
-            .expect("valid field");
+    fn shape(&self) -> LayerShape {
+        let word = KINDS.iter().position(|&k| k == self.kind);
+        LayerShape::new(
+            ChecksumLayer::declare,
+            [word.expect("every kind is listed") as i64],
+        )
+    }
+
+    fn bind(&mut self, handles: Handles<'_>) {
+        let [f_len, f_ck] = handles.fields();
         self.f_len = Some(f_len);
         self.f_ck = Some(f_ck);
-
-        // Send: fill both fields from the message. DIGEST_HDRS must run
-        // last in this fragment so every header it covers is final.
-        ctx.send_filter.extend([
-            Op::PushBodySize,
-            Op::PopField(f_len),
-            Op::DigestHeaders(self.kind),
-            Op::PopField(f_ck),
-        ]);
-        // Delivery: verify both.
-        ctx.recv_filter.extend([
-            Op::PushField(f_len),
-            Op::PushBodySize,
-            Op::Ne,
-            Op::Abort(ERR_LENGTH),
-            Op::PushField(f_ck),
-            Op::DigestHeaders(self.kind),
-            Op::Ne,
-            Op::Abort(ERR_CHECKSUM),
-        ]);
     }
 
     fn pre_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> SendAction {
@@ -124,8 +139,8 @@ impl Layer for ChecksumLayer {
         }
         // The slow path re-verifies: a message can reach us down the
         // slow path precisely because the filter rejected it.
-        let f_len = self.f_len.expect("init ran");
-        let f_ck = self.f_ck.expect("init ran");
+        let f_len = self.f_len.expect("bound");
+        let f_ck = self.f_ck.expect("bound");
         let frame = ctx.frame(msg);
         let claimed_len = frame.read(f_len);
         let claimed_ck = frame.read(f_ck);
@@ -218,9 +233,16 @@ mod tests {
         fn name(&self) -> &'static str {
             "refuse-all"
         }
-        fn init(&mut self, ctx: &mut InitCtx<'_>) {
-            ctx.recv_filter.extend([Op::PushConst(1), Op::Abort(0x7F)]);
+        fn shape(&self) -> LayerShape {
+            LayerShape::new(
+                |d, _| {
+                    d.recv_filter([Op::PushConst(1), Op::Abort(0x7F)]);
+                    Ok(())
+                },
+                [],
+            )
         }
+        fn bind(&mut self, _: Handles<'_>) {}
         fn pre_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> SendAction {
             SendAction::Continue
         }
@@ -266,23 +288,15 @@ mod tests {
         // it; told nothing, it verifies and counts.
         use pa_core::layer::Effects;
         use pa_core::predict::Prediction;
-        use pa_wire::{ByteOrder, LayoutBuilder, LayoutMode};
-        let mut layer = ChecksumLayer::default();
-        let mut lb = LayoutBuilder::new();
-        lb.begin_layer("checksum");
-        let (mut sf, mut rf) = (
-            pa_filter::ProgramBuilder::new(),
-            pa_filter::ProgramBuilder::new(),
-        );
-        layer.init(&mut InitCtx {
-            layout: &mut lb,
-            send_filter: &mut sf,
-            recv_filter: &mut rf,
-        });
-        let layout = lb.compile(LayoutMode::Packed).unwrap();
+        use pa_wire::ByteOrder;
+        // A layer bound by a connection, and that connection's layout.
+        let (shared, layer) = Shared::new(ChecksumLayer::default());
+        let conn = conn(vec![Box::new(shared)], PaConfig::paper_default(), 1, 2, 11);
+        let layout = conn.layout();
+        let mut layer = layer.lock().unwrap();
         let (mut sp, mut rp) = (
-            Prediction::new(&layout, ByteOrder::Big),
-            Prediction::new(&layout, ByteOrder::Big),
+            Prediction::new(layout, ByteOrder::Big),
+            Prediction::new(layout, ByteOrder::Big),
         );
         let mut effects = Effects::default();
         let mut pool = pa_buf::MsgPool::with_defaults();
@@ -292,7 +306,7 @@ mod tests {
         frame.push_front_zeroed(layout.class_len(Class::Message));
         for (filter_passed, dropped) in [(true, false), (false, true)] {
             let mut ctx = LayerCtx {
-                layout: &layout,
+                layout,
                 order: ByteOrder::Big,
                 now: 0,
                 send_predict: &mut sp,

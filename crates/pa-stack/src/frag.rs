@@ -20,9 +20,11 @@
 //! arrives and handed upward as the message when the last one does.
 
 use pa_buf::Msg;
-use pa_core::{DeliverAction, DisableReason, InitCtx, Layer, LayerCtx, SendAction};
+use pa_core::{
+    Declare, DeliverAction, DisableReason, Handles, Layer, LayerCtx, LayerShape, SendAction,
+};
 use pa_filter::Op;
-use pa_wire::{Class, Field};
+use pa_wire::{Class, Field, LayoutError};
 
 /// Filter failure code: message exceeds the fragmentation threshold
 /// (forces the slow path, where this layer splits it).
@@ -96,6 +98,21 @@ impl FragLayer {
         self.reassembly_overflows
     }
 
+    /// Two protocol bits; the send filter rejects bodies over the MTU
+    /// (`words[0]`), diverting them to the slow path where `pre_send`
+    /// fragments them.
+    fn declare(d: &mut Declare<'_>, words: &[i64]) -> Result<(), LayoutError> {
+        d.add_field(Class::Protocol, "frag_flag", 1, None)?;
+        d.add_field(Class::Protocol, "frag_last", 1, None)?;
+        d.send_filter([
+            Op::PushBodySize,
+            Op::PushConst(words[0]),
+            Op::Gt,
+            Op::Abort(ERR_TOO_BIG),
+        ]);
+        Ok(())
+    }
+
     fn header_len(&self, ctx: &LayerCtx<'_>) -> usize {
         ctx.layout.class_len(Class::Protocol)
             + ctx.layout.class_len(Class::Message)
@@ -108,25 +125,14 @@ impl Layer for FragLayer {
         "frag"
     }
 
-    fn init(&mut self, ctx: &mut InitCtx<'_>) {
-        let f_flag = ctx
-            .layout
-            .add_field(Class::Protocol, "frag_flag", 1, None)
-            .expect("valid field");
-        let f_last = ctx
-            .layout
-            .add_field(Class::Protocol, "frag_last", 1, None)
-            .expect("valid field");
+    fn shape(&self) -> LayerShape {
+        LayerShape::new(FragLayer::declare, [self.mtu as i64])
+    }
+
+    fn bind(&mut self, handles: Handles<'_>) {
+        let [f_flag, f_last] = handles.fields();
         self.f_flag = Some(f_flag);
         self.f_last = Some(f_last);
-        // The send filter rejects oversized bodies, diverting them to
-        // the slow path where pre_send fragments them.
-        ctx.send_filter.extend([
-            Op::PushBodySize,
-            Op::PushConst(self.mtu as i64),
-            Op::Gt,
-            Op::Abort(ERR_TOO_BIG),
-        ]);
     }
 
     fn pre_send(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> SendAction {
@@ -138,10 +144,7 @@ impl Layer for FragLayer {
             return SendAction::Continue;
         }
         // Split the body into MTU-sized fragment frames.
-        let (f_flag, f_last) = (
-            self.f_flag.expect("init ran"),
-            self.f_last.expect("init ran"),
-        );
+        let (f_flag, f_last) = (self.f_flag.expect("bound"), self.f_last.expect("bound"));
         let total = body_len.div_ceil(self.mtu);
         if total > MAX_FRAGMENTS {
             return SendAction::Reject("more fragments than the peer reassembles");
@@ -167,7 +170,7 @@ impl Layer for FragLayer {
     fn post_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &Msg) {}
 
     fn pre_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> DeliverAction {
-        let f_flag = self.f_flag.expect("init ran");
+        let f_flag = self.f_flag.expect("bound");
         let flag = ctx.frame(msg).read(f_flag);
         if flag == 0 {
             DeliverAction::Continue
@@ -178,10 +181,7 @@ impl Layer for FragLayer {
     }
 
     fn post_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &Msg) {
-        let (f_flag, f_last) = (
-            self.f_flag.expect("init ran"),
-            self.f_last.expect("init ran"),
-        );
+        let (f_flag, f_last) = (self.f_flag.expect("bound"), self.f_last.expect("bound"));
         let (flag, last) = (ctx.read_field(msg, f_flag), ctx.read_field(msg, f_last));
         if flag == 0 || self.discarding {
             self.discarding = flag == 1 && last == 0;
@@ -392,13 +392,15 @@ mod tests {
         fn name(&self) -> &'static str {
             self.inner.name()
         }
-        fn init(&mut self, ctx: &mut InitCtx<'_>) {
-            self.inner.init(ctx)
+        fn shape(&self) -> LayerShape {
+            self.inner.shape()
+        }
+        fn bind(&mut self, handles: Handles<'_>) {
+            self.inner.bind(handles)
         }
         fn pre_send(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> SendAction {
             if self.on.load(Ordering::Relaxed) {
-                ctx.frame(msg)
-                    .write(self.inner.f_flag.expect("init ran"), 1);
+                ctx.frame(msg).write(self.inner.f_flag.expect("bound"), 1);
             }
             SendAction::Continue
         }

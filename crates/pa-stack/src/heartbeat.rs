@@ -10,8 +10,10 @@
 //! pre-deliver and are consumed without disturbing the stream).
 
 use pa_buf::Msg;
-use pa_core::{DeliverAction, DisableReason, InitCtx, Layer, LayerCtx, Nanos, SendAction};
-use pa_wire::{Class, Field};
+use pa_core::{
+    Declare, DeliverAction, DisableReason, Handles, Layer, LayerCtx, LayerShape, Nanos, SendAction,
+};
+use pa_wire::{Class, Field, LayoutError};
 
 /// Heartbeat configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +82,11 @@ impl HeartbeatLayer {
     pub fn last_heard(&self) -> Nanos {
         self.last_heard
     }
+
+    fn declare(d: &mut Declare<'_>, _: &[i64]) -> Result<(), LayoutError> {
+        d.add_field(Class::Protocol, "hb_flag", 1, None)?;
+        Ok(())
+    }
 }
 
 impl Default for HeartbeatLayer {
@@ -93,12 +100,13 @@ impl Layer for HeartbeatLayer {
         "heartbeat"
     }
 
-    fn init(&mut self, ctx: &mut InitCtx<'_>) {
-        self.f_hb = Some(
-            ctx.layout
-                .add_field(Class::Protocol, "hb_flag", 1, None)
-                .expect("valid field"),
-        );
+    fn shape(&self) -> LayerShape {
+        LayerShape::new(HeartbeatLayer::declare, [])
+    }
+
+    fn bind(&mut self, handles: Handles<'_>) {
+        let [f_hb] = handles.fields();
+        self.f_hb = Some(f_hb);
     }
 
     fn pre_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> SendAction {
@@ -118,7 +126,7 @@ impl Layer for HeartbeatLayer {
     }
 
     fn pre_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> DeliverAction {
-        let f_hb = self.f_hb.expect("init ran");
+        let f_hb = self.f_hb.expect("bound");
         if ctx.frame(msg).read(f_hb) == 1 {
             DeliverAction::Consume
         } else {
@@ -129,7 +137,7 @@ impl Layer for HeartbeatLayer {
     fn post_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &Msg) {
         self.last_heard = ctx.now;
         self.heard_anything = true;
-        let f_hb = self.f_hb.expect("init ran");
+        let f_hb = self.f_hb.expect("bound");
         if ctx.read_field(msg, f_hb) == 1 {
             self.heartbeats_seen += 1;
         }
@@ -139,7 +147,7 @@ impl Layer for HeartbeatLayer {
         if now.saturating_sub(self.last_sent) < self.cfg.interval {
             return;
         }
-        let f_hb = self.f_hb.expect("init ran");
+        let f_hb = self.f_hb.expect("bound");
         let mut hb = ctx.control_frame(&[]);
         {
             let mut frame = pa_filter::Frame::new(&mut hb, ctx.layout, ctx.send_predict.order());

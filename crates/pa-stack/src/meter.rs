@@ -7,7 +7,7 @@
 //! path ran), and (c) stack filler for the E4 layer-scaling experiment.
 
 use pa_buf::Msg;
-use pa_core::{DeliverAction, InitCtx, Layer, LayerCtx, SendAction};
+use pa_core::{DeliverAction, Handles, Layer, LayerCtx, LayerShape, SendAction};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -107,7 +107,11 @@ impl Layer for MeterLayer {
         "meter"
     }
 
-    fn init(&mut self, _ctx: &mut InitCtx<'_>) {}
+    fn shape(&self) -> LayerShape {
+        LayerShape::NONE
+    }
+
+    fn bind(&mut self, _: Handles<'_>) {}
 
     fn pre_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> SendAction {
         self.counters.pre_sends.fetch_add(1, Ordering::Relaxed);

@@ -1,7 +1,7 @@
 //! Test support shared by the layers' unit tests.
 
 use pa_buf::Msg;
-use pa_core::{DeliverAction, InitCtx, Layer, LayerCtx, Nanos, SendAction};
+use pa_core::{DeliverAction, Handles, Layer, LayerCtx, LayerShape, Nanos, SendAction};
 use pa_wire::CompiledLayout;
 use std::sync::{Arc, Mutex};
 
@@ -21,8 +21,11 @@ impl<L: Layer> Layer for Shared<L> {
     fn name(&self) -> &'static str {
         self.0.lock().unwrap().name()
     }
-    fn init(&mut self, ctx: &mut InitCtx<'_>) {
-        self.0.lock().unwrap().init(ctx)
+    fn shape(&self) -> LayerShape {
+        self.0.lock().unwrap().shape()
+    }
+    fn bind(&mut self, handles: Handles<'_>) {
+        self.0.lock().unwrap().bind(handles)
     }
     fn fill_ident(&self, layout: &CompiledLayout, local: &mut [u8], peer: &mut [u8]) {
         self.0.lock().unwrap().fill_ident(layout, local, peer)

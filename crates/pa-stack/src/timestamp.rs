@@ -16,9 +16,9 @@
 //! observed stamps; applications read them for RTT/age estimation.
 
 use pa_buf::Msg;
-use pa_core::{DeliverAction, InitCtx, Layer, LayerCtx, Nanos, SendAction};
+use pa_core::{Declare, DeliverAction, Handles, Layer, LayerCtx, LayerShape, Nanos, SendAction};
 use pa_filter::{Op, SlotId};
-use pa_wire::{Class, Field};
+use pa_wire::{Class, Field, LayoutError};
 
 /// The timestamp layer.
 #[derive(Debug)]
@@ -54,6 +54,15 @@ impl TimestampLayer {
         self.stamped_in
     }
 
+    fn declare(d: &mut Declare<'_>, _: &[i64]) -> Result<(), LayoutError> {
+        let f_ts = d.add_field(Class::Message, "send_time_us", 32, None)?;
+        // The send filter stamps every message from the patchable slot.
+        let slot = d.send_slot(0);
+        d.send_filter([Op::PushSlot(slot), Op::PopField(f_ts)]);
+        // Nothing to verify on delivery: a stamp is informational.
+        Ok(())
+    }
+
     fn us(now: Nanos) -> u64 {
         now / 1_000
     }
@@ -70,32 +79,28 @@ impl Layer for TimestampLayer {
         "timestamp"
     }
 
-    fn init(&mut self, ctx: &mut InitCtx<'_>) {
-        let f_ts = ctx
-            .layout
-            .add_field(Class::Message, "send_time_us", 32, None)
-            .expect("valid field");
+    fn shape(&self) -> LayerShape {
+        LayerShape::new(TimestampLayer::declare, [])
+    }
+
+    fn bind(&mut self, handles: Handles<'_>) {
+        let ([f_ts], [slot]) = (handles.fields(), handles.send_slots());
         self.f_ts = Some(f_ts);
-        // The send filter stamps every message from the patchable slot.
-        let slot = ctx.send_filter.alloc_slot(0);
         self.slot = Some(slot);
-        ctx.send_filter
-            .extend([Op::PushSlot(slot), Op::PopField(f_ts)]);
-        // Nothing to verify on delivery: a stamp is informational.
     }
 
     fn pre_send(&mut self, ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> SendAction {
         // Slow path: the filter (which runs below us, after our effects
         // apply) will stamp from the slot — refresh it with the live
         // clock so slow-path messages carry current time.
-        ctx.patch_send_slot(self.slot.expect("init ran"), Self::us(ctx.now) as i64);
+        ctx.patch_send_slot(self.slot.expect("bound"), Self::us(ctx.now) as i64);
         SendAction::Continue
     }
 
     fn post_send(&mut self, ctx: &mut LayerCtx<'_>, _msg: &Msg) {
         // Rewrite the filter slot so the *next* fast-path send stamps
         // the freshest time we know.
-        ctx.patch_send_slot(self.slot.expect("init ran"), Self::us(ctx.now) as i64);
+        ctx.patch_send_slot(self.slot.expect("bound"), Self::us(ctx.now) as i64);
     }
 
     fn pre_deliver(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> DeliverAction {
@@ -103,7 +108,7 @@ impl Layer for TimestampLayer {
     }
 
     fn post_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &Msg) {
-        let f_ts = self.f_ts.expect("init ran");
+        let f_ts = self.f_ts.expect("bound");
         let stamp = ctx.read_field(msg, f_ts);
         if stamp > 0 {
             self.stamped_in += 1;
@@ -112,7 +117,7 @@ impl Layer for TimestampLayer {
             self.max_skew = self.max_skew.max(stamp.saturating_sub(now));
         }
         // Keep the slot fresh on the receive side too (we may reply).
-        ctx.patch_send_slot(self.slot.expect("init ran"), Self::us(ctx.now) as i64);
+        ctx.patch_send_slot(self.slot.expect("bound"), Self::us(ctx.now) as i64);
     }
 }
 

@@ -26,8 +26,10 @@
 //! upward in its own buffer.
 
 use pa_buf::Msg;
-use pa_core::{DeliverAction, DisableReason, InitCtx, Layer, LayerCtx, Nanos, SendAction};
-use pa_wire::{Class, Field};
+use pa_core::{
+    Declare, DeliverAction, DisableReason, Handles, Layer, LayerCtx, LayerShape, Nanos, SendAction,
+};
+use pa_wire::{Class, Field, LayoutError};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Message types carried in the 2-bit `mtype` field.
@@ -78,9 +80,8 @@ struct InFlight {
 #[derive(Debug)]
 pub struct WindowLayer {
     cfg: WindowConfig,
-    f_seq: Option<Field>,
-    f_type: Option<Field>,
-    f_ack: Option<Field>,
+    /// `seq`, `mtype` and `ack_upto`, once bound.
+    fields: Option<[Field; 3]>,
     // --- send state ---
     next_seq: u64,
     /// Highest cumulative ack seen from the peer. A reply's ack can
@@ -113,9 +114,7 @@ impl WindowLayer {
     pub fn new(cfg: WindowConfig) -> WindowLayer {
         WindowLayer {
             cfg,
-            f_seq: None,
-            f_type: None,
-            f_ack: None,
+            fields: None,
             next_seq: 0,
             acked_upto: 0,
             inflight: VecDeque::new(),
@@ -152,17 +151,20 @@ impl WindowLayer {
         self.inflight.len()
     }
 
-    fn fields(&self) -> (Field, Field, Field) {
-        (
-            self.f_seq.expect("init ran"),
-            self.f_type.expect("init ran"),
-            self.f_ack.expect("init ran"),
-        )
+    fn declare(d: &mut Declare<'_>, _: &[i64]) -> Result<(), LayoutError> {
+        d.add_field(Class::Protocol, "seq", 32, None)?;
+        d.add_field(Class::Protocol, "mtype", 2, None)?;
+        d.add_field(Class::Gossip, "ack_upto", 32, None)?;
+        Ok(())
+    }
+
+    fn fields(&self) -> [Field; 3] {
+        self.fields.expect("bound")
     }
 
     /// Emits a pure cumulative acknowledgement.
     fn send_ack(&mut self, ctx: &mut LayerCtx<'_>) {
-        let (f_seq, f_type, f_ack) = self.fields();
+        let [f_seq, f_type, f_ack] = self.fields();
         let mut ack = ctx.control_frame(&[]);
         {
             // Control frames travel in *our* byte order even when the
@@ -197,7 +199,7 @@ impl WindowLayer {
         }
         // Window reopened: release waiting slow-path messages, then
         // re-enable the predicted send header.
-        let (f_seq, f_type, f_ack) = self.fields();
+        let [f_seq, f_type, f_ack] = self.fields();
         while self.inflight.len() + self.drained_pending() < self.cfg.window
             && !self.wait_q.is_empty()
         {
@@ -229,22 +231,12 @@ impl Layer for WindowLayer {
         "window"
     }
 
-    fn init(&mut self, ctx: &mut InitCtx<'_>) {
-        self.f_seq = Some(
-            ctx.layout
-                .add_field(Class::Protocol, "seq", 32, None)
-                .expect("valid field"),
-        );
-        self.f_type = Some(
-            ctx.layout
-                .add_field(Class::Protocol, "mtype", 2, None)
-                .expect("valid field"),
-        );
-        self.f_ack = Some(
-            ctx.layout
-                .add_field(Class::Gossip, "ack_upto", 32, None)
-                .expect("valid field"),
-        );
+    fn shape(&self) -> LayerShape {
+        LayerShape::new(WindowLayer::declare, [])
+    }
+
+    fn bind(&mut self, handles: Handles<'_>) {
+        self.fields = Some(handles.fields());
     }
 
     fn pre_send(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> SendAction {
@@ -253,7 +245,7 @@ impl Layer for WindowLayer {
             self.wait_q.push_back(std::mem::take(msg));
             return SendAction::Buffered;
         }
-        let (f_seq, f_type, f_ack) = self.fields();
+        let [f_seq, f_type, f_ack] = self.fields();
         let seq = self.next_seq + self.drained_pending() as u64;
         let mut frame = ctx.frame(msg);
         frame.write(f_seq, seq);
@@ -270,7 +262,7 @@ impl Layer for WindowLayer {
     }
 
     fn post_send(&mut self, ctx: &mut LayerCtx<'_>, msg: &Msg) {
-        let (f_seq, f_type, f_ack) = self.fields();
+        let [f_seq, f_type, f_ack] = self.fields();
         let (ty, seq) = (ctx.read_field(msg, f_type), ctx.read_field(msg, f_seq));
         if ty != mtype::DATA {
             return;
@@ -312,7 +304,7 @@ impl Layer for WindowLayer {
     }
 
     fn pre_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> DeliverAction {
-        let (f_seq, f_type, _) = self.fields();
+        let [f_seq, f_type, _] = self.fields();
         let frame = ctx.frame(msg);
         let ty = frame.read(f_type);
         if ty == mtype::ACK {
@@ -331,7 +323,7 @@ impl Layer for WindowLayer {
     }
 
     fn post_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &Msg) {
-        let (f_seq, f_type, f_ack) = self.fields();
+        let [f_seq, f_type, f_ack] = self.fields();
         let (ty, seq, ackno) = (
             ctx.read_field(msg, f_type),
             ctx.read_field(msg, f_seq),

@@ -249,16 +249,6 @@ impl LayoutBuilder {
         self.decls.counts[class.index()]
     }
 
-    /// Forgets every declaration and keeps the storage, so one builder
-    /// can take stack after stack without allocating.
-    pub fn clear(&mut self) {
-        self.decls.names.clear();
-        self.decls.specs.clear();
-        self.decls.counts = [0; 4];
-        self.decls.layers.clear();
-        self.current = None;
-    }
-
     /// Compiles a copy of the declarations into a wire layout; the
     /// builder stays usable, to compile again in another mode.
     pub fn compile(&self, mode: LayoutMode) -> Result<CompiledLayout, LayoutError> {
@@ -371,30 +361,6 @@ impl CompiledLayout {
     /// stacked identical layers with identical field declarations.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// True if `builder` holds exactly the declarations this layout was
-    /// compiled from: the same layers under the same names, and per
-    /// class the same fields (name, width, fixed offset, owner) in the
-    /// same order. Compiling is deterministic, so `builder` would then
-    /// compile, in this layout's mode, to a layout equal to this one.
-    /// An exact comparison, not a fingerprint match.
-    pub fn declared_by(&self, builder: &LayoutBuilder) -> bool {
-        let (mine, theirs) = (&self.decls, &builder.decls);
-        if mine.counts != theirs.counts
-            || mine.layers != theirs.layers
-            || mine.names != theirs.names
-        {
-            return false;
-        }
-        // Compiling only regroups the specs by class (a stable sort), so
-        // the builder's k-th field of a class is this layout's k-th.
-        let mut next = [0usize; 4];
-        theirs.specs.iter().all(|s| {
-            let k = &mut next[s.class.index()];
-            *k += 1;
-            mine.class_specs(s.class)[*k - 1] == *s
-        })
     }
 
     /// Declared name of field `idx` of `class` (declaration order), or
@@ -900,60 +866,6 @@ mod tests {
         changed.add_field(Class::Gossip, "more", 8, None).unwrap();
         let changed = changed.compile(LayoutMode::Packed).unwrap();
         assert_ne!(base.fingerprint(), changed.fingerprint());
-    }
-
-    #[test]
-    fn declared_by_compares_the_declarations_exactly() {
-        let layout = builder_4layer().compile(LayoutMode::Packed).unwrap();
-        assert!(layout.declared_by(&builder_4layer()));
-        // The mode is the layout's, not the builder's.
-        let trad = builder_4layer().compile(LayoutMode::Traditional).unwrap();
-        assert!(trad.declared_by(&builder_4layer()));
-
-        // One declaration changed at a time: a width, a name, an owner,
-        // a fixed offset, the order of two fields of one class.
-        let declare = |width: u32, name: &str, split: bool, offset: Option<u32>, swap: bool| {
-            let mut b = LayoutBuilder::new();
-            b.begin_layer("l");
-            b.add_field(Class::Protocol, "seq", width, None).unwrap();
-            if split {
-                b.begin_layer("m");
-            }
-            let mut pair = [(name, 8, offset), ("len", 16, None)];
-            if swap {
-                pair.swap(0, 1);
-            }
-            for (name, bits, offset) in pair {
-                b.add_field(Class::Message, name, bits, offset).unwrap();
-            }
-            b
-        };
-        let base = declare(32, "kind", false, None, false);
-        let layout = base.compile(LayoutMode::Packed).unwrap();
-        assert!(layout.declared_by(&base));
-        for other in [
-            declare(31, "kind", false, None, false),
-            declare(32, "type", false, None, false),
-            declare(32, "kind", true, None, false),
-            declare(32, "kind", false, Some(16), false),
-            declare(32, "kind", false, None, true),
-        ] {
-            assert!(!layout.declared_by(&other));
-        }
-
-        // A cleared builder is an empty one.
-        let mut reused = builder_4layer();
-        reused.clear();
-        assert_eq!(reused.field_count(Class::Protocol), 0);
-        assert_eq!(
-            reused.add_field(Class::Protocol, "x", 8, None),
-            Err(LayoutError::NoLayer)
-        );
-        reused.begin_layer("l");
-        reused.add_field(Class::Protocol, "seq", 32, None).unwrap();
-        reused.add_field(Class::Message, "kind", 8, None).unwrap();
-        reused.add_field(Class::Message, "len", 16, None).unwrap();
-        assert!(layout.declared_by(&reused));
     }
 
     #[test]

@@ -4,11 +4,15 @@
 //! adversarial storm, and departure — every ledger reconciling exactly.
 //!
 //! Run in release (`cargo run --release --example flash_crowd`); pass
-//! `smoke` to run the reduced debug-friendly scale. Exits nonzero if
-//! any invariant breaks, so CI can gate on it.
+//! `smoke` to run the reduced debug-friendly scale. Exits 1 if any
+//! ledger breaks, and 2 if the run compiled more stack plans than it ran
+//! stacks — a connection that compiles its own — so CI can gate on it.
 
 use pa::sim::{FlashConfig, FlashCrowd};
 use std::time::Instant;
+
+/// Distinct stacks the run builds its connections over.
+const STACKS: u64 = 1;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "smoke");
@@ -55,6 +59,10 @@ fn main() {
     );
     let (max, min) = report.shard_spread();
     println!("  shard spread     {min}..{max} frames/shard");
+    println!(
+        "  plan             {:>10} builds, {} hits ({STACKS} stack)",
+        report.plan_builds, report.plan_hits
+    );
     println!("  wall time        {elapsed:.2?}");
 
     let checks = [
@@ -75,6 +83,13 @@ fn main() {
     if !ok {
         eprintln!("flash crowd: ledger breakage (see above)");
         std::process::exit(1);
+    }
+    if report.plan_builds > STACKS {
+        eprintln!(
+            "flash crowd: {} stack plans compiled for {STACKS} stack",
+            report.plan_builds
+        );
+        std::process::exit(2);
     }
     println!("flash crowd: all ledgers reconcile");
 }

@@ -23,8 +23,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pa::buf::Msg;
 use pa::core::{
-    Connection, ConnectionParams, DeliverAction, DeliverOutcome, InitCtx, Layer, LayerCtx,
-    PaConfig, SendAction, SendOutcome,
+    Connection, ConnectionParams, DeliverAction, DeliverOutcome, Handles, Layer, LayerCtx,
+    LayerShape, PaConfig, SendAction, SendOutcome,
 };
 use pa::stack::StackSpec;
 use pa::wire::{ByteOrder, EndpointAddr};
@@ -274,7 +274,10 @@ impl Layer for CountDrainThread {
     fn name(&self) -> &'static str {
         "count-drain-thread"
     }
-    fn init(&mut self, _ctx: &mut InitCtx<'_>) {}
+    fn shape(&self) -> LayerShape {
+        LayerShape::NONE
+    }
+    fn bind(&mut self, _: Handles<'_>) {}
     fn pre_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> SendAction {
         SendAction::Continue
     }
@@ -702,13 +705,13 @@ fn paper_setup(seed: u64) -> (Vec<Box<dyn Layer>>, ConnectionParams) {
 /// - 4 two predictions' protocol and gossip images;
 /// - 1 the per-layer phase meters.
 ///
-/// The declarations, both filter programs and their span tables — the
-/// plan's lookup key — are written into the thread's retained
-/// transcript and compared in place; the layout, the placements, the
-/// verified and fused filters are the plan's, found and shared. The
-/// paper stack's filters have no patchable slots, so the two slot
-/// arrays are empty; the pool, the queues, the effects scratch and the
-/// attribution tables start empty and allocate on first use.
+/// The plan is found by the stack's shape — each layer's name and
+/// `LayerShape`, compared in place — and nothing is declared: the
+/// layout, the placements, the verified and fused filters and every
+/// layer's handles are the plan's, found and shared. The paper stack's
+/// filters have no patchable slots, so the two slot arrays are empty;
+/// the pool, the queues, the effects scratch and the attribution tables
+/// start empty and allocate on first use.
 #[test]
 fn connection_setup_allocates_only_what_it_keeps() {
     let (layers, params) = paper_setup(7);
@@ -724,22 +727,24 @@ fn connection_setup_allocates_only_what_it_keeps() {
 
 /// The first connection of a stack pays for the plan as well, once. The
 /// stack below is the paper's with `trace_ctx` on — no other test here
-/// builds it, so this build is a miss whatever ran before, and libtest
-/// gives each test a thread of its own, so the transcript is cold too.
-/// The 37:
+/// builds it, so this build is a miss whatever ran before. Everything
+/// declared goes into the plan; nothing is kept for the next build. The
+/// 32:
 ///
 /// - 8 the connection's own: the 7 above and the send filter's slot
 ///   array (the trace context's two slots);
-/// - 9 the transcript, kept by the thread for its next build: its box,
-///   the three declaration tables, each filter's instructions and span
-///   table, the send filter's slots;
-/// - 9 the layout: a fitted copy of the three declaration tables, four
-///   placement lists, the packer's two scratch buffers;
-/// - 9 the filters: per direction a fitted copy of the instructions
-///   (and, sending, the slots), the span table, and the two fused forms'
-///   shared instruction arrays — one allocation each, source indices
-///   included, scheduled in place: the schedule allocates nothing;
-/// - 1 the plan's `Arc`, and at most 1 the registry's list growing.
+/// - 8 the declarations, which the plan keeps: the three declaration
+///   tables (the layout's), each filter's instructions and span table,
+///   the send filter's slots;
+/// - 6 the layout: four placement lists, the packer's two scratch
+///   buffers;
+/// - 4 the filters: per direction the two fused forms' shared
+///   instruction arrays — one allocation each, source indices included,
+///   scheduled in place: the schedule allocates nothing;
+/// - 3 the handles: the fields, the send filter's slots, where each
+///   layer's run ends;
+/// - 1 the plan's `Arc`, 1 its key in the registry (the layers' names
+///   and shapes), and at most 1 the registry's list growing.
 #[test]
 fn first_connection_of_a_stack_pays_for_the_plan_once() {
     let config = PaConfig {
@@ -752,7 +757,7 @@ fn first_connection_of_a_stack_pays_for_the_plan_once() {
     let made = allocations() - before;
     assert!(conn.is_ok());
     assert!(
-        made <= 37,
+        made <= 32,
         "the first Connection::new made {made} allocations"
     );
     assert!(made > 7, "a miss compiles: {made} allocations");

@@ -20,14 +20,14 @@ use std::sync::{Arc, Mutex};
 
 use pa::buf::Msg;
 use pa::core::{
-    Connection, ConnectionParams, DeliverAction, DisableReason, InitCtx, Layer, LayerCtx, Nanos,
-    PaConfig, SendAction, SendOutcome,
+    Connection, ConnectionParams, Declare, DeliverAction, DisableReason, Handles, Layer, LayerCtx,
+    LayerShape, Nanos, PaConfig, SendAction, SendOutcome,
 };
 use pa::filter::{DigestKind, Op, SlotId};
 use pa::obs::{Invariant, ProbeSink, TraceEvent};
 use pa::stack::window::WindowConfig;
 use pa::stack::{ChecksumLayer, TimestampLayer, WindowLayer};
-use pa::wire::{ByteOrder, Class, EndpointAddr, Field};
+use pa::wire::{ByteOrder, Class, EndpointAddr, Field, LayoutError};
 
 mod common;
 
@@ -109,6 +109,22 @@ struct Scripted {
 }
 
 impl Scripted {
+    /// A one-byte tag field named after the layer, stamped by the send
+    /// filter and checked by the delivery filter, each from a slot.
+    fn declare(d: &mut Declare<'_>, _: &[i64]) -> Result<(), LayoutError> {
+        let tag = d.add_field(Class::Message, d.layer_name(), 8, None)?;
+        let send_slot = d.send_slot(0);
+        d.send_filter([Op::PushSlot(send_slot), Op::PopField(tag)]);
+        let recv_slot = d.recv_slot(0);
+        d.recv_filter([
+            Op::PushField(tag),
+            Op::PushSlot(recv_slot),
+            Op::Ne,
+            Op::Abort(0x33),
+        ]);
+        Ok(())
+    }
+
     fn fire(&mut self, ph: Ph, ctx: &mut LayerCtx<'_>) {
         log_call(&self.log, self.name, ph, ctx);
         let mut arm = self.arm.lock().unwrap();
@@ -116,7 +132,7 @@ impl Scripted {
             return;
         };
         *arm = None;
-        let (send_slot, recv_slot) = self.slots.expect("init ran");
+        let (send_slot, recv_slot) = self.slots.expect("bound");
         match emit {
             Emit::All => {
                 ctx.patch_send_slot(send_slot, PATCHED);
@@ -154,21 +170,11 @@ impl Layer for Scripted {
     fn name(&self) -> &'static str {
         self.name
     }
-    fn init(&mut self, ctx: &mut InitCtx<'_>) {
-        let tag = ctx
-            .layout
-            .add_field(Class::Message, self.name, 8, None)
-            .expect("valid field");
-        let send_slot = ctx.send_filter.alloc_slot(0);
-        ctx.send_filter
-            .extend(vec![Op::PushSlot(send_slot), Op::PopField(tag)]);
-        let recv_slot = ctx.recv_filter.alloc_slot(0);
-        ctx.recv_filter.extend(vec![
-            Op::PushField(tag),
-            Op::PushSlot(recv_slot),
-            Op::Ne,
-            Op::Abort(0x33),
-        ]);
+    fn shape(&self) -> LayerShape {
+        LayerShape::new(Scripted::declare, [])
+    }
+    fn bind(&mut self, handles: Handles<'_>) {
+        let ([send_slot], [recv_slot]) = (handles.send_slots(), handles.recv_slots());
         self.slots = Some((send_slot, recv_slot));
     }
     fn pre_send(&mut self, ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> SendAction {
@@ -202,16 +208,22 @@ impl Layer for Plain {
     fn name(&self) -> &'static str {
         "mid"
     }
-    fn init(&mut self, ctx: &mut InitCtx<'_>) {
-        self.mark = Some(
-            ctx.layout
-                .add_field(Class::Message, "mid", 8, None)
-                .expect("valid field"),
-        );
+    fn shape(&self) -> LayerShape {
+        LayerShape::new(
+            |d, _| {
+                d.add_field(Class::Message, "mid", 8, None)?;
+                Ok(())
+            },
+            [],
+        )
+    }
+    fn bind(&mut self, handles: Handles<'_>) {
+        let [mark] = handles.fields();
+        self.mark = Some(mark);
     }
     fn pre_send(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> SendAction {
         log_call(&self.log, "mid", Ph::PreSend, ctx);
-        ctx.frame(msg).write(self.mark.expect("init ran"), MARK);
+        ctx.frame(msg).write(self.mark.expect("bound"), MARK);
         SendAction::Continue
     }
     fn post_send(&mut self, ctx: &mut LayerCtx<'_>, _msg: &Msg) {

@@ -1,31 +1,34 @@
-//! Stack plans: shared where the declarations are equal, private where
+//! Stack plans: shared where the stack's shape is equal, private where
 //! the state is.
 //!
 //! What a stack compiles to — the header layout, the two verified packet
 //! filters, their fused forms — is built once per distinct stack and
 //! held by every connection over it. This suite checks both edges of
-//! that sharing. Equal declarations mean one plan, and *anything*
+//! that sharing. One stack shape means one plan, and *anything*
 //! declared differently means another: a stack, the trace context, the
-//! layout mode, and the three near-misses a hash or a lazy comparison
-//! would let through (one field's width, one filter constant, where one
-//! layer's instructions end and the next one's begin). And nothing a
+//! layout mode, and the near-misses a hash or a lazy comparison would let
+//! through (one field's width, one filter constant, where one layer's
+//! instructions end and the next one's begin, another layer type under
+//! the same name and words, a layer whose name is its field's). A stack
+//! shape is declared once while its plan lives. And nothing a
 //! connection does at run time reaches its neighbours through the plan:
 //! a filter slot rewritten by a post phase, the trace context's armed
 //! slots, a peer's byte order.
 //!
 //! Where a case drives an endpoint it runs at one shard and at eight.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pa::buf::Msg;
 use pa::core::{
-    Connection, ConnectionParams, DeliverAction, DeliverOutcome, InitCtx, Layer, LayerCtx,
-    PaConfig, SendAction, SendOutcome, ShardedEndpoint,
+    Connection, ConnectionParams, Declare, DeliverAction, DeliverOutcome, Handles, Layer, LayerCtx,
+    LayerShape, PaConfig, SendAction, SendOutcome, ShardedEndpoint,
 };
 use pa::filter::{Op, SlotId};
 use pa::obs::{journey_id, AttrCause, ProbeSink, TraceEvent, XrayOp};
 use pa::stack::StackSpec;
-use pa::wire::{ByteOrder, Class, EndpointAddr, LayoutMode};
+use pa::wire::{ByteOrder, Class, EndpointAddr, Field, LayoutError, LayoutMode};
 
 #[path = "common/shards.rs"]
 mod shards;
@@ -98,31 +101,46 @@ impl Quota {
     }
 }
 
+/// `quota_len` in `class`, `words[0]` bits wide, and the cap (`words[1]`)
+/// and sliding-bound (first value `words[2]`) checks in both filters.
+fn declare_quota(d: &mut Declare<'_>, class: Class, words: &[i64]) -> Result<(), LayoutError> {
+    let &[width, cap, limit] = words else {
+        panic!("a quota's shape is three words")
+    };
+    d.add_field(class, "quota_len", width as u32, None)?;
+    let send = d.send_slot(limit);
+    let recv = d.recv_slot(limit);
+    let checks = |slot, base| {
+        [
+            Op::PushBodySize,
+            Op::PushConst(cap),
+            Op::Gt,
+            Op::Abort(OVER_CAP + base),
+            Op::PushBodySize,
+            Op::PushSlot(slot),
+            Op::Gt,
+            Op::Abort(OVER_BOUND + base),
+        ]
+    };
+    d.send_filter(checks(send, 0));
+    d.recv_filter(checks(recv, 10));
+    Ok(())
+}
+
 impl Layer for Quota {
     fn name(&self) -> &'static str {
         "quota"
     }
 
-    fn init(&mut self, ctx: &mut InitCtx<'_>) {
-        ctx.layout
-            .add_field(Class::Message, "quota_len", self.width, None)
-            .expect("valid field");
-        let send = ctx.send_filter.alloc_slot(self.limit);
-        let recv = ctx.recv_filter.alloc_slot(self.limit);
-        let checks = |slot, base| {
-            [
-                Op::PushBodySize,
-                Op::PushConst(self.cap),
-                Op::Gt,
-                Op::Abort(OVER_CAP + base),
-                Op::PushBodySize,
-                Op::PushSlot(slot),
-                Op::Gt,
-                Op::Abort(OVER_BOUND + base),
-            ]
-        };
-        ctx.send_filter.extend(checks(send, 0));
-        ctx.recv_filter.extend(checks(recv, 10));
+    fn shape(&self) -> LayerShape {
+        LayerShape::new(
+            |d, words| declare_quota(d, Class::Message, words),
+            [self.width as i64, self.cap, self.limit],
+        )
+    }
+
+    fn bind(&mut self, handles: Handles<'_>) {
+        let ([send], [recv]) = (handles.send_slots(), handles.recv_slots());
         self.slots = Some((send, recv));
     }
 
@@ -160,13 +178,108 @@ impl Layer for Pad {
         self.name
     }
 
-    fn init(&mut self, ctx: &mut InitCtx<'_>) {
-        for _ in 0..self.pairs {
-            ctx.send_filter.extend([Op::PushConst(0), Op::Drop]);
-        }
+    fn shape(&self) -> LayerShape {
+        LayerShape::new(
+            |d, words| {
+                for _ in 0..words[0] {
+                    d.send_filter([Op::PushConst(0), Op::Drop]);
+                }
+                Ok(())
+            },
+            [self.pairs as i64],
+        )
+    }
+
+    fn bind(&mut self, _: Handles<'_>) {}
+
+    fn pre_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> SendAction {
+        SendAction::Continue
+    }
+
+    fn post_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &Msg) {}
+
+    fn pre_deliver(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> DeliverAction {
+        DeliverAction::Continue
+    }
+
+    fn post_deliver(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &Msg) {}
+}
+
+/// Another layer type under [`Quota`]'s name with its words, declaring
+/// the same things but the field in the Protocol class: the two differ
+/// in their declare functions alone.
+struct Guard(Quota);
+
+impl Layer for Guard {
+    fn name(&self) -> &'static str {
+        "quota"
+    }
+
+    fn shape(&self) -> LayerShape {
+        let quota = &self.0;
+        LayerShape::new(
+            |d, words| declare_quota(d, Class::Protocol, words),
+            [quota.width as i64, quota.cap, quota.limit],
+        )
+    }
+
+    fn bind(&mut self, handles: Handles<'_>) {
+        self.0.bind(handles)
     }
 
     fn pre_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> SendAction {
+        SendAction::Continue
+    }
+
+    fn post_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &Msg) {}
+
+    fn pre_deliver(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> DeliverAction {
+        DeliverAction::Continue
+    }
+
+    fn post_deliver(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &Msg) {}
+}
+
+/// [`Tagged`] declarations run and [`Tagged`] layers bound, process-wide.
+static DECLARED: AtomicUsize = AtomicUsize::new(0);
+static BOUND: AtomicUsize = AtomicUsize::new(0);
+
+/// Declares one byte named after the layer, as `tests/phase_effects.rs`'s
+/// scripted layers do, and counts its declarations and bindings.
+struct Tagged {
+    name: &'static str,
+    tag: Option<Field>,
+}
+
+impl Tagged {
+    fn boxed(name: &'static str) -> Box<dyn Layer> {
+        Box::new(Tagged { name, tag: None })
+    }
+
+    fn declare(d: &mut Declare<'_>, _: &[i64]) -> Result<(), LayoutError> {
+        DECLARED.fetch_add(1, Ordering::Relaxed);
+        d.add_field(Class::Message, d.layer_name(), 8, None)?;
+        Ok(())
+    }
+}
+
+impl Layer for Tagged {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn shape(&self) -> LayerShape {
+        LayerShape::new(Tagged::declare, [])
+    }
+
+    fn bind(&mut self, handles: Handles<'_>) {
+        let [tag] = handles.fields();
+        self.tag = Some(tag);
+        BOUND.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn pre_send(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> SendAction {
+        ctx.frame(msg).write(self.tag.expect("bound"), 0x7A);
         SendAction::Continue
     }
 
@@ -566,6 +679,73 @@ fn one_declaration_apart_is_another_plan() {
     let moved = &mutants[3].1;
     assert_eq!(moved.layout(), base.layout());
     assert_eq!(moved.filters(), base.filters());
+
+    // Another layer type under the same name, with the same words: the
+    // key holds the declare function, not only what the layer is called
+    // and configured with.
+    let guarded = conn_over(
+        vec![
+            Box::new(Guard(Quota::new(None))),
+            Box::new(Pad {
+                name: "pad_a",
+                pairs: 2,
+            }),
+            Box::new(Pad {
+                name: "pad_b",
+                pairs: 1,
+            }),
+        ],
+        PaConfig::paper_default(),
+        1,
+        2,
+    );
+    assert_eq!(guarded.layer_names(), base.layer_names());
+    assert!(
+        !guarded.shares_plan_with(&base),
+        "the declaring type changed"
+    );
+    assert_ne!(guarded.layout(), base.layout());
+    assert_eq!(guarded.filters().1, base.filters().1);
+
+    // One shape under two names, each of which names its field too: the
+    // filters are equal, the layouts differ in the name alone.
+    let tagged = |name| conn_over(vec![Tagged::boxed(name)], PaConfig::paper_default(), 1, 2);
+    let (left, right) = (tagged("left"), tagged("right"));
+    assert!(!left.shares_plan_with(&right), "the name changed");
+    assert_eq!(left.filters(), right.filters());
+    assert_eq!(left.layout().field_name(Class::Message, 0), Some("left"));
+    assert_eq!(right.layout().field_name(Class::Message, 0), Some("right"));
+}
+
+#[test]
+fn a_stack_shape_is_declared_once_while_its_plan_lives() {
+    let _alone = alone();
+    let stack = || vec![Tagged::boxed("count_a"), Tagged::boxed("count_b")];
+    let paper = PaConfig::paper_default();
+    let (declared0, bound0) = (
+        DECLARED.load(Ordering::Relaxed),
+        BOUND.load(Ordering::Relaxed),
+    );
+    let declared = || DECLARED.load(Ordering::Relaxed) - declared0;
+    let bound = || BOUND.load(Ordering::Relaxed) - bound0;
+
+    let first = conn_over(stack(), paper, 1, 2);
+    assert_eq!(declared(), 2, "the first build declares each layer");
+    for i in 0..1_000 {
+        let mut conn = conn_over(stack(), paper, 3 + i, 2);
+        assert!(conn.shares_plan_with(&first));
+        // Its layers were handed their handles all the same.
+        let (_, frames) = send_one(&mut conn, 8);
+        assert!(!frames.is_empty());
+    }
+    assert_eq!(declared(), 2, "1 000 builds more, once per layer still");
+    assert_eq!(bound(), 2 * 1_001, "every build binds every layer");
+
+    drop(first);
+    let again = conn_over(stack(), paper, 1, 2);
+    assert_eq!(declared(), 4, "the plan left with its last connection");
+    assert_eq!(bound(), 2 * 1_002);
+    drop(again);
 }
 
 #[test]

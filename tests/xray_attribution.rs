@@ -10,8 +10,8 @@
 
 use pa::buf::Msg;
 use pa::core::{
-    Connection, ConnectionParams, DeliverAction, DisableReason, InitCtx, Layer, LayerCtx, PaConfig,
-    SendAction,
+    Connection, ConnectionParams, DeliverAction, DisableReason, Handles, Layer, LayerCtx,
+    LayerShape, PaConfig, SendAction,
 };
 use pa::obs::{AttrCause, ProbeSink, XrayOp};
 use pa::sim::{AppBehavior, SimConfig, TwoNodeSim};
@@ -208,7 +208,7 @@ struct EpochLayer {
 
 impl EpochLayer {
     fn field(&self) -> Field {
-        self.f.expect("init ran")
+        self.f.expect("bound")
     }
 }
 
@@ -217,12 +217,19 @@ impl Layer for EpochLayer {
         "epoch"
     }
 
-    fn init(&mut self, ctx: &mut InitCtx<'_>) {
-        self.f = Some(
-            ctx.layout
-                .add_field(Class::Protocol, "stamp_us", 32, None)
-                .expect("valid field"),
-        );
+    fn shape(&self) -> LayerShape {
+        LayerShape::new(
+            |d, _| {
+                d.add_field(Class::Protocol, "stamp_us", 32, None)?;
+                Ok(())
+            },
+            [],
+        )
+    }
+
+    fn bind(&mut self, handles: Handles<'_>) {
+        let [f] = handles.fields();
+        self.f = Some(f);
     }
 
     fn pre_send(&mut self, ctx: &mut LayerCtx<'_>, msg: &mut Msg) -> SendAction {
@@ -315,7 +322,10 @@ impl Layer for RogueLayer {
     fn name(&self) -> &'static str {
         "rogue"
     }
-    fn init(&mut self, _ctx: &mut InitCtx<'_>) {}
+    fn shape(&self) -> LayerShape {
+        LayerShape::NONE
+    }
+    fn bind(&mut self, _: Handles<'_>) {}
     fn pre_send(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &mut Msg) -> SendAction {
         SendAction::Continue
     }
