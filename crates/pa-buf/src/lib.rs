@@ -14,9 +14,7 @@
 //!   used by the wire codec,
 //! - [`pool::MsgPool`] — explicit allocate/free recycling of message
 //!   buffers (the paper's §6 mitigation for GC pressure: "allocating and
-//!   deallocating high-bandwidth objects explicitly"),
-//! - [`queue::Backlog`] — the FIFO of messages awaiting post-processing
-//!   or blocked on a disabled predicted header (§3.4).
+//!   deallocating high-bandwidth objects explicitly").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,9 +22,7 @@
 pub mod cursor;
 pub mod msg;
 pub mod pool;
-pub mod queue;
 
 pub use cursor::ByteOrder;
 pub use msg::Msg;
 pub use pool::{MsgPool, PoolStats};
-pub use queue::Backlog;

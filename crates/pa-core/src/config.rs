@@ -20,16 +20,14 @@ pub struct PaConfig {
     /// Lazy post-processing (§3.1). Off: post phases run inline on the
     /// critical path, immediately after each send/delivery.
     pub lazy_post: bool,
-    /// Message packing of backlogged sends (§3.4). Off: the backlog
-    /// drains one message at a time.
+    /// Message packing of backlogged sends (§3.4): the run of
+    /// same-size messages at the head of the backlog leaves in one frame
+    /// under one header — as in the paper, messages of different sizes
+    /// never share a frame. Off: the backlog drains one message at a
+    /// time.
     pub packing: bool,
     /// Maximum number of messages packed into one frame.
     pub max_pack: usize,
-    /// Allow packing runs of *different-size* messages (the "more
-    /// sophisticated header, such as used in the original Horus system"
-    /// extension of §3.4). Off: only same-size runs pack, as in the
-    /// paper's current PA.
-    pub variable_packing: bool,
     /// Header layout (§2.1): PA cross-layer packing or the traditional
     /// per-layer padded scheme.
     pub layout_mode: LayoutMode,
@@ -61,7 +59,6 @@ impl PaConfig {
             lazy_post: true,
             packing: true,
             max_pack: 64,
-            variable_packing: false,
             layout_mode: LayoutMode::Packed,
             ident_on_first: 1,
             trace_ctx: false,
@@ -77,7 +74,6 @@ impl PaConfig {
             lazy_post: false,
             packing: false,
             max_pack: 1,
-            variable_packing: false,
             layout_mode: LayoutMode::Traditional,
             ident_on_first: u32::MAX,
             trace_ctx: false,

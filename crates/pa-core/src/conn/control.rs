@@ -16,7 +16,7 @@ use crate::plan;
 use crate::predict::Prediction;
 use crate::stats::ConnStats;
 use crate::Nanos;
-use pa_buf::{Backlog, ByteOrder, Msg, MsgPool};
+use pa_buf::{ByteOrder, Msg, MsgPool};
 use pa_obs::rng::SplitMix64;
 use pa_obs::{DisableReason, Invariant, Phase, RejectReason, TraceEvent};
 use pa_wire::{Class, Cookie, Preamble};
@@ -105,7 +105,7 @@ impl Connection {
             pool,
             send_predict,
             recv_predict,
-            backlog: Backlog::new(),
+            backlog: VecDeque::new(),
             pending_send: VecDeque::new(),
             pending_recv: VecDeque::new(),
             send_work: VecDeque::new(),

@@ -120,7 +120,7 @@ impl Connection {
         {
             self.record_queued_send();
             let staged = self.pool.take_with(payload);
-            self.backlog.push(staged);
+            self.backlog.push_back(staged);
             SendOutcome::Queued
         } else {
             let mut body = self.pool.take_with(payload);
@@ -386,40 +386,19 @@ impl Connection {
                 self.deliveries.push_back(frame);
                 Ok(1)
             }
-            ref packed => {
-                if body_len != packed.body_len() {
+            PackInfo::SameSize { count, size } => {
+                if body_len != info.body_len() {
                     return Err((frame, RejectReason::LengthMismatch));
                 }
                 // The equality above proves the piece walk fits the
-                // body exactly; each piece is still read through a
-                // checked `get`, so the walk is total even if that
-                // reasoning ever broke — it counts what it delivered.
+                // body exactly; the walk is total anyway — it counts
+                // what it delivered.
                 let mut delivered = 0usize;
-                let mut off = body_off;
-                match packed {
-                    PackInfo::SameSize { count, size } => {
-                        for _ in 0..*count {
-                            let Some(bytes) = frame.get(off, *size as usize) else {
-                                break;
-                            };
-                            self.deliveries.push_back(self.pool.take_with(bytes));
-                            off += *size as usize;
-                            delivered += 1;
-                        }
-                    }
-                    PackInfo::Variable { sizes } => {
-                        for &s in sizes {
-                            let Some(bytes) = frame.get(off, s as usize) else {
-                                break;
-                            };
-                            self.deliveries.push_back(self.pool.take_with(bytes));
-                            off += s as usize;
-                            delivered += 1;
-                        }
-                    }
-                    PackInfo::Single => unreachable!(),
+                for bytes in packing::pieces(&frame.as_slice()[body_off..], count, size) {
+                    self.deliveries.push_back(self.pool.take_with(bytes));
+                    delivered += 1;
                 }
-                debug_assert_eq!(delivered, packed.count(), "walk matched the validated body");
+                debug_assert_eq!(delivered, info.count(), "walk matched the validated body");
                 self.stats.msgs_delivered += delivered as u64;
                 if owes_post {
                     self.pending_recv.push_back(owed(frame));
@@ -765,39 +744,45 @@ impl Connection {
         self.run_work();
     }
 
-    /// Drains one frame's worth of backlog.
+    /// Drains one frame's worth of backlog: the run of same-size
+    /// messages at its head, at most `max_pack` long (one message with
+    /// packing off). A run of one leaves under the kind-0 byte in its own
+    /// buffer; a longer one is packed straight off the queue under one
+    /// header (§3.4), and its staged buffers go back to the pool.
     fn drain_backlog(&mut self, report: &mut PostWorkReport) {
-        let mut run = if self.config.packing {
-            if self.config.variable_packing {
-                self.backlog.pop_run(self.config.max_pack)
-            } else {
-                self.backlog.pop_same_size_run(self.config.max_pack)
-            }
-        } else {
-            self.backlog.pop_run(1)
-        };
-        if run.is_empty() {
+        let Some(head) = self.backlog.front() else {
             return;
-        }
-        let n = run.len() as u64;
-        report.backlog_drained = n;
+        };
+        let size = head.len();
+        let max = if self.config.packing {
+            self.config.max_pack.max(1)
+        } else {
+            1
+        };
+        let n = self
+            .backlog
+            .iter()
+            .take(max)
+            .take_while(|m| m.len() == size)
+            .count();
+        report.backlog_drained = n as u64;
         report.packed = n > 1;
-        if report.packed {
-            self.stats.packed_frames += 1;
-            self.stats.packed_msgs += n;
-        }
         let frames_before = self.stats.frames_out;
         let body = if n == 1 {
             // A lone backlogged message needs no assembly: prepend the
             // packing byte into its headroom and wire it as-is.
-            let mut m = run.pop().expect("run non-empty");
+            let mut m = self.backlog.pop_front().expect("head exists");
             PackInfo::Single.push_onto(&mut m);
             m
         } else {
-            let body = packing::pack(&run);
-            // Donate the staged run buffers back: the pool keeps
-            // their capacity for the next burst of sends.
-            self.recycle_burst(run);
+            self.stats.packed_frames += 1;
+            self.stats.packed_msgs += n as u64;
+            let body = packing::pack_run(self.backlog.range(..n), size);
+            // Donate the staged run buffers back: the pool keeps their
+            // capacity for the next burst of sends.
+            for staged in self.backlog.drain(..n) {
+                self.pool.put(staged);
+            }
             body
         };
         self.send_body(body);

@@ -40,7 +40,7 @@ use crate::plan::StackPlan;
 use crate::predict::Prediction;
 use crate::stats::ConnStats;
 use crate::Nanos;
-use pa_buf::{Backlog, ByteOrder, Msg, MsgPool, PoolStats};
+use pa_buf::{ByteOrder, Msg, MsgPool, PoolStats};
 use pa_filter::{FuseStats, FusedProgram, Program};
 use pa_obs::RejectReason;
 use pa_wire::{CompiledLayout, Cookie, EndpointAddr};
@@ -270,7 +270,9 @@ pub struct Connection {
     pool: MsgPool,
     send_predict: Prediction,
     recv_predict: Prediction,
-    backlog: Backlog,
+    /// Sends waiting on post-processing or a disabled predicted header
+    /// (§3.4), oldest first; drained a same-size run at a time.
+    backlog: VecDeque<Msg>,
     pending_send: VecDeque<(Msg, &'static str)>,
     pending_recv: VecDeque<RecvPost>,
     send_work: VecDeque<SendWork>,

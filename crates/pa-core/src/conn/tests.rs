@@ -289,31 +289,53 @@ fn different_size_backlog_drains_same_size_runs() {
     a.send(b"yy"); // queued, size 2
     a.send(b"zz"); // queued, size 2
     a.send(b"w"); // queued, size 1
-    a.process_pending(); // drains the [yy,zz] run packed
-    a.process_pending(); // drains [w]
+    assert_eq!(a.backlog_len(), 3);
+    let r = a.process_pending(); // the [yy,zz] run, packed; w is not of it
+    assert_eq!((r.backlog_drained, r.packed), (2, true));
+    let r = a.process_pending(); // [w], alone
+    assert_eq!((r.backlog_drained, r.packed), (1, false));
     a.process_pending();
+    assert_eq!(a.backlog_len(), 0);
     let got = shuttle(&mut a, &mut b);
-    assert_eq!(got.len(), 4);
-    assert_eq!(got[1], b"yy".to_vec());
-    assert_eq!(got[3], b"w".to_vec());
-}
+    assert_eq!(
+        got,
+        vec![b"x".to_vec(), b"yy".to_vec(), b"zz".to_vec(), b"w".to_vec()]
+    );
 
-#[test]
-fn variable_packing_packs_mixed_sizes() {
-    let cfg = PaConfig {
-        variable_packing: true,
-        ..PaConfig::paper_default()
-    };
-    let (mut a, mut b, ..) = pair(cfg);
-    a.send(b"x");
-    a.send(b"yy");
-    a.send(b"z");
-    let report = a.process_pending();
-    assert_eq!(report.backlog_drained, 2);
-    assert!(report.packed);
-    a.process_pending();
-    let got = shuttle(&mut a, &mut b);
-    assert_eq!(got, vec![b"x".to_vec(), b"yy".to_vec(), b"z".to_vec()]);
+    // A same-size run longer than `max_pack` is cut at it and the rest
+    // drains next; with packing off, or `max_pack` 0, every drain still
+    // takes one message. Every case delivers first in, first out.
+    for (packing, max_pack, drains) in [
+        (true, 3, vec![3, 2, 1]),
+        (true, 0, vec![1; 6]),
+        (false, 64, vec![1; 6]),
+    ] {
+        let cfg = PaConfig {
+            packing,
+            max_pack,
+            ..PaConfig::paper_default()
+        };
+        let (mut a, mut b, ..) = pair(cfg);
+        let sent: Vec<Vec<u8>> = (0..6u8)
+            .map(|i| vec![i; 4])
+            .chain([b"tail!".to_vec()])
+            .collect();
+        for m in &sent {
+            a.send(m);
+        }
+        assert_eq!(a.backlog_len(), 6, "the first send went out fast");
+        let got: Vec<u64> = std::iter::from_fn(|| {
+            let n = a.process_pending().backlog_drained;
+            (n > 0).then_some(n)
+        })
+        .collect();
+        assert_eq!(got, drains, "packing {packing}, max_pack {max_pack}");
+        assert_eq!(
+            a.stats().packed_frames,
+            drains.iter().filter(|&&n| n > 1).count() as u64
+        );
+        assert_eq!(shuttle(&mut a, &mut b), sent);
+    }
 }
 
 #[test]

@@ -13,19 +13,20 @@
 //! ```text
 //! kind 0:  [0u8]                                 single message
 //! kind 1:  [1u8][count:u16][size:u32]            same-size pack (paper)
-//! kind 2:  [2u8][count:u16][size:u32 × count]    variable-size pack
+//! other:   refused (BadHeader)
 //! ```
 //!
-//! Kind 2 is the "more sophisticated header, such as used in the
-//! original Horus system, so that any list of messages may be packed"
-//! extension; it is off by default
-//! ([`crate::PaConfig::variable_packing`]).
+//! As in the paper, "the PA only packs together messages of the same
+//! size": a run shares its size, so the size is sent once. Kind 2 —
+//! the Horus-style header listing every piece's size — is an unknown
+//! kind like any other, refused as a malformed packing header.
 
+use pa_buf::msg::DEFAULT_HEADROOM;
 use pa_buf::Msg;
 use std::fmt;
 
 /// Decoded packing header.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackInfo {
     /// A single, unpacked message.
     Single,
@@ -35,11 +36,6 @@ pub enum PackInfo {
         count: u16,
         /// Size of every packed message.
         size: u32,
-    },
-    /// Messages with the given individual sizes.
-    Variable {
-        /// Per-message sizes, in order.
-        sizes: Vec<u32>,
     },
 }
 
@@ -81,8 +77,7 @@ impl std::error::Error for PackError {}
 /// the body-length check vacuous. Real packs come from draining a send
 /// backlog, which is orders of magnitude smaller than this cap, so no
 /// legitimate sender is affected ([`pack`] debug-asserts the same
-/// bound). `Variable` packs need no cap: every piece costs the sender
-/// four wire bytes of header, so amplification is bounded by bytes paid.
+/// bound).
 pub const MAX_EMPTY_PIECES: usize = 1024;
 
 impl PackInfo {
@@ -91,7 +86,6 @@ impl PackInfo {
         match self {
             PackInfo::Single => 1,
             PackInfo::SameSize { count, .. } => *count as usize,
-            PackInfo::Variable { sizes } => sizes.len(),
         }
     }
 
@@ -100,7 +94,6 @@ impl PackInfo {
         match self {
             PackInfo::Single => usize::MAX, // unknown: single takes the rest
             PackInfo::SameSize { count, size } => *count as usize * *size as usize,
-            PackInfo::Variable { sizes } => sizes.iter().map(|&s| s as usize).sum(),
         }
     }
 
@@ -109,36 +102,11 @@ impl PackInfo {
         match self {
             PackInfo::Single => 1,
             PackInfo::SameSize { .. } => 7,
-            PackInfo::Variable { sizes } => 3 + 4 * sizes.len(),
         }
     }
 
-    /// Encodes the header.
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            PackInfo::Single => vec![0],
-            PackInfo::SameSize { count, size } => {
-                let mut v = vec![1];
-                v.extend_from_slice(&count.to_be_bytes());
-                v.extend_from_slice(&size.to_be_bytes());
-                v
-            }
-            PackInfo::Variable { sizes } => {
-                let mut v = vec![2];
-                v.extend_from_slice(&(sizes.len() as u16).to_be_bytes());
-                for s in sizes {
-                    v.extend_from_slice(&s.to_be_bytes());
-                }
-                v
-            }
-        }
-    }
-
-    /// Prepends the encoded header onto `msg` without heap allocation
-    /// for the fixed-size kinds — same bytes as [`PackInfo::encode`],
-    /// staged in a stack buffer. (`Variable` headers are unbounded and
-    /// stay on the heap; they only occur on the already-amortized
-    /// packed slow path.)
+    /// Prepends the encoded header onto `msg`, into its headroom: the
+    /// one header writer.
     pub fn push_onto(&self, msg: &mut Msg) {
         match self {
             PackInfo::Single => msg.push_front(&[0u8]),
@@ -149,18 +117,13 @@ impl PackInfo {
                 b[3..7].copy_from_slice(&size.to_be_bytes());
                 msg.push_front(&b);
             }
-            PackInfo::Variable { .. } => msg.push_front(&self.encode()),
         }
     }
 
     /// Decodes a header from the front of `bytes`, returning it and the
     /// number of bytes consumed.
     ///
-    /// Total and allocation-bounded over arbitrary wire input: the only
-    /// allocation (`Variable`'s size list) happens *after* the length
-    /// check proves the sender shipped four bytes per entry, so memory
-    /// committed is at most a quarter of the bytes received — a forged
-    /// count cannot buy a large allocation with a short frame. Zero-size
+    /// Total and allocation-free over arbitrary wire input. Zero-size
     /// same-size packs are capped at [`MAX_EMPTY_PIECES`] to bound the
     /// delivery amplification a 7-byte header can describe.
     pub fn decode(bytes: &[u8]) -> Result<(PackInfo, usize), PackError> {
@@ -180,23 +143,6 @@ impl PackInfo {
                 }
                 Ok((PackInfo::SameSize { count, size }, 7))
             }
-            Some(2) => {
-                if bytes.len() < 3 {
-                    return Err(PackError::BadHeader);
-                }
-                let count = u16::from_be_bytes([bytes[1], bytes[2]]) as usize;
-                let need = 3 + 4 * count;
-                if count == 0 || bytes.len() < need {
-                    return Err(PackError::BadHeader);
-                }
-                let sizes = (0..count)
-                    .map(|i| {
-                        let o = 3 + 4 * i;
-                        u32::from_be_bytes([bytes[o], bytes[o + 1], bytes[o + 2], bytes[o + 3]])
-                    })
-                    .collect();
-                Ok((PackInfo::Variable { sizes }, need))
-            }
             _ => Err(PackError::BadHeader),
         }
     }
@@ -209,93 +155,84 @@ impl PackInfo {
     }
 }
 
-/// Packs `msgs` (payload-only messages) into one body with its packing
-/// header. Chooses the same-size header when possible, the variable
-/// header otherwise (caller has already decided packing is allowed).
+/// Packs `msgs` (payload-only messages of one size) into one body with
+/// its packing header: a lone message under the kind-0 byte, a run
+/// through the body builder the backlog drain uses.
+///
+/// # Panics
+///
+/// If `msgs` is empty or its messages differ in size.
 pub fn pack(msgs: &[Msg]) -> Msg {
-    debug_assert!(!msgs.is_empty());
-    debug_assert!(
-        msgs.len() <= MAX_EMPTY_PIECES || msgs.iter().any(|m| !m.is_empty()),
-        "an all-empty pack this large would be refused by the receiver"
-    );
-    if msgs.len() == 1 {
-        let mut m = msgs[0].clone();
+    if let [one] = msgs {
+        let mut m = one.clone();
         PackInfo::Single.push_onto(&mut m);
         return m;
     }
-    let first_len = msgs[0].len();
-    let info = if msgs.iter().all(|m| m.len() == first_len) {
-        PackInfo::SameSize {
-            count: msgs.len() as u16,
-            size: first_len as u32,
-        }
-    } else {
-        PackInfo::Variable {
-            sizes: msgs.iter().map(|m| m.len() as u32).collect(),
-        }
+    pack_run(msgs.iter(), msgs[0].len())
+}
+
+/// The one body builder: a same-size run of `size`-byte messages,
+/// packed under the kind-1 header into one freshly allocated buffer.
+/// [`pack`] and the connection's backlog drain both build here. The body
+/// leaves for the network and does not come back, so it is not taken
+/// from a pool.
+pub(crate) fn pack_run<'a>(run: impl ExactSizeIterator<Item = &'a Msg>, size: usize) -> Msg {
+    let count = u16::try_from(run.len()).expect("a pack holds at most 65 535 messages");
+    debug_assert!(
+        size > 0 || count as usize <= MAX_EMPTY_PIECES,
+        "an all-empty pack this large would be refused by the receiver"
+    );
+    let info = PackInfo::SameSize {
+        count,
+        size: u32::try_from(size).expect("a packed message is under 4 GiB"),
     };
-    let mut body = Msg::with_headroom(&[], 128 + info.wire_len());
-    for m in msgs {
+    let mut body = Msg::with_headroom(&[], DEFAULT_HEADROOM + info.wire_len());
+    for m in run {
+        assert_eq!(m.len(), size, "§3.4 packs only same-size runs");
         body.push_back(m.as_slice());
     }
     info.push_onto(&mut body);
     body
 }
 
+/// The one piece walk: the `count` pieces of `size` bytes at the front
+/// of a same-size body, in order, zero-size pieces included. Delivery
+/// hands each piece to the application as a pooled copy, [`unpack`] as
+/// a fresh one. Total: a piece the body cannot hold ends the walk, so
+/// the caller counts what it got.
+pub(crate) fn pieces(body: &[u8], count: u16, size: u32) -> impl Iterator<Item = &[u8]> {
+    let size = size as usize;
+    let mut rest = body;
+    (0..count).map_while(move |_| {
+        let (piece, tail) = rest.split_at_checked(size)?;
+        rest = tail;
+        Some(piece)
+    })
+}
+
 /// Splits a packed body (packing header already popped) into individual
 /// application messages.
 ///
-/// Total over arbitrary input: the piece walk uses checked pops, so even
-/// a hand-built `PackInfo` whose promises disagree with the body (which
-/// [`PackInfo::decode`] plus the up-front length check make impossible
-/// for wire-derived headers) yields an error rather than a panic.
-pub fn unpack(info: &PackInfo, mut body: Msg) -> Result<Vec<Msg>, PackError> {
-    match info {
-        PackInfo::Single => Ok(vec![body]),
-        PackInfo::SameSize { count, size } => {
-            let expected = *count as usize * *size as usize;
-            if body.len() != expected {
-                return Err(PackError::LengthMismatch {
-                    expected,
-                    actual: body.len(),
-                });
-            }
-            if *size == 0 && *count as usize > MAX_EMPTY_PIECES {
-                return Err(PackError::BadHeader);
-            }
-            let mut out = Vec::with_capacity(*count as usize);
-            for _ in 0..*count {
-                let Some(piece) = body.pop_front(*size as usize) else {
-                    return Err(PackError::LengthMismatch {
-                        expected,
-                        actual: body.len(),
-                    });
-                };
-                out.push(Msg::from_payload(&piece));
-            }
-            Ok(out)
-        }
-        PackInfo::Variable { sizes } => {
-            let expected: usize = sizes.iter().map(|&s| s as usize).sum();
-            if body.len() != expected {
-                return Err(PackError::LengthMismatch {
-                    expected,
-                    actual: body.len(),
-                });
-            }
-            let mut out = Vec::with_capacity(sizes.len());
-            for &s in sizes {
-                let Some(piece) = body.pop_front(s as usize) else {
-                    return Err(PackError::LengthMismatch {
-                        expected,
-                        actual: body.len(),
-                    });
-                };
-                out.push(Msg::from_payload(&piece));
-            }
-            Ok(out)
-        }
+/// Total over arbitrary input: the body length is checked against the
+/// header's promise before the walk, so even a hand-built `PackInfo`
+/// that disagrees with the body yields an error rather than a panic.
+pub fn unpack(info: &PackInfo, body: Msg) -> Result<Vec<Msg>, PackError> {
+    let PackInfo::SameSize { count, size } = *info else {
+        return Ok(vec![body]);
+    };
+    let expected = info.body_len();
+    if body.len() != expected {
+        return Err(PackError::LengthMismatch {
+            expected,
+            actual: body.len(),
+        });
     }
+    if size == 0 && count as usize > MAX_EMPTY_PIECES {
+        return Err(PackError::BadHeader);
+    }
+    let mut out = Vec::with_capacity(count as usize);
+    out.extend(pieces(body.as_slice(), count, size).map(Msg::from_payload));
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -335,37 +272,9 @@ mod tests {
     }
 
     #[test]
-    fn variable_size_roundtrip() {
-        let mixed = msgs(&[3, 10, 0, 7]);
-        let mut packed = pack(&mixed);
-        let info = PackInfo::pop_from(&mut packed).unwrap();
-        assert_eq!(info.count(), 4);
-        let out = unpack(&info, packed).unwrap();
-        assert_eq!(
-            out.iter().map(Msg::len).collect::<Vec<_>>(),
-            vec![3, 10, 0, 7]
-        );
-        assert_eq!(out[3].as_slice(), &[3u8; 7][..]);
-    }
-
-    #[test]
-    fn push_onto_matches_encode() {
-        for info in [
-            PackInfo::Single,
-            PackInfo::SameSize {
-                count: 300,
-                size: 0x0102_0304,
-            },
-            PackInfo::Variable {
-                sizes: vec![9, 0, 77],
-            },
-        ] {
-            let mut via_push = Msg::from_payload(b"body");
-            info.push_onto(&mut via_push);
-            let mut via_encode = Msg::from_payload(b"body");
-            via_encode.push_front(&info.encode());
-            assert_eq!(via_push.as_slice(), via_encode.as_slice());
-        }
+    #[should_panic(expected = "same-size")]
+    fn mixed_sizes_do_not_pack() {
+        let _ = pack(&msgs(&[3, 10]));
     }
 
     #[test]
@@ -376,11 +285,11 @@ mod tests {
                 count: 4,
                 size: 100,
             },
-            PackInfo::Variable {
-                sizes: vec![1, 2, 3],
-            },
         ] {
-            assert_eq!(info.encode().len(), info.wire_len());
+            let mut m = Msg::new();
+            info.push_onto(&mut m);
+            assert_eq!(m.len(), info.wire_len());
+            assert_eq!(PackInfo::decode(m.as_slice()), Ok((info, info.wire_len())));
         }
     }
 
@@ -401,7 +310,7 @@ mod tests {
         assert_eq!(
             PackInfo::decode(&[2, 0, 0]),
             Err(PackError::BadHeader),
-            "count 0 variable"
+            "kind 2 is unknown"
         );
     }
 
@@ -417,23 +326,22 @@ mod tests {
 
     #[test]
     fn forged_variable_count_cannot_buy_an_allocation() {
-        // A kind-2 header claiming 65 535 pieces on a 10-byte frame: the
-        // length check (`need = 3 + 4·count` bytes present) fires before
-        // the size list is collected, so the forged count never converts
-        // into a 65 535-entry allocation. This is the allocation-bounded
-        // decode invariant: memory committed ≤ bytes received.
+        // A kind-2 (Horus-style, one size per piece) header claiming
+        // 65 535 pieces on a 10-byte frame, and an honest-looking one
+        // with its size list present: no sender writes kind 2, so both
+        // are an unknown kind, refused before anything is read past the
+        // kind byte.
         let mut forged = vec![2u8, 0xFF, 0xFF];
         forged.extend_from_slice(&[0u8; 7]); // 10 bytes total
         assert_eq!(PackInfo::decode(&forged), Err(PackError::BadHeader));
-
-        // The same count with the bytes actually present decodes fine —
-        // the sender paid four bytes per entry.
         let mut honest = vec![2u8, 0, 2];
         honest.extend_from_slice(&0u32.to_be_bytes());
         honest.extend_from_slice(&3u32.to_be_bytes());
-        let (info, used) = PackInfo::decode(&honest).unwrap();
-        assert_eq!(used, 11);
-        assert_eq!(info, PackInfo::Variable { sizes: vec![0, 3] });
+        honest.extend_from_slice(b"abc");
+        assert_eq!(PackInfo::decode(&honest), Err(PackError::BadHeader));
+        let mut msg = Msg::from_payload(&honest);
+        assert_eq!(PackInfo::pop_from(&mut msg), Err(PackError::BadHeader));
+        assert_eq!(msg.len(), honest.len(), "a refused header pops nothing");
     }
 
     #[test]
@@ -478,16 +386,13 @@ mod tests {
     #[test]
     fn unpack_never_panics_on_disagreeing_handbuilt_info() {
         // decode() can't produce these, but unpack is total anyway.
-        let info = PackInfo::Variable { sizes: vec![5, 5] };
-        assert!(matches!(
-            unpack(&info, Msg::from_payload(&[0u8; 9])),
-            Err(PackError::LengthMismatch { .. })
-        ));
         let info = PackInfo::SameSize { count: 3, size: 4 };
         assert!(matches!(
             unpack(&info, Msg::from_payload(&[0u8; 13])),
             Err(PackError::LengthMismatch { .. })
         ));
+        // The walk itself stops at the first piece the body cannot hold.
+        assert_eq!(pieces(&[0u8; 9], 3, 4).count(), 2);
     }
 
     #[test]
@@ -504,7 +409,7 @@ mod tests {
     #[test]
     fn same_size_header_is_7_bytes_regardless_of_count() {
         // The amortization the paper relies on: header cost is O(1) in
-        // the number of packed messages (for the same-size case).
+        // the number of packed messages.
         let few = pack(&msgs(&[8, 8]));
         let many = pack(&msgs(&[8; 50]));
         assert_eq!(few.len() - 2 * 8, 7);

@@ -109,8 +109,8 @@ pub fn regression_corpus() -> Vec<CorpusEntry> {
             bytes: vec![1, 0xFF, 0xFF, 0, 0, 0, 0, 0x41, 0x42],
         },
         CorpusEntry {
-            // Variable pack header claiming 65 535 pieces on a 10-byte
-            // body: the allocation-bound forgery.
+            // Horus-style kind-2 pack header claiming 65 535 pieces on a
+            // 10-byte body: an unknown kind, refused at its first byte.
             name: "pack-forge-variable-65535",
             bytes: vec![2, 0xFF, 0xFF, 0, 0, 0, 1, 0, 0, 0],
         },

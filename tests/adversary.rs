@@ -341,6 +341,57 @@ fn a_refused_identified_frame_binds_no_cookie() {
     assert!(b.stats().delivery_balanced() && b.stats().rejects_reconcile());
 }
 
+/// The paper's PA packs only same-size runs (§3.4), under kind 1; kind 2
+/// — a Horus-style header listing each piece's size — is written by no
+/// sender and read by no receiver. A frame that carries one, well-formed
+/// down to its size list, is refused as a malformed packing header, and
+/// every ledger still balances. The stack is the paper's without its
+/// checksum, so the rewritten byte reaches the packing decode on the
+/// fast path rather than failing a digest first.
+#[test]
+fn a_kind_two_packing_header_is_refused_as_malformed() {
+    use pa::stack::StackSpec;
+    let conn = |local, peer, seed| {
+        let spec = StackSpec {
+            checksum: None,
+            ..StackSpec::paper()
+        };
+        Connection::new(
+            spec.build(),
+            PaConfig::paper_default(),
+            ConnectionParams::new(
+                EndpointAddr::from_parts(local, 1),
+                EndpointAddr::from_parts(peer, 1),
+                seed,
+            ),
+        )
+        .expect("valid stack")
+    };
+    let mut a = conn(CLIENT_HOSTS[0], SERVER_HOST, 0xA11CE);
+    let mut b = conn(SERVER_HOST, CLIENT_HOSTS[0], 0xB0B);
+
+    // Behind the kind-0 byte, a payload that reads as the rest of a
+    // kind-2 header: one piece, two bytes, "hi".
+    let payload = [0, 1, 0, 0, 0, 2, b'h', b'i'];
+    a.send(&payload);
+    let mut wire = a.poll_transmit().expect("frame").to_wire();
+    let at = wire.len() - payload.len() - 1;
+    assert_eq!(wire[at], 0, "the packing byte of a single message");
+    wire[at] = 2;
+
+    let out = b.deliver_frame(Msg::from_wire(wire));
+    assert_eq!(
+        out,
+        DeliverOutcome::Dropped(RejectReason::MalformedPackInfo)
+    );
+    assert!(b.poll_delivery().is_none(), "nothing delivered");
+    let stats = b.stats();
+    assert_eq!(stats.msgs_delivered, 0);
+    assert_eq!(stats.rejects.get(RejectReason::MalformedPackInfo), 1);
+    assert!(stats.delivery_balanced(), "{stats}");
+    assert!(stats.rejects_reconcile(), "{stats}");
+}
+
 /// The lifecycle counterpart of the storm above: ~50k seeded
 /// bind / traffic / re-key / remove cycles against a sharded demux in
 /// surgical mode (zero mutation — every op has one exact expected

@@ -647,7 +647,25 @@ fn packed_backlog_delivery_reconciles_the_pools() {
     for _ in 0..8 {
         let _ = a.send(b"burst-of-eight!!");
     }
-    a.process_pending(); // drains the backlog into packed frame(s)
+    // The drain packs the seven queued messages into one frame straight
+    // off the backlog. The sender's allocations for it, exactly:
+    //
+    // - 2 the packed body, fresh: its buffer and one regrow (135 B of
+    //   headroom, then the 112 B run);
+    // - 1 the frame image, taken from the pool into a staged buffer too
+    //   small for it;
+    // - 2 the pool's free list growing as the seven staged buffers go
+    //   back (to 4, then 8);
+    // - 1 the window's retransmission list growing for the first frame's
+    //   copy, in that frame's post phase.
+    let before = allocations();
+    a.process_pending();
+    let made = allocations() - before;
+    assert_eq!(a.stats().packed_frames, 1, "the seven leave in one frame");
+    assert_eq!(
+        made, 6,
+        "the drain of one packed frame made {made} allocations"
+    );
     let mut delivered = 0;
     while let Some(f) = a.poll_transmit() {
         b.deliver_frame(f);
@@ -660,14 +678,10 @@ fn packed_backlog_delivery_reconciles_the_pools() {
     b.process_pending();
     a.process_pending();
     assert_eq!(delivered, 8, "all packed messages delivered");
-    assert!(
-        a.stats().packed_frames >= 1,
-        "the burst must actually have packed"
-    );
     let (pa, pb) = (a.pool_stats(), b.pool_stats());
-    // A packed body is assembled fresh by `packing::pack` (amortized
-    // path, one allocation per *frame*), so it was never a pool take —
-    // but after its post-deliver phase B's pool absorbs it anyway.
+    // A packed body is assembled fresh (amortized path, the two
+    // allocations per *frame* counted above), so it was never a pool
+    // take — but after its post-deliver phase B's pool absorbs it anyway.
     // Every packed frame therefore shows up as exactly one donated
     // return on top of the take/return balance — and the sender's
     // window still holds its copy of every frame, none acknowledged.

@@ -218,27 +218,35 @@ fn layout_compilation_is_deterministic() {
 }
 
 // ---------------------------------------------------------------------
-// Packing: any list of messages survives pack → wire → unpack.
+// Packing: any same-size run survives pack → wire → unpack (§3.4 packs
+// only runs of one size), zero-size runs included.
 // ---------------------------------------------------------------------
 
 #[test]
 fn packing_roundtrips() {
+    use pa::core::packing::MAX_EMPTY_PIECES;
     let mut rng = SplitMix64::new(0x7061_636b_0000_0001);
-    for case in 0..128 {
-        let n = 1 + rng.gen_index(39);
+    for case in 0..160 {
+        // Every fifth case a zero-size run, up to the receiver's cap
+        // (the cap itself on the first); otherwise a run of 1–64.
+        let (n, size) = match case {
+            0 => (MAX_EMPTY_PIECES, 0),
+            _ if case % 5 == 0 => (1 + rng.gen_index(MAX_EMPTY_PIECES), 0),
+            _ => (1 + rng.gen_index(64), rng.gen_index(200)),
+        };
         let msgs: Vec<Msg> = (0..n)
-            .map(|i| Msg::from_payload(&vec![(i % 256) as u8; rng.gen_index(200)]))
+            .map(|i| Msg::from_payload(&vec![(i % 256) as u8; size]))
             .collect();
-        let mut packed = pack(&msgs);
+        let packed = pack(&msgs);
         // Survive a wire image copy.
         let mut rx = Msg::from_wire(packed.to_wire());
         let info = PackInfo::pop_from(&mut rx).expect("valid header");
+        assert_eq!(info.count(), n, "case {case}");
         let out = unpack(&info, rx).expect("lengths match");
         assert_eq!(out.len(), msgs.len(), "case {case}");
         for (a, b) in out.iter().zip(&msgs) {
             assert_eq!(a.as_slice(), b.as_slice(), "case {case}");
         }
-        let _ = packed.pop_front(1);
     }
 }
 
