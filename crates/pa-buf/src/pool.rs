@@ -39,7 +39,6 @@ pub struct MsgPool {
     hits: u64,
     misses: u64,
     returns: u64,
-    burst_refills: u64,
     capped: u64,
 }
 
@@ -47,11 +46,9 @@ pub struct MsgPool {
 ///
 /// Flux identity (checked by the pool-flux tests): every buffer on the
 /// free list got there through `put` (`returns`, minus the `capped`
-/// ones the retention limit discarded) or `refill_n` (`burst_refills`),
-/// and every buffer that left it was a `hit`, so at any quiescent point
-/// `idle == returns + burst_refills - hits - capped`, exactly — and
-/// because a refilled buffer is *not* a take, `hits + misses` still
-/// counts takes exactly.
+/// ones the retention limit discarded), and every buffer that left it
+/// was a `hit`, so at any quiescent point
+/// `idle == returns - hits - capped`, exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// Allocations served from the free list.
@@ -60,10 +57,6 @@ pub struct PoolStats {
     pub misses: u64,
     /// Buffers returned to the pool.
     pub returns: u64,
-    /// Buffers allocated directly onto the free list by
-    /// [`MsgPool::refill_n`] (burst pre-provisioning, counted separately
-    /// from `misses` because no take happened).
-    pub burst_refills: u64,
     /// Returned buffers the retention cap discarded instead of keeping
     /// (still counted in `returns`; donated frames — e.g. unpacked
     /// packed bodies — can push a pool past its cap in steady state).
@@ -85,7 +78,6 @@ impl MsgPool {
             hits: 0,
             misses: 0,
             returns: 0,
-            burst_refills: 0,
             capped: 0,
         }
     }
@@ -177,30 +169,6 @@ impl MsgPool {
         self.large.insert(at.map_or(0, |i| i + 1), msg);
     }
 
-    /// Pre-provisions the free list so the next `n` takes are hits.
-    ///
-    /// Burst receive takes `n` buffers back to back; refilling once per
-    /// burst replaces `n` individual miss-allocations on the hot path
-    /// with one amortized top-up at the burst boundary. Buffers created
-    /// here are counted in `burst_refills`, *not* `misses` — nothing was
-    /// taken — and the free list never grows past `max_retained`.
-    pub fn refill_n(&mut self, n: usize) {
-        let target = n.min(self.max_retained as usize);
-        while self.idle() < target {
-            self.small
-                .push(Msg::with_headroom(&[], self.headroom as usize));
-            self.burst_refills += 1;
-        }
-    }
-
-    /// Returns a whole burst of buffers in one call (each is a `put`:
-    /// `returns` counts every buffer, retention cap still applies).
-    pub fn recycle_burst<I: IntoIterator<Item = Msg>>(&mut self, msgs: I) {
-        for m in msgs {
-            self.put(m);
-        }
-    }
-
     /// Number of buffers currently on the free list.
     pub fn idle(&self) -> usize {
         self.small.len() + self.large.len()
@@ -212,7 +180,6 @@ impl MsgPool {
             hits: self.hits,
             misses: self.misses,
             returns: self.returns,
-            burst_refills: self.burst_refills,
             capped: self.capped,
         }
     }
@@ -238,7 +205,6 @@ mod tests {
                 hits: 0,
                 misses: 1,
                 returns: 0,
-                burst_refills: 0,
                 capped: 0
             }
         );
@@ -250,7 +216,6 @@ mod tests {
                 hits: 1,
                 misses: 1,
                 returns: 1,
-                burst_refills: 0,
                 capped: 0
             }
         );
@@ -279,6 +244,8 @@ mod tests {
         assert_eq!(p.idle(), 2);
         assert_eq!(p.stats().returns, 5);
         assert_eq!(p.stats().capped, 3, "cap drops are accounted");
+        let s = p.stats();
+        assert_eq!(p.idle() as u64, s.returns - s.hits - s.capped);
     }
 
     #[test]
@@ -372,10 +339,7 @@ mod tests {
         p.put(an_ack()); // dropped itself
         let s = p.stats();
         assert_eq!((p.idle(), s.returns, s.capped), (3, 6, 3));
-        assert_eq!(
-            p.idle() as u64,
-            s.returns + s.burst_refills - s.hits - s.capped
-        );
+        assert_eq!(p.idle() as u64, s.returns - s.hits - s.capped);
         assert_eq!(p.take_with(&[1; 6000]).capacity(), 9008);
         assert_eq!(p.take().capacity(), an_ack().capacity());
         assert_eq!(p.take().capacity(), 5008);
@@ -385,57 +349,5 @@ mod tests {
         p.put(an_ack());
         p.put(Msg::with_headroom(&[0; 4000], 8));
         assert_eq!(p.take().capacity(), an_ack().capacity());
-    }
-
-    #[test]
-    fn refill_makes_burst_takes_hits_and_respects_cap() {
-        let mut p = MsgPool::new(32, 8);
-        p.refill_n(4);
-        assert_eq!(p.idle(), 4);
-        assert_eq!(
-            p.stats(),
-            PoolStats {
-                hits: 0,
-                misses: 0,
-                returns: 0,
-                burst_refills: 4,
-                capped: 0
-            }
-        );
-        let burst: Vec<Msg> = (0..4).map(|_| p.take()).collect();
-        assert_eq!(p.stats().hits, 4, "every post-refill take is a hit");
-        assert_eq!(p.stats().misses, 0);
-        for m in &burst {
-            assert!(m.is_empty());
-            assert_eq!(m.headroom(), 32);
-        }
-        p.recycle_burst(burst);
-        let s = p.stats();
-        assert_eq!(s.returns, 4);
-        // Flux identity with refills in play.
-        assert_eq!(p.idle() as u64, s.returns + s.burst_refills - s.hits);
-        // Refill never exceeds the retention cap.
-        p.refill_n(100);
-        assert_eq!(p.idle(), 8);
-        // A refill that is already satisfied allocates nothing.
-        let refills_before = p.stats().burst_refills;
-        p.refill_n(8);
-        assert_eq!(p.stats().burst_refills, refills_before);
-    }
-
-    #[test]
-    fn recycle_burst_drops_excess_past_cap() {
-        let mut p = MsgPool::new(8, 2);
-        let msgs: Vec<Msg> = (0..5).map(|_| p.take()).collect();
-        p.recycle_burst(msgs);
-        assert_eq!(p.idle(), 2);
-        let s = p.stats();
-        assert_eq!(s.returns, 5);
-        assert_eq!(s.capped, 3);
-        // Flux identity with cap drops in play.
-        assert_eq!(
-            p.idle() as u64,
-            s.returns + s.burst_refills - s.hits - s.capped
-        );
     }
 }

@@ -14,28 +14,23 @@ pub struct PaConfig {
     /// Header prediction (§3.2). Off: every message takes the full
     /// pre-send / pre-deliver traversal.
     pub predict: bool,
-    /// Connection cookies (§2.2). Off: the connection identification is
-    /// included on *every* message, as traditional stacks do.
+    /// Connection cookies (§2.2). On: the connection identification
+    /// rides the first frame and unusual ones (retransmissions), as in
+    /// the paper. Off: it is included on *every* message, as
+    /// traditional stacks do.
     pub cookies: bool,
     /// Lazy post-processing (§3.1). Off: post phases run inline on the
     /// critical path, immediately after each send/delivery.
     pub lazy_post: bool,
     /// Message packing of backlogged sends (§3.4): the run of
-    /// same-size messages at the head of the backlog leaves in one frame
-    /// under one header — as in the paper, messages of different sizes
-    /// never share a frame. Off: the backlog drains one message at a
-    /// time.
-    pub packing: bool,
-    /// Maximum number of messages packed into one frame.
+    /// same-size messages at the head of the backlog, at most this many,
+    /// leaves in one frame under one header — as in the paper, messages
+    /// of different sizes never share a frame. At most 1 is packing off:
+    /// the backlog drains one message at a time.
     pub max_pack: usize,
     /// Header layout (§2.1): PA cross-layer packing or the traditional
     /// per-layer padded scheme.
     pub layout_mode: LayoutMode,
-    /// How many initial messages carry the connection identification
-    /// (the paper sends it on the first message; raising this is the
-    /// "agree on a cookie before starting to use it" mitigation for
-    /// first-message loss).
-    pub ident_on_first: u32,
     /// In-band trace context (journeys). On: the engine declares a
     /// `trace_journey`/`trace_hop` pair in the Message Specific class
     /// via the same `add_field` path every layer uses, the *send
@@ -57,10 +52,8 @@ impl PaConfig {
             predict: true,
             cookies: true,
             lazy_post: true,
-            packing: true,
             max_pack: 64,
             layout_mode: LayoutMode::Packed,
-            ident_on_first: 1,
             trace_ctx: false,
         }
     }
@@ -72,10 +65,8 @@ impl PaConfig {
             predict: false,
             cookies: false,
             lazy_post: false,
-            packing: false,
             max_pack: 1,
             layout_mode: LayoutMode::Traditional,
-            ident_on_first: u32::MAX,
             trace_ctx: false,
         }
     }
@@ -102,9 +93,8 @@ mod tests {
     #[test]
     fn paper_default_enables_all_mechanisms() {
         let c = PaConfig::paper_default();
-        assert!(c.predict && c.cookies && c.lazy_post && c.packing);
+        assert!(c.predict && c.cookies && c.lazy_post && c.max_pack > 1);
         assert_eq!(c.layout_mode, LayoutMode::Packed);
-        assert_eq!(c.ident_on_first, 1);
         // Tracing is opt-in: the paper's evaluated PA carries no trace
         // context, so the default wire format matches §5 exactly.
         assert!(!c.trace_ctx);
@@ -113,7 +103,7 @@ mod tests {
     #[test]
     fn baseline_disables_all_mechanisms() {
         let c = PaConfig::no_pa_baseline();
-        assert!(!c.predict && !c.cookies && !c.lazy_post && !c.packing);
+        assert!(!c.predict && !c.cookies && !c.lazy_post && c.max_pack <= 1);
         assert_eq!(c.layout_mode, LayoutMode::Traditional);
     }
 

@@ -114,7 +114,7 @@ impl Connection {
             deliveries: VecDeque::new(),
             ident_local,
             ident_peer,
-            ident_remaining: config.ident_on_first,
+            ident_due: true,
             stats: ConnStats::default(),
             plan,
             params,
@@ -155,12 +155,12 @@ impl Connection {
 
     /// Puts our cookie preamble on an outgoing frame, with the
     /// connection identification in front of the headers while it is
-    /// due: on the first `ident_on_first` frames, on an `unusual` one
-    /// (a retransmission, §2.2), and on every frame with cookies off.
+    /// due: on the first frame, on an `unusual` one (a retransmission,
+    /// §2.2), and on every frame with cookies off.
     pub(super) fn announce(&mut self, msg: &mut Msg, unusual: bool) {
-        let include_ident = !self.config.cookies || unusual || self.ident_remaining > 0;
+        let include_ident = !self.config.cookies || unusual || self.ident_due;
         let preamble = if include_ident {
-            self.ident_remaining = self.ident_remaining.saturating_sub(1);
+            self.ident_due = false;
             msg.push_front(&self.ident_local);
             self.stats.ident_frames_out += 1;
             Preamble::with_conn_ident(self.cookie_local, self.order)
@@ -202,14 +202,14 @@ impl Connection {
     /// Stops sending the identification on initial messages (the peer
     /// already holds it via a greeting). Retransmissions still carry it.
     pub fn suppress_ident(&mut self) {
-        self.ident_remaining = 0;
+        self.ident_due = false;
     }
 
     /// Forces the identification onto the next outgoing frame (a cookie
     /// re-announcement: used after a suspected route loss, and by tests
     /// that need an "unusual" identified frame on demand).
     pub fn force_ident_next(&mut self) {
-        self.ident_remaining = self.ident_remaining.max(1);
+        self.ident_due = true;
     }
 
     /// Mints a fresh local (outgoing) cookie and forces the next

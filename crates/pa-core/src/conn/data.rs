@@ -1,16 +1,16 @@
 //! The data path: what runs per message — Figure 3's `send()` and
 //! `from_network()`, the layered traversal they fall back to, the
 //! deferred post drain (§3.1) with the backlog drain (§3.4), and the
-//! polls and recycles. Every verb has one body: a burst form runs the
-//! per-message form in a loop — same outcomes, wire bytes and counters
-//! at every burst size — and amortizes only pool pre-provisioning.
+//! polls and recycles. Every verb has one body: a burst form is the
+//! per-message form in a loop and nothing more — same outcomes, wire
+//! bytes, counters and allocations at every burst size.
 
 use super::{
     Connection, DeliverBurstReport, DeliverOutcome, DeliverWork, PostWorkReport, RecvPost,
     SendBurstReport, SendOutcome, SendWork,
 };
 use crate::layer::{DeliverAction, Effects, Layer, LayerCtx, SendAction};
-use crate::packing::{self, PackInfo};
+use crate::packing::{self, PackInfo, MAX_EMPTY_PIECES};
 use pa_buf::{ByteOrder, Msg};
 use pa_obs::{AttrCause, DropCause, LeakCause, Phase, RejectReason, SlowCause, TraceEvent};
 use pa_wire::Preamble;
@@ -81,21 +81,9 @@ impl Connection {
     // Send path (Figure 3, send())
     // ------------------------------------------------------------------
 
-    /// Pre-provisions the buffer pool for a burst of `n` sends so every
-    /// in-burst take is a hit. A no-op for `n <= 1` (a burst of one is
-    /// therefore counter-identical to a bare [`Connection::send`]). For
-    /// hosts that drive a burst's sends one call at a time.
-    pub fn prepare_burst(&mut self, n: usize) {
-        if n > 1 {
-            self.pool.refill_n(n);
-        }
-    }
-
     /// Sends a whole burst of payloads, tallying the per-message
-    /// outcomes: [`Connection::prepare_burst`], then
-    /// [`Connection::send`] for each.
+    /// outcomes: [`Connection::send`] for each.
     pub fn send_burst(&mut self, payloads: &[&[u8]]) -> SendBurstReport {
-        self.prepare_burst(payloads.len());
         let mut rep = SendBurstReport::default();
         for p in payloads {
             match self.send(p) {
@@ -745,20 +733,25 @@ impl Connection {
     }
 
     /// Drains one frame's worth of backlog: the run of same-size
-    /// messages at its head, at most `max_pack` long (one message with
-    /// packing off). A run of one leaves under the kind-0 byte in its own
-    /// buffer; a longer one is packed straight off the queue under one
-    /// header (§3.4), and its staged buffers go back to the pool.
+    /// messages at its head, at most `max_pack` long (one message when
+    /// `max_pack` is 0 or 1: packing off) and no longer than a packing
+    /// header can carry. A run of one leaves under the kind-0 byte in
+    /// its own buffer; a longer one is packed straight off the queue
+    /// under one header (§3.4), and its staged buffers go back to the
+    /// pool.
     fn drain_backlog(&mut self, report: &mut PostWorkReport) {
         let Some(head) = self.backlog.front() else {
             return;
         };
         let size = head.len();
-        let max = if self.config.packing {
-            self.config.max_pack.max(1)
+        // A header counts at most 65 535 pieces, and a receiver takes at
+        // most `MAX_EMPTY_PIECES` empty ones.
+        let cap = if size == 0 {
+            MAX_EMPTY_PIECES
         } else {
-            1
+            u16::MAX as usize
         };
+        let max = self.config.max_pack.min(cap).max(1);
         let n = self
             .backlog
             .iter()

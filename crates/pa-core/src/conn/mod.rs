@@ -300,7 +300,9 @@ pub struct Connection {
     cookie_peer_prev: Option<Cookie>,
     ident_local: Vec<u8>,
     ident_peer: Vec<u8>,
-    ident_remaining: u32,
+    /// The next frame carries the identification: the first one (§2.2),
+    /// or one after [`Connection::force_ident_next`].
+    ident_due: bool,
     params: ConnectionParams,
 
     // ---- introspection (`introspect.rs`) ------------------------------

@@ -4,6 +4,7 @@
 
 use super::*;
 use crate::layer::{Declare, DeliverAction, Handles, LayerCtx, LayerShape, NullLayer, SendAction};
+use crate::packing::MAX_EMPTY_PIECES;
 use pa_filter::{DigestKind, Op};
 use pa_obs::{SlowCause, TraceEvent};
 use pa_wire::{Class, Field, LayoutError};
@@ -303,15 +304,11 @@ fn different_size_backlog_drains_same_size_runs() {
     );
 
     // A same-size run longer than `max_pack` is cut at it and the rest
-    // drains next; with packing off, or `max_pack` 0, every drain still
-    // takes one message. Every case delivers first in, first out.
-    for (packing, max_pack, drains) in [
-        (true, 3, vec![3, 2, 1]),
-        (true, 0, vec![1; 6]),
-        (false, 64, vec![1; 6]),
-    ] {
+    // drains next; with packing off (`max_pack` 1), or `max_pack` 0,
+    // every drain still takes one message. Every case delivers first
+    // in, first out.
+    for (max_pack, drains) in [(3, vec![3, 2, 1]), (0, vec![1; 6]), (1, vec![1; 6])] {
         let cfg = PaConfig {
-            packing,
             max_pack,
             ..PaConfig::paper_default()
         };
@@ -329,13 +326,53 @@ fn different_size_backlog_drains_same_size_runs() {
             (n > 0).then_some(n)
         })
         .collect();
-        assert_eq!(got, drains, "packing {packing}, max_pack {max_pack}");
+        assert_eq!(got, drains, "max_pack {max_pack}");
         assert_eq!(
             a.stats().packed_frames,
             drains.iter().filter(|&&n| n > 1).count() as u64
         );
         assert_eq!(shuttle(&mut a, &mut b), sent);
     }
+}
+
+/// Queues `count` sends of `size` bytes behind a first one over a null
+/// stack with `max_pack` set, drains the backlog, and checks that every
+/// message arrives in order, with no frame refused. Returns the drains.
+fn drain_a_long_backlog(count: usize, size: usize, max_pack: usize) -> Vec<u64> {
+    let cfg = PaConfig {
+        max_pack,
+        ..PaConfig::paper_default()
+    };
+    let (mut a, mut b) = null_pair(cfg);
+    let sent: Vec<Vec<u8>> = (0..=count).map(|i| vec![i as u8; size]).collect();
+    for m in &sent {
+        a.send(m);
+    }
+    assert_eq!(a.backlog_len(), count, "the first send went out fast");
+    let drains: Vec<u64> = std::iter::from_fn(|| {
+        let n = a.process_pending().backlog_drained;
+        (n > 0).then_some(n)
+    })
+    .collect();
+    assert_eq!(shuttle(&mut a, &mut b), sent);
+    assert!(b.stats().delivery_balanced());
+    assert_eq!(b.stats().rejects.get(RejectReason::MalformedPackInfo), 0);
+    drains
+}
+
+#[test]
+fn a_run_longer_than_a_header_can_count_is_cut_at_65_535() {
+    let drains = drain_a_long_backlog(70_000, 8, 100_000);
+    assert_eq!(drains, [65_535, 70_000 - 65_535]);
+}
+
+#[test]
+fn a_run_of_empty_messages_is_cut_where_the_receiver_takes_it() {
+    let drains = drain_a_long_backlog(2_000, 0, 4096);
+    assert_eq!(
+        drains,
+        [MAX_EMPTY_PIECES as u64, 2_000 - MAX_EMPTY_PIECES as u64]
+    );
 }
 
 #[test]
@@ -489,28 +526,26 @@ fn cross_byte_order_peers_interoperate() {
     assert!(b.stats().fast_deliveries >= 2, "{:?}", b.stats());
 }
 
+/// A connection pair over a stack of one [`NullLayer`].
+fn null_pair(config: PaConfig) -> (Connection, Connection) {
+    let conn = |local, peer, seed| {
+        Connection::new(
+            vec![Box::new(NullLayer)],
+            config,
+            ConnectionParams::new(
+                EndpointAddr::from_parts(local, 1),
+                EndpointAddr::from_parts(peer, 1),
+                seed,
+            ),
+        )
+        .unwrap()
+    };
+    (conn(1, 2, 5), conn(2, 1, 6))
+}
+
 #[test]
 fn null_stack_connection_works() {
-    let mut a = Connection::new(
-        vec![Box::new(NullLayer)],
-        PaConfig::paper_default(),
-        ConnectionParams::new(
-            EndpointAddr::from_parts(1, 1),
-            EndpointAddr::from_parts(2, 1),
-            5,
-        ),
-    )
-    .unwrap();
-    let mut b = Connection::new(
-        vec![Box::new(NullLayer)],
-        PaConfig::paper_default(),
-        ConnectionParams::new(
-            EndpointAddr::from_parts(2, 1),
-            EndpointAddr::from_parts(1, 1),
-            6,
-        ),
-    )
-    .unwrap();
+    let (mut a, mut b) = null_pair(PaConfig::paper_default());
     a.send(b"empty stack");
     let got = shuttle(&mut a, &mut b);
     assert_eq!(got, vec![b"empty stack".to_vec()]);

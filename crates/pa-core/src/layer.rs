@@ -403,25 +403,6 @@ impl<'a> LayerCtx<'a> {
             .read_field(f, &msg.as_slice()[base..base + len], self.order)
     }
 
-    /// Borrowed `(protocol header, gossip header, body)` views of
-    /// `msg`'s frame — the read-only analogue of `Frame::proto_hdr` /
-    /// `Frame::gossip_hdr` / `Frame::body` for post phases that only
-    /// inspect a frame image they do not own (e.g. recomputing a
-    /// digest). Like [`LayerCtx::read_field`], this avoids cloning the
-    /// message just to build a mutable [`Frame`] view.
-    pub fn frame_parts<'m>(&self, msg: &'m Msg) -> (&'m [u8], &'m [u8], &'m [u8]) {
-        use pa_wire::Class;
-        let proto = self.layout.class_len(Class::Protocol);
-        let message = self.layout.class_len(Class::Message);
-        let gossip = self.layout.class_len(Class::Gossip);
-        let bytes = msg.as_slice();
-        (
-            &bytes[..proto],
-            &bytes[proto + message..proto + message + gossip],
-            &bytes[proto + message + gossip..],
-        )
-    }
-
     /// A buffer holding a copy of `bytes`, with headroom for every
     /// header the stack and the engine prepend, out of the connection's
     /// pool (the steady state allocates nothing). What a layer keeps — a

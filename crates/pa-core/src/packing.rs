@@ -74,10 +74,9 @@ impl std::error::Error for PackError {}
 /// A 7-byte `SameSize { count: 65535, size: 0 }` header would otherwise
 /// describe 65 535 empty application messages — a ~9 000× delivery
 /// amplification an attacker gets for free, since the zero size makes
-/// the body-length check vacuous. Real packs come from draining a send
-/// backlog, which is orders of magnitude smaller than this cap, so no
-/// legitimate sender is affected ([`pack`] debug-asserts the same
-/// bound).
+/// the body-length check vacuous. The backlog drain cuts a run of empty
+/// messages at this many, so no pack it sends is refused ([`pack`]
+/// debug-asserts the same bound).
 pub const MAX_EMPTY_PIECES: usize = 1024;
 
 impl PackInfo {

@@ -964,15 +964,8 @@ mod tests {
 
             // A cookie-only frame with no prior ident (the "lost first
             // message" scenario).
-            let mut mute = conn_with(
-                PaConfig {
-                    ident_on_first: 0,
-                    ..PaConfig::paper_default()
-                },
-                1,
-                SERVER,
-                3,
-            );
+            let mut mute = conn_with(PaConfig::paper_default(), 1, SERVER, 3);
+            mute.suppress_ident();
             assert_eq!(
                 server.from_network(frame_of(&mut mute, b"who?")),
                 DeliverOutcome::Dropped(DropReason::UnknownCookie)
@@ -1720,7 +1713,7 @@ mod tests {
             let ps = server.shard_pool_stats(home);
             assert_eq!(
                 server.shard_pool_idle(home) as u64,
-                ps.returns + ps.burst_refills - ps.hits - ps.capped
+                ps.returns - ps.hits - ps.capped
             );
             assert!(server.demux_balanced());
         });

@@ -374,7 +374,7 @@ impl Driver {
             let st = self.server.shard_pool_stats(s);
             assert_eq!(
                 n as u64,
-                st.returns + st.burst_refills - st.hits - st.capped,
+                st.returns - st.hits - st.capped,
                 "pool flux identity broken on shard {s} (seed={seed:#x} cycle={cycle})"
             );
         }

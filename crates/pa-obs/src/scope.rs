@@ -31,6 +31,7 @@ use crate::exemplar::{Exemplar, ExemplarSet};
 use crate::journey::render_journey_id;
 use crate::sketch::{QuantileSketch, SketchConfig, SketchSummary};
 use crate::snapshot::MetricsSnapshot;
+use crate::timeseries::prometheus_name;
 use crate::xray::XrayTag;
 
 /// Shape and budget of a [`ScopePlane`].
@@ -484,7 +485,7 @@ impl ScopePlane {
     /// lines are strided down to at most `max_le_lines` per series so
     /// the dump stays bounded no matter the window width.
     pub fn to_prometheus(&self, metric: &str, max_le_lines: usize) -> String {
-        let name = prometheus_metric(metric);
+        let name = prometheus_name(metric);
         let mut out = String::new();
         let _ = writeln!(out, "# TYPE {name} histogram");
         self.write_series(&mut out, &name, "cluster", &self.cluster, max_le_lines);
@@ -539,20 +540,6 @@ impl ScopePlane {
         let _ = writeln!(out, "{name}_sum{{scope=\"{scope}\"}} {}", sketch.sum());
         let _ = writeln!(out, "{name}_count{{scope=\"{scope}\"}} {}", sketch.count());
     }
-}
-
-/// Sanitizes a metric name into Prometheus form with the `pa_` prefix.
-fn prometheus_metric(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 3);
-    out.push_str("pa_");
-    for c in name.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' {
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    out
 }
 
 /// Renders an [`XrayTag`] as `kind:layer:a:b` hex (compact, stable).

@@ -386,9 +386,10 @@ impl FlightRecorder {
     }
 }
 
-/// Sanitizes a series name into a Prometheus metric name with the
-/// `pa_` prefix.
-fn prometheus_name(name: &str) -> String {
+/// Sanitizes a series or metric name into a Prometheus metric name
+/// with the `pa_` prefix (the recorder's gauges and the scope plane's
+/// histograms alike).
+pub(crate) fn prometheus_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 3);
     out.push_str("pa_");
     for c in name.chars() {

@@ -71,7 +71,6 @@ pub fn run() -> Ablation {
     no_lazy.pa.lazy_post = false;
 
     let mut no_packing = full.clone();
-    no_packing.pa.packing = false;
     no_packing.pa.max_pack = 1;
 
     let mut compiled = full.clone();

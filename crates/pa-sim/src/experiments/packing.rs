@@ -38,7 +38,6 @@ pub struct Packing {
 fn stream(size: usize, packing: bool) -> StreamPoint {
     let mut cfg = SimConfig::paper();
     cfg.gc = [GcPolicy::EveryN(16); 2];
-    cfg.pa.packing = packing;
     if !packing {
         cfg.pa.max_pack = 1;
     }

@@ -657,7 +657,7 @@ impl FlashCrowd {
 
         self.report.pools_ok = (0..self.cfg.shards).all(|i| {
             let s = self.server.shard_pool_stats(i);
-            self.server.shard_pool_idle(i) as u64 == s.returns + s.burst_refills - s.hits - s.capped
+            self.server.shard_pool_idle(i) as u64 == s.returns - s.hits - s.capped
         });
 
         // The telemetry fold: publish every shard domain, collect the

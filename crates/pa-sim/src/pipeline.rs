@@ -4,11 +4,11 @@
 //! phases run on a [`PostDrainWorker`] thread while the application
 //! thread keeps sending. This module makes it a *pipeline over bursts*:
 //! the application thread runs pre phases + fused filters inline over a
-//! whole burst of messages (pool refill, queue drains and telemetry
-//! flushes amortized once per burst), then hands the connection's post
-//! phases to the drain thread and immediately starts the *other*
-//! endpoint's pre work — so round `r`'s post phases overlap round `r`'s
-//! remaining pre phases in wall-clock time.
+//! whole burst of messages (queue drains and telemetry flushes once per
+//! burst; each message's sends and pool takes are its own), then hands
+//! the connection's post phases to the drain thread and immediately
+//! starts the *other* endpoint's pre work — so round `r`'s post phases
+//! overlap round `r`'s remaining pre phases in wall-clock time.
 //!
 //! The contract that keeps this honest:
 //!
@@ -555,9 +555,7 @@ impl BurstPipeline {
         self.bracket(&a);
         a.set_now(now);
         if live {
-            let k = self.cfg.burst.max(1);
-            a.prepare_burst(k);
-            for _ in 0..k {
+            for _ in 0..self.cfg.burst.max(1) {
                 if self.cfg.measure_wall {
                     self.offered_at.push_back(Instant::now());
                 }
@@ -578,8 +576,7 @@ impl BurstPipeline {
         let rep = b.deliver_burst(&mut self.wire);
         self.dropped += rep.dropped as u64;
         moved += rep.msgs;
-        let got = b.poll_delivery_burst(usize::MAX, &mut self.msgs);
-        b.prepare_burst(got);
+        b.poll_delivery_burst(usize::MAX, &mut self.msgs);
         for m in self.msgs.drain(..) {
             b.send(m.as_slice());
             self.echoed += 1;

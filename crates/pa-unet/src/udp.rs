@@ -40,9 +40,9 @@ pub struct UdpNet {
     max_frame: usize,
     rejects: RejectLedger,
     /// Pool feeding burst-receive [`Arrival`] frames (§6 explicit
-    /// recycling at the netif layer): refilled once per burst, so the
-    /// steady state copies bytes into recycled buffers instead of
-    /// allocating per datagram.
+    /// recycling at the netif layer): the steady state copies bytes into
+    /// recycled buffers instead of allocating per datagram, and a miss
+    /// allocates once, sized for its datagram.
     pool: MsgPool,
     /// Reusable `recvmmsg`/`sendmmsg` slot arrays.
     #[cfg(target_os = "linux")]
@@ -111,7 +111,7 @@ impl UdpNet {
         self.pool.put(frame);
     }
 
-    /// Burst-frame pool counters (hits/misses/returns/burst_refills).
+    /// Burst-frame pool counters (hits/misses/returns/capped).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
@@ -199,12 +199,15 @@ impl Netif for UdpNet {
         let accepted = self.mmsg.send_batch(self.socket.as_raw_fd(), fitting, addr);
         // The kernel has copied what it took: the buffers are the next
         // receive burst's, not the allocator's.
-        self.pool.recycle_burst(frames.drain(..));
+        for frame in frames.drain(..) {
+            self.pool.put(frame);
+        }
         accepted
     }
 
     /// One `recvmmsg` per call on Linux (per-frame `recv_from` loop
-    /// elsewhere), with the pool topped up once per burst. Each slot
+    /// elsewhere); each datagram is copied into a buffer taken from the
+    /// pool, as the per-frame path would take it. Each slot
     /// keeps its own truncation sentinel: a clipped datagram is
     /// dropped and counted without poisoning the rest of the burst.
     #[cfg(target_os = "linux")]
@@ -216,7 +219,6 @@ impl Netif for UdpNet {
                 Ok(0) | Err(_) => break,
                 Ok(n) => n,
             };
-            self.pool.refill_n(got);
             for i in 0..got {
                 let (len, src) = self.mmsg.result(i);
                 if len > self.max_frame {
@@ -371,7 +373,7 @@ mod tests {
     fn burst_round_trip_over_real_sockets() {
         // send_burst → recv_burst over loopback UDP: all frames arrive
         // with payloads and addresses intact, and the receive pool
-        // serves the burst (steady-state refills, then hits).
+        // serves the burst (misses at first, then hits).
         let mut a = UdpNet::bind(ep(1), "127.0.0.1:0").unwrap();
         let mut b = UdpNet::bind(ep(2), "127.0.0.1:0").unwrap();
         a.add_peer(ep(2), b.local_socket_addr().unwrap());
@@ -404,12 +406,12 @@ mod tests {
         let got = poll_burst_for(&mut b, 8);
         assert_eq!(got.len(), 8);
         let s = b.pool_stats();
-        assert!(
-            s.hits >= 8,
-            "second burst is served from recycled buffers (hits={}, refills={})",
-            s.hits,
-            s.burst_refills
+        assert_eq!(
+            (s.hits, s.misses),
+            (8, 8),
+            "second burst is served from recycled buffers"
         );
+        assert_eq!(b.pool.idle() as u64, s.returns - s.hits - s.capped);
     }
 
     #[test]

@@ -16,7 +16,6 @@ fn stream(packing: bool) {
     let mut cfg = SimConfig::paper();
     cfg.gc = [GcPolicy::EveryN(16); 2];
     cfg.pa = PaConfig {
-        packing,
         max_pack: if packing { 64 } else { 1 },
         ..PaConfig::paper_default()
     };

@@ -215,7 +215,7 @@ fn mixed_configs_interoperate() {
         predict: false,
         lazy_post: false,
         cookies: false,
-        packing: false,
+        max_pack: 1,
         ..PaConfig::paper_default()
     };
     let mut a = conn(&spec, baseline_sender, 1, 2, 51);

@@ -528,7 +528,6 @@ fn burst_round(
     a.poll_transmit_burst(usize::MAX, wire);
     b.deliver_burst(wire);
     b.poll_delivery_burst(usize::MAX, msgs);
-    b.prepare_burst(msgs.len());
     for m in msgs.drain(..) {
         let _ = b.send(m.as_slice());
         b.recycle(m);
@@ -564,9 +563,9 @@ fn burst_steady_state(burst: usize) {
     let mut msgs: Vec<pa::buf::Msg> = Vec::new();
     let payloads: Vec<&[u8]> = vec![b"ping-msg"; burst];
 
-    // Warm-up: pools refill to burst depth (`refill_n` populates
-    // `burst_refills`), scratch vectors reach capacity, predictions
-    // settle, the backlog queue reaches its steady shape.
+    // Warm-up: pools fill to the working set, scratch vectors reach
+    // capacity, predictions settle, the backlog queue reaches its
+    // steady shape.
     let mut echoed = 0usize;
     for _ in 0..64 {
         echoed += burst_round(&mut a, &mut b, &payloads, &mut wire, &mut msgs).1;
@@ -579,17 +578,23 @@ fn burst_steady_state(burst: usize) {
         hot += h;
         echoed += e;
     }
-    // The echoing side holds a delivered piece and a staging buffer per
+    // Each side holds a delivered piece and a staging buffer per
     // message. Under the pool's retention cap (64 buffers: bursts up to
-    // 31) nothing is allocated at all. At 32 the two meet the cap: three
-    // returns a round are dropped there and allocated again — a
-    // constant per round, not per message. The pool is sized for bursts
-    // under half its cap; the 32 arm pins what a larger one costs.
+    // 31) nothing is allocated at all. At 32 the two meet the cap: the
+    // requester's pool drops returns there, its packed echo's 32 pieces
+    // find 31 idle buffers, and the last piece's take misses — one
+    // allocation, sized for its bytes, a constant per round, not per
+    // message. (It was three a round while a burst topped its pool up
+    // first: the echoing side's top-up allocated a buffer at headroom
+    // size, and the first take grew it again.) The pool is sized for
+    // bursts under half its cap; the 32 arm pins what a larger one
+    // costs.
     let fits = 2 * burst < 64;
-    let allowed = if fits { 0 } else { 3 * ROUNDS };
-    assert!(
-        hot <= allowed,
-        "burst {burst}: the burst path allocated {hot} times over {} messages ({allowed} allowed)",
+    let expected = if fits { 0 } else { ROUNDS };
+    assert_eq!(
+        hot,
+        expected,
+        "burst {burst}: the burst path allocated {hot} times over {} messages",
         ROUNDS * burst
     );
     // The open loop really moved traffic (echoes may lag a round behind
@@ -600,20 +605,18 @@ fn burst_steady_state(burst: usize) {
     );
 
     // Flux identity, per pool: every free-list buffer arrived through
-    // `put` (returns, minus the capped drops) or `refill_n`
-    // (burst_refills), every departure was a hit — so
-    // idle == returns + burst_refills - hits - capped, exactly. The
-    // `capped` term is live here: unpacked §3.4 bodies are donated
-    // returns with no matching take, so the sender's pool rides its
-    // retention cap in steady state.
+    // `put` (returns, minus the capped drops), every departure was a
+    // hit — so idle == returns - hits - capped, exactly. The `capped`
+    // term is live here: unpacked §3.4 bodies are donated returns with
+    // no matching take, so the sender's pool rides its retention cap in
+    // steady state.
     for (name, c) in [("a", &a), ("b", &b)] {
         let ps = c.pool_stats();
         assert_eq!(
             c.pool_idle() as u64,
-            ps.returns + ps.burst_refills - ps.hits - ps.capped,
-            "burst {burst}, pool {name}: flux identity broke (returns {} refills {} hits {} capped {})",
+            ps.returns - ps.hits - ps.capped,
+            "burst {burst}, pool {name}: flux identity broke (returns {} hits {} capped {})",
             ps.returns,
-            ps.burst_refills,
             ps.hits,
             ps.capped
         );
@@ -622,14 +625,42 @@ fn burst_steady_state(burst: usize) {
         let floor = if fits { 0.99 } else { 0.98 };
         assert!(
             rate >= floor,
-            "burst {burst}, pool {name}: hit rate {rate:.4} < {floor} under burst refill"
+            "burst {burst}, pool {name}: hit rate {rate:.4} < {floor}"
         );
     }
-    // The burst pre-provisioning ran where there was a burst — at least
-    // one pool was topped up by refill_n rather than growing through
-    // misses — and a burst of one is a bare send: nothing provisioned.
-    let refills = a.pool_stats().burst_refills + b.pool_stats().burst_refills;
-    assert_eq!(refills > 0, burst > 1, "burst {burst}: {refills} refills");
+}
+
+#[test]
+fn a_burst_allocates_what_its_sends_allocate() {
+    // Two cold senders over the paper stack, one fed a burst of 32 and
+    // one fed the same 32 payloads a `send` at a time: a burst is its
+    // sends in a loop, so both allocate alike and put the same bytes on
+    // the wire.
+    let cfg = PaConfig::paper_default();
+    let payload: &[u8] = b"ping-msg";
+    let mut by_burst = paper_conn(cfg, 1, 2, 0x9601);
+    let mut by_send = paper_conn(cfg, 1, 2, 0x9601);
+
+    let t0 = allocations();
+    let rep = by_burst.send_burst(&[payload; 32]);
+    let burst_allocs = allocations() - t0;
+    let t0 = allocations();
+    for _ in 0..32 {
+        by_send.send(payload);
+    }
+    let send_allocs = allocations() - t0;
+    assert_eq!(
+        burst_allocs, send_allocs,
+        "a cold burst of 32 allocated {burst_allocs} times, 32 sends {send_allocs}"
+    );
+    assert_eq!((rep.fast, rep.queued), (1, 31));
+
+    let wire = |c: &mut Connection| {
+        c.process_pending();
+        std::iter::from_fn(|| c.poll_transmit().map(|f| f.to_wire())).collect::<Vec<_>>()
+    };
+    assert_eq!(wire(&mut by_burst), wire(&mut by_send));
+    assert_eq!(by_burst.pool_stats(), by_send.pool_stats());
 }
 
 #[test]
