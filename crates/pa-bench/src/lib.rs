@@ -16,7 +16,7 @@
 
 pub mod report;
 
-pub use report::{compare, emit_and_compare, BenchReport, Better, Comparison, Delta, Metric};
+pub use report::{compare, emit_and_compare, BenchReport, Better, Metric};
 
 /// Mean of the five fastest batches: on a shared box noise only ever
 /// adds time, and five is enough that one lucky clock read does not set

@@ -101,12 +101,12 @@ impl BenchReport {
     }
 
     /// Looks a metric up by name.
-    pub fn get(&self, name: &str) -> Option<&Metric> {
+    pub(crate) fn get(&self, name: &str) -> Option<&Metric> {
         self.metrics.iter().find(|m| m.name == name)
     }
 
     /// Renders the report as stable JSON.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"bench\": \"{}\",", self.bench);
@@ -132,7 +132,7 @@ impl BenchReport {
 
     /// Parses a report produced by [`BenchReport::to_json`] (tolerant
     /// of whitespace; not a general JSON parser).
-    pub fn parse(json: &str) -> Result<BenchReport, String> {
+    pub(crate) fn parse(json: &str) -> Result<BenchReport, String> {
         let bench = find_string(json, "bench").ok_or("missing \"bench\"")?;
         let mut metrics = Vec::new();
         let mut rest = json;
@@ -179,7 +179,7 @@ impl BenchReport {
 
     /// Writes the report to `path`, creating the parent directory if
     /// needed (CI sets `BENCH_OUT_DIR` to a fresh artifact directory).
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
+    pub(crate) fn write(&self, path: &Path) -> std::io::Result<()> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
@@ -189,7 +189,7 @@ impl BenchReport {
     }
 
     /// Loads a report from `path`.
-    pub fn load(path: &Path) -> Result<BenchReport, String> {
+    pub(crate) fn load(path: &Path) -> Result<BenchReport, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         BenchReport::parse(&text)
     }
@@ -252,12 +252,12 @@ pub struct Comparison {
 
 impl Comparison {
     /// True if nothing regressed and nothing went missing.
-    pub fn ok(&self) -> bool {
+    pub(crate) fn ok(&self) -> bool {
         self.missing.is_empty() && self.deltas.iter().all(|d| !d.regressed)
     }
 
     /// Renders a verdict table.
-    pub fn render(&self, tolerance: f64) -> String {
+    pub(crate) fn render(&self, tolerance: f64) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -329,7 +329,7 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport, tolerance: f64) ->
 
 /// The committed-baseline path for `bench` (inside this crate, so it
 /// travels with the repo).
-pub fn baseline_path(bench: &str) -> PathBuf {
+pub(crate) fn baseline_path(bench: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("baselines")
         .join(format!("BENCH_{bench}.json"))
@@ -337,14 +337,14 @@ pub fn baseline_path(bench: &str) -> PathBuf {
 
 /// Where to write the emitted report: `$BENCH_OUT_DIR` if set (the CI
 /// artifact directory), else the current directory.
-pub fn out_path(bench: &str) -> PathBuf {
+pub(crate) fn out_path(bench: &str) -> PathBuf {
     let dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| ".".to_string());
     Path::new(&dir).join(format!("BENCH_{bench}.json"))
 }
 
 /// The regression tolerance: `$BENCH_TOLERANCE` (a fraction, e.g.
 /// `0.10`) or the default 10%.
-pub fn tolerance() -> f64 {
+pub(crate) fn tolerance() -> f64 {
     std::env::var("BENCH_TOLERANCE")
         .ok()
         .and_then(|s| s.parse().ok())

@@ -15,14 +15,11 @@ pub const DEFAULT_HEADROOM: usize = 128;
 /// Live bytes occupy `data[start..end]`. `push_front` moves `start`
 /// backwards while headroom remains; `pop_front` moves it forwards.
 /// Both are O(1) in the common case. If headroom runs out the buffer is
-/// re-centered with a copy (correct, merely slower — and counted, so
-/// tests can assert the fast path stays fast).
+/// re-centered with a copy (correct, merely slower).
 pub struct Msg {
     data: Vec<u8>,
     start: usize,
     end: usize,
-    /// Number of times a push had to reallocate/recenter. Diagnostic.
-    regrows: u32,
 }
 
 impl Msg {
@@ -43,7 +40,6 @@ impl Msg {
             data,
             start: headroom,
             end: headroom + payload.len(),
-            regrows: 0,
         }
     }
 
@@ -60,7 +56,6 @@ impl Msg {
             data: raw,
             start: 0,
             end,
-            regrows: 0,
         }
     }
 
@@ -75,7 +70,7 @@ impl Msg {
     }
 
     /// Remaining headroom in front of the live bytes.
-    pub fn headroom(&self) -> usize {
+    pub(crate) fn headroom(&self) -> usize {
         self.start
     }
 
@@ -92,11 +87,6 @@ impl Msg {
     /// Copies the live bytes into a standalone vector (the wire image).
     pub fn to_wire(&self) -> Vec<u8> {
         self.as_slice().to_vec()
-    }
-
-    /// How many times this buffer had to regrow on a front push.
-    pub fn regrow_count(&self) -> u32 {
-        self.regrows
     }
 
     /// Prepends `bytes` in front of the live region (single write — the
@@ -146,19 +136,6 @@ impl Msg {
         true
     }
 
-    /// Re-exposes `n` bytes that were previously popped from the front.
-    ///
-    /// This is how the delivery path "rewinds" a message before handing
-    /// it to the protocol stack for pre-processing after the fast path
-    /// has already peeled the preamble off.
-    pub fn unpop_front(&mut self, n: usize) -> bool {
-        if self.start < n {
-            return false;
-        }
-        self.start -= n;
-        true
-    }
-
     /// Appends `bytes` after the live region.
     pub fn push_back(&mut self, bytes: &[u8]) {
         if self.end + bytes.len() <= self.data.len() {
@@ -178,13 +155,6 @@ impl Msg {
         let out = self.data[self.end - n..self.end].to_vec();
         self.end -= n;
         Some(out)
-    }
-
-    /// Shortens the live region to `n` bytes (no-op if already shorter).
-    pub fn truncate(&mut self, n: usize) {
-        if self.len() > n {
-            self.end = self.start + n;
-        }
     }
 
     /// Reads one live byte at `offset` (panics if out of range).
@@ -208,28 +178,18 @@ impl Msg {
         Some(&self.data[self.start + offset..self.start + end])
     }
 
-    /// A mutable sub-slice of the live bytes, or `None` if it overruns.
-    pub fn get_mut(&mut self, offset: usize, len: usize) -> Option<&mut [u8]> {
-        let end = offset.checked_add(len)?;
-        if end > self.len() {
-            return None;
-        }
-        Some(&mut self.data[self.start + offset..self.start + end])
-    }
-
     /// Resets to an empty message, retaining the allocation. Used by
     /// [`crate::MsgPool`] when recycling buffers.
-    pub fn reset(&mut self, headroom: usize) {
+    pub(crate) fn reset(&mut self, headroom: usize) {
         if self.data.len() < headroom {
             self.data.resize(headroom, 0);
         }
         self.start = headroom;
         self.end = headroom;
-        self.regrows = 0;
     }
 
     /// Total capacity of the underlying allocation.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.data.len()
     }
 
@@ -242,7 +202,6 @@ impl Msg {
         self.start += extra;
         self.end += extra;
         self.data = data;
-        self.regrows += 1;
     }
 }
 
@@ -255,7 +214,6 @@ impl Clone for Msg {
             data: self.data[..self.end].to_vec(),
             start: self.start,
             end: self.end,
-            regrows: self.regrows,
         }
     }
 }
@@ -312,13 +270,14 @@ mod tests {
     #[test]
     fn push_pop_front_lifo() {
         let mut m = Msg::from_payload(b"data");
+        let cap = m.capacity();
         m.push_front(b"hdr2");
         m.push_front(b"h1");
         assert_eq!(m.as_slice(), b"h1hdr2data");
         assert_eq!(m.pop_front(2).unwrap(), b"h1");
         assert_eq!(m.pop_front(4).unwrap(), b"hdr2");
         assert_eq!(m.as_slice(), b"data");
-        assert_eq!(m.regrow_count(), 0, "stayed within headroom");
+        assert_eq!(m.capacity(), cap, "stayed within headroom");
     }
 
     #[test]
@@ -333,7 +292,7 @@ mod tests {
         let mut m = Msg::with_headroom(b"x", 2);
         m.push_front(b"abcdef");
         assert_eq!(m.as_slice(), b"abcdefx");
-        assert!(m.regrow_count() >= 1);
+        assert!(m.capacity() > 3, "the buffer grew");
         // Still correct after regrow.
         m.push_front(b"zz");
         assert_eq!(m.as_slice(), b"zzabcdefx");
@@ -348,15 +307,6 @@ mod tests {
             zone[0] = 0xAA;
         }
         assert_eq!(m.as_slice(), &[0xAA, 0, 0, 0, b'p']);
-    }
-
-    #[test]
-    fn unpop_rewinds_exactly() {
-        let mut m = Msg::from_wire(b"PREAMBLErest".to_vec());
-        assert_eq!(m.pop_front(8).unwrap(), b"PREAMBLE");
-        assert!(m.unpop_front(8));
-        assert_eq!(m.as_slice(), b"PREAMBLErest");
-        assert!(!m.unpop_front(1), "cannot rewind past the original front");
     }
 
     #[test]
@@ -388,15 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_shortens() {
-        let mut m = Msg::from_payload(b"abcdef");
-        m.truncate(3);
-        assert_eq!(m.as_slice(), b"abc");
-        m.truncate(10); // no-op
-        assert_eq!(m.as_slice(), b"abc");
-    }
-
-    #[test]
     fn byte_accessors() {
         let mut m = Msg::from_payload(b"abc");
         assert_eq!(m.byte_at(1), b'b');
@@ -406,12 +347,9 @@ mod tests {
 
     #[test]
     fn get_ranges() {
-        let mut m = Msg::from_payload(b"abcdef");
+        let m = Msg::from_payload(b"abcdef");
         assert_eq!(m.get(2, 3).unwrap(), b"cde");
         assert!(m.get(4, 3).is_none());
-        m.get_mut(0, 2).unwrap().copy_from_slice(b"AB");
-        assert_eq!(m.as_slice(), b"ABcdef");
-        assert!(m.get_mut(6, 1).is_none());
     }
 
     #[test]
@@ -439,9 +377,10 @@ mod tests {
         assert!(m.capacity() > 16 * 1024, "the source keeps what it grew to");
         let mut c = m.clone();
         assert_eq!(c, m);
-        assert!(c.capacity() <= c.headroom() + c.len());
+        let cap = c.capacity();
+        assert!(cap <= c.headroom() + c.len());
         c.push_front(&[0xAB; 32]);
-        assert_eq!(c.regrow_count(), 0, "the clone kept its headroom");
+        assert_eq!(c.capacity(), cap, "the clone kept its headroom");
         assert_eq!(&c.as_slice()[32..], b"8 bytes!");
     }
 

@@ -12,7 +12,7 @@ use crate::msg::{Msg, DEFAULT_HEADROOM};
 
 /// Capacity up to which a buffer is *small*: below it, growing a buffer
 /// that does not fit costs less than looking for one that does.
-pub const SMALL: usize = 2048;
+pub(crate) const SMALL: usize = 2048;
 
 /// A free list of reusable [`Msg`] buffers.
 ///
@@ -85,11 +85,6 @@ impl MsgPool {
     /// A pool with the default headroom retaining up to 64 buffers.
     pub fn with_defaults() -> Self {
         Self::new(DEFAULT_HEADROOM, 64)
-    }
-
-    /// Takes a cleared buffer from the pool (or allocates one).
-    pub fn take(&mut self) -> Msg {
-        self.take_with(&[])
     }
 
     /// Takes a buffer and fills it with `payload`. A miss allocates
@@ -198,7 +193,7 @@ mod tests {
     #[test]
     fn first_take_is_a_miss_then_hits() {
         let mut p = MsgPool::new(32, 8);
-        let m = p.take();
+        let m = p.take_with(&[]);
         assert_eq!(
             p.stats(),
             PoolStats {
@@ -209,7 +204,7 @@ mod tests {
             }
         );
         p.put(m);
-        let m2 = p.take();
+        let m2 = p.take_with(&[]);
         assert_eq!(
             p.stats(),
             PoolStats {
@@ -229,7 +224,7 @@ mod tests {
         let mut m = p.take_with(b"dirty payload");
         m.push_front(b"hdr");
         p.put(m);
-        let m = p.take();
+        let m = p.take_with(&[]);
         assert!(m.is_empty(), "recycled buffer must not leak old bytes");
         assert_eq!(m.headroom(), 16);
     }
@@ -237,7 +232,7 @@ mod tests {
     #[test]
     fn retention_cap_drops_excess() {
         let mut p = MsgPool::new(8, 2);
-        let msgs: Vec<Msg> = (0..5).map(|_| p.take()).collect();
+        let msgs: Vec<Msg> = (0..5).map(|_| p.take_with(&[])).collect();
         for m in msgs {
             p.put(m);
         }
@@ -252,7 +247,7 @@ mod tests {
     fn steady_state_allocates_nothing() {
         let mut p = MsgPool::new(64, 4);
         // Warm up.
-        let warm = p.take();
+        let warm = p.take_with(&[]);
         p.put(warm);
         let misses_before = p.stats().misses;
         for i in 0..100u32 {
@@ -341,13 +336,13 @@ mod tests {
         assert_eq!((p.idle(), s.returns, s.capped), (3, 6, 3));
         assert_eq!(p.idle() as u64, s.returns - s.hits - s.capped);
         assert_eq!(p.take_with(&[1; 6000]).capacity(), 9008);
-        assert_eq!(p.take().capacity(), an_ack().capacity());
-        assert_eq!(p.take().capacity(), 5008);
+        assert_eq!(p.take_with(&[]).capacity(), an_ack().capacity());
+        assert_eq!(p.take_with(&[]).capacity(), 5008);
         assert_eq!(p.stats().misses, 0);
         // Small buffers are never let go for a large one.
         let mut p = MsgPool::new(8, 1);
         p.put(an_ack());
         p.put(Msg::with_headroom(&[0; 4000], 8));
-        assert_eq!(p.take().capacity(), an_ack().capacity());
+        assert_eq!(p.take_with(&[]).capacity(), an_ack().capacity());
     }
 }

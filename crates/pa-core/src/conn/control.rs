@@ -190,7 +190,7 @@ impl Connection {
     /// the greeting itself is the verification). A *different* cookie
     /// retires the previous one: frames still carrying it are counted
     /// as [`RejectReason::StaleCookie`], never routed.
-    pub fn note_peer_cookie(&mut self, cookie: Cookie) {
+    pub(crate) fn note_peer_cookie(&mut self, cookie: Cookie) {
         if let Some(prev) = self.cookie_peer {
             if prev != cookie {
                 self.cookie_peer_prev = Some(prev);
@@ -208,7 +208,7 @@ impl Connection {
     /// Forces the identification onto the next outgoing frame (a cookie
     /// re-announcement: used after a suspected route loss, and by tests
     /// that need an "unusual" identified frame on demand).
-    pub fn force_ident_next(&mut self) {
+    pub(crate) fn force_ident_next(&mut self) {
         self.ident_due = true;
     }
 

@@ -72,10 +72,6 @@ pub struct Introspection {
     /// Sequence number of the next minted journey (starts at 1; a
     /// journey id of 0 means "absent").
     journey_seq: u64,
-    /// Host-set continuation for the next outgoing frame: relay hosts
-    /// propagate an incoming journey (same id, hop+1) instead of
-    /// minting a fresh one.
-    next_trace: Option<(u64, u8)>,
     /// `(journey, hop)` of the last frame wired / accepted.
     last_sent_trace: Option<(u64, u8)>,
     last_recv_trace: Option<(u64, u8)>,
@@ -360,26 +356,10 @@ impl Connection {
     // The in-band trace context (journeys)
     // ------------------------------------------------------------------
 
-    /// True if this connection carries the in-band trace context
-    /// (`config.trace_ctx` was on at construction).
-    pub fn trace_ctx_enabled(&self) -> bool {
-        self.intro.trace.is_some()
-    }
-
     /// Origin tag minted into this connection's journey ids (the low
     /// 32 bits of the local cookie).
     pub fn trace_origin(&self) -> u32 {
         self.intro.trace_origin
-    }
-
-    /// Sets the trace context for the *next* outgoing frame: relay
-    /// hosts call this with an incoming journey's `(id, hop + 1)` so a
-    /// forwarded message keeps its journey instead of minting a fresh
-    /// one. Consumed by the next frame; later frames mint again.
-    pub fn set_next_trace(&mut self, journey: u64, hop: u8) {
-        if self.intro.trace.is_some() && journey != 0 {
-            self.intro.next_trace = Some((journey, hop));
-        }
     }
 
     /// `(journey, hop)` stamped into the most recently wired frame, if
@@ -389,14 +369,12 @@ impl Connection {
     }
 
     /// `(journey, hop)` read from the most recently accepted incoming
-    /// frame, if tracing is on. Relays feed this (hop + 1) into
-    /// [`Connection::set_next_trace`].
+    /// frame, if tracing is on.
     pub fn last_recv_trace(&self) -> Option<(u64, u8)> {
         self.intro.last_recv_trace
     }
 
-    /// Arms the trace-context slots before a send-filter run — the
-    /// host-set continuation (relays) if one is pending, else a freshly
+    /// Arms the trace-context slots before a send-filter run — a freshly
     /// minted journey at hop 0 — for the filter to copy into the frame's
     /// Message-specific header. No-op when tracing is off.
     #[inline]
@@ -404,13 +382,10 @@ impl Connection {
         let Some(t) = self.intro.trace else {
             return;
         };
-        let (journey, hop) = self.intro.next_trace.take().unwrap_or_else(|| {
-            let id = journey_id(self.intro.trace_origin, self.intro.journey_seq as u32);
-            self.intro.journey_seq += 1;
-            (id, 0)
-        });
+        let journey = journey_id(self.intro.trace_origin, self.intro.journey_seq as u32);
+        self.intro.journey_seq += 1;
         self.send_slots[t.journey_slot.0 as usize] = journey as i64;
-        self.send_slots[t.hop_slot.0 as usize] = hop as i64;
+        self.send_slots[t.hop_slot.0 as usize] = 0;
     }
 
     /// Notes the journey stamped into the frame about to be wired (the
@@ -538,11 +513,6 @@ impl Connection {
     /// mirrored by exactly one `(op, layer, cause)` bump.
     pub fn attribution(&self) -> &Attribution {
         &self.intro.attribution
-    }
-
-    /// Per-`(layer, field)` prediction-miss forensics counters.
-    pub fn miss_table(&self) -> &MissTable {
-        &self.intro.miss_table
     }
 
     /// Why the most recent send operation missed (or took) the fast

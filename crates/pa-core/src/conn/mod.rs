@@ -426,11 +426,6 @@ impl Connection {
         !self.pending_send.is_empty()
     }
 
-    /// True if delivery-side post-processing is queued.
-    pub fn has_pending_recv(&self) -> bool {
-        !self.pending_recv.is_empty()
-    }
-
     /// True if a frame is waiting for [`Connection::poll_transmit`].
     pub fn has_transmit(&self) -> bool {
         !self.out.is_empty()

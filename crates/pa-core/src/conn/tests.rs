@@ -474,7 +474,7 @@ fn arrival_defers_send_posts_but_drains_recv_posts() {
     a.send(b"inbound-1");
     let f1 = a.poll_transmit().unwrap();
     b.deliver_frame(f1);
-    assert!(b.has_pending_recv());
+    assert_eq!(b.stats().post_delivers, 0, "recv post deferred");
     assert_eq!(b.stats().post_sends, 0, "send post still deferred");
     a.process_pending();
     a.send(b"inbound-2");
@@ -855,12 +855,10 @@ fn traced_config() -> PaConfig {
 #[test]
 fn trace_ctx_off_declares_nothing() {
     let (a, ..) = pair(PaConfig::paper_default());
-    assert!(!a.trace_ctx_enabled());
     assert!(a.last_sent_trace().is_none());
     // And the layout is identical to an untraced stack (the golden
     // byte-for-byte check lives in tests/wire_format.rs).
     let (t, ..) = pair(traced_config());
-    assert!(t.trace_ctx_enabled());
     assert!(
         t.layout().class_len(Class::Message) > a.layout().class_len(Class::Message),
         "trace fields widen the Message class only when opted in"
@@ -913,74 +911,6 @@ fn slow_and_queued_paths_stamp_too() {
         b.probe().trace_ring().unwrap(),
     ]);
     assert_eq!(set.complete_count(), 1, "slow path carries the stamp");
-}
-
-#[test]
-fn relay_continuation_preserves_journey_and_bumps_hop() {
-    // a → b, then b relays to c (a fresh connection pair) carrying
-    // the same journey at hop 1.
-    let (mut a, mut b, ..) = pair(traced_config());
-    let (mut b2, mut c, ..) = {
-        let (lb, cb) = seq_layer();
-        let (lc, cc) = seq_layer();
-        let b2 = Connection::new(
-            vec![Box::new(lb)],
-            traced_config(),
-            ConnectionParams::new(
-                EndpointAddr::from_parts(2, 8),
-                EndpointAddr::from_parts(3, 8),
-                3,
-            ),
-        )
-        .unwrap();
-        let c = Connection::new(
-            vec![Box::new(lc)],
-            traced_config(),
-            ConnectionParams::new(
-                EndpointAddr::from_parts(3, 8),
-                EndpointAddr::from_parts(2, 8),
-                4,
-            ),
-        )
-        .unwrap();
-        (b2, c, cb, cc)
-    };
-    for conn in [&mut a, &mut b, &mut b2, &mut c] {
-        conn.set_probe(pa_obs::ProbeSink::ring(64));
-    }
-
-    a.send(b"hop0");
-    shuttle(&mut a, &mut b);
-    let (j, h) = b.last_recv_trace().unwrap();
-    assert_eq!(h, 0);
-
-    // The relay host forwards on its second leg.
-    b2.set_next_trace(j, h + 1);
-    b2.send(b"hop1");
-    let (j1, h1) = b2.last_sent_trace().unwrap();
-    assert_eq!((j1, h1), (j, 1), "continuation, not a fresh mint");
-    shuttle(&mut b2, &mut c);
-    assert_eq!(c.last_recv_trace(), Some((j, 1)));
-    b2.process_pending();
-
-    // The next b2 send mints its own journey again.
-    b2.send(b"fresh");
-    let (j2, h2) = b2.last_sent_trace().unwrap();
-    assert_ne!(j2, j);
-    assert_eq!(h2, 0);
-    assert_eq!(pa_obs::journey_origin(j2), b2.trace_origin());
-
-    // Reconstruction across all four rings shows one two-hop
-    // journey (complete on both legs).
-    let set = pa_obs::JourneySet::reconstruct(&[
-        a.probe().trace_ring().unwrap(),
-        b.probe().trace_ring().unwrap(),
-        b2.probe().trace_ring().unwrap(),
-        c.probe().trace_ring().unwrap(),
-    ]);
-    let two_hop = set.get(j).expect("relayed journey reconstructed");
-    assert_eq!(two_hop.hops.len(), 2);
-    assert!(two_hop.is_complete());
 }
 
 #[test]

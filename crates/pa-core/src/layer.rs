@@ -94,7 +94,7 @@ pub struct LayerShape {
 
 impl LayerShape {
     /// Most words a shape carries.
-    pub const WORDS: usize = 4;
+    pub(crate) const WORDS: usize = 4;
 
     /// A layer that declares nothing.
     pub const NONE: LayerShape = LayerShape::new(declare_nothing, []);
@@ -335,7 +335,7 @@ pub struct Effects {
 
 impl Effects {
     /// True if nothing was requested.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.down.is_empty()
             && self.up.is_empty()
             && self.disable_send.is_empty()

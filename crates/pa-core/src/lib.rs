@@ -51,21 +51,20 @@ mod table;
 
 pub use config::PaConfig;
 pub use conn::{
-    Connection, ConnectionParams, DeliverBurstReport, DeliverOutcome, DropReason, PostWorkReport,
-    SendBurstReport, SendOutcome, SetupError,
+    Connection, ConnectionParams, DeliverOutcome, DropReason, PostWorkReport, SendOutcome,
 };
 pub use dissect::dissect;
 pub use handshake::{Greeting, GreetingError};
 pub use layer::{Declare, DeliverAction, Handles, Layer, LayerCtx, LayerShape, SendAction};
 pub use packing::PackInfo;
-pub use predict::{DisableHold, Prediction};
+pub use predict::Prediction;
 
 // Layer authors need the disable-reason vocabulary to call
 // [`LayerCtx::disable_send`] and friends; re-export it so depending on
 // `pa-obs` directly stays optional.
 pub use pa_obs::DisableReason;
 pub use router::Router;
-pub use shard::{ShardDelivery, ShardFrontStats, ShardHandle, ShardedEndpoint};
+pub use shard::{ShardDelivery, ShardHandle, ShardedEndpoint};
 pub use stats::ConnStats;
 pub use table::{AdmitError, BurstDemux, LifecycleStats, StaleHandle};
 

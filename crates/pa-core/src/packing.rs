@@ -89,7 +89,7 @@ impl PackInfo {
     }
 
     /// Total body bytes the header promises.
-    pub fn body_len(&self) -> usize {
+    pub(crate) fn body_len(&self) -> usize {
         match self {
             PackInfo::Single => usize::MAX, // unknown: single takes the rest
             PackInfo::SameSize { count, size } => *count as usize * *size as usize,
@@ -97,7 +97,7 @@ impl PackInfo {
     }
 
     /// Encoded wire length of this header.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         match self {
             PackInfo::Single => 1,
             PackInfo::SameSize { .. } => 7,
@@ -106,7 +106,7 @@ impl PackInfo {
 
     /// Prepends the encoded header onto `msg`, into its headroom: the
     /// one header writer.
-    pub fn push_onto(&self, msg: &mut Msg) {
+    pub(crate) fn push_onto(&self, msg: &mut Msg) {
         match self {
             PackInfo::Single => msg.push_front(&[0u8]),
             PackInfo::SameSize { count, size } => {

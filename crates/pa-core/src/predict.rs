@@ -70,13 +70,13 @@ impl Prediction {
     }
 
     /// The predicted protocol-specific header bytes.
-    pub fn proto(&self) -> &[u8] {
+    pub(crate) fn proto(&self) -> &[u8] {
         &self.proto
     }
 
     /// The predicted gossip header bytes (send side only; delivery
     /// ignores gossip, §3.2).
-    pub fn gossip(&self) -> &[u8] {
+    pub(crate) fn gossip(&self) -> &[u8] {
         &self.gossip
     }
 
@@ -88,7 +88,7 @@ impl Prediction {
     /// Re-encodes the prediction buffers in a new byte order (used once,
     /// when the peer's byte order is learned from its first preamble).
     /// Field *values* are preserved.
-    pub fn reorder(&mut self, layout: &CompiledLayout, new_order: ByteOrder) {
+    pub(crate) fn reorder(&mut self, layout: &CompiledLayout, new_order: ByteOrder) {
         if new_order == self.order {
             return;
         }
@@ -132,7 +132,7 @@ impl Prediction {
     }
 
     /// Reads back a predicted field value.
-    pub fn get(&self, layout: &CompiledLayout, field: Field) -> u64 {
+    pub(crate) fn get(&self, layout: &CompiledLayout, field: Field) -> u64 {
         let buf = match field.class {
             Class::Protocol => &self.proto,
             Class::Gossip => &self.gossip,
@@ -148,7 +148,7 @@ impl Prediction {
 
     /// Increments the disable counter, charging `(layer, reason)` in
     /// the attributed hold table (layer blocks the fast path).
-    pub fn disable_with(&mut self, layer: &'static str, reason: DisableReason) {
+    pub(crate) fn disable_with(&mut self, layer: &'static str, reason: DisableReason) {
         self.disable += 1;
         for h in &mut self.holds {
             if h.layer == layer && h.reason == reason {
@@ -175,7 +175,7 @@ impl Prediction {
     /// counted and the caller is expected to emit an
     /// `InvariantViolation` probe event.
     #[must_use = "false means enable-underflow: count it and emit an invariant-violation event"]
-    pub fn enable_with(&mut self, layer: &'static str, reason: DisableReason) -> bool {
+    pub(crate) fn enable_with(&mut self, layer: &'static str, reason: DisableReason) -> bool {
         for h in &mut self.holds {
             if h.layer == layer && h.reason == reason {
                 if h.active > 0 {
@@ -216,7 +216,7 @@ impl Prediction {
     }
 
     /// Enable-underflow violations survived so far.
-    pub fn violations(&self) -> u64 {
+    pub(crate) fn violations(&self) -> u64 {
         self.violations
     }
 }

@@ -152,11 +152,11 @@ impl Router {
     /// (frames in flight under the previous cookie); eight epochs of
     /// history is generous, and the cap is what turns "rotates forever"
     /// from a leak into a ring.
-    pub const STALE_CAP: usize = 8;
+    pub(crate) const STALE_CAP: usize = 8;
     /// Router-wide tombstone cap. Reviving a tombstoned cookie stays
     /// amortized O(1) whatever the cap (the FIFO is lazily deleted), so
     /// the cap costs memory, not demux time.
-    pub const TOMBSTONE_CAP: usize = 1024;
+    pub(crate) const TOMBSTONE_CAP: usize = 1024;
 
     /// Creates an empty router.
     pub fn new() -> Self {
@@ -166,7 +166,7 @@ impl Router {
     /// Registers the connection identification we expect from the peer.
     /// A connection has at most one registered ident: re-registering
     /// replaces the previous one.
-    pub fn register_ident(&mut self, ident: Vec<u8>, key: ConnKey) {
+    pub(crate) fn register_ident(&mut self, ident: Vec<u8>, key: ConnKey) {
         self.unregister_ident(key);
         *self.ident_lens.entry(ident.len()).or_insert(0) += 1;
         self.ident_of.insert(key.0, ident.clone());
@@ -310,7 +310,7 @@ impl Router {
     }
 
     /// Cookie demux: live hit, stale (refused, accounted), or unknown.
-    pub fn demux_cookie(&mut self, cookie: Cookie) -> CookieLookup {
+    pub(crate) fn demux_cookie(&mut self, cookie: Cookie) -> CookieLookup {
         if let Some(&k) = self.by_cookie.get(&cookie.raw()) {
             self.cookie_hits += 1;
             return CookieLookup::Hit(k);
@@ -340,7 +340,7 @@ impl Router {
     /// (shortest first), returning the matched connection and the
     /// ident length consumed. One map probe per *distinct length* —
     /// O(1) in practice — instead of a scan over every connection.
-    pub fn probe_ident_prefix(&self, frame: &[u8]) -> Option<(ConnKey, usize)> {
+    pub(crate) fn probe_ident_prefix(&self, frame: &[u8]) -> Option<(ConnKey, usize)> {
         for (&len, _) in self.ident_lens.iter() {
             if let Some(candidate) = frame.get(..len) {
                 if let Some(&key) = self.by_ident.get(candidate) {
@@ -353,14 +353,14 @@ impl Router {
 
     /// The shortest registered ident length (frames shorter than this
     /// cannot carry any registered ident).
-    pub fn min_ident_len(&self) -> usize {
+    pub(crate) fn min_ident_len(&self) -> usize {
         self.ident_lens.keys().next().copied().unwrap_or(usize::MAX)
     }
 
     /// Removes a connection's entries (teardown): its registered ident,
     /// its live cookie binding, and its retired cookies. O(own entries)
     /// — the reverse indices point straight at them.
-    pub fn remove(&mut self, key: ConnKey) {
+    pub(crate) fn remove(&mut self, key: ConnKey) {
         self.unregister_ident(key);
         if let Some(raw) = self.current_cookie.remove(&key.0) {
             self.by_cookie.remove(&raw);
@@ -379,7 +379,7 @@ impl Router {
     /// any retired cookies stay behind as *tombstones* — they hash to
     /// this router, so replays of the old route must still be refused
     /// here as stale, bounded by the tombstone cap.
-    pub fn extract(&mut self, key: ConnKey) -> ExtractedRoute {
+    pub(crate) fn extract(&mut self, key: ConnKey) -> ExtractedRoute {
         let ident = self.unregister_ident(key);
         // Retired history first, then the live cookie: the tombstone
         // FIFO evicts oldest-first, and the live cookie is the youngest

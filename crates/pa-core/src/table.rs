@@ -56,21 +56,10 @@ impl std::error::Error for StaleHandle {}
 /// condition clears.
 #[derive(Debug)]
 pub enum AdmitError {
-    /// The live-connection cap is reached; retry after removals.
-    TableFull(Connection),
     /// This tick's accept budget is spent; retry next tick. This is the
     /// accept-storm valve: a flash crowd is admitted at a bounded rate
     /// instead of stampeding the table in one tick.
     Deferred(Connection),
-}
-
-impl AdmitError {
-    /// Recovers the refused connection for a later retry.
-    pub fn into_connection(self) -> Connection {
-        match self {
-            AdmitError::TableFull(c) | AdmitError::Deferred(c) => c,
-        }
-    }
 }
 
 /// Connection-lifecycle counters of one shard. `admitted == live +
@@ -89,8 +78,6 @@ pub struct LifecycleStats {
     pub migrated_out: u64,
     /// Connections adopted from another shard.
     pub migrated_in: u64,
-    /// Accept refusals due to the live cap.
-    pub admission_denied: u64,
     /// Accept refusals due to the per-tick budget.
     pub admission_deferred: u64,
 }
@@ -117,14 +104,6 @@ impl BurstDemux {
             }
             DeliverOutcome::Dropped(_) => self.dropped += 1,
         }
-    }
-
-    /// Folds another burst report into this one.
-    pub fn merge(&mut self, other: &BurstDemux) {
-        self.frames += other.frames;
-        self.routed += other.routed;
-        self.dropped += other.dropped;
-        self.msgs += other.msgs;
     }
 }
 
@@ -197,9 +176,6 @@ pub struct ShardTable {
     clock: Nanos,
     /// Evict connections idle strictly longer than this, if set.
     idle_timeout: Option<Nanos>,
-    /// Refuse [`ShardTable::try_accept`] past this many live
-    /// connections.
-    max_live: Option<usize>,
     /// Per-tick [`ShardTable::try_accept`] budget (accept-storm valve).
     accept_budget: Option<u32>,
     accepts_this_tick: u32,
@@ -227,7 +203,6 @@ impl ShardTable {
             ready: Default::default(),
             clock: 0,
             idle_timeout: None,
-            max_live: None,
             accept_budget: None,
             accepts_this_tick: 0,
             lifecycle: LifecycleStats::default(),
@@ -269,10 +244,6 @@ impl ShardTable {
         self.idle_timeout = timeout;
     }
 
-    pub(crate) fn set_max_live(&mut self, max: Option<usize>) {
-        self.max_live = max;
-    }
-
     pub(crate) fn set_accept_budget(&mut self, budget: Option<u32>) {
         self.accept_budget = budget;
     }
@@ -307,7 +278,7 @@ impl ShardTable {
     }
 
     /// Adds a connection (the trusted local path, not subject to the
-    /// cap or the budget) and returns the handle `enroll` minted.
+    /// budget) and returns the handle `enroll` minted.
     pub(crate) fn add(
         &mut self,
         conn: Connection,
@@ -317,10 +288,10 @@ impl ShardTable {
         self.slots[idx].handle
     }
 
-    /// Admission-controlled [`ShardTable::add`]: refuses past the live
-    /// cap ([`AdmitError::TableFull`]) or this tick's budget
-    /// ([`AdmitError::Deferred`]), handing the connection back for a
-    /// retry. Both refusals are counted; `enroll` runs only on success.
+    /// Admission-controlled [`ShardTable::add`]: refuses past this
+    /// tick's budget ([`AdmitError::Deferred`]), handing the connection
+    /// back for a retry. A refusal is counted; `enroll` runs only on
+    /// success.
     // The Err variant carries the refused Connection back on purpose —
     // a denied accept must not destroy the connection.
     #[allow(clippy::result_large_err)]
@@ -329,10 +300,6 @@ impl ShardTable {
         conn: Connection,
         enroll: impl FnOnce(usize) -> ShardHandle,
     ) -> Result<ShardHandle, AdmitError> {
-        if self.max_live.is_some_and(|max| self.live >= max) {
-            self.lifecycle.admission_denied += 1;
-            return Err(AdmitError::TableFull(conn));
-        }
         if self
             .accept_budget
             .is_some_and(|budget| self.accepts_this_tick >= budget)

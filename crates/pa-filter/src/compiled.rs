@@ -124,7 +124,7 @@ struct Inst {
 /// program needing more than [`crate::program::MAX_STACK`] entries, so
 /// every runnable program fits and fused execution never touches the
 /// heap. The const assertion keeps the two bounds honest.
-pub const FUSED_STACK_DEPTH: usize = 64;
+pub(crate) const FUSED_STACK_DEPTH: usize = 64;
 
 const _: () = assert!(
     FUSED_STACK_DEPTH >= crate::program::MAX_STACK as usize,
@@ -158,9 +158,9 @@ pub struct FuseStats {
 /// - execution uses a fixed inline stack sized by the verifier's depth
 ///   bound — no per-run `Vec`, no heap,
 /// - every field reference was bounds-checked once at fuse time against
-///   the layout (`frame_len()`); callers guarantee `msg.len() >=
-///   frame_len()` (the engine's `Frame::fits` gate), so the run loop
-///   carries no per-message range re-derivation.
+///   the layout's header length; a shorter message is refused once
+///   before the run loop ([`crate::SHORT_FRAME`]), so the loop carries
+///   no per-message range re-derivation.
 ///
 /// Patchable slots stay outside: `run` borrows the slot array, so
 /// post-processing rewrites are visible without a re-fuse — the
@@ -288,23 +288,6 @@ impl FusedProgram {
         }
     }
 
-    /// Bytes of header this program's field references reach into.
-    /// Callers must guarantee `msg.len() >= frame_len()` before `run`
-    /// (the engine's `Frame::fits` gate does).
-    pub fn frame_len(&self) -> usize {
-        self.body_off as usize
-    }
-
-    /// Number of fused instructions.
-    pub fn len(&self) -> usize {
-        self.insts.len()
-    }
-
-    /// True if the program has no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
-    }
-
     /// The schedule: the source [`Program`]'s instruction indices in the
     /// order this program runs them.
     pub fn source_pcs(&self) -> impl Iterator<Item = u16> + '_ {
@@ -327,8 +310,9 @@ impl FusedProgram {
     #[inline]
     pub fn run_located(&self, slots: &[i64], msg: &mut pa_buf::Msg) -> (Verdict, Option<u16>) {
         // Totality guard, same as the interpreter's: the fuse pass
-        // bounds-checked every field reference against `frame_len()`
-        // once; a message shorter than that is refused, not indexed.
+        // bounds-checked every field reference against the header
+        // length once; a message shorter than that is refused, not
+        // indexed.
         if msg.len() < self.body_off as usize {
             return (crate::SHORT_FRAME, None);
         }
@@ -769,9 +753,9 @@ mod tests {
     #[test]
     fn empty_program_passes() {
         let (layout, ..) = fixture();
-        let p = Program::empty();
+        let p = ProgramBuilder::new().build().unwrap();
         let f = FusedProgram::fuse(&p, &layout, ByteOrder::Big);
-        assert!(f.is_empty());
+        assert_eq!(f.stats().ops, 0);
         let mut m = frame_msg(&layout, b"x");
         assert_eq!(f.run(p.slots(), &mut m), 0);
     }
@@ -855,13 +839,12 @@ mod tests {
         let mut b = ProgramBuilder::new();
         let s = b.alloc_slot(1);
         b.extend(vec![Op::PushSlot(s), Op::Abort(8), Op::Return(0)]);
-        let mut p = b.build().unwrap();
+        let p = b.build().unwrap();
         let fused = FusedProgram::fuse(&p, &layout, ByteOrder::Big);
         let mut m = frame_msg(&layout, b"");
         assert_eq!(fused.run(p.slots(), &mut m), 8);
-        p.set_slot(s, 0);
         let mut m = frame_msg(&layout, b"");
-        assert_eq!(fused.run(p.slots(), &mut m), 0);
+        assert_eq!(fused.run(&[0], &mut m), 0);
     }
 
     #[test]
@@ -885,14 +868,6 @@ mod tests {
         assert_eq!(st.byte_aligned, 3, "32/16/16-bit packed fields align");
         assert_eq!(st.bit_fallback, 0);
         assert_eq!(st.max_depth, p.max_stack_depth());
-        assert_eq!(fused.len(), 7);
-        assert!(!fused.is_empty());
-        assert_eq!(
-            fused.frame_len(),
-            layout.class_len(Class::Protocol)
-                + layout.class_len(Class::Message)
-                + layout.class_len(Class::Gossip)
-        );
     }
 
     #[test]

@@ -50,32 +50,16 @@ impl<'a> Frame<'a> {
         }
     }
 
-    /// True if the message is long enough to contain all class headers.
-    /// A frame on a too-short (malformed) message must not be built;
-    /// callers check this first.
-    pub fn fits(msg: &Msg, layout: &CompiledLayout) -> bool {
-        msg.len()
-            >= layout.class_len(Class::Protocol)
-                + layout.class_len(Class::Message)
-                + layout.class_len(Class::Gossip)
-    }
-
-    /// True if the underlying message is too short for the class headers
-    /// — the already-built-view twin of [`Frame::fits`]. The interpreter
-    /// refuses to execute over a short frame ([`crate::SHORT_FRAME`]),
-    /// so even a caller that skipped the `fits` gate cannot be panicked
-    /// by truncated wire bytes.
-    pub fn is_short(&self) -> bool {
+    /// True if the underlying message is too short for the class headers.
+    /// The interpreter refuses to execute over a short frame
+    /// ([`crate::SHORT_FRAME`]), so truncated wire bytes cannot panic
+    /// it.
+    pub(crate) fn is_short(&self) -> bool {
         self.msg.len() < self.body_off
     }
 
-    /// The byte order fields are encoded in.
-    pub fn order(&self) -> ByteOrder {
-        self.order
-    }
-
     /// Total frame size (headers + body) — the `PUSH_SIZE` value.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.msg.len()
     }
 
@@ -100,11 +84,6 @@ impl<'a> Frame<'a> {
     pub fn gossip_hdr(&self) -> &[u8] {
         let base = self.class_base[Class::Gossip.index()];
         &self.msg.as_slice()[base..base + self.layout.class_len(Class::Gossip)]
-    }
-
-    /// Base byte offset of `class`'s header within the frame.
-    pub fn class_base(&self, class: Class) -> usize {
-        self.class_base[class.index()]
     }
 
     /// Reads scalar field `f`.
@@ -132,11 +111,6 @@ impl<'a> Frame<'a> {
         let order = self.order;
         self.layout
             .write_field(f, &mut self.msg.as_mut_slice()[base..base + len], order, v);
-    }
-
-    /// The layout used to resolve fields.
-    pub fn layout(&self) -> &CompiledLayout {
-        self.layout
     }
 }
 
@@ -168,9 +142,8 @@ mod tests {
         let (layout, ..) = small_layout();
         let mut m = frame_msg(&layout, b"PAYLOAD");
         let f = Frame::new(&mut m, &layout, ByteOrder::Big);
-        assert_eq!(f.class_base(Class::Protocol), 0);
-        assert_eq!(f.class_base(Class::Message), 4);
-        assert_eq!(f.class_base(Class::Gossip), 6);
+        assert_eq!(f.proto_hdr().len(), 4);
+        assert_eq!(f.gossip_hdr().len(), 4);
         assert_eq!(f.body(), b"PAYLOAD");
         assert_eq!(f.body_size(), 7);
         assert_eq!(f.size(), 4 + 2 + 4 + 7);
@@ -192,12 +165,12 @@ mod tests {
     }
 
     #[test]
-    fn fits_rejects_short_messages() {
+    fn is_short_flags_short_messages() {
         let (layout, ..) = small_layout();
-        let ok = frame_msg(&layout, b"");
-        assert!(Frame::fits(&ok, &layout));
-        let short = Msg::from_payload(&[0u8; 5]); // needs 10 header bytes
-        assert!(!Frame::fits(&short, &layout));
+        let mut ok = frame_msg(&layout, b"");
+        assert!(!Frame::new(&mut ok, &layout, ByteOrder::Big).is_short());
+        let mut short = Msg::from_payload(&[0u8; 5]); // needs 10 header bytes
+        assert!(Frame::new(&mut short, &layout, ByteOrder::Big).is_short());
     }
 
     #[test]

@@ -367,7 +367,7 @@ mod tests {
             Op::Abort(1),
             Op::Return(0),
         ]);
-        let mut p = b.build().unwrap();
+        let p = b.build().unwrap();
 
         let mut m = frame_msg(&fx.layout, &[0u8; 20]);
         {
@@ -383,9 +383,6 @@ mod tests {
             assert_eq!((v, at.map(|at| at.pc)), (1, Some(3)));
             assert_eq!(run(&p, &mut frame), 1, "the program still says 10");
         }
-        p.set_slot(limit, 100);
-        let mut frame = Frame::new(&mut m, &fx.layout, ByteOrder::Big);
-        assert_eq!(run(&p, &mut frame), 0, "20 <= 100 after patch");
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!   time ([`ProgramBuilder`]); fragments concatenate in layer order,
 //! - programs may contain *patchable slots* — the paper's "part of the
 //!   packet filter program may be rewritten when the protocol state is
-//!   updated in the post-processing phase" ([`Program::set_slot`]; both
-//!   engines read slots from an array the caller passes, so connections
-//!   that share one verified program each patch their own copy),
+//!   updated in the post-processing phase" (both engines read slots
+//!   from an array the caller passes, so connections that share one
+//!   verified program each patch their own copy; [`Program::slots`]
+//!   holds the initial values),
 //! - one engine, one oracle: the PA runs the *fused* program
 //!   ([`compiled::FusedProgram`]: field offsets and byte order baked
 //!   in, inline stack — our stand-in for the Exokernel-style
@@ -47,10 +48,10 @@ pub mod interp;
 pub mod op;
 pub mod program;
 
-pub use compiled::{FuseStats, FusedProgram, FUSED_STACK_DEPTH};
+pub use compiled::{FuseStats, FusedProgram};
 pub use digest::DigestKind;
 pub use frame::Frame;
-pub use interp::{run, run_traced, RejectPoint};
+pub use interp::{run, run_traced};
 pub use op::{Op, SlotId};
 pub use program::{Program, ProgramBuilder, VerifyError};
 

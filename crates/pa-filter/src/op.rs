@@ -93,7 +93,7 @@ impl Op {
     }
 
     /// True if control never continues past this instruction.
-    pub fn is_terminator(&self) -> bool {
+    pub(crate) fn is_terminator(&self) -> bool {
         matches!(self, Op::Return(_))
     }
 

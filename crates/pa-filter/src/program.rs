@@ -82,39 +82,13 @@ impl Program {
     }
 
     /// The exact operand-stack requirement computed by the verifier.
-    pub fn max_stack_depth(&self) -> u32 {
+    pub(crate) fn max_stack_depth(&self) -> u32 {
         self.max_depth
-    }
-
-    /// Number of patchable slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Current value of a slot.
-    pub fn slot(&self, id: SlotId) -> i64 {
-        self.slots[id.0 as usize]
-    }
-
-    /// Rewrites a patchable slot — the §3.3 mechanism by which
-    /// post-processing updates the filter as protocol state changes
-    /// (e.g. the expected length bound moves when the window slides).
-    pub fn set_slot(&mut self, id: SlotId, value: i64) {
-        self.slots[id.0 as usize] = value;
     }
 
     /// All slot values (for the interpreter).
     pub fn slots(&self) -> &[i64] {
         &self.slots
-    }
-
-    /// An empty program (always passes). Useful as the identity filter.
-    pub fn empty() -> Program {
-        Program {
-            ops: Vec::new(),
-            slots: Vec::new(),
-            max_depth: 0,
-        }
     }
 
     /// Disassembles to one instruction per line.
@@ -153,12 +127,6 @@ impl ProgramBuilder {
         }
     }
 
-    /// Appends one instruction.
-    pub fn op(&mut self, op: Op) -> &mut Self {
-        self.ops.push(op);
-        self
-    }
-
     /// Appends a sequence of instructions (one layer's fragment).
     pub fn extend(&mut self, ops: impl IntoIterator<Item = Op>) -> &mut Self {
         self.ops.extend(ops);
@@ -166,7 +134,7 @@ impl ProgramBuilder {
     }
 
     /// Allocates a patchable slot initialized to `value` and returns its
-    /// id for later `PushSlot` references and `set_slot` rewrites.
+    /// id for later `PushSlot` references.
     pub fn alloc_slot(&mut self, value: i64) -> SlotId {
         let id = SlotId(self.slots.len() as u16);
         self.slots.push(value);
@@ -178,7 +146,7 @@ impl ProgramBuilder {
         self.ops.len()
     }
 
-    /// True if no instructions have been appended.
+    /// True if no instruction has been appended.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
@@ -242,12 +210,12 @@ mod tests {
     #[test]
     fn depth_is_exact() {
         let mut b = ProgramBuilder::new();
-        b.op(Op::PushConst(1))
-            .op(Op::PushConst(2))
-            .op(Op::PushConst(3))
-            .op(Op::Add)
-            .op(Op::Add)
-            .op(Op::Drop);
+        b.extend([Op::PushConst(1)])
+            .extend([Op::PushConst(2)])
+            .extend([Op::PushConst(3)])
+            .extend([Op::Add])
+            .extend([Op::Add])
+            .extend([Op::Drop]);
         let p = b.build().unwrap();
         assert_eq!(p.max_stack_depth(), 3);
     }
@@ -255,51 +223,50 @@ mod tests {
     #[test]
     fn underflow_detected_with_pc() {
         let mut b = ProgramBuilder::new();
-        b.op(Op::PushConst(1)).op(Op::Add);
+        b.extend([Op::PushConst(1)]).extend([Op::Add]);
         assert_eq!(b.build(), Err(VerifyError::StackUnderflow { pc: 1 }));
     }
 
     #[test]
     fn conn_id_fields_rejected() {
         let mut b = ProgramBuilder::new();
-        b.op(Op::PushField(Field::new(Class::ConnId, 0)));
+        b.extend([Op::PushField(Field::new(Class::ConnId, 0))]);
         assert_eq!(b.build(), Err(VerifyError::ConnIdField { pc: 0 }));
         let mut b2 = ProgramBuilder::new();
-        b2.op(Op::PushConst(0))
-            .op(Op::PopField(Field::new(Class::ConnId, 1)));
+        b2.extend([Op::PushConst(0)])
+            .extend([Op::PopField(Field::new(Class::ConnId, 1))]);
         assert_eq!(b2.build(), Err(VerifyError::ConnIdField { pc: 1 }));
     }
 
     #[test]
     fn unallocated_slot_rejected() {
         let mut b = ProgramBuilder::new();
-        b.op(Op::PushSlot(SlotId(0)));
+        b.extend([Op::PushSlot(SlotId(0))]);
         assert_eq!(b.build(), Err(VerifyError::BadSlot { pc: 0, slot: 0 }));
     }
 
     #[test]
-    fn allocated_slot_accepted_and_patchable() {
+    fn allocated_slot_accepted() {
         let mut b = ProgramBuilder::new();
         let s = b.alloc_slot(42);
-        b.op(Op::PushSlot(s)).op(Op::Drop);
-        let mut p = b.build().unwrap();
-        assert_eq!(p.slot(s), 42);
-        p.set_slot(s, 7);
-        assert_eq!(p.slot(s), 7);
-        assert_eq!(p.slot_count(), 1);
+        b.extend([Op::PushSlot(s)]).extend([Op::Drop]);
+        let p = b.build().unwrap();
+        assert_eq!(p.slots(), &[42]);
     }
 
     #[test]
     fn dead_code_after_return_rejected() {
         let mut b = ProgramBuilder::new();
-        b.op(Op::Return(0)).op(Op::PushConst(1));
+        b.extend([Op::Return(0)]).extend([Op::PushConst(1)]);
         assert_eq!(b.build(), Err(VerifyError::DeadCode { pc: 1 }));
     }
 
     #[test]
     fn abort_does_not_create_dead_code() {
         let mut b = ProgramBuilder::new();
-        b.op(Op::PushConst(1)).op(Op::Abort(9)).op(Op::Return(0));
+        b.extend([Op::PushConst(1)])
+            .extend([Op::Abort(9)])
+            .extend([Op::Return(0)]);
         assert!(b.build().is_ok());
     }
 
@@ -307,7 +274,7 @@ mod tests {
     fn stack_cap_enforced() {
         let mut b = ProgramBuilder::new();
         for _ in 0..(MAX_STACK + 1) {
-            b.op(Op::PushConst(0));
+            b.extend([Op::PushConst(0)]);
         }
         assert!(matches!(b.build(), Err(VerifyError::StackTooDeep { .. })));
     }
@@ -316,11 +283,11 @@ mod tests {
     fn typical_checksum_program_verifies_shallow() {
         // The canonical send-side fragment: fill in length + checksum.
         let mut b = ProgramBuilder::new();
-        b.op(Op::PushSize)
-            .op(Op::PopField(msg_field(0)))
-            .op(Op::Digest(DigestKind::InternetChecksum))
-            .op(Op::PopField(msg_field(1)))
-            .op(Op::Return(0));
+        b.extend([Op::PushSize])
+            .extend([Op::PopField(msg_field(0))])
+            .extend([Op::Digest(DigestKind::InternetChecksum)])
+            .extend([Op::PopField(msg_field(1))])
+            .extend([Op::Return(0)]);
         let p = b.build().unwrap();
         assert_eq!(p.max_stack_depth(), 1, "typically just a few entries");
     }
@@ -328,7 +295,7 @@ mod tests {
     #[test]
     fn disassembly_lists_all_ops() {
         let mut b = ProgramBuilder::new();
-        b.op(Op::PushSize).op(Op::Return(0));
+        b.extend([Op::PushSize]).extend([Op::Return(0)]);
         let p = b.build().unwrap();
         let d = p.disassemble();
         assert!(d.contains("0: PUSH_SIZE"));

@@ -43,9 +43,9 @@ pub mod mutate;
 /// corpus and is a breaking change, not a refactor.
 pub use pa_obs::rng;
 
-pub use churn::{run_churn_campaign, ChurnConfig, ChurnReport};
-pub use corpus::{regression_corpus, replay_corpus, CorpusEntry};
-pub use harness::{run_burst_campaign, run_campaign, run_udp_campaign, CampaignReport, FuzzConfig};
+pub use churn::{run_churn_campaign, ChurnConfig};
+pub use corpus::{regression_corpus, replay_corpus};
+pub use harness::{run_burst_campaign, run_campaign, run_udp_campaign, FuzzConfig};
 pub use mutate::{apply, draw_mutation, hexdump, Mutation};
 
 use std::cell::RefCell;
@@ -58,7 +58,7 @@ thread_local! {
 
 /// Records `bytes` as the most recent injection on this thread (called
 /// by the harness and corpus replay just before each demux call).
-pub fn note_injection(bytes: &[u8]) {
+pub(crate) fn note_injection(bytes: &[u8]) {
     LAST_INJECTION.with(|c| *c.borrow_mut() = Some(bytes.to_vec()));
 }
 

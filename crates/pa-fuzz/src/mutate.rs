@@ -48,7 +48,7 @@ pub enum Mutation {
 
 impl Mutation {
     /// Number of mutation classes.
-    pub const COUNT: usize = 11;
+    pub(crate) const COUNT: usize = 11;
 
     /// All mutation classes, draw-index order.
     pub const ALL: [Mutation; Mutation::COUNT] = [
@@ -94,7 +94,7 @@ impl Mutation {
     /// message may legitimately carry a garbled marker if the checksum
     /// happens to collide). Mutations that only touch the preamble or
     /// the routing metadata leave the payload bit-exact.
-    pub fn corrupts_payload(self) -> bool {
+    pub(crate) fn corrupts_payload(self) -> bool {
         matches!(
             self,
             Mutation::BitFlip | Mutation::PackForge | Mutation::RandomBytes | Mutation::Truncate

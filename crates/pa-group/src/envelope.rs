@@ -55,7 +55,7 @@ impl fmt::Display for Kind {
 }
 
 /// Wire length of the envelope header.
-pub const ENVELOPE_LEN: usize = 1 + 8 + 4 + 8;
+pub(crate) const ENVELOPE_LEN: usize = 1 + 8 + 4 + 8;
 
 /// A decoded group envelope.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +74,7 @@ pub struct Envelope {
 
 impl Envelope {
     /// Encodes to wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(ENVELOPE_LEN + self.payload.len());
         out.push(self.kind.to_byte());
         out.extend_from_slice(&self.view.to_be_bytes());
@@ -85,7 +85,7 @@ impl Envelope {
     }
 
     /// Decodes from wire bytes; `None` on truncation or unknown kind.
-    pub fn decode(bytes: &[u8]) -> Option<Envelope> {
+    pub(crate) fn decode(bytes: &[u8]) -> Option<Envelope> {
         if bytes.len() < ENVELOPE_LEN {
             return None;
         }

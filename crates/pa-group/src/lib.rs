@@ -30,6 +30,6 @@ pub mod envelope;
 pub mod member;
 pub mod view;
 
-pub use envelope::{Envelope, Kind};
-pub use member::{GroupConfig, GroupDelivery, Member};
+pub use envelope::Kind;
+pub use member::{GroupConfig, Member};
 pub use view::View;

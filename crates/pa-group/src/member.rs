@@ -5,7 +5,6 @@ use crate::envelope::{Envelope, Kind};
 use crate::view::View;
 use pa_buf::Msg;
 use pa_core::{Connection, ConnectionParams, Nanos, PaConfig, ShardHandle, ShardedEndpoint};
-use pa_obs::{DropCause, ProbeSink, TraceEvent};
 use pa_stack::StackSpec;
 use pa_wire::EndpointAddr;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -65,29 +64,6 @@ pub struct Member {
     hold_back: BTreeMap<u64, (u32, Vec<u8>)>,
     /// Application deliveries ready to be polled.
     deliveries: VecDeque<GroupDelivery>,
-    /// Total-order messages sent while we had no sequencer path yet.
-    stats: GroupStats,
-    /// Local virtual clock (advanced by [`Member::tick`]); stamps
-    /// member-level probe events.
-    now: Nanos,
-    /// Member-level observability probe: membership changes and group
-    /// envelope outcomes surface here as `Control` / `Drop` events.
-    probe: ProbeSink,
-}
-
-/// Counters for a member.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct GroupStats {
-    /// FIFO multicasts sent.
-    pub fifo_sent: u64,
-    /// Total-order multicasts initiated.
-    pub total_sent: u64,
-    /// Messages this member stamped (sequencer duty).
-    pub stamped: u64,
-    /// Group messages delivered to the application.
-    pub delivered: u64,
-    /// Envelopes dropped (stale view, malformed).
-    pub dropped: u64,
 }
 
 impl Member {
@@ -107,9 +83,6 @@ impl Member {
             next_deliver: 0,
             hold_back: BTreeMap::new(),
             deliveries: VecDeque::new(),
-            stats: GroupStats::default(),
-            now: 0,
-            probe: ProbeSink::Noop,
         };
         m.install_view(view);
         m
@@ -130,49 +103,6 @@ impl Member {
         self.view.sequencer() == Some(self.id)
     }
 
-    /// Counters.
-    pub fn stats(&self) -> GroupStats {
-        self.stats
-    }
-
-    /// Installs a member-level probe. Membership transitions surface as
-    /// `Control { layer: "membership" }` (plus `"sequencer"` when the
-    /// stamping duty moves), and rejected envelopes as
-    /// `Drop { reason: ByLayer("group") }`. Ring probes are labelled
-    /// with this member's id so merged timelines stay attributable.
-    pub fn set_probe(&mut self, mut probe: ProbeSink) {
-        if let Some(ring) = probe.trace_ring_mut() {
-            ring.set_conn(self.id);
-        }
-        self.probe = probe;
-    }
-
-    /// The member-level probe (counts, ring records).
-    pub fn probe(&self) -> &ProbeSink {
-        &self.probe
-    }
-
-    /// Mutable member-level probe access.
-    pub fn probe_mut(&mut self) -> &mut ProbeSink {
-        &mut self.probe
-    }
-
-    /// Installs a probe on the underlying accelerated connection to
-    /// `peer`, exposing the PA-level event stream (fast/slow path,
-    /// journeys, window controls) for one group link. Returns `false`
-    /// if no connection to `peer` exists in the current view.
-    pub fn set_peer_probe(&mut self, peer: u32, probe: ProbeSink) -> bool {
-        let conn = self.conns.get(&peer);
-        let conn = conn.and_then(|&h| self.endpoint.try_conn_mut(h).ok());
-        conn.map(|c| c.set_probe(probe)).is_some()
-    }
-
-    /// The probe installed on the connection to `peer`, if any.
-    pub fn peer_probe(&self, peer: u32) -> Option<&ProbeSink> {
-        let conn = self.endpoint.try_conn(*self.conns.get(&peer)?)?;
-        Some(conn.probe())
-    }
-
     /// Network address of member `id`.
     pub fn addr_of(id: u32) -> EndpointAddr {
         EndpointAddr::from_parts(id as u64, GROUP_PORT)
@@ -182,7 +112,7 @@ impl Member {
     /// gaps left by departed members are skipped over (messages they
     /// were stamped for but never flushed are abandoned with the view —
     /// the virtual-synchrony simplification of this kernel).
-    pub fn install_view(&mut self, view: View) {
+    pub(crate) fn install_view(&mut self, view: View) {
         for &peer in view.members() {
             if peer != self.id && !self.conns.contains_key(&peer) {
                 let conn = Connection::new(
@@ -219,20 +149,6 @@ impl Member {
             self.next_stamp = resume;
         }
         self.view = view;
-        // Membership is a control-plane act: surface the transition
-        // (and any sequencer handover) to whoever is listening.
-        if self.probe.enabled() {
-            self.probe.emit(
-                self.now,
-                TraceEvent::Control {
-                    layer: "membership",
-                },
-            );
-            if sequencer_changed {
-                self.probe
-                    .emit(self.now, TraceEvent::Control { layer: "sequencer" });
-            }
-        }
     }
 
     fn send_to(&mut self, peer: u32, env: &Envelope) {
@@ -258,7 +174,6 @@ impl Member {
 
     /// FIFO multicast: fan out to every peer, deliver locally at once.
     pub fn mcast_fifo(&mut self, payload: &[u8]) {
-        self.stats.fifo_sent += 1;
         let env = Envelope {
             kind: Kind::Fifo,
             view: self.view.id,
@@ -267,7 +182,6 @@ impl Member {
             payload: payload.to_vec(),
         };
         self.fan_out(&env);
-        self.stats.delivered += 1;
         self.deliveries.push_back(GroupDelivery {
             from: self.id,
             order: None,
@@ -278,7 +192,6 @@ impl Member {
     /// Total-order multicast: route via the sequencer; delivery (even
     /// our own) happens only in stamp order.
     pub fn mcast_total(&mut self, payload: &[u8]) {
-        self.stats.total_sent += 1;
         let env = Envelope {
             kind: Kind::TotalRequest,
             view: self.view.id,
@@ -297,38 +210,17 @@ impl Member {
         env.kind = Kind::TotalOrdered;
         env.gseq = self.next_stamp;
         self.next_stamp += 1;
-        self.stats.stamped += 1;
-        if self.probe.enabled() {
-            self.probe
-                .emit(self.now, TraceEvent::Control { layer: "ordering" });
-        }
         self.fan_out(&env);
         self.enqueue_ordered(env.origin, env.gseq, env.payload);
     }
 
-    /// Counts an envelope rejection on both the stats ledger and the
-    /// probe (one event per rejected envelope).
-    fn drop_envelope(&mut self) {
-        self.stats.dropped += 1;
-        if self.probe.enabled() {
-            self.probe.emit(
-                self.now,
-                TraceEvent::Drop {
-                    reason: DropCause::ByLayer("group"),
-                },
-            );
-        }
-    }
-
     fn enqueue_ordered(&mut self, origin: u32, gseq: u64, payload: Vec<u8>) {
         if gseq < self.next_deliver {
-            self.drop_envelope(); // duplicate of something delivered
-            return;
+            return; // duplicate of something delivered
         }
         self.hold_back.insert(gseq, (origin, payload));
         while let Some(entry) = self.hold_back.remove(&self.next_deliver) {
             let (from, payload) = entry;
-            self.stats.delivered += 1;
             self.deliveries.push_back(GroupDelivery {
                 from,
                 order: Some(self.next_deliver),
@@ -346,16 +238,13 @@ impl Member {
         self.endpoint.drain_deliveries(&mut rx);
         for d in rx.drain(..) {
             let Some(env) = Envelope::decode(d.msg.as_slice()) else {
-                self.drop_envelope();
                 continue;
             };
             if !self.view.contains(env.origin) {
-                self.drop_envelope(); // departed member's residue
-                continue;
+                continue; // departed member's residue
             }
             match env.kind {
                 Kind::Fifo => {
-                    self.stats.delivered += 1;
                     self.deliveries.push_back(GroupDelivery {
                         from: env.origin,
                         order: None,
@@ -363,10 +252,9 @@ impl Member {
                     });
                 }
                 Kind::TotalRequest => {
+                    // Only the sequencer stamps; anyone else drops it.
                     if self.is_sequencer() {
                         self.stamp_and_fan_out(env);
-                    } else {
-                        self.drop_envelope(); // we are not the sequencer
                     }
                 }
                 Kind::TotalOrdered => {
@@ -393,10 +281,8 @@ impl Member {
         self.endpoint.process_all_pending();
     }
 
-    /// Advances retransmission timers on all connections (and the
-    /// member's own probe clock).
+    /// Advances retransmission timers on all connections.
     pub fn tick(&mut self, now: Nanos) {
-        self.now = now;
         self.endpoint.tick(now);
     }
 }
@@ -549,7 +435,7 @@ mod tests {
             drain(m);
         }
         // Member 1 (the sequencer) fails; 2 and 3 install the new view.
-        let new_view = g[0].view().without(1);
+        let new_view = View::new(g[0].view().id + 1, [2, 3]);
         g[1].install_view(new_view.clone());
         g[2].install_view(new_view);
         assert!(g[1].is_sequencer(), "member 2 takes over");
@@ -572,11 +458,10 @@ mod tests {
         // Capture the frame, then remove member 1 from 2's view.
         let (to, frame) = g[0].poll_transmit().unwrap();
         assert_eq!(to, Member::addr_of(2));
-        let v = g[1].view().without(1);
+        let v = View::new(g[1].view().id + 1, [2]);
         g[1].install_view(v);
         g[1].from_network(frame);
         assert!(g[1].poll_delivery().is_none());
-        assert!(g[1].stats().dropped >= 1);
     }
 
     #[test]
@@ -589,79 +474,7 @@ mod tests {
             converge(&mut g);
         }
         // Each member delivered its own 10 plus the peer's 10.
-        assert_eq!(g[0].stats().delivered, 20);
-        assert_eq!(g[1].stats().delivered, 20);
-    }
-
-    #[test]
-    fn probes_count_membership_and_group_events() {
-        let mut g = group(&[1, 2, 3]);
-        for m in g.iter_mut() {
-            m.set_probe(ProbeSink::counting());
-        }
-        // PA-level probe on the accelerated 1→2 link; unknown peers
-        // are refused.
-        assert!(g[0].set_peer_probe(2, ProbeSink::counting()));
-        assert!(!g[0].set_peer_probe(99, ProbeSink::counting()));
-
-        // The sequencer (member 1) stamps one total-order multicast.
-        g[0].mcast_total(b"ordered");
-        g[1].mcast_fifo(b"fifo");
-        converge(&mut g);
-
-        let c0 = *g[0].probe().counts().unwrap();
-        assert_eq!(c0.controls, 1, "one stamp by the sequencer");
-        assert_eq!(c0.drops, 0);
-
-        // The PA under the group saw real frame traffic on 1→2.
-        let link = g[0].peer_probe(2).unwrap().counts().unwrap();
-        assert!(
-            link.fast_sends + link.slow_sends + link.queued >= 1,
-            "{link:?}"
-        );
-
-        // View change: the sequencer departs; survivors record both the
-        // membership transition and the sequencer handover.
-        let v = g[1].view().without(1);
-        g[1].install_view(v.clone());
-        g[2].install_view(v);
-        for m in &g[1..] {
-            let c = m.probe().counts().unwrap();
-            assert_eq!(
-                c.controls,
-                2,
-                "membership + sequencer handover at member {}",
-                m.id()
-            );
-        }
-
-        // Residue from the departed member is dropped AND counted on
-        // the probe, mirroring `GroupStats::dropped`.
-        g[0].mcast_fifo(b"ghost");
-        let (to, frame) = g[0].poll_transmit().unwrap();
-        assert_eq!(to, Member::addr_of(2));
-        g[1].from_network(frame);
-        let c1 = g[1].probe().counts().unwrap();
-        assert_eq!(c1.drops, 1, "{c1:?}");
-        assert_eq!(g[1].stats().dropped, 1);
-    }
-
-    #[test]
-    fn member_ring_probe_is_labelled_and_timestamped() {
-        let mut g = group(&[5, 6]);
-        g[1].set_probe(ProbeSink::ring(16));
-        g[1].tick(1_000);
-        let v = g[1].view().without(5);
-        g[1].install_view(v);
-        let ring = g[1].probe().trace_ring().unwrap();
-        let recs = ring.records();
-        // Membership + sequencer handover (5 was the sequencer).
-        assert_eq!(recs.len(), 2, "{recs:?}");
-        for r in &recs {
-            assert_eq!(r.conn, 6, "labelled with the member id");
-            assert_eq!(r.at, 1_000, "stamped with the member clock");
-        }
-        assert!(recs[0].event.to_string().contains("membership"));
-        assert!(recs[1].event.to_string().contains("sequencer"));
+        assert_eq!(drain(&mut g[0]).len(), 20);
+        assert_eq!(drain(&mut g[1]).len(), 20);
     }
 }

@@ -21,22 +21,12 @@ impl View {
     }
 
     /// The members, ranked.
-    pub fn members(&self) -> &[u32] {
+    pub(crate) fn members(&self) -> &[u32] {
         &self.members
     }
 
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True if the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
     /// True if `id` is a member.
-    pub fn contains(&self, id: u32) -> bool {
+    pub(crate) fn contains(&self, id: u32) -> bool {
         self.members.binary_search(&id).is_ok()
     }
 
@@ -45,19 +35,6 @@ impl View {
     /// member takes over automatically).
     pub fn sequencer(&self) -> Option<u32> {
         self.members.first().copied()
-    }
-
-    /// The next view with `dead` removed.
-    pub fn without(&self, dead: u32) -> View {
-        View::new(
-            self.id + 1,
-            self.members.iter().copied().filter(|&m| m != dead),
-        )
-    }
-
-    /// The next view with `joiner` added.
-    pub fn with(&self, joiner: u32) -> View {
-        View::new(self.id + 1, self.members.iter().copied().chain([joiner]))
     }
 }
 
@@ -75,7 +52,6 @@ mod tests {
     fn members_sorted_and_deduped() {
         let v = View::new(1, [3, 1, 2, 1]);
         assert_eq!(v.members(), &[1, 2, 3]);
-        assert_eq!(v.len(), 3);
     }
 
     #[test]
@@ -85,18 +61,8 @@ mod tests {
     }
 
     #[test]
-    fn without_advances_view_and_reelects() {
-        let v = View::new(1, [1, 2, 3]);
-        let v2 = v.without(1);
-        assert_eq!(v2.id, 2);
-        assert_eq!(v2.members(), &[2, 3]);
-        assert_eq!(v2.sequencer(), Some(2), "new sequencer after failure");
-    }
-
-    #[test]
-    fn with_adds_joiner() {
-        let v = View::new(1, [1, 3]).with(2);
-        assert_eq!(v.members(), &[1, 2, 3]);
+    fn contains_finds_members() {
+        let v = View::new(1, [1, 3, 2]);
         assert!(v.contains(2));
         assert!(!v.contains(9));
     }

@@ -48,7 +48,7 @@ pub enum WorkClass {
 
 impl WorkClass {
     /// Short stable label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             WorkClass::OnPath => "on-path",
             WorkClass::Masked => "masked",
@@ -79,13 +79,6 @@ pub enum LeakCause {
 }
 
 impl LeakCause {
-    /// Every cause, in display order.
-    pub const ALL: [LeakCause; 3] = [
-        LeakCause::ArrivalDrain,
-        LeakCause::EagerPost,
-        LeakCause::RecvRefuse,
-    ];
-
     /// Short stable label.
     pub fn label(self) -> &'static str {
         match self {
@@ -177,7 +170,7 @@ impl LeakLedger {
 
     /// Buckets sorted worst-first: by measured time, then calls, then
     /// first-bump order (stable, so ties are deterministic).
-    pub fn sorted(&self) -> Vec<LeakEntry> {
+    pub(crate) fn sorted(&self) -> Vec<LeakEntry> {
         let mut v = self.entries.clone();
         v.sort_by_key(|e| std::cmp::Reverse((e.cycle_ns, e.calls)));
         v
@@ -243,7 +236,7 @@ pub enum MaskDomain {
 
 impl MaskDomain {
     /// Short stable label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             MaskDomain::Virtual => "virtual",
             MaskDomain::Cycles => "cycles",
@@ -355,7 +348,7 @@ impl MaskingLedger {
     /// fast-path op cost, a receive re-fuse). `phase` carries the
     /// direction; engine rows are excluded from [`conserves`]
     /// (MaskingLedger::conserves).
-    pub fn push_engine(
+    pub(crate) fn push_engine(
         &mut self,
         label: &str,
         phase: Phase,

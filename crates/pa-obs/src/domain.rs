@@ -12,13 +12,11 @@
 //!   `record`, meter fold and stats fold goes to plain fields owned by
 //!   the domain's thread — zero atomics, zero locks, zero allocation
 //!   on the recording path;
-//! - **publication is a seqlock snapshot**: [`TelemetryDomain::publish`]
-//!   copies the POD counters into the domain's shared
-//!   [`DomainCell`] under a seqlock-style sequence (odd = write in
-//!   progress) and freezes the heavy state (meter shards, stats rows,
-//!   sketch shard, ledger) into an epoch-stamped [`DomainView`] behind
-//!   a mutex that is touched *only* at publish/collect time — never
-//!   per record;
+//! - **publication is a frozen snapshot**: [`TelemetryDomain::publish`]
+//!   freezes the counters and the heavy state (meter shards, stats
+//!   rows, sketch shard, ledger) into an epoch-stamped [`DomainView`]
+//!   in the domain's shared [`DomainCell`], behind a mutex that is
+//!   touched *only* at publish/collect time — never per record;
 //! - **cross-thread events ride an SPSC ring**: journey/handoff/drain
 //!   events go over a bounded wait-free [`crate::spsc`] channel; a
 //!   full ring refuses (counted in
@@ -45,9 +43,9 @@ use crate::event::Nanos;
 use crate::reject::{RejectBucket, RejectReason};
 use crate::sketch::{QuantileSketch, SketchConfig};
 use crate::snapshot::MetricsSnapshot;
-use crate::spsc::{self, ChannelStats, Consumer, Producer};
+use crate::spsc::{self, Consumer, Producer};
 use crate::xray::{Phase, PhaseMeter, PhaseRow};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
@@ -109,8 +107,8 @@ pub struct DomainEvent {
 // Counters
 // ---------------------------------------------------------------------------
 
-/// The POD counters every domain publishes through the seqlock. Fixed
-/// slots so the shared cell is a flat atomic array.
+/// The POD counters every domain publishes in its view. Fixed slots, so
+/// the view holds them as a flat array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DomainCounter {
     /// Telemetry record operations (sketch samples, meter folds).
@@ -145,7 +143,7 @@ pub enum DomainCounter {
 
 impl DomainCounter {
     /// All counters, in slot order.
-    pub const ALL: [DomainCounter; 12] = [
+    pub(crate) const ALL: [DomainCounter; 12] = [
         DomainCounter::Records,
         DomainCounter::HandoffsOut,
         DomainCounter::HandoffsIn,
@@ -161,10 +159,10 @@ impl DomainCounter {
     ];
 
     /// Number of counter slots.
-    pub const COUNT: usize = Self::ALL.len();
+    pub(crate) const COUNT: usize = Self::ALL.len();
 
     /// Stable metric name.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             DomainCounter::Records => "records",
             DomainCounter::HandoffsOut => "handoffs_out",
@@ -186,15 +184,11 @@ impl DomainCounter {
 // The shared cell
 // ---------------------------------------------------------------------------
 
-/// The cross-thread face of one domain: a seqlock-published counter
-/// array plus the mutex-guarded frozen view. The owning thread writes;
-/// any thread may read.
+/// The cross-thread face of one domain: the mutex-guarded frozen view
+/// and its epoch. The owning thread writes; any thread may read.
 pub struct DomainCell {
     label: String,
     id: u32,
-    /// Seqlock sequence: odd while the owner is writing the counters.
-    seq: AtomicU64,
-    counters: [AtomicU64; DomainCounter::COUNT],
     /// Epoch of the most recently published view.
     published_epoch: AtomicU64,
     /// Set by [`TelemetryDomain::retire`]: the view is final; collects
@@ -208,67 +202,24 @@ impl DomainCell {
         DomainCell {
             label: label.to_string(),
             id,
-            seq: AtomicU64::new(0),
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             published_epoch: AtomicU64::new(0),
             retired: AtomicBool::new(false),
             view: Mutex::new(None),
         }
     }
 
-    /// The domain's label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The domain's id.
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
     /// Epoch of the most recently published view (0 = none yet).
-    pub fn published_epoch(&self) -> u64 {
+    pub(crate) fn published_epoch(&self) -> u64 {
         self.published_epoch.load(Ordering::Acquire)
     }
 
     /// True once the owner has retired the domain.
-    pub fn is_retired(&self) -> bool {
+    pub(crate) fn is_retired(&self) -> bool {
         self.retired.load(Ordering::Acquire)
     }
 
-    /// Torn-free live read of the published counters: the seqlock
-    /// read protocol (retry while the sequence is odd or moved). The
-    /// payload slots are atomics, so the racing loads are defined; the
-    /// fences order them against the sequence checks. Readers may lag
-    /// the owner's thread-local counters until its next flush — they
-    /// can never observe a half-written set.
-    pub fn read_counters(&self) -> [u64; DomainCounter::COUNT] {
-        loop {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 & 1 == 0 {
-                let mut out = [0u64; DomainCounter::COUNT];
-                for (slot, v) in self.counters.iter().zip(out.iter_mut()) {
-                    *v = slot.load(Ordering::Relaxed);
-                }
-                fence(Ordering::Acquire);
-                if self.seq.load(Ordering::Relaxed) == s1 {
-                    return out;
-                }
-            }
-            // One writer, short critical section — but on a single
-            // hardware thread a spin would starve the preempted
-            // writer, so yield instead.
-            std::thread::yield_now();
-        }
-    }
-
-    /// One published counter.
-    pub fn read_counter(&self, c: DomainCounter) -> u64 {
-        self.read_counters()[c as usize]
-    }
-
     /// A clone of the most recently published frozen view.
-    pub fn view(&self) -> Option<DomainView> {
+    pub(crate) fn view(&self) -> Option<DomainView> {
         self.view.lock().expect("domain view poisoned").clone()
     }
 }
@@ -355,11 +306,6 @@ impl TelemetryDomain {
         &self.cell.label
     }
 
-    /// The shared cell (for registering with dashboards).
-    pub fn cell(&self) -> &Arc<DomainCell> {
-        &self.cell
-    }
-
     /// Sets the owner's logical clock (stamped on events and views).
     pub fn set_now(&mut self, now: Nanos) {
         self.now = now;
@@ -375,12 +321,6 @@ impl TelemetryDomain {
     #[inline]
     pub fn add(&mut self, c: DomainCounter, n: u64) {
         self.counters[c as usize] += n;
-    }
-
-    /// The owner's live value of a counter (includes unpublished
-    /// increments).
-    pub fn get(&self, c: DomainCounter) -> u64 {
-        self.counters[c as usize]
     }
 
     /// Records one value into the domain's sketch shard. One
@@ -428,11 +368,6 @@ impl TelemetryDomain {
         &self.meters
     }
 
-    /// The domain's masking-ledger shard, if one was merged in.
-    pub fn ledger(&self) -> Option<&MaskingLedger> {
-        self.ledger.as_ref()
-    }
-
     /// Merges a masking-ledger shard into this domain's ledger.
     pub fn merge_ledger(&mut self, shard: &MaskingLedger) {
         match &mut self.ledger {
@@ -465,28 +400,8 @@ impl TelemetryDomain {
         }
     }
 
-    /// The event ring's traffic counters.
-    pub fn event_stats(&self) -> ChannelStats {
-        self.events.stats()
-    }
-
-    /// Flushes the POD counters into the shared cell under the seqlock
-    /// write protocol (sequence odd → payload stores → sequence even).
-    /// Cheap enough for a worker's idle loop; does not touch the heavy
-    /// view.
-    pub fn flush_counters(&self) {
-        let cell = &*self.cell;
-        let s = cell.seq.load(Ordering::Relaxed);
-        cell.seq.store(s + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        for (slot, &v) in cell.counters.iter().zip(self.counters.iter()) {
-            slot.store(v, Ordering::Relaxed);
-        }
-        cell.seq.store(s + 2, Ordering::Release);
-    }
-
     /// Publishes a frozen [`DomainView`] stamped with the *current*
-    /// global epoch: flushes the counters, clones the heavy state into
+    /// global epoch: clones the counters and the heavy state into
     /// the cell's mutex (touched only here and at collect — never on
     /// the recording path), and emits a `Published` event.
     pub fn publish(&mut self) -> u64 {
@@ -498,7 +413,6 @@ impl TelemetryDomain {
     fn try_publish(&mut self) -> Option<u64> {
         let epoch = self.epoch.load(Ordering::Acquire);
         self.counters[DomainCounter::Publishes as usize] += 1;
-        self.flush_counters();
         let view = DomainView {
             domain: self.cell.id,
             label: self.cell.label.clone(),
@@ -567,7 +481,7 @@ impl std::fmt::Debug for TelemetryDomain {
 // ---------------------------------------------------------------------------
 
 /// Default capacity of a domain's event ring.
-pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
 /// Creates domains, advances the global epoch, drains the event rings,
 /// and assembles epoch-consistent [`GlobalSnapshot`]s. Lives on the
@@ -625,13 +539,8 @@ impl SnapshotCoordinator {
         }
     }
 
-    /// The registered domain cells, in creation order.
-    pub fn cells(&self) -> &[Arc<DomainCell>] {
-        &self.cells
-    }
-
     /// The current epoch.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
@@ -643,7 +552,7 @@ impl SnapshotCoordinator {
 
     /// Drains every domain's event ring into the coordinator's log.
     /// Returns how many events arrived.
-    pub fn drain_events(&mut self) -> usize {
+    pub(crate) fn drain_events(&mut self) -> usize {
         let mut n = 0;
         for rx in &mut self.consumers {
             while let Some(ev) = rx.pop() {
@@ -656,7 +565,7 @@ impl SnapshotCoordinator {
 
     /// The drained events, merged into one deterministic timeline
     /// ordered by `(at, domain, seq)`.
-    pub fn events(&self) -> Vec<DomainEvent> {
+    pub(crate) fn events(&self) -> Vec<DomainEvent> {
         let mut all = self.event_log.clone();
         all.sort_by_key(|e| (e.at, e.domain, e.seq));
         all
@@ -665,7 +574,7 @@ impl SnapshotCoordinator {
     /// Tries to assemble a snapshot for `epoch`: succeeds once every
     /// domain has published a view stamped `>= epoch` or retired.
     /// Never blocks; never returns a torn view.
-    pub fn try_collect(&mut self, epoch: u64) -> Option<GlobalSnapshot> {
+    pub(crate) fn try_collect(&mut self, epoch: u64) -> Option<GlobalSnapshot> {
         for cell in &self.cells {
             if !cell.is_retired() && cell.published_epoch() < epoch {
                 return None;
@@ -939,18 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_publish_through_the_seqlock() {
-        let mut co = coordinator();
-        let mut d = co.domain("main");
-        d.bump(DomainCounter::Records);
-        d.add(DomainCounter::HandoffsOut, 4);
-        assert_eq!(co.cells()[0].read_counter(DomainCounter::Records), 0);
-        d.flush_counters();
-        assert_eq!(co.cells()[0].read_counter(DomainCounter::Records), 1);
-        assert_eq!(co.cells()[0].read_counter(DomainCounter::HandoffsOut), 4);
-    }
-
-    #[test]
     fn collect_waits_for_the_epoch() {
         let mut co = coordinator();
         let mut d = co.domain("main");
@@ -1016,11 +913,11 @@ mod tests {
         // One source meter mutated in two bracketed windows.
         let mut meter = PhaseMeter::default();
         let cp0 = meter;
-        meter.record(Phase::PreSend, Some(100));
-        meter.record(Phase::PreSend, Some(100));
+        meter.record_flagged(Phase::PreSend, Some(100), false);
+        meter.record_flagged(Phase::PreSend, Some(100), false);
         let cp1 = meter;
         a.absorb_meter("window", &meter.delta_since(&cp0));
-        meter.record(Phase::PostSend, Some(300));
+        meter.record_flagged(Phase::PostSend, Some(300), false);
         b.absorb_meter("window", &meter.delta_since(&cp1));
         a.publish();
         b.publish();
@@ -1044,12 +941,12 @@ mod tests {
         // Domain a did 3 pre-sends; domain b did 3 post-sends.
         let mut ma = PhaseMeter::default();
         for _ in 0..3 {
-            ma.record(Phase::PreSend, None);
+            ma.record_flagged(Phase::PreSend, None, false);
         }
         a.absorb_meter("window", &ma);
         let mut mb = PhaseMeter::default();
         for _ in 0..3 {
-            mb.record(Phase::PostSend, None);
+            mb.record_flagged(Phase::PostSend, None, false);
         }
         b.absorb_meter("window", &mb);
         // Each domain builds its ledger shard from its own priced rows.

@@ -45,7 +45,7 @@ pub enum Invariant {
 
 impl Invariant {
     /// Short stable label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Invariant::EnableUnderflow => "enable-underflow",
         }
@@ -74,7 +74,7 @@ pub enum SlowCause {
 
 impl SlowCause {
     /// Short stable label (used by renderers and JSON export).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             SlowCause::FilterReject => "filter-reject",
             SlowCause::PredictMiss => "predict-miss",
@@ -101,7 +101,7 @@ pub enum DropCause {
 
 impl DropCause {
     /// Short stable label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             DropCause::UnknownCookie => "unknown-cookie",
             DropCause::ForeignIdent => "foreign-ident",
@@ -247,19 +247,10 @@ impl TraceEvent {
         }
     }
 
-    /// The journey id carried by this event, if it is a journey event.
-    pub fn journey(&self) -> Option<u64> {
-        match *self {
-            TraceEvent::JourneySend { journey, .. }
-            | TraceEvent::JourneyDeliver { journey, .. } => Some(journey),
-            _ => None,
-        }
-    }
-
     /// Renders the event with `resolve` supplying field names for
     /// [`FieldRef`]s (pass `|f| format!("{}/{}", f.class, f.index)` if
     /// no layout is at hand).
-    pub fn render(&self, resolve: &dyn Fn(FieldRef) -> String) -> String {
+    pub(crate) fn render(&self, resolve: &dyn Fn(FieldRef) -> String) -> String {
         match *self {
             TraceEvent::FastSend => "fast-send".to_string(),
             TraceEvent::SlowSend { cause } => format!("slow-send cause={}", cause.label()),
@@ -363,14 +354,11 @@ mod tests {
     }
 
     #[test]
-    fn journey_events_expose_their_id() {
-        let id = (9u64 << 32) | 42;
+    fn journey_events_render_their_id() {
         let e = TraceEvent::JourneySend {
-            journey: id,
+            journey: (9u64 << 32) | 42,
             hop: 0,
         };
-        assert_eq!(e.journey(), Some(id));
-        assert_eq!(TraceEvent::FastSend.journey(), None);
         assert!(e.to_string().contains("id=9:42"), "{e}");
     }
 

@@ -84,7 +84,7 @@ impl Band {
 
 /// The octave a value sorts into (0 for 0, else bit length).
 #[inline]
-pub fn octave_of(v: u64) -> u8 {
+pub(crate) fn octave_of(v: u64) -> u8 {
     (64 - v.leading_zeros()) as u8
 }
 
@@ -161,25 +161,14 @@ impl ExemplarSet {
     }
 
     /// Number of retained exemplars.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.bands.iter().map(|b| b.slots.len()).sum()
-    }
-
-    /// True if nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.bands.is_empty()
-    }
-
-    /// The retained exemplar with the largest value (the natural
-    /// drill-down entry point for a tail anomaly).
-    pub fn peak(&self) -> Option<&Exemplar> {
-        self.iter().max_by_key(|e| e.value)
     }
 
     /// A retained exemplar representative for values up to `edge`:
     /// the highest band at or below `edge`'s octave. Used to attach
     /// exemplars to exported histogram buckets.
-    pub fn for_value(&self, edge: u64) -> Option<&Exemplar> {
+    pub(crate) fn for_value(&self, edge: u64) -> Option<&Exemplar> {
         let octave = octave_of(edge);
         self.bands
             .iter()
@@ -200,12 +189,12 @@ impl ExemplarSet {
 
     /// Offers refused because their octave was below every retained
     /// band of a full set.
-    pub fn sampled_out(&self) -> u64 {
+    pub(crate) fn sampled_out(&self) -> u64 {
         self.sampled_out
     }
 
     /// Heap + inline footprint in bytes (capacity-accurate).
-    pub fn mem_bytes(&self) -> usize {
+    pub(crate) fn mem_bytes(&self) -> usize {
         std::mem::size_of::<ExemplarSet>()
             + self.bands.capacity() * std::mem::size_of::<Band>()
             + self
@@ -216,7 +205,7 @@ impl ExemplarSet {
     }
 
     /// Worst-case footprint for this shape, for budget admission.
-    pub fn mem_bytes_cap(max_bands: usize, per_band: usize) -> usize {
+    pub(crate) fn mem_bytes_cap(max_bands: usize, per_band: usize) -> usize {
         std::mem::size_of::<ExemplarSet>()
             + max_bands * (std::mem::size_of::<Band>() + per_band * std::mem::size_of::<Exemplar>())
     }
@@ -271,12 +260,11 @@ mod tests {
     }
 
     #[test]
-    fn peak_is_the_largest_retained_value() {
+    fn for_value_finds_the_band() {
         let mut set = ExemplarSet::new(4, 2, 1);
         for v in [5u64, 900, 17, 40_000] {
             set.offer(ex(v, v));
         }
-        assert_eq!(set.peak().expect("nonempty").value, 40_000);
         assert!(set.for_value(1_000).expect("band").value <= 1_023);
     }
 

@@ -64,7 +64,7 @@ impl HopLeg {
     }
 
     /// True if both ends of the hop were observed.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.recv_at.is_some()
     }
 }
@@ -80,12 +80,12 @@ pub struct Journey {
 
 impl Journey {
     /// True if every hop has both a send and a deliver event.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         !self.hops.is_empty() && self.hops.iter().all(|h| h.is_complete())
     }
 
     /// When the journey started (first hop's send).
-    pub fn started_at(&self) -> Nanos {
+    pub(crate) fn started_at(&self) -> Nanos {
         self.hops.first().map(|h| h.sent_at).unwrap_or(0)
     }
 

@@ -69,10 +69,10 @@
 //!   ring ([`spsc::channel`]) that carries telemetry events (and drain
 //!   jobs) between threads without locks or silent loss;
 //! - [`domain`] — wait-free multi-core telemetry: per-thread
-//!   [`TelemetryDomain`]s with seqlock-published counters and frozen
-//!   epoch views, and the [`SnapshotCoordinator`] that merges them
-//!   into an epoch-consistent [`GlobalSnapshot`] on which the ledger
-//!   invariants are asserted (never on a torn view).
+//!   [`TelemetryDomain`]s publishing frozen epoch views, and the
+//!   [`SnapshotCoordinator`] that merges them into an epoch-consistent
+//!   [`GlobalSnapshot`] on which the ledger invariants are asserted
+//!   (never on a torn view).
 //!
 //! pa-obs sits below every other crate in the workspace and has no
 //! dependencies, so any layer can emit events without cycles.
@@ -97,30 +97,30 @@ pub mod watchdog;
 pub mod xray;
 
 pub use critpath::{
-    perfetto_trace, validate_trace_json, CritDag, CritNode, LeakCause, LeakEntry, LeakLedger,
-    MaskDomain, MaskRow, MaskingLedger, WorkClass,
+    perfetto_trace, validate_trace_json, CritDag, CritNode, LeakCause, LeakLedger, MaskDomain,
+    MaskingLedger, WorkClass,
 };
 pub use domain::{
-    price_meters, price_rows, DomainCell, DomainCounter, DomainEvent, DomainEventKind, DomainView,
-    GlobalSnapshot, SnapshotCoordinator, TelemetryDomain,
+    price_meters, price_rows, DomainCounter, DomainEventKind, GlobalSnapshot, SnapshotCoordinator,
+    TelemetryDomain,
 };
 pub use event::{DropCause, FieldRef, Invariant, Nanos, SlowCause, TraceEvent};
-pub use exemplar::{octave_of, Exemplar, ExemplarSet};
+pub use exemplar::{Exemplar, ExemplarSet};
 pub use journey::{
-    journey_id, journey_origin, journey_seq, render_journey_id, HopLeg, Journey, JourneySet,
+    journey_id, journey_origin, journey_seq, render_journey_id, Journey, JourneySet,
 };
-pub use probe::{EventCounts, ProbeSink};
+pub use probe::ProbeSink;
 pub use reject::{RejectBucket, RejectLedger, RejectReason};
-pub use ring::{merge_timeline, TraceRecord, TraceRing};
-pub use scope::{ScopeConfig, ScopeKey, ScopePlane, ScopeSeries};
+pub use ring::{merge_timeline, TraceRing};
+pub use scope::{ScopeConfig, ScopeKey, ScopePlane};
 pub use sketch::{QuantileSketch, SketchConfig, SketchSummary};
 pub use snapshot::MetricsSnapshot;
-pub use timeseries::{FlightRecorder, Postmortem, TimeSeries, DEFAULT_MAX_SERIES};
+pub use timeseries::FlightRecorder;
 pub use watch::{positional, Fleet, Watch};
 pub use watchdog::{WatchAlert, WatchInput, Watchdog, WatchdogConfig};
 pub use xray::{
-    AttrCause, AttrEntry, Attribution, DisableReason, Finding, HoldRow, MissEntry, MissRow,
-    MissTable, Phase, PhaseMeter, PhaseRow, XrayOp, XrayReport, XrayTag, XrayTotals,
+    AttrCause, Attribution, DisableReason, Finding, HoldRow, MissTable, Phase, PhaseMeter,
+    PhaseRow, XrayOp, XrayReport, XrayTag, XrayTotals,
 };
 
 use std::fmt;

@@ -47,25 +47,6 @@ pub struct EventCounts {
 }
 
 impl EventCounts {
-    /// Total events observed.
-    pub fn total(&self) -> u64 {
-        self.fast_sends
-            + self.slow_sends
-            + self.queued
-            + self.fast_delivers
-            + self.slow_delivers
-            + self.predict_misses
-            + self.filter_rejects
-            + self.drops
-            + self.backlog_drains
-            + self.controls
-            + self.journey_sends
-            + self.journey_delivers
-            + self.disables
-            + self.enables
-            + self.invariant_violations
-    }
-
     #[inline]
     fn bump(&mut self, event: &TraceEvent) {
         match event {
@@ -190,7 +171,6 @@ mod tests {
         assert_eq!(c.fast_sends, 2);
         assert_eq!(c.slow_sends, 1);
         assert_eq!(c.drops, 1);
-        assert_eq!(c.total(), 4);
     }
 
     #[test]

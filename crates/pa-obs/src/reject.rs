@@ -101,7 +101,7 @@ pub enum RejectBucket {
 
 impl RejectReason {
     /// Every reason, in [`RejectReason::index`] order.
-    pub const ALL: [RejectReason; 15] = [
+    pub(crate) const ALL: [RejectReason; 15] = [
         RejectReason::TruncatedPreamble,
         RejectReason::TruncatedIdent,
         RejectReason::ForeignIdent,
@@ -124,7 +124,7 @@ impl RejectReason {
 
     /// Stable position in [`RejectReason::ALL`] (ledger index and xray
     /// tag operand).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             RejectReason::TruncatedPreamble => 0,
             RejectReason::TruncatedIdent => 1,
@@ -145,7 +145,7 @@ impl RejectReason {
     }
 
     /// The reason at `index`, if in range (xray tag decode).
-    pub fn from_index(index: usize) -> Option<RejectReason> {
+    pub(crate) fn from_index(index: usize) -> Option<RejectReason> {
         Self::ALL.get(index).copied()
     }
 
@@ -251,12 +251,6 @@ impl RejectLedger {
             .sum()
     }
 
-    /// Total receive-entry rejections (the ones `delivery_balanced()`
-    /// accounts for).
-    pub fn entry_total(&self) -> u64 {
-        self.bucket_total(RejectBucket::Cookie) + self.bucket_total(RejectBucket::Malformed)
-    }
-
     /// `(reason, count)` for every reason, in index order (including
     /// zeros — callers filter).
     pub fn iter(&self) -> impl Iterator<Item = (RejectReason, u64)> + '_ {
@@ -268,11 +262,6 @@ impl RejectLedger {
         for (dst, src) in self.counts.iter_mut().zip(other.counts.iter()) {
             *dst += src;
         }
-    }
-
-    /// True if nothing has been rejected.
-    pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
     }
 
     /// The growth since `earlier` (a copy of this ledger taken before
@@ -375,7 +364,6 @@ mod tests {
         assert_eq!(l.bucket_total(RejectBucket::Malformed), 1);
         assert_eq!(l.bucket_total(RejectBucket::Layer), 1);
         assert_eq!(l.bucket_total(RejectBucket::Netif), 1);
-        assert_eq!(l.entry_total(), 4);
         assert_eq!(l.get(RejectReason::UnknownCookie), 2);
 
         let mut m = RejectLedger::new();

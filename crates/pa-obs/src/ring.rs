@@ -78,11 +78,6 @@ impl TraceRing {
         self.domain = domain;
     }
 
-    /// The domain label currently stamped on new records.
-    pub fn domain(&self) -> u32 {
-        self.domain
-    }
-
     /// Appends an event; never allocates once the ring has filled.
     #[inline]
     pub fn push(&mut self, at: Nanos, event: TraceEvent) {
@@ -113,7 +108,7 @@ impl TraceRing {
         self.buf.len()
     }
 
-    /// True if nothing has been recorded.
+    /// True if no record is retained.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
@@ -129,16 +124,6 @@ impl TraceRing {
         out.extend_from_slice(&self.buf[self.head..]);
         out.extend_from_slice(&self.buf[..self.head]);
         out
-    }
-
-    /// Renders the retained records, one per line, oldest first.
-    pub fn dump(&self, resolve: &dyn Fn(FieldRef) -> String) -> String {
-        let mut s = String::new();
-        for rec in self.records() {
-            s.push_str(&rec.render(resolve));
-            s.push('\n');
-        }
-        s
     }
 
     /// Clears retained records (sequence numbers keep counting).
@@ -215,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn dump_renders_lines() {
+    fn records_render_as_lines() {
         let mut r = TraceRing::new(4);
         r.push(
             1,
@@ -223,9 +208,8 @@ mod tests {
                 disable_layer: "window",
             },
         );
-        let d = r.dump(&|f| format!("{}:{}", f.class, f.index));
-        assert!(d.contains("queued by=window"), "{d}");
-        assert_eq!(d.lines().count(), 1);
+        let line = r.records()[0].render(&|f| format!("{}:{}", f.class, f.index));
+        assert!(line.contains("queued by=window"), "{line}");
     }
 
     #[test]
@@ -237,7 +221,6 @@ mod tests {
         let recs = r.records();
         assert_eq!(recs[0].domain, 0, "default domain");
         assert_eq!(recs[1].domain, 2);
-        assert_eq!(r.domain(), 2);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 use crate::event::Nanos;
 use crate::exemplar::{Exemplar, ExemplarSet};
 use crate::journey::render_journey_id;
-use crate::sketch::{QuantileSketch, SketchConfig, SketchSummary};
+use crate::sketch::{QuantileSketch, SketchConfig};
 use crate::snapshot::MetricsSnapshot;
 use crate::timeseries::prometheus_name;
 use crate::xray::XrayTag;
@@ -124,11 +124,6 @@ impl ScopeSeries {
         &self.exemplars
     }
 
-    /// Percentile summary of the sketch.
-    pub fn summary(&self) -> SketchSummary {
-        self.sketch.summary()
-    }
-
     fn mem_bytes(&self) -> usize {
         self.sketch.mem_bytes() + self.exemplars.mem_bytes()
     }
@@ -149,20 +144,6 @@ pub struct ScopeKey {
 
 impl ScopeKey {
     const OVERFLOW: u32 = u32::MAX;
-
-    /// True if this connection got a dedicated per-connection series.
-    pub fn is_dedicated(&self) -> bool {
-        self.conn != Self::OVERFLOW
-    }
-
-    /// The key routing everything to the overflow series — the right
-    /// target for a shard whose origin never registered a slot.
-    pub fn overflow() -> ScopeKey {
-        ScopeKey {
-            ep: Self::OVERFLOW,
-            conn: Self::OVERFLOW,
-        }
-    }
 }
 
 /// The bounded roll-up plane: cluster / endpoint / connection sketches
@@ -296,41 +277,9 @@ impl ScopePlane {
         }
     }
 
-    /// Folds a whole sketch shard (e.g. a telemetry domain's
-    /// per-thread shard, see `pa_obs::domain`) into the plane at
-    /// `key`: the cluster and the routed endpoint/connection series
-    /// each absorb the shard with the exact canonical-form merge, so
-    /// [`ScopePlane::rollup_reconciles`] keeps holding with plain
-    /// `==`. The shard must share the plane's sketch shape
-    /// (`cfg.sketch_config()`). Exemplars do not travel with shards —
-    /// they stay with the recording thread's own reservoirs.
-    pub fn absorb_shard(&mut self, key: ScopeKey, shard: &QuantileSketch) {
-        if shard.is_empty() {
-            return;
-        }
-        self.records += shard.count();
-        self.cluster.sketch.merge(shard);
-        if key.ep == ScopeKey::OVERFLOW {
-            self.ep_overflow.sketch.merge(shard);
-        } else {
-            self.endpoints[key.ep as usize].1.sketch.merge(shard);
-        }
-        if key.conn == ScopeKey::OVERFLOW {
-            self.overflow_records += shard.count();
-            self.conn_overflow.sketch.merge(shard);
-        } else {
-            self.conns[key.conn as usize].1.sketch.merge(shard);
-        }
-    }
-
     /// The cluster-level roll-up series.
     pub fn cluster(&self) -> &ScopeSeries {
         &self.cluster
-    }
-
-    /// The overflow series absorbing connections without a slot.
-    pub fn conn_overflow(&self) -> &ScopeSeries {
-        &self.conn_overflow
     }
 
     /// Dedicated endpoint series, in admission order.
@@ -383,11 +332,6 @@ impl ScopePlane {
     /// Connection registrations denied a dedicated slot.
     pub fn denied_conns(&self) -> u64 {
         self.denied_conns
-    }
-
-    /// Endpoint registrations denied a dedicated slot.
-    pub fn denied_endpoints(&self) -> u64 {
-        self.denied_endpoints
     }
 
     /// Dedicated connection slots granted.
@@ -453,7 +397,7 @@ impl ScopePlane {
 
     /// Exports the plane's own health counters into the metrics
     /// registry under `scope`.
-    pub fn record_into(&self, snap: &mut MetricsSnapshot, scope: &str) {
+    pub(crate) fn record_into(&self, snap: &mut MetricsSnapshot, scope: &str) {
         snap.record(scope, "records", self.records);
         snap.record(scope, "overflow_records", self.overflow_records);
         snap.record(scope, "denied_conn_slots", self.denied_conns);
@@ -582,60 +526,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_absorption_equals_inline_recording() {
-        let cfg = tiny();
-        // Plane A records every sample inline; plane B records half
-        // inline and absorbs the other half as a domain shard.
-        let mut inline = ScopePlane::new(cfg);
-        let mut sharded = ScopePlane::new(cfg);
-        let ki = inline.register("ep0", "conn0");
-        let ks = sharded.register("ep0", "conn0");
-        let mut shard = QuantileSketch::new(cfg.sketch_config());
-        for i in 0..200u64 {
-            let v = 1_000 + i * 13;
-            inline.record(ki, v, 0, 0, XrayTag::none());
-            if i % 2 == 0 {
-                sharded.record(ks, v, 0, 0, XrayTag::none());
-            } else {
-                shard.record(v);
-            }
-        }
-        sharded.absorb_shard(ks, &shard);
-        assert_eq!(sharded.records(), inline.records());
-        assert_eq!(sharded.cluster().sketch(), inline.cluster().sketch());
-        assert!(sharded.rollup_reconciles(), "roll-up still exact");
-    }
-
-    #[test]
-    fn overflow_shards_count_as_overflow_records() {
-        let cfg = tiny();
-        let mut plane = ScopePlane::new(cfg);
-        let mut shard = QuantileSketch::new(cfg.sketch_config());
-        for i in 0..10u64 {
-            shard.record(500 + i);
-        }
-        plane.absorb_shard(ScopeKey::overflow(), &shard);
-        assert_eq!(plane.records(), 10);
-        assert_eq!(plane.overflow_records(), 10);
-        assert!(plane.rollup_reconciles());
-    }
-
-    #[test]
     fn budget_denial_is_visible_and_lossless() {
         let mut cfg = tiny();
         // Room for the three fixed series and not much else.
         cfg.byte_cap = ScopePlane::new(cfg).worst_case_bytes() + cfg.series_footprint() * 2;
         let mut plane = ScopePlane::new(cfg);
-        let mut dedicated = 0;
         for c in 0..100 {
             let key = plane.register("ep0", &format!("conn{c}"));
-            if key.is_dedicated() {
-                dedicated += 1;
-            }
             plane.record(key, 1_000 + c as u64, 0, 0, XrayTag::none());
         }
-        assert!(dedicated < 100, "the cap must deny most slots");
-        assert_eq!(plane.denied_conns(), 100 - dedicated as u64);
+        assert!(plane.conn_slots() < 50, "the cap must deny most slots");
+        assert_eq!(plane.denied_conns() + plane.conn_slots() as u64, 100);
         // Nothing was lost: every sample reached the cluster sketch.
         assert_eq!(plane.cluster().sketch().count(), 100);
         assert!(plane.rollup_reconciles());

@@ -58,7 +58,7 @@ impl SketchConfig {
     }
 
     /// The bucket growth factor γ.
-    pub fn gamma(&self) -> f64 {
+    pub(crate) fn gamma(&self) -> f64 {
         (1.0 + self.alpha) / (1.0 - self.alpha)
     }
 }
@@ -122,7 +122,7 @@ impl QuantileSketch {
     }
 
     /// The configured shape.
-    pub fn config(&self) -> SketchConfig {
+    pub(crate) fn config(&self) -> SketchConfig {
         SketchConfig {
             alpha: self.alpha,
             max_buckets: self.max_buckets,
@@ -134,7 +134,7 @@ impl QuantileSketch {
     /// same-shape sketches (conn → endpoint → cluster roll-up) pays the
     /// logarithm once.
     #[inline]
-    pub fn key_of(&self, v: u64) -> i32 {
+    pub(crate) fn key_of(&self, v: u64) -> i32 {
         debug_assert!(v >= 1);
         // ceil with a tolerance nudge so exact powers of γ stay stable
         // across the fp ladder.
@@ -158,7 +158,7 @@ impl QuantileSketch {
     /// Records a sample whose key the caller already computed via
     /// [`QuantileSketch::key_of`] on a same-shape sketch.
     #[inline]
-    pub fn record_keyed(&mut self, key: i32, v: u64) {
+    pub(crate) fn record_keyed(&mut self, key: i32, v: u64) {
         if v == 0 {
             self.zero += 1;
             self.observe_exact(v, 1);
@@ -304,7 +304,7 @@ impl QuantileSketch {
     }
 
     /// Exact sum of samples.
-    pub fn sum(&self) -> u128 {
+    pub(crate) fn sum(&self) -> u128 {
         self.sum
     }
 
@@ -323,7 +323,7 @@ impl QuantileSketch {
     }
 
     /// Exact mean (0 if empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -344,18 +344,18 @@ impl QuantileSketch {
     }
 
     /// Heap + inline footprint in bytes (capacity-accurate).
-    pub fn mem_bytes(&self) -> usize {
+    pub(crate) fn mem_bytes(&self) -> usize {
         std::mem::size_of::<QuantileSketch>() + self.buckets.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Worst-case footprint for this shape, for budget admission.
-    pub fn mem_bytes_cap(cfg: SketchConfig) -> usize {
+    pub(crate) fn mem_bytes_cap(cfg: SketchConfig) -> usize {
         std::mem::size_of::<QuantileSketch>() + cfg.max_buckets * std::mem::size_of::<u64>()
     }
 
     /// The γ-midpoint representative value of bucket `key`, the point
     /// minimizing worst-case relative error over `(γ^(k−1), γ^k]`.
-    pub fn value_of_key(&self, key: i32) -> u64 {
+    pub(crate) fn value_of_key(&self, key: i32) -> u64 {
         let edge = (key as f64 * self.gamma_ln).exp();
         let gamma = self.gamma_ln.exp();
         let rep = edge * 2.0 / (1.0 + gamma);
@@ -391,7 +391,7 @@ impl QuantileSketch {
     }
 
     /// 90th percentile.
-    pub fn p90(&self) -> u64 {
+    pub(crate) fn p90(&self) -> u64 {
         self.quantile(0.90)
     }
 
@@ -403,7 +403,7 @@ impl QuantileSketch {
     /// Non-empty buckets, ascending, as `(upper-edge value, count)` —
     /// the export shape for Prometheus-style cumulative histograms.
     /// The zero bucket (if any) leads with edge 0.
-    pub fn bucket_counts(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn bucket_counts(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         if self.zero > 0 {
             out.push((0, self.zero));

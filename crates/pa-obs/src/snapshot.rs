@@ -36,7 +36,7 @@ impl MetricsSnapshot {
     }
 
     /// The snapshot's timestamp.
-    pub fn at(&self) -> Nanos {
+    pub(crate) fn at(&self) -> Nanos {
         self.at
     }
 
@@ -79,13 +79,8 @@ impl MetricsSnapshot {
     }
 
     /// Number of registered counters.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.values().map(|inner| inner.len()).sum()
-    }
-
-    /// True if no counters are registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Iterates `(scope, name, value)` in deterministic order.
@@ -111,7 +106,7 @@ impl MetricsSnapshot {
     }
 
     /// Renders a right-aligned text table grouped by scope.
-    pub fn render_table(&self) -> String {
+    pub(crate) fn render_table(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!(
             "metrics @ {} ns ({} counters)\n",

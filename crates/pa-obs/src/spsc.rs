@@ -167,29 +167,14 @@ impl<T> Producer<T> {
     }
 
     /// Values currently in flight (pushed, not yet popped). Advisory.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         let inner = &*self.inner;
         inner.tail.load(Ordering::Relaxed) - inner.head.load(Ordering::Relaxed)
     }
 
-    /// True if no value is in flight. Advisory.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The ring's capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.inner.capacity
-    }
-
-    /// True once the consumer end has been dropped.
-    pub fn is_disconnected(&self) -> bool {
-        Arc::strong_count(&self.inner) == 1
-    }
-
-    /// Traffic counters (shared with the consumer end).
-    pub fn stats(&self) -> ChannelStats {
-        stats_of(&self.inner)
     }
 }
 
@@ -215,7 +200,7 @@ impl<T> Consumer<T> {
     }
 
     /// Values currently in flight. Advisory.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         let inner = &*self.inner;
         inner.tail.load(Ordering::Relaxed) - inner.head.load(Ordering::Relaxed)
     }
@@ -226,7 +211,7 @@ impl<T> Consumer<T> {
     }
 
     /// The ring's capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.inner.capacity
     }
 
@@ -263,7 +248,7 @@ mod tests {
             assert_eq!(rx.pop(), Some(i));
         }
         assert_eq!(rx.pop(), None);
-        let s = tx.stats();
+        let s = rx.stats();
         assert_eq!((s.pushed, s.popped, s.refused), (8, 8, 0));
     }
 
@@ -273,7 +258,7 @@ mod tests {
         tx.push(1).unwrap();
         tx.push(2).unwrap();
         assert_eq!(tx.push(3), Err(3), "value handed back, not lost");
-        assert_eq!(tx.stats().refused, 1);
+        assert_eq!(rx.stats().refused, 1);
         assert_eq!(rx.pop(), Some(1));
         tx.push(3).unwrap();
         assert_eq!(rx.pop(), Some(2));
@@ -307,14 +292,6 @@ mod tests {
         drop(tx);
         drop(rx); // two still queued, dropped by the ring
         assert_eq!(DROPS.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn disconnect_is_visible() {
-        let (tx, rx) = channel::<u8>(1);
-        assert!(!tx.is_disconnected());
-        drop(rx);
-        assert!(tx.is_disconnected());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 /// Calibration iterations. Large enough to average out scheduler
 /// noise, small enough to finish in well under a millisecond.
-pub const CALIBRATION_ROUNDS: u32 = 16 * 1024;
+pub(crate) const CALIBRATION_ROUNDS: u32 = 16 * 1024;
 
 /// Measures the cost of one empty `Instant::now()` → `elapsed()` span,
 /// averaged over [`CALIBRATION_ROUNDS`] back-to-back probes.

@@ -30,7 +30,7 @@ pub struct TimeSeries {
 
 impl TimeSeries {
     /// A series retaining the most recent `capacity` points (≥ 1).
-    pub fn new(name: &str, capacity: usize) -> TimeSeries {
+    pub(crate) fn new(name: &str, capacity: usize) -> TimeSeries {
         let capacity = capacity.max(1);
         TimeSeries {
             name: name.to_string(),
@@ -42,12 +42,12 @@ impl TimeSeries {
     }
 
     /// The series name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// Appends a point; overwrites the oldest when full.
-    pub fn push(&mut self, at: Nanos, value: f64) {
+    pub(crate) fn push(&mut self, at: Nanos, value: f64) {
         self.total += 1;
         if self.buf.len() < self.capacity {
             self.buf.push((at, value));
@@ -57,19 +57,9 @@ impl TimeSeries {
         }
     }
 
-    /// Points recorded over the series' lifetime.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Points currently retained.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// The retained points, oldest first.
@@ -92,12 +82,12 @@ impl TimeSeries {
     }
 
     /// Points pushed and since overwritten by the ring.
-    pub fn overwritten(&self) -> u64 {
+    pub(crate) fn overwritten(&self) -> u64 {
         self.total - self.buf.len() as u64
     }
 
     /// Heap + inline footprint in bytes (capacity-accurate).
-    pub fn mem_bytes(&self) -> usize {
+    pub(crate) fn mem_bytes(&self) -> usize {
         std::mem::size_of::<TimeSeries>()
             + self.name.capacity()
             + self.buf.capacity() * std::mem::size_of::<(Nanos, f64)>()
@@ -133,7 +123,7 @@ pub struct FlightRecorder {
 
 /// Default cap on distinct series per recorder (see
 /// [`FlightRecorder::with_limits`]).
-pub const DEFAULT_MAX_SERIES: usize = 64;
+pub(crate) const DEFAULT_MAX_SERIES: usize = 64;
 
 impl FlightRecorder {
     /// A recorder sampling every `interval` virtual nanoseconds,
@@ -172,16 +162,6 @@ impl FlightRecorder {
         self.domain = domain;
     }
 
-    /// The owning telemetry domain (0 = default single-threaded).
-    pub fn domain(&self) -> u32 {
-        self.domain
-    }
-
-    /// The sampling cadence.
-    pub fn interval(&self) -> Nanos {
-        self.interval
-    }
-
     /// True if a sample is due at `at` (one full interval has elapsed
     /// since the last sample, or none has been taken yet).
     pub fn due(&self, at: Nanos) -> bool {
@@ -195,7 +175,7 @@ impl FlightRecorder {
     /// sample was taken. `gauges` are instantaneous values (backlog
     /// depth, pool occupancy) recorded verbatim alongside the counter
     /// deltas.
-    pub fn maybe_sample(&mut self, snap: &MetricsSnapshot, gauges: &[(&str, f64)]) -> bool {
+    pub(crate) fn maybe_sample(&mut self, snap: &MetricsSnapshot, gauges: &[(&str, f64)]) -> bool {
         if !self.due(snap.at()) {
             return false;
         }
@@ -261,23 +241,18 @@ impl FlightRecorder {
         self.samples
     }
 
-    /// The series cap.
-    pub fn max_series(&self) -> usize {
-        self.max_series
-    }
-
     /// Points refused because the series cap was reached.
     pub fn dropped_points(&self) -> u64 {
         self.dropped_points
     }
 
     /// Points pushed and since overwritten by the per-series rings.
-    pub fn overwritten_points(&self) -> u64 {
+    pub(crate) fn overwritten_points(&self) -> u64 {
         self.series.values().map(|s| s.overwritten()).sum()
     }
 
     /// Heap + inline footprint in bytes (capacity-accurate).
-    pub fn mem_bytes(&self) -> usize {
+    pub(crate) fn mem_bytes(&self) -> usize {
         std::mem::size_of::<FlightRecorder>()
             + self
                 .series
@@ -327,11 +302,6 @@ impl FlightRecorder {
         self.series.get(name)
     }
 
-    /// All series, in deterministic (name) order.
-    pub fn series(&self) -> impl Iterator<Item = &TimeSeries> {
-        self.series.values()
-    }
-
     /// Prometheus text exposition: the latest value of every series as
     /// a gauge, with a millisecond timestamp.
     pub fn to_prometheus(&self) -> String {
@@ -364,7 +334,7 @@ impl FlightRecorder {
     /// Freezes a post-mortem dump: the reason, the last metrics
     /// snapshot, and the full series history. Only the *first* trigger
     /// is kept (the earliest failure is the interesting one).
-    pub fn trigger_postmortem(&mut self, at: Nanos, reason: &str, last: &MetricsSnapshot) {
+    pub(crate) fn trigger_postmortem(&mut self, at: Nanos, reason: &str, last: &MetricsSnapshot) {
         if self.postmortem.is_some() {
             return;
         }
@@ -421,7 +391,7 @@ mod tests {
         for i in 0..5u64 {
             s.push(i * 10, i as f64);
         }
-        assert_eq!(s.total(), 5);
+        assert_eq!(s.overwritten(), 2);
         assert_eq!(s.len(), 3);
         assert_eq!(
             s.points().iter().map(|&(at, _)| at).collect::<Vec<_>>(),
@@ -456,8 +426,8 @@ mod tests {
         let mut fr = FlightRecorder::new(1, 16);
         fr.sample(&snap(0, 10, 0, 0), &[]);
         fr.sample(&snap(100, 10, 0, 0), &[]); // nothing happened
-        assert_eq!(fr.get("fast_path_ratio").unwrap().total(), 1);
-        assert_eq!(fr.get("drops").unwrap().total(), 2);
+        assert_eq!(fr.get("fast_path_ratio").unwrap().len(), 1);
+        assert_eq!(fr.get("drops").unwrap().len(), 2);
     }
 
     #[test]
@@ -522,7 +492,6 @@ mod tests {
         // The derived series (fast_path_ratio, drops, frames) already
         // exceed a cap of 2 — the third is refused and counted.
         fr.sample(&snap(0, 5, 5, 1), &[("backlog_depth", 1.0)]);
-        assert_eq!(fr.series().count(), 2);
         assert!(fr.dropped_points() >= 2, "{}", fr.dropped_points());
         let mut reg = MetricsSnapshot::new(0);
         fr.record_into(&mut reg, "recorder");

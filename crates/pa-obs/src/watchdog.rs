@@ -186,12 +186,12 @@ impl Watchdog {
     }
 
     /// The configured cadence and thresholds.
-    pub fn config(&self) -> &WatchdogConfig {
+    pub(crate) fn config(&self) -> &WatchdogConfig {
         &self.cfg
     }
 
     /// True if a sample is due at virtual time `now`.
-    pub fn due(&self, now: Nanos) -> bool {
+    pub(crate) fn due(&self, now: Nanos) -> bool {
         match self.last_at {
             None => true,
             Some(t) => now.saturating_sub(t) >= self.cfg.cadence,
@@ -201,7 +201,7 @@ impl Watchdog {
     /// Feeds one sample; returns the alerts that fired on it. Streak
     /// alerts (stall, SLO burn) fire once per streak, on the sample
     /// that completes the window count.
-    pub fn observe(&mut self, input: WatchInput) -> Vec<WatchAlert> {
+    pub(crate) fn observe(&mut self, input: WatchInput) -> Vec<WatchAlert> {
         self.samples += 1;
         let mut fired = Vec::new();
 

@@ -82,7 +82,7 @@ impl DisableReason {
     }
 
     /// One-byte wire code (annotated pcap). `Other` folds to 250.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             DisableReason::FullWindow => 1,
             DisableReason::FragPending => 2,
@@ -97,7 +97,7 @@ impl DisableReason {
 
     /// Decodes a wire code (pcap readers). Unknown codes map to
     /// `Unattributed`.
-    pub fn from_code(code: u8) -> DisableReason {
+    pub(crate) fn from_code(code: u8) -> DisableReason {
         match code {
             1 => DisableReason::FullWindow,
             2 => DisableReason::FragPending,
@@ -140,7 +140,7 @@ pub enum XrayOp {
 
 impl XrayOp {
     /// Short stable label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             XrayOp::SlowSend => "slow-send",
             XrayOp::QueuedSend => "queued-send",
@@ -185,7 +185,7 @@ pub enum AttrCause {
 impl AttrCause {
     /// Short stable label (field misses render positionally; use the
     /// report for name resolution).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AttrCause::Disabled(_) => "disabled",
             AttrCause::FieldMiss(_) => "field-miss",
@@ -337,14 +337,8 @@ impl MissTable {
     }
 
     /// All rows, in first-seen order.
-    pub fn entries(&self) -> &[MissEntry] {
+    pub(crate) fn entries(&self) -> &[MissEntry] {
         &self.entries
-    }
-
-    /// Total field mismatches recorded (≥ the number of missed
-    /// deliveries: one miss can break several fields).
-    pub fn total(&self) -> u64 {
-        self.entries.iter().map(|e| e.count).sum()
     }
 
     /// True if no mismatch has been recorded.
@@ -395,7 +389,7 @@ pub enum Phase {
 
 impl Phase {
     /// All phases, in meter order.
-    pub const ALL: [Phase; 5] = [
+    pub(crate) const ALL: [Phase; 5] = [
         Phase::PreSend,
         Phase::PostSend,
         Phase::PreDeliver,
@@ -441,11 +435,6 @@ pub struct PhaseMeter {
 }
 
 impl PhaseMeter {
-    /// Records one invocation of `phase`, optionally with measured time.
-    pub fn record(&mut self, phase: Phase, cycle_ns: Option<u64>) {
-        self.record_flagged(phase, cycle_ns, false);
-    }
-
     /// Records one invocation, marking it leaked if it ran inside a
     /// critical-path leak scope. Returns the de-biased nanoseconds
     /// actually charged (0 when unmetered), so the caller can charge
@@ -478,13 +467,8 @@ impl PhaseMeter {
     }
 
     /// Total measured nanoseconds across phases.
-    pub fn total_cycle_ns(&self) -> u64 {
+    pub(crate) fn total_cycle_ns(&self) -> u64 {
         self.cycle_ns.iter().sum()
-    }
-
-    /// Total leaked invocations across phases.
-    pub fn total_leaked_calls(&self) -> u64 {
-        self.leaked_calls.iter().sum()
     }
 
     /// The meter's growth since `earlier` (a copy of `self` taken
@@ -508,7 +492,7 @@ impl PhaseMeter {
 
     /// Folds another meter (typically a [`delta_since`]
     /// (PhaseMeter::delta_since) shard) into this one, bucket-wise.
-    pub fn absorb(&mut self, other: &PhaseMeter) {
+    pub(crate) fn absorb(&mut self, other: &PhaseMeter) {
         for i in 0..5 {
             self.calls[i] += other.calls[i];
             self.cycle_ns[i] += other.cycle_ns[i];
@@ -525,22 +509,22 @@ impl PhaseMeter {
 /// Kind byte of an [`XrayTag`].
 pub mod xray_tag_kind {
     /// No attribution (fast-path frame, control frame, or xray off).
-    pub const NONE: u8 = 0;
+    pub(crate) const NONE: u8 = 0;
     /// `a` = [`super::DisableReason::code`], `b` unused.
-    pub const DISABLED: u8 = 1;
+    pub(crate) const DISABLED: u8 = 1;
     /// `a` = field class ordinal, `b` = field index (low byte).
-    pub const FIELD_MISS: u8 = 2;
+    pub(crate) const FIELD_MISS: u8 = 2;
     /// Packet-filter rejection.
-    pub const FILTER_REJECT: u8 = 3;
+    pub(crate) const FILTER_REJECT: u8 = 3;
     /// Prediction off (baseline run).
-    pub const PREDICT_OFF: u8 = 4;
+    pub(crate) const PREDICT_OFF: u8 = 4;
     /// Queued behind pending post-processing or backlog.
-    pub const QUEUED: u8 = 5;
+    pub(crate) const QUEUED: u8 = 5;
     /// Attribution present but cause un-namable.
-    pub const UNATTRIBUTED: u8 = 6;
+    pub(crate) const UNATTRIBUTED: u8 = 6;
     /// Hostile-wire rejection; `a` = [`super::RejectReason::index`],
     /// `b` unused.
-    pub const REJECTED: u8 = 7;
+    pub(crate) const REJECTED: u8 = 7;
 }
 
 /// A 4-byte attribution tag carried in annotated pcap pseudo-headers:
@@ -766,7 +750,7 @@ impl XrayReport {
     }
 
     /// Sorts findings and misses by count, descending (stable).
-    pub fn rank(&mut self) {
+    pub(crate) fn rank(&mut self) {
         self.findings.sort_by_key(|f| std::cmp::Reverse(f.count));
         self.misses.sort_by_key(|m| std::cmp::Reverse(m.count));
     }
@@ -950,7 +934,6 @@ mod tests {
         assert_eq!(m.entries()[0].count, 2);
         assert_eq!(m.entries()[0].last_predicted, 6);
         assert_eq!(m.entries()[0].last_actual, 10);
-        assert_eq!(m.total(), 2);
     }
 
     #[test]
@@ -1009,7 +992,6 @@ mod tests {
         };
         assert_eq!(sorted(&ab), [(0, 3), (1, 1)]);
         assert_eq!(sorted(&ba), sorted(&ab));
-        assert_eq!(ab.total(), a.total() + b.total());
         let last = |x: &MissTable| {
             let e = x.entries().iter().find(|e| e.field == seq).unwrap();
             (e.last_predicted, e.last_actual)
@@ -1021,8 +1003,8 @@ mod tests {
     #[test]
     fn phase_meter_records() {
         let mut p = PhaseMeter::default();
-        p.record(Phase::PreSend, None);
-        p.record(Phase::PostDeliver, Some(1_500));
+        p.record_flagged(Phase::PreSend, None, false);
+        p.record_flagged(Phase::PostDeliver, Some(1_500), false);
         assert_eq!(p.calls[Phase::PreSend as usize], 1);
         assert_eq!(p.calls[Phase::PostDeliver as usize], 1);
         assert_eq!(p.cycle_ns[Phase::PostDeliver as usize], 1_500);
@@ -1043,7 +1025,7 @@ mod tests {
         // Bias never drives a span negative.
         let charged = p.record_flagged(Phase::Tick, Some(40), true);
         assert_eq!(charged, 0);
-        assert_eq!(p.total_leaked_calls(), 2);
+        assert_eq!(p.leaked_calls.iter().sum::<u64>(), 2);
     }
 
     #[test]

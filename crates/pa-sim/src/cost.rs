@@ -35,7 +35,7 @@ pub enum Language {
 
 impl Language {
     /// Multiplier applied to stack-code costs.
-    pub fn factor(self) -> f64 {
+    pub(crate) fn factor(self) -> f64 {
         match self {
             Language::Ml => 1.0,
             Language::C => 1.0 / 3.0,
@@ -62,7 +62,7 @@ pub struct LayerCost {
 /// post-send 20+25+15+20 = 80 µs, post-deliver 10+15+15+10 = 50 µs,
 /// and the window layer is exactly the +15/+15 the doubling experiment
 /// measured.
-pub fn layer_cost(name: &str) -> LayerCost {
+pub(crate) fn layer_cost(name: &str) -> LayerCost {
     let us = |a: u64, b: u64, c: u64, d: u64| LayerCost {
         pre_send: a * 1_000,
         post_send: b * 1_000,
@@ -145,7 +145,7 @@ impl CostModel {
     }
 
     /// One packet-filter run.
-    pub fn filter_run(&self) -> Nanos {
+    pub(crate) fn filter_run(&self) -> Nanos {
         if self.compiled_filter {
             self.filter_compiled
         } else {
@@ -154,12 +154,12 @@ impl CostModel {
     }
 
     /// Fast-path send: PA code + filter. (The paper's ~25 µs.)
-    pub fn fast_send(&self) -> Nanos {
+    pub(crate) fn fast_send(&self) -> Nanos {
         self.fast_send_base + self.filter_run()
     }
 
     /// Fast-path delivery: PA code + filter + prediction compare.
-    pub fn fast_deliver(&self) -> Nanos {
+    pub(crate) fn fast_deliver(&self) -> Nanos {
         self.fast_deliver_base + self.filter_run()
     }
 
@@ -170,28 +170,28 @@ impl CostModel {
     }
 
     /// Post-send cost for one frame (the paper's 80 µs at 4 layers).
-    pub fn post_send_frame(&self) -> Nanos {
+    pub(crate) fn post_send_frame(&self) -> Nanos {
         self.stack_sum(|c| c.post_send)
     }
 
     /// Post-deliver cost for one frame (the paper's 50 µs at 4 layers).
-    pub fn post_deliver_frame(&self) -> Nanos {
+    pub(crate) fn post_deliver_frame(&self) -> Nanos {
         self.stack_sum(|c| c.post_deliver)
     }
 
     /// Pre-send traversal cost for one frame (slow path only).
-    pub fn pre_send_frame(&self) -> Nanos {
+    pub(crate) fn pre_send_frame(&self) -> Nanos {
         self.stack_sum(|c| c.pre_send)
     }
 
     /// Pre-deliver traversal cost for one frame (slow path only).
-    pub fn pre_deliver_frame(&self) -> Nanos {
+    pub(crate) fn pre_deliver_frame(&self) -> Nanos {
         self.stack_sum(|c| c.pre_deliver)
     }
 
     /// Framework overhead per message on the critical path (no-PA
     /// baselines only; zero when the PA is on — that is the masking).
-    pub fn framework(&self) -> Nanos {
+    pub(crate) fn framework(&self) -> Nanos {
         if self.baseline_framework {
             self.scale(self.framework_per_msg)
         } else {
@@ -202,18 +202,18 @@ impl CostModel {
     /// Cost of a slow-path send on the critical path (pre-send
     /// traversal; the PA engine and filter still run; baselines add the
     /// framework overhead).
-    pub fn slow_send(&self) -> Nanos {
+    pub(crate) fn slow_send(&self) -> Nanos {
         self.fast_send_base + self.filter_run() + self.pre_send_frame() + self.framework()
     }
 
     /// Cost of a slow-path delivery on the critical path.
-    pub fn slow_deliver(&self) -> Nanos {
+    pub(crate) fn slow_deliver(&self) -> Nanos {
         self.fast_deliver_base + self.filter_run() + self.pre_deliver_frame() + self.framework()
     }
 
     /// Cost of a layer-generated control send (ack, heartbeat): the PA
     /// tail of the send path plus the filter.
-    pub fn control_send(&self) -> Nanos {
+    pub(crate) fn control_send(&self) -> Nanos {
         self.fast_send_base + self.filter_run()
     }
 
@@ -239,7 +239,7 @@ impl CostModel {
     /// `virt_ns = calls × per-invocation phase cost`, reproducing the
     /// paper's critical-path breakdown (80 µs post-send / 50 µs
     /// post-deliver per 4-layer frame) from observed invocation counts.
-    pub fn price_report(&self, report: &mut XrayReport) {
+    pub(crate) fn price_report(&self, report: &mut XrayReport) {
         pa_obs::price_rows(&mut report.phases, |l, p| self.phase_cost(l, p));
     }
 }

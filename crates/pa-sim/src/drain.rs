@@ -147,12 +147,12 @@ impl PostDrainWorker {
 
     /// Connections currently in the pipeline (submitted, not yet
     /// received back).
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         (self.submitted - self.received) as usize
     }
 
     /// A drained connection, if one is ready. Non-blocking.
-    pub fn try_recv(&mut self) -> Option<DrainedConn> {
+    pub(crate) fn try_recv(&mut self) -> Option<DrainedConn> {
         let out = self.done.pop();
         if out.is_some() {
             self.received += 1;
@@ -209,7 +209,7 @@ pub struct Bracket {
 
 impl Bracket {
     /// Checkpoints `conn`.
-    pub fn open(&mut self, conn: &Connection) {
+    pub(crate) fn open(&mut self, conn: &Connection) {
         self.meters.clear();
         self.meters.extend_from_slice(conn.phase_meters());
         if self.names.len() != self.meters.len() {
@@ -219,7 +219,7 @@ impl Bracket {
     }
 
     /// Folds what `conn` did since [`Bracket::open`] into `domain`.
-    pub fn fold(&self, domain: &mut TelemetryDomain, conn: &Connection) {
+    pub(crate) fn fold(&self, domain: &mut TelemetryDomain, conn: &Connection) {
         for (i, m) in conn.phase_meters().iter().enumerate() {
             domain.absorb_meter(self.names[i], &m.delta_since(&self.meters[i]));
         }
@@ -291,7 +291,7 @@ fn drain_loop(
 /// ledger conserves exactly against the merged phase table. The worker
 /// does this at shutdown; call it on the application thread's domain
 /// before collecting.
-pub fn seal_ledger(domain: &mut TelemetryDomain, cost: &CostModel) {
+pub(crate) fn seal_ledger(domain: &mut TelemetryDomain, cost: &CostModel) {
     let rows = price_meters(domain.meters(), |l, p| cost.phase_cost(l, p));
     if !rows.is_empty() {
         let label = domain.label().to_string();

@@ -66,7 +66,7 @@ fn measure(offered: f64, gc: GcPolicy) -> Point {
 }
 
 /// The offered-load grid (rt/s).
-pub fn offered_grid() -> Vec<f64> {
+pub(crate) fn offered_grid() -> Vec<f64> {
     vec![
         250.0, 500.0, 1000.0, 1500.0, 1650.0, 1800.0, 2000.0, 3000.0, 4000.0, 5000.0, 6000.0,
     ]

@@ -88,7 +88,7 @@ pub fn run() -> Headline {
 
 impl Headline {
     /// Speedup of the PA system over system `i`.
-    pub fn speedup_over(&self, i: usize) -> f64 {
+    pub(crate) fn speedup_over(&self, i: usize) -> f64 {
         self.systems[i].measured_ns / self.systems[0].measured_ns
     }
 

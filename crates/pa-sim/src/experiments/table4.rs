@@ -44,7 +44,7 @@ pub fn run() -> Table4 {
 /// One 8-byte message, quiet system: app-send to app-delivery.
 /// Steady state — a warm-up message establishes the cookie first (the
 /// paper's 85 µs excludes the identified first frame).
-pub fn one_way_latency() -> f64 {
+pub(crate) fn one_way_latency() -> f64 {
     let mut sim = TwoNodeSim::new(&SimConfig::paper());
     sim.set_behavior(1, AppBehavior::Sink);
     sim.nodes[0].schedule = PostSchedule::WhenIdle; // pure sender
@@ -56,7 +56,7 @@ pub fn one_way_latency() -> f64 {
 
 /// One-way streaming of 8-byte messages; the PA's packing amortizes
 /// per-frame costs over backlog runs.
-pub fn message_throughput() -> f64 {
+pub(crate) fn message_throughput() -> f64 {
     let mut cfg = SimConfig::paper();
     cfg.gc = [GcPolicy::EveryN(16); 2];
     let mut sim = TwoNodeSim::new(&cfg);
@@ -73,7 +73,7 @@ pub fn message_throughput() -> f64 {
 }
 
 /// Closed-loop request-response rate with occasional collection.
-pub fn roundtrip_rate() -> f64 {
+pub(crate) fn roundtrip_rate() -> f64 {
     let mut cfg = SimConfig::paper();
     cfg.gc = [GcPolicy::EveryN(64); 2];
     let mut sim = TwoNodeSim::new(&cfg);
@@ -84,7 +84,7 @@ pub fn roundtrip_rate() -> f64 {
 }
 
 /// One-way streaming of 1 KB messages; the 15 MB/s line binds.
-pub fn bandwidth() -> f64 {
+pub(crate) fn bandwidth() -> f64 {
     let mut cfg = SimConfig::paper();
     cfg.gc = [GcPolicy::EveryN(16); 2];
     // Keep packed bodies under the 4 KB frag MTU (3 × 1 KB + headers).

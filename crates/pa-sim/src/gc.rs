@@ -34,29 +34,23 @@ pub struct GcModel {
     max_pause: Nanos,
     rng: SplitMix64,
     receptions: u32,
-    collections: u64,
-    total_pause: Nanos,
-    longest_pause: Nanos,
 }
 
 impl GcModel {
     /// The paper's collector: 150–450 µs pauses.
-    pub fn paper(policy: GcPolicy, seed: u64) -> GcModel {
+    pub(crate) fn paper(policy: GcPolicy, seed: u64) -> GcModel {
         GcModel {
             policy,
             min_pause: 150_000,
             max_pause: 450_000,
             rng: SplitMix64::new(seed),
             receptions: 0,
-            collections: 0,
-            total_pause: 0,
-            longest_pause: 0,
         }
     }
 
     /// Called after each reception; returns the pause to charge, if a
     /// collection triggers now.
-    pub fn on_reception(&mut self) -> Option<Nanos> {
+    pub(crate) fn on_reception(&mut self) -> Option<Nanos> {
         self.receptions += 1;
         let due = match self.policy {
             GcPolicy::EveryReception => true,
@@ -66,31 +60,7 @@ impl GcModel {
         if !due {
             return None;
         }
-        let pause = self.rng.gen_range_inclusive(self.min_pause, self.max_pause);
-        self.collections += 1;
-        self.total_pause += pause;
-        self.longest_pause = self.longest_pause.max(pause);
-        Some(pause)
-    }
-
-    /// Collections run so far.
-    pub fn collections(&self) -> u64 {
-        self.collections
-    }
-
-    /// Mean pause so far (0 if none).
-    pub fn mean_pause(&self) -> Nanos {
-        self.total_pause.checked_div(self.collections).unwrap_or(0)
-    }
-
-    /// Longest pause so far.
-    pub fn longest_pause(&self) -> Nanos {
-        self.longest_pause
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> GcPolicy {
-        self.policy
+        Some(self.rng.gen_range_inclusive(self.min_pause, self.max_pause))
     }
 }
 
@@ -105,16 +75,13 @@ mod tests {
             let p = gc.on_reception().expect("collects every time");
             assert!((150_000..=450_000).contains(&p));
         }
-        assert_eq!(gc.collections(), 100);
     }
 
     #[test]
     fn mean_pause_is_near_300us() {
         let mut gc = GcModel::paper(GcPolicy::EveryReception, 2);
-        for _ in 0..10_000 {
-            gc.on_reception();
-        }
-        let mean = gc.mean_pause();
+        let total: Nanos = (0..10_000).filter_map(|_| gc.on_reception()).sum();
+        let mean = total / 10_000;
         assert!((280_000..=320_000).contains(&mean), "mean {mean}");
     }
 
@@ -136,8 +103,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(gc.on_reception().is_none());
         }
-        assert_eq!(gc.collections(), 0);
-        assert_eq!(gc.mean_pause(), 0);
     }
 
     #[test]

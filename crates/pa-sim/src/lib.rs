@@ -55,16 +55,16 @@ pub mod sim;
 pub mod world;
 
 pub use churn::{ChurnConfig, ChurnSim};
-pub use cost::{CostModel, Language};
-pub use drain::{Bracket, DrainJob, DrainedConn, PostDrainWorker};
-pub use flash::{FlashConfig, FlashCrowd, FlashReport};
-pub use gc::{GcModel, GcPolicy};
+pub use cost::CostModel;
+pub use drain::PostDrainWorker;
+pub use flash::{FlashConfig, FlashCrowd};
+pub use gc::GcPolicy;
 pub use metrics::{Series, Summary};
 pub use multi::ClusterSim;
 pub use node::NodeSim;
-pub use node::{NodeEvent, PathHistos, PostSchedule};
+pub use node::PostSchedule;
 pub use pipeline::{per_packet_reference, BurstPipeline, PipelineConfig, PipelineReport};
-pub use sim::{AppBehavior, SimConfig, TimelineEvent, TwoNodeSim, World};
+pub use sim::{AppBehavior, SimConfig, TwoNodeSim, World};
 
 /// Virtual time in nanoseconds.
 pub type Nanos = u64;

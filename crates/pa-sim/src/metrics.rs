@@ -12,33 +12,18 @@ pub struct Series {
 
 impl Series {
     /// An empty series.
-    pub fn new() -> Series {
+    pub(crate) fn new() -> Series {
         Series::default()
     }
 
-    /// Adds one sample.
-    pub fn push(&mut self, v: f64) {
-        self.samples.push(v);
-    }
-
     /// Adds a nanosecond sample.
-    pub fn push_nanos(&mut self, v: Nanos) {
+    pub(crate) fn push_nanos(&mut self, v: Nanos) {
         self.samples.push(v as f64);
     }
 
     /// The raw samples, in recording order.
     pub fn values(&self) -> &[f64] {
         &self.samples
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
     }
 
     /// Summary statistics.
@@ -98,7 +83,7 @@ pub struct Summary {
 }
 
 /// Formats a float of nanoseconds as microseconds.
-pub fn us_f(ns: f64) -> String {
+pub(crate) fn us_f(ns: f64) -> String {
     format!("{:.1}", ns / 1000.0)
 }
 
@@ -109,16 +94,15 @@ mod tests {
     #[test]
     fn empty_summary_is_zero() {
         let s = Series::new();
-        assert!(s.is_empty());
+        assert!(s.values().is_empty());
         assert_eq!(s.summary().count, 0);
     }
 
     #[test]
     fn summary_statistics() {
-        let mut s = Series::new();
-        for v in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            s.push(v);
-        }
+        let s = Series {
+            samples: vec![1.0, 2.0, 3.0, 4.0, 5.0],
+        };
         let sum = s.summary();
         assert_eq!(sum.count, 5);
         assert_eq!(sum.mean, 3.0);
@@ -131,10 +115,10 @@ mod tests {
 
     #[test]
     fn nan_samples_do_not_panic_the_summary() {
-        let mut s = Series::new();
-        s.push(1.0);
-        s.push(f64::NAN); // e.g. a rate over a zero-length window
-        s.push(2.0);
+        let s = Series {
+            // A NaN: e.g. a rate over a zero-length window.
+            samples: vec![1.0, f64::NAN, 2.0],
+        };
         let sum = s.summary(); // must not panic
         assert_eq!(sum.count, 3);
         assert_eq!(sum.min, 1.0);
@@ -145,8 +129,7 @@ mod tests {
 
     #[test]
     fn single_sample_has_zero_stddev() {
-        let mut s = Series::new();
-        s.push(7.0);
+        let s = Series { samples: vec![7.0] };
         let sum = s.summary();
         assert_eq!(sum.stddev, 0.0);
         assert_eq!(sum.mean, 7.0);
@@ -154,10 +137,9 @@ mod tests {
 
     #[test]
     fn percentiles_on_skewed_data() {
-        let mut s = Series::new();
-        for i in 0..100 {
-            s.push(i as f64);
-        }
+        let s = Series {
+            samples: (0..100).map(f64::from).collect(),
+        };
         let sum = s.summary();
         assert_eq!(sum.p90, 89.0);
         assert_eq!(sum.p99, 98.0);

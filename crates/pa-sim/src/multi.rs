@@ -83,7 +83,7 @@ impl ClusterSim {
     /// `cpuN`, the §6 partitioning unit) and into one cluster sketch.
     /// Clients beyond the plane's slot budget degrade explicitly into
     /// the overflow series — counted, never silently dropped.
-    pub fn attach_scope(&mut self, cfg: ScopeConfig) {
+    pub(crate) fn attach_scope(&mut self, cfg: ScopeConfig) {
         let n_cpus = self.nodes[self.nodes.len() - 1].n_cpus();
         let series: Vec<_> = (0..self.clients().len())
             .map(|k| (format!("cpu{}", k % n_cpus), format!("client{k:04}")))
@@ -119,7 +119,7 @@ impl ClusterSim {
     }
 
     /// Total completed requests per second of virtual time.
-    pub fn rate(&self) -> f64 {
+    pub(crate) fn rate(&self) -> f64 {
         if self.now() == 0 {
             return 0.0;
         }
@@ -178,9 +178,9 @@ mod tests {
     fn every_request_answered_under_load() {
         let c = run_cluster(8, 2, 100);
         assert_eq!(c.round_trips, 800);
-        assert_eq!(c.rtt.len(), 800);
+        assert_eq!(c.rtt.values().len(), 800);
         assert_eq!(c.clients().len(), 8);
-        assert!(c.rtt_by_node[..8].iter().all(|s| s.len() == 100));
+        assert!(c.rtt_by_node[..8].iter().all(|s| s.values().len() == 100));
     }
 
     #[test]
@@ -245,7 +245,7 @@ mod tests {
         // its sketch count matches its exact per-client series.
         for k in 0..8 {
             let s = plane.conn(&format!("client{k:04}")).expect("dedicated");
-            assert_eq!(s.sketch().count() as usize, c.rtt_by_node[k].len());
+            assert_eq!(s.sketch().count() as usize, c.rtt_by_node[k].values().len());
         }
         // The plane's cluster max is the same sample the pooled exact
         // series saw (sketches keep exact min/max).

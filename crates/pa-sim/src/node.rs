@@ -101,7 +101,7 @@ impl PathHistos {
     }
 
     /// Folds another node's sketches into this one.
-    pub fn merge(&mut self, other: &PathHistos) {
+    pub(crate) fn merge(&mut self, other: &PathHistos) {
         self.fast_send.merge(&other.fast_send);
         self.slow_send.merge(&other.slow_send);
         self.fast_deliver.merge(&other.fast_deliver);
@@ -109,7 +109,7 @@ impl PathHistos {
     }
 
     /// `(label, summary)` for each non-empty sketch, in path order.
-    pub fn summaries(&self) -> Vec<(&'static str, SketchSummary)> {
+    pub(crate) fn summaries(&self) -> Vec<(&'static str, SketchSummary)> {
         [
             ("fast_send", &self.fast_send),
             ("slow_send", &self.slow_send),
@@ -176,7 +176,7 @@ pub struct NodeSim {
 impl NodeSim {
     /// Wraps a host's connections (all sharing one local address) and
     /// `n_cpus` processors with their models.
-    pub fn new(
+    pub(crate) fn new(
         conns: Vec<Connection>,
         n_cpus: usize,
         cost: CostModel,
@@ -199,27 +199,27 @@ impl NodeSim {
     }
 
     /// Processors on this host.
-    pub fn n_cpus(&self) -> usize {
+    pub(crate) fn n_cpus(&self) -> usize {
         self.cpus.len()
     }
 
     /// Time the CPU serving connection `i` becomes free.
-    pub fn cpu_free_at(&self, i: usize) -> Nanos {
+    pub(crate) fn cpu_free_at(&self, i: usize) -> Nanos {
         self.cpus[i % self.cpus.len()]
     }
 
     /// Connection `i`'s scheduled post-processing wake-up, if any.
-    pub fn wakeup_at(&self, i: usize) -> Option<Nanos> {
+    pub(crate) fn wakeup_at(&self, i: usize) -> Option<Nanos> {
         self.wakeups[i]
     }
 
     /// The earliest scheduled wake-up on this host.
-    pub fn next_wakeup(&self) -> Option<Nanos> {
+    pub(crate) fn next_wakeup(&self) -> Option<Nanos> {
         self.wakeups.iter().flatten().min().copied()
     }
 
     /// The connection whose peer is `peer`.
-    pub fn conn_to(&self, peer: EndpointAddr) -> Option<usize> {
+    pub(crate) fn conn_to(&self, peer: EndpointAddr) -> Option<usize> {
         self.conns.iter().position(|c| c.peer_addr() == peer)
     }
 
@@ -228,7 +228,7 @@ impl NodeSim {
     /// priced by this host's cost model (so the table shows the paper's
     /// per-layer critical-path breakdown in virtual nanoseconds), plus
     /// a virtual-CPU note.
-    pub fn xray_report(&self, i: usize) -> XrayReport {
+    pub(crate) fn xray_report(&self, i: usize) -> XrayReport {
         let mut r = self.conns[i].xray_report();
         self.cost.price_report(&mut r);
         r.at = self.cpu_free_at(i);
@@ -240,7 +240,7 @@ impl NodeSim {
     }
 
     /// What this host's connections did off the fast path.
-    pub fn fleet(&self) -> Fleet {
+    pub(crate) fn fleet(&self) -> Fleet {
         let mut fleet = Fleet::default();
         for conn in &self.conns {
             conn.fold_into(&mut fleet);
@@ -254,7 +254,7 @@ impl NodeSim {
     /// [`MaskingLedger::conserves`] against the priced phase table is
     /// exact — plus the engine rows: the fast-path cost of every send
     /// and delivery on-path, receive re-fuses as leaked calls.
-    pub fn masking_ledger(&self, scope: &str) -> MaskingLedger {
+    pub(crate) fn masking_ledger(&self, scope: &str) -> MaskingLedger {
         let fleet = self.fleet();
         let rows = fleet.phase_rows(|l, p| self.cost.phase_cost(l, p));
         let engine = (self.cost.fast_send(), self.cost.fast_deliver());
@@ -263,7 +263,7 @@ impl NodeSim {
     }
 
     /// Messages waiting in this host's send backlogs.
-    pub fn backlog(&self) -> usize {
+    pub(crate) fn backlog(&self) -> usize {
         self.conns.iter().map(Connection::backlog_len).sum()
     }
 
@@ -351,7 +351,7 @@ impl NodeSim {
     /// The application has reacted to what connection `i` last handed
     /// up (the driver calls this after every [`Self::on_frame`] and
     /// [`Self::run_wakeup`]).
-    pub fn after_reply(&mut self, i: usize) {
+    pub(crate) fn after_reply(&mut self, i: usize) {
         if self.schedule == PostSchedule::AfterReply {
             self.arm_wakeup(i, true);
         }
@@ -359,7 +359,7 @@ impl NodeSim {
 
     /// Application send on connection `i` at time `t`. Returns
     /// completion time.
-    pub fn app_send(
+    pub(crate) fn app_send(
         &mut self,
         i: usize,
         t: Nanos,
@@ -376,7 +376,7 @@ impl NodeSim {
     /// A frame for connection `i` arrived at time `t`. Returns
     /// completion time and the payloads delivered to the application;
     /// a reception owes one GC trigger (§5).
-    pub fn on_frame(
+    pub(crate) fn on_frame(
         &mut self,
         i: usize,
         t: Nanos,
@@ -402,7 +402,12 @@ impl NodeSim {
     /// the backlog drain released (a drain re-runs queued receive
     /// frames, so deliveries can surface here, not just in
     /// [`Self::on_frame`]).
-    pub fn run_wakeup(&mut self, i: usize, t: Nanos, net: &mut dyn Netif) -> (Nanos, Vec<Msg>) {
+    pub(crate) fn run_wakeup(
+        &mut self,
+        i: usize,
+        t: Nanos,
+        net: &mut dyn Netif,
+    ) -> (Nanos, Vec<Msg>) {
         self.wakeups[i] = None;
         let (mut done, _report) = self.run_op(i, t, |c| c.process_pending());
         let delivered = self.take_deliveries(i);
@@ -429,7 +434,7 @@ impl NodeSim {
     }
 
     /// Timer tick (retransmissions) on every connection.
-    pub fn tick(&mut self, t: Nanos, net: &mut dyn Netif) {
+    pub(crate) fn tick(&mut self, t: Nanos, net: &mut dyn Netif) {
         for i in 0..self.conns.len() {
             self.run_op(i, t, |c| c.tick(t));
             self.flush_frames(i, net);
@@ -438,7 +443,7 @@ impl NodeSim {
     }
 
     /// Our address.
-    pub fn addr(&self) -> EndpointAddr {
+    pub(crate) fn addr(&self) -> EndpointAddr {
         self.conns[0].local_addr()
     }
 }
@@ -521,14 +526,21 @@ mod tests {
         assert_eq!(b.wakeup_at(0), None, "a send alone arms nothing");
         b.after_reply(0);
         assert_eq!(b.wakeup_at(0), Some(replied), "behind the reply");
+        // Its wake-up charges exactly one GC pause: b's collector stands
+        // where a twin with b's seed stands after one reception.
+        let mut twin = GcModel::paper(GcPolicy::EveryReception, 2);
         let (idle, _) = b.run_wakeup(0, replied, &mut net);
-        assert_eq!(b.gc.collections(), 1);
+        let pause = twin.on_reception().unwrap();
+        assert_eq!(format!("{:?}", b.gc), format!("{twin:?}"));
+        assert!(idle - replied >= pause, "{}", idle - replied);
         // A frame the connection refuses still owes its GC and wake-up.
         b.on_frame(0, idle, Msg::from_wire(vec![0u8; 4]), &mut net);
         b.after_reply(0);
         assert_eq!(b.wakeup_at(0), Some(idle));
-        b.run_wakeup(0, idle, &mut net);
-        assert_eq!(b.gc.collections(), 2);
+        let (done, _) = b.run_wakeup(0, idle, &mut net);
+        let pause = twin.on_reception().unwrap();
+        assert_eq!(format!("{:?}", b.gc), format!("{twin:?}"));
+        assert!(done - idle >= pause, "{}", done - idle);
         // Under AfterDelivery, with nothing else pending, it owes neither.
         let mut c = node(3, 4, PostSchedule::AfterDelivery);
         c.on_frame(0, idle, Msg::from_wire(vec![0u8; 4]), &mut net);
@@ -549,7 +561,15 @@ mod tests {
         // b hasn't sent.) Control-msg acks may add a little.
         let cost = after - done;
         assert!((200_000..=600_000).contains(&cost), "wakeup cost {cost}");
-        assert_eq!(b.gc.collections(), 1);
+        // Exactly one collection: b's collector matches a twin with b's
+        // seed stepped once, and the cost is that pause plus the posts.
+        let mut twin = GcModel::paper(GcPolicy::EveryReception, 2);
+        let pause = twin.on_reception().unwrap();
+        assert_eq!(format!("{:?}", b.gc), format!("{twin:?}"));
+        assert!(
+            (50_000..150_000).contains(&(cost - pause)),
+            "{cost} - {pause}"
+        );
     }
 
     #[test]

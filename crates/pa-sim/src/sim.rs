@@ -480,7 +480,7 @@ mod tests {
         sim.schedule_stream(0, 0, 100_000, 50, 8);
         sim.run_until(100_000_000);
         assert_eq!(sim.delivered[1], 50);
-        assert_eq!(sim.one_way.len(), 50);
+        assert_eq!(sim.one_way.values().len(), 50);
     }
 
     #[test]

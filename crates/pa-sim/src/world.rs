@@ -110,7 +110,7 @@ impl SimConfig {
 
     /// One host under this config: `local`'s address, a connection per
     /// `(peer, seed)`, `n_cpus` processors.
-    pub fn host(
+    pub(crate) fn host(
         &self,
         local: EndpointAddr,
         peers: &[(EndpointAddr, u64)],
@@ -209,7 +209,7 @@ pub struct World {
 
 impl World {
     /// A world of `nodes` (all sinks until told otherwise) over `net`.
-    pub fn new(nodes: Vec<NodeSim>, net: SimNet, tick_every: Option<Nanos>) -> World {
+    pub(crate) fn new(nodes: Vec<NodeSim>, net: SimNet, tick_every: Option<Nanos>) -> World {
         let n = nodes.len();
         World {
             host_of: nodes
@@ -247,7 +247,7 @@ impl World {
     /// per node, in node order (nodes past the end of `series` record
     /// nothing). The plane is telemetry *beside* the stack — attaching
     /// it never changes wire bytes or connection behaviour.
-    pub fn attach_scope_series(&mut self, cfg: ScopeConfig, series: &[(String, String)]) {
+    pub(crate) fn attach_scope_series(&mut self, cfg: ScopeConfig, series: &[(String, String)]) {
         let mut plane = ScopePlane::new(cfg);
         self.scope_keys = series
             .iter()
@@ -270,7 +270,7 @@ impl World {
     }
 
     /// The attached flight recorder, if any.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
+    pub(crate) fn flight_recorder(&self) -> Option<&FlightRecorder> {
         self.watch.recorder.as_ref()
     }
 
@@ -287,7 +287,7 @@ impl World {
 
     /// What every connection of every host did off the fast path, hosts
     /// in node order.
-    pub fn fleet(&self) -> Fleet {
+    pub(crate) fn fleet(&self) -> Fleet {
         let mut fleet = Fleet::default();
         for conn in self.nodes.iter().flat_map(|n| &n.conns) {
             conn.fold_into(&mut fleet);
@@ -318,7 +318,7 @@ impl World {
     }
 
     /// True while every connection's delivery ledger balances.
-    pub fn ledgers_ok(&self) -> bool {
+    pub(crate) fn ledgers_ok(&self) -> bool {
         let mut conns = self.nodes.iter().flat_map(|n| &n.conns);
         conns.all(|c| c.stats().delivery_balanced())
     }
@@ -327,7 +327,7 @@ impl World {
     /// host's connection counters summed under scope `node<i>`,
     /// sim-level delivery totals under `sim`, the watch's rows, and the
     /// recorder's own bookkeeping under `recorder`.
-    pub fn metrics_snapshot(&self, at: Nanos) -> MetricsSnapshot {
+    pub(crate) fn metrics_snapshot(&self, at: Nanos) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new(at);
         for (i, node) in self.nodes.iter().enumerate() {
             let scope = format!("node{i}");
@@ -421,12 +421,12 @@ impl World {
     /// Puts node 0 in blocking-RPC mode: one request outstanding at a
     /// time; further offered requests wait in a client-side queue, and
     /// the measured RTT includes that queueing delay.
-    pub fn set_rpc_mode(&mut self, on: bool) {
+    pub(crate) fn set_rpc_mode(&mut self, on: bool) {
         self.rpc_mode = on;
     }
 
     /// Disables per-event logging on every node (long sweeps).
-    pub fn set_logging(&mut self, on: bool) {
+    pub(crate) fn set_logging(&mut self, on: bool) {
         for n in &mut self.nodes {
             n.record_log = on;
             if !on {
@@ -442,7 +442,7 @@ impl World {
 
     /// Arms a closed-loop client on `node`: `n` request-reply cycles of
     /// `size`-byte messages, starting at `start`.
-    pub fn arm_client(&mut self, node: usize, n: u64, size: usize, start: Nanos) {
+    pub(crate) fn arm_client(&mut self, node: usize, n: u64, size: usize, start: Nanos) {
         self.behaviors[node] = AppBehavior::CloseLoop;
         self.closeloop_remaining[node] = n.saturating_sub(1);
         self.closeloop_size = size;
@@ -617,7 +617,7 @@ impl World {
     /// last event, so rates computed against [`World::now`] reflect
     /// actual activity, not the horizon) or the next event lies past
     /// the horizon.
-    pub fn step(&mut self, horizon: Nanos) -> Option<Nanos> {
+    pub(crate) fn step(&mut self, horizon: Nanos) -> Option<Nanos> {
         let t_next = (self.net.next_arrival_at().into_iter())
             .chain(self.app_events.peek().map(|std::cmp::Reverse(e)| e.at))
             .chain(self.nodes.iter().filter_map(NodeSim::next_wakeup))
@@ -689,7 +689,7 @@ impl World {
 
     /// Runs until `horizon` or until nothing remains to do, stepping
     /// the watch (a no-op with nothing attached) after every event.
-    pub fn run_until(&mut self, horizon: Nanos) {
+    pub(crate) fn run_until(&mut self, horizon: Nanos) {
         while let Some(now) = self.step(horizon) {
             self.watch_step(now);
         }

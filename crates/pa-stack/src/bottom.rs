@@ -13,7 +13,7 @@ use pa_core::{Declare, DeliverAction, Handles, Layer, LayerCtx, LayerShape, Send
 use pa_wire::{Class, CompiledLayout, Field, LayoutError};
 
 /// Protocol version this implementation speaks.
-pub const PROTOCOL_VERSION: u16 = 1;
+pub(crate) const PROTOCOL_VERSION: u16 = 1;
 
 /// The bottom layer of the stack.
 #[derive(Debug)]
@@ -32,7 +32,7 @@ impl BottomLayer {
     /// Creates the bottom layer. `epoch` is our incarnation number;
     /// `peer_epoch` the peer incarnation we expect (both sides of a
     /// session agree on these out of band, e.g. 0 for fresh pairs).
-    pub fn new(epoch: u64, peer_epoch: u64) -> BottomLayer {
+    pub(crate) fn new(epoch: u64, peer_epoch: u64) -> BottomLayer {
         BottomLayer {
             epoch,
             peer_epoch,

@@ -25,9 +25,9 @@ use pa_filter::{DigestKind, Op};
 use pa_wire::{Class, Field, LayoutError};
 
 /// Filter failure code for a length mismatch.
-pub const ERR_LENGTH: i64 = 0x10;
+pub(crate) const ERR_LENGTH: i64 = 0x10;
 /// Filter failure code for a checksum mismatch.
-pub const ERR_CHECKSUM: i64 = 0x11;
+pub(crate) const ERR_CHECKSUM: i64 = 0x11;
 
 /// The digests a checksum layer declares for, indexed by its shape's
 /// word.
@@ -43,8 +43,6 @@ pub struct ChecksumLayer {
     kind: DigestKind,
     f_len: Option<Field>,
     f_ck: Option<Field>,
-    /// Digest mismatches seen by the slow path.
-    corrupt_seen: u64,
 }
 
 impl ChecksumLayer {
@@ -54,14 +52,7 @@ impl ChecksumLayer {
             kind,
             f_len: None,
             f_ck: None,
-            corrupt_seen: 0,
         }
-    }
-
-    /// Number of messages the slow path has dropped for a digest
-    /// mismatch (a length-only mismatch is dropped but not counted).
-    pub fn corrupt_seen(&self) -> u64 {
-        self.corrupt_seen
     }
 
     fn declare(d: &mut Declare<'_>, words: &[i64]) -> Result<(), LayoutError> {
@@ -148,12 +139,6 @@ impl Layer for ChecksumLayer {
         let actual_ck =
             self.kind
                 .compute_multi(&[frame.proto_hdr(), frame.gossip_hdr(), frame.body()]);
-        if claimed_ck != actual_ck {
-            // Counted where the verdict is made: every corrupt frame
-            // comes through here (the delivery filter diverts it to the
-            // slow path), so post-deliver need not digest the body again.
-            self.corrupt_seen += 1;
-        }
         if claimed_len != actual_len || claimed_ck != actual_ck {
             DeliverAction::Drop("checksum/length mismatch")
         } else {
@@ -285,7 +270,7 @@ mod tests {
     fn the_filters_pass_stands_in_for_the_layers_own_check() {
         // The contract of `LayerCtx::filter_passed`, driven directly:
         // told the filter passed the frame, the layer does not look at
-        // it; told nothing, it verifies and counts.
+        // it; told nothing, it verifies.
         use pa_core::layer::Effects;
         use pa_core::predict::Prediction;
         use pa_wire::ByteOrder;
@@ -318,7 +303,6 @@ mod tests {
             };
             let action = layer.pre_deliver(&mut ctx, &mut frame);
             assert_eq!(matches!(action, DeliverAction::Drop(_)), dropped);
-            assert_eq!(layer.corrupt_seen(), dropped as u64);
         }
     }
 
@@ -326,22 +310,19 @@ mod tests {
     fn corrupt_fragment_is_dropped_by_the_layer_and_retransmitted() {
         // Fragments miss prediction but pass the filter, and are not
         // digested twice; a damaged one fails the filter and still
-        // meets the layer's own check, which drops and counts it.
+        // meets the layer's own check, which drops it.
         use crate::frag::FragLayer;
         use crate::window::{WindowConfig, WindowLayer};
         let window = WindowConfig {
             ack_every: 1,
             ..WindowConfig::default()
         };
-        let (shared, layer) = Shared::new(ChecksumLayer::default());
-        let mut stacks: Vec<Vec<Box<dyn Layer>>> = vec![
-            vec![Box::new(ChecksumLayer::default())],
-            vec![Box::new(shared)],
-        ];
-        let mut mk = |l: u64, p: u64, s: u64| {
-            let mut layers = stacks.remove(0);
-            layers.push(Box::new(WindowLayer::new(window)));
-            layers.push(Box::new(FragLayer::new(32)));
+        let mk = |l: u64, p: u64, s: u64| {
+            let layers: Vec<Box<dyn Layer>> = vec![
+                Box::new(ChecksumLayer::default()),
+                Box::new(WindowLayer::new(window)),
+                Box::new(FragLayer::new(32)),
+            ];
             conn(layers, PaConfig::paper_default(), l, p, s)
         };
         let (mut a, mut b) = (mk(1, 2, 11), mk(2, 1, 22));
@@ -353,7 +334,7 @@ mod tests {
             frames.push(f);
         }
         assert_eq!(frames.len(), 4, "101 body bytes in 32-byte fragments");
-        flip_body_byte(&b, &layer.lock().unwrap(), &mut frames[1]);
+        flip_body_byte(&b, &ChecksumLayer::default(), &mut frames[1]);
         for f in frames {
             b.deliver_frame(f);
             b.process_pending();
@@ -364,7 +345,6 @@ mod tests {
         a.process_pending();
         assert_eq!(b.stats().recv_filter_misses, 1);
         assert_eq!(b.stats().drops_by_layer, 1);
-        assert_eq!(layer.lock().unwrap().corrupt_seen(), 1);
         assert!(b.poll_delivery().is_none(), "a fragment is missing");
         // The window below frag recovers the dropped fragment.
         a.tick(50_000_000);
@@ -379,14 +359,15 @@ mod tests {
             a.process_pending();
         }
         assert_eq!(b.poll_delivery().unwrap().as_slice(), &payload[..]);
-        assert_eq!(layer.lock().unwrap().corrupt_seen(), 1);
+        assert_eq!(b.stats().drops_by_layer, 1);
     }
 
     /// Sends eight frames from a plain sender to a receiver whose
     /// checksum layer stays readable, passing the fourth through
     /// `damage` (which gets the receiver's layout, its layer and the
-    /// frame), and returns `(corrupt_seen, msgs_delivered)`.
-    fn corrupt_seen_after(
+    /// frame), and returns the receiver's `(drops_by_layer,
+    /// msgs_delivered)`.
+    fn drops_after(
         config: PaConfig,
         damage: impl Fn(&Connection, &ChecksumLayer, &mut Msg),
     ) -> (u64, u64) {
@@ -404,8 +385,7 @@ mod tests {
             b.process_pending();
             while b.poll_delivery().is_some() {}
         }
-        let seen = layer.lock().unwrap().corrupt_seen();
-        (seen, b.stats().msgs_delivered)
+        (b.stats().drops_by_layer, b.stats().msgs_delivered)
     }
 
     fn flip_body_byte(_: &Connection, _: &ChecksumLayer, f: &mut Msg) {
@@ -431,32 +411,32 @@ mod tests {
     }
 
     #[test]
-    fn one_corrupt_frame_is_counted_exactly_once() {
+    fn one_corrupt_frame_is_dropped_exactly_once() {
         // As a fast-path candidate: the delivery filter diverts it.
         let fast = PaConfig::paper_default();
-        assert_eq!(corrupt_seen_after(fast, flip_body_byte), (1, 7));
+        assert_eq!(drops_after(fast, flip_body_byte), (1, 7));
         // With prediction disabled: every frame takes the layered path.
         let slow = PaConfig {
             predict: false,
             ..PaConfig::paper_default()
         };
-        assert_eq!(corrupt_seen_after(slow, flip_body_byte), (1, 7));
+        assert_eq!(drops_after(slow, flip_body_byte), (1, 7));
     }
 
     #[test]
-    fn length_only_mismatch_is_dropped_but_not_counted_corrupt() {
+    fn length_only_mismatch_is_dropped() {
         let cfg = PaConfig::paper_default();
-        assert_eq!(corrupt_seen_after(cfg, flip_length_field), (0, 7));
+        assert_eq!(drops_after(cfg, flip_length_field), (1, 7));
     }
 
     #[test]
-    fn clean_stream_counts_no_corruption() {
+    fn clean_stream_drops_nothing() {
         for predict in [true, false] {
             let cfg = PaConfig {
                 predict,
                 ..PaConfig::paper_default()
             };
-            assert_eq!(corrupt_seen_after(cfg, |_, _, _| {}), (0, 8));
+            assert_eq!(drops_after(cfg, |_, _, _| {}), (0, 8));
         }
     }
 

@@ -28,14 +28,14 @@ use pa_wire::{Class, Field, LayoutError};
 
 /// Filter failure code: message exceeds the fragmentation threshold
 /// (forces the slow path, where this layer splits it).
-pub const ERR_TOO_BIG: i64 = 0x20;
+pub(crate) const ERR_TOO_BIG: i64 = 0x20;
 
 /// Most fragments one message may arrive in (or be cut into). A peer
 /// that keeps sending fragments and never a last one would otherwise
 /// grow the reassembly buffer without limit and keep the delivery fast
 /// path shut for good; at the paper stack's 4 KiB MTU this is 4 MiB a
 /// message.
-pub const MAX_FRAGMENTS: usize = 1024;
+pub(crate) const MAX_FRAGMENTS: usize = 1024;
 
 /// The fragmentation/reassembly layer.
 #[derive(Debug)]
@@ -59,14 +59,11 @@ pub struct FragLayer {
     /// asked room for, so a stream of large messages keeps landing in
     /// buffers that already grew to their size.
     last_len: usize,
-    fragments_sent: u64,
-    messages_reassembled: u64,
-    reassembly_overflows: u64,
 }
 
 impl FragLayer {
     /// Creates a fragmentation layer with the given body MTU.
-    pub fn new(mtu: usize) -> FragLayer {
+    pub(crate) fn new(mtu: usize) -> FragLayer {
         assert!(mtu >= 8, "mtu must fit at least a packing header + data");
         FragLayer {
             mtu,
@@ -76,26 +73,7 @@ impl FragLayer {
             fragments: 0,
             discarding: false,
             last_len: 0,
-            fragments_sent: 0,
-            messages_reassembled: 0,
-            reassembly_overflows: 0,
         }
-    }
-
-    /// Fragments produced on the send side so far.
-    pub fn fragments_sent(&self) -> u64 {
-        self.fragments_sent
-    }
-
-    /// Large messages reassembled on the receive side so far.
-    pub fn messages_reassembled(&self) -> u64 {
-        self.messages_reassembled
-    }
-
-    /// Messages discarded mid-reassembly because they arrived in more
-    /// than [`MAX_FRAGMENTS`] fragments.
-    pub fn reassembly_overflows(&self) -> u64 {
-        self.reassembly_overflows
     }
 
     /// Two protocol bits; the send filter rejects bodies over the MTU
@@ -163,7 +141,6 @@ impl Layer for FragLayer {
             }
             parts.push(part);
         }
-        self.fragments_sent += parts.len() as u64;
         SendAction::Split(parts)
     }
 
@@ -216,12 +193,10 @@ impl Layer for FragLayer {
             // ordinary-looking frame — and hand it upward.
             self.last_len = whole.len();
             whole.push_front_zeroed(hdr);
-            self.messages_reassembled += 1;
             ctx.emit_up(whole);
         } else {
             // The cap, and still no last fragment: give the message up
             // and the fast path back.
-            self.reassembly_overflows += 1;
             self.discarding = true;
             ctx.put_buf(whole);
         }
@@ -235,7 +210,6 @@ impl Layer for FragLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::Shared;
     use crate::window::{WindowConfig, WindowLayer};
     use pa_core::{Connection, ConnectionParams, DeliverOutcome, PaConfig, SendOutcome};
     use pa_wire::EndpointAddr;
@@ -426,15 +400,20 @@ mod tests {
             ..PaConfig::paper_default()
         };
         let mut a = conn(Box::new(never_last), layered, 1, 2, 31);
-        let (shared, frag) = Shared::new(FragLayer::new(32));
-        let mut b = conn(Box::new(shared), PaConfig::paper_default(), 2, 1, 32);
+        let mut b = conn(
+            Box::new(FragLayer::new(32)),
+            PaConfig::paper_default(),
+            2,
+            1,
+            32,
+        );
 
         for i in 0..MAX_FRAGMENTS {
-            assert_eq!(frag.lock().unwrap().reassembly_overflows(), 0, "at {i}");
             a.send(&[i as u8; 8]);
             assert!(converge(&mut a, &mut b).is_empty());
+            let partial = (i + 1 < MAX_FRAGMENTS) as usize;
+            assert_eq!(b.bufs_held_by_layers(), partial, "at {i}");
         }
-        assert_eq!(frag.lock().unwrap().reassembly_overflows(), 1);
         assert_eq!(b.bufs_held_by_layers(), 0, "the partial message went back");
         assert!(b.recv_prediction().enabled(), "and the hold with it");
         // The run goes on; what follows the cap is dropped, not piled up.
@@ -444,7 +423,6 @@ mod tests {
         }
         assert_eq!(b.bufs_held_by_layers(), 0);
         assert!(b.recv_prediction().enabled());
-        assert_eq!(frag.lock().unwrap().reassembly_overflows(), 1);
 
         // An ordinary message ends it, and takes the fast path.
         on.store(false, Ordering::Relaxed);
@@ -455,7 +433,6 @@ mod tests {
         assert_eq!(converge(&mut a, &mut b), vec![b"small".to_vec()]);
         assert!(b.stats().delivery_balanced());
         assert!(a.stats().delivery_balanced());
-        assert_eq!(frag.lock().unwrap().messages_reassembled(), 0);
     }
 
     #[test]
@@ -490,14 +467,6 @@ mod tests {
         a.tick(50_000_000);
         let got = converge(&mut a, &mut b);
         assert_eq!(got, vec![payload]);
-    }
-
-    #[test]
-    fn fragment_counters() {
-        let mut frag = FragLayer::new(32);
-        assert_eq!(frag.fragments_sent(), 0);
-        assert_eq!(frag.messages_reassembled(), 0);
-        let _ = &mut frag;
     }
 
     #[test]

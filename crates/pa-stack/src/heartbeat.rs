@@ -1,13 +1,12 @@
-//! Liveness heartbeats and peer-failure suspicion.
+//! Liveness heartbeats.
 //!
 //! Horus is a group-communication system; failure detection is the
 //! substrate membership is built on. This layer is the point-to-point
 //! kernel of that: it emits a heartbeat when the connection has been
-//! silent for an interval, refreshes a "last heard" timestamp on *any*
-//! arrival, and reports the peer as suspected after a configurable
-//! silence. Heartbeats use a protocol-specific flag (non-zero → the
-//! receiving PA will not predict them, so they reach this layer's
-//! pre-deliver and are consumed without disturbing the stream).
+//! silent for an interval. Heartbeats use a protocol-specific flag
+//! (non-zero → the receiving PA will not predict them, so they reach
+//! this layer's pre-deliver and are consumed without disturbing the
+//! stream).
 
 use pa_buf::Msg;
 use pa_core::{
@@ -20,15 +19,12 @@ use pa_wire::{Class, Field, LayoutError};
 pub struct HeartbeatConfig {
     /// Send a heartbeat after this much outbound silence.
     pub interval: Nanos,
-    /// Suspect the peer after this much inbound silence.
-    pub suspect_after: Nanos,
 }
 
 impl Default for HeartbeatConfig {
     fn default() -> Self {
         HeartbeatConfig {
-            interval: 100_000_000,      // 100 ms
-            suspect_after: 500_000_000, // 500 ms
+            interval: 100_000_000, // 100 ms
         }
     }
 }
@@ -39,10 +35,6 @@ pub struct HeartbeatLayer {
     cfg: HeartbeatConfig,
     f_hb: Option<Field>,
     last_sent: Nanos,
-    last_heard: Nanos,
-    heard_anything: bool,
-    heartbeats_sent: u64,
-    heartbeats_seen: u64,
     /// True while this layer holds the send fast path shut because a
     /// heartbeat just went out (cleared by the next post-send).
     fast_held: bool,
@@ -50,37 +42,13 @@ pub struct HeartbeatLayer {
 
 impl HeartbeatLayer {
     /// Creates a heartbeat layer.
-    pub fn new(cfg: HeartbeatConfig) -> HeartbeatLayer {
+    pub(crate) fn new(cfg: HeartbeatConfig) -> HeartbeatLayer {
         HeartbeatLayer {
             cfg,
             f_hb: None,
             last_sent: 0,
-            last_heard: 0,
-            heard_anything: false,
-            heartbeats_sent: 0,
-            heartbeats_seen: 0,
             fast_held: false,
         }
-    }
-
-    /// True if the peer has been silent past the suspicion threshold.
-    pub fn peer_suspected(&self, now: Nanos) -> bool {
-        self.heard_anything && now.saturating_sub(self.last_heard) > self.cfg.suspect_after
-    }
-
-    /// Heartbeats emitted.
-    pub fn heartbeats_sent(&self) -> u64 {
-        self.heartbeats_sent
-    }
-
-    /// Heartbeats received.
-    pub fn heartbeats_seen(&self) -> u64 {
-        self.heartbeats_seen
-    }
-
-    /// Time we last heard from the peer.
-    pub fn last_heard(&self) -> Nanos {
-        self.last_heard
     }
 
     fn declare(d: &mut Declare<'_>, _: &[i64]) -> Result<(), LayoutError> {
@@ -134,14 +102,7 @@ impl Layer for HeartbeatLayer {
         }
     }
 
-    fn post_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &Msg) {
-        self.last_heard = ctx.now;
-        self.heard_anything = true;
-        let f_hb = self.f_hb.expect("bound");
-        if ctx.read_field(msg, f_hb) == 1 {
-            self.heartbeats_seen += 1;
-        }
-    }
+    fn post_deliver(&mut self, _ctx: &mut LayerCtx<'_>, _msg: &Msg) {}
 
     fn on_tick(&mut self, ctx: &mut LayerCtx<'_>, now: Nanos) {
         if now.saturating_sub(self.last_sent) < self.cfg.interval {
@@ -155,7 +116,6 @@ impl Layer for HeartbeatLayer {
         }
         ctx.emit_down(hb);
         self.last_sent = now;
-        self.heartbeats_sent += 1;
         if !self.fast_held {
             // The heartbeat's control frame is about to occupy the
             // serialization rule anyway (its post-processing is pending
@@ -222,31 +182,5 @@ mod tests {
         let _ = a.poll_transmit();
         a.tick(100_000_000); // only 10 ms since the send
         assert!(a.poll_transmit().is_none(), "no heartbeat needed");
-    }
-
-    #[test]
-    fn suspicion_after_silence() {
-        let (mut a, mut b) = pair();
-        // b hears a once at t=0ish.
-        a.send(b"hello");
-        let f = a.poll_transmit().unwrap();
-        b.set_now(1_000_000);
-        b.deliver_frame(f);
-        b.process_pending();
-        // Probe the layer through a fresh instance — suspicion logic is
-        // pure w.r.t. (last_heard, now).
-        let hb = HeartbeatLayer {
-            last_heard: 1_000_000,
-            heard_anything: true,
-            ..Default::default()
-        };
-        assert!(!hb.peer_suspected(100_000_000));
-        assert!(hb.peer_suspected(1_000_000_000));
-    }
-
-    #[test]
-    fn never_heard_never_suspected() {
-        let hb = HeartbeatLayer::default();
-        assert!(!hb.peer_suspected(u64::MAX), "no evidence, no suspicion");
     }
 }

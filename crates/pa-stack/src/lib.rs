@@ -17,9 +17,9 @@
 //!   the send filter rejects oversized messages (forcing the slow path,
 //!   where the layer splits them) and a protocol-specific fragment bit
 //!   keeps the receiving PA from predicting fragment headers,
-//! - [`heartbeat::HeartbeatLayer`] — liveness probes and peer-failure
-//!   detection (the group-membership flavored extra),
-//! - [`meter::MeterLayer`] — a transparent traffic meter.
+//! - [`heartbeat::HeartbeatLayer`] — liveness heartbeats, sent after an
+//!   interval of outbound silence (the group-membership flavored extra),
+//! - [`meter::MeterLayer`] — a post-phase spinner for wall-clock tests.
 //!
 //! [`stacks`] assembles the paper's four-layer stack and variants.
 
@@ -32,16 +32,13 @@ pub mod frag;
 pub mod heartbeat;
 pub mod meter;
 pub mod stacks;
-#[cfg(test)]
-mod testutil;
 pub mod timestamp;
 pub mod window;
 
-pub use bottom::BottomLayer;
 pub use checksum::ChecksumLayer;
-pub use frag::FragLayer;
-pub use heartbeat::HeartbeatLayer;
 pub use meter::MeterLayer;
 pub use stacks::{paper_stack, StackSpec};
 pub use timestamp::TimestampLayer;
 pub use window::WindowLayer;
+#[cfg(test)]
+mod testutil;

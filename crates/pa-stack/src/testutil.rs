@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! Test support shared by the layers' unit tests.
 
 use pa_buf::Msg;

@@ -12,46 +12,23 @@
 //!
 //! The stamp therefore lags by up to one post-processing interval —
 //! exactly the staleness the paper's gossip class tolerates, here used
-//! to measure one-way delay with bounded skew. The receiver records the
-//! observed stamps; applications read them for RTT/age estimation.
+//! to measure one-way delay with bounded skew.
 
 use pa_buf::Msg;
 use pa_core::{Declare, DeliverAction, Handles, Layer, LayerCtx, LayerShape, Nanos, SendAction};
 use pa_filter::{Op, SlotId};
-use pa_wire::{Class, Field, LayoutError};
+use pa_wire::{Class, LayoutError};
 
 /// The timestamp layer.
 #[derive(Debug)]
 pub struct TimestampLayer {
-    f_ts: Option<Field>,
     slot: Option<SlotId>,
-    /// Last stamp observed on an incoming message (µs).
-    last_seen: u64,
-    /// Largest forward skew observed (stamp in our future), µs.
-    max_skew: u64,
-    stamped_in: u64,
 }
 
 impl TimestampLayer {
     /// Creates the layer.
     pub fn new() -> TimestampLayer {
-        TimestampLayer {
-            f_ts: None,
-            slot: None,
-            last_seen: 0,
-            max_skew: 0,
-            stamped_in: 0,
-        }
-    }
-
-    /// The most recent peer stamp seen (µs since the peer's epoch).
-    pub fn last_seen(&self) -> u64 {
-        self.last_seen
-    }
-
-    /// Messages carrying a stamp received so far.
-    pub fn stamped_in(&self) -> u64 {
-        self.stamped_in
+        TimestampLayer { slot: None }
     }
 
     fn declare(d: &mut Declare<'_>, _: &[i64]) -> Result<(), LayoutError> {
@@ -84,8 +61,7 @@ impl Layer for TimestampLayer {
     }
 
     fn bind(&mut self, handles: Handles<'_>) {
-        let ([f_ts], [slot]) = (handles.fields(), handles.send_slots());
-        self.f_ts = Some(f_ts);
+        let [slot] = handles.send_slots();
         self.slot = Some(slot);
     }
 
@@ -107,15 +83,7 @@ impl Layer for TimestampLayer {
         DeliverAction::Continue
     }
 
-    fn post_deliver(&mut self, ctx: &mut LayerCtx<'_>, msg: &Msg) {
-        let f_ts = self.f_ts.expect("bound");
-        let stamp = ctx.read_field(msg, f_ts);
-        if stamp > 0 {
-            self.stamped_in += 1;
-            self.last_seen = stamp;
-            let now = Self::us(ctx.now);
-            self.max_skew = self.max_skew.max(stamp.saturating_sub(now));
-        }
+    fn post_deliver(&mut self, ctx: &mut LayerCtx<'_>, _msg: &Msg) {
         // Keep the slot fresh on the receive side too (we may reply).
         ctx.patch_send_slot(self.slot.expect("bound"), Self::us(ctx.now) as i64);
     }

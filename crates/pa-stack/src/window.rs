@@ -36,9 +36,9 @@ use std::collections::{BTreeMap, VecDeque};
 pub mod mtype {
     /// Ordinary data (the predicted common case — deliberately 0 so the
     /// zero-initialized prediction is correct from the first message).
-    pub const DATA: u64 = 0;
+    pub(crate) const DATA: u64 = 0;
     /// Pure cumulative acknowledgement.
-    pub const ACK: u64 = 1;
+    pub(crate) const ACK: u64 = 1;
 }
 
 /// Tuning knobs for the window layer.
@@ -73,7 +73,6 @@ struct InFlight {
     frame: Msg,
     sent_at: Nanos,
     rto: Nanos,
-    retransmits: u32,
 }
 
 /// The sliding-window layer.
@@ -103,10 +102,6 @@ pub struct WindowLayer {
     expected: u64,
     reorder: BTreeMap<u64, Msg>,
     since_ack: u32,
-    // --- counters ---
-    retransmits: u64,
-    acks_sent: u64,
-    dups_dropped: u64,
 }
 
 impl WindowLayer {
@@ -125,30 +120,7 @@ impl WindowLayer {
             expected: 0,
             reorder: BTreeMap::new(),
             since_ack: 0,
-            retransmits: 0,
-            acks_sent: 0,
-            dups_dropped: 0,
         }
-    }
-
-    /// Retransmissions performed so far.
-    pub fn retransmit_count(&self) -> u64 {
-        self.retransmits
-    }
-
-    /// Pure acknowledgements sent so far.
-    pub fn acks_sent(&self) -> u64 {
-        self.acks_sent
-    }
-
-    /// Duplicate data messages dropped so far.
-    pub fn dups_dropped(&self) -> u64 {
-        self.dups_dropped
-    }
-
-    /// Messages currently unacknowledged.
-    pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
     }
 
     fn declare(d: &mut Declare<'_>, _: &[i64]) -> Result<(), LayoutError> {
@@ -175,7 +147,6 @@ impl WindowLayer {
             frame.write(f_ack, self.expected);
         }
         ctx.emit_down(ack);
-        self.acks_sent += 1;
         self.since_ack = 0;
     }
 
@@ -285,7 +256,6 @@ impl Layer for WindowLayer {
                 frame: Msg::from_wire(Vec::new()),
                 sent_at: ctx.now,
                 rto: self.cfg.rto,
-                retransmits: 0,
             });
         }
         self.next_seq = seq + 1;
@@ -349,7 +319,6 @@ impl Layer for WindowLayer {
                 .entry(seq)
                 .or_insert_with(|| ctx.buf_with(msg.as_slice()));
         } else if seq < self.expected {
-            self.dups_dropped += 1;
             // Re-ack so the sender stops retransmitting.
             self.send_ack(ctx);
         }
@@ -378,8 +347,6 @@ impl Layer for WindowLayer {
         }
         head.sent_at = now;
         head.rto = (head.rto * 2).min(self.cfg.max_rto);
-        head.retransmits += 1;
-        self.retransmits += 1;
         // Retransmissions are "unusual" — they carry the connection
         // identification so a receiver that lost the first message can
         // still find the connection (§2.2).

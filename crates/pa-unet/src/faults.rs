@@ -103,7 +103,7 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// Creates an injector from a config (seeded, deterministic).
-    pub fn new(cfg: FaultConfig) -> FaultInjector {
+    pub(crate) fn new(cfg: FaultConfig) -> FaultInjector {
         FaultInjector {
             cfg,
             rng: SplitMix64::new(cfg.seed),
@@ -112,7 +112,7 @@ impl FaultInjector {
     }
 
     /// Decides the fate of one frame.
-    pub fn decide(&mut self) -> FaultDecision {
+    pub(crate) fn decide(&mut self) -> FaultDecision {
         let mut d = FaultDecision {
             deliver: true,
             corrupt_at: None,
@@ -140,7 +140,7 @@ impl FaultInjector {
     }
 
     /// Counters so far.
-    pub fn stats(&self) -> FaultStats {
+    pub(crate) fn stats(&self) -> FaultStats {
         self.stats
     }
 }

@@ -34,7 +34,7 @@ pub mod profile;
 pub mod simnet;
 pub mod udp;
 
-pub use faults::{FaultConfig, FaultStats};
+pub use faults::FaultConfig;
 pub use loopback::LoopbackNet;
 pub use netif::{Arrival, Netif};
 pub use pcap::PcapWriter;

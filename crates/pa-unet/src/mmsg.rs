@@ -94,7 +94,7 @@ impl std::fmt::Debug for MmsgSlots {
 impl MmsgSlots {
     /// Slots whose per-datagram buffers hold `max_frame` bytes plus the
     /// one-byte truncation sentinel.
-    pub fn new(max_frame: usize) -> Self {
+    pub(crate) fn new(max_frame: usize) -> Self {
         MmsgSlots {
             frame_cap: max_frame + 1,
             bufs: Vec::new(),
@@ -117,7 +117,7 @@ impl MmsgSlots {
     }
 
     /// Bytes of slot `i` from the last receive.
-    pub fn buf(&self, i: usize) -> &[u8] {
+    pub(crate) fn buf(&self, i: usize) -> &[u8] {
         let (len, _) = self.results[i];
         &self.bufs[i][..len]
     }
@@ -125,7 +125,7 @@ impl MmsgSlots {
     /// (length, decoded source address) of slot `i` from the last
     /// receive. A length of `frame_cap` means the sentinel byte was
     /// reached: the kernel truncated the datagram.
-    pub fn result(&self, i: usize) -> (usize, Option<SocketAddr>) {
+    pub(crate) fn result(&self, i: usize) -> (usize, Option<SocketAddr>) {
         self.results[i]
     }
 
@@ -133,7 +133,7 @@ impl MmsgSlots {
     /// the number of slots filled (0 when nothing is queued). Each
     /// slot's bytes and source are then available via [`MmsgSlots::buf`]
     /// / [`MmsgSlots::result`].
-    pub fn recv_batch(&mut self, fd: c_int, max: usize) -> io::Result<usize> {
+    pub(crate) fn recv_batch(&mut self, fd: c_int, max: usize) -> io::Result<usize> {
         if max == 0 {
             return Ok(0);
         }
@@ -193,7 +193,7 @@ impl MmsgSlots {
     /// possible. Best-effort like the per-frame path: a would-block or
     /// transient error abandons the remainder — UDP may drop, so may
     /// we. Returns how many frames the kernel accepted.
-    pub fn send_batch<'a>(
+    pub(crate) fn send_batch<'a>(
         &mut self,
         fd: c_int,
         frames: impl Iterator<Item = &'a [u8]>,

@@ -36,7 +36,7 @@ const ANNOTATION_LEN: u32 = 13;
 const MAGIC: u32 = 0xA1B2_C3D4;
 
 /// Encodes a [`PathTag`] as the annotated capture's pseudo-header byte.
-pub fn tag_to_byte(tag: PathTag) -> u8 {
+pub(crate) fn tag_to_byte(tag: PathTag) -> u8 {
     match tag {
         PathTag::Unknown => 0,
         PathTag::Fast => 1,
@@ -49,7 +49,7 @@ pub fn tag_to_byte(tag: PathTag) -> u8 {
 }
 
 /// Inverse of [`tag_to_byte`]; unrecognized bytes decode as `Unknown`.
-pub fn byte_to_tag(b: u8) -> PathTag {
+pub(crate) fn byte_to_tag(b: u8) -> PathTag {
     match b {
         1 => PathTag::Fast,
         2 => PathTag::Slow,
@@ -65,20 +65,20 @@ pub fn byte_to_tag(b: u8) -> PathTag {
 #[derive(Debug)]
 pub struct PcapWriter<W: Write> {
     sink: W,
-    frames: u64,
     snaplen: u32,
     annotated: bool,
 }
 
 impl<W: Write> PcapWriter<W> {
     /// Creates a writer and emits the global header.
-    pub fn new(sink: W) -> io::Result<PcapWriter<W>> {
+    pub(crate) fn new(sink: W) -> io::Result<PcapWriter<W>> {
         Self::with_linktype(sink, LINKTYPE_USER0, false)
     }
 
     /// Creates an *annotated* writer (DLT_USER1): use
-    /// [`PcapWriter::record_tagged`] so each frame carries the path it
-    /// took through the PA as a one-byte pseudo-header.
+    /// [`PcapWriter::record_journey`] or [`PcapWriter::record_explained`]
+    /// so each frame carries the path it took through the PA, its
+    /// journey id and its xray cause as a pseudo-header.
     pub fn annotated(sink: W) -> io::Result<PcapWriter<W>> {
         Self::with_linktype(sink, LINKTYPE_USER1, true)
     }
@@ -94,19 +94,9 @@ impl<W: Write> PcapWriter<W> {
         sink.write_all(&linktype.to_le_bytes())?;
         Ok(PcapWriter {
             sink,
-            frames: 0,
             snaplen,
             annotated,
         })
-    }
-
-    /// Records one frame with its path annotation (annotated mode
-    /// only — plain captures have no room for the pseudo-header). The
-    /// journey id is recorded as 0 (untraced); use
-    /// [`PcapWriter::record_journey`] for frames carrying a trace
-    /// context.
-    pub fn record_tagged(&mut self, at: Nanos, tag: PathTag, frame: &[u8]) -> io::Result<()> {
-        self.record_journey(at, tag, 0, frame)
     }
 
     /// Records one frame with its path annotation *and* the journey id
@@ -151,12 +141,11 @@ impl<W: Write> PcapWriter<W> {
         self.sink.write_all(&why.to_bytes())?;
         self.sink
             .write_all(&frame[..(cap - ANNOTATION_LEN) as usize])?;
-        self.frames += 1;
         Ok(())
     }
 
     /// Records one frame observed at virtual time `at`.
-    pub fn record(&mut self, at: Nanos, frame: &[u8]) -> io::Result<()> {
+    pub(crate) fn record(&mut self, at: Nanos, frame: &[u8]) -> io::Result<()> {
         let secs = (at / 1_000_000_000) as u32;
         let usecs = ((at % 1_000_000_000) / 1_000) as u32;
         let cap = (frame.len() as u32).min(self.snaplen);
@@ -165,13 +154,7 @@ impl<W: Write> PcapWriter<W> {
         self.sink.write_all(&cap.to_le_bytes())?;
         self.sink.write_all(&(frame.len() as u32).to_le_bytes())?;
         self.sink.write_all(&frame[..cap as usize])?;
-        self.frames += 1;
         Ok(())
-    }
-
-    /// Frames recorded so far.
-    pub fn frames(&self) -> u64 {
-        self.frames
     }
 
     /// Flushes and returns the sink.
@@ -181,41 +164,9 @@ impl<W: Write> PcapWriter<W> {
     }
 }
 
-/// Parses an *annotated* capture (DLT_USER1) back into
-/// `(timestamp_ns, path_tag, frame)` records, discarding the journey
-/// ids. Returns `None` for malformed input or a capture that is not in
-/// annotated mode.
-pub fn parse_tagged(bytes: &[u8]) -> Option<Vec<(Nanos, PathTag, Vec<u8>)>> {
-    Some(
-        parse_journeys(bytes)?
-            .into_iter()
-            .map(|(at, tag, _journey, frame)| (at, tag, frame))
-            .collect(),
-    )
-}
-
-/// One parsed record of an annotated capture:
-/// `(timestamp_ns, path_tag, journey_id, frame)`.
-pub type JourneyRecord = (Nanos, PathTag, u64, Vec<u8>);
-
 /// One fully parsed record of an annotated capture:
 /// `(timestamp_ns, path_tag, journey_id, xray_cause, frame)`.
 pub type ExplainedRecord = (Nanos, PathTag, u64, XrayTag, Vec<u8>);
-
-/// Parses an *annotated* capture (DLT_USER1) back into
-/// `(timestamp_ns, path_tag, journey_id, frame)` records, discarding
-/// the xray cause. A journey id of 0 means the frame carried no trace
-/// context; any other value is the id `pa_obs::JourneySet` keys on.
-/// Returns `None` for malformed input or a capture that is not in
-/// annotated mode.
-pub fn parse_journeys(bytes: &[u8]) -> Option<Vec<JourneyRecord>> {
-    Some(
-        parse_explained(bytes)?
-            .into_iter()
-            .map(|(at, tag, journey, _why, frame)| (at, tag, journey, frame))
-            .collect(),
-    )
-}
 
 /// Parses an *annotated* capture (DLT_USER1) back into
 /// `(timestamp_ns, path_tag, journey_id, xray_cause, frame)` records —
@@ -316,7 +267,6 @@ mod tests {
         let mut w = PcapWriter::new(Vec::new()).unwrap();
         w.record(1_500_000, b"first frame").unwrap();
         w.record(2_000_500_000, b"second, later frame").unwrap();
-        assert_eq!(w.frames(), 2);
         let buf = w.finish().unwrap();
         let records = parse(&buf).expect("valid pcap");
         assert_eq!(records.len(), 2);
@@ -337,59 +287,30 @@ mod tests {
     }
 
     #[test]
-    fn annotated_capture_roundtrips_tags() {
+    fn annotated_capture_roundtrips_tags_and_journey_ids() {
         let mut w = PcapWriter::annotated(Vec::new()).unwrap();
-        w.record_tagged(1_000_000, PathTag::Fast, b"fast frame")
+        let id = (0x000A_11CE_u64 << 32) | 7;
+        w.record_journey(1_000, PathTag::Fast, id, b"traced")
             .unwrap();
-        w.record_tagged(2_000_000, PathTag::Slow, b"slow frame")
+        w.record_journey(2_000, PathTag::Dropped, 0, b"untraced")
             .unwrap();
-        w.record_tagged(3_000_000, PathTag::Dropped, b"dropped frame")
-            .unwrap();
-        assert_eq!(w.frames(), 3);
         let buf = w.finish().unwrap();
         assert_eq!(
             u32::from_le_bytes([buf[20], buf[21], buf[22], buf[23]]),
             LINKTYPE_USER1
         );
-        let records = parse_tagged(&buf).expect("valid annotated pcap");
-        assert_eq!(records.len(), 3);
+        let records = parse_explained(&buf).expect("valid annotated pcap");
+        let rows: Vec<_> = records
+            .into_iter()
+            .map(|(at, tag, journey, _, frame)| (at, tag, journey, frame))
+            .collect();
         assert_eq!(
-            records[0],
-            (1_000_000, PathTag::Fast, b"fast frame".to_vec())
+            rows,
+            [
+                (1_000, PathTag::Fast, id, b"traced".to_vec()),
+                (2_000, PathTag::Dropped, 0, b"untraced".to_vec()),
+            ]
         );
-        assert_eq!(
-            records[1],
-            (2_000_000, PathTag::Slow, b"slow frame".to_vec())
-        );
-        assert_eq!(
-            records[2],
-            (3_000_000, PathTag::Dropped, b"dropped frame".to_vec())
-        );
-    }
-
-    #[test]
-    fn annotated_capture_roundtrips_journey_ids() {
-        let mut w = PcapWriter::annotated(Vec::new()).unwrap();
-        let id = (0x000A_11CE_u64 << 32) | 7;
-        w.record_journey(1_000, PathTag::Fast, id, b"traced")
-            .unwrap();
-        w.record_tagged(2_000, PathTag::Control, b"untraced")
-            .unwrap();
-        let buf = w.finish().unwrap();
-
-        let full = parse_journeys(&buf).expect("valid annotated pcap");
-        assert_eq!(full.len(), 2);
-        assert_eq!(full[0], (1_000, PathTag::Fast, id, b"traced".to_vec()));
-        assert_eq!(
-            full[1],
-            (2_000, PathTag::Control, 0, b"untraced".to_vec()),
-            "record_tagged writes journey 0"
-        );
-
-        // The journey-unaware view agrees on everything else.
-        let tags = parse_tagged(&buf).expect("valid annotated pcap");
-        assert_eq!(tags[0], (1_000, PathTag::Fast, b"traced".to_vec()));
-        assert_eq!(tags[1], (2_000, PathTag::Control, b"untraced".to_vec()));
     }
 
     #[test]
@@ -418,20 +339,14 @@ mod tests {
             None,
             "record_journey writes XrayTag::none()"
         );
-
-        // Journey- and tag-level views still agree on the frames.
-        let full = parse_journeys(&buf).expect("valid annotated pcap");
-        assert_eq!(full[0], (1_000, PathTag::Queued, 42, b"held".to_vec()));
-        let tags = parse_tagged(&buf).expect("valid annotated pcap");
-        assert_eq!(tags[1], (2_000, PathTag::Fast, b"fast".to_vec()));
     }
 
     #[test]
-    fn parse_tagged_rejects_plain_captures() {
+    fn parse_explained_rejects_plain_captures() {
         let mut w = PcapWriter::new(Vec::new()).unwrap();
         w.record(0, b"plain").unwrap();
         let buf = w.finish().unwrap();
-        assert!(parse_tagged(&buf).is_none(), "wrong link type");
+        assert!(parse_explained(&buf).is_none(), "wrong link type");
     }
 
     #[test]

@@ -56,13 +56,13 @@ impl LinkProfile {
 
     /// One-way propagation time of a frame of `len` bytes (excluding
     /// line-rate queueing, which depends on other traffic).
-    pub fn propagation(&self, len: usize) -> Nanos {
+    pub(crate) fn propagation(&self, len: usize) -> Nanos {
         let extra = len.saturating_sub(self.small_frame) as u64;
         self.base_latency + extra * self.per_byte
     }
 
     /// Time the line is occupied transmitting `len` bytes.
-    pub fn serialization(&self, len: usize) -> Nanos {
+    pub(crate) fn serialization(&self, len: usize) -> Nanos {
         (len as u64)
             .saturating_mul(1_000_000_000)
             .checked_div(self.line_rate)

@@ -36,17 +36,6 @@ impl Ord for InFlightFrame {
     }
 }
 
-/// Per-link traffic counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SimNetStats {
-    /// Frames accepted for transmission.
-    pub frames_sent: u64,
-    /// Frames delivered to receivers.
-    pub frames_delivered: u64,
-    /// Payload bytes accepted.
-    pub bytes_sent: u64,
-}
-
 /// A simulated network connecting any number of endpoints.
 pub struct SimNet {
     profile: LinkProfile,
@@ -55,7 +44,6 @@ pub struct SimNet {
     /// Earliest time the (shared) line is free again.
     line_free_at: Nanos,
     seqno: u64,
-    stats: SimNetStats,
     pcap: Option<crate::pcap::PcapWriter<Box<dyn std::io::Write>>>,
 }
 
@@ -68,7 +56,6 @@ impl SimNet {
             queue: BinaryHeap::new(),
             line_free_at: 0,
             seqno: 0,
-            stats: SimNetStats::default(),
             pcap: None,
         }
     }
@@ -83,11 +70,6 @@ impl SimNet {
     /// The paper's network, clean.
     pub fn atm() -> SimNet {
         SimNet::new(LinkProfile::atm_unet(), FaultConfig::none())
-    }
-
-    /// Traffic counters.
-    pub fn stats(&self) -> SimNetStats {
-        self.stats
     }
 
     /// Fault counters.
@@ -110,8 +92,6 @@ impl SimNet {
 
 impl Netif for SimNet {
     fn send(&mut self, from: EndpointAddr, to: EndpointAddr, frame: Msg, now: Nanos) {
-        self.stats.frames_sent += 1;
-        self.stats.bytes_sent += frame.len() as u64;
         if let Some(pcap) = &mut self.pcap {
             let _ = pcap.record(now, frame.as_slice());
         }
@@ -144,7 +124,6 @@ impl Netif for SimNet {
             return None;
         }
         let Reverse(f) = self.queue.pop().expect("peeked");
-        self.stats.frames_delivered += 1;
         Some(Arrival {
             from: f.from,
             to: f.to,
@@ -268,8 +247,6 @@ mod tests {
         }
         assert_eq!(net.poll_arrival(u64::MAX), None);
         assert_eq!(net.fault_stats().dropped, 10);
-        assert_eq!(net.stats().frames_sent, 10);
-        assert_eq!(net.stats().frames_delivered, 0);
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl UdpNet {
     /// Like [`UdpNet::bind`], but with an explicit per-frame size cap.
     /// The receive buffer is `max_frame + 1` bytes: the extra byte is
     /// the truncation sentinel.
-    pub fn bind_with_max_frame(
+    pub(crate) fn bind_with_max_frame(
         local: EndpointAddr,
         addr: &str,
         max_frame: usize,
@@ -96,11 +96,6 @@ impl UdpNet {
     /// oversized sends, truncated reads).
     pub fn rejects(&self) -> &RejectLedger {
         &self.rejects
-    }
-
-    /// The configured per-frame size cap.
-    pub fn max_frame(&self) -> usize {
-        self.max_frame
     }
 
     /// Hands a delivered burst frame back to the interface's pool so
@@ -341,7 +336,6 @@ mod tests {
         let mut tx = UdpNet::bind_with_max_frame(ep(1), "127.0.0.1:0", 16).unwrap();
         let mut rx = UdpNet::bind(ep(2), "127.0.0.1:0").unwrap();
         tx.add_peer(ep(2), rx.local_socket_addr().unwrap());
-        assert_eq!(tx.max_frame(), 16);
 
         tx.send(ep(1), ep(2), Msg::from_payload(&[1u8; 17]), 0);
         assert_eq!(tx.rejects().get(RejectReason::OversizedDatagram), 1);

@@ -41,7 +41,7 @@ pub fn write_bits_be(buf: &mut [u8], off: u32, bits: u32, v: u64) {
 
 /// Reads a field honouring the message byte order: byte-aligned whole-
 /// byte fields decode in `order`; everything else is network bit order.
-pub fn read_field(buf: &[u8], off: u32, bits: u32, order: ByteOrder) -> u64 {
+pub(crate) fn read_field(buf: &[u8], off: u32, bits: u32, order: ByteOrder) -> u64 {
     if off.is_multiple_of(8) && bits.is_multiple_of(8) {
         let start = (off / 8) as usize;
         let n = (bits / 8) as usize;
@@ -52,7 +52,7 @@ pub fn read_field(buf: &[u8], off: u32, bits: u32, order: ByteOrder) -> u64 {
 }
 
 /// Writes a field honouring the message byte order (see [`read_field`]).
-pub fn write_field(buf: &mut [u8], off: u32, bits: u32, v: u64, order: ByteOrder) {
+pub(crate) fn write_field(buf: &mut [u8], off: u32, bits: u32, v: u64, order: ByteOrder) {
     if off.is_multiple_of(8) && bits.is_multiple_of(8) {
         let start = (off / 8) as usize;
         let n = (bits / 8) as usize;

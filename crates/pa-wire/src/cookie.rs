@@ -11,10 +11,10 @@ use pa_obs::rng::Rng;
 use std::fmt;
 
 /// Number of significant bits in a cookie.
-pub const COOKIE_BITS: u32 = 62;
+pub(crate) const COOKIE_BITS: u32 = 62;
 
 /// Mask selecting the 62 cookie bits.
-pub const COOKIE_MASK: u64 = (1u64 << COOKIE_BITS) - 1;
+pub(crate) const COOKIE_MASK: u64 = (1u64 << COOKIE_BITS) - 1;
 
 /// A 62-bit random connection identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -42,11 +42,6 @@ impl Cookie {
     /// The raw 62-bit value.
     pub fn raw(self) -> u64 {
         self.0
-    }
-
-    /// The reserved all-zero cookie (never assigned to a connection).
-    pub fn zero() -> Cookie {
-        Cookie(0)
     }
 
     /// True for the reserved zero cookie.
@@ -97,8 +92,7 @@ mod tests {
 
     #[test]
     fn zero_is_reserved() {
-        assert!(Cookie::zero().is_zero());
-        assert_eq!(Cookie::from_raw(0), Cookie::zero());
+        assert!(Cookie::from_raw(0).is_zero());
     }
 
     #[test]

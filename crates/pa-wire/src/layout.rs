@@ -31,12 +31,12 @@ use std::fmt;
 
 /// Maximum declarable field width in bits (wide blob fields hold large
 /// addresses; 2048 bits = 256 bytes is far beyond any real identifier).
-pub const MAX_FIELD_BITS: u32 = 2048;
+pub(crate) const MAX_FIELD_BITS: u32 = 2048;
 
 /// How far a fixed offset may reach into its class header, in bits: the
 /// handshake frames a header with a 16-bit byte count, so one that
 /// cannot fit in 65 535 bytes is not a layout.
-pub const MAX_HEADER_BITS: u32 = 8 * u16::MAX as u32;
+pub(crate) const MAX_HEADER_BITS: u32 = 8 * u16::MAX as u32;
 
 /// How headers are laid out on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -245,7 +245,7 @@ impl LayoutBuilder {
     }
 
     /// Number of fields declared in `class`.
-    pub fn field_count(&self, class: Class) -> usize {
+    pub(crate) fn field_count(&self, class: Class) -> usize {
         self.decls.counts[class.index()]
     }
 
@@ -325,11 +325,6 @@ impl ClassLayout {
         self.used_bits
     }
 
-    /// Wasted bits: `byte_len*8 − used_bits`.
-    pub fn padding_bits(&self) -> u32 {
-        self.byte_len as u32 * 8 - self.used_bits
-    }
-
     /// Placement of field `idx` (declaration order).
     pub fn placement(&self, idx: usize) -> PlacedField {
         self.placed[idx]
@@ -352,11 +347,6 @@ pub struct CompiledLayout {
 }
 
 impl CompiledLayout {
-    /// The mode this layout was compiled in.
-    pub fn mode(&self) -> LayoutMode {
-        self.mode
-    }
-
     /// Hash of the declaration sequence; equal on both peers iff they
     /// stacked identical layers with identical field declarations.
     pub fn fingerprint(&self) -> u64 {
@@ -466,30 +456,6 @@ impl CompiledLayout {
         let end = (p.bit_offset + p.bits).div_ceil(8) as usize;
         (start, end)
     }
-
-    /// Per-class sizes and padding, for the E5 header-overhead report.
-    pub fn padding_report(&self) -> PaddingReport {
-        let per_class = Class::ALL.map(|c| (self.class_len(c), self.class(c).padding_bits()));
-        PaddingReport {
-            mode: self.mode,
-            per_class,
-            total_bytes: per_class.iter().map(|&(len, _)| len).sum(),
-            total_padding_bits: per_class.iter().map(|&(_, pad)| pad).sum(),
-        }
-    }
-}
-
-/// Summary of header sizes and padding for one layout mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PaddingReport {
-    /// Layout mode measured.
-    pub mode: LayoutMode,
-    /// `(byte_len, padding_bits)` per class, indexed by [`Class::index`].
-    pub per_class: [(usize, u32); 4],
-    /// Sum of all four class header lengths.
-    pub total_bytes: usize,
-    /// Sum of padding bits across classes.
-    pub total_padding_bits: u32,
 }
 
 /// Alignment a field of `bits` width prefers, in bits.
@@ -685,7 +651,6 @@ mod tests {
         let l = b.compile(LayoutMode::Packed).unwrap();
         // Protocol fields: 1+7+32+2 = 42 bits → 6 bytes packed.
         assert_eq!(l.class_len(Class::Protocol), 6);
-        assert!(l.class(Class::Protocol).padding_bits() <= 6);
     }
 
     #[test]
@@ -880,27 +845,11 @@ mod tests {
     }
 
     #[test]
-    fn padding_report_totals_add_up() {
-        let b = builder_4layer();
-        for mode in [
-            LayoutMode::Packed,
-            LayoutMode::Traditional,
-            LayoutMode::Traditional8,
-        ] {
-            let l = b.compile(mode).unwrap();
-            let r = l.padding_report();
-            let sum: usize = r.per_class.iter().map(|&(len, _)| len).sum();
-            assert_eq!(sum, r.total_bytes);
-            assert_eq!(r.mode, mode);
-        }
-    }
-
-    #[test]
     fn packed_never_larger_than_traditional() {
         let b = builder_4layer();
-        let p = b.compile(LayoutMode::Packed).unwrap().padding_report();
-        let t = b.compile(LayoutMode::Traditional).unwrap().padding_report();
-        assert!(p.total_bytes <= t.total_bytes);
+        let p = b.compile(LayoutMode::Packed).unwrap();
+        let t = b.compile(LayoutMode::Traditional).unwrap();
+        assert!(p.per_message_header_bytes() <= t.per_message_header_bytes());
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod preamble;
 pub use addr::EndpointAddr;
 pub use class::{Class, Field, LayerId};
 pub use cookie::Cookie;
-pub use layout::{CompiledLayout, LayoutBuilder, LayoutError, LayoutMode, PaddingReport};
+pub use layout::{CompiledLayout, LayoutBuilder, LayoutError, LayoutMode};
 pub use preamble::{Preamble, PREAMBLE_LEN};
 
 pub use pa_buf::ByteOrder;

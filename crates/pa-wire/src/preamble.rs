@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn encoding_is_exactly_8_bytes_with_flags_in_byte_0() {
-        let p = Preamble::with_conn_ident(Cookie::zero(), ByteOrder::Little);
+        let p = Preamble::with_conn_ident(Cookie::from_raw(0), ByteOrder::Little);
         let e = p.encode();
         assert_eq!(e.len(), PREAMBLE_LEN);
         assert_eq!(e[0], 0b1100_0000, "CIP bit 63, BO bit 62");

@@ -1,5 +1,5 @@
 //! Exhaustive-interleaving models of the two concurrency protocols the
-//! telemetry domains rest on: the bounded SPSC ring and the seqlock
+//! telemetry domains rest on: the bounded SPSC ring and the epoch
 //! publish/collect path.
 //!
 //! The workspace has no loom (no external dependencies), so this is a
@@ -8,21 +8,15 @@
 //! visited set enumerates **every** reachable interleaving of the two
 //! threads' step sequences under sequential consistency, asserting the
 //! protocol invariants in every reachable state — not just the ones a
-//! lucky scheduler happens to produce. Retry loops (a reader re-reading
-//! a torn sequence, a producer re-checking a full ring) make the step
-//! graph cyclic; the visited set keeps exploration finite because the
-//! *state space* is finite.
+//! lucky scheduler happens to produce. Retry loops (a producer
+//! re-checking a full ring) make the step graph cyclic; the visited set
+//! keeps exploration finite because the *state space* is finite.
 //!
 //! Checked invariants:
 //! - SPSC: pops are a FIFO prefix of pushes, nothing is lost or
 //!   duplicated below capacity, occupancy never exceeds capacity, and
 //!   a push refuses only when the ring is genuinely full at its
 //!   linearization point;
-//! - seqlock: a reader never accepts a torn payload (every accepted
-//!   view is one the writer actually published), and the checker
-//!   itself is proven able to catch tears by running a deliberately
-//!   broken writer (payload stored before the odd sequence) and
-//!   asserting a violation IS found;
 //! - epoch snapshots: a collector that saw `published_epoch >= e`
 //!   reads a view published at or after epoch `e` — never a stale or
 //!   half-written one.
@@ -199,182 +193,7 @@ fn spsc_model_every_interleaving_is_fifo_and_lossless() {
 }
 
 // =====================================================================
-// 2. The seqlock publish path
-// =====================================================================
-
-/// Writer/reader interleaving model of `flush_counters` /
-/// `read_counters`: a two-word payload guarded by the sequence. The
-/// writer publishes (w, w) pairs; a consistent read must therefore see
-/// two equal words.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct SeqlockState {
-    seq: u8,
-    payload: [u8; 2],
-    /// Writer: which publish (of WRITES) and which step within it.
-    write_round: u8,
-    write_step: u8,
-    /// Reader: observed seq at step 1, observed words.
-    read_seq: Option<u8>,
-    read_words: [u8; 2],
-    read_step: u8,
-    /// Accepted (consistent per protocol) reads.
-    accepted: Vec<[u8; 2]>,
-    reads_done: u8,
-}
-
-const WRITES: u8 = 2;
-const READS: u8 = 2;
-
-impl SeqlockState {
-    fn initial() -> SeqlockState {
-        SeqlockState {
-            seq: 0,
-            payload: [0, 0],
-            write_round: 0,
-            write_step: 0,
-            read_seq: None,
-            read_words: [0, 0],
-            read_step: 0,
-            accepted: Vec::new(),
-            reads_done: 0,
-        }
-    }
-
-    /// `sound`: seq goes odd before the payload stores (the real
-    /// protocol). `!sound`: payload first — the broken writer the
-    /// checker must catch.
-    fn step_writer(&self, sound: bool) -> Vec<SpscOrSeq> {
-        if self.write_round >= WRITES {
-            return Vec::new();
-        }
-        let v = (self.write_round + 1) * 10;
-        let mut s = self.clone();
-        match (sound, self.write_step) {
-            // Sound order: odd seq, word 0, word 1, even seq.
-            (true, 0) => {
-                s.seq = self.seq + 1;
-                s.write_step = 1;
-            }
-            (true, 1) => {
-                s.payload[0] = v;
-                s.write_step = 2;
-            }
-            (true, 2) => {
-                s.payload[1] = v;
-                s.write_step = 3;
-            }
-            (true, 3) => {
-                s.seq = self.seq + 1;
-                s.write_step = 0;
-                s.write_round = self.write_round + 1;
-            }
-            // Broken order: words first, then both seq bumps.
-            (false, 0) => {
-                s.payload[0] = v;
-                s.write_step = 1;
-            }
-            (false, 1) => {
-                s.payload[1] = v;
-                s.write_step = 2;
-            }
-            (false, 2) => {
-                s.seq = self.seq + 2;
-                s.write_step = 0;
-                s.write_round = self.write_round + 1;
-            }
-            _ => unreachable!(),
-        }
-        vec![SpscOrSeq(s)]
-    }
-
-    fn step_reader(&self) -> Vec<SpscOrSeq> {
-        if self.reads_done >= READS {
-            return Vec::new();
-        }
-        let mut s = self.clone();
-        match self.read_step {
-            0 => {
-                // Load seq; odd → writer mid-publish, retry.
-                if self.seq % 2 == 1 {
-                    // Retry is a no-op state transition modelled by
-                    // staying at step 0 — but the writer must move for
-                    // the state to change, so just return self-like
-                    // successor only when seq even.
-                    return Vec::new();
-                }
-                s.read_seq = Some(self.seq);
-                s.read_step = 1;
-            }
-            1 => {
-                s.read_words[0] = self.payload[0];
-                s.read_step = 2;
-            }
-            2 => {
-                s.read_words[1] = self.payload[1];
-                s.read_step = 3;
-            }
-            3 => {
-                // Recheck.
-                if Some(self.seq) == self.read_seq {
-                    s.accepted.push(self.read_words);
-                    s.reads_done = self.reads_done + 1;
-                } // else: torn, retry from scratch.
-                s.read_seq = None;
-                s.read_step = 0;
-            }
-            _ => unreachable!(),
-        }
-        vec![SpscOrSeq(s)]
-    }
-}
-
-/// Newtype so the helper above can return states uniformly.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct SpscOrSeq(SeqlockState);
-
-/// Explores every interleaving; returns whether any accepted read was
-/// torn (words disagree).
-fn seqlock_explore(sound: bool) -> (bool, usize) {
-    let mut visited: BTreeSet<SeqlockState> = BTreeSet::new();
-    let mut stack = vec![SeqlockState::initial()];
-    let mut torn = false;
-    while let Some(s) = stack.pop() {
-        if !visited.insert(s.clone()) {
-            continue;
-        }
-        for a in &s.accepted {
-            if a[0] != a[1] {
-                torn = true;
-            }
-        }
-        for SpscOrSeq(n) in s.step_writer(sound).into_iter().chain(s.step_reader()) {
-            stack.push(n);
-        }
-    }
-    (torn, visited.len())
-}
-
-#[test]
-fn seqlock_model_no_interleaving_yields_a_torn_read() {
-    let (torn, states) = seqlock_explore(true);
-    assert!(!torn, "sound seqlock must never expose a torn payload");
-    assert!(states > 50, "state space too small: {states}");
-}
-
-#[test]
-fn seqlock_model_catches_the_broken_writer() {
-    // Payload stored before the odd sequence: a reader can accept a
-    // half-written pair. The checker must find it — this is the proof
-    // the model has teeth.
-    let (torn, _) = seqlock_explore(false);
-    assert!(
-        torn,
-        "the checker failed to catch a deliberately torn write"
-    );
-}
-
-// =====================================================================
-// 3. The epoch publish/collect protocol
+// 2. The epoch publish/collect protocol
 // =====================================================================
 
 /// Worker/collector model of `advance` + `maybe_publish` + `collect`:
@@ -476,7 +295,7 @@ fn epoch_model_collect_never_returns_a_stale_view() {
 }
 
 // =====================================================================
-// 4. The real ring under real threads (model ↔ implementation)
+// 3. The real ring under real threads (model ↔ implementation)
 // =====================================================================
 
 #[test]

@@ -142,7 +142,7 @@ fn cycle_domain_conserves_on_a_real_connection() {
 
     let spin = std::time::Duration::from_micros(30);
     let mk = |l: u64, p: u64, s: u64| {
-        let (ml, _) = MeterLayer::with_post_spin(spin);
+        let ml = MeterLayer::with_post_spin(spin);
         let mut conn = Connection::new(
             vec![Box::new(ml)],
             PaConfig {
