@@ -15,9 +15,9 @@ pub struct PaConfig {
     /// pre-send / pre-deliver traversal.
     pub predict: bool,
     /// Connection cookies (§2.2). On: the connection identification
-    /// rides the first frame and unusual ones (retransmissions), as in
-    /// the paper. Off: it is included on *every* message, as
-    /// traditional stacks do.
+    /// rides the first frame and unusual ones (retransmissions and
+    /// re-acks of duplicates), as in the paper. Off: it is included on
+    /// *every* message, as traditional stacks do.
     pub cookies: bool,
     /// Lazy post-processing (§3.1). Off: post phases run inline on the
     /// critical path, immediately after each send/delivery.

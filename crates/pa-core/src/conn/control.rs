@@ -1,9 +1,9 @@
 //! The control path: what changes a connection's standing, one function
 //! per transition — build ([`Connection::new`]), `admit` a raw frame's
 //! cookie or identification, `announce` ours (and what changes what is
-//! due: `suppress_ident`, `force_ident_next`, `rotate_cookie`), bind the
-//! peer's cookie (`bind_verified`, `note_peer_cookie`),
-//! `learn_peer_order`, `hold` / `release` a predicted header, `tick`.
+//! due: `force_ident_next`, `rotate_cookie`), bind the peer's cookie
+//! (`bind_verified`), `learn_peer_order`, `hold` / `release` a predicted
+//! header, `tick`.
 //! The data path calls them where a message meets one; a fast send or a
 //! fast cookie-only delivery meets `announce`'s two pushes and nothing
 //! else.
@@ -155,8 +155,9 @@ impl Connection {
 
     /// Puts our cookie preamble on an outgoing frame, with the
     /// connection identification in front of the headers while it is
-    /// due: on the first frame, on an `unusual` one (a retransmission,
-    /// §2.2), and on every frame with cookies off.
+    /// due: on the first frame, on an `unusual` one (a retransmission or
+    /// a re-ack of a duplicate, §2.2), and on every frame with cookies
+    /// off.
     pub(super) fn announce(&mut self, msg: &mut Msg, unusual: bool) {
         let include_ident = !self.config.cookies || unusual || self.ident_due;
         let preamble = if include_ident {
@@ -177,32 +178,20 @@ impl Connection {
     /// merely replays a public ident squat an attacker-chosen cookie on
     /// the connection and retire the real one as stale, without ever
     /// passing verification. The one rule for [`Connection::deliver_frame`]
-    /// and the sharded endpoint's hand-off alike.
+    /// and the sharded endpoint's hand-off alike. A *different* cookie
+    /// retires the previous one: frames still carrying it are counted as
+    /// [`RejectReason::StaleCookie`], never routed.
     pub(crate) fn bind_verified(&mut self, cookie: Cookie, outcome: &DeliverOutcome) -> bool {
         let verified = !matches!(outcome, DeliverOutcome::Dropped(_));
         if verified {
-            self.note_peer_cookie(cookie);
+            if let Some(prev) = self.cookie_peer {
+                if prev != cookie {
+                    self.cookie_peer_prev = Some(prev);
+                }
+            }
+            self.cookie_peer = Some(cookie);
         }
         verified
-    }
-
-    /// Records the peer's cookie unconditionally (greeting acceptance:
-    /// the greeting itself is the verification). A *different* cookie
-    /// retires the previous one: frames still carrying it are counted
-    /// as [`RejectReason::StaleCookie`], never routed.
-    pub(crate) fn note_peer_cookie(&mut self, cookie: Cookie) {
-        if let Some(prev) = self.cookie_peer {
-            if prev != cookie {
-                self.cookie_peer_prev = Some(prev);
-            }
-        }
-        self.cookie_peer = Some(cookie);
-    }
-
-    /// Stops sending the identification on initial messages (the peer
-    /// already holds it via a greeting). Retransmissions still carry it.
-    pub fn suppress_ident(&mut self) {
-        self.ident_due = false;
     }
 
     /// Forces the identification onto the next outgoing frame (a cookie

@@ -344,11 +344,6 @@ impl Connection {
         &self.ident_peer
     }
 
-    /// The connection identification we send (greeting export).
-    pub fn local_ident(&self) -> &[u8] {
-        &self.ident_local
-    }
-
     /// Per-connection counters.
     pub fn stats(&self) -> &ConnStats {
         &self.stats

@@ -39,7 +39,6 @@
 pub mod config;
 pub mod conn;
 pub mod dissect;
-pub mod handshake;
 pub mod layer;
 pub mod packing;
 mod plan;
@@ -54,7 +53,6 @@ pub use conn::{
     Connection, ConnectionParams, DeliverOutcome, DropReason, PostWorkReport, SendOutcome,
 };
 pub use dissect::dissect;
-pub use handshake::{Greeting, GreetingError};
 pub use layer::{Declare, DeliverAction, Handles, Layer, LayerCtx, LayerShape, SendAction};
 pub use packing::PackInfo;
 pub use predict::Prediction;

@@ -950,10 +950,10 @@ mod tests {
             let (_, twin) = pair(1);
             server.add_connection(twin);
 
-            // A cookie-only frame with no prior ident (the "lost first
-            // message" scenario).
+            // A cookie-only frame with no prior ident: the first,
+            // identified frame is lost (§2.2's "lost first message").
             let mut mute = conn_with(PaConfig::paper_default(), 1, SERVER, 3);
-            mute.suppress_ident();
+            drop(frame_of(&mut mute, b"lost"));
             assert_eq!(
                 server.from_network(frame_of(&mut mute, b"who?")),
                 DeliverOutcome::Dropped(DropReason::UnknownCookie)
@@ -1056,7 +1056,7 @@ mod tests {
             for i in 0..32u64 {
                 let forged_cookie = (0x0BAD_5EED_0BAD_5EED + i * 0x0101) & !(0b11u64 << 62);
                 let mut bytes = with_cookie(&replay, forged_cookie);
-                bytes.truncate(PREAMBLE_LEN + c.local_ident().len());
+                bytes.truncate(PREAMBLE_LEN + c.expected_ident().len());
                 let out = server.from_network(Msg::from_wire(bytes));
                 // The front *routes* it (ident matches) but the
                 // connection refuses the bodyless frame — the exact

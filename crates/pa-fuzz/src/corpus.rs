@@ -13,7 +13,7 @@ use pa_buf::Msg;
 use pa_core::config::PaConfig;
 use pa_core::conn::{Connection, ConnectionParams};
 use pa_core::packing::PackInfo;
-use pa_core::{Greeting, ShardedEndpoint};
+use pa_core::ShardedEndpoint;
 use pa_obs::rng::SplitMix64;
 use pa_stack::StackSpec;
 use pa_wire::{EndpointAddr, Preamble};
@@ -115,12 +115,13 @@ pub fn regression_corpus() -> Vec<CorpusEntry> {
             bytes: vec![2, 0xFF, 0xFF, 0, 0, 0, 1, 0, 0, 0],
         },
         CorpusEntry {
+            // `greeting-*`: blobs of a retired out-of-band format.
             name: "greeting-truncated",
             bytes: b"PAg1\x00\x01".to_vec(),
         },
         CorpusEntry {
-            // A greeting whose length prefix promises far more ident
-            // bytes than follow: must reject without allocating 64 KiB.
+            // Its length prefix promises far more ident bytes than
+            // follow.
             name: "greeting-forged-ident-len",
             bytes: {
                 let mut b = b"PAg1".to_vec();
@@ -175,7 +176,6 @@ fn replay_against(entries: &[CorpusEntry], mut server: ShardedEndpoint) {
         let _ = Preamble::decode(&e.bytes);
         let _ = EndpointAddr::decode(&e.bytes);
         let _ = PackInfo::decode(&e.bytes);
-        let _ = Greeting::decode(&e.bytes);
         // And the live demux must stay balanced.
         let _ = server.from_network(Msg::from_wire(e.bytes.clone()));
         server.process_all_pending();
@@ -288,7 +288,5 @@ mod tests {
         };
         assert!(PackInfo::decode(&by_name("pack-forge-same-size-65535x0")).is_err());
         assert!(PackInfo::decode(&by_name("pack-forge-variable-65535")).is_err());
-        assert!(Greeting::decode(&by_name("greeting-truncated")).is_err());
-        assert!(Greeting::decode(&by_name("greeting-forged-ident-len")).is_err());
     }
 }

@@ -501,7 +501,7 @@ impl FlashCrowd {
             taken.insert(c.conn.local_cookie().raw());
             taken.extend(c.retired.iter().copied());
         }
-        let ident_len = self.clients[0].conn.local_ident().len();
+        let ident_len = self.clients[0].conn.expected_ident().len();
 
         let mut frames: Vec<Msg> = Vec::new();
         for _ in 0..self.cfg.storm_unknown {

@@ -12,8 +12,9 @@
 //!   piggybacked on every outgoing data message (§2.1's fourth class),
 //! - a full send window **disables** the predicted send header via the
 //!   §3.2 counter, re-enabling it when acknowledgements open the window,
-//! - retransmissions are *unusual* messages carrying the connection
-//!   identification (§2.2), driven by the host's tick,
+//! - retransmissions, driven by the host's tick, and re-acks of
+//!   duplicates are *unusual* messages carrying the connection
+//!   identification (§2.2),
 //! - out-of-order arrivals are consumed into a reorder buffer and
 //!   released in sequence.
 //!
@@ -134,8 +135,9 @@ impl WindowLayer {
         self.fields.expect("bound")
     }
 
-    /// Emits a pure cumulative acknowledgement.
-    fn send_ack(&mut self, ctx: &mut LayerCtx<'_>) {
+    /// Emits a pure cumulative acknowledgement; an `unusual` one
+    /// carries the connection identification (§2.2).
+    fn send_ack(&mut self, ctx: &mut LayerCtx<'_>, unusual: bool) {
         let [f_seq, f_type, f_ack] = self.fields();
         let mut ack = ctx.control_frame(&[]);
         {
@@ -146,7 +148,11 @@ impl WindowLayer {
             frame.write(f_seq, 0);
             frame.write(f_ack, self.expected);
         }
-        ctx.emit_down(ack);
+        if unusual {
+            ctx.emit_down_unusual(ack);
+        } else {
+            ctx.emit_down(ack);
+        }
         self.since_ack = 0;
     }
 
@@ -319,8 +325,10 @@ impl Layer for WindowLayer {
                 .entry(seq)
                 .or_insert_with(|| ctx.buf_with(msg.as_slice()));
         } else if seq < self.expected {
-            // Re-ack so the sender stops retransmitting.
-            self.send_ack(ctx);
+            // A duplicate: the sender never processed our ack (perhaps
+            // it never learned our cookie). Re-ack as unusual, so the
+            // identification rides along and the sender can bind it.
+            self.send_ack(ctx, true);
         }
         // Predict the next delivery and piggyback the new ack level.
         ctx.recv_predict.set(ctx.layout, f_seq, self.expected);
@@ -330,11 +338,11 @@ impl Layer for WindowLayer {
             self.since_ack += 1;
             let gap = !self.reorder.is_empty();
             if self.since_ack >= self.cfg.ack_every || gap {
-                self.send_ack(ctx);
+                self.send_ack(ctx, false);
             }
         } else if seq > self.expected {
             // Out-of-order arrival: ack immediately to signal the gap.
-            self.send_ack(ctx);
+            self.send_ack(ctx, false);
         }
     }
 

@@ -33,9 +33,9 @@ use std::fmt;
 /// addresses; 2048 bits = 256 bytes is far beyond any real identifier).
 pub(crate) const MAX_FIELD_BITS: u32 = 2048;
 
-/// How far a fixed offset may reach into its class header, in bits: the
-/// handshake frames a header with a 16-bit byte count, so one that
-/// cannot fit in 65 535 bytes is not a layout.
+/// How far a fixed offset may reach into its class header, in bits: a
+/// header that a 16-bit byte count cannot measure (over 65 535 bytes) is
+/// not a layout.
 pub(crate) const MAX_HEADER_BITS: u32 = 8 * u16::MAX as u32;
 
 /// How headers are laid out on the wire.

@@ -341,6 +341,101 @@ fn a_refused_identified_frame_binds_no_cookie() {
     assert!(b.stats().delivery_balanced() && b.stats().rejects_reconcile());
 }
 
+/// A duplicate is answered by an unusual re-ack, which carries the
+/// identification so a sender that lost our first frame can bind our
+/// cookie. The answer is bounded by what arrives: N replays of data
+/// frames already delivered buy at most N identified frames, and as
+/// many frames refused before they reach the window — an unknown
+/// cookie, a foreign identification — buy none.
+#[test]
+fn a_replay_storm_buys_at_most_one_identified_answer_a_frame() {
+    const N: usize = 32;
+    let mut a = paper_conn(CLIENT_HOSTS[0], SERVER_HOST, 0xA11CE);
+    let mut b = paper_conn(SERVER_HOST, CLIENT_HOSTS[0], 0xB0B);
+    let mut first = Vec::new();
+    let mut replays = Vec::new();
+    for i in 0..=N {
+        a.send(&marker(i));
+        while let Some(f) = a.poll_transmit() {
+            let bytes = f.to_wire();
+            if is_cookie_only(&bytes) {
+                replays.push(bytes.clone());
+            } else {
+                first = bytes.clone();
+            }
+            b.deliver_frame(Msg::from_wire(bytes));
+        }
+        b.process_pending();
+        while let Some(f) = b.poll_transmit() {
+            a.deliver_frame(f);
+        }
+        a.process_pending();
+    }
+    assert_eq!(b.stats().msgs_delivered, N as u64 + 1);
+    assert_eq!(replays.len(), N, "one cookie-only frame a message");
+
+    // Feeds `frames` to b, checking each outcome and the ledgers after
+    // every frame; returns how many identified frames b sent meanwhile.
+    let storm = |b: &mut Connection, frames: Vec<Vec<u8>>, refused: Option<RejectReason>| {
+        let before = b.stats().ident_frames_out;
+        for f in frames {
+            let out = b.deliver_frame(Msg::from_wire(f));
+            if let Some(reason) = refused {
+                assert_eq!(out, DeliverOutcome::Dropped(reason));
+            }
+            b.process_pending();
+            while b.poll_transmit().is_some() {}
+            while b.poll_delivery().is_some() {}
+            let stats = b.stats();
+            assert!(
+                stats.delivery_balanced() && stats.rejects_reconcile(),
+                "{stats}"
+            );
+        }
+        b.stats().ident_frames_out - before
+    };
+
+    let answers = storm(&mut b, replays.clone(), None);
+    assert!(
+        (1..=N as u64).contains(&answers),
+        "{answers} answers to {N} replays"
+    );
+    assert_eq!(
+        b.stats().msgs_delivered,
+        N as u64 + 1,
+        "a replay delivers nothing"
+    );
+
+    let mut rng = SplitMix64::new(0x5702_4D00);
+    let unknown: Vec<Vec<u8>> = replays
+        .iter()
+        .map(|r| {
+            let cookie = loop {
+                let c = rng.next_u64() & !FLAG_MASK;
+                if c != 0 && c != a.local_cookie().raw() {
+                    break c;
+                }
+            };
+            let mut frame = cookie.to_be_bytes().to_vec();
+            frame.extend_from_slice(&r[PREAMBLE_LEN..]);
+            frame
+        })
+        .collect();
+    let unknown = storm(&mut b, unknown, Some(RejectReason::UnknownCookie));
+    assert_eq!(unknown, 0, "an unknown cookie buys no answer");
+
+    let ident_len = b.expected_ident().len();
+    let foreign: Vec<Vec<u8>> = (0..N)
+        .map(|i| {
+            let mut frame = first.clone();
+            frame[PREAMBLE_LEN + i % ident_len] ^= 1 + i as u8;
+            frame
+        })
+        .collect();
+    let foreign = storm(&mut b, foreign, Some(RejectReason::ForeignIdent));
+    assert_eq!(foreign, 0, "a foreign identification buys no answer");
+}
+
 /// The paper's PA packs only same-size runs (§3.4), under kind 1; kind 2
 /// — a Horus-style header listing each piece's size — is written by no
 /// sender and read by no receiver. A frame that carries one, well-formed

@@ -30,6 +30,18 @@ fn drive(
     net: &mut SimNet,
     max_virtual_ms: u64,
 ) -> Vec<Vec<u8>> {
+    drive_losing_first(a, b, net, max_virtual_ms, [false; 2])
+}
+
+/// [`drive`], but the wire loses `a`'s first frame if `lose[0]` and
+/// `b`'s first frame if `lose[1]`.
+fn drive_losing_first(
+    a: &mut Connection,
+    b: &mut Connection,
+    net: &mut SimNet,
+    max_virtual_ms: u64,
+    mut lose: [bool; 2],
+) -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     let mut now: u64 = 0;
     let tick = 1_000_000; // 1 ms
@@ -44,11 +56,15 @@ fn drive(
         let mut moved = false;
         // Flush transmissions.
         while let Some(f) = a.poll_transmit() {
-            net.send(a_addr, b_addr, f, now);
+            if !std::mem::take(&mut lose[0]) {
+                net.send(a_addr, b_addr, f, now);
+            }
             moved = true;
         }
         while let Some(f) = b.poll_transmit() {
-            net.send(b_addr, a_addr, f, now);
+            if !std::mem::take(&mut lose[1]) {
+                net.send(b_addr, a_addr, f, now);
+            }
             moved = true;
         }
         // Deliver arrivals.
@@ -335,5 +351,45 @@ fn every_window_of_a_stack_retransmits_the_whole_frame() {
         }
         let got = drive(&mut a, &mut b, &mut net, 2_000);
         assert_eq!(got, vec![b"lost on the way".to_vec()]);
+    }
+}
+
+#[test]
+fn a_lost_first_frame_in_either_direction_does_not_wedge_the_stream() {
+    // §2.2: the identification rides the first frame and every unusual
+    // one. A lost first data frame is healed by its retransmission; a
+    // lost first ack (b's first frame) by b's re-ack of the duplicates
+    // a retransmits, which is unusual too. Without the identification
+    // on that re-ack, a never learns b's cookie, refuses every later ack
+    // as unknown and retransmits forever.
+    let expected: Vec<Vec<u8>> = (0..40u64).map(|i| i.to_be_bytes().to_vec()).collect();
+    // Whether b sends only acks: with two windows or heartbeats its
+    // frames are data too, and b retransmits them on its own.
+    for (spec, b_only_acks) in [
+        (StackSpec::paper(), true),
+        (StackSpec::paper_doubled_window(), false),
+        (StackSpec::extended(), false),
+    ] {
+        for lose in [[false, false], [true, false], [false, true], [true, true]] {
+            let mut a = conn(&spec, PaConfig::paper_default(), 1, 2, 91);
+            let mut b = conn(&spec, PaConfig::paper_default(), 2, 1, 92);
+            for m in &expected {
+                a.send(m);
+                a.process_pending();
+            }
+            let mut net = SimNet::atm();
+            let got = drive_losing_first(&mut a, &mut b, &mut net, 20_000, lose);
+            assert_eq!(got, expected, "{lose:?}: each message once, in order");
+            assert_eq!(a.backlog_len(), 0, "{lose:?}: nothing left in a's backlog");
+            assert_eq!(a.bufs_held_by_layers(), 0, "{lose:?}: everything acked");
+            let answers = b.stats().ident_frames_out - 1;
+            let retransmissions = a.stats().ident_frames_out - 1;
+            if b_only_acks {
+                // The wire loses nothing else, so each identified ack of
+                // b's after its first answers a duplicate, and each
+                // duplicate is an identified retransmission of a's.
+                assert!(answers <= retransmissions, "{lose:?}: {answers} answers");
+            }
+        }
     }
 }
