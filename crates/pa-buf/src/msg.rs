@@ -31,15 +31,23 @@ impl Msg {
     /// Creates a message holding `payload`, with `headroom` bytes
     /// reserved in front for headers.
     pub fn with_headroom(payload: &[u8], headroom: usize) -> Self {
+        let mut m = Self::with_room(headroom, payload.len());
+        m.push_back(payload);
+        m
+    }
+
+    /// Creates an empty message with `headroom` bytes reserved in front
+    /// and room for `room` bytes behind, in one allocation: appending up
+    /// to `room` bytes never regrows it.
+    pub fn with_room(headroom: usize, room: usize) -> Self {
         // Sized once, each byte written once: zeroes for the headroom,
-        // the payload after it.
-        let mut data = Vec::with_capacity(headroom + payload.len());
+        // whatever is appended after it.
+        let mut data = Vec::with_capacity(headroom + room);
         data.resize(headroom, 0);
-        data.extend_from_slice(payload);
         Msg {
             data,
             start: headroom,
-            end: headroom + payload.len(),
+            end: headroom,
         }
     }
 

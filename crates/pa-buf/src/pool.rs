@@ -87,6 +87,19 @@ impl MsgPool {
         Self::new(DEFAULT_HEADROOM, 64)
     }
 
+    /// Raises the headroom later takes carry to `headroom`, if that is
+    /// more: a pool several connections take from serves the largest
+    /// headroom among them, so none of their frames regrows.
+    pub fn raise_headroom(&mut self, headroom: usize) {
+        let headroom = u32::try_from(headroom).expect("headroom fits 32 bits");
+        self.headroom = self.headroom.max(headroom);
+    }
+
+    /// The headroom every buffer taken from this pool carries.
+    pub fn headroom(&self) -> usize {
+        self.headroom as usize
+    }
+
     /// Takes a buffer and fills it with `payload`. A miss allocates
     /// once, sized for the payload.
     #[inline]

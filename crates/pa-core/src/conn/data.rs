@@ -6,12 +6,12 @@
 //! bytes, counters and allocations at every burst size.
 
 use super::{
-    Connection, DeliverBurstReport, DeliverOutcome, DeliverWork, PostWorkReport, RecvPost,
-    SendBurstReport, SendOutcome, SendWork,
+    Connection, DeliverBurstReport, DeliverOutcome, DeliverWork, PostWorkReport, PushSized,
+    RecvPost, SendBurstReport, SendOutcome, SendWork,
 };
 use crate::layer::{DeliverAction, Effects, Layer, LayerCtx, SendAction};
 use crate::packing::{self, PackInfo, MAX_EMPTY_PIECES};
-use pa_buf::{ByteOrder, Msg};
+use pa_buf::{ByteOrder, Msg, MsgPool};
 use pa_obs::{AttrCause, DropCause, LeakCause, Phase, RejectReason, SlowCause, TraceEvent};
 use pa_wire::Preamble;
 use std::collections::VecDeque;
@@ -98,6 +98,16 @@ impl Connection {
 
     /// Sends `payload` to the peer.
     pub fn send(&mut self, payload: &[u8]) -> SendOutcome {
+        self.send_from(None, payload)
+    }
+
+    /// [`Connection::send`], with the body of a message that leaves at
+    /// once taken from `wire` when one is given: a shard table's pool,
+    /// which the table's recycled deliveries refill. That body is the
+    /// one buffer a send puts on the wire for good; everything else the
+    /// send takes — a backlog slot, the frame image — comes back to
+    /// this connection and is taken from its own pool.
+    pub(crate) fn send_from(&mut self, wire: Option<&mut MsgPool>, payload: &[u8]) -> SendOutcome {
         // "if (con->send.disable > 0) { add_to_backlog; return; }" —
         // plus the serialization rule of §3.4: a message may not be
         // pre-processed until the post-processing of every previous
@@ -111,7 +121,7 @@ impl Connection {
             self.backlog.push_back(staged);
             SendOutcome::Queued
         } else {
-            let mut body = self.pool.take_with(payload);
+            let mut body = wire.unwrap_or(&mut self.pool).take_with(payload);
             PackInfo::Single.push_onto(&mut body);
             self.send_body(body)
         };
@@ -179,7 +189,7 @@ impl Connection {
     /// zeroed class headers around the packing-prefixed `body`.
     fn slow_send(&mut self, mut body: Msg) {
         body.push_front_zeroed(self.hdr_len);
-        self.send_work.push_back(SendWork {
+        self.send_work.push_sized(SendWork {
             next: self.layers.len() as isize - 1,
             msg: body,
             unusual: false,
@@ -205,11 +215,11 @@ impl Connection {
         // copy, back in the pool once its post phase has run, while the
         // caller's buffer goes to the wire untouched.
         let image = self.pool.take_with(msg.as_slice());
-        self.pending_send.push_back((image, origin));
+        self.pending_send.push_sized((image, origin));
 
         self.announce(&mut msg, unusual);
         self.stats.frames_out += 1;
-        self.out.push_back(msg);
+        self.out.push_sized(msg);
     }
 
     // ------------------------------------------------------------------
@@ -367,7 +377,7 @@ impl Connection {
             PackInfo::Single => {
                 if owes_post {
                     let image = self.pool.take_with(frame.as_slice());
-                    self.pending_recv.push_back(owed(image));
+                    self.pending_recv.push_sized(owed(image));
                 }
                 frame.skip_front(body_off);
                 self.stats.msgs_delivered += 1;
@@ -389,7 +399,7 @@ impl Connection {
                 debug_assert_eq!(delivered, info.count(), "walk matched the validated body");
                 self.stats.msgs_delivered += delivered as u64;
                 if owes_post {
-                    self.pending_recv.push_back(owed(frame));
+                    self.pending_recv.push_sized(owed(frame));
                 } else {
                     self.pool.put(frame);
                 }
@@ -401,7 +411,7 @@ impl Connection {
     /// Layered pre-deliver traversal, bottom → top.
     fn slow_deliver(&mut self, frame: Msg, filter_passed: bool) -> usize {
         let before = self.stats.msgs_delivered;
-        self.deliver_work.push_back(DeliverWork {
+        self.deliver_work.push_sized(DeliverWork {
             next: 0,
             start: 0,
             msg: frame,
@@ -467,7 +477,7 @@ impl Connection {
             origin,
         };
         match action {
-            SendAction::Continue => self.send_work.push_back(below(msg)),
+            SendAction::Continue => self.send_work.push_sized(below(msg)),
             SendAction::Split(parts) => {
                 self.send_work.extend(parts.into_iter().map(below));
                 // The parts are copies; the original is done.
@@ -511,7 +521,7 @@ impl Connection {
         });
         match action {
             DeliverAction::Continue => {
-                self.deliver_work.push_back(DeliverWork {
+                self.deliver_work.push_sized(DeliverWork {
                     next: next + 1,
                     start,
                     msg,
@@ -533,7 +543,7 @@ impl Connection {
                         reason: DropCause::ByLayer(self.layers[next].name()),
                     });
                 }
-                self.pending_recv.push_back(RecvPost {
+                self.pending_recv.push_sized(RecvPost {
                     msg,
                     start,
                     stop: next,
@@ -611,7 +621,7 @@ impl Connection {
         for (msg, unusual) in effects.down.drain(..) {
             self.stats.control_msgs += 1;
             self.emit(TraceEvent::Control { layer: name });
-            self.send_work.push_back(SendWork {
+            self.send_work.push_sized(SendWork {
                 next: layer_idx as isize - 1,
                 msg,
                 unusual,
@@ -619,7 +629,7 @@ impl Connection {
             });
         }
         for msg in effects.up.drain(..) {
-            self.deliver_work.push_back(DeliverWork {
+            self.deliver_work.push_sized(DeliverWork {
                 next: layer_idx + 1,
                 start: layer_idx + 1,
                 msg,

@@ -14,8 +14,8 @@ use pa_buf::Msg;
 use pa_filter::SlotId;
 use pa_obs::{
     journey_id, AttrCause, Attribution, DropCause, FieldRef, Fleet, HoldRow, LeakCause, LeakLedger,
-    MissTable, Phase, PhaseMeter, ProbeSink, RejectBucket, RejectReason, SlowCause, TraceEvent,
-    XrayOp, XrayReport, XrayTag, XrayTotals,
+    MissTable, Phase, PhaseMeter, PhaseMeters, ProbeSink, RejectBucket, RejectReason, SlowCause,
+    TraceEvent, XrayOp, XrayReport, XrayTag, XrayTotals,
 };
 use pa_wire::{Class, Field};
 use std::time::Instant;
@@ -32,37 +32,23 @@ pub(super) struct TraceCtx {
     pub(super) hop_slot: SlotId,
 }
 
-/// A connection's forensics and telemetry state, as one record.
-#[derive(Debug, Default)]
+/// A connection's forensics and telemetry state, as one record: what
+/// the fast path writes held inline, what only slow-path events and
+/// probes write held out of line, allocated the first time one needs it.
+#[derive(Debug)]
 pub struct Introspection {
-    /// See [`Connection::attribution`]. Always on — the bumps only run
-    /// on paths that already left the fast path.
-    attribution: Attribution,
-    /// Per-`(layer, field)` prediction-miss forensics.
-    miss_table: MissTable,
-    /// Per-layer pre/post/tick phase meters, parallel to the stack.
-    phase_meters: Vec<PhaseMeter>,
-    /// Measure wall-clock time per phase call (opt-in; off by default
-    /// so the meters cost two array bumps per phase).
-    cycle_metering: bool,
+    /// Per-layer pre/post/tick phase meters, parallel to the stack: the
+    /// counts always, the clock half once cycle metering is on.
+    meters: PhaseMeters,
     /// When set, every metered phase call is running on a later
     /// operation's critical path (a synchronous drain, eager post
     /// processing, a receive re-fuse) and is charged as *leaked*
     /// instead of masked. Scopes are set/restored around the guilty
     /// call sites; they never nest across operations.
     leak_scope: Option<LeakCause>,
-    /// Mirrors the leaked sub-counts of `phase_meters`, plus engine
-    /// leaks (re-fuse) the per-layer meters cannot hold.
-    leaks: LeakLedger,
     /// See [`Connection::last_send_explain`] (`none` = fast path).
     last_send_explain: XrayTag,
     last_deliver_explain: XrayTag,
-    /// Name of the last layer whose effects disabled the send
-    /// prediction — attributed on `Queued` trace events.
-    last_disable_layer: &'static str,
-    /// Where trace events go. Defaults to [`ProbeSink::Noop`]: one
-    /// predictable branch per instrumentation point, nothing else.
-    probe: ProbeSink,
     /// `None` with `config.trace_ctx` off — absent fields cost nothing
     /// on the wire or in the layout.
     trace: Option<TraceCtx>,
@@ -75,39 +61,89 @@ pub struct Introspection {
     /// `(journey, hop)` of the last frame wired / accepted.
     last_sent_trace: Option<(u64, u8)>,
     last_recv_trace: Option<(u64, u8)>,
+    /// The slow-path half: `None` until a slow-path event, a leaked
+    /// phase, a disable or a probe first writes it. A connection whose
+    /// traffic stays on the fast path never allocates it.
+    slow: Option<Box<SlowHalf>>,
 }
+
+/// What only the paths that left the fast path write, and the probe.
+#[derive(Debug)]
+struct SlowHalf {
+    /// See [`Connection::attribution`]: every excursion, attributed.
+    attribution: Attribution,
+    /// Per-`(layer, field)` prediction-miss forensics.
+    miss_table: MissTable,
+    /// Mirrors the leaked sub-counts of the phase meters, plus engine
+    /// leaks (re-fuse) the per-layer meters cannot hold.
+    leaks: LeakLedger,
+    /// Name of the last layer whose effects disabled the send
+    /// prediction — attributed on `Queued` trace events.
+    last_disable_layer: &'static str,
+    /// Where trace events go. [`ProbeSink::Noop`] until a host installs
+    /// one.
+    probe: ProbeSink,
+}
+
+impl SlowHalf {
+    const EMPTY: SlowHalf = SlowHalf {
+        attribution: Attribution::EMPTY,
+        miss_table: MissTable::EMPTY,
+        leaks: LeakLedger::EMPTY,
+        last_disable_layer: "(init)",
+        probe: ProbeSink::Noop,
+    };
+}
+
+/// What a connection without a slow-path half reads through it.
+static NO_SLOW_HALF: SlowHalf = SlowHalf::EMPTY;
 
 impl Introspection {
     /// The record of a connection over `layers` layers that has done
     /// nothing yet.
     pub(super) fn new(layers: usize, trace: Option<TraceCtx>, trace_origin: u32) -> Introspection {
         Introspection {
-            phase_meters: vec![PhaseMeter::default(); layers],
-            last_disable_layer: "(init)",
+            meters: PhaseMeters::new(layers),
+            leak_scope: None,
+            last_send_explain: XrayTag::none(),
+            last_deliver_explain: XrayTag::none(),
             trace,
             trace_origin,
             journey_seq: 1,
-            ..Introspection::default()
+            last_sent_trace: None,
+            last_recv_trace: None,
+            slow: None,
         }
     }
 
     /// True if nothing has left the fast path: no attributed excursion,
     /// no recorded miss, no leaked phase, both explain tags clear. (The
     /// phase meters count the masked posts of fast traffic too, and are
-    /// not part of this.) The three tables are `Vec`-backed and start
-    /// with no capacity: staying empty is staying off the heap.
+    /// not part of this.) The three tables live in the slow-path half,
+    /// which fast traffic never allocates.
     pub fn is_empty(&self) -> bool {
-        self.attribution.is_empty()
-            && self.miss_table.is_empty()
-            && self.leaks.is_empty()
+        let slow = self.slow_half();
+        slow.attribution.is_empty()
+            && slow.miss_table.is_empty()
+            && slow.leaks.is_empty()
             && self.last_send_explain.cause().is_none()
             && self.last_deliver_explain.cause().is_none()
+    }
+
+    /// The slow-path half, read: the empty one while none is allocated.
+    fn slow_half(&self) -> &SlowHalf {
+        self.slow.as_deref().unwrap_or(&NO_SLOW_HALF)
+    }
+
+    /// The slow-path half, written: allocated here the first time.
+    fn slow_mut(&mut self) -> &mut SlowHalf {
+        self.slow.get_or_insert_with(|| Box::new(SlowHalf::EMPTY))
     }
 
     /// Remembers who last held the send path shut, so a later `Queued`
     /// event names the culprit.
     pub(super) fn note_send_disable(&mut self, layer: &'static str) {
-        self.last_disable_layer = layer;
+        self.slow_mut().last_disable_layer = layer;
     }
 }
 
@@ -129,7 +165,7 @@ impl Connection {
 
     /// One attribution row, and the explain tag that says the same.
     fn charge(&mut self, op: XrayOp, layer: &'static str, cause: AttrCause) -> XrayTag {
-        self.intro.attribution.bump(op, layer, cause);
+        self.intro.slow_mut().attribution.bump(op, layer, cause);
         XrayTag::from_cause(self.layer_byte(layer), cause)
     }
 
@@ -182,7 +218,7 @@ impl Connection {
         };
         self.intro.last_send_explain = self.charge(XrayOp::QueuedSend, layer, cause);
         let disable_layer = if disabled {
-            self.intro.last_disable_layer
+            self.intro.slow_half().last_disable_layer
         } else {
             // Not a disable at all: §3.4's serialization rule
             // (post-processing of an earlier message is pending).
@@ -297,10 +333,13 @@ impl Connection {
                     if got != expected {
                         let field = FieldRef::new(Class::Protocol.index() as u8, i as u16);
                         let owner = self.protocol_field_owner(i);
-                        self.intro.miss_table.bump(owner, field, expected, got);
+                        self.intro
+                            .slow_mut()
+                            .miss_table
+                            .bump(owner, field, expected, got);
                         if first.is_none() {
                             first = Some((owner, field));
-                            if self.intro.probe.enabled() {
+                            if self.probe().enabled() {
                                 self.emit(TraceEvent::PredictMiss {
                                     field,
                                     expected,
@@ -326,28 +365,32 @@ impl Connection {
         if let Some(ring) = probe.trace_ring_mut() {
             ring.set_conn(self.params.local.host_id() as u32);
         }
-        self.intro.probe = probe;
+        self.intro.slow_mut().probe = probe;
     }
 
     /// The installed probe (counts, ring records).
     pub fn probe(&self) -> &ProbeSink {
-        &self.intro.probe
+        &self.intro.slow_half().probe
     }
 
-    /// Mutable probe access (clearing a ring between phases).
+    /// Mutable probe access (clearing a ring between phases). Allocates
+    /// the slow-path half the probe lives in, if there is none yet.
     pub fn probe_mut(&mut self) -> &mut ProbeSink {
-        &mut self.intro.probe
+        &mut self.intro.slow_mut().probe
     }
 
-    /// Emits one trace event at the connection's current clock.
+    /// Emits one trace event at the connection's current clock. With no
+    /// slow-path half there is no probe: one test of a pointer.
     #[inline]
     pub(super) fn emit(&mut self, event: TraceEvent) {
-        self.intro.probe.emit(self.now, event);
+        if let Some(slow) = self.intro.slow.as_deref_mut() {
+            slow.probe.emit(self.now, event);
+        }
     }
 
     /// Tells a listening probe which instruction refused a frame.
     pub(super) fn emit_filter_reject(&mut self, pc: u16, op: &'static str) {
-        if self.intro.probe.enabled() {
+        if self.probe().enabled() {
             self.emit(TraceEvent::FilterReject { pc, op });
         }
     }
@@ -399,7 +442,7 @@ impl Connection {
         let journey = self.send_slots[t.journey_slot.0 as usize] as u64;
         let hop = self.send_slots[t.hop_slot.0 as usize] as u8;
         self.intro.last_sent_trace = Some((journey, hop));
-        if journey != 0 && self.intro.probe.enabled() {
+        if journey != 0 && self.probe().enabled() {
             self.emit(TraceEvent::JourneySend { journey, hop });
         }
     }
@@ -420,39 +463,39 @@ impl Connection {
         let hop = layout.read_field(t.hop, bytes, self.peer_order) as u8;
         if journey != 0 {
             self.intro.last_recv_trace = Some((journey, hop));
-            if self.intro.probe.enabled() {
+            if self.probe().enabled() {
                 self.emit(TraceEvent::JourneyDeliver { journey, hop });
             }
         }
     }
 
     /// Per-layer phase meters, parallel to [`Connection::layer_names`].
-    pub fn phase_meters(&self) -> &[PhaseMeter] {
-        &self.intro.phase_meters
+    pub fn phase_meters(&self) -> impl ExactSizeIterator<Item = PhaseMeter> + Clone + '_ {
+        self.intro.meters.iter()
     }
 
     /// Turns on wall-clock metering of every phase call, de-biased by
     /// the shared timer-overhead correction
     /// ([`pa_obs::timer::span_overhead_ns`]) exactly like bench rows.
+    /// The meters' clock half is allocated here: a connection that
+    /// never meters does not hold it.
     pub fn enable_cycle_meter(&mut self) {
-        self.intro.cycle_metering = true;
-        let bias = pa_obs::timer::span_overhead_ns();
-        for m in &mut self.intro.phase_meters {
-            m.set_bias(bias);
-        }
+        self.intro
+            .meters
+            .start_clocks(pa_obs::timer::span_overhead_ns());
     }
 
     /// The critical-path leak ledger: post-class work that a later
     /// operation had to wait on, keyed `(layer, phase, cause)`.
     pub fn leaks(&self) -> &LeakLedger {
-        &self.intro.leaks
+        &self.intro.slow_half().leaks
     }
 
     /// Starts a cycle-meter sample if wall-clock metering is enabled;
-    /// off, the hot path pays a branch on a bool and no clock read.
+    /// off, the hot path pays a test of a pointer and no clock read.
     #[inline]
     pub(super) fn meter_start(&self) -> Option<Instant> {
-        self.intro.cycle_metering.then(Instant::now)
+        self.intro.meters.clocked().then(Instant::now)
     }
 
     /// Records one phase invocation for `layer_idx`, with its elapsed
@@ -464,13 +507,16 @@ impl Connection {
     pub(super) fn meter_record(&mut self, layer_idx: usize, phase: Phase, t0: Option<Instant>) {
         let dt = t0.map(|t| t.elapsed().as_nanos() as u64);
         let leaked = self.intro.leak_scope;
-        let Some(meter) = self.intro.phase_meters.get_mut(layer_idx) else {
-            return;
-        };
-        let charged = meter.record_flagged(phase, dt, leaked.is_some());
+        let charged = self
+            .intro
+            .meters
+            .record(layer_idx, phase, dt, leaked.is_some());
         if let Some(cause) = leaked {
-            let layer = self.layers.get(layer_idx).map_or("?", |l| l.name());
-            self.intro.leaks.bump(layer, phase, cause, 1, charged);
+            let Some(layer) = self.layers.get(layer_idx).map(|l| l.name()) else {
+                return;
+            };
+            let leaks = &mut self.intro.slow_mut().leaks;
+            leaks.bump(layer, phase, cause, 1, charged);
         }
     }
 
@@ -478,11 +524,10 @@ impl Connection {
     /// to the leak ledger as `("pa", recv-refuse)`: engine work a
     /// delivery waited on that the per-layer meters cannot hold.
     pub(super) fn record_recv_rebind_leak(&mut self, t0: Option<Instant>) {
-        let bias = self.intro.phase_meters.first().map_or(0, |m| m.bias_ns);
+        let bias = self.intro.meters.bias_ns();
         let ns = t0.map_or(0, |t| (t.elapsed().as_nanos() as u64).saturating_sub(bias));
-        self.intro
-            .leaks
-            .bump("pa", Phase::PreDeliver, LeakCause::RecvRefuse, 1, ns);
+        let leaks = &mut self.intro.slow_mut().leaks;
+        leaks.bump("pa", Phase::PreDeliver, LeakCause::RecvRefuse, 1, ns);
     }
 
     /// Runs `f` with the critical-path leak scope set to `cause`,
@@ -512,7 +557,7 @@ impl Connection {
     /// `slow_sends` / `queued_sends` / `slow_deliveries` increment is
     /// mirrored by exactly one `(op, layer, cause)` bump.
     pub fn attribution(&self) -> &Attribution {
-        &self.intro.attribution
+        &self.intro.slow_half().attribution
     }
 
     /// Why the most recent send operation missed (or took) the fast
@@ -570,11 +615,12 @@ impl Connection {
             invariant_violations: self.invariant_violations(),
         });
         fleet.rejects.merge(&self.stats.rejects);
-        fleet.attribution.merge(&self.intro.attribution);
-        fleet.misses.merge(&self.intro.miss_table);
+        let slow = self.intro.slow_half();
+        fleet.attribution.merge(&slow.attribution);
+        fleet.misses.merge(&slow.miss_table);
         let names = self.layers.iter().map(|l| l.name());
-        fleet.absorb_meters(names.zip(&self.intro.phase_meters));
-        fleet.leaks.merge(&self.intro.leaks);
+        fleet.absorb_meters(names.zip(self.intro.meters.iter()));
+        fleet.leaks.merge(&slow.leaks);
     }
 
     /// Builds the ranked "why is this connection off the fast path"

@@ -24,9 +24,10 @@
 //! layered traversal, the post drain, poll and recycle); `control` is
 //! what changes a connection's standing, one function per transition
 //! (build, admit, announce, bind / rotate, learn the peer's byte order,
-//! hold / release, tick); `introspect` is [`Introspection`] — one record
-//! held by value — and the one method per path decision through which
-//! the data path writes it.
+//! hold / release, tick); `introspect` is [`Introspection`] — one record,
+//! its fast-path half held by value and its slow-path half boxed on first
+//! use — and the one method per path decision through which the data
+//! path writes it.
 
 mod control;
 mod data;
@@ -203,6 +204,27 @@ impl PostWorkReport {
     }
 }
 
+/// The push of a connection's per-operation queues. A queue's first
+/// push gives it room for exactly one entry, not `VecDeque`'s four:
+/// between operations these queues hold one entry or none, and a
+/// connection holds its queues' buffers for as long as it lives. A queue
+/// that does hold more grows as usual from there. The two packing
+/// queues, `backlog` and `deliveries`, do not use it: a packed run fills
+/// them past one at once.
+trait PushSized<T> {
+    fn push_sized(&mut self, item: T);
+}
+
+impl<T> PushSized<T> for VecDeque<T> {
+    #[inline]
+    fn push_sized(&mut self, item: T) {
+        if self.capacity() == 0 {
+            self.reserve_exact(1);
+        }
+        self.push_back(item);
+    }
+}
+
 /// A deferred post-deliver work item: the frame image and the layer
 /// range that saw it.
 struct RecvPost {
@@ -266,13 +288,17 @@ pub struct Connection {
     hdr_len: usize,
     /// The §6 recycling pool: every hot-path buffer — send staging,
     /// post-processing frame images, unpacked delivery pieces — is
-    /// borrowed here and returned after its deferred post phase.
+    /// borrowed here and returned after its deferred post phase. (A
+    /// send through a shard table takes the body it puts on the wire
+    /// from the shard's pool instead: [`Connection::send_from`].)
     pool: MsgPool,
     send_predict: Prediction,
     recv_predict: Prediction,
     /// Sends waiting on post-processing or a disabled predicted header
     /// (§3.4), oldest first; drained a same-size run at a time.
     backlog: VecDeque<Msg>,
+    // `pending_send` through `out` take their first buffer through
+    // `PushSized`: one entry, not four.
     pending_send: VecDeque<(Msg, &'static str)>,
     pending_recv: VecDeque<RecvPost>,
     send_work: VecDeque<SendWork>,
@@ -353,6 +379,12 @@ impl Connection {
     /// had to allocate), returns.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
+    }
+
+    /// The headroom this connection's pool gives every buffer: what
+    /// its first, identified frame prepends in place.
+    pub(crate) fn pool_headroom(&self) -> usize {
+        self.pool.headroom()
     }
 
     /// Buffers currently sitting idle in the pool's free list.

@@ -171,7 +171,8 @@ pub fn pack(msgs: &[Msg]) -> Msg {
 }
 
 /// The one body builder: a same-size run of `size`-byte messages,
-/// packed under the kind-1 header into one freshly allocated buffer.
+/// packed under the kind-1 header into one freshly allocated buffer,
+/// sized for the run before the first piece is copied in.
 /// [`pack`] and the connection's backlog drain both build here. The body
 /// leaves for the network and does not come back, so it is not taken
 /// from a pool.
@@ -185,7 +186,9 @@ pub(crate) fn pack_run<'a>(run: impl ExactSizeIterator<Item = &'a Msg>, size: us
         count,
         size: u32::try_from(size).expect("a packed message is under 4 GiB"),
     };
-    let mut body = Msg::with_headroom(&[], DEFAULT_HEADROOM + info.wire_len());
+    // One allocation: the header's room in front, the run's bytes
+    // behind.
+    let mut body = Msg::with_room(DEFAULT_HEADROOM + info.wire_len(), info.body_len());
     for m in run {
         assert_eq!(m.len(), size, "§3.4 packs only same-size runs");
         body.push_back(m.as_slice());

@@ -158,8 +158,8 @@ pub struct ShardTable {
     /// Live connections (slots minus free).
     live: usize,
     router: Router,
-    /// The shard's private buffer pool: wire-bytes ingest takes from
-    /// it, recycled deliveries return to it.
+    /// The shard's wire pool: wire-bytes ingest and every table send
+    /// take from it, recycled deliveries return to it.
     pub(crate) pool: MsgPool,
     /// Frames handed to this shard.
     frames_seen: u64,
@@ -256,6 +256,9 @@ impl ShardTable {
         let idx = self.free.pop().map_or(self.slots.len(), |i| i as usize);
         self.router
             .register_ident(conn.expected_ident().to_vec(), ConnKey(idx));
+        // Sends take their bodies from the shard's pool: its buffers
+        // carry the headroom of the largest stack it serves.
+        self.pool.raise_headroom(conn.pool_headroom());
         let (handle, clock) = (enroll(idx), self.clock);
         match self.slots.get_mut(idx) {
             Some(slot) => {
@@ -411,9 +414,15 @@ impl ShardTable {
             .expect("the directory names live slots")
     }
 
-    /// Sends `payload` on the connection in live slot `idx`.
+    /// Sends `payload` on the connection in live slot `idx`, its wire
+    /// body taken from this shard's pool ([`Connection::send_from`]):
+    /// the pool ingest takes from and recycled deliveries return to, so
+    /// an echo's body is the buffer its request arrived in, recycled.
     pub(crate) fn send(&mut self, idx: usize, payload: &[u8]) -> SendOutcome {
-        self.routed_conn_mut(ConnKey(idx)).send(payload)
+        self.activate(idx);
+        let conn = self.slots[idx].conn.as_mut();
+        let conn = conn.expect("the directory names live slots");
+        conn.send_from(Some(&mut self.pool), payload)
     }
 
     // ---- ready sets --------------------------------------------------
@@ -504,13 +513,18 @@ impl ShardTable {
     /// keys for freed slots), about to run: stamps its activity and puts
     /// it on every ready set.
     fn routed_conn_mut(&mut self, key: ConnKey) -> &mut Connection {
-        let clock = self.clock;
-        self.enqueue(key.0, Ready::ALL);
-        let slot = &mut self.slots[key.0];
-        slot.last_active = clock;
-        slot.conn
+        self.activate(key.0);
+        self.slots[key.0]
+            .conn
             .as_mut()
             .expect("router key must name a live slot")
+    }
+
+    /// Stamps live slot `idx`'s activity and puts it on every ready set:
+    /// its connection is about to run.
+    fn activate(&mut self, idx: usize) {
+        self.enqueue(idx, Ready::ALL);
+        self.slots[idx].last_active = self.clock;
     }
 
     /// One cookie-only frame (preamble still in front): one router

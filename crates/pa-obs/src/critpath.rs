@@ -125,6 +125,11 @@ pub struct LeakLedger {
 }
 
 impl LeakLedger {
+    /// The empty ledger, as a constant: no allocation until a bump.
+    pub const EMPTY: LeakLedger = LeakLedger {
+        entries: Vec::new(),
+    };
+
     /// Charges `calls` invocations (and optionally measured time) to a
     /// `(layer, phase, cause)` bucket.
     pub fn bump(&mut self, layer: &str, phase: Phase, cause: LeakCause, calls: u64, cycle_ns: u64) {

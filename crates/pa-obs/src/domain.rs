@@ -842,6 +842,7 @@ pub fn price_rows(rows: &mut [PhaseRow], price: impl Fn(&str, Phase) -> u64) {
 mod tests {
     use super::*;
     use crate::critpath::MaskDomain;
+    use crate::xray::PhaseMeters;
 
     fn coordinator() -> SnapshotCoordinator {
         SnapshotCoordinator::new(SketchConfig::default_scope())
@@ -911,13 +912,15 @@ mod tests {
         let mut a = co.domain("pre");
         let mut b = co.domain("post");
         // One source meter mutated in two bracketed windows.
-        let mut meter = PhaseMeter::default();
-        let cp0 = meter;
-        meter.record_flagged(Phase::PreSend, Some(100), false);
-        meter.record_flagged(Phase::PreSend, Some(100), false);
-        let cp1 = meter;
-        a.absorb_meter("window", &meter.delta_since(&cp0));
-        meter.record_flagged(Phase::PostSend, Some(300), false);
+        let mut meters = PhaseMeters::new(1);
+        meters.start_clocks(0);
+        let cp0 = meters.get(0);
+        meters.record(0, Phase::PreSend, Some(100), false);
+        meters.record(0, Phase::PreSend, Some(100), false);
+        let cp1 = meters.get(0);
+        a.absorb_meter("window", &cp1.delta_since(&cp0));
+        meters.record(0, Phase::PostSend, Some(300), false);
+        let meter = meters.get(0);
         b.absorb_meter("window", &meter.delta_since(&cp1));
         a.publish();
         b.publish();
@@ -940,14 +943,10 @@ mod tests {
         };
         // Domain a did 3 pre-sends; domain b did 3 post-sends.
         let mut ma = PhaseMeter::default();
-        for _ in 0..3 {
-            ma.record_flagged(Phase::PreSend, None, false);
-        }
+        ma.calls[Phase::PreSend as usize] = 3;
         a.absorb_meter("window", &ma);
         let mut mb = PhaseMeter::default();
-        for _ in 0..3 {
-            mb.record_flagged(Phase::PostSend, None, false);
-        }
+        mb.calls[Phase::PostSend as usize] = 3;
         b.absorb_meter("window", &mb);
         // Each domain builds its ledger shard from its own priced rows.
         for (d, m) in [(&mut a, &ma), (&mut b, &mb)] {

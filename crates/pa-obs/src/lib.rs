@@ -120,7 +120,7 @@ pub use watch::{positional, Fleet, Watch};
 pub use watchdog::{WatchAlert, WatchInput, Watchdog, WatchdogConfig};
 pub use xray::{
     AttrCause, Attribution, DisableReason, Finding, HoldRow, MissTable, Phase, PhaseMeter,
-    PhaseRow, XrayOp, XrayReport, XrayTag, XrayTotals,
+    PhaseMeters, PhaseRow, XrayOp, XrayReport, XrayTag, XrayTotals,
 };
 
 use std::fmt;

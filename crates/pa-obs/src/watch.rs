@@ -60,13 +60,13 @@ impl Fleet {
     /// rows. Allocates only for a row it has not seen.
     pub fn absorb_meters<'a>(
         &mut self,
-        layers: impl Iterator<Item = (&'a str, &'a PhaseMeter)> + Clone,
+        layers: impl Iterator<Item = (&'a str, PhaseMeter)> + Clone,
     ) {
         for (i, (name, m)) in layers.clone().enumerate() {
             let nth = layers.clone().take(i).filter(|(l, _)| *l == name).count();
             match self.meters.iter_mut().filter(|(l, _)| l == name).nth(nth) {
-                Some((_, acc)) => acc.absorb(m),
-                None => self.meters.push((name.to_string(), *m)),
+                Some((_, acc)) => acc.absorb(&m),
+                None => self.meters.push((name.to_string(), m)),
             }
         }
     }
@@ -78,7 +78,7 @@ impl Fleet {
         self.rejects.merge(&other.rejects);
         self.attribution.merge(&other.attribution);
         self.misses.merge(&other.misses);
-        self.absorb_meters(other.meters.iter().map(|(l, m)| (l.as_str(), m)));
+        self.absorb_meters(other.meters.iter().map(|(l, m)| (l.as_str(), *m)));
         self.leaks.merge(&other.leaks);
     }
 
@@ -429,13 +429,13 @@ mod tests {
             meter([0, 0, 3, 0, 0]),
         ];
         let mut a = Fleet::default();
-        a.absorb_meters(stack.into_iter().zip(&one));
+        a.absorb_meters(stack.into_iter().zip(one));
         a.attribution
             .bump(XrayOp::SlowSend, "pa", AttrCause::PredictOff);
         a.leaks
             .bump("window", Phase::PostSend, LeakCause::EagerPost, 2, 0);
         let mut pooled = a.clone();
-        pooled.absorb_meters(stack.into_iter().zip(&one));
+        pooled.absorb_meters(stack.into_iter().zip(one));
         pooled
             .attribution
             .bump(XrayOp::SlowSend, "pa", AttrCause::PredictOff);

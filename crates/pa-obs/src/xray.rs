@@ -238,6 +238,11 @@ pub struct Attribution {
 }
 
 impl Attribution {
+    /// The empty table, as a constant: no allocation until a bump.
+    pub const EMPTY: Attribution = Attribution {
+        entries: Vec::new(),
+    };
+
     /// Charges one operation to `(op, layer, cause)`.
     pub fn bump(&mut self, op: XrayOp, layer: &'static str, cause: AttrCause) {
         for e in &mut self.entries {
@@ -317,6 +322,11 @@ pub struct MissTable {
 }
 
 impl MissTable {
+    /// The empty table, as a constant: no allocation until a bump.
+    pub const EMPTY: MissTable = MissTable {
+        entries: Vec::new(),
+    };
+
     /// Records one field mismatch.
     pub fn bump(&mut self, layer: &'static str, field: FieldRef, predicted: u64, actual: u64) {
         for e in &mut self.entries {
@@ -409,8 +419,9 @@ impl Phase {
     }
 }
 
-/// Per-layer phase execution meters: call counts always, measured
-/// cycle time (`std::time::Instant`) when the host opts in.
+/// One layer's phase execution meters, as every view reads them: call
+/// counts always, measured cycle time (`std::time::Instant`) when the
+/// host opts in. A connection keeps them as [`PhaseMeters`].
 ///
 /// Each phase bucket additionally tracks its *leaked* sub-count: the
 /// invocations (and their time) that ran inside a critical-path leak
@@ -434,33 +445,117 @@ pub struct PhaseMeter {
     pub bias_ns: u64,
 }
 
-impl PhaseMeter {
-    /// Records one invocation, marking it leaked if it ran inside a
-    /// critical-path leak scope. Returns the de-biased nanoseconds
-    /// actually charged (0 when unmetered), so the caller can charge
-    /// the same figure to a leak ledger without re-measuring.
-    pub fn record_flagged(&mut self, phase: Phase, cycle_ns: Option<u64>, leaked: bool) -> u64 {
-        let i = phase as usize;
-        self.calls[i] += 1;
-        let ns = cycle_ns.map_or(0, |ns| ns.saturating_sub(self.bias_ns));
-        if cycle_ns.is_some() {
-            self.cycle_ns[i] += ns;
+/// The count half of one layer's [`PhaseMeter`]: what every phase call
+/// writes.
+#[derive(Debug, Clone, Copy, Default)]
+struct PhaseCalls {
+    calls: [u64; 5],
+    leaked_calls: [u64; 5],
+}
+
+/// The clock half of one layer's [`PhaseMeter`]: written only while
+/// cycle metering is on, and held only once it has been turned on.
+#[derive(Debug, Clone, Copy, Default)]
+struct PhaseClock {
+    cycle_ns: [u64; 5],
+    leaked_cycle_ns: [u64; 5],
+    bias_ns: u64,
+}
+
+/// A connection's phase meters, one per layer, bottom first. The count
+/// halves are held from the start; the clock halves are allocated by
+/// [`PhaseMeters::start_clocks`] and read as zero until then, so a
+/// connection that never meters wall-clock time does not hold them.
+#[derive(Debug, Clone)]
+pub struct PhaseMeters {
+    calls: Box<[PhaseCalls]>,
+    clocks: Option<Box<[PhaseClock]>>,
+}
+
+impl PhaseMeters {
+    /// Zeroed meters for `layers` layers, clocks off.
+    pub fn new(layers: usize) -> PhaseMeters {
+        PhaseMeters {
+            calls: vec![PhaseCalls::default(); layers].into_boxed_slice(),
+            clocks: None,
         }
+    }
+
+    /// True once [`PhaseMeters::start_clocks`] has run.
+    #[inline]
+    pub fn clocked(&self) -> bool {
+        self.clocks.is_some()
+    }
+
+    /// Turns the clock halves on (allocating them the first time) with
+    /// `bias_ns` subtracted from every later measured span (see
+    /// `pa_obs::timer`).
+    pub fn start_clocks(&mut self, bias_ns: u64) {
+        let layers = self.calls.len();
+        let clocks = self
+            .clocks
+            .get_or_insert_with(|| vec![PhaseClock::default(); layers].into_boxed_slice());
+        for c in clocks.iter_mut() {
+            c.bias_ns = bias_ns;
+        }
+    }
+
+    /// The timer-overhead correction the clocks apply (0 while off).
+    pub fn bias_ns(&self) -> u64 {
+        self.clocks
+            .as_ref()
+            .and_then(|c| c.first())
+            .map_or(0, |c| c.bias_ns)
+    }
+
+    /// Records one invocation of `phase` on `layer`, marking it leaked
+    /// if it ran inside a critical-path leak scope, with its measured
+    /// nanoseconds when the clocks are on. Returns the de-biased
+    /// nanoseconds actually charged (0 when unmetered), so the caller
+    /// can charge the same figure to a leak ledger without re-measuring.
+    #[inline]
+    pub fn record(&mut self, layer: usize, phase: Phase, ns: Option<u64>, leaked: bool) -> u64 {
+        let i = phase as usize;
+        let Some(c) = self.calls.get_mut(layer) else {
+            return 0;
+        };
+        c.calls[i] += 1;
+        c.leaked_calls[i] += leaked as u64;
+        let clock = self.clocks.as_mut().and_then(|c| c.get_mut(layer));
+        let (Some(ns), Some(clock)) = (ns, clock) else {
+            return 0;
+        };
+        let ns = ns.saturating_sub(clock.bias_ns);
+        clock.cycle_ns[i] += ns;
         if leaked {
-            self.leaked_calls[i] += 1;
-            if cycle_ns.is_some() {
-                self.leaked_cycle_ns[i] += ns;
-            }
+            clock.leaked_cycle_ns[i] += ns;
         }
         ns
     }
 
-    /// Sets the timer-overhead correction applied to every later
-    /// measured span (see `pa_obs::timer`).
-    pub fn set_bias(&mut self, ns: u64) {
-        self.bias_ns = ns;
+    /// Layer `layer`'s meter, both halves (the clock's zero while off).
+    pub(crate) fn get(&self, layer: usize) -> PhaseMeter {
+        let c = self.calls[layer];
+        let clock = self
+            .clocks
+            .as_ref()
+            .map_or(PhaseClock::default(), |k| k[layer]);
+        PhaseMeter {
+            calls: c.calls,
+            cycle_ns: clock.cycle_ns,
+            leaked_calls: c.leaked_calls,
+            leaked_cycle_ns: clock.leaked_cycle_ns,
+            bias_ns: clock.bias_ns,
+        }
     }
 
+    /// Every layer's meter, bottom first.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = PhaseMeter> + Clone + '_ {
+        (0..self.calls.len()).map(|i| self.get(i))
+    }
+}
+
+impl PhaseMeter {
     /// Total invocations across phases.
     pub fn total_calls(&self) -> u64 {
         self.calls.iter().sum()
@@ -1002,40 +1097,48 @@ mod tests {
 
     #[test]
     fn phase_meter_records() {
-        let mut p = PhaseMeter::default();
-        p.record_flagged(Phase::PreSend, None, false);
-        p.record_flagged(Phase::PostDeliver, Some(1_500), false);
-        assert_eq!(p.calls[Phase::PreSend as usize], 1);
-        assert_eq!(p.calls[Phase::PostDeliver as usize], 1);
-        assert_eq!(p.cycle_ns[Phase::PostDeliver as usize], 1_500);
-        assert_eq!(p.total_calls(), 2);
+        let mut p = PhaseMeters::new(1);
+        p.record(0, Phase::PreSend, None, false);
+        assert!(!p.clocked(), "no clock half until metering starts");
+        p.start_clocks(0);
+        p.record(0, Phase::PostDeliver, Some(1_500), false);
+        let m = p.get(0);
+        assert_eq!(m.calls[Phase::PreSend as usize], 1);
+        assert_eq!(m.calls[Phase::PostDeliver as usize], 1);
+        assert_eq!(m.cycle_ns[Phase::PostDeliver as usize], 1_500);
+        assert_eq!(m.total_calls(), 2);
+        assert_eq!(p.record(1, Phase::Tick, Some(1), false), 0, "no such layer");
     }
 
     #[test]
     fn phase_meter_tracks_leaks_and_debiases() {
-        let mut p = PhaseMeter::default();
-        p.set_bias(100);
-        let charged = p.record_flagged(Phase::PostDeliver, Some(1_500), true);
+        let mut p = PhaseMeters::new(1);
+        p.start_clocks(100);
+        let charged = p.record(0, Phase::PostDeliver, Some(1_500), true);
         assert_eq!(charged, 1_400, "timer overhead subtracted");
-        p.record_flagged(Phase::PostDeliver, Some(1_000), false);
-        assert_eq!(p.calls[Phase::PostDeliver as usize], 2);
-        assert_eq!(p.cycle_ns[Phase::PostDeliver as usize], 2_300);
-        assert_eq!(p.leaked_calls[Phase::PostDeliver as usize], 1);
-        assert_eq!(p.leaked_cycle_ns[Phase::PostDeliver as usize], 1_400);
+        p.record(0, Phase::PostDeliver, Some(1_000), false);
+        let m = p.get(0);
+        assert_eq!(m.calls[Phase::PostDeliver as usize], 2);
+        assert_eq!(m.cycle_ns[Phase::PostDeliver as usize], 2_300);
+        assert_eq!(m.leaked_calls[Phase::PostDeliver as usize], 1);
+        assert_eq!(m.leaked_cycle_ns[Phase::PostDeliver as usize], 1_400);
+        assert_eq!((m.bias_ns, p.bias_ns()), (100, 100));
         // Bias never drives a span negative.
-        let charged = p.record_flagged(Phase::Tick, Some(40), true);
+        let charged = p.record(0, Phase::Tick, Some(40), true);
         assert_eq!(charged, 0);
-        assert_eq!(p.leaked_calls.iter().sum::<u64>(), 2);
+        assert_eq!(p.get(0).leaked_calls.iter().sum::<u64>(), 2);
     }
 
     #[test]
     fn phase_meter_deltas_partition_and_absorb() {
-        let mut m = PhaseMeter::default();
-        let cp0 = m;
-        m.record_flagged(Phase::PreSend, Some(100), false);
-        m.record_flagged(Phase::PreSend, Some(200), true);
-        let cp1 = m;
-        m.record_flagged(Phase::PostSend, Some(300), false);
+        let mut p = PhaseMeters::new(1);
+        p.start_clocks(0);
+        let cp0 = p.get(0);
+        p.record(0, Phase::PreSend, Some(100), false);
+        p.record(0, Phase::PreSend, Some(200), true);
+        let cp1 = p.get(0);
+        p.record(0, Phase::PostSend, Some(300), false);
+        let m = p.get(0);
         let d0 = m.delta_since(&cp0);
         let d1 = cp1.delta_since(&cp0);
         let d2 = m.delta_since(&cp1);

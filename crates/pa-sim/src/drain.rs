@@ -211,7 +211,7 @@ impl Bracket {
     /// Checkpoints `conn`.
     pub(crate) fn open(&mut self, conn: &Connection) {
         self.meters.clear();
-        self.meters.extend_from_slice(conn.phase_meters());
+        self.meters.extend(conn.phase_meters());
         if self.names.len() != self.meters.len() {
             self.names = conn.layer_names();
         }
@@ -220,7 +220,7 @@ impl Bracket {
 
     /// Folds what `conn` did since [`Bracket::open`] into `domain`.
     pub(crate) fn fold(&self, domain: &mut TelemetryDomain, conn: &Connection) {
-        for (i, m) in conn.phase_meters().iter().enumerate() {
+        for (i, m) in conn.phase_meters().enumerate() {
             domain.absorb_meter(self.names[i], &m.delta_since(&self.meters[i]));
         }
         for (name, v) in conn.stats().delta(&self.stats).fields() {
@@ -248,8 +248,10 @@ fn drain_loop(
                 domain.emit(DomainEventKind::HandoffReceived { job: job.seq });
                 // Trace records written by the post phases belong to
                 // this thread's domain while the connection is here.
-                if let Some(r) = job.conn.probe_mut().trace_ring_mut() {
-                    r.set_domain(domain.id());
+                if job.conn.probe().trace_ring().is_some() {
+                    if let Some(r) = job.conn.probe_mut().trace_ring_mut() {
+                        r.set_domain(domain.id());
+                    }
                 }
                 bracket.open(&job.conn);
                 domain.emit(DomainEventKind::DrainStart { job: job.seq });

@@ -89,7 +89,7 @@ mod tests {
         a.process_pending();
         // Phase index 1 = post-send. The spin dominates any timer
         // bias, so the metered time is within a factor of the knob.
-        let post_send_ns = a.phase_meters()[0].cycle_ns[1];
+        let post_send_ns = a.phase_meters().next().unwrap().cycle_ns[1];
         assert!(
             post_send_ns >= spin.as_nanos() as u64 / 2,
             "spin not visible to the meter: {post_send_ns} ns"

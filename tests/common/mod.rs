@@ -25,6 +25,7 @@ pub struct CountingAlloc;
 thread_local! {
     static LOCAL: Cell<usize> = const { Cell::new(0) };
     static SINK: Cell<Option<&'static AtomicUsize>> = const { Cell::new(None) };
+    static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
 fn bump() {
@@ -38,21 +39,28 @@ fn bump() {
     }
 }
 
+fn live(delta: isize) {
+    LIVE.set(LIVE.get() + delta);
+}
+
 // SAFETY: every call is forwarded unchanged to `System`; the counting
 // touches only const-initialised thread-locals and an atomic, neither
 // of which allocates or unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump();
+        live(layout.size() as isize);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as isize));
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump();
+        live(new_size as isize - layout.size() as isize);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -61,6 +69,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// Heap allocations (and reallocations) the calling thread has made.
 pub fn allocations() -> usize {
     LOCAL.get()
+}
+
+/// Bytes the calling thread has allocated and not yet freed, as the
+/// layouts asked for them (no allocator overhead). Memory allocated on
+/// one thread and freed on another moves both threads' counts, so a
+/// gate reads a difference across work done on its own thread.
+// Only the footprint gates call this.
+#[allow(dead_code)]
+pub fn live_bytes() -> isize {
+    LIVE.get()
 }
 
 /// Registers the calling thread as a worker: its allocations are

@@ -177,12 +177,10 @@ fn cycle_domain_conserves_on_a_real_connection() {
         // meters' leaked sub-buckets exactly.
         let meter_leak_ns: u64 = conn
             .phase_meters()
-            .iter()
             .map(|m| m.leaked_cycle_ns.iter().sum::<u64>())
             .sum();
         let meter_leak_calls: u64 = conn
             .phase_meters()
-            .iter()
             .map(|m| m.leaked_calls.iter().sum::<u64>())
             .sum();
         let ledger = conn.leaks();

@@ -24,13 +24,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use pa::buf::Msg;
 use pa::core::{
     Connection, ConnectionParams, DeliverAction, DeliverOutcome, Handles, Layer, LayerCtx,
-    LayerShape, PaConfig, SendAction, SendOutcome,
+    LayerShape, PaConfig, SendAction, SendOutcome, ShardDelivery, ShardHandle, ShardedEndpoint,
 };
 use pa::stack::StackSpec;
 use pa::wire::{ByteOrder, EndpointAddr};
 
 mod common;
-use common::{allocations, count_this_thread_into, CountingAlloc};
+use common::{allocations, count_this_thread_into, live_bytes, CountingAlloc};
 
 // Integration-test binaries get their own global allocator. It counts
 // per thread, so the gates below do not see the tests libtest runs
@@ -681,14 +681,16 @@ fn packed_backlog_delivery_reconciles_the_pools() {
     // The drain packs the seven queued messages into one frame straight
     // off the backlog. The sender's allocations for it, exactly:
     //
-    // - 2 the packed body, fresh: its buffer and one regrow (135 B of
-    //   headroom, then the 112 B run);
+    // - 1 the packed body, fresh, sized for its header's room and the
+    //   112 B run at once;
     // - 1 the frame image, taken from the pool into a staged buffer too
     //   small for it;
     // - 2 the pool's free list growing as the seven staged buffers go
     //   back (to 4, then 8);
     // - 1 the window's retransmission list growing for the first frame's
-    //   copy, in that frame's post phase.
+    //   copy, in that frame's post phase;
+    // - 1 the transmit queue growing from its one entry (the first
+    //   frame, not yet polled) to four for the packed one.
     let before = allocations();
     a.process_pending();
     let made = allocations() - before;
@@ -755,8 +757,10 @@ fn paper_setup(seed: u64) -> (Vec<Box<dyn Layer>>, ConnectionParams) {
 /// layout, the placements, the verified and fused filters and every
 /// layer's handles are the plan's, found and shared. The paper stack's
 /// filters have no patchable slots, so the two slot arrays are empty;
-/// the pool, the queues, the effects scratch and the attribution tables
-/// start empty and allocate on first use.
+/// the pool, the queues and the effects scratch start empty and
+/// allocate on first use, and the introspection record's slow-path half
+/// and the meters' clock half are not allocated until something writes
+/// them.
 #[test]
 fn connection_setup_allocates_only_what_it_keeps() {
     let (layers, params) = paper_setup(7);
@@ -807,3 +811,192 @@ fn first_connection_of_a_stack_pays_for_the_plan_once() {
     );
     assert!(made > 7, "a miss compiles: {made} allocations");
 }
+
+#[test]
+fn a_packed_run_of_64_allocates_its_body_once() {
+    // The backlog drain's body builder, reached through `pack`: the
+    // header's room in front and the run behind, in one allocation —
+    // not a buffer at headroom size that doubles as the run is copied in.
+    let run: Vec<Msg> = (0..64u8).map(|i| Msg::from_payload(&[i; 8])).collect();
+    let before = allocations();
+    let body = pa::core::packing::pack(&run);
+    let made = allocations() - before;
+    assert_eq!(made, 1, "packing a run of 64 made {made} allocations");
+    let mut body = body;
+    let info = pa::core::PackInfo::pop_from(&mut body).expect("a kind-1 header");
+    assert_eq!(info.count(), 64);
+    assert_eq!(body.len(), 64 * 8);
+}
+
+// ---------------------------------------------------------------------------
+// The sharded arm: clients echo through a `ShardedEndpoint`
+// ---------------------------------------------------------------------------
+
+/// Clients of a sharded server and their twins' handles.
+struct Fanin {
+    ep: ShardedEndpoint,
+    clients: Vec<(Connection, ShardHandle)>,
+    wire: Vec<Msg>,
+    back: Vec<Msg>,
+    msgs: Vec<Msg>,
+    drained: Vec<ShardDelivery>,
+}
+
+impl Fanin {
+    /// `n` client connections and their twins, admitted to an
+    /// endpoint of `shards` shards (host 1 serves; clients are 100..).
+    fn new(shards: usize, n: u64) -> Fanin {
+        let cfg = PaConfig::paper_default();
+        let mut ep = ShardedEndpoint::new(shards);
+        let clients = (0..n)
+            .map(|i| {
+                let host = 100 + i;
+                let twin = paper_conn(cfg, 1, host, 0x7000 + 2 * i);
+                (
+                    paper_conn(cfg, host, 1, 0x7001 + 2 * i),
+                    ep.add_connection(twin),
+                )
+            })
+            .collect();
+        Fanin {
+            ep,
+            clients,
+            wire: Vec::with_capacity(64),
+            back: Vec::with_capacity(8),
+            msgs: Vec::with_capacity(8),
+            drained: Vec::with_capacity(64),
+        }
+    }
+
+    /// One echo from every client, the way a server host drives the
+    /// endpoint: the requests in one `from_network_burst`, each
+    /// delivery echoed with `try_send` and recycled to its shard with
+    /// `recycle_delivery`, each twin polled and posted through
+    /// `try_conn_mut`. Returns the allocations the round made and the
+    /// echoes the clients received.
+    fn round(&mut self) -> (usize, usize) {
+        let t0 = allocations();
+        for (c, _) in &mut self.clients {
+            assert_eq!(c.send(b"ping-msg"), SendOutcome::FastPath);
+            c.poll_transmit_burst(usize::MAX, &mut self.wire);
+        }
+        self.ep.from_network_burst(&mut self.wire);
+        self.ep.drain_deliveries(&mut self.drained);
+        for d in &self.drained {
+            let out = self.ep.try_send(d.conn, d.msg.as_slice());
+            assert!(matches!(out, Ok(SendOutcome::FastPath)), "{out:?}");
+        }
+        for d in self.drained.drain(..) {
+            self.ep.recycle_delivery(d);
+        }
+        let mut echoed = 0;
+        for (c, h) in &mut self.clients {
+            let twin = self.ep.try_conn_mut(*h).expect("live");
+            twin.poll_transmit_burst(usize::MAX, &mut self.back);
+            c.deliver_burst(&mut self.back);
+            echoed += c.poll_delivery_burst(usize::MAX, &mut self.msgs);
+            c.recycle_burst(self.msgs.drain(..));
+            c.process_pending();
+            self.ep.try_conn_mut(*h).expect("live").process_pending();
+        }
+        (allocations() - t0, echoed)
+    }
+}
+
+#[test]
+fn a_sharded_echo_allocates_nothing_and_every_pool_balances() {
+    let mut f = Fanin::new(8, 32);
+    // Warm-up: the first round carries every ident and moves each twin
+    // to its cookie's home shard; pools and queues reach their shapes.
+    for _ in 0..16 {
+        f.round();
+    }
+    // A twin's echo body is taken from its shard's pool, which the
+    // request it echoes was just recycled into: the body that leaves
+    // for the client is paid for by the one that came in. (Taken from
+    // the twin's own pool it was a miss on every echo: the buffer never
+    // comes back there.)
+    const ROUNDS: usize = 256;
+    let (mut made, mut echoed) = (0, 0);
+    for _ in 0..ROUNDS {
+        let (m, e) = f.round();
+        made += m;
+        echoed += e;
+    }
+    assert_eq!(echoed, ROUNDS * f.clients.len(), "every request echoed");
+    assert_eq!(made, 0, "{made} allocations over {echoed} sharded echoes");
+
+    // Flux identity on every pool: the shards', the twins', the clients'.
+    let flux =
+        |idle: usize, ps: pa::buf::PoolStats| idle as u64 == ps.returns - ps.hits - ps.capped;
+    for i in 0..f.ep.shard_count() {
+        let ps = f.ep.shard_pool_stats(i);
+        assert!(flux(f.ep.shard_pool_idle(i), ps), "shard {i}: {ps:?}");
+    }
+    for (c, h) in &f.clients {
+        let twin = f.ep.try_conn(*h).expect("live");
+        for conn in [c, twin] {
+            assert!(flux(conn.pool_idle(), conn.pool_stats()), "{conn:?}");
+            assert!(conn.stats().delivery_balanced() && conn.stats().rejects_reconcile());
+        }
+    }
+    assert!(f.ep.demux_balanced());
+}
+
+// ---------------------------------------------------------------------------
+// The footprint arm: what a warm connection holds between operations
+// ---------------------------------------------------------------------------
+
+/// The heap a warm standalone echo pair holds between round trips: both
+/// connections' layers, pools, queues, meters, identifications and
+/// predictions — everything but the stack plan they share with the
+/// connection that built it. Measured as live bytes (what the layouts
+/// ask for, allocator overhead not counted).
+#[test]
+fn a_warm_echo_pair_holds_its_pinned_heap() {
+    let cfg = PaConfig::paper_default();
+    let _plan_holder = paper_conn(cfg, 7, 8, 0x9600);
+    let before = live_bytes();
+    let mut a = paper_conn(cfg, 1, 2, 0x9601);
+    let mut b = paper_conn(cfg, 2, 1, 0x9602);
+    for _ in 0..64 {
+        round_trip(&mut a, &mut b, false);
+    }
+    let held = live_bytes() - before;
+    assert!(
+        a.introspection().is_empty() && b.introspection().is_empty(),
+        "all-fast traffic leaves the slow-path halves unallocated"
+    );
+    // 6 232 B while every per-connection queue's first push made room
+    // for four entries and each layer's phase meter held its clock half
+    // whether or not metering was on: 808 B a connection.
+    assert!(held <= PAIR_HEAP, "a warm echo pair holds {held} B");
+}
+
+/// Pinned by [`a_warm_echo_pair_holds_its_pinned_heap`].
+const PAIR_HEAP: isize = 4_616;
+
+/// The heap a warm connection living in a shard table holds: what
+/// dropping it frees once it is removed from the endpoint.
+#[test]
+fn a_warm_table_resident_connection_holds_its_pinned_heap() {
+    let mut f = Fanin::new(8, 32);
+    for _ in 0..16 {
+        f.round();
+    }
+    let (_, h) = f.clients[0];
+    let twin = f.ep.remove_connection(h).expect("live");
+    assert!(twin.introspection().is_empty());
+    let before = live_bytes();
+    drop(twin);
+    let held = before - live_bytes();
+    // 2 844 B with four-entry queues and the meters' clock half held:
+    // the same 808 B a connection as the standalone pair.
+    assert!(
+        held <= TWIN_HEAP,
+        "a warm table-resident connection holds {held} B"
+    );
+}
+
+/// Pinned by [`a_warm_table_resident_connection_holds_its_pinned_heap`].
+const TWIN_HEAP: isize = 2_036;

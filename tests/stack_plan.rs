@@ -753,11 +753,15 @@ fn a_connection_is_its_own_state() {
     // 2 168 B before the layout, the programs, their fused forms and the
     // span tables moved into the plan.
     let size = std::mem::size_of::<Connection>();
-    // It does not grow: 1 640 B.
-    assert!(size <= 1640, "size_of::<Connection>() = {size}");
-    // Of which the introspection record, held by value (328 B, the
-    // probe 128 of them): what boxing it would take off the connection,
-    // less a pointer.
+    // 1 640 B while the introspection record held its slow-path half
+    // inline. It does not grow: 1 440 B.
+    assert!(size <= 1440, "size_of::<Connection>() = {size}");
+    // Of which the introspection record's fast-path half: the phase
+    // meters' handles, the explain tags, the leak scope, the journey
+    // fields and the one pointer to the slow-path half (attribution,
+    // miss table, leaks, the last disabling layer and the probe), which
+    // is allocated on the first slow-path event or probe. 328 B with
+    // that half inline, the probe 128 of them.
     let intro = std::mem::size_of::<pa::core::conn::Introspection>();
-    assert!(intro <= 328, "size_of::<Introspection>() = {intro}");
+    assert!(intro <= 128, "size_of::<Introspection>() = {intro}");
 }

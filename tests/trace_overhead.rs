@@ -204,7 +204,7 @@ fn xray_is_dormant_on_an_all_fast_path_connection() {
     // The instrumentation is live, not compiled out: the phase meters
     // saw the deferred post-sends — they just have nothing slow to say.
     assert!(
-        conn.phase_meters().iter().any(|m| m.total_calls() > 0),
+        conn.phase_meters().any(|m| m.total_calls() > 0),
         "phase meters must be counting"
     );
     // And the per-send heap appetite is the engine's own (buffers,
