@@ -196,6 +196,13 @@ impl Msg {
         self.end = headroom;
     }
 
+    /// The address of byte `offset` of the whole buffer, headroom
+    /// included: a take with `offset` bytes of headroom writes there.
+    /// An address for cache hints; nothing is read through it.
+    pub fn buf_addr(&self, offset: usize) -> *const u8 {
+        self.data.as_ptr().wrapping_add(offset)
+    }
+
     /// Total capacity of the underlying allocation.
     pub(crate) fn capacity(&self) -> usize {
         self.data.len()

@@ -177,6 +177,13 @@ impl MsgPool {
         self.large.insert(at.map_or(0, |i| i + 1), msg);
     }
 
+    /// The buffer the next small take pops, if any: its free-list entry
+    /// is where this reference points, its bytes are
+    /// [`Msg::buf_addr`]`(headroom)` on. For cache hints.
+    pub fn next_small(&self) -> Option<&Msg> {
+        self.small.last()
+    }
+
     /// Number of buffers currently on the free list.
     pub fn idle(&self) -> usize {
         self.small.len() + self.large.len()

@@ -330,6 +330,29 @@ impl Connection {
         outcome
     }
 
+    /// Cache hints for a fast delivery's heap writes, read from this
+    /// connection's own fields: the recv prediction's bytes, the filter
+    /// slots, the free-list entry of the pool's next small take (the
+    /// image), and where `pending_recv` and `deliveries` push next.
+    pub(crate) fn prefetch_delivery(&self) {
+        crate::prefetch(self.recv_predict.proto().as_ptr());
+        crate::prefetch(self.recv_slots.as_ptr());
+        if let Some(next) = self.pool.next_small() {
+            crate::prefetch(next);
+        }
+        crate::prefetch(self.pending_recv.as_slices().0.as_ptr());
+        crate::prefetch(self.deliveries.as_slices().0.as_ptr());
+    }
+
+    /// The bytes the image take writes, once
+    /// [`Connection::prefetch_delivery`] has fetched their free-list
+    /// entry.
+    pub(crate) fn prefetch_delivery_image(&self) {
+        if let Some(next) = self.pool.next_small() {
+            crate::prefetch(next.buf_addr(self.pool.headroom()));
+        }
+    }
+
     /// Strips the stack headers off `frame`, unpacks the body into
     /// application deliveries, and queues a frame image for the
     /// deferred post-deliver phases. Shared by the fast path and the

@@ -33,7 +33,8 @@
 //! PA mechanism off — which is exactly how the no-PA baseline for the
 //! paper's headline comparison is produced ([`config::PaConfig`]).
 
-#![forbid(unsafe_code)]
+// One `unsafe` block in the crate: the cache hint in [`prefetch`].
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
@@ -68,3 +69,33 @@ pub use table::{AdmitError, BurstDemux, LifecycleStats, StaleHandle};
 
 /// Virtual or real time in nanoseconds, as supplied by the host.
 pub type Nanos = u64;
+
+/// Asks the CPU to start pulling the cache line holding `p` toward L1 —
+/// a hint, with no effect on what the program computes. It reads
+/// nothing and cannot fault, whatever `p` is: dangling, null or
+/// unallocated. The burst demux issues it a stage ahead of the read
+/// (DESIGN.md "A burst stages its demux"). Nothing off x86_64, where
+/// there is no stable intrinsic for it.
+#[inline(always)]
+#[allow(unsafe_code)]
+pub(crate) fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: PREFETCHT0 performs no architectural access: it cannot
+    // fault and changes no memory, for any address.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
+/// [`prefetch`] of every cache line `value` occupies.
+#[inline(always)]
+pub(crate) fn prefetch_all<T>(value: &T) {
+    let p: *const u8 = (value as *const T).cast();
+    let first = p.wrapping_sub(p as usize & 63);
+    let lines = (p as usize & 63) + std::mem::size_of::<T>();
+    for off in (0..lines).step_by(64) {
+        prefetch(first.wrapping_add(off));
+    }
+}

@@ -31,9 +31,16 @@
 //!   ident bytes are keyed by full value, and the router tracks which
 //!   lengths are registered so a frame prefix is probed once per
 //!   length (in practice once — endpoints share a stack shape).
+//!
+//! The live-cookie map, the one table on the per-frame path, is open
+//! addressed (`CookieMap`): a probe is one cache line, found from the
+//! cookie's hash before it is read, keyed by the std map's SipHash as
+//! before. The stale and ident maps are the control path: std maps.
 
 use pa_wire::Cookie;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::BuildHasher;
 
 /// Opaque connection key (slot index into the owner's connection table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,6 +73,138 @@ struct StaleEntry {
     /// entry, so a FIFO entry is live iff its seq still matches). Zero
     /// for owned entries — FIFO seqs start at one.
     seq: u64,
+}
+
+/// The live-cookie table: cookie → connection, open addressed with
+/// linear probing over a power-of-two array of `(cookie, key, hash)`
+/// entries, four to a cache line; the low half of the hash is kept so a
+/// removal or a growth moves entries without hashing them again. Cookie
+/// 0 marks an empty slot; the zero cookie
+/// itself (refused at the endpoint's front, but [`Router::bind_cookie`]
+/// is public) is kept beside the array. A removal shifts the rest of its
+/// cluster back instead of leaving a tombstone, so a table that churns
+/// probes as short as a fresh one. The load stays at or below ¾: at ½
+/// a shard of more than 2 048 connections would take 128 KiB, past
+/// glibc's mmap threshold (EXPERIMENTS.md E-stage).
+#[derive(Debug, Default)]
+pub(crate) struct CookieMap<S = RandomState> {
+    hasher: S,
+    slots: Vec<(u64, u32, u32)>,
+    /// Non-zero cookies in `slots`.
+    len: usize,
+    zero: Option<ConnKey>,
+}
+
+impl<S: BuildHasher> CookieMap<S> {
+    /// The hash every probe of `raw` starts from.
+    #[inline]
+    fn hash(&self, raw: u64) -> u64 {
+        self.hasher.hash_one(raw)
+    }
+
+    /// `raw`'s slot (`Ok`), or the empty slot that ends its probe
+    /// sequence (`Err`). The array must not be empty; the load bound
+    /// keeps an empty slot in it.
+    #[inline]
+    fn find(&self, raw: u64, hash: u64) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            match self.slots[i].0 {
+                c if c == raw => return Ok(i),
+                0 => return Err(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    #[inline]
+    fn get(&self, raw: u64, hash: u64) -> Option<ConnKey> {
+        if raw == 0 {
+            return self.zero;
+        }
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.find(raw, hash)
+            .ok()
+            .map(|i| ConnKey(self.slots[i].1 as usize))
+    }
+
+    /// Binds `raw` to `key`, returning the key it was bound to before.
+    fn insert(&mut self, raw: u64, key: ConnKey) -> Option<ConnKey> {
+        if raw == 0 {
+            return self.zero.replace(key);
+        }
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            self.grow();
+        }
+        let key = u32::try_from(key.0).expect("a connection key is a slot index");
+        let hash = self.hash(raw);
+        match self.find(raw, hash) {
+            Ok(i) => Some(ConnKey(
+                std::mem::replace(&mut self.slots[i].1, key) as usize
+            )),
+            Err(i) => {
+                self.slots[i] = (raw, key, hash as u32);
+                self.len += 1;
+                None
+            }
+        }
+    }
+
+    fn grow(&mut self) {
+        let cap = (self.slots.len() * 2).max(8);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0, 0); cap]);
+        for entry in old.into_iter().filter(|&(raw, ..)| raw != 0) {
+            let i = self.find(entry.0, entry.2 as u64).unwrap_err();
+            self.slots[i] = entry;
+        }
+    }
+
+    /// Unbinds `raw`. The entries after it in its cluster move back into
+    /// the hole, each as far as its own probe sequence allows.
+    fn remove(&mut self, raw: u64) -> Option<ConnKey> {
+        if raw == 0 {
+            return self.zero.take();
+        }
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut hole = self.find(raw, self.hash(raw)).ok()?;
+        let key = ConnKey(self.slots[hole].1 as usize);
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let (c, _, hash) = self.slots[i];
+            if c == 0 {
+                break;
+            }
+            // The entry at `i` may fill the hole unless its home slot
+            // lies (cyclically) after the hole: then a probe for it
+            // would start past the hole and never find it there.
+            let home = hash as usize & mask;
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[i];
+                hole = i;
+            }
+        }
+        self.slots[hole] = (0, 0, 0);
+        self.len -= 1;
+        Some(key)
+    }
+
+    fn len(&self) -> usize {
+        self.len + self.zero.is_some() as usize
+    }
+
+    /// Starts fetching the line a probe of `hash` begins on.
+    #[inline]
+    fn prefetch(&self, hash: u64) {
+        let i = hash as usize & self.slots.len().wrapping_sub(1);
+        crate::prefetch(self.slots.as_ptr().wrapping_add(i));
+    }
 }
 
 /// Everything the router gives back when a connection is extracted for
@@ -108,7 +247,7 @@ pub struct StaleStats {
 /// from a capture) cannot reach the connection through a dead cookie.
 #[derive(Debug, Default)]
 pub struct Router {
-    by_cookie: HashMap<u64, ConnKey>,
+    by_cookie: CookieMap,
     /// Retired cookies: refused at demux, kept for attribution.
     stale_cookies: HashMap<u64, StaleEntry>,
     /// `ConnKey.0 → raw cookie` — the one live binding per connection.
@@ -282,14 +421,15 @@ impl Router {
     /// *different* cookie for the same connection retires the previous
     /// one into the stale set (bounded per connection — the oldest
     /// retired cookie is evicted past [`Router::STALE_CAP`]);
-    /// re-binding a retired cookie revives it.
+    /// re-binding a retired cookie revives it. `key` fits 32 bits, as a
+    /// table's slot index does.
     pub fn bind_cookie(&mut self, cookie: Cookie, key: ConnKey) {
         let raw = cookie.raw();
         if let Some(&prev) = self.current_cookie.get(&key.0) {
             if prev == raw {
                 return;
             }
-            self.by_cookie.remove(&prev);
+            self.by_cookie.remove(prev);
             self.retire_owned(prev, key);
         }
         if self.drop_stale(raw).is_some() {
@@ -309,9 +449,33 @@ impl Router {
         self.current_cookie.insert(key.0, raw);
     }
 
+    /// The hash a probe of `cookie` in this router starts from: computed
+    /// once a frame and handed to [`Router::prefetch_cookie`],
+    /// [`Router::live_key`] and [`Router::demux_cookie`].
+    #[inline]
+    pub(crate) fn cookie_hash(&self, cookie: Cookie) -> u64 {
+        self.by_cookie.hash(cookie.raw())
+    }
+
+    /// Starts fetching the line a live-cookie probe of `hash` begins on.
+    /// A hint: nothing is read and nothing is counted.
+    #[inline]
+    pub(crate) fn prefetch_cookie(&self, hash: u64) {
+        self.by_cookie.prefetch(hash);
+    }
+
+    /// The connection `cookie` is live on, if any, without moving a
+    /// counter: what a hint pass looks up.
+    #[inline]
+    pub(crate) fn live_key(&self, cookie: Cookie, hash: u64) -> Option<ConnKey> {
+        self.by_cookie.get(cookie.raw(), hash)
+    }
+
     /// Cookie demux: live hit, stale (refused, accounted), or unknown.
-    pub(crate) fn demux_cookie(&mut self, cookie: Cookie) -> CookieLookup {
-        if let Some(&k) = self.by_cookie.get(&cookie.raw()) {
+    /// `hash` is [`Router::cookie_hash`] of `cookie`.
+    #[inline]
+    pub(crate) fn demux_cookie(&mut self, cookie: Cookie, hash: u64) -> CookieLookup {
+        if let Some(k) = self.by_cookie.get(cookie.raw(), hash) {
             self.cookie_hits += 1;
             return CookieLookup::Hit(k);
         }
@@ -327,7 +491,7 @@ impl Router {
     /// a pure probe for conflict checks (is this cookie already the
     /// live route of some connection?).
     pub fn demux_cookie_peek(&self, cookie: Cookie) -> CookieLookup {
-        if let Some(&k) = self.by_cookie.get(&cookie.raw()) {
+        if let Some(k) = self.live_key(cookie, self.cookie_hash(cookie)) {
             return CookieLookup::Hit(k);
         }
         if let Some(e) = self.stale_cookies.get(&cookie.raw()) {
@@ -363,7 +527,7 @@ impl Router {
     pub(crate) fn remove(&mut self, key: ConnKey) {
         self.unregister_ident(key);
         if let Some(raw) = self.current_cookie.remove(&key.0) {
-            self.by_cookie.remove(&raw);
+            self.by_cookie.remove(raw);
         }
         if let Some(dq) = self.stale_of.remove(&key.0) {
             for raw in dq {
@@ -400,7 +564,7 @@ impl Router {
             self.enforce_tombstone_cap();
         }
         let cookie = self.current_cookie.remove(&key.0).map(|raw| {
-            self.by_cookie.remove(&raw);
+            self.by_cookie.remove(raw);
             self.retire_tombstone(raw, key);
             Cookie::from_raw(raw)
         });
@@ -445,6 +609,12 @@ impl Router {
 mod tests {
     use super::*;
 
+    /// A counting probe, hashed the way the endpoint hashes it.
+    fn demux(r: &mut Router, cookie: Cookie) -> CookieLookup {
+        let hash = r.cookie_hash(cookie);
+        r.demux_cookie(cookie, hash)
+    }
+
     #[test]
     fn ident_then_cookie_flow() {
         let mut r = Router::new();
@@ -453,7 +623,7 @@ mod tests {
 
         // First message: unknown cookie, ident present.
         let c = Cookie::from_raw(42);
-        assert_eq!(r.demux_cookie(c), CookieLookup::Unknown);
+        assert_eq!(demux(&mut r, c), CookieLookup::Unknown);
         assert_eq!(
             r.probe_ident_prefix(b"ident-bytes+body"),
             Some((key, b"ident-bytes".len()))
@@ -461,7 +631,7 @@ mod tests {
         r.bind_cookie(c, key);
 
         // Subsequent messages: cookie hits.
-        assert_eq!(r.demux_cookie(c), CookieLookup::Hit(key));
+        assert_eq!(demux(&mut r, c), CookieLookup::Hit(key));
         assert_eq!(r.cookie_hits, 1);
         assert_eq!(r.misses, 1);
     }
@@ -475,13 +645,13 @@ mod tests {
         let key = ConnKey(0);
         r.bind_cookie(Cookie::from_raw(1), key);
         r.bind_cookie(Cookie::from_raw(2), key);
-        assert_eq!(r.demux_cookie(Cookie::from_raw(2)), CookieLookup::Hit(key));
+        assert_eq!(demux(&mut r, Cookie::from_raw(2)), CookieLookup::Hit(key));
         assert_eq!(
-            r.demux_cookie(Cookie::from_raw(1)),
+            demux(&mut r, Cookie::from_raw(1)),
             CookieLookup::Stale(key),
             "retired"
         );
-        assert_eq!(r.demux_cookie(Cookie::from_raw(3)), CookieLookup::Unknown);
+        assert_eq!(demux(&mut r, Cookie::from_raw(3)), CookieLookup::Unknown);
         assert_eq!(r.cookie_count(), 1, "one live binding per connection");
         assert_eq!(r.stale_count(), 1);
         assert_eq!(r.stale_hits, 1);
@@ -489,11 +659,8 @@ mod tests {
 
         // Re-binding the retired cookie revives it and retires the other.
         r.bind_cookie(Cookie::from_raw(1), key);
-        assert_eq!(r.demux_cookie(Cookie::from_raw(1)), CookieLookup::Hit(key));
-        assert_eq!(
-            r.demux_cookie(Cookie::from_raw(2)),
-            CookieLookup::Stale(key)
-        );
+        assert_eq!(demux(&mut r, Cookie::from_raw(1)), CookieLookup::Hit(key));
+        assert_eq!(demux(&mut r, Cookie::from_raw(2)), CookieLookup::Stale(key));
         assert_eq!(r.cookie_count(), 1);
         assert_eq!(r.stale_stats.revived, 1);
         assert!(r.stale_ledger_reconciles());
@@ -507,16 +674,16 @@ mod tests {
         // Conn 0 re-binds; its old cookie is stale, conn 1 untouched.
         r.bind_cookie(Cookie::from_raw(11), ConnKey(0));
         assert_eq!(
-            r.demux_cookie(Cookie::from_raw(10)),
+            demux(&mut r, Cookie::from_raw(10)),
             CookieLookup::Stale(ConnKey(0))
         );
         assert_eq!(
-            r.demux_cookie(Cookie::from_raw(20)),
+            demux(&mut r, Cookie::from_raw(20)),
             CookieLookup::Hit(ConnKey(1))
         );
         r.remove(ConnKey(0));
-        assert_eq!(r.demux_cookie(Cookie::from_raw(10)), CookieLookup::Unknown);
-        assert_eq!(r.demux_cookie(Cookie::from_raw(11)), CookieLookup::Unknown);
+        assert_eq!(demux(&mut r, Cookie::from_raw(10)), CookieLookup::Unknown);
+        assert_eq!(demux(&mut r, Cookie::from_raw(11)), CookieLookup::Unknown);
     }
 
     #[test]
@@ -527,7 +694,7 @@ mod tests {
         r.register_ident(b"b".to_vec(), ConnKey(2));
         r.remove(ConnKey(1));
         assert_eq!(r.probe_ident_prefix(b"a"), None);
-        assert_eq!(r.demux_cookie(Cookie::from_raw(9)), CookieLookup::Unknown);
+        assert_eq!(demux(&mut r, Cookie::from_raw(9)), CookieLookup::Unknown);
         assert_eq!(r.probe_ident_prefix(b"b"), Some((ConnKey(2), 1)));
     }
 
@@ -631,6 +798,144 @@ mod tests {
             assert!(r.stale_ledger_reconciles(), "step {step}");
         }
         assert!(capped > 0, "the sequence never reached the stale cap");
+    }
+
+    /// The live-cookie table at scale: 50 000 random 64-bit cookies
+    /// bound to fresh connections, rebound and removed through every
+    /// growth from 8 slots to 64 Ki, against a std `HashMap` model. After
+    /// every operation the cookie it touched, a sample of other live
+    /// ones and a never-bound one resolve as the model says, the count
+    /// agrees and the load is at most ¾; at every growth and at the end,
+    /// every cookie ever bound is looked up.
+    #[test]
+    fn cookie_table_matches_a_std_map_at_scale() {
+        let mut rng = Rng(0x0C00_C1E5);
+        let mut r = Router::new();
+        let mut model: HashMap<u64, ConnKey> = HashMap::new();
+        // Live connections and their current cookies; every cookie bound.
+        let mut live: Vec<(ConnKey, u64)> = Vec::new();
+        let mut seen: Vec<u64> = Vec::new();
+        let check = |r: &Router, model: &HashMap<u64, ConnKey>, raw: u64| {
+            let got = match r.demux_cookie_peek(Cookie::from_raw(raw)) {
+                CookieLookup::Hit(k) => Some(k),
+                _ => None,
+            };
+            assert_eq!(got, model.get(&raw).copied(), "cookie {raw:#x}");
+        };
+        let (mut next_key, mut growths, mut slots) = (0, 0, 0);
+        while seen.len() < 50_000 {
+            let raw = rng.next();
+            if model.contains_key(&raw) {
+                continue;
+            }
+            let touched = match rng.next() % 20 {
+                0..=11 => {
+                    let key = ConnKey(next_key);
+                    next_key += 1;
+                    live.push((key, raw));
+                    r.bind_cookie(Cookie::from_raw(raw), key);
+                    model.insert(raw, key);
+                    seen.push(raw);
+                    raw
+                }
+                12..=16 if !live.is_empty() => {
+                    let i = (rng.next() % live.len() as u64) as usize;
+                    let (key, old) = live[i];
+                    live[i].1 = raw;
+                    r.bind_cookie(Cookie::from_raw(raw), key);
+                    model.remove(&old);
+                    model.insert(raw, key);
+                    seen.push(raw);
+                    check(&r, &model, old);
+                    raw
+                }
+                _ if !live.is_empty() => {
+                    let i = (rng.next() % live.len() as u64) as usize;
+                    let (key, old) = live.swap_remove(i);
+                    r.remove(key);
+                    model.remove(&old);
+                    old
+                }
+                _ => continue,
+            };
+            check(&r, &model, touched);
+            for _ in 0..4 {
+                if let Some(&(_, other)) = live.get(rng.next() as usize % live.len().max(1)) {
+                    check(&r, &model, other);
+                }
+            }
+            check(&r, &model, rng.next() | 1);
+            assert_eq!(r.cookie_count(), model.len());
+            let map = &r.by_cookie;
+            assert!(map.len * 4 <= map.slots.len() * 3, "load over 3/4");
+            if map.slots.len() != slots {
+                (slots, growths) = (map.slots.len(), growths + 1);
+                seen.iter().for_each(|&raw| check(&r, &model, raw));
+            }
+        }
+        seen.iter().for_each(|&raw| check(&r, &model, raw));
+        assert!(growths >= 10, "{growths} growths");
+        assert!(r.stale_ledger_reconciles());
+    }
+
+    /// A removal where the probe sequence wraps from the last slot to
+    /// the first: the entries after the hole shift back across the wrap,
+    /// each only as far as its own home allows. The keys are hashed
+    /// with a fixed-key SipHash so the positions are known.
+    #[test]
+    fn cookie_table_removal_shifts_back_across_the_wrap() {
+        use std::hash::{BuildHasherDefault, DefaultHasher};
+        let mut map = CookieMap::<BuildHasherDefault<DefaultHasher>>::default();
+        // 8 slots, which 4 entries keep.
+        map.grow();
+        let home = |map: &CookieMap<_>, raw: u64| map.hash(raw) as usize & 7;
+        let with_home = |map: &CookieMap<_>, h: usize, skip: u64| {
+            (skip + 1..).find(|&raw| home(map, raw) == h).unwrap()
+        };
+        let a = with_home(&map, 7, 0);
+        let b = with_home(&map, 7, a);
+        let c = with_home(&map, 1, 0);
+        let d = with_home(&map, 0, 0);
+        for (i, raw) in [a, b, c, d].into_iter().enumerate() {
+            assert_eq!(map.insert(raw, ConnKey(i)), None);
+        }
+        let at = |map: &CookieMap<_>| map.slots.iter().map(|&(raw, ..)| raw).collect::<Vec<_>>();
+        assert_eq!(
+            at(&map),
+            [b, c, d, 0, 0, 0, 0, a],
+            "b wrapped; d probed past c"
+        );
+        assert_eq!(map.remove(a), Some(ConnKey(0)));
+        // b moves back to its home across the wrap, c stays at its own,
+        // d fills the hole at slot 0.
+        assert_eq!(at(&map), [d, c, 0, 0, 0, 0, 0, b]);
+        for (raw, key) in [(b, 1), (c, 2), (d, 3)] {
+            assert_eq!(map.get(raw, map.hash(raw)), Some(ConnKey(key)));
+        }
+        assert_eq!(map.get(a, map.hash(a)), None);
+        // A removal at slot 0 with the cluster starting at 7.
+        assert_eq!(map.remove(d), Some(ConnKey(3)));
+        assert_eq!(at(&map), [0, c, 0, 0, 0, 0, 0, b]);
+        assert_eq!(map.get(c, map.hash(c)), Some(ConnKey(2)));
+        assert_eq!(map.len(), 2);
+        // The zero cookie lives beside the array.
+        assert_eq!(map.insert(0, ConnKey(5)), None);
+        assert_eq!((map.get(0, map.hash(0)), map.len()), (Some(ConnKey(5)), 3));
+        assert_eq!(map.remove(0), Some(ConnKey(5)));
+        assert_eq!(map.get(0, map.hash(0)), None);
+    }
+
+    /// splitmix64 (offline determinism, no std rand).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
     }
 
     /// Pin of the stale-set bound: endless re-keying must not leak.

@@ -29,7 +29,13 @@
 //! tallied, and in that the burst collects cookie-only frames into
 //! per-shard segments, so each shard demuxes its frames back to back.
 //! Every cookie-only frame, whichever entry it came through, is one
-//! probe of its shard's router.
+//! probe of its shard's router, and a probe is one cache line, keyed by
+//! the router's SipHash as before.
+//!
+//! A burst fetches ahead: before it ingests its first frame, hint
+//! passes over all of them fetch each frame's table line, slot and
+//! write targets, so their cache misses overlap (DESIGN.md "A burst
+//! stages its demux"). The per-frame step then probes and decides again.
 //!
 //! ## Finding work
 //!
@@ -209,9 +215,13 @@ pub struct ShardedEndpoint {
     /// Frames refused at the front, before any shard saw them.
     front_rejects: RejectLedger,
     front: ShardFrontStats,
-    /// Per-shard cookie segments for the burst path (kept across
-    /// bursts so steady state allocates nothing).
-    seg_scratch: Vec<Vec<(Preamble, Msg)>>,
+    /// Per-shard cookie segments for the burst path: each frame with
+    /// its cookie's hash in its home router (kept across bursts so
+    /// steady state allocates nothing).
+    seg_scratch: Vec<Vec<(Preamble, u64, Msg)>>,
+    /// `(shard, slot)` of every segment frame whose cookie is live: what
+    /// the burst's later hint passes fetch for (kept across bursts).
+    hint_scratch: Vec<(usize, usize)>,
     /// Shard the next [`ShardedEndpoint::poll_transmit_burst`] starts
     /// at: the one after the shard the last call was cut off in.
     tx_next: usize,
@@ -232,6 +242,7 @@ impl ShardedEndpoint {
             front_rejects: RejectLedger::default(),
             front: ShardFrontStats::default(),
             seg_scratch: (0..shards).map(|_| Vec::new()).collect(),
+            hint_scratch: Vec::new(),
             tx_next: 0,
         }
     }
@@ -465,7 +476,8 @@ impl ShardedEndpoint {
             ident,
         } = routed;
         let Some((owner, key, ident_len)) = ident else {
-            return self.shards[home].ingest_cookie(preamble, frame);
+            let hash = self.shards[home].router().cookie_hash(preamble.cookie);
+            return self.shards[home].ingest_cookie(preamble, hash, frame);
         };
         let outcome = self.shards[owner].ingest_ident(key, ident_len, preamble, frame);
         if self.shards[owner].bind_verified(preamble.cookie, key, &outcome) && home != owner {
@@ -520,16 +532,38 @@ impl ShardedEndpoint {
         self.shards[d.shard].pool.put(d.msg);
     }
 
-    /// Demuxes every open cookie segment in its shard, frame by frame
-    /// in arrival order.
-    fn flush_segments(&mut self, segs: &mut [Vec<(Preamble, Msg)>], report: &mut BurstDemux) {
+    /// Demuxes every open cookie segment. Hint passes over the whole
+    /// burst come first, each prefetching what the next one reads, so
+    /// the frames' cache misses overlap instead of queueing one behind
+    /// another; then each shard's frames take the per-frame step back to
+    /// back in arrival order. The front's loop was the first pass: each
+    /// frame's table line is in flight. A lone frame has no other
+    /// frame's misses to overlap, and skips the passes.
+    fn flush_segments(&mut self, segs: &mut [Vec<(Preamble, u64, Msg)>], report: &mut BurstDemux) {
+        // Second: probe each cookie (its line fetched) and fetch the slot.
+        let hits = &mut self.hint_scratch;
+        hits.clear();
+        if segs.iter().map(Vec::len).sum::<usize>() > 1 {
+            for (s, (shard, seg)) in self.shards.iter().zip(segs.iter()).enumerate() {
+                for &(preamble, hash, _) in seg.iter() {
+                    hits.extend(shard.hint_slot(preamble.cookie, hash).map(|idx| (s, idx)));
+                }
+            }
+        }
+        // Third: the heap lines a fast delivery writes; fourth: the image
+        // buffer whose free-list entry the third fetched.
+        for image in [false, true] {
+            for &(s, idx) in hits.iter() {
+                self.shards[s].hint_delivery(idx, image);
+            }
+        }
         for (shard, seg) in self.shards.iter_mut().zip(segs) {
             if seg.is_empty() {
                 continue;
             }
             let routed = shard.routed_frames();
-            for (preamble, frame) in seg.drain(..) {
-                report.tally(&shard.ingest_cookie(preamble, frame));
+            for (preamble, hash, frame) in seg.drain(..) {
+                report.tally(&shard.ingest_cookie(preamble, hash, frame));
             }
             report.routed += shard.routed_frames() - routed;
         }
@@ -540,12 +574,14 @@ impl ShardedEndpoint {
     /// [`ShardedEndpoint::from_network`], takes the same per-frame step
     /// and gets the same outcome, and every counter moves exactly as if
     /// it had been called frame by frame (asserted by exact `==`).
-    /// Cookie-only frames are bucketed into per-shard segments, and each
-    /// shard demuxes its segment back to back, one probe a frame (a
-    /// plain loop over `from_network` measured slower: DESIGN.md, "Why
-    /// burst is the body"). An ident frame can rebind routers and migrate
-    /// connections, so every open segment is flushed before it is
-    /// handed off: per-connection order holds.
+    /// Cookie-only frames are bucketed into per-shard segments, each with
+    /// its cookie's hash and its table line in flight; the hint passes
+    /// then fetch every frame's slot and write targets, and each shard
+    /// demuxes its segment back to back, one probe a frame (a plain loop
+    /// over `from_network` measured slower: DESIGN.md, "Why burst is the
+    /// body"; the hints, EXPERIMENTS.md E-stage). An ident frame can
+    /// rebind routers and migrate connections, so every open segment is
+    /// flushed before it is handed off: per-connection order holds.
     pub fn from_network_burst(&mut self, frames: &mut Vec<Msg>) -> BurstDemux {
         let mut report = BurstDemux {
             frames: frames.len() as u64,
@@ -561,7 +597,12 @@ impl ShardedEndpoint {
                     preamble,
                     home,
                     ident: None,
-                }) => segs[home].push((preamble, frame)),
+                }) => {
+                    let router = self.shards[home].router();
+                    let hash = router.cookie_hash(preamble.cookie);
+                    router.prefetch_cookie(hash);
+                    segs[home].push((preamble, hash, frame));
+                }
                 Ok(routed) => {
                     self.flush_segments(&mut segs, &mut report);
                     report.routed += 1;

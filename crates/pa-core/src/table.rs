@@ -531,11 +531,16 @@ impl ShardTable {
     /// probe, then Figure 3's `from_network()` from the point where the
     /// connection is known. Every entry demuxes a cookie-only frame
     /// here, the burst included, so each frame is probed and counted
-    /// once.
+    /// once. `hash` is the router's `cookie_hash` of the frame's cookie.
     #[inline]
-    pub(crate) fn ingest_cookie(&mut self, preamble: Preamble, mut frame: Msg) -> DeliverOutcome {
+    pub(crate) fn ingest_cookie(
+        &mut self,
+        preamble: Preamble,
+        hash: u64,
+        mut frame: Msg,
+    ) -> DeliverOutcome {
         self.frames_seen += 1;
-        match self.router.demux_cookie(preamble.cookie) {
+        match self.router.demux_cookie(preamble.cookie, hash) {
             CookieLookup::Hit(key) => {
                 self.routed += 1;
                 frame.skip_front(PREAMBLE_LEN);
@@ -543,6 +548,33 @@ impl ShardTable {
             }
             CookieLookup::Stale(_) => self.reject(DropReason::StaleCookie),
             CookieLookup::Unknown => self.reject(DropReason::UnknownCookie),
+        }
+    }
+
+    // ---- hints: what a burst fetches before its frames are ingested --
+    //
+    // Read-only and uncounted: each returns or prefetches, and the
+    // ingest that follows probes and decides again.
+
+    /// The slot `cookie` is live on, if any, with every line of it
+    /// fetched (the second hint pass).
+    #[inline]
+    pub(crate) fn hint_slot(&self, cookie: Cookie, hash: u64) -> Option<usize> {
+        let idx = self.router.live_key(cookie, hash)?.0;
+        crate::prefetch_all(self.slots.get(idx)?);
+        Some(idx)
+    }
+
+    /// The heap lines a fast delivery on slot `idx` writes, read from
+    /// the slot [`ShardTable::hint_slot`] fetched (the third pass); then,
+    /// with `image`, the bytes of the image buffer whose free-list entry
+    /// the third pass fetched (the fourth).
+    #[inline]
+    pub(crate) fn hint_delivery(&self, idx: usize, image: bool) {
+        match self.slots.get(idx).and_then(|s| s.conn.as_ref()) {
+            Some(conn) if image => conn.prefetch_delivery_image(),
+            Some(conn) => conn.prefetch_delivery(),
+            None => {}
         }
     }
 

@@ -21,9 +21,9 @@
 //! publishes a slot with a `Release` store of `tail`; the consumer
 //! acquires it with an `Acquire` load, and vice versa for `head`. The
 //! slot array itself is `UnsafeCell<MaybeUninit<T>>` — this module is
-//! the reason pa-obs does not `forbid(unsafe_code)` (every other crate
-//! in the workspace does). The exhaustive-interleaving model in
-//! `tests/concurrency_model.rs` checks the index protocol; the unit
+//! the reason pa-obs does not `forbid(unsafe_code)` (DESIGN.md
+//! "Dependencies" lists the islands). The exhaustive-interleaving model
+//! in `tests/concurrency_model.rs` checks the index protocol; the unit
 //! tests here exercise the real implementation across real threads.
 
 use std::cell::UnsafeCell;
