@@ -25,6 +25,14 @@
 //!   (`burst_vs_frame_demux_ratio`; a burst that demuxes frame by frame
 //!   reads 0.94–1.00).
 //!
+//! The 16 384-connection rows measure the table out of cache: before
+//! each of their timed sweeps the bench streams a private buffer of
+//! twice the host's last-level cache (its size read from sysfs and
+//! recorded as `evict_buffer_bytes`), so no host's L3 carries the table
+//! from one sweep to the next. On a shared 2-core VM the demux ratio
+//! still reads one of two regimes by run (≈ 0.70 or ≈ 0.82) with the
+//! stream as without it.
+//!
 //! The raw ns rows carry loose tolerances and only track the machine.
 //! Workload: an established population sending small cookie-only
 //! frames in a *shuffled* sweep (a sequential sweep hands the 1-shard
@@ -93,6 +101,50 @@ fn client_frames(conns: usize) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     (idents, steady)
 }
 
+/// A private buffer of twice the last-level cache: streaming it leaves
+/// none of an arm's lines in any cache.
+struct Evictor(Vec<u8>);
+
+impl Evictor {
+    fn new() -> Evictor {
+        // Written, so every page is the buffer's own (an untouched one
+        // would read as the shared zero page).
+        Evictor(vec![1; 2 * last_level_cache()])
+    }
+
+    fn evict(&self) {
+        black_box(self.0.iter().step_by(64).fold(0u8, |a, &b| a ^ b));
+    }
+}
+
+/// The largest cache cpu0 reports under
+/// `/sys/devices/system/cpu/cpu0/cache/index*/size` (read only), or
+/// 128 MiB where none is reported.
+fn last_level_cache() -> usize {
+    let size = |dir: std::path::PathBuf| -> Option<usize> {
+        let text = std::fs::read_to_string(dir.join("size")).ok()?;
+        let text = text.trim();
+        let digits = text
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(text.len());
+        let unit = match &text[digits..] {
+            "K" => 1 << 10,
+            "M" => 1 << 20,
+            "G" => 1 << 30,
+            _ => 1,
+        };
+        Some(text[..digits].parse::<usize>().ok()? * unit)
+    };
+    std::fs::read_dir("/sys/devices/system/cpu/cpu0/cache")
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().starts_with("index"))
+        .filter_map(|e| size(e.path()))
+        .max()
+        .unwrap_or(128 << 20)
+}
+
 fn server_conns(conns: usize) -> impl Iterator<Item = Connection> {
     (0..conns as u64).map(|i| conn(1, 100 + i, 2 * i + 2))
 }
@@ -152,12 +204,17 @@ impl<'a> Arm<'a> {
 /// working set, not over what its neighbour left in the caches (one
 /// warm sweep after the 16 384-connection arm still reads the small arm
 /// a third high, and the table ratio 2.2 where 2.7 is the footprint).
-fn interleaved(arms: &mut [Arm]) -> Vec<f64> {
+/// A 16 384-connection arm's timed sweep follows `evictor`'s stream
+/// instead: it is measured out of cache.
+fn interleaved(arms: &mut [Arm], evictor: &Evictor) -> Vec<f64> {
     let mut sweeps = vec![Vec::with_capacity(REPS); arms.len()];
     for _ in 0..REPS {
         for (arm, ns) in arms.iter_mut().zip(&mut sweeps) {
             arm.sweep();
             arm.sweep();
+            if arm.steady.len() == TABLE_CONNS {
+                evictor.evict();
+            }
             ns.push(arm.sweep());
         }
     }
@@ -209,12 +266,14 @@ fn demux_sweep(arm: &mut Arm, pool: &mut MsgPool, frames: &mut Vec<Msg>, rep: us
 }
 
 /// `burst_vs_frame_demux_ratio`'s two arms over the same endpoint,
-/// [`REPS`] sweeps, each arm rated by its five fastest. The table is
-/// many times the L2, so neither arm warms it for the other.
-fn burst_vs_frame(arm: &mut Arm) -> (f64, f64) {
+/// [`REPS`] sweeps, each after `evictor`'s stream and each arm rated by
+/// its five fastest. A sweep touches each connection once, so neither
+/// arm warms a connection for the other.
+fn burst_vs_frame(arm: &mut Arm, evictor: &Evictor) -> (f64, f64) {
     let (mut pool, mut frames) = (MsgPool::with_defaults(), Vec::with_capacity(BURST));
     let (mut burst, mut frame) = (Vec::new(), Vec::new());
     for rep in 0..REPS {
+        evictor.evict();
         let [f, b] = demux_sweep(arm, &mut pool, &mut frames, rep);
         frame.push(f);
         burst.push(b);
@@ -232,7 +291,12 @@ fn main() {
         .iter()
         .map(|&shards| Arm::new(shards, &idents, &steady))
         .collect();
-    let by_shards = interleaved(&mut arms);
+    let evictor = Evictor::new();
+    println!(
+        "16384-connection sweeps each follow a {} MiB eviction stream (2 x LLC)",
+        evictor.0.len() >> 20
+    );
+    let by_shards = interleaved(&mut arms, &evictor);
     for (shards, ns) in [1, 8, 64].iter().zip(&by_shards) {
         println!(
             "{:<44} {ns:>8.1} ns/frame  (5 fastest of {REPS} interleaved sweeps)",
@@ -245,7 +309,7 @@ fn main() {
     let (big_idents, big_steady) = client_frames(TABLE_CONNS);
     let mut pair = vec![arms.swap_remove(1), Arm::new(8, &big_idents, &big_steady)];
     drop(arms);
-    let table = interleaved(&mut pair);
+    let table = interleaved(&mut pair, &evictor);
     println!(
         "{:<44} {:>8.1} ns/frame  (against {:.1} interleaved)",
         format!("sharded/8 x {TABLE_CONNS} conns"),
@@ -254,7 +318,7 @@ fn main() {
     );
 
     // The staged-demux row, on the 16 384-connection endpoint.
-    let (burst_ns, frame_ns) = burst_vs_frame(&mut pair[1]);
+    let (burst_ns, frame_ns) = burst_vs_frame(&mut pair[1], &evictor);
     println!(
         "{:<44} {burst_ns:>8.1} ns/frame  (against {frame_ns:.1} a frame at a time)",
         format!("burst of {BURST} x {TABLE_CONNS} conns")
@@ -284,6 +348,7 @@ fn main() {
     // the committed baseline.
     let mut report = BenchReport::new("shard");
     report
+        .push("evict_buffer_bytes", evictor.0.len() as f64, Better::Lower)
         .push("demux_shard1_ns", by_shards[0], Better::Lower)
         .push("demux_shard8_ns", by_shards[1], Better::Lower)
         .push("demux_shard64_ns", by_shards[2], Better::Lower)

@@ -11,12 +11,15 @@
 //! Churn-scale discipline (the million-connection endpoint rides on
 //! these):
 //!
-//! - **Teardown is O(own entries)**, never a full-map scan: every
-//!   forward map (`by_cookie`, `stale_cookies`, `by_ident`) has a
-//!   reverse index keyed by connection, so [`Router::remove`] deletes
-//!   exactly the victim's entries. Under churn (adds and removes
-//!   interleaved at scale) a `retain` scan per teardown is quadratic in
-//!   the live population; the reverse indices make it constant.
+//! - **One record per connection**, a `Route` at its slot index: its
+//!   current cookie, registered peer ident and retired cookies. The
+//!   keyed tables point at slots and the record points back, so
+//!   [`Router::remove`] deletes exactly the victim's entries and a
+//!   recycled slot reuses the record's ident buffer: a connection's
+//!   lifecycle neither scans a table nor allocates.
+//! - **One table type**, `CookieMap`, for the live cookies, the stale
+//!   set and the ident index: it grows only when its count crosses ¾,
+//!   so its allocations follow the population alone.
 //! - **The stale set is bounded.** Re-keying retires the old cookie
 //!   into the stale set for replay detection, but a long-lived
 //!   connection that rotates forever must not leak one entry per epoch:
@@ -28,18 +31,12 @@
 //!   `retired == live + revived + evicted + removed`
 //!   ([`Router::stale_ledger_reconciles`]).
 //! - **Ident probes are O(#distinct ident lengths)**, not O(conns):
-//!   ident bytes are keyed by full value, and the router tracks which
-//!   lengths are registered so a frame prefix is probed once per
-//!   length (in practice once — endpoints share a stack shape).
-//!
-//! The live-cookie map, the one table on the per-frame path, is open
-//! addressed (`CookieMap`): a probe is one cache line, found from the
-//! cookie's hash before it is read, keyed by the std map's SipHash as
-//! before. The stale and ident maps are the control path: std maps.
+//!   a frame prefix is hashed and probed once per registered length (in
+//!   practice once — endpoints share a stack shape).
 
 use pa_wire::Cookie;
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::hash::BuildHasher;
 
 /// Opaque connection key (slot index into the owner's connection table).
@@ -60,42 +57,43 @@ pub enum CookieLookup {
     Unknown,
 }
 
-/// One retired cookie: who retired it, and whether that connection is
-/// still resident in this router (`owned`) or has migrated away
-/// (`!owned` — a tombstone kept only so replays of the old route are
-/// still refused as stale rather than unknown).
-#[derive(Debug, Clone, Copy)]
-struct StaleEntry {
-    key: ConnKey,
-    owned: bool,
-    /// For tombstones, the push sequence of the matching FIFO entry
-    /// (FIFO entries are lazily deleted: a revive only drops the map
-    /// entry, so a FIFO entry is live iff its seq still matches). Zero
-    /// for owned entries — FIFO seqs start at one.
-    seq: u64,
+/// One retired cookie: `(key, seq)`, the slot that retired it and, if
+/// that connection has migrated away, the push sequence of the cookie's
+/// tombstone FIFO entry. A tombstone is kept only so replays of the old
+/// route are still refused as stale rather than unknown. FIFO entries
+/// are lazily deleted: a revive only drops the map entry, so a FIFO
+/// entry is live iff its seq still matches. `seq` is zero while the
+/// connection is resident (it owns the entry); FIFO seqs start at one.
+#[derive(Debug, Default, Clone, Copy)]
+struct StaleEntry(u32, u64);
+
+/// A key as the tables store it: a slot index fits 32 bits.
+fn slot(key: ConnKey) -> u32 {
+    u32::try_from(key.0).expect("a connection key is a slot index")
 }
 
-/// The live-cookie table: cookie → connection, open addressed with
-/// linear probing over a power-of-two array of `(cookie, key, hash)`
-/// entries, four to a cache line; the low half of the hash is kept so a
-/// removal or a growth moves entries without hashing them again. Cookie
-/// 0 marks an empty slot; the zero cookie
+/// The router's one keyed table, `u64` → `V`, keyed by the std map's
+/// SipHash: open addressed with linear probing over a power-of-two
+/// array of `(key, value, hash)` entries, a live cookie's four to a
+/// cache line, so a probe is one line found before it is read; the low
+/// half of the hash is kept so a removal or a growth moves entries
+/// without hashing them again. Key 0 marks an empty slot; the zero key
 /// itself (refused at the endpoint's front, but [`Router::bind_cookie`]
-/// is public) is kept beside the array. A removal shifts the rest of its
-/// cluster back instead of leaving a tombstone, so a table that churns
-/// probes as short as a fresh one. The load stays at or below ¾: at ½
-/// a shard of more than 2 048 connections would take 128 KiB, past
-/// glibc's mmap threshold (EXPERIMENTS.md E-stage).
+/// is public) is kept beside the array. A removal shifts the rest of
+/// its cluster back instead of leaving a tombstone, so a table that
+/// churns probes as short as a fresh one. The load stays at or below
+/// ¾: at ½ a shard of more than 2 048 connections would take 128 KiB,
+/// past glibc's mmap threshold (EXPERIMENTS.md E-stage).
 #[derive(Debug, Default)]
-pub(crate) struct CookieMap<S = RandomState> {
+pub(crate) struct CookieMap<S = RandomState, V = u32> {
     hasher: S,
-    slots: Vec<(u64, u32, u32)>,
-    /// Non-zero cookies in `slots`.
+    slots: Vec<(u64, V, u32)>,
+    /// Non-zero keys in `slots`.
     len: usize,
-    zero: Option<ConnKey>,
+    zero: Option<V>,
 }
 
-impl<S: BuildHasher> CookieMap<S> {
+impl<S: BuildHasher, V: Copy + Default> CookieMap<S, V> {
     /// The hash every probe of `raw` starts from.
     #[inline]
     fn hash(&self, raw: u64) -> u64 {
@@ -119,34 +117,34 @@ impl<S: BuildHasher> CookieMap<S> {
     }
 
     #[inline]
-    fn get(&self, raw: u64, hash: u64) -> Option<ConnKey> {
+    fn get(&self, raw: u64, hash: u64) -> Option<V> {
         if raw == 0 {
             return self.zero;
         }
         if self.slots.is_empty() {
             return None;
         }
-        self.find(raw, hash)
-            .ok()
-            .map(|i| ConnKey(self.slots[i].1 as usize))
+        self.find(raw, hash).ok().map(|i| self.slots[i].1)
     }
 
-    /// Binds `raw` to `key`, returning the key it was bound to before.
-    fn insert(&mut self, raw: u64, key: ConnKey) -> Option<ConnKey> {
+    /// [`CookieMap::get`], hashing `raw` itself: the control path's probe.
+    fn lookup(&self, raw: u64) -> Option<V> {
+        self.get(raw, self.hash(raw))
+    }
+
+    /// Binds `raw` to `value`, returning the value it was bound to before.
+    fn insert(&mut self, raw: u64, value: V) -> Option<V> {
         if raw == 0 {
-            return self.zero.replace(key);
+            return self.zero.replace(value);
         }
         if (self.len + 1) * 4 > self.slots.len() * 3 {
             self.grow();
         }
-        let key = u32::try_from(key.0).expect("a connection key is a slot index");
         let hash = self.hash(raw);
         match self.find(raw, hash) {
-            Ok(i) => Some(ConnKey(
-                std::mem::replace(&mut self.slots[i].1, key) as usize
-            )),
+            Ok(i) => Some(std::mem::replace(&mut self.slots[i].1, value)),
             Err(i) => {
-                self.slots[i] = (raw, key, hash as u32);
+                self.slots[i] = (raw, value, hash as u32);
                 self.len += 1;
                 None
             }
@@ -155,7 +153,7 @@ impl<S: BuildHasher> CookieMap<S> {
 
     fn grow(&mut self) {
         let cap = (self.slots.len() * 2).max(8);
-        let old = std::mem::replace(&mut self.slots, vec![(0, 0, 0); cap]);
+        let old = std::mem::replace(&mut self.slots, vec![(0, V::default(), 0); cap]);
         for entry in old.into_iter().filter(|&(raw, ..)| raw != 0) {
             let i = self.find(entry.0, entry.2 as u64).unwrap_err();
             self.slots[i] = entry;
@@ -164,7 +162,7 @@ impl<S: BuildHasher> CookieMap<S> {
 
     /// Unbinds `raw`. The entries after it in its cluster move back into
     /// the hole, each as far as its own probe sequence allows.
-    fn remove(&mut self, raw: u64) -> Option<ConnKey> {
+    fn remove(&mut self, raw: u64) -> Option<V> {
         if raw == 0 {
             return self.zero.take();
         }
@@ -172,7 +170,7 @@ impl<S: BuildHasher> CookieMap<S> {
             return None;
         }
         let mut hole = self.find(raw, self.hash(raw)).ok()?;
-        let key = ConnKey(self.slots[hole].1 as usize);
+        let value = self.slots[hole].1;
         let mask = self.slots.len() - 1;
         let mut i = hole;
         loop {
@@ -190,9 +188,9 @@ impl<S: BuildHasher> CookieMap<S> {
                 hole = i;
             }
         }
-        self.slots[hole] = (0, 0, 0);
+        self.slots[hole] = (0, V::default(), 0);
         self.len -= 1;
-        Some(key)
+        Some(value)
     }
 
     fn len(&self) -> usize {
@@ -207,17 +205,55 @@ impl<S: BuildHasher> CookieMap<S> {
     }
 }
 
-/// Everything the router gives back when a connection is extracted for
-/// migration to another demux shard.
-#[derive(Debug)]
-pub struct ExtractedRoute {
-    /// The registered peer identification, to re-register at the
-    /// destination.
-    pub ident: Option<Vec<u8>>,
-    /// The live cookie binding at extraction time, if any. It has been
-    /// retired into this router's tombstone set (replays of it are
-    /// still refused here, where the cookie hashes).
-    pub cookie: Option<Cookie>,
+/// What the router knows of one connection, at its slot index: the
+/// record every table entry of the connection points back to.
+#[derive(Debug, Default)]
+struct Route {
+    /// The current incoming cookie.
+    cookie: Option<u64>,
+    /// The registered peer ident's keyed hash, its key in `by_ident`.
+    ident_hash: Option<u64>,
+    /// The registered peer ident. Cleared, not freed, with the slot, so
+    /// the slot's next connection registers without allocating.
+    ident: Vec<u8>,
+    /// Retired cookies, oldest first (the eviction order):
+    /// `stale[..stale_len]`.
+    stale: [u64; Router::STALE_CAP],
+    stale_len: usize,
+}
+
+impl Route {
+    /// `key`'s record, made on first use.
+    fn at(routes: &mut Vec<Route>, key: ConnKey) -> &mut Route {
+        if key.0 >= routes.len() {
+            routes.resize_with(key.0 + 1, Route::default);
+        }
+        &mut routes[key.0]
+    }
+
+    /// Appends `raw` to the retired history; a full one gives up its
+    /// oldest cookie, which is returned.
+    fn retire(&mut self, raw: u64) -> Option<u64> {
+        if self.stale_len < Router::STALE_CAP {
+            self.stale[self.stale_len] = raw;
+            self.stale_len += 1;
+            return None;
+        }
+        self.stale.rotate_left(1);
+        Some(std::mem::replace(
+            &mut self.stale[Router::STALE_CAP - 1],
+            raw,
+        ))
+    }
+
+    /// Drops `raw` from the retired history.
+    fn forget(&mut self, raw: u64) {
+        let n = self.stale_len;
+        if let Some(i) = self.stale[..n].iter().position(|&c| c == raw) {
+            self.stale[i..n].rotate_left(1);
+            self.stale_len -= 1;
+        }
+    }
 }
 
 /// Stale-set flow counters. The reconciliation identity
@@ -249,19 +285,15 @@ pub struct StaleStats {
 pub struct Router {
     by_cookie: CookieMap,
     /// Retired cookies: refused at demux, kept for attribution.
-    stale_cookies: HashMap<u64, StaleEntry>,
-    /// `ConnKey.0 → raw cookie` — the one live binding per connection.
-    current_cookie: HashMap<usize, u64>,
-    by_ident: HashMap<Vec<u8>, ConnKey>,
-    /// Reverse of `by_ident`: the one registered ident per connection,
-    /// so teardown never scans the ident map.
-    ident_of: HashMap<usize, Vec<u8>>,
+    stale_cookies: CookieMap<RandomState, StaleEntry>,
+    /// Registered idents by their keyed hash (this map's own hasher).
+    /// A hit names a candidate; its `Route`'s bytes decide.
+    by_ident: CookieMap,
+    /// Each connection's record, at its slot index.
+    routes: Vec<Route>,
     /// Registered ident lengths → refcount: the probe set for
     /// ident-carrying frames.
     ident_lens: BTreeMap<usize, usize>,
-    /// Reverse of the owned part of `stale_cookies`: each connection's
-    /// retired cookies, oldest first (the eviction order).
-    stale_of: HashMap<usize, VecDeque<u64>>,
     /// Orphaned stale cookies (connection migrated away), oldest first,
     /// tagged with their push seq. Entries whose cookie was since
     /// revived stay behind as *dead* weight (a revive must not scan the
@@ -302,40 +334,47 @@ impl Router {
         Self::default()
     }
 
-    /// Registers the connection identification we expect from the peer.
-    /// A connection has at most one registered ident: re-registering
-    /// replaces the previous one.
-    pub(crate) fn register_ident(&mut self, ident: Vec<u8>, key: ConnKey) {
+    /// Registers the connection identification we expect from the peer,
+    /// replacing `key`'s previous one. The newest registration owns the
+    /// entry of equal idents (a peer restart's pair) and of equal hashes
+    /// alike; a removal deletes it only if it names the removed key. Two
+    /// of 16 384 idents share a 64-bit keyed hash with probability ≈ 2⁻³⁷.
+    pub(crate) fn register_ident(&mut self, ident: &[u8], key: ConnKey) {
         self.unregister_ident(key);
+        let hash = self.by_ident.hasher.hash_one(ident);
         *self.ident_lens.entry(ident.len()).or_insert(0) += 1;
-        self.ident_of.insert(key.0, ident.clone());
-        self.by_ident.insert(ident, key);
+        let route = Route::at(&mut self.routes, key);
+        route.ident.extend_from_slice(ident);
+        route.ident_hash = Some(hash);
+        self.by_ident.insert(hash, slot(key));
     }
 
     /// Drops `key`'s registered ident, if any.
-    fn unregister_ident(&mut self, key: ConnKey) -> Option<Vec<u8>> {
-        let prev = self.ident_of.remove(&key.0)?;
-        self.by_ident.remove(&prev);
-        if let Some(n) = self.ident_lens.get_mut(&prev.len()) {
+    fn unregister_ident(&mut self, key: ConnKey) {
+        let route = Route::at(&mut self.routes, key);
+        let Some(hash) = route.ident_hash.take() else {
+            return;
+        };
+        if self.by_ident.lookup(hash) == Some(slot(key)) {
+            self.by_ident.remove(hash);
+        }
+        let len = route.ident.len();
+        route.ident.clear();
+        if let Some(n) = self.ident_lens.get_mut(&len) {
             *n -= 1;
             if *n == 0 {
-                self.ident_lens.remove(&prev.len());
+                self.ident_lens.remove(&len);
             }
         }
-        Some(prev)
     }
 
-    /// Removes `raw` from the stale set, fixing whichever reverse index
-    /// holds it. Returns the entry if one existed.
-    fn drop_stale(&mut self, raw: u64) -> Option<StaleEntry> {
-        let entry = self.stale_cookies.remove(&raw)?;
-        if entry.owned {
-            if let Some(dq) = self.stale_of.get_mut(&entry.key.0) {
-                dq.retain(|&c| c != raw);
-                if dq.is_empty() {
-                    self.stale_of.remove(&entry.key.0);
-                }
-            }
+    /// Removes `raw` from the stale set (and its owner's history): was it?
+    fn drop_stale(&mut self, raw: u64) -> bool {
+        let Some(entry) = self.stale_cookies.remove(raw) else {
+            return false;
+        };
+        if entry.1 == 0 {
+            self.routes[entry.0 as usize].forget(raw);
         } else {
             // Lazy deletion: the FIFO entry is now dead (its seq no
             // longer matches the map) and will be skipped at the front
@@ -344,7 +383,7 @@ impl Router {
             self.tombstone_live -= 1;
             self.compact_tombstones();
         }
-        Some(entry)
+        true
     }
 
     /// Purges dead FIFO entries in bulk once they outnumber the live
@@ -356,46 +395,7 @@ impl Router {
         }
         let stale = &self.stale_cookies;
         self.tombstones
-            .retain(|&(raw, seq)| matches!(stale.get(&raw), Some(e) if !e.owned && e.seq == seq));
-    }
-
-    /// Retires `raw` as an owned stale of `key`, evicting the oldest
-    /// retired cookie past the per-connection cap.
-    fn retire_owned(&mut self, raw: u64, key: ConnKey) {
-        self.stale_stats.retired += 1;
-        self.stale_cookies.insert(
-            raw,
-            StaleEntry {
-                key,
-                owned: true,
-                seq: 0,
-            },
-        );
-        let dq = self.stale_of.entry(key.0).or_default();
-        dq.push_back(raw);
-        while dq.len() > Router::STALE_CAP {
-            let oldest = dq.pop_front().expect("len > cap ≥ 1");
-            self.stale_cookies.remove(&oldest);
-            self.stale_stats.evicted += 1;
-        }
-    }
-
-    /// Retires `raw` as a tombstone (its connection migrated away).
-    fn retire_tombstone(&mut self, raw: u64, key: ConnKey) {
-        self.stale_stats.retired += 1;
-        self.tombstone_seq += 1;
-        let seq = self.tombstone_seq;
-        self.stale_cookies.insert(
-            raw,
-            StaleEntry {
-                key,
-                owned: false,
-                seq,
-            },
-        );
-        self.tombstones.push_back((raw, seq));
-        self.tombstone_live += 1;
-        self.enforce_tombstone_cap();
+            .retain(|&(raw, seq)| matches!(stale.lookup(raw), Some(e) if e.1 == seq));
     }
 
     fn enforce_tombstone_cap(&mut self) {
@@ -403,15 +403,13 @@ impl Router {
             // Every live tombstone has a FIFO entry, so live > cap ≥ 0
             // implies the FIFO is non-empty.
             let (raw, seq) = self.tombstones.pop_front().expect("live > cap");
-            match self.stale_cookies.get(&raw) {
-                Some(e) if !e.owned && e.seq == seq => {
-                    self.stale_cookies.remove(&raw);
-                    self.stale_stats.evicted += 1;
-                    self.tombstone_live -= 1;
-                }
-                // Dead entry — the cookie was revived (and possibly
-                // re-tombstoned under a newer seq) since this push.
-                _ => {}
+            // A dead entry — the cookie was revived (and possibly
+            // re-tombstoned under a newer seq) since this push — is
+            // skipped.
+            if matches!(self.stale_cookies.lookup(raw), Some(e) if e.1 == seq) {
+                self.stale_cookies.remove(raw);
+                self.stale_stats.evicted += 1;
+                self.tombstone_live -= 1;
             }
         }
     }
@@ -425,28 +423,32 @@ impl Router {
     /// table's slot index does.
     pub fn bind_cookie(&mut self, cookie: Cookie, key: ConnKey) {
         let raw = cookie.raw();
-        if let Some(&prev) = self.current_cookie.get(&key.0) {
+        let route = Route::at(&mut self.routes, key);
+        if let Some(prev) = route.cookie {
             if prev == raw {
                 return;
             }
             self.by_cookie.remove(prev);
-            self.retire_owned(prev, key);
+            self.stale_stats.retired += 1;
+            self.stale_cookies.insert(prev, StaleEntry(slot(key), 0));
+            if let Some(oldest) = route.retire(prev) {
+                self.stale_cookies.remove(oldest);
+                self.stale_stats.evicted += 1;
+            }
         }
-        if self.drop_stale(raw).is_some() {
+        if self.drop_stale(raw) {
             self.stale_stats.revived += 1;
         }
         // If the cookie was live on another connection, that binding is
-        // taken over wholesale — its reverse index must not keep naming
-        // a cookie it no longer owns, or a later O(1) remove of the
+        // taken over wholesale — its record must not keep naming a
+        // cookie it no longer owns, or a later O(1) remove of the
         // victim would delete *our* binding. (The endpoint refuses this
         // as CookieConflict before ever calling us; router-level
         // callers get last-writer-wins.)
-        if let Some(prev_owner) = self.by_cookie.insert(raw, key) {
-            if prev_owner != key {
-                self.current_cookie.remove(&prev_owner.0);
-            }
+        if let Some(prev_owner) = self.by_cookie.insert(raw, slot(key)) {
+            self.routes[prev_owner as usize].cookie = None;
         }
-        self.current_cookie.insert(key.0, raw);
+        self.routes[key.0].cookie = Some(raw);
     }
 
     /// The hash a probe of `cookie` in this router starts from: computed
@@ -468,7 +470,9 @@ impl Router {
     /// counter: what a hint pass looks up.
     #[inline]
     pub(crate) fn live_key(&self, cookie: Cookie, hash: u64) -> Option<ConnKey> {
-        self.by_cookie.get(cookie.raw(), hash)
+        self.by_cookie
+            .get(cookie.raw(), hash)
+            .map(|k| ConnKey(k as usize))
     }
 
     /// Cookie demux: live hit, stale (refused, accounted), or unknown.
@@ -477,11 +481,11 @@ impl Router {
     pub(crate) fn demux_cookie(&mut self, cookie: Cookie, hash: u64) -> CookieLookup {
         if let Some(k) = self.by_cookie.get(cookie.raw(), hash) {
             self.cookie_hits += 1;
-            return CookieLookup::Hit(k);
+            return CookieLookup::Hit(ConnKey(k as usize));
         }
-        if let Some(e) = self.stale_cookies.get(&cookie.raw()) {
+        if let Some(e) = self.stale_cookies.lookup(cookie.raw()) {
             self.stale_hits += 1;
-            return CookieLookup::Stale(e.key);
+            return CookieLookup::Stale(ConnKey(e.0 as usize));
         }
         self.misses += 1;
         CookieLookup::Unknown
@@ -494,25 +498,24 @@ impl Router {
         if let Some(k) = self.live_key(cookie, self.cookie_hash(cookie)) {
             return CookieLookup::Hit(k);
         }
-        if let Some(e) = self.stale_cookies.get(&cookie.raw()) {
-            return CookieLookup::Stale(e.key);
+        if let Some(e) = self.stale_cookies.lookup(cookie.raw()) {
+            return CookieLookup::Stale(ConnKey(e.0 as usize));
         }
         CookieLookup::Unknown
     }
 
     /// Probes a frame prefix against every registered ident length
-    /// (shortest first), returning the matched connection and the
-    /// ident length consumed. One map probe per *distinct length* —
-    /// O(1) in practice — instead of a scan over every connection.
+    /// (shortest first), returning the matched connection and the ident
+    /// length consumed: one hash and one probe per *distinct length* —
+    /// O(1) in practice — instead of a scan over every connection. The
+    /// found connection's bytes decide, not the hash.
     pub(crate) fn probe_ident_prefix(&self, frame: &[u8]) -> Option<(ConnKey, usize)> {
-        for (&len, _) in self.ident_lens.iter() {
-            if let Some(candidate) = frame.get(..len) {
-                if let Some(&key) = self.by_ident.get(candidate) {
-                    return Some((key, len));
-                }
-            }
-        }
-        None
+        self.ident_lens.keys().find_map(|&len| {
+            let candidate = frame.get(..len)?;
+            let hash = self.by_ident.hasher.hash_one(candidate);
+            let key = self.by_ident.lookup(hash)? as usize;
+            (self.routes[key].ident == candidate).then_some((ConnKey(key), len))
+        })
     }
 
     /// The shortest registered ident length (frames shorter than this
@@ -523,52 +526,44 @@ impl Router {
 
     /// Removes a connection's entries (teardown): its registered ident,
     /// its live cookie binding, and its retired cookies. O(own entries)
-    /// — the reverse indices point straight at them.
+    /// — its record names them.
     pub(crate) fn remove(&mut self, key: ConnKey) {
         self.unregister_ident(key);
-        if let Some(raw) = self.current_cookie.remove(&key.0) {
+        let route = &mut self.routes[key.0];
+        if let Some(raw) = route.cookie.take() {
             self.by_cookie.remove(raw);
         }
-        if let Some(dq) = self.stale_of.remove(&key.0) {
-            for raw in dq {
-                self.stale_cookies.remove(&raw);
-                self.stale_stats.removed += 1;
-            }
+        for &raw in &route.stale[..std::mem::take(&mut route.stale_len)] {
+            self.stale_cookies.remove(raw);
+            self.stale_stats.removed += 1;
         }
     }
 
-    /// Extracts a connection's route for migration to another demux
-    /// shard: the ident and live binding leave (returned for
-    /// re-registration at the destination), while the live cookie and
-    /// any retired cookies stay behind as *tombstones* — they hash to
-    /// this router, so replays of the old route must still be refused
-    /// here as stale, bounded by the tombstone cap.
-    pub(crate) fn extract(&mut self, key: ConnKey) -> ExtractedRoute {
-        let ident = self.unregister_ident(key);
+    /// Extracts a connection for migration to another demux shard: its
+    /// ident and live binding leave, while the live cookie and any
+    /// retired cookies stay behind as *tombstones* — they hash to this
+    /// router, so replays of the old route must still be refused here as
+    /// stale, bounded by the tombstone cap.
+    pub(crate) fn extract(&mut self, key: ConnKey) {
+        self.unregister_ident(key);
+        let route = &mut self.routes[key.0];
+        let cookie = route.cookie.take();
+        if let Some(raw) = cookie {
+            self.by_cookie.remove(raw);
+            self.stale_stats.retired += 1;
+        }
         // Retired history first, then the live cookie: the tombstone
         // FIFO evicts oldest-first, and the live cookie is the youngest
         // route worth refusing longest.
-        if let Some(dq) = self.stale_of.remove(&key.0) {
-            for raw in dq {
-                self.tombstone_seq += 1;
-                let seq = self.tombstone_seq;
-                // Already counted as retired when it entered the stale
-                // set; flip ownership without re-counting.
-                if let Some(e) = self.stale_cookies.get_mut(&raw) {
-                    e.owned = false;
-                    e.seq = seq;
-                    self.tombstones.push_back((raw, seq));
-                    self.tombstone_live += 1;
-                }
-            }
-            self.enforce_tombstone_cap();
+        let history = route.stale[..std::mem::take(&mut route.stale_len)].iter();
+        for &raw in history.chain(&cookie) {
+            self.tombstone_seq += 1;
+            let seq = self.tombstone_seq;
+            self.stale_cookies.insert(raw, StaleEntry(slot(key), seq));
+            self.tombstones.push_back((raw, seq));
+            self.tombstone_live += 1;
         }
-        let cookie = self.current_cookie.remove(&key.0).map(|raw| {
-            self.by_cookie.remove(raw);
-            self.retire_tombstone(raw, key);
-            Cookie::from_raw(raw)
-        });
-        ExtractedRoute { ident, cookie }
+        self.enforce_tombstone_cap();
     }
 
     /// Number of live cookie bindings (at most one per connection).
@@ -608,6 +603,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// A counting probe, hashed the way the endpoint hashes it.
     fn demux(r: &mut Router, cookie: Cookie) -> CookieLookup {
@@ -619,7 +615,7 @@ mod tests {
     fn ident_then_cookie_flow() {
         let mut r = Router::new();
         let key = ConnKey(3);
-        r.register_ident(b"ident-bytes".to_vec(), key);
+        r.register_ident(b"ident-bytes", key);
 
         // First message: unknown cookie, ident present.
         let c = Cookie::from_raw(42);
@@ -689,9 +685,9 @@ mod tests {
     #[test]
     fn remove_clears_both_maps() {
         let mut r = Router::new();
-        r.register_ident(b"a".to_vec(), ConnKey(1));
+        r.register_ident(b"a", ConnKey(1));
         r.bind_cookie(Cookie::from_raw(9), ConnKey(1));
-        r.register_ident(b"b".to_vec(), ConnKey(2));
+        r.register_ident(b"b", ConnKey(2));
         r.remove(ConnKey(1));
         assert_eq!(r.probe_ident_prefix(b"a"), None);
         assert_eq!(demux(&mut r, Cookie::from_raw(9)), CookieLookup::Unknown);
@@ -768,8 +764,11 @@ mod tests {
                     capped += (r.stale_stats.evicted > evicted) as u32;
                 }
                 6..=7 => {
-                    let ident = format!("ident-{}", key.0).into_bytes();
-                    r.register_ident(ident.clone(), key);
+                    // Four idents over sixteen keys: a peer restart's
+                    // pair (two connections expecting one ident) is
+                    // the common case here, not the exception.
+                    let ident = format!("ident-{}", key.0 % 4).into_bytes();
+                    r.register_ident(&ident, key);
                     m.by_ident.insert(ident, key);
                 }
                 _ => {
@@ -795,6 +794,14 @@ mod tests {
             assert_eq!(r.cookie_count(), m.by_cookie.len(), "step {step}");
             assert_eq!(r.stale_count(), m.stale.len(), "step {step}");
             assert_eq!(r.ident_count(), m.by_ident.len(), "step {step}");
+            for i in 0..4 {
+                let ident = format!("ident-{i}").into_bytes();
+                assert_eq!(
+                    r.probe_ident_prefix(&ident),
+                    m.by_ident.get(&ident).map(|&k| (k, ident.len())),
+                    "step {step} ident {i}"
+                );
+            }
             assert!(r.stale_ledger_reconciles(), "step {step}");
         }
         assert!(capped > 0, "the sequence never reached the stale cap");
@@ -897,7 +904,7 @@ mod tests {
         let c = with_home(&map, 1, 0);
         let d = with_home(&map, 0, 0);
         for (i, raw) in [a, b, c, d].into_iter().enumerate() {
-            assert_eq!(map.insert(raw, ConnKey(i)), None);
+            assert_eq!(map.insert(raw, i as u32), None);
         }
         let at = |map: &CookieMap<_>| map.slots.iter().map(|&(raw, ..)| raw).collect::<Vec<_>>();
         assert_eq!(
@@ -905,23 +912,23 @@ mod tests {
             [b, c, d, 0, 0, 0, 0, a],
             "b wrapped; d probed past c"
         );
-        assert_eq!(map.remove(a), Some(ConnKey(0)));
+        assert_eq!(map.remove(a), Some(0));
         // b moves back to its home across the wrap, c stays at its own,
         // d fills the hole at slot 0.
         assert_eq!(at(&map), [d, c, 0, 0, 0, 0, 0, b]);
         for (raw, key) in [(b, 1), (c, 2), (d, 3)] {
-            assert_eq!(map.get(raw, map.hash(raw)), Some(ConnKey(key)));
+            assert_eq!(map.get(raw, map.hash(raw)), Some(key));
         }
         assert_eq!(map.get(a, map.hash(a)), None);
         // A removal at slot 0 with the cluster starting at 7.
-        assert_eq!(map.remove(d), Some(ConnKey(3)));
+        assert_eq!(map.remove(d), Some(3));
         assert_eq!(at(&map), [0, c, 0, 0, 0, 0, 0, b]);
-        assert_eq!(map.get(c, map.hash(c)), Some(ConnKey(2)));
+        assert_eq!(map.get(c, map.hash(c)), Some(2));
         assert_eq!(map.len(), 2);
         // The zero cookie lives beside the array.
-        assert_eq!(map.insert(0, ConnKey(5)), None);
-        assert_eq!((map.get(0, map.hash(0)), map.len()), (Some(ConnKey(5)), 3));
-        assert_eq!(map.remove(0), Some(ConnKey(5)));
+        assert_eq!(map.insert(0, 5), None);
+        assert_eq!((map.get(0, map.hash(0)), map.len()), (Some(5), 3));
+        assert_eq!(map.remove(0), Some(5));
         assert_eq!(map.get(0, map.hash(0)), None);
     }
 
@@ -1001,12 +1008,10 @@ mod tests {
     fn extract_leaves_tombstones_that_still_refuse_replays() {
         let mut r = Router::new();
         let key = ConnKey(4);
-        r.register_ident(b"mover".to_vec(), key);
+        r.register_ident(b"mover", key);
         r.bind_cookie(Cookie::from_raw(7), key);
         r.bind_cookie(Cookie::from_raw(8), key); // 7 retired
-        let route = r.extract(key);
-        assert_eq!(route.ident.as_deref(), Some(&b"mover"[..]));
-        assert_eq!(route.cookie, Some(Cookie::from_raw(8)));
+        r.extract(key);
         // Ident and live binding are gone; both cookies refuse as stale.
         assert_eq!(r.probe_ident_prefix(b"mover"), None);
         assert_eq!(r.cookie_count(), 0);
@@ -1152,15 +1157,15 @@ mod tests {
     #[test]
     fn ident_prefix_probe_matches_by_length() {
         let mut r = Router::new();
-        r.register_ident(b"shorty".to_vec(), ConnKey(0));
-        r.register_ident(b"a-much-longer-ident".to_vec(), ConnKey(1));
+        r.register_ident(b"shorty", ConnKey(0));
+        r.register_ident(b"a-much-longer-ident", ConnKey(1));
         assert_eq!(r.min_ident_len(), 6);
         let frame = b"a-much-longer-ident+payload";
         assert_eq!(r.probe_ident_prefix(frame), Some((ConnKey(1), 19)));
         assert_eq!(r.probe_ident_prefix(b"shortyXX"), Some((ConnKey(0), 6)));
         assert_eq!(r.probe_ident_prefix(b"zzz"), None);
         // Re-registering replaces; unused lengths leave the probe set.
-        r.register_ident(b"shorty2".to_vec(), ConnKey(0));
+        r.register_ident(b"shorty2", ConnKey(0));
         assert_eq!(r.probe_ident_prefix(b"shortyXX"), None);
         assert_eq!(r.min_ident_len(), 7);
         r.remove(ConnKey(1));

@@ -255,7 +255,7 @@ impl ShardTable {
     fn admit(&mut self, conn: Connection, enroll: impl FnOnce(usize) -> ShardHandle) -> usize {
         let idx = self.free.pop().map_or(self.slots.len(), |i| i as usize);
         self.router
-            .register_ident(conn.expected_ident().to_vec(), ConnKey(idx));
+            .register_ident(conn.expected_ident(), ConnKey(idx));
         // Sends take their bodies from the shard's pool: its buffers
         // carry the headroom of the largest stack it serves.
         self.pool.raise_headroom(conn.pool_headroom());
@@ -343,7 +343,7 @@ impl ShardTable {
     }
 
     /// Removes the connection in slot `idx`: clears its router entries
-    /// (O(its own entries) — reverse-indexed, no map scans), folds its
+    /// (O(its own entries) — the slot's route names them), folds its
     /// stats into the retired accumulator so totals stay exact, frees
     /// the slot, and returns the connection for draining.
     pub(crate) fn remove(&mut self, idx: usize) -> Connection {

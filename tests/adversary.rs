@@ -341,6 +341,34 @@ fn a_refused_identified_frame_binds_no_cookie() {
     assert!(b.stats().delivery_balanced() && b.stats().rejects_reconcile());
 }
 
+/// A peer restart leaves two connections expecting one identification:
+/// the one the restart orphaned and its successor. The newest owns the
+/// ident route, and removing the old one must not take that route with
+/// it: the restarted client's identified first frame reaches the
+/// successor, fast.
+#[test]
+fn removing_a_restarted_peers_old_connection_keeps_the_new_ones_route() {
+    shards::at_each_shard_count(|shards| {
+        let mut server = ShardedEndpoint::new(shards);
+        let old = server.add_connection(paper_conn(SERVER_HOST, CLIENT_HOSTS[0], 0x01D));
+        let new = server.add_connection(paper_conn(SERVER_HOST, CLIENT_HOSTS[0], 0x2E3));
+        assert!(server.remove_connection(old).is_ok());
+        let mut client = paper_conn(CLIENT_HOSTS[0], SERVER_HOST, 0xC11E);
+        client.send(b"after the restart");
+        let first = client.poll_transmit().expect("first frame");
+        assert!(
+            !is_cookie_only(&first.to_wire()),
+            "the first frame is identified"
+        );
+        let out = server.from_network(first);
+        assert_eq!(out, DeliverOutcome::Fast { msgs: 1 }, "{shards} shards");
+        let mut deliveries = Vec::new();
+        server.drain_deliveries(&mut deliveries);
+        assert_eq!(deliveries.len(), 1);
+        assert_eq!(deliveries[0].conn, new, "{shards} shards");
+    });
+}
+
 /// A duplicate is answered by an unusual re-ack, which carries the
 /// identification so a sender that lost our first frame can bind our
 /// cookie. The answer is bounded by what arrives: N replays of data

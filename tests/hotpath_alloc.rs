@@ -943,6 +943,35 @@ fn a_sharded_echo_allocates_nothing_and_every_pool_balances() {
     assert!(f.ep.demux_balanced());
 }
 
+/// A warm endpoint removes and re-admits a connection without
+/// allocating: the connection comes back to the slot it left, the
+/// router's record for the slot keeps its ident buffer, and every table
+/// holds the same population. (Two allocations a cycle while the
+/// router copied the ident out of the connection and again into a
+/// reverse map.)
+#[test]
+fn a_warm_remove_and_readmit_cycle_allocates_nothing() {
+    let mut f = Fanin::new(8, 32);
+    for _ in 0..16 {
+        f.round();
+    }
+    let mut h = f.clients[0].1;
+    let mut cycles = |ep: &mut ShardedEndpoint, n: usize| {
+        let before = allocations();
+        for _ in 0..n {
+            let twin = ep.remove_connection(h).expect("live");
+            h = ep.add_connection(twin);
+        }
+        allocations() - before
+    };
+    cycles(&mut f.ep, 1_000);
+    let made = cycles(&mut f.ep, 10_000);
+    assert_eq!(
+        made, 0,
+        "{made} allocations over 10 000 remove + add cycles"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // The footprint arm: what a warm connection holds between operations
 // ---------------------------------------------------------------------------
