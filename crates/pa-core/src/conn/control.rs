@@ -54,19 +54,21 @@ impl Connection {
         let layout = &plan.layout;
 
         // Connection identification: `local` is what we send, `peer`
-        // what we expect to receive. Always big-endian (compared as
-        // opaque bytes).
+        // what we expect to receive, built in place in one buffer.
+        // Always big-endian (compared as opaque bytes).
         let ident_len = layout.class_len(Class::ConnId);
-        let mut ident_local = vec![0u8; ident_len];
-        let mut ident_peer = vec![0u8; ident_len];
-        layout.write_field_bytes(f_src, &mut ident_local, &params.local.encode());
-        layout.write_field_bytes(f_dst, &mut ident_local, &params.peer.encode());
-        layout.write_field(f_fp, &mut ident_local, ByteOrder::Big, layout.fingerprint());
-        layout.write_field_bytes(f_src, &mut ident_peer, &params.peer.encode());
-        layout.write_field_bytes(f_dst, &mut ident_peer, &params.local.encode());
-        layout.write_field(f_fp, &mut ident_peer, ByteOrder::Big, layout.fingerprint());
+        let mut idents = vec![0u8; 2 * ident_len].into_boxed_slice();
+        let (local, peer) = idents.split_at_mut(ident_len);
+        for (ident, src, dst) in [
+            (&mut *local, params.local, params.peer),
+            (&mut *peer, params.peer, params.local),
+        ] {
+            layout.write_field_bytes(f_src, ident, &src.encode());
+            layout.write_field_bytes(f_dst, ident, &dst.encode());
+            layout.write_field(f_fp, ident, ByteOrder::Big, layout.fingerprint());
+        }
         for layer in &layers {
-            layer.fill_ident(layout, &mut ident_local, &mut ident_peer);
+            layer.fill_ident(layout, local, peer);
         }
 
         let mut rng = SplitMix64::new(params.seed);
@@ -85,7 +87,7 @@ impl Connection {
         );
 
         Ok(Connection {
-            intro: Introspection::new(layers.len(), trace, cookie_local.raw() as u32),
+            intro: Introspection::new(trace, cookie_local.raw() as u32),
             cookie_local,
             cookie_peer: None,
             cookie_peer_prev: None,
@@ -112,8 +114,7 @@ impl Connection {
             deliver_work: VecDeque::new(),
             out: VecDeque::new(),
             deliveries: VecDeque::new(),
-            ident_local,
-            ident_peer,
+            idents,
             ident_due: true,
             stats: ConnStats::default(),
             plan,
@@ -138,9 +139,9 @@ impl Connection {
         }
         if preamble.conn_ident_present {
             let ident = frame
-                .pop_front(self.ident_peer.len())
+                .pop_front(self.expected_ident().len())
                 .ok_or(RejectReason::TruncatedIdent)?;
-            if ident != self.ident_peer {
+            if ident != self.expected_ident() {
                 return Err(RejectReason::ForeignIdent);
             }
         } else if self.cookie_peer != Some(preamble.cookie) {
@@ -162,7 +163,8 @@ impl Connection {
         let include_ident = !self.config.cookies || unusual || self.ident_due;
         let preamble = if include_ident {
             self.ident_due = false;
-            msg.push_front(&self.ident_local);
+            let (local, _) = self.idents.split_at(self.idents.len() / 2);
+            msg.push_front(local);
             self.stats.ident_frames_out += 1;
             Preamble::with_conn_ident(self.cookie_local, self.order)
         } else {
@@ -295,8 +297,9 @@ impl Connection {
     /// (retransmission, keepalives). Bottom → top.
     pub fn tick(&mut self, now: Nanos) {
         self.set_now(now);
+        let whole = self.meter_whole(Phase::Tick);
         for i in 0..self.layers.len() {
-            self.run_phase(i, Phase::Tick, self.order, |layer, ctx| {
+            self.run_phase(i, Phase::Tick, whole, self.order, |layer, ctx| {
                 layer.on_tick(ctx, now)
             });
         }

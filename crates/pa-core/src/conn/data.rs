@@ -9,7 +9,7 @@ use super::{
     Connection, DeliverBurstReport, DeliverOutcome, DeliverWork, PostWorkReport, PushSized,
     RecvPost, SendBurstReport, SendOutcome, SendWork,
 };
-use crate::layer::{DeliverAction, Effects, Layer, LayerCtx, SendAction};
+use crate::layer::{DeliverAction, Effect, Effects, Layer, LayerCtx, SendAction};
 use crate::packing::{self, PackInfo, MAX_EMPTY_PIECES};
 use pa_buf::{ByteOrder, Msg, MsgPool};
 use pa_obs::{AttrCause, DropCause, LeakCause, Phase, RejectReason, SlowCause, TraceEvent};
@@ -490,7 +490,7 @@ impl Connection {
             return;
         }
         let i = next as usize;
-        let action = self.run_phase(i, Phase::PreSend, self.order, |layer, ctx| {
+        let action = self.run_phase(i, Phase::PreSend, false, self.order, |layer, ctx| {
             layer.pre_send(ctx, &mut msg)
         });
         let below = |msg| SendWork {
@@ -538,7 +538,8 @@ impl Connection {
             }
             return;
         }
-        let action = self.run_phase(next, Phase::PreDeliver, self.peer_order, |layer, ctx| {
+        let order = self.peer_order;
+        let action = self.run_phase(next, Phase::PreDeliver, false, order, |layer, ctx| {
             ctx.filter_passed = filter_passed;
             layer.pre_deliver(ctx, &mut msg)
         });
@@ -578,13 +579,17 @@ impl Connection {
     /// The one phase dispatcher: runs `call` on layer `i` with a
     /// [`LayerCtx`] built in place over the connection's own fields,
     /// records the meter, and applies whatever the layer asked for —
-    /// after the phase returns and before any other phase runs. A phase
-    /// that asked for nothing costs a meter bump and an emptiness check.
+    /// after the phase returns and before any other phase runs. `whole`
+    /// says the traversal the call belongs to was counted once for every
+    /// layer ([`Connection::meter_whole`]): the call is not metered
+    /// again. A phase that asked for nothing costs at most a meter bump
+    /// and an emptiness check.
     #[inline]
     pub(super) fn run_phase<R>(
         &mut self,
         i: usize,
         phase: Phase,
+        whole: bool,
         order: ByteOrder,
         call: impl FnOnce(&mut dyn Layer, &mut LayerCtx<'_>) -> R,
     ) -> R {
@@ -601,7 +606,9 @@ impl Connection {
             image_wanted: false,
         };
         let out = call(self.layers[i].as_mut(), &mut ctx);
-        self.meter_record(i, phase, t0);
+        if !whole {
+            self.meter_record(i, phase, t0);
+        }
         if !self.effects_scratch.is_empty() {
             // `apply_effects` needs `&mut self`, so the scratch leaves
             // the connection for the apply and comes back drained, its
@@ -623,41 +630,31 @@ impl Connection {
         // that patch filter slots every batch would otherwise pay one
         // heap allocation per phase forever.
         let name = self.layers[layer_idx].name();
-        for reason in effects.disable_send.drain(..) {
-            self.hold(name, reason, true);
-        }
-        for reason in effects.enable_send.drain(..) {
-            self.release(name, reason, true);
-        }
-        for reason in effects.disable_recv.drain(..) {
-            self.hold(name, reason, false);
-        }
-        for reason in effects.enable_recv.drain(..) {
-            self.release(name, reason, false);
-        }
-        for (slot, v) in effects.send_slot_patches.drain(..) {
-            self.send_slots[slot.0 as usize] = v;
-        }
-        for (slot, v) in effects.recv_slot_patches.drain(..) {
-            self.recv_slots[slot.0 as usize] = v;
-        }
-        for (msg, unusual) in effects.down.drain(..) {
-            self.stats.control_msgs += 1;
-            self.emit(TraceEvent::Control { layer: name });
-            self.send_work.push_sized(SendWork {
-                next: layer_idx as isize - 1,
-                msg,
-                unusual,
-                origin: name,
-            });
-        }
-        for msg in effects.up.drain(..) {
-            self.deliver_work.push_sized(DeliverWork {
-                next: layer_idx + 1,
-                start: layer_idx + 1,
-                msg,
-                filter_passed: false,
-            });
+        for effect in effects.drain_in_order() {
+            match effect {
+                Effect::DisableSend(reason) => self.hold(name, reason, true),
+                Effect::EnableSend(reason) => self.release(name, reason, true),
+                Effect::DisableRecv(reason) => self.hold(name, reason, false),
+                Effect::EnableRecv(reason) => self.release(name, reason, false),
+                Effect::PatchSend(slot, v) => self.send_slots[slot.0 as usize] = v,
+                Effect::PatchRecv(slot, v) => self.recv_slots[slot.0 as usize] = v,
+                Effect::Down(msg, unusual) => {
+                    self.stats.control_msgs += 1;
+                    self.emit(TraceEvent::Control { layer: name });
+                    self.send_work.push_sized(SendWork {
+                        next: layer_idx as isize - 1,
+                        msg,
+                        unusual,
+                        origin: name,
+                    });
+                }
+                Effect::Up(msg) => self.deliver_work.push_sized(DeliverWork {
+                    next: layer_idx + 1,
+                    start: layer_idx + 1,
+                    msg,
+                    filter_passed: false,
+                }),
+            }
         }
     }
 
@@ -721,8 +718,9 @@ impl Connection {
         report.post_send_frames += 1;
         self.stats.post_sends += 1;
         let mut keeper = None;
+        let whole = self.meter_whole(Phase::PostSend);
         for i in (0..self.layers.len()).rev() {
-            let asked = self.run_phase(i, Phase::PostSend, self.order, |layer, ctx| {
+            let asked = self.run_phase(i, Phase::PostSend, whole, self.order, |layer, ctx| {
                 layer.post_send(ctx, &image);
                 ctx.image_wanted
             });
@@ -756,8 +754,10 @@ impl Connection {
         report.post_deliver_phases += (stop - start + 1) as u64;
         report.post_deliver_frames += 1;
         self.stats.post_delivers += 1;
+        let (order, top) = (self.peer_order, self.layers.len() - 1);
+        let whole = (start, stop) == (0, top) && self.meter_whole(Phase::PostDeliver);
         for i in start..=stop {
-            self.run_phase(i, Phase::PostDeliver, self.peer_order, |layer, ctx| {
+            self.run_phase(i, Phase::PostDeliver, whole, order, |layer, ctx| {
                 layer.post_deliver(ctx, &msg)
             });
         }

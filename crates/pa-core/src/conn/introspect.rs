@@ -37,8 +37,8 @@ pub(super) struct TraceCtx {
 /// probes write held out of line, allocated the first time one needs it.
 #[derive(Debug)]
 pub struct Introspection {
-    /// Per-layer pre/post/tick phase meters, parallel to the stack: the
-    /// counts always, the clock half once cycle metering is on.
+    /// Pre/post/tick phase meters, parallel to the stack: a whole-stack
+    /// traversal counted once, every other call per layer.
     meters: PhaseMeters,
     /// When set, every metered phase call is running on a later
     /// operation's critical path (a synchronous drain, eager post
@@ -99,11 +99,10 @@ impl SlowHalf {
 static NO_SLOW_HALF: SlowHalf = SlowHalf::EMPTY;
 
 impl Introspection {
-    /// The record of a connection over `layers` layers that has done
-    /// nothing yet.
-    pub(super) fn new(layers: usize, trace: Option<TraceCtx>, trace_origin: u32) -> Introspection {
+    /// The record of a connection that has done nothing yet.
+    pub(super) fn new(trace: Option<TraceCtx>, trace_origin: u32) -> Introspection {
         Introspection {
-            meters: PhaseMeters::new(layers),
+            meters: PhaseMeters::default(),
             leak_scope: None,
             last_send_explain: XrayTag::none(),
             last_deliver_explain: XrayTag::none(),
@@ -471,18 +470,19 @@ impl Connection {
 
     /// Per-layer phase meters, parallel to [`Connection::layer_names`].
     pub fn phase_meters(&self) -> impl ExactSizeIterator<Item = PhaseMeter> + Clone + '_ {
-        self.intro.meters.iter()
+        self.intro.meters.iter(self.layers.len())
     }
 
     /// Turns on wall-clock metering of every phase call, de-biased by
     /// the shared timer-overhead correction
     /// ([`pa_obs::timer::span_overhead_ns`]) exactly like bench rows.
-    /// The meters' clock half is allocated here: a connection that
-    /// never meters does not hold it.
+    /// The meters' per-layer record is allocated here if it is not yet:
+    /// a connection that never meters, and whose traffic stays on the
+    /// fast path, does not hold it.
     pub fn enable_cycle_meter(&mut self) {
         self.intro
             .meters
-            .start_clocks(pa_obs::timer::span_overhead_ns());
+            .start_clocks(self.layers.len(), pa_obs::timer::span_overhead_ns());
     }
 
     /// The critical-path leak ledger: post-class work that a later
@@ -498,6 +498,15 @@ impl Connection {
         self.intro.meters.clocked().then(Instant::now)
     }
 
+    /// Counts one traversal of `phase` over every layer once, if the
+    /// meters can: outside a leak scope, with the clocks off. False if
+    /// each layer's call is to go through [`Connection::meter_record`].
+    #[inline]
+    pub(super) fn meter_whole(&mut self, phase: Phase) -> bool {
+        let leaked = self.intro.leak_scope.is_some();
+        self.intro.meters.record_whole(phase, leaked)
+    }
+
     /// Records one phase invocation for `layer_idx`, with its elapsed
     /// nanoseconds when `t0` carries a sample. Inside a leak scope it is
     /// also flagged leaked in the meter and mirrored — same count, same
@@ -507,10 +516,11 @@ impl Connection {
     pub(super) fn meter_record(&mut self, layer_idx: usize, phase: Phase, t0: Option<Instant>) {
         let dt = t0.map(|t| t.elapsed().as_nanos() as u64);
         let leaked = self.intro.leak_scope;
+        let layers = self.layers.len();
         let charged = self
             .intro
             .meters
-            .record(layer_idx, phase, dt, leaked.is_some());
+            .record(layers, layer_idx, phase, dt, leaked.is_some());
         if let Some(cause) = leaked {
             let Some(layer) = self.layers.get(layer_idx).map(|l| l.name()) else {
                 return;
@@ -574,8 +584,13 @@ impl Connection {
     }
 
     /// The [`XrayTag`] layer byte for a layer name (stack index, or
-    /// [`XrayTag::ENGINE`] for the engine and pseudo-layers).
+    /// [`XrayTag::ENGINE`] for the engine and pseudo-layers). The
+    /// engine's own name needs no walk: no layer can take it (the plan
+    /// refuses a stack that tries).
     fn layer_byte(&self, name: &str) -> u8 {
+        if name == crate::plan::ENGINE {
+            return XrayTag::ENGINE;
+        }
         self.layers
             .iter()
             .position(|l| l.name() == name)
@@ -619,7 +634,7 @@ impl Connection {
         fleet.attribution.merge(&slow.attribution);
         fleet.misses.merge(&slow.miss_table);
         let names = self.layers.iter().map(|l| l.name());
-        fleet.absorb_meters(names.zip(self.intro.meters.iter()));
+        fleet.absorb_meters(names.zip(self.intro.meters.iter(self.layers.len())));
         fleet.leaks.merge(&slow.leaks);
     }
 

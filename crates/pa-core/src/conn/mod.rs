@@ -82,6 +82,9 @@ pub enum SetupError {
     Layout(pa_wire::LayoutError),
     /// A layer contributed an invalid filter fragment.
     Filter(pa_filter::VerifyError),
+    /// A layer took the name the engine declares its own fields and
+    /// charges its own work under (`"pa"`).
+    ReservedName(&'static str),
 }
 
 impl fmt::Display for SetupError {
@@ -89,6 +92,7 @@ impl fmt::Display for SetupError {
         match self {
             SetupError::Layout(e) => write!(f, "layout error: {e}"),
             SetupError::Filter(e) => write!(f, "filter error: {e}"),
+            SetupError::ReservedName(name) => write!(f, "layer name `{name}` is the engine's"),
         }
     }
 }
@@ -324,8 +328,9 @@ pub struct Connection {
     /// it are *stale* (a replay or a splice), counted as
     /// [`RejectReason::StaleCookie`] rather than unknown.
     cookie_peer_prev: Option<Cookie>,
-    ident_local: Vec<u8>,
-    ident_peer: Vec<u8>,
+    /// The identification we send, then the one we expect: two halves
+    /// of one length.
+    idents: Box<[u8]>,
     /// The next frame carries the identification: the first one (§2.2),
     /// or one after [`Connection::force_ident_next`].
     ident_due: bool,
@@ -367,7 +372,7 @@ impl Connection {
 
     /// The connection identification we expect on incoming frames.
     pub fn expected_ident(&self) -> &[u8] {
-        &self.ident_peer
+        &self.idents[self.idents.len() / 2..]
     }
 
     /// Per-connection counters.

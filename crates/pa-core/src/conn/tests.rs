@@ -551,6 +551,46 @@ fn null_stack_connection_works() {
     assert_eq!(got, vec![b"empty stack".to_vec()]);
 }
 
+/// The engine's name is its own: an explain tag charged to `"pa"` is the
+/// engine's byte, never a layer's index, because no stack can hold a
+/// layer of that name.
+#[test]
+fn a_layer_named_like_the_engine_is_refused() {
+    struct Impostor;
+    impl Layer for Impostor {
+        fn name(&self) -> &'static str {
+            "pa"
+        }
+        fn shape(&self) -> LayerShape {
+            LayerShape::NONE
+        }
+        fn bind(&mut self, _: Handles<'_>) {}
+        fn pre_send(&mut self, _: &mut LayerCtx<'_>, _: &mut Msg) -> SendAction {
+            SendAction::Continue
+        }
+        fn post_send(&mut self, _: &mut LayerCtx<'_>, _: &Msg) {}
+        fn pre_deliver(&mut self, _: &mut LayerCtx<'_>, _: &mut Msg) -> DeliverAction {
+            DeliverAction::Continue
+        }
+        fn post_deliver(&mut self, _: &mut LayerCtx<'_>, _: &Msg) {}
+    }
+    let params = ConnectionParams::new(
+        EndpointAddr::from_parts(1, 1),
+        EndpointAddr::from_parts(2, 1),
+        5,
+    );
+    let built = Connection::new(
+        vec![Box::new(NullLayer), Box::new(Impostor)],
+        PaConfig::paper_default(),
+        params,
+    );
+    assert!(
+        matches!(built, Err(SetupError::ReservedName("pa"))),
+        "{:?}",
+        built.err()
+    );
+}
+
 #[test]
 fn stack_fingerprint_mismatch_drops_frames() {
     // A peer with a different stack computes a different layout

@@ -306,44 +306,68 @@ fn exactly<T: Copy + fmt::Debug, const N: usize>(handles: &[T], what: &str) -> [
 ///
 /// The engine drains these after each callback; `down` messages re-enter
 /// the send path *below* the emitting layer, `up` messages re-enter the
-/// delivery path *above* it.
+/// delivery path *above* it. One list, in emission order: a phase that
+/// asks for nothing leaves it empty, and the engine applies what one
+/// asked for by kind ([`Effects::drain_in_order`]).
 #[derive(Debug, Default)]
 pub struct Effects {
-    /// Messages to send downward: `(msg, unusual)`. `unusual` marks
-    /// retransmissions and similar — the PA includes the connection
-    /// identification on those (§2.2).
-    pub down: Vec<(Msg, bool)>,
-    /// Messages to hand upward (reassembled / released from reordering).
-    pub up: Vec<Msg>,
-    /// Attributed disables of the send prediction, one reason per
-    /// increment (§3.2's counter bump, named).
-    pub disable_send: Vec<DisableReason>,
-    /// Attributed enables of the send prediction; each must release a
-    /// hold this layer previously charged with the same reason.
-    pub enable_send: Vec<DisableReason>,
-    /// Attributed disables of the delivery prediction.
-    pub disable_recv: Vec<DisableReason>,
-    /// Attributed enables of the delivery prediction.
-    pub enable_recv: Vec<DisableReason>,
-    /// Send-filter slot rewrites (§3.3: "part of the packet filter
-    /// program may be rewritten when the protocol state is updated in
-    /// the post-processing phase").
-    pub send_slot_patches: Vec<(pa_filter::SlotId, i64)>,
-    /// Delivery-filter slot rewrites.
-    pub recv_slot_patches: Vec<(pa_filter::SlotId, i64)>,
+    list: Vec<Effect>,
+}
+
+/// One request of a layer, through the [`LayerCtx`] method of the same
+/// name; the variants are in apply order.
+#[derive(Debug)]
+pub(crate) enum Effect {
+    DisableSend(DisableReason),
+    EnableSend(DisableReason),
+    DisableRecv(DisableReason),
+    EnableRecv(DisableReason),
+    PatchSend(SlotId, i64),
+    PatchRecv(SlotId, i64),
+    /// `true` marks the message *unusual*.
+    Down(Msg, bool),
+    Up(Msg),
+}
+
+impl Effect {
+    /// The kind's place in the apply order.
+    fn kind(&self) -> u8 {
+        match self {
+            Effect::DisableSend(_) => 0,
+            Effect::EnableSend(_) => 1,
+            Effect::DisableRecv(_) => 2,
+            Effect::EnableRecv(_) => 3,
+            Effect::PatchSend(..) => 4,
+            Effect::PatchRecv(..) => 5,
+            Effect::Down(..) => 6,
+            Effect::Up(_) => 7,
+        }
+    }
 }
 
 impl Effects {
     /// True if nothing was requested.
+    #[inline]
     pub(crate) fn is_empty(&self) -> bool {
-        self.down.is_empty()
-            && self.up.is_empty()
-            && self.disable_send.is_empty()
-            && self.enable_send.is_empty()
-            && self.disable_recv.is_empty()
-            && self.enable_recv.is_empty()
-            && self.send_slot_patches.is_empty()
-            && self.recv_slot_patches.is_empty()
+        self.list.is_empty()
+    }
+
+    /// Everything requested, in apply order — send disables, send
+    /// enables, delivery disables, delivery enables, send patches,
+    /// delivery patches, down, up; each kind in emission order — leaving
+    /// the list empty with its capacity kept. Ordered in place by a
+    /// stable insertion sort, which allocates nothing and is one pass
+    /// over a list already in order: most hold one kind.
+    pub(crate) fn drain_in_order(&mut self) -> std::vec::Drain<'_, Effect> {
+        let list = &mut self.list;
+        for i in 1..list.len() {
+            let mut j = i;
+            while j > 0 && list[j - 1].kind() > list[j].kind() {
+                list.swap(j - 1, j);
+                j -= 1;
+            }
+        }
+        list.drain(..)
     }
 }
 
@@ -457,53 +481,53 @@ impl<'a> LayerCtx<'a> {
     /// Queues `msg` to be sent, entering the stack below the calling
     /// layer. Used for acknowledgements and drained window buffers.
     pub fn emit_down(&mut self, msg: Msg) {
-        self.effects.down.push((msg, false));
+        self.effects.list.push(Effect::Down(msg, false));
     }
 
     /// Like [`LayerCtx::emit_down`] but marks the message *unusual* so
     /// the connection identification rides along (retransmissions).
     pub fn emit_down_unusual(&mut self, msg: Msg) {
-        self.effects.down.push((msg, true));
+        self.effects.list.push(Effect::Down(msg, true));
     }
 
     /// Hands `msg` upward, entering the stack above the calling layer
     /// (released reorder-buffer entries, completed reassemblies).
     pub fn emit_up(&mut self, msg: Msg) {
-        self.effects.up.push(msg);
+        self.effects.list.push(Effect::Up(msg));
     }
 
     /// Disables the predicted send header, naming why (e.g.
     /// [`DisableReason::FullWindow`]). The engine attributes the hold
     /// to the calling layer.
     pub fn disable_send(&mut self, reason: DisableReason) {
-        self.effects.disable_send.push(reason);
+        self.effects.list.push(Effect::DisableSend(reason));
     }
 
     /// Re-enables the predicted send header, releasing the hold charged
     /// under `reason` by this layer.
     pub fn enable_send(&mut self, reason: DisableReason) {
-        self.effects.enable_send.push(reason);
+        self.effects.list.push(Effect::EnableSend(reason));
     }
 
     /// Disables the predicted delivery header, naming why.
     pub fn disable_recv(&mut self, reason: DisableReason) {
-        self.effects.disable_recv.push(reason);
+        self.effects.list.push(Effect::DisableRecv(reason));
     }
 
     /// Re-enables the predicted delivery header.
     pub fn enable_recv(&mut self, reason: DisableReason) {
-        self.effects.enable_recv.push(reason);
+        self.effects.list.push(Effect::EnableRecv(reason));
     }
 
     /// Rewrites a patchable constant in the send filter (applied by the
     /// engine after this callback returns).
     pub fn patch_send_slot(&mut self, slot: pa_filter::SlotId, value: i64) {
-        self.effects.send_slot_patches.push((slot, value));
+        self.effects.list.push(Effect::PatchSend(slot, value));
     }
 
     /// Rewrites a patchable constant in the delivery filter.
     pub fn patch_recv_slot(&mut self, slot: pa_filter::SlotId, value: i64) {
-        self.effects.recv_slot_patches.push((slot, value));
+        self.effects.list.push(Effect::PatchRecv(slot, value));
     }
 }
 
@@ -663,7 +687,7 @@ mod tests {
     fn effects_emptiness() {
         let mut e = Effects::default();
         assert!(e.is_empty());
-        e.disable_send.push(DisableReason::FullWindow);
+        e.list.push(Effect::DisableSend(DisableReason::FullWindow));
         assert!(!e.is_empty());
     }
 
@@ -694,15 +718,27 @@ mod tests {
         ctx.disable_send(DisableReason::FullWindow);
         ctx.disable_send(DisableReason::Resync);
         ctx.enable_send(DisableReason::FullWindow);
-        assert_eq!(effects.down.len(), 2);
-        assert!(effects.down[1].1, "retransmission marked unusual");
-        assert_eq!(effects.up.len(), 1);
+        // Applied by kind, each kind in emission order.
+        let applied: Vec<String> = effects
+            .drain_in_order()
+            .map(|e| match e {
+                Effect::Down(m, unusual) => format!("down {:?} {unusual}", m.as_slice()),
+                Effect::Up(m) => format!("up {:?}", m.as_slice()),
+                other => format!("{other:?}"),
+            })
+            .collect();
         assert_eq!(
-            effects.disable_send,
-            vec![DisableReason::FullWindow, DisableReason::Resync]
+            applied,
+            [
+                "DisableSend(FullWindow)",
+                "DisableSend(Resync)",
+                "EnableSend(FullWindow)",
+                "down [97, 99, 107] false",
+                "down [114, 101, 120, 109, 105, 116] true",
+                "up [114, 101, 97, 115, 115, 101, 109, 98, 108, 101, 100]",
+            ]
         );
-        assert_eq!(effects.enable_send, vec![DisableReason::FullWindow]);
-        assert!(effects.disable_recv.is_empty());
+        assert!(effects.is_empty());
     }
 
     #[test]

@@ -32,8 +32,13 @@ use std::sync::{Arc, Mutex, PoisonError, Weak};
 /// fills the field, so such a frame is diverted to the slow path.
 const TRACE_MISSING: i64 = 77;
 
+/// The name the engine declares under, and charges its own work to in
+/// every report and explain tag. No layer may take it, so a report never
+/// mistakes a layer for the engine or the engine for a layer.
+pub(crate) const ENGINE: &str = "pa";
+
 /// The engine's own conn-ident contribution, declared first as layer
-/// `"pa"`: the endpoint addresses and the stack fingerprint (detects
+/// [`ENGINE`]: the endpoint addresses and the stack fingerprint (detects
 /// mismatched stacks at setup) — realistic large identification, like
 /// the ~76 bytes Horus carries (§2.2).
 const IDENT: LayerShape = LayerShape::new(declare_ident, []);
@@ -211,8 +216,11 @@ impl StackPlan {
             recv: FilterDraft::new(),
             handles: HandleLog::new(),
         };
-        t.declare("pa", &IDENT)?;
+        t.declare(ENGINE, &IDENT)?;
         for layer in layers {
+            if layer.name() == ENGINE {
+                return Err(SetupError::ReservedName(ENGINE));
+            }
             t.declare(layer.name(), &layer.shape())?;
         }
         if trace {

@@ -47,8 +47,10 @@ pub struct DisableHold {
 /// The predicted headers for one direction, plus the disable counter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Prediction {
-    proto: Vec<u8>,
-    gossip: Vec<u8>,
+    /// The protocol image, then the gossip image: one buffer.
+    image: Box<[u8]>,
+    /// Where the gossip image starts.
+    proto_len: u32,
     order: ByteOrder,
     disable: u32,
     holds: Vec<DisableHold>,
@@ -59,9 +61,10 @@ impl Prediction {
     /// Creates a zeroed prediction sized for `layout`, encoding fields
     /// in `order`.
     pub fn new(layout: &CompiledLayout, order: ByteOrder) -> Prediction {
+        let proto_len = layout.class_len(Class::Protocol);
         Prediction {
-            proto: vec![0; layout.class_len(Class::Protocol)],
-            gossip: vec![0; layout.class_len(Class::Gossip)],
+            image: vec![0; proto_len + layout.class_len(Class::Gossip)].into_boxed_slice(),
+            proto_len: proto_len as u32,
             order,
             disable: 0,
             holds: Vec::new(),
@@ -71,13 +74,26 @@ impl Prediction {
 
     /// The predicted protocol-specific header bytes.
     pub(crate) fn proto(&self) -> &[u8] {
-        &self.proto
+        &self.image[..self.proto_len as usize]
     }
 
     /// The predicted gossip header bytes (send side only; delivery
     /// ignores gossip, §3.2).
     pub(crate) fn gossip(&self) -> &[u8] {
-        &self.gossip
+        &self.image[self.proto_len as usize..]
+    }
+
+    /// Where in the image `class` is predicted.
+    ///
+    /// # Panics
+    /// If the class is not protocol or gossip.
+    fn span(&self, class: Class) -> std::ops::Range<usize> {
+        let proto_len = self.proto_len as usize;
+        match class {
+            Class::Protocol => 0..proto_len,
+            Class::Gossip => proto_len..self.image.len(),
+            other => panic!("prediction covers protocol/gossip fields only, got {other}"),
+        }
     }
 
     /// The byte order predictions are encoded in.
@@ -92,11 +108,11 @@ impl Prediction {
         if new_order == self.order {
             return;
         }
-        let mut new_proto = vec![0u8; self.proto.len()];
-        let mut new_gossip = vec![0u8; self.gossip.len()];
+        let mut image = vec![0u8; self.image.len()].into_boxed_slice();
+        let (new_proto, new_gossip) = image.split_at_mut(self.proto_len as usize);
         for (class, old, new) in [
-            (Class::Protocol, &self.proto, &mut new_proto),
-            (Class::Gossip, &self.gossip, &mut new_gossip),
+            (Class::Protocol, self.proto(), new_proto),
+            (Class::Gossip, self.gossip(), new_gossip),
         ] {
             let n = field_count(layout, class);
             for i in 0..n {
@@ -110,8 +126,7 @@ impl Prediction {
                 }
             }
         }
-        self.proto = new_proto;
-        self.gossip = new_gossip;
+        self.image = image;
         self.order = new_order;
     }
 
@@ -123,22 +138,13 @@ impl Prediction {
     /// # Panics
     /// If the field is not in the protocol or gossip class.
     pub fn set(&mut self, layout: &CompiledLayout, field: Field, value: u64) {
-        let buf = match field.class {
-            Class::Protocol => &mut self.proto,
-            Class::Gossip => &mut self.gossip,
-            other => panic!("prediction covers protocol/gossip fields only, got {other}"),
-        };
-        layout.write_field(field, buf, self.order, value);
+        let span = self.span(field.class);
+        layout.write_field(field, &mut self.image[span], self.order, value);
     }
 
     /// Reads back a predicted field value.
     pub(crate) fn get(&self, layout: &CompiledLayout, field: Field) -> u64 {
-        let buf = match field.class {
-            Class::Protocol => &self.proto,
-            Class::Gossip => &self.gossip,
-            other => panic!("prediction covers protocol/gossip fields only, got {other}"),
-        };
-        layout.read_field(field, buf, self.order)
+        layout.read_field(field, &self.image[self.span(field.class)], self.order)
     }
 
     /// True if the predicted header is currently usable.

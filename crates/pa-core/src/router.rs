@@ -216,10 +216,17 @@ struct Route {
     /// The registered peer ident. Cleared, not freed, with the slot, so
     /// the slot's next connection registers without allocating.
     ident: Vec<u8>,
-    /// Retired cookies, oldest first (the eviction order):
-    /// `stale[..stale_len]`.
-    stale: [u64; Router::STALE_CAP],
-    stale_len: usize,
+    /// Retired cookies, out of line: only a connection that re-keys
+    /// has any. Emptied, not freed, with the slot.
+    retired: Option<Box<Retired>>,
+}
+
+/// A connection's retired cookies, oldest first (the eviction order):
+/// `cookies[..len]`.
+#[derive(Debug, Default)]
+struct Retired {
+    cookies: [u64; Router::STALE_CAP],
+    len: usize,
 }
 
 impl Route {
@@ -234,24 +241,36 @@ impl Route {
     /// Appends `raw` to the retired history; a full one gives up its
     /// oldest cookie, which is returned.
     fn retire(&mut self, raw: u64) -> Option<u64> {
-        if self.stale_len < Router::STALE_CAP {
-            self.stale[self.stale_len] = raw;
-            self.stale_len += 1;
+        let r = self.retired.get_or_insert_with(Box::default);
+        if r.len < Router::STALE_CAP {
+            r.cookies[r.len] = raw;
+            r.len += 1;
             return None;
         }
-        self.stale.rotate_left(1);
+        r.cookies.rotate_left(1);
         Some(std::mem::replace(
-            &mut self.stale[Router::STALE_CAP - 1],
+            &mut r.cookies[Router::STALE_CAP - 1],
             raw,
         ))
     }
 
     /// Drops `raw` from the retired history.
     fn forget(&mut self, raw: u64) {
-        let n = self.stale_len;
-        if let Some(i) = self.stale[..n].iter().position(|&c| c == raw) {
-            self.stale[i..n].rotate_left(1);
-            self.stale_len -= 1;
+        let Some(r) = self.retired.as_deref_mut() else {
+            return;
+        };
+        let n = r.len;
+        if let Some(i) = r.cookies[..n].iter().position(|&c| c == raw) {
+            r.cookies[i..n].rotate_left(1);
+            r.len -= 1;
+        }
+    }
+
+    /// The retired history, oldest first, leaving it empty.
+    fn take_retired(&mut self) -> &[u64] {
+        match self.retired.as_deref_mut() {
+            Some(r) => &r.cookies[..std::mem::take(&mut r.len)],
+            None => &[],
         }
     }
 }
@@ -533,7 +552,7 @@ impl Router {
         if let Some(raw) = route.cookie.take() {
             self.by_cookie.remove(raw);
         }
-        for &raw in &route.stale[..std::mem::take(&mut route.stale_len)] {
+        for &raw in route.take_retired() {
             self.stale_cookies.remove(raw);
             self.stale_stats.removed += 1;
         }
@@ -555,7 +574,7 @@ impl Router {
         // Retired history first, then the live cookie: the tombstone
         // FIFO evicts oldest-first, and the live cookie is the youngest
         // route worth refusing longest.
-        let history = route.stale[..std::mem::take(&mut route.stale_len)].iter();
+        let history = route.take_retired().iter();
         for &raw in history.chain(&cookie) {
             self.tombstone_seq += 1;
             let seq = self.tombstone_seq;
@@ -609,6 +628,14 @@ mod tests {
     fn demux(r: &mut Router, cookie: Cookie) -> CookieLookup {
         let hash = r.cookie_hash(cookie);
         r.demux_cookie(cookie, hash)
+    }
+
+    #[test]
+    fn a_route_keeps_its_retired_cookies_out_of_line() {
+        // 128 B while the eight-cookie history was inline: every
+        // connection paid for what only one that re-keys fills.
+        let size = std::mem::size_of::<Route>();
+        assert!(size <= 64, "size_of::<Route>() = {size}");
     }
 
     #[test]

@@ -912,14 +912,14 @@ mod tests {
         let mut a = co.domain("pre");
         let mut b = co.domain("post");
         // One source meter mutated in two bracketed windows.
-        let mut meters = PhaseMeters::new(1);
-        meters.start_clocks(0);
+        let mut meters = PhaseMeters::default();
+        meters.start_clocks(1, 0);
         let cp0 = meters.get(0);
-        meters.record(0, Phase::PreSend, Some(100), false);
-        meters.record(0, Phase::PreSend, Some(100), false);
+        meters.record(1, 0, Phase::PreSend, Some(100), false);
+        meters.record(1, 0, Phase::PreSend, Some(100), false);
         let cp1 = meters.get(0);
         a.absorb_meter("window", &cp1.delta_since(&cp0));
-        meters.record(0, Phase::PostSend, Some(300), false);
+        meters.record(1, 0, Phase::PostSend, Some(300), false);
         let meter = meters.get(0);
         b.absorb_meter("window", &meter.delta_since(&cp1));
         a.publish();

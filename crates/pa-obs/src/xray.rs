@@ -445,113 +445,129 @@ pub struct PhaseMeter {
     pub bias_ns: u64,
 }
 
-/// The count half of one layer's [`PhaseMeter`]: what every phase call
-/// writes.
-#[derive(Debug, Clone, Copy, Default)]
-struct PhaseCalls {
-    calls: [u64; 5],
-    leaked_calls: [u64; 5],
-}
+/// The phases a whole-stack traversal runs, in [`PhaseMeters`]' order:
+/// a post-send and a post-deliver over every layer, and a tick.
+const WHOLE: [Phase; 3] = [Phase::PostSend, Phase::PostDeliver, Phase::Tick];
 
-/// The clock half of one layer's [`PhaseMeter`]: written only while
-/// cycle metering is on, and held only once it has been turned on.
-#[derive(Debug, Clone, Copy, Default)]
-struct PhaseClock {
-    cycle_ns: [u64; 5],
-    leaked_cycle_ns: [u64; 5],
-    bias_ns: u64,
-}
-
-/// A connection's phase meters, one per layer, bottom first. The count
-/// halves are held from the start; the clock halves are allocated by
-/// [`PhaseMeters::start_clocks`] and read as zero until then, so a
-/// connection that never meters wall-clock time does not hold them.
-#[derive(Debug, Clone)]
+/// A connection's phase meters, one per layer, bottom first. A
+/// traversal that runs every layer once — a post-send, a post-deliver
+/// over the whole stack, a tick — is counted once when it runs outside a
+/// leak scope with the clocks off: one write, not one per layer. Every
+/// other call — pre phases, partial post-deliver ranges, leaked and
+/// clocked calls — is counted per layer, in one record allocated on
+/// first use that also holds the clock halves. A layer's meter reads as
+/// the whole-stack count plus its own. The layer count is the owner's,
+/// passed where a record is made or read.
+#[derive(Debug, Clone, Default)]
 pub struct PhaseMeters {
-    calls: Box<[PhaseCalls]>,
-    clocks: Option<Box<[PhaseClock]>>,
+    /// Whole-stack traversals, indexed like [`WHOLE`].
+    whole: [u64; 3],
+    per_layer: Option<Box<PerLayer>>,
+}
+
+/// The per-layer half of [`PhaseMeters`].
+#[derive(Debug, Clone)]
+struct PerLayer {
+    /// The timer-overhead correction, once the clocks are on.
+    clock: Option<u64>,
+    /// Each layer's own calls and, once clocked, time (`bias_ns` unset).
+    meters: Box<[PhaseMeter]>,
 }
 
 impl PhaseMeters {
-    /// Zeroed meters for `layers` layers, clocks off.
-    pub fn new(layers: usize) -> PhaseMeters {
-        PhaseMeters {
-            calls: vec![PhaseCalls::default(); layers].into_boxed_slice(),
-            clocks: None,
-        }
-    }
-
     /// True once [`PhaseMeters::start_clocks`] has run.
     #[inline]
     pub fn clocked(&self) -> bool {
-        self.clocks.is_some()
+        self.per_layer.as_ref().is_some_and(|p| p.clock.is_some())
     }
 
-    /// Turns the clock halves on (allocating them the first time) with
-    /// `bias_ns` subtracted from every later measured span (see
-    /// `pa_obs::timer`).
-    pub fn start_clocks(&mut self, bias_ns: u64) {
-        let layers = self.calls.len();
-        let clocks = self
-            .clocks
-            .get_or_insert_with(|| vec![PhaseClock::default(); layers].into_boxed_slice());
-        for c in clocks.iter_mut() {
-            c.bias_ns = bias_ns;
-        }
+    /// The per-layer record, allocated here the first time.
+    fn per_layer(&mut self, layers: usize) -> &mut PerLayer {
+        self.per_layer.get_or_insert_with(|| {
+            Box::new(PerLayer {
+                clock: None,
+                meters: vec![PhaseMeter::default(); layers].into_boxed_slice(),
+            })
+        })
+    }
+
+    /// Turns the clocks of `layers` layers on with `bias_ns` subtracted
+    /// from every later measured span (see `pa_obs::timer`).
+    pub fn start_clocks(&mut self, layers: usize, bias_ns: u64) {
+        self.per_layer(layers).clock = Some(bias_ns);
     }
 
     /// The timer-overhead correction the clocks apply (0 while off).
     pub fn bias_ns(&self) -> u64 {
-        self.clocks
-            .as_ref()
-            .and_then(|c| c.first())
-            .map_or(0, |c| c.bias_ns)
+        self.per_layer.as_ref().and_then(|p| p.clock).unwrap_or(0)
     }
 
-    /// Records one invocation of `phase` on `layer`, marking it leaked
-    /// if it ran inside a critical-path leak scope, with its measured
-    /// nanoseconds when the clocks are on. Returns the de-biased
-    /// nanoseconds actually charged (0 when unmetered), so the caller
-    /// can charge the same figure to a leak ledger without re-measuring.
+    /// Counts one traversal of `phase` over every layer as one count,
+    /// if it can be: a post-send, a post-deliver or a tick, not
+    /// `leaked`, with the clocks off. False if each layer's call is to
+    /// be recorded instead.
     #[inline]
-    pub fn record(&mut self, layer: usize, phase: Phase, ns: Option<u64>, leaked: bool) -> u64 {
+    pub fn record_whole(&mut self, phase: Phase, leaked: bool) -> bool {
+        let Some(k) = WHOLE.iter().position(|&p| p == phase) else {
+            return false;
+        };
+        if leaked || self.clocked() {
+            return false;
+        }
+        self.whole[k] += 1;
+        true
+    }
+
+    /// Records one invocation of `phase` on `layer` of `layers`, marking
+    /// it leaked if it ran inside a critical-path leak scope, with its
+    /// measured nanoseconds when the clocks are on. Returns the
+    /// de-biased nanoseconds actually charged (0 when unmetered), so the
+    /// caller can charge the same figure to a leak ledger without
+    /// re-measuring.
+    pub fn record(
+        &mut self,
+        layers: usize,
+        layer: usize,
+        phase: Phase,
+        ns: Option<u64>,
+        leaked: bool,
+    ) -> u64 {
+        if layer >= layers {
+            return 0;
+        }
         let i = phase as usize;
-        let Some(c) = self.calls.get_mut(layer) else {
+        let p = self.per_layer(layers);
+        let m = &mut p.meters[layer];
+        m.calls[i] += 1;
+        m.leaked_calls[i] += leaked as u64;
+        let (Some(ns), Some(bias)) = (ns, p.clock) else {
             return 0;
         };
-        c.calls[i] += 1;
-        c.leaked_calls[i] += leaked as u64;
-        let clock = self.clocks.as_mut().and_then(|c| c.get_mut(layer));
-        let (Some(ns), Some(clock)) = (ns, clock) else {
-            return 0;
-        };
-        let ns = ns.saturating_sub(clock.bias_ns);
-        clock.cycle_ns[i] += ns;
+        let ns = ns.saturating_sub(bias);
+        m.cycle_ns[i] += ns;
         if leaked {
-            clock.leaked_cycle_ns[i] += ns;
+            m.leaked_cycle_ns[i] += ns;
         }
         ns
     }
 
-    /// Layer `layer`'s meter, both halves (the clock's zero while off).
+    /// Layer `layer`'s meter: the whole-stack counts and its own.
     pub(crate) fn get(&self, layer: usize) -> PhaseMeter {
-        let c = self.calls[layer];
-        let clock = self
-            .clocks
+        let mut m = self
+            .per_layer
             .as_ref()
-            .map_or(PhaseClock::default(), |k| k[layer]);
-        PhaseMeter {
-            calls: c.calls,
-            cycle_ns: clock.cycle_ns,
-            leaked_calls: c.leaked_calls,
-            leaked_cycle_ns: clock.leaked_cycle_ns,
-            bias_ns: clock.bias_ns,
+            .and_then(|p| p.meters.get(layer).copied())
+            .unwrap_or_default();
+        for (phase, n) in WHOLE.iter().zip(self.whole) {
+            m.calls[*phase as usize] += n;
         }
+        m.bias_ns = self.bias_ns();
+        m
     }
 
-    /// Every layer's meter, bottom first.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = PhaseMeter> + Clone + '_ {
-        (0..self.calls.len()).map(|i| self.get(i))
+    /// The meters of `layers` layers, bottom first.
+    pub fn iter(&self, layers: usize) -> impl ExactSizeIterator<Item = PhaseMeter> + Clone + '_ {
+        (0..layers).map(|i| self.get(i))
     }
 }
 
@@ -1097,26 +1113,56 @@ mod tests {
 
     #[test]
     fn phase_meter_records() {
-        let mut p = PhaseMeters::new(1);
-        p.record(0, Phase::PreSend, None, false);
+        let mut p = PhaseMeters::default();
+        p.record(1, 0, Phase::PreSend, None, false);
         assert!(!p.clocked(), "no clock half until metering starts");
-        p.start_clocks(0);
-        p.record(0, Phase::PostDeliver, Some(1_500), false);
+        p.start_clocks(1, 0);
+        p.record(1, 0, Phase::PostDeliver, Some(1_500), false);
         let m = p.get(0);
         assert_eq!(m.calls[Phase::PreSend as usize], 1);
         assert_eq!(m.calls[Phase::PostDeliver as usize], 1);
         assert_eq!(m.cycle_ns[Phase::PostDeliver as usize], 1_500);
         assert_eq!(m.total_calls(), 2);
-        assert_eq!(p.record(1, Phase::Tick, Some(1), false), 0, "no such layer");
+        assert_eq!(
+            p.record(1, 1, Phase::Tick, Some(1), false),
+            0,
+            "no such layer"
+        );
+    }
+
+    #[test]
+    fn a_whole_stack_traversal_counts_once_for_every_layer() {
+        let mut p = PhaseMeters::default();
+        assert!(p.record_whole(Phase::PostSend, false));
+        assert!(p.record_whole(Phase::Tick, false));
+        assert!(
+            !p.record_whole(Phase::PreSend, false),
+            "pre phases per layer"
+        );
+        assert!(
+            !p.record_whole(Phase::PostDeliver, true),
+            "leaked per layer"
+        );
+        assert!(
+            p.per_layer.is_none(),
+            "whole counts hold no per-layer record"
+        );
+        p.record(3, 1, Phase::PostSend, None, false);
+        let m: Vec<_> = p.iter(3).collect();
+        assert_eq!(m[0].calls, [0, 1, 0, 0, 1]);
+        assert_eq!(m[1].calls, [0, 2, 0, 0, 1]);
+        assert_eq!(m[2].calls, m[0].calls);
+        p.start_clocks(3, 0);
+        assert!(!p.record_whole(Phase::PostSend, false), "clocked per layer");
     }
 
     #[test]
     fn phase_meter_tracks_leaks_and_debiases() {
-        let mut p = PhaseMeters::new(1);
-        p.start_clocks(100);
-        let charged = p.record(0, Phase::PostDeliver, Some(1_500), true);
+        let mut p = PhaseMeters::default();
+        p.start_clocks(1, 100);
+        let charged = p.record(1, 0, Phase::PostDeliver, Some(1_500), true);
         assert_eq!(charged, 1_400, "timer overhead subtracted");
-        p.record(0, Phase::PostDeliver, Some(1_000), false);
+        p.record(1, 0, Phase::PostDeliver, Some(1_000), false);
         let m = p.get(0);
         assert_eq!(m.calls[Phase::PostDeliver as usize], 2);
         assert_eq!(m.cycle_ns[Phase::PostDeliver as usize], 2_300);
@@ -1124,20 +1170,20 @@ mod tests {
         assert_eq!(m.leaked_cycle_ns[Phase::PostDeliver as usize], 1_400);
         assert_eq!((m.bias_ns, p.bias_ns()), (100, 100));
         // Bias never drives a span negative.
-        let charged = p.record(0, Phase::Tick, Some(40), true);
+        let charged = p.record(1, 0, Phase::Tick, Some(40), true);
         assert_eq!(charged, 0);
         assert_eq!(p.get(0).leaked_calls.iter().sum::<u64>(), 2);
     }
 
     #[test]
     fn phase_meter_deltas_partition_and_absorb() {
-        let mut p = PhaseMeters::new(1);
-        p.start_clocks(0);
+        let mut p = PhaseMeters::default();
+        p.start_clocks(1, 0);
         let cp0 = p.get(0);
-        p.record(0, Phase::PreSend, Some(100), false);
-        p.record(0, Phase::PreSend, Some(200), true);
+        p.record(1, 0, Phase::PreSend, Some(100), false);
+        p.record(1, 0, Phase::PreSend, Some(200), true);
         let cp1 = p.get(0);
-        p.record(0, Phase::PostSend, Some(300), false);
+        p.record(1, 0, Phase::PostSend, Some(300), false);
         let m = p.get(0);
         let d0 = m.delta_since(&cp0);
         let d1 = cp1.delta_since(&cp0);

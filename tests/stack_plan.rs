@@ -754,10 +754,13 @@ fn a_connection_is_its_own_state() {
     // span tables moved into the plan.
     let size = std::mem::size_of::<Connection>();
     // 1 640 B while the introspection record held its slow-path half
-    // inline. It does not grow: 1 440 B.
-    assert!(size <= 1440, "size_of::<Connection>() = {size}");
+    // inline, 1 440 B while the effects were eight lists, each
+    // prediction's images two buffers and the identifications two. It
+    // does not grow: 1 192 B.
+    assert!(size <= 1192, "size_of::<Connection>() = {size}");
     // Of which the introspection record's fast-path half: the phase
-    // meters' handles, the explain tags, the leak scope, the journey
+    // meters (three whole-stack counts and the pointer to the per-layer
+    // record), the explain tags, the leak scope, the journey
     // fields and the one pointer to the slow-path half (attribution,
     // miss table, leaks, the last disabling layer and the probe), which
     // is allocated on the first slow-path event or probe. 328 B with
