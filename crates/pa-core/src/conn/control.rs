@@ -163,8 +163,7 @@ impl Connection {
         let include_ident = !self.config.cookies || unusual || self.ident_due;
         let preamble = if include_ident {
             self.ident_due = false;
-            let (local, _) = self.idents.split_at(self.idents.len() / 2);
-            msg.push_front(local);
+            msg.push_front(&self.idents[..self.idents.len() / 2]);
             self.stats.ident_frames_out += 1;
             Preamble::with_conn_ident(self.cookie_local, self.order)
         } else {

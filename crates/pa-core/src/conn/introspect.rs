@@ -516,11 +516,10 @@ impl Connection {
     pub(super) fn meter_record(&mut self, layer_idx: usize, phase: Phase, t0: Option<Instant>) {
         let dt = t0.map(|t| t.elapsed().as_nanos() as u64);
         let leaked = self.intro.leak_scope;
-        let layers = self.layers.len();
-        let charged = self
-            .intro
-            .meters
-            .record(layers, layer_idx, phase, dt, leaked.is_some());
+        let charged =
+            self.intro
+                .meters
+                .record(self.layers.len(), layer_idx, phase, dt, leaked.is_some());
         if let Some(cause) = leaked {
             let Some(layer) = self.layers.get(layer_idx).map(|l| l.name()) else {
                 return;
@@ -634,7 +633,7 @@ impl Connection {
         fleet.attribution.merge(&slow.attribution);
         fleet.misses.merge(&slow.miss_table);
         let names = self.layers.iter().map(|l| l.name());
-        fleet.absorb_meters(names.zip(self.intro.meters.iter(self.layers.len())));
+        fleet.absorb_meters(names.zip(self.phase_meters()));
         fleet.leaks.merge(&slow.leaks);
     }
 
