@@ -455,7 +455,7 @@ const WHOLE: [Phase; 3] = [Phase::PostSend, Phase::PostDeliver, Phase::Tick];
 /// leak scope with the clocks off: one write, not one per layer. Every
 /// other call — pre phases, partial post-deliver ranges, leaked and
 /// clocked calls — is counted per layer, in one record allocated on
-/// first use that also holds the clock halves. A layer's meter reads as
+/// first use that also holds the clock fields. A layer's meter reads as
 /// the whole-stack count plus its own. The layer count is the owner's,
 /// passed where a record is made or read.
 #[derive(Debug, Clone, Default)]
@@ -1154,6 +1154,8 @@ mod tests {
         assert_eq!(m[2].calls, m[0].calls);
         p.start_clocks(3, 0);
         assert!(!p.record_whole(Phase::PostSend, false), "clocked per layer");
+        // Three counters and one pointer, whatever the layer count.
+        assert_eq!(std::mem::size_of::<PhaseMeters>(), 32);
     }
 
     #[test]
