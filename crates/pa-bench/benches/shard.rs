@@ -25,6 +25,14 @@
 //!   (`burst_vs_frame_demux_ratio`; a burst that demuxes frame by frame
 //!   reads 0.94–1.00).
 //!
+//! - **cold echo** — one fast echo (send, carry, deliver, both sides'
+//!   `process_pending`) on each of 16 384 standalone paper-stack pairs,
+//!   in a shuffled order, against the same echo repeated on one warm
+//!   pair: every verb hints the heap lines it will touch before it
+//!   touches the first, so a cold connection's misses overlap
+//!   (`cold_echo_ratio`; verbs that take their misses one after another
+//!   read 3.0–3.5 — DESIGN.md "A cold verb asks for its lines at once").
+//!
 //! The 16 384-connection rows measure the table out of cache: before
 //! each of their timed sweeps the bench streams a private buffer of
 //! twice the host's last-level cache (its size read from sysfs and
@@ -43,12 +51,13 @@
 //! [`ingest_wire`]: pa_core::ShardedEndpoint::ingest_wire
 //! [`recycle_delivery`]: pa_core::ShardedEndpoint::recycle_delivery
 
-use pa_bench::{BenchReport, Better};
+use pa_bench::{fastest, BenchReport, Better};
 use pa_buf::{Msg, MsgPool};
-use pa_core::conn::{Connection, ConnectionParams, DeliverOutcome};
-use pa_core::layer::NullLayer;
+use pa_core::conn::{Connection, ConnectionParams, DeliverOutcome, SendOutcome};
+use pa_core::layer::{Layer, NullLayer};
 use pa_core::shard::{ShardDelivery, ShardedEndpoint};
 use pa_core::PaConfig;
+use pa_stack::StackSpec;
 use pa_wire::EndpointAddr;
 use std::hint::black_box;
 use std::time::Instant;
@@ -62,8 +71,12 @@ const REPS: usize = 24;
 const BURST: usize = 32;
 
 fn conn(local: u64, peer: u64, seed: u64) -> Connection {
+    conn_over(vec![Box::new(NullLayer)], local, peer, seed)
+}
+
+fn conn_over(layers: Vec<Box<dyn Layer>>, local: u64, peer: u64, seed: u64) -> Connection {
     Connection::new(
-        vec![Box::new(NullLayer)],
+        layers,
         PaConfig::paper_default(),
         ConnectionParams::new(
             EndpointAddr::from_parts(local, 1),
@@ -71,7 +84,18 @@ fn conn(local: u64, peer: u64, seed: u64) -> Connection {
             seed,
         ),
     )
-    .expect("single-layer stack builds")
+    .expect("stack builds")
+}
+
+/// Shuffles `items` in a fixed pseudo-random order (xorshift64).
+fn shuffle<T>(items: &mut [T]) {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for i in (1..items.len()).rev() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        items.swap(i, (x % (i as u64 + 1)) as usize);
+    }
 }
 
 /// Builds an established client fleet: returns the clients' first
@@ -91,13 +115,7 @@ fn client_frames(conns: usize) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
         steady.push(c.poll_transmit().expect("steady frame").to_wire());
         c.process_pending();
     }
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    for i in (1..steady.len()).rev() {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        steady.swap(i, (x % (i as u64 + 1)) as usize);
-    }
+    shuffle(&mut steady);
     (idents, steady)
 }
 
@@ -224,12 +242,6 @@ fn interleaved(arms: &mut [Arm], evictor: &Evictor) -> Vec<f64> {
     sweeps.iter_mut().map(|ns| fastest(ns)).collect()
 }
 
-/// Mean of the five fastest: noise only ever adds time.
-fn fastest(ns: &mut [f64]) -> f64 {
-    ns.sort_by(f64::total_cmp);
-    ns[..5].iter().sum::<f64>() / 5.0
-}
-
 /// One sweep of `arm`'s steady frames in chunks of [`BURST`], the two
 /// arms taking turns chunk by chunk: an even chunk (odd, on an odd
 /// `rep`) is demuxed by one `from_network_burst` call, the other by
@@ -282,6 +294,71 @@ fn burst_vs_frame(arm: &mut Arm, evictor: &Evictor) -> (f64, f64) {
     (fastest(&mut burst), fastest(&mut frame))
 }
 
+/// One echo on a standalone pair: `a` sends, the frame is carried to
+/// `b` and delivered, `b` sends the delivery back, `a` delivers the
+/// reply; each side recycles what it polled, then both run
+/// `process_pending`. True if both sends took the fast path.
+fn echo(a: &mut Connection, b: &mut Connection) -> bool {
+    let mut fast = a.send(black_box(&[7u8; 8])) == SendOutcome::FastPath;
+    while let Some(f) = a.poll_transmit() {
+        b.deliver_frame(f);
+    }
+    while let Some(m) = b.poll_delivery() {
+        fast &= b.send(m.as_slice()) == SendOutcome::FastPath;
+        b.recycle(m);
+    }
+    while let Some(f) = b.poll_transmit() {
+        a.deliver_frame(f);
+    }
+    while let Some(m) = a.poll_delivery() {
+        a.recycle(m);
+    }
+    a.process_pending();
+    b.process_pending();
+    fast
+}
+
+/// `cold_echo_ratio`'s two arms, [`REPS`] sweeps each, interleaved and
+/// each rated by its five fastest: one echo on each of [`TABLE_CONNS`]
+/// warmed paper-stack pairs in a shuffled order after `evictor`'s
+/// stream, against as many echoes on one warm pair. Returns ns per
+/// echo, `(cold, warm)`.
+fn cold_vs_warm_echo(evictor: &Evictor) -> (f64, f64) {
+    let pair = |i: u64| {
+        let (a, b) = (2 * i + 1_000_000, 2 * i + 1_000_001);
+        let mut pair = (
+            conn_over(StackSpec::paper().build(), a, b, a),
+            conn_over(StackSpec::paper().build(), b, a, b),
+        );
+        for _ in 0..4 {
+            echo(&mut pair.0, &mut pair.1);
+        }
+        assert!(echo(&mut pair.0, &mut pair.1), "a warmed pair echoes fast");
+        pair
+    };
+    let mut cold: Vec<_> = (0..TABLE_CONNS as u64).map(pair).collect();
+    shuffle(&mut cold);
+    let mut warm = pair(TABLE_CONNS as u64);
+    let (mut cold_ns, mut warm_ns) = (Vec::new(), Vec::new());
+    let mut slow = 0usize;
+    for _ in 0..REPS {
+        evictor.evict();
+        let t = Instant::now();
+        for (a, b) in &mut cold {
+            slow += !echo(a, b) as usize;
+        }
+        cold_ns.push(t.elapsed().as_nanos() as f64 / cold.len() as f64);
+        echo(&mut warm.0, &mut warm.1);
+        let t = Instant::now();
+        for _ in 0..cold.len() {
+            slow += !echo(&mut warm.0, &mut warm.1) as usize;
+        }
+        warm_ns.push(t.elapsed().as_nanos() as f64 / cold.len() as f64);
+    }
+    assert_eq!(slow, 0, "every timed echo takes the fast path");
+    (fastest(&mut cold_ns), fastest(&mut warm_ns))
+}
+
 fn main() {
     println!("sharded demux scaling ({CONNS} connections, steady cookie frames)");
     println!("{}", "-".repeat(100));
@@ -324,9 +401,19 @@ fn main() {
         format!("burst of {BURST} x {TABLE_CONNS} conns")
     );
 
+    drop(pair);
+
+    // The cold-echo row, on standalone pairs.
+    let (cold_ns, warm_ns) = cold_vs_warm_echo(&evictor);
+    println!(
+        "{:<44} {cold_ns:>8.1} ns/echo   (against {warm_ns:.1} on one warm pair)",
+        format!("echo x {TABLE_CONNS} cold paper pairs")
+    );
+
     let scaling_ratio = by_shards[2] / by_shards[0];
     let table_ratio = table[1] / table[0];
     let demux_ratio = burst_ns / frame_ns;
+    let echo_ratio = cold_ns / warm_ns;
     println!(
         "{:<44} {scaling_ratio:>8.3}",
         "shard_scaling_ratio (64 / 1 shards)"
@@ -339,12 +426,14 @@ fn main() {
         "{:<44} {demux_ratio:>8.3}",
         "burst_vs_frame_demux_ratio (burst / frame)"
     );
+    println!("{:<44} {echo_ratio:>8.3}", "cold_echo_ratio (cold / warm)");
 
     // Raw ns rows track the machine: reported, not gated (the baseline
-    // holds none of them). The three ratio rows are the
+    // holds none of them). The four ratio rows are the
     // hardware-independent gates: 64 shards must cost no more per frame
-    // than 1, 16x the connections must not cost 16x the drain, and a
-    // burst must overlap its frames' misses. Their tolerances live in
+    // than 1, 16x the connections must not cost 16x the drain, a burst
+    // must overlap its frames' misses, and so must a cold connection's
+    // verbs. Their tolerances live in
     // the committed baseline.
     let mut report = BenchReport::new("shard");
     report
@@ -361,7 +450,10 @@ fn main() {
             demux_ratio,
             Better::Lower,
             0.25,
-        );
+        )
+        .push("echo_cold_ns", cold_ns, Better::Lower)
+        .push("echo_warm_ns", warm_ns, Better::Lower)
+        .push_tol("cold_echo_ratio", echo_ratio, Better::Lower, 0.25);
     if !pa_bench::emit_and_compare(&report) {
         std::process::exit(1);
     }

@@ -184,6 +184,15 @@ impl MsgPool {
         self.small.last()
     }
 
+    /// Where the next two small takes write, in take order: byte
+    /// [`MsgPool::headroom`] of each buffer they pop
+    /// ([`Msg::buf_addr`]), `None` past the idle ones. For cache hints:
+    /// it reads the two free-list entries, nothing in the buffers.
+    pub fn next_small_writes(&self) -> [Option<*const u8>; 2] {
+        let mut next = self.small.iter().rev();
+        [next.next(), next.next()].map(|m| m.map(|m| m.buf_addr(self.headroom())))
+    }
+
     /// Number of buffers currently on the free list.
     pub fn idle(&self) -> usize {
         self.small.len() + self.large.len()
@@ -337,6 +346,21 @@ mod tests {
         p.put(an_ack());
         assert_eq!(p.take_with(&[5; 3000]).capacity(), 3016);
         assert_eq!(p.stats().misses, 3);
+    }
+
+    #[test]
+    fn the_write_hints_name_what_the_next_two_takes_write() {
+        let mut p = MsgPool::new(16, 8);
+        assert_eq!(p.next_small_writes(), [None, None]);
+        for m in [an_ack(), an_ack(), an_ack()] {
+            p.put(m);
+        }
+        let [first, second] = p.next_small_writes();
+        let taken = [p.take_with(b"body"), p.take_with(b"image")];
+        let wrote = taken.each_ref().map(|m| Some(m.buf_addr(16)));
+        assert_eq!([first, second], wrote, "in take order");
+        assert_eq!(taken[1].as_slice().as_ptr(), wrote[1].unwrap());
+        assert!(matches!(p.next_small_writes(), [Some(_), None]));
     }
 
     fn an_ack() -> Msg {

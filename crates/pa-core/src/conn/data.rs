@@ -121,12 +121,39 @@ impl Connection {
             self.backlog.push_back(staged);
             SendOutcome::Queued
         } else {
+            self.prefetch_send(wire.as_deref());
             let mut body = wire.unwrap_or(&mut self.pool).take_with(payload);
             PackInfo::Single.push_onto(&mut body);
             self.send_body(body)
         };
         self.finish_op();
         outcome
+    }
+
+    /// Cache hints for a fast send's heap writes, read from this
+    /// connection's own fields and from `wire`'s, the pool its body
+    /// comes from when one is given: the filter slots, the send
+    /// prediction's bytes, where `pending_send` and `out` push next;
+    /// then, one load of the pools' free-list entries later, the lines
+    /// the body and image takes write — the body's payload line and the
+    /// line its headers are pushed into, the image's first line.
+    fn prefetch_send(&self, wire: Option<&MsgPool>) {
+        crate::prefetch(self.send_slots.as_ptr());
+        crate::prefetch(self.send_predict.proto().as_ptr());
+        crate::prefetch(self.pending_send.as_slices().0.as_ptr());
+        crate::prefetch(self.out.as_slices().0.as_ptr());
+        let [mine, second] = self.pool.next_small_writes();
+        let (body, image) = match wire {
+            Some(wire) => (wire.next_small_writes()[0], mine),
+            None => (mine, second),
+        };
+        if let Some(body) = body {
+            crate::prefetch(body);
+            crate::prefetch(body.wrapping_sub(self.hdr_len + 1));
+        }
+        if let Some(image) = image {
+            crate::prefetch(image);
+        }
     }
 
     /// Ends an operation on an eager host (`lazy_post` off): nothing is
@@ -255,6 +282,8 @@ impl Connection {
     /// identified frame — binds the cookie it carried once the outcome
     /// says it was verified.
     pub fn deliver_frame(&mut self, mut frame: Msg) -> DeliverOutcome {
+        self.prefetch_delivery();
+        self.prefetch_delivery_image();
         self.stats.frames_in += 1;
         let preamble = match self.admit(&mut frame) {
             Ok(p) => p,
@@ -348,8 +377,8 @@ impl Connection {
     /// [`Connection::prefetch_delivery`] has fetched their free-list
     /// entry.
     pub(crate) fn prefetch_delivery_image(&self) {
-        if let Some(next) = self.pool.next_small() {
-            crate::prefetch(next.buf_addr(self.pool.headroom()));
+        if let [Some(image), _] = self.pool.next_small_writes() {
+            crate::prefetch(image);
         }
     }
 
@@ -666,6 +695,9 @@ impl Connection {
     /// packing) if the send path is usable again. Hosts call this when
     /// the application is idle or blocked — "out of the critical path".
     pub fn process_pending(&mut self) -> PostWorkReport {
+        if self.has_pending() {
+            self.prefetch_posts();
+        }
         let frames_before = self.stats.frames_out;
         let mut report = self.drain_posts(true);
 
@@ -677,6 +709,18 @@ impl Connection {
 
         report.frames_sent = self.stats.frames_out - frames_before;
         report
+    }
+
+    /// Cache hints for a post drain: every line of every layer object,
+    /// then the heap lines each names ([`Layer::heap_lines`]), read from
+    /// the objects the first pass fetched.
+    fn prefetch_posts(&self) {
+        for layer in &self.layers {
+            crate::prefetch_all(layer.as_ref());
+        }
+        for layer in &self.layers {
+            layer.heap_lines(&mut |line| crate::prefetch(line));
+        }
     }
 
     /// Drains only the delivery-side post queue (called on arrival so

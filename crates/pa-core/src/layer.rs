@@ -610,6 +610,14 @@ pub trait Layer: Send {
     fn bufs_held(&self) -> usize {
         0
     }
+
+    /// Names the heap lines this layer's post phases are about to
+    /// touch, one `line` call each, for the engine to hint before a post
+    /// drain (DESIGN.md "A cold verb asks for its lines at once"). A
+    /// hint reads only the layer's own fields: it writes nothing,
+    /// allocates nothing, and nothing is read through the addresses it
+    /// names. Default: none. A layer that wraps another forwards this.
+    fn heap_lines(&self, _line: &mut dyn FnMut(*const u8)) {}
 }
 
 /// A transparent layer that does nothing — useful as a stack filler in

@@ -89,13 +89,15 @@ pub(crate) fn prefetch<T>(p: *const T) {
     let _ = p;
 }
 
-/// [`prefetch`] of every cache line `value` occupies.
+/// [`prefetch`] of every cache line `value` occupies: none for a
+/// zero-sized value, whose address may be no memory at all.
 #[inline(always)]
-pub(crate) fn prefetch_all<T>(value: &T) {
+pub(crate) fn prefetch_all<T: ?Sized>(value: &T) {
     let p: *const u8 = (value as *const T).cast();
-    let first = p.wrapping_sub(p as usize & 63);
-    let lines = (p as usize & 63) + std::mem::size_of::<T>();
-    for off in (0..lines).step_by(64) {
-        prefetch(first.wrapping_add(off));
+    let end = p as usize + std::mem::size_of_val(value);
+    let mut line = p.wrapping_sub(p as usize & 63);
+    while (line as usize) < end {
+        prefetch(line);
+        line = line.wrapping_add(64);
     }
 }

@@ -52,4 +52,7 @@ impl<L: Layer> Layer for Shared<L> {
     fn bufs_held(&self) -> usize {
         self.0.lock().unwrap().bufs_held()
     }
+    fn heap_lines(&self, line: &mut dyn FnMut(*const u8)) {
+        self.0.lock().unwrap().heap_lines(line)
+    }
 }

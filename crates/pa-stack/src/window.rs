@@ -377,6 +377,17 @@ impl Layer for WindowLayer {
     fn bufs_held(&self) -> usize {
         self.inflight.len() + self.wait_q.len() + self.reorder.len()
     }
+
+    /// The in-flight ring, where a post-send files its entry and an ack
+    /// pops the acknowledged ones; none before the ring is allocated,
+    /// when its slices point at no memory.
+    fn heap_lines(&self, line: &mut dyn FnMut(*const u8)) {
+        if self.inflight.capacity() > 0 {
+            let (front, back) = self.inflight.as_slices();
+            line(front.as_ptr().cast());
+            line(back.as_ptr().cast());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -431,6 +442,29 @@ mod tests {
             to_a.push(m.to_wire());
         }
         (to_b, to_a)
+    }
+
+    #[test]
+    fn the_heap_hint_names_the_in_flight_rings_two_slices() {
+        let mut w = WindowLayer::new(WindowConfig::default());
+        let mut named = Vec::new();
+        w.heap_lines(&mut |p| named.push(p));
+        assert!(named.is_empty(), "an unallocated ring has no lines");
+        let entry = |seq| InFlight {
+            seq,
+            frame: Msg::from_wire(Vec::new()),
+            sent_at: 0,
+            rto: 0,
+        };
+        w.inflight.reserve_exact(4);
+        let cap = w.inflight.capacity() as u64;
+        w.inflight.extend((0..cap).map(entry));
+        w.inflight.drain(..2);
+        w.inflight.extend((cap..cap + 2).map(entry));
+        let (front, back) = w.inflight.as_slices();
+        assert!(!front.is_empty() && !back.is_empty(), "the ring wraps");
+        w.heap_lines(&mut |p| named.push(p));
+        assert_eq!(named, [front.as_ptr().cast(), back.as_ptr().cast()]);
     }
 
     #[test]
